@@ -16,7 +16,7 @@
 //! key distributions).
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 
 use bytes::Bytes;
 
@@ -33,6 +33,14 @@ pub enum Emit {
     Done,
 }
 
+/// `a * b / c` without leaving `u64` unless the product overflows it.
+fn mul_div(a: u64, b: u64, c: u64) -> u64 {
+    match a.checked_mul(b) {
+        Some(p) => p / c,
+        None => (a as u128 * b as u128 / c as u128) as u64,
+    }
+}
+
 struct Source {
     expected_records: u64,
     appended_records: u64,
@@ -42,11 +50,23 @@ struct Source {
     packets: VecDeque<Segment>,
     /// Index into the head packet (real mode).
     head_idx: usize,
+    /// Buffered below the refill watermark with more packets still to come
+    /// (see [`StreamingMerge::wants_refill`]).
+    low: bool,
 }
 
 impl Source {
     fn available(&self) -> u64 {
         self.appended_records - self.consumed_records
+    }
+
+    /// Records still to be consumed, delivered or not.
+    fn remaining(&self) -> u64 {
+        self.expected_records - self.consumed_records
+    }
+
+    fn below(&self, watermark: u64) -> bool {
+        self.appended_records < self.expected_records && self.available() < watermark
     }
 
     fn exhausted(&self) -> bool {
@@ -97,7 +117,7 @@ impl Source {
             let b = if take == left_in_pkt {
                 pkt.bytes - self.consumed_bytes_in_head
             } else {
-                (pkt.bytes as u128 * take as u128 / pkt.records as u128) as u64
+                mul_div(pkt.bytes, take, pkt.records)
             };
             bytes += b;
             self.consumed_bytes_in_head += b;
@@ -137,25 +157,44 @@ impl PartialOrd for HeadKey {
 
 /// Priority-queue merge over incrementally delivered packet streams.
 ///
-/// The extraction stall rule ("pause while any non-exhausted source is
-/// dry") is tracked incrementally in `dry_count`, and real-mode extraction
-/// pops a min-heap of buffered head keys — both O(log k) per record instead
-/// of a scan over all k sources per record.
+/// Everything `emit` decides on is kept current where it changes — at
+/// `append` and at each pop — rather than recounted per call: the records
+/// still to emit (`remaining`, so `done` is O(1)), the extraction stall rule
+/// ("pause while any non-exhausted source is dry", the `dry` set), and which
+/// sources have fallen below the refill watermark. Real-mode extraction pops
+/// a min-heap of buffered head keys, O(log k) per record; a synthetic batch
+/// is two passes over the sources that still have records to give.
 pub struct StreamingMerge {
     sources: Vec<Source>,
     real: Option<bool>,
     emitted_records: u64,
     emitted_bytes: u64,
-    /// Number of sources that are dry (not exhausted, nothing buffered).
-    /// Invariant: equals the count the scan in [`Self::dry_sources`] finds.
-    dry_count: usize,
+    /// Records not yet consumed, summed over all sources.
+    remaining: u64,
+    /// The sources that are dry (not exhausted, nothing buffered).
+    dry: BTreeSet<usize>,
     /// Real mode only: one entry per source that has a buffered head.
     heads: BinaryHeap<Reverse<HeadKey>>,
+    /// Sources with records left to consume, ascending. Exhausted entries
+    /// are dropped by the next synthetic batch, not at the pop.
+    live: Vec<usize>,
+    /// Buffered-record level under which a source wants its next packet.
+    watermark: u64,
+    /// Sources whose `low` flag was raised since [`Self::newly_low`] last ran.
+    newly_low: Vec<usize>,
 }
 
 impl StreamingMerge {
     /// Creates a merge expecting, per source, the given total record count.
+    /// No source ever [wants a refill](Self::wants_refill).
     pub fn new(expected_records: Vec<u64>) -> Self {
+        Self::with_watermark(expected_records, 0)
+    }
+
+    /// [`Self::new`] with a refill watermark in records: a source holding
+    /// fewer unconsumed records than that, with packets still to come,
+    /// [wants a refill](Self::wants_refill).
+    pub fn with_watermark(expected_records: Vec<u64>, watermark: u64) -> Self {
         let sources: Vec<Source> = expected_records
             .into_iter()
             .map(|expected_records| Source {
@@ -165,19 +204,27 @@ impl StreamingMerge {
                 consumed_bytes_in_head: 0,
                 packets: VecDeque::new(),
                 head_idx: 0,
+                low: expected_records > 0 && watermark > 0,
             })
             .collect();
-        // Every source expecting data starts dry; zero-record sources are
-        // born exhausted.
-        let dry_count = sources.iter().filter(|s| !s.exhausted()).count();
+        // Every source expecting data starts dry (and low); zero-record
+        // sources are born exhausted.
+        let live: Vec<usize> = (0..sources.len())
+            .filter(|&i| !sources[i].exhausted())
+            .collect();
+        let newly_low = live.iter().copied().filter(|&i| sources[i].low).collect();
         let heads = BinaryHeap::with_capacity(sources.len());
         StreamingMerge {
-            sources,
             real: None,
             emitted_records: 0,
             emitted_bytes: 0,
-            dry_count,
+            remaining: sources.iter().map(Source::remaining).sum(),
+            dry: live.iter().copied().collect(),
             heads,
+            live,
+            watermark,
+            newly_low,
+            sources,
         }
     }
 
@@ -207,7 +254,9 @@ impl StreamingMerge {
             Some(r) => assert_eq!(r, is_real, "mixed real/synthetic packets"),
         }
         let s = &mut self.sources[source];
-        let was_dry = !s.exhausted() && s.available() == 0;
+        if s.available() == 0 {
+            self.dry.remove(&source);
+        }
         let had_head = !s.packets.is_empty();
         s.appended_records += packet.records;
         assert!(
@@ -217,9 +266,9 @@ impl StreamingMerge {
             s.expected_records
         );
         s.packets.push_back(packet);
-        if was_dry {
-            self.dry_count -= 1;
-        }
+        // A delivery can only lift a source over the watermark (or complete
+        // it), never drop it under.
+        s.low = s.low && s.below(self.watermark);
         if is_real && !had_head {
             let key = self.sources[source]
                 .head()
@@ -230,41 +279,42 @@ impl StreamingMerge {
         }
     }
 
-    /// Sources whose buffered (unconsumed) records are below `watermark` and
-    /// which still expect more data — the engine's refill set.
-    pub fn sources_below(&self, watermark: u64) -> Vec<usize> {
-        self.sources
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| {
-                !s.exhausted()
-                    && s.available() < watermark
-                    && s.appended_records < s.expected_records
-            })
-            .map(|(i, _)| i)
-            .collect()
+    /// True while `source` holds fewer unconsumed records than the watermark
+    /// and has packets still to come — the engine should request its next
+    /// packet. Raised by extraction, cleared by [`Self::append`].
+    pub fn wants_refill(&self, source: usize) -> bool {
+        self.sources[source].low
     }
 
-    /// Debug view of one source: (expected, appended, consumed) records.
-    pub fn source_debug(&self, i: usize) -> (u64, u64, u64) {
-        let s = &self.sources[i];
-        (s.expected_records, s.appended_records, s.consumed_records)
+    /// The sources that started wanting a refill since the previous call, in
+    /// the order they did (initially: every source expecting data). A later
+    /// `append` may already have satisfied one; [`Self::wants_refill`] is the
+    /// current state.
+    pub fn newly_low(&mut self) -> std::vec::Drain<'_, usize> {
+        self.newly_low.drain(..)
     }
 
     /// True once everything expected has been emitted.
     pub fn done(&self) -> bool {
-        self.sources.iter().all(Source::exhausted)
+        self.remaining == 0
     }
 
     /// The sources currently blocking extraction (dry but not exhausted).
-    /// Only built when a stall is actually reported.
     fn dry_sources(&self) -> Vec<usize> {
-        self.sources
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| !s.exhausted() && s.available() == 0)
-            .map(|(i, _)| i)
-            .collect()
+        self.dry.iter().copied().collect()
+    }
+
+    /// Bookkeeping for `n` records just popped from `source`.
+    fn consumed(&mut self, source: usize, n: u64) {
+        self.remaining -= n;
+        let s = &mut self.sources[source];
+        if s.available() == 0 && !s.exhausted() {
+            self.dry.insert(source);
+        }
+        if !s.low && s.below(self.watermark) {
+            s.low = true;
+            self.newly_low.push(source);
+        }
     }
 
     /// Extracts up to `max_records` merged records.
@@ -272,7 +322,7 @@ impl StreamingMerge {
         if self.done() {
             return Emit::Done;
         }
-        if self.dry_count > 0 {
+        if !self.dry.is_empty() {
             return Emit::Stalled(self.dry_sources());
         }
         let seg = match self.real {
@@ -282,7 +332,7 @@ impl StreamingMerge {
             _ => self.emit_synthetic(max_records),
         };
         if seg.records == 0 {
-            // All sources dry at zero-progress: report who needs data.
+            // Only a zero `max_records` gets here: nothing is dry.
             return Emit::Stalled(self.dry_sources());
         }
         self.emitted_records += seg.records;
@@ -295,7 +345,7 @@ impl StreamingMerge {
         while (out.len() as u64) < max_records {
             // Extraction is only safe while every non-exhausted source has a
             // buffered head.
-            if self.dry_count > 0 {
+            if !self.dry.is_empty() {
                 break;
             }
             // The heap holds exactly one entry per source with a buffered
@@ -305,102 +355,73 @@ impl StreamingMerge {
             };
             let src = top.src;
             out.push(self.sources[src].pop_real());
-            let s = &self.sources[src];
-            match s.head() {
-                Some(h) => {
-                    let key = h.key.clone();
-                    self.heads.push(Reverse(HeadKey { key, src }));
-                }
-                None => {
-                    if !s.exhausted() {
-                        self.dry_count += 1;
-                    }
-                }
+            self.consumed(src, 1);
+            if let Some(h) = self.sources[src].head() {
+                let key = h.key.clone();
+                self.heads.push(Reverse(HeadKey { key, src }));
             }
         }
         Segment::from_sorted(out)
     }
 
-    fn emit_synthetic(&mut self, max_records: u64) -> Segment {
-        let seg = self.emit_synthetic_inner(max_records);
-        // A synthetic draw touches many sources per batch; recount dryness
-        // once per batch instead of tracking every pop.
-        self.dry_count = self
-            .sources
-            .iter()
-            .filter(|s| !s.exhausted() && s.available() == 0)
-            .count();
-        seg
+    fn pop_synthetic(&mut self, source: usize, n: u64) -> u64 {
+        let bytes = self.sources[source].pop_synthetic(n);
+        self.consumed(source, n);
+        bytes
     }
 
-    fn emit_synthetic_inner(&mut self, max_records: u64) -> Segment {
-        // Fluid limit: emission draws from each source proportionally to its
-        // remaining share; any source running dry caps the batch.
-        let total_remaining: u64 = self
-            .sources
-            .iter()
-            .map(|s| s.expected_records - s.consumed_records)
-            .sum();
-        if total_remaining == 0 {
-            return Segment::empty();
-        }
-        let mut feasible = max_records.min(total_remaining);
-        for s in &self.sources {
-            let rem = s.expected_records - s.consumed_records;
+    /// Fluid limit: a batch draws from each source proportionally to its
+    /// remaining share, `batch * rem / total`; the source that would run dry
+    /// first caps the batch. Called with no live source dry.
+    fn emit_synthetic(&mut self, max_records: u64) -> Segment {
+        let total = self.remaining;
+        // Pass 1: the largest batch whose share of every source fits in what
+        // that source has buffered, `avail * total / rem` at its tightest.
+        // Only a source that lowers the running minimum costs a division.
+        let mut batch = max_records.min(total);
+        let sources = &self.sources;
+        self.live.retain(|&i| {
+            let s = &sources[i];
+            let rem = s.remaining();
             if rem == 0 {
-                continue;
+                return false;
             }
-            // Largest E such that E * rem / total ≤ available.
-            let cap = (s.available() as u128 * total_remaining as u128 / rem as u128) as u64;
-            feasible = feasible.min(cap);
-        }
-        if feasible == 0 {
-            // Can't take a proportional slice, but per the stall rule we may
-            // still take single records from the fullest source(s) — emulate
-            // the PQ draining whichever head happens to be minimal. Take one
-            // record from the source with the most available.
-            let i = self
-                .sources
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| s.available() > 0)
-                .max_by_key(|(_, s)| s.available())
-                .map(|(i, _)| i);
-            return match i {
-                Some(i) => {
-                    let bytes = self.sources[i].pop_synthetic(1);
-                    Segment::synthetic(1, bytes)
-                }
-                None => Segment::empty(),
-            };
-        }
-        // Distribute `feasible` across sources by remaining share.
-        let mut taken_total = 0u64;
-        let mut bytes_total = 0u64;
-        let n = self.sources.len();
-        for idx in 0..n {
-            let rem = self.sources[idx].expected_records - self.sources[idx].consumed_records;
-            let mut take = (feasible as u128 * rem as u128 / total_remaining as u128) as u64;
-            take = take.min(self.sources[idx].available());
+            let avail = s.available();
+            if (avail as u128 * total as u128) < batch as u128 * rem as u128 {
+                batch = mul_div(avail, total, rem);
+            }
+            true
+        });
+        // Pass 2: each source's share, rounded down.
+        let mut taken = 0u64;
+        let mut bytes = 0u64;
+        for at in 0..self.live.len() {
+            let i = self.live[at];
+            let take = mul_div(batch, self.sources[i].remaining(), total);
+            debug_assert!(
+                take <= self.sources[i].available(),
+                "pass 1 caps every share"
+            );
             if take > 0 {
-                bytes_total += self.sources[idx].pop_synthetic(take);
-                taken_total += take;
+                bytes += self.pop_synthetic(i, take);
+                taken += take;
             }
         }
-        // Rounding residue: top up from sources with availability.
-        let mut residue = feasible - taken_total;
-        let mut idx = 0;
-        while residue > 0 && idx < n {
-            let avail = self.sources[idx].available();
-            if avail > 0 {
-                let take = avail.min(residue);
-                bytes_total += self.sources[idx].pop_synthetic(take);
-                taken_total += take;
+        // The rounding residue (less than one record per source) tops up
+        // from the first sources that still have records buffered.
+        let mut residue = batch - taken;
+        for at in 0..self.live.len() {
+            if residue == 0 {
+                break;
+            }
+            let i = self.live[at];
+            let take = self.sources[i].available().min(residue);
+            if take > 0 {
+                bytes += self.pop_synthetic(i, take);
                 residue -= take;
             }
-            idx += 1;
         }
-        Segment::synthetic(taken_total, bytes_total)
+        Segment::synthetic(batch - residue, bytes)
     }
 }
 
@@ -526,12 +547,33 @@ mod tests {
     }
 
     #[test]
-    fn sources_below_reports_refill_set() {
-        let mut m = StreamingMerge::new(vec![10, 10, 3]);
+    fn refill_tracking_follows_the_watermark() {
+        let low = |m: &StreamingMerge| -> Vec<usize> {
+            (0..m.source_count())
+                .filter(|&i| m.wants_refill(i))
+                .collect()
+        };
+        let mut m = StreamingMerge::with_watermark(vec![10, 10, 3, 0], 4);
+        // Every source expecting data starts out wanting its first packet.
+        assert_eq!(m.newly_low().collect::<Vec<_>>(), vec![0, 1, 2]);
         m.append(0, Segment::synthetic(8, 80));
         m.append(1, Segment::synthetic(1, 10));
         m.append(2, Segment::synthetic(3, 30)); // fully delivered
-        assert_eq!(m.sources_below(4), vec![1]);
+        assert_eq!(low(&m), vec![1]);
+        // 23 remaining, source 1 caps the batch at 1 * 23 / 10 = 2 records:
+        // every share rounds to 0 and source 0 takes both as residue.
+        match m.emit(100) {
+            Emit::Data(seg) => assert_eq!(seg.records, 2),
+            other => panic!("{other:?}"),
+        }
+        assert_eq!(m.newly_low().count(), 0);
+        m.append(1, Segment::synthetic(9, 90)); // completes source 1
+        assert_eq!(low(&m), Vec::<usize>::new());
+        // Source 0 (6 buffered of 8 remaining) now caps the batch; it drops
+        // under the watermark and still has two records to come.
+        assert!(matches!(m.emit(100), Emit::Data(_)));
+        assert_eq!(m.newly_low().collect::<Vec<_>>(), vec![0]);
+        assert_eq!(low(&m), vec![0]);
     }
 
     #[test]

@@ -18,6 +18,16 @@
 //!   those packets are enormous, exhausting the shuffle buffer and
 //!   serialising fetches — the §IV-C pathology.
 //!
+//! # Refill
+//!
+//! Which sources to ask for their next packet is kept as a candidate set
+//! (below the phase's fill level, not in flight, not fully delivered),
+//! updated where one of those facts changes: a request goes out, a response
+//! lands, a packet drains into the merge, a batch drops a source under the
+//! watermark, a source is re-homed. A refill step walks that set in map
+//! order and stops where the shuffle-buffer budget does, so the merge loop
+//! costs what it sends rather than a sweep over every map per iteration.
+//!
 //! # Fault handling
 //!
 //! A verbs CQ never closes on peer death, so a dead TaskTracker cannot be
@@ -35,7 +45,6 @@
 //! [`NodeLiveness`]: crate::faults::NodeLiveness
 
 use std::cell::{Cell, RefCell};
-use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::rc::Rc;
 
@@ -117,10 +126,41 @@ struct SourceState {
     inflight: bool,
     /// Shuffle-buffer bytes reserved for the in-flight request.
     reserved: u64,
+    /// Holds less than the current phase's fill level: its fair share of the
+    /// shuffle buffer in Phase A (cleared by the refill step that finds it
+    /// full — buffers only grow and shares only shrink there), the merge's
+    /// refill watermark in Phase B ([`StreamingMerge::wants_refill`]).
+    below: bool,
+}
+
+impl SourceState {
+    /// Bytes a request reserves: the engine's per-packet estimate `est`,
+    /// refined with what the server already said is left.
+    fn request_bytes(&self, est: u64) -> u64 {
+        match self.total_bytes {
+            Some(t) => est.min(t.saturating_sub(self.delivered_bytes)).max(1),
+            None => est,
+        }
+    }
 }
 
 struct ShufState {
-    sources: BTreeMap<usize, SourceState>,
+    /// Indexed by `map_idx` (maps are `0..total_maps`); `None` until the
+    /// map's completion event is seen.
+    sources: Vec<Option<SourceState>>,
+    /// Sources still waiting for their first response (no totals yet).
+    missing: BTreeSet<usize>,
+    /// Refill candidates in map order: sources `below` their fill level that
+    /// are neither in flight nor fully delivered. Kept current by
+    /// [`Self::relist`] wherever one of those facts changes, so a refill step
+    /// costs what it sends instead of a sweep over every map.
+    cands: BTreeSet<usize>,
+    /// The candidates whose next request reserves less than
+    /// `est_packet_bytes` (the tail of their segment): all that can still fit
+    /// once the budget is under one full estimate.
+    tails: BTreeSet<usize>,
+    /// The engine's size estimate for one data packet.
+    est_packet_bytes: u64,
     /// Arrived-but-not-yet-merged packets in arrival order:
     /// (map_idx, packet, spilled-to-disk flag). Draining pops from the
     /// front, so the merge feed is O(packets) instead of a scan over every
@@ -134,37 +174,59 @@ struct ShufState {
     spilled_bytes: u64,
 }
 
+impl ShufState {
+    fn src(&mut self, map_idx: usize) -> &mut SourceState {
+        self.sources[map_idx].as_mut().expect("unknown source")
+    }
+
+    /// The discovered sources, in map order.
+    fn known(&self) -> impl Iterator<Item = (usize, &SourceState)> {
+        self.sources
+            .iter()
+            .enumerate()
+            .filter_map(|(m, s)| Some((m, s.as_ref()?)))
+    }
+
+    /// Re-derives `map_idx`'s membership in the candidate sets; call after
+    /// changing any field of the source.
+    fn relist(&mut self, map_idx: usize) {
+        let s = self.sources[map_idx].as_ref().expect("unknown source");
+        let cand = s.below && !s.inflight && !s.fully_delivered;
+        let tail = cand && s.request_bytes(self.est_packet_bytes) < self.est_packet_bytes;
+        for (set, member) in [(&mut self.cands, cand), (&mut self.tails, tail)] {
+            if member {
+                set.insert(map_idx);
+            } else {
+                set.remove(&map_idx);
+            }
+        }
+    }
+}
+
 /// Shuffle-buffer accounting: prefetch requests reserve space; requests that
 /// unblock a stalled merge may overdraft (deadlock avoidance), and releases
 /// never exceed what was reserved.
 struct MemBudget {
-    sem: Semaphore,
+    capacity: u64,
     outstanding: Cell<u64>,
 }
 
 impl MemBudget {
-    fn new(bytes: u64) -> Self {
-        MemBudget {
-            sem: Semaphore::new(bytes),
-            outstanding: Cell::new(0),
-        }
+    fn available(&self) -> u64 {
+        self.capacity - self.outstanding.get()
     }
 
     fn try_reserve(&self, bytes: u64) -> bool {
-        match self.sem.try_acquire(bytes) {
-            Some(p) => {
-                p.forget();
-                self.outstanding.set(self.outstanding.get() + bytes);
-                true
-            }
-            None => false,
+        let fits = bytes <= self.available();
+        if fits {
+            self.outstanding.set(self.outstanding.get() + bytes);
         }
+        fits
     }
 
     fn release(&self, bytes: u64) {
-        let r = bytes.min(self.outstanding.get());
-        self.outstanding.set(self.outstanding.get() - r);
-        self.sem.release_raw(r);
+        self.outstanding
+            .set(self.outstanding.get().saturating_sub(bytes));
     }
 }
 
@@ -173,16 +235,15 @@ impl MemBudget {
 /// died, or it restarted and lost its MapOutputStore, or the map has already
 /// been re-homed away from a lost incarnation — `poisoned`).
 fn lost_source(
-    state: &RefCell<ShufState>,
+    st: &ShufState,
     poisoned: &BTreeSet<usize>,
     ep_dead: &dyn Fn(usize) -> bool,
 ) -> Option<usize> {
-    let st = state.borrow();
-    st.sources.iter().find_map(|(m, s)| {
+    st.known().find_map(|(m, s)| {
         if s.fully_delivered {
             return None;
         }
-        if poisoned.contains(m) {
+        if poisoned.contains(&m) {
             return Some(s.tt_idx);
         }
         if (s.delivered_records > 0 || s.delivered_bytes > 0) && ep_dead(s.tt_idx) {
@@ -220,8 +281,25 @@ pub async fn run_reduce_rdma(
         }
     };
 
+    let packet_budget = || {
+        if variant.byte_packets {
+            PacketBudget::Bytes(conf.osu_packet_bytes)
+        } else {
+            PacketBudget::Records(conf.hadoop_a_kv_per_packet)
+        }
+    };
+    let est_packet_bytes = if variant.byte_packets {
+        conf.osu_packet_bytes
+    } else {
+        conf.hadoop_a_kv_per_packet * ctx.spec.avg_record_bytes.max(1)
+    };
+
     let state = Rc::new(RefCell::new(ShufState {
-        sources: BTreeMap::new(),
+        sources: (0..ctx.total_maps).map(|_| None).collect(),
+        missing: BTreeSet::new(),
+        cands: BTreeSet::new(),
+        tails: BTreeSet::new(),
+        est_packet_bytes,
         pending: VecDeque::new(),
         shuffled_bytes: 0,
         last_arrival_s: 0.0,
@@ -229,7 +307,10 @@ pub async fn run_reduce_rdma(
         spilled_bytes: 0,
     }));
     let arrived = Notify::new_named(&format!("r{}-packet-arrived", ctx.reduce_idx));
-    let mem = Rc::new(MemBudget::new(conf.shuffle_buffer));
+    let mem = Rc::new(MemBudget {
+        capacity: conf.shuffle_buffer,
+        outstanding: Cell::new(0),
+    });
 
     // Attempt-scoped shutdown for the copier daemons (they live in the
     // TaskTracker's task group, so the node's death also reaps them), and a
@@ -322,7 +403,8 @@ pub async fn run_reduce_rdma(
                             let mut st = state.borrow_mut();
                             st.shuffled_bytes += packet.bytes;
                             st.last_arrival_s = sim2.now().as_secs_f64();
-                            let src = st.sources.get_mut(&map_idx).expect("unknown source");
+                            st.missing.remove(&map_idx);
+                            let src = st.src(map_idx);
                             src.total_records = Some(total_records);
                             src.total_bytes = Some(total_bytes);
                             src.delivered_records += packet.records;
@@ -337,15 +419,15 @@ pub async fn run_reduce_rdma(
                             }
                             src.reserved = 0;
                             src.inflight = false;
+                            st.relist(map_idx);
                             let over =
                                 !covered && st.resident_bytes + packet.bytes > conf.shuffle_buffer;
                             if packet.records > 0 {
+                                st.src(map_idx).buffered_bytes += packet.bytes;
                                 st.resident_bytes += packet.bytes;
                                 if over {
                                     st.spilled_bytes += packet.bytes;
                                 }
-                                let src = st.sources.get_mut(&map_idx).unwrap();
-                                src.buffered_bytes += packet.bytes;
                                 let bytes = packet.bytes;
                                 st.pending.push_back((map_idx, packet, over));
                                 over.then_some(bytes)
@@ -383,8 +465,8 @@ pub async fn run_reduce_rdma(
     // RDMACopier sends such information to all available TaskTrackers").
     // Dead servers are skipped; if a source later lands on one (restart or
     // re-execution), the Phase A reconnect pass picks it up.
+    let n_servers = ctx.servers.borrow().len();
     {
-        let n_servers = ctx.servers.borrow().len();
         let mut connected: Vec<(usize, Rc<EndPoint<ShufMsg>>, u64)> = Vec::new();
         for tt_i in 0..n_servers {
             if !ctx.liveness[tt_i].alive() {
@@ -409,19 +491,6 @@ pub async fn run_reduce_rdma(
         }
     }
 
-    let packet_budget = || {
-        if variant.byte_packets {
-            PacketBudget::Bytes(conf.osu_packet_bytes)
-        } else {
-            PacketBudget::Records(conf.hadoop_a_kv_per_packet)
-        }
-    };
-    let est_packet_bytes = if variant.byte_packets {
-        conf.osu_packet_bytes
-    } else {
-        conf.hadoop_a_kv_per_packet * ctx.spec.avg_record_bytes.max(1)
-    };
-
     // Sends the next packet request for `map_idx`. `forced` bypasses the
     // memory budget (stall recovery); otherwise the request is skipped when
     // the buffer has no room. Returns false (no request) when the source's
@@ -437,7 +506,7 @@ pub async fn run_reduce_rdma(
         let attempt = ctx.attempt;
         move |map_idx: usize, budget: PacketBudget, est: u64, forced: bool| -> bool {
             let mut st = state.borrow_mut();
-            let src = st.sources.get_mut(&map_idx).expect("unknown source");
+            let src = st.src(map_idx);
             if src.inflight || src.fully_delivered {
                 return false;
             }
@@ -448,11 +517,7 @@ pub async fn run_reduce_rdma(
                     return false;
                 }
             };
-            // Refine the estimate with what the server already told us.
-            let est = match src.total_bytes {
-                Some(t) => est.min(t.saturating_sub(src.delivered_bytes)).max(1),
-                None => est,
-            };
+            let est = src.request_bytes(est);
             let reserved = if mem.try_reserve(est) {
                 est
             } else if forced {
@@ -463,6 +528,7 @@ pub async fn run_reduce_rdma(
             src.reserved = reserved;
             src.inflight = true;
             let server = src.tt_idx;
+            st.relist(map_idx);
             drop(st);
             obs.emit(|| Ev::ShuffleRequest {
                 node: my_idx,
@@ -482,23 +548,62 @@ pub async fn run_reduce_rdma(
         }
     };
 
+    // One refill step: requests the next packet from each candidate, in map
+    // order, for as long as the shuffle-buffer budget covers the request.
+    // With at least one full estimate free every candidate fits; below that
+    // only segment tails can, so the walk narrows to them and ends when
+    // nothing is free — its cost follows the requests sent, not the number
+    // of maps. `fair_share` (Phase A) retires candidates that already hold
+    // their share of the buffer.
+    let refill = |fair_share: Option<u64>| {
+        // Phase A's fault sweep is re-armed (`no_ep`) by a request that finds
+        // its source's TaskTracker without an endpoint, whether or not the
+        // budget would have covered it. While some TaskTracker has none, walk
+        // every candidate so that request is attempted.
+        let walk_all = fair_share.is_some() && eps.borrow().len() < n_servers;
+        let mut from = 0usize;
+        loop {
+            let map_idx = {
+                let mut st = state.borrow_mut();
+                let free = mem.available();
+                let set = if free >= est_packet_bytes || walk_all {
+                    &st.cands
+                } else if free > 0 {
+                    &st.tails
+                } else {
+                    break;
+                };
+                let Some(&m) = set.range(from..).next() else {
+                    break;
+                };
+                from = m + 1;
+                if fair_share.is_some_and(|share| st.src(m).buffered_bytes >= share) {
+                    st.src(m).below = false;
+                    st.relist(m);
+                    continue;
+                }
+                m
+            };
+            send_request(map_idx, packet_budget(), est_packet_bytes, false);
+        }
+    };
+
     // ---- Phase A: discover map completions; OSU overlaps data shuffle
     // with the map wave, Hadoop-A only pulls headers. ----
     let mut cursor = 0usize;
     let mut discovered = 0usize;
-    let mut phase_a_iters = 0u64;
     // Maps whose partial deliveries came from a since-lost incarnation.
     let mut poisoned: BTreeSet<usize> = BTreeSet::new();
     loop {
         for (map_idx, tt_idx) in poll_events(&ctx.cluster, &ctx.jt, &node, &mut cursor).await {
             // A repeated completion event for the same map means it was
-            // re-executed after a node loss: dedup via the entry API so
-            // `discovered` counts unique maps.
-            let (is_new, want_request) = {
+            // re-executed after a node loss: dedup so `discovered` counts
+            // unique maps.
+            let want_request = {
                 let mut st = state.borrow_mut();
-                match st.sources.entry(map_idx) {
-                    Entry::Vacant(v) => {
-                        v.insert(SourceState {
+                match &mut st.sources[map_idx] {
+                    slot @ None => {
+                        *slot = Some(SourceState {
                             tt_idx,
                             total_records: None,
                             total_bytes: None,
@@ -508,21 +613,24 @@ pub async fn run_reduce_rdma(
                             fully_delivered: false,
                             inflight: false,
                             reserved: 0,
+                            below: true,
                         });
-                        (true, true)
+                        discovered += 1;
+                        st.missing.insert(map_idx);
+                        st.relist(map_idx);
+                        true
                     }
-                    Entry::Occupied(mut e) => {
-                        let s = e.get_mut();
+                    Some(s) => {
                         if s.fully_delivered {
                             // Already fully pulled from the old incarnation;
                             // the re-execution serves other reducers.
-                            (false, false)
+                            false
                         } else if s.delivered_records > 0 || s.delivered_bytes > 0 {
                             // Partial data from a lost incarnation cannot be
                             // resumed (the new server's cursor starts over):
                             // the attempt must restart.
                             poisoned.insert(map_idx);
-                            (false, false)
+                            false
                         } else {
                             // Nothing delivered yet: re-home cleanly, dropping
                             // any request that was in flight to the dead node.
@@ -532,14 +640,12 @@ pub async fn run_reduce_rdma(
                             }
                             s.inflight = false;
                             s.tt_idx = tt_idx;
-                            (false, true)
+                            st.relist(map_idx);
+                            true
                         }
                     }
                 }
             };
-            if is_new {
-                discovered += 1;
-            }
             if want_request {
                 if variant.eager_fetch {
                     send_request(map_idx, packet_budget(), est_packet_bytes, false);
@@ -559,27 +665,21 @@ pub async fn run_reduce_rdma(
         // no endpoint for without ever witnessing a death (the node was down
         // at connect time and a re-executed map landed on it post-restart).
         if deaths_seen.get() > 0 || !poisoned.is_empty() || no_ep.replace(false) {
-            if let Some(tt_idx) = lost_source(&state, &poisoned, &ep_dead) {
+            if let Some(tt_idx) = lost_source(&state.borrow(), &poisoned, &ep_dead) {
                 stop_copiers();
                 return Err(ReduceError::SourceLost { tt_idx });
             }
             // Reconnect to the (live) homes of still-pending sources whose
             // endpoint died — a restarted node, or a re-execution landing on
             // a TaskTracker that was down when we connected up front.
-            let need: Vec<usize> = {
-                let st = state.borrow();
-                let mut v: Vec<usize> = st
-                    .sources
-                    .values()
-                    .filter(|s| {
-                        !s.fully_delivered && ep_dead(s.tt_idx) && ctx.liveness[s.tt_idx].alive()
-                    })
-                    .map(|s| s.tt_idx)
-                    .collect();
-                v.sort_unstable();
-                v.dedup();
-                v
-            };
+            let need: BTreeSet<usize> = state
+                .borrow()
+                .known()
+                .filter(|(_, s)| {
+                    !s.fully_delivered && ep_dead(s.tt_idx) && ctx.liveness[s.tt_idx].alive()
+                })
+                .map(|(_, s)| s.tt_idx)
+                .collect();
             for tt in need {
                 let epoch = ctx.liveness[tt].epoch();
                 let connector = match &ctx.servers.borrow()[tt] {
@@ -601,30 +701,12 @@ pub async fn run_reduce_rdma(
         // each discovered source up to its fair share of the shuffle buffer,
         // overlapping the data movement with the map wave (§III-B-4).
         if variant.eager_fetch {
-            let idle: Vec<usize> = {
-                let st = state.borrow();
-                let target = conf.shuffle_buffer / (st.sources.len().max(8) as u64);
-                st.sources
-                    .iter()
-                    .filter(|(_, s)| !s.inflight && !s.fully_delivered && s.buffered_bytes < target)
-                    .map(|(m, _)| *m)
-                    .collect()
-            };
-            for m in idle {
-                send_request(m, packet_budget(), est_packet_bytes, false);
-            }
+            refill(Some(conf.shuffle_buffer / discovered.max(8) as u64));
         }
         // Done discovering once every map reported and every source has its
         // totals (needed to build the merge).
         if discovered == ctx.total_maps {
-            let missing: Vec<usize> = {
-                let st = state.borrow();
-                st.sources
-                    .iter()
-                    .filter(|(_, s)| s.total_records.is_none())
-                    .map(|(m, _)| *m)
-                    .collect()
-            };
+            let missing: Vec<usize> = state.borrow().missing.iter().copied().collect();
             if missing.is_empty() {
                 break;
             }
@@ -634,28 +716,6 @@ pub async fn run_reduce_rdma(
         }
         // Wake on the next poll tick or on any packet arrival (copiers also
         // fire the arrival notify when they observe a server death).
-        phase_a_iters += 1;
-        if phase_a_iters.is_multiple_of(512) && std::env::var("RMR_RDMA_DEBUG").is_ok() {
-            let st = state.borrow();
-            let no_totals: Vec<(usize, usize, bool, bool)> = st
-                .sources
-                .iter()
-                .filter(|(_, s)| s.total_records.is_none())
-                .map(|(m, s)| (*m, s.tt_idx, s.inflight, ep_dead(s.tt_idx)))
-                .collect();
-            eprintln!(
-                "[rdma r{} tt{}] PHASE-A iter={} discovered={}/{} deaths={} poisoned={:?} \
-                 no-totals(map,tt,inflight,ep_dead)={:?}",
-                ctx.reduce_idx,
-                my_idx,
-                phase_a_iters,
-                discovered,
-                ctx.total_maps,
-                deaths_seen.get(),
-                poisoned,
-                no_totals
-            );
-        }
         let n = arrived.notified();
         rmr_des::sync::select2(sim.sleep(conf.event_poll), n).await;
     }
@@ -665,21 +725,40 @@ pub async fn run_reduce_rdma(
     // source has delivered at least a header — so a server death in Phase B
     // either touches only fully-delivered sources (harmless) or fails the
     // attempt; there is no Phase B re-home/reconnect path.
-    let order: Vec<usize> = state.borrow().sources.keys().copied().collect();
-    let dense: BTreeMap<usize, usize> = order.iter().enumerate().map(|(i, m)| (*m, i)).collect();
-    let expected: Vec<u64> = {
-        let st = state.borrow();
-        order
-            .iter()
-            .map(|m| st.sources[m].total_records.unwrap())
-            .collect()
-    };
-    let mut merge = StreamingMerge::new(expected);
     let watermark = if variant.byte_packets {
         (conf.osu_packet_bytes / ctx.spec.avg_record_bytes.max(1)).max(16)
     } else {
         conf.hadoop_a_kv_per_packet.max(16)
     };
+    let mut merge = {
+        let mut st = state.borrow_mut();
+        // The fill level is the merge's watermark from here on.
+        st.cands.clear();
+        st.tails.clear();
+        let expected = st
+            .sources
+            .iter_mut()
+            .map(|s| {
+                let s = s.as_mut().expect("every map discovered");
+                s.below = false;
+                s.total_records.expect("every source has its totals")
+            })
+            .collect();
+        StreamingMerge::with_watermark(expected, watermark)
+    };
+    // Mirrors the merge's newly-low sources into the candidate set. Runs
+    // right after the merge state changes them, before any await.
+    let note_low = {
+        let state = Rc::clone(&state);
+        move |merge: &mut StreamingMerge| {
+            let mut st = state.borrow_mut();
+            for m in merge.newly_low() {
+                st.src(m).below = true;
+                st.relist(m);
+            }
+        }
+    };
+    note_low(&mut merge);
 
     // DataToReduceQueue + reduce consumer (overlap of merge and reduce).
     // The consumer lives in the TaskTracker's group so the node's own death
@@ -718,13 +797,17 @@ pub async fn run_reduce_rdma(
             let mut spilled = 0u64;
             let mut refetch = Vec::new();
             while let Some((m, pkt, was_spilled)) = st.pending.pop_front() {
-                let s = st.sources.get_mut(&m).expect("pending from unknown source");
+                let s = st.src(m);
                 s.buffered_bytes = s.buffered_bytes.saturating_sub(pkt.bytes);
                 if was_spilled {
                     spilled += pkt.bytes;
                     refetch.push((s.tt_idx, m, pkt.bytes));
                 }
-                merge.append(dense[&m], pkt);
+                merge.append(m, pkt);
+                if s.below && !merge.wants_refill(m) {
+                    s.below = false;
+                    st.relist(m);
+                }
             }
             (spilled, refetch)
         }
@@ -742,7 +825,7 @@ pub async fn run_reduce_rdma(
     loop {
         c_loop_iters.incr();
         if deaths_seen.get() > 0 || !poisoned.is_empty() {
-            if let Some(tt) = lost_source(&state, &poisoned, &ep_dead) {
+            if let Some(tt) = lost_source(&state.borrow(), &poisoned, &ep_dead) {
                 lost_tt = Some(tt);
                 break;
             }
@@ -789,11 +872,10 @@ pub async fn run_reduce_rdma(
             }
         }
         // Refill ahead of need.
-        for di in merge.sources_below(watermark) {
-            send_request(order[di], packet_budget(), est_packet_bytes, false);
-        }
+        refill(None);
         match merge.emit(MERGE_BATCH_RECORDS) {
             Emit::Data(seg) => {
+                note_low(&mut merge);
                 c_emits.incr();
                 c_emit_records.add(seg.records as f64);
                 obs.emit(|| Ev::MergeBatch {
@@ -824,7 +906,7 @@ pub async fn run_reduce_rdma(
                 // arming so a death signalled during the awaits above either
                 // shows up here or wakes the waiter.
                 if deaths_seen.get() > 0 || !poisoned.is_empty() {
-                    if let Some(tt) = lost_source(&state, &poisoned, &ep_dead) {
+                    if let Some(tt) = lost_source(&state.borrow(), &poisoned, &ep_dead) {
                         lost_tt = Some(tt);
                         break;
                     }
@@ -833,37 +915,10 @@ pub async fn run_reduce_rdma(
                 if has_undrained {
                     continue; // drain them and retry
                 }
-                if std::env::var("RMR_RDMA_DEBUG").is_ok() {
-                    let st = state.borrow();
-                    eprintln!(
-                        "[{:.1}s] r{} STALL dry={:?} deaths={}",
-                        sim.now().as_secs_f64(),
-                        ctx.reduce_idx,
-                        dry.iter().map(|d| order[*d]).collect::<Vec<_>>(),
-                        deaths_seen.get(),
-                    );
-                    for (m, s) in st.sources.iter().filter(|(_, s)| !s.fully_delivered) {
-                        eprintln!(
-                            "  map{} tt{} {}/{:?}B inflight={} resv={} ep={} dead={} \
-                             alive={} epoch {:?}/{}",
-                            m,
-                            s.tt_idx,
-                            s.delivered_bytes,
-                            s.total_bytes,
-                            s.inflight,
-                            s.reserved,
-                            eps.borrow().contains_key(&s.tt_idx),
-                            ep_dead(s.tt_idx),
-                            ctx.liveness[s.tt_idx].alive(),
-                            ep_epochs.borrow().get(&s.tt_idx),
-                            ctx.liveness[s.tt_idx].epoch()
-                        );
-                    }
-                }
-                for di in dry {
+                for m in dry {
                     // Forced: a stalled merge must not deadlock on buffer
                     // space held by other sources.
-                    send_request(order[di], packet_budget(), est_packet_bytes, true);
+                    send_request(m, packet_budget(), est_packet_bytes, true);
                 }
                 waiter.await;
             }

@@ -88,6 +88,30 @@ fn terasort_replays_identically_per_engine() {
     }
 }
 
+/// Run-to-run equality cannot tell a host-only change from one that moved
+/// the schedule: these are the trace hashes of the 16 MiB TeraSort at seed
+/// 41 as of commit `a582acf`. A PR that claims "same schedule, less host
+/// time" must leave them alone; a PR that changes the model updates them
+/// and says why.
+#[test]
+fn terasort_trace_hashes_are_pinned() {
+    for (kind, want) in [
+        (ShuffleKind::Vanilla, 0x0848_4b3a_8520_5a96u64),
+        (ShuffleKind::HadoopA, 0xd59b_6e2a_90bf_b4c1),
+        (ShuffleKind::OsuIb, 0x6201_efb4_e5e4_efdd),
+    ] {
+        let sim = Sim::new(41);
+        spawn_terasort(&sim, kind, 16 << 20);
+        sim.run();
+        assert_eq!(
+            sim.trace_hash(),
+            want,
+            "{kind:?}: trace hash {:#018x} differs from the pinned schedule",
+            sim.trace_hash()
+        );
+    }
+}
+
 #[test]
 fn concurrent_terasort_and_wordcount_replay_identically() {
     assert_deterministic(43, spawn_two_concurrent_jobs);

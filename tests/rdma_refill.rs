@@ -1,0 +1,188 @@
+//! Refill-equivalence gates for the RDMA reducer (`reduce/rdma.rs`).
+//!
+//! The reducer's refill step walks a maintained candidate set instead of
+//! sweeping every map source per merge-loop iteration. That is host-side
+//! bookkeeping only: which `(map_idx, budget, reserved)` requests go out, and
+//! in what order, must be exactly what the sweep issued. Each run below uses
+//! a shuffle buffer too small to hold one packet per source, so nearly every
+//! refill decision is made by the budget (reserve / skip / overdraft / spill
+//! / tail-packet estimates), and pins
+//!
+//! * the executor's trace hash (the whole event schedule),
+//! * the number of `Ev::ShuffleRequest`s, and
+//! * an FNV-1a fold over the `(t_ns, node, server, map_idx, reduce)` request
+//!   stream in emission order
+//!
+//! to the values the sweep-based reducer of commit `a582acf` produced. The
+//! faulted run drives the Phase A re-home / reconnect / `SourceLost` paths
+//! under the same pin.
+
+use std::cell::RefCell;
+use std::rc::Rc;
+
+use rmr_core::cluster::{Cluster, NodeSpec};
+use rmr_core::{FaultEvent, FaultPlan, JobConf, JobResult, Runtime, SchedulePolicy, ShuffleKind};
+use rmr_des::{Sim, SimDuration, SimTime};
+use rmr_hdfs::HdfsConfig;
+use rmr_net::FabricParams;
+use rmr_obs::{Ev, Recorder};
+use rmr_workloads::{teragen, terasort_spec};
+
+/// What a run is pinned on.
+#[derive(Debug, PartialEq, Eq)]
+struct Pin {
+    trace_hash: u64,
+    requests: u64,
+    request_stream: u64,
+}
+
+fn fnv1a(h: &mut u64, v: u64) {
+    for b in v.to_le_bytes() {
+        *h ^= u64::from(b);
+        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+/// A 48 MiB synthetic TeraSort (24 maps × 4 reducers on 5 nodes) through a
+/// 1 MiB shuffle buffer: 24 sources × one 64 KiB packet (OSU-IB) or one
+/// 500-record packet (Hadoop-A) do not fit, so refill is budget-bound.
+fn tight_run(kind: ShuffleKind, plan: &FaultPlan) -> (Pin, JobResult) {
+    let sim = Sim::new(7);
+    let obs = Recorder::on(&sim);
+    let mut spec = NodeSpec::westmere_compute();
+    spec.page_cache = 64 << 20;
+    let cluster = Cluster::build(
+        &sim,
+        FabricParams::ib_verbs_qdr(),
+        &vec![spec; 5],
+        HdfsConfig {
+            block_size: 2 << 20,
+            replication: 1,
+            packet_size: 1 << 20,
+        },
+    );
+    let mut conf = JobConf::for_kind(kind);
+    conf.num_reduces = 4;
+    conf.map_slots = 2;
+    conf.reduce_slots = 2;
+    conf.shuffle_buffer = 1 << 20;
+    conf.io_sort_buffer = 8 << 20;
+    conf.prefetch_cache_bytes = 16 << 20;
+    conf.osu_packet_bytes = 64 << 10;
+    conf.hadoop_a_kv_per_packet = 500;
+
+    let out: Rc<RefCell<Option<JobResult>>> = Rc::new(RefCell::new(None));
+    let out2 = Rc::clone(&out);
+    let (obs2, plan) = (obs.clone(), plan.clone());
+    sim.spawn_named("refill-driver", async move {
+        teragen(&cluster, "/in", 48 << 20, false).await;
+        let rt = Runtime::with_obs(&cluster, conf.clone(), SchedulePolicy::Fifo, obs2);
+        rt.apply_fault_plan(&plan);
+        let id = rt.submit(conf, terasort_spec("/in", "/out"));
+        let res = rt.join(id).await;
+        *out2.borrow_mut() = Some(res);
+    })
+    .detach();
+    sim.run();
+    let res = out.borrow_mut().take().expect("tight-buffer job hung");
+    assert_eq!(res.shuffled_bytes, res.input_bytes, "shuffle conservation");
+
+    let (mut requests, mut stream) = (0u64, 0xcbf2_9ce4_8422_2325u64);
+    for e in obs.events() {
+        if let Ev::ShuffleRequest {
+            node,
+            server,
+            map_idx,
+            reduce,
+            ..
+        } = e.ev
+        {
+            requests += 1;
+            for v in [
+                e.t_ns,
+                node as u64,
+                server as u64,
+                map_idx as u64,
+                reduce as u64,
+            ] {
+                fnv1a(&mut stream, v);
+            }
+        }
+    }
+    let pin = Pin {
+        trace_hash: sim.trace_hash(),
+        requests,
+        request_stream: stream,
+    };
+    (pin, res)
+}
+
+#[test]
+fn hadoop_a_tight_buffer_issues_the_sweeps_request_sequence() {
+    let (pin, _) = tight_run(ShuffleKind::HadoopA, &FaultPlan::none());
+    assert_eq!(
+        pin,
+        Pin {
+            trace_hash: 0x1b53_9ab8_42e4_61c0,
+            requests: 1160,
+            request_stream: 0x979c_451f_70e8_426d,
+        }
+    );
+}
+
+#[test]
+fn osu_ib_tight_buffer_issues_the_sweeps_request_sequence() {
+    let (pin, _) = tight_run(ShuffleKind::OsuIb, &FaultPlan::none());
+    assert_eq!(
+        pin,
+        Pin {
+            trace_hash: 0x4c06_99d3_58e0_bb0b,
+            requests: 780,
+            request_stream: 0xedec_0a87_399a_bd5a,
+        }
+    );
+}
+
+/// Two crashes with restarts inside the map wave: sources re-home, copiers
+/// reconnect, and attempts that lost a partially pulled source restart.
+#[test]
+fn faulted_runs_keep_the_sweeps_request_sequence() {
+    for (kind, want) in [
+        (
+            ShuffleKind::HadoopA,
+            Pin {
+                trace_hash: 0xc7e1_49ac_7b86_32a0,
+                requests: 1232,
+                request_stream: 0xff3b_3ec7_30e0_9731,
+            },
+        ),
+        (
+            ShuffleKind::OsuIb,
+            Pin {
+                trace_hash: 0xd329_8819_cb47_3a24,
+                requests: 844,
+                request_stream: 0x1645_5417_30a9_6f62,
+            },
+        ),
+    ] {
+        let (_, twin) = tight_run(kind, &FaultPlan::none());
+        let at = |frac: f64| {
+            let t = twin.start_s + frac * (twin.map_phase_end_s - twin.start_s);
+            SimTime::from_nanos((t * 1e9) as u64)
+        };
+        let plan = FaultPlan::none()
+            .with(FaultEvent::Crash {
+                tt_idx: 1,
+                at: at(0.5),
+                restart_after: Some(SimDuration::from_secs_f64(2.0)),
+            })
+            .with(FaultEvent::Crash {
+                tt_idx: 3,
+                at: at(0.9),
+                restart_after: Some(SimDuration::from_secs_f64(4.0)),
+            });
+        let (pin, res) = tight_run(kind, &plan);
+        assert_eq!(res.output_bytes, twin.output_bytes, "{kind:?}: output lost");
+        assert_eq!(pin, want, "{kind:?}");
+    }
+}
