@@ -11,7 +11,7 @@
 //! randomness, no wall clock — so a (seed, workload) pair always produces
 //! the same plan, and the driver can replay any failing campaign point.
 
-use rmr_core::{FaultEvent, FaultPlan};
+use rmr_core::{FaultEvent, FaultPlan, JobResult};
 use rmr_des::{SimDuration, SimTime};
 
 /// splitmix64: a tiny, well-mixed deterministic stream. Good enough to
@@ -56,6 +56,19 @@ pub struct TwinTiming {
 }
 
 impl TwinTiming {
+    /// The timing of a finished fault-free run: earliest submission, latest
+    /// map-wave end, latest job end.
+    pub fn of(jobs: &[JobResult]) -> TwinTiming {
+        let fold = |f: fn(&JobResult) -> f64, init: f64, pick: fn(f64, f64) -> f64| {
+            jobs.iter().map(f).fold(init, pick)
+        };
+        TwinTiming {
+            submit_s: fold(|r| r.start_s, f64::INFINITY, f64::min),
+            map_end_s: fold(|r| r.map_phase_end_s, 0.0, f64::max),
+            end_s: fold(|r| r.end_s, 0.0, f64::max),
+        }
+    }
+
     fn at(&self, frac: f64) -> SimTime {
         let s = self.submit_s + frac * (self.end_s - self.submit_s);
         SimTime::from_nanos((s.max(0.0) * 1e9) as u64)

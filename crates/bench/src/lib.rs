@@ -1,22 +1,28 @@
-//! # rmr-bench — the per-figure benchmark harness
+//! # rmr-bench — the per-figure harness
 //!
-//! One binary per table/figure in the paper's evaluation (§IV): each defines
-//! the experiment grid exactly as the figure sweeps it, runs every point as
-//! an independent deterministic simulation (in parallel across OS threads),
-//! prints the figure's series, and checks the paper's quantified claims
-//! against the measured improvements. Raw rows are written as JSON lines
-//! under `results/` for EXPERIMENTS.md.
+//! One grid per table/figure in the paper's evaluation (§IV), defined
+//! exactly as the figure sweeps it: every point runs as an independent
+//! deterministic simulation (in parallel across OS threads), the figure's
+//! series is printed and the paper's quantified claims are checked against
+//! the measured improvements. Sim-time rows are written as JSON lines under
+//! `results/` for EXPERIMENTS.md — `rdma-mapred figure <id>` regenerates
+//! any of [`FIGURE_IDS`]. Host time is not measured here: that is
+//! `benchmark/`'s job.
 
 use std::io::Write as _;
 
+use rmr_cluster::scenario::TEXT_HDFS;
 use rmr_cluster::{
-    format_table, run_experiment_traced, Bench, Experiment, RunRecord, System, Testbed,
+    format_table, run_experiment_traced, run_scenario, Bench, Datagen, Experiment, Hung, Job,
+    RunRecord, RunReport, Scenario, System, Testbed,
 };
+use rmr_workloads::{wordcount_spec, wordcount_spec_no_combiner};
 
 pub mod chaos;
+pub mod cli;
+pub mod scenarios;
 pub mod service;
 pub mod sweep;
-pub mod trajectory;
 
 /// A quantified claim from the paper's text, checked against measurements.
 #[derive(Debug, Clone)]
@@ -46,6 +52,9 @@ pub struct Figure {
     /// Quantified claims to verify.
     pub claims: Vec<Claim>,
 }
+
+/// The four systems every figure from 4(b) on compares.
+const SYSTEMS: [System; 4] = [System::GigE1, System::IpoIb, System::HadoopA, System::OsuIb];
 
 fn grid(
     id: &'static str,
@@ -146,14 +155,13 @@ pub fn fig4a() -> Figure {
 
 /// Fig 4(b): TeraSort on eight DataNodes, single and dual HDD.
 pub fn fig4b() -> Figure {
-    let systems = [System::GigE1, System::IpoIb, System::HadoopA, System::OsuIb];
     Figure {
         id: "fig4b",
         title: "TeraSort job execution time, 8-node cluster, 1 vs 2 HDDs",
         experiments: grid(
             "fig4b",
             Bench::TeraSort,
-            &systems,
+            &SYSTEMS,
             &[60.0, 80.0, 100.0],
             &[Testbed::compute(8, 1), Testbed::compute(8, 2)],
         ),
@@ -196,18 +204,17 @@ pub fn fig4b() -> Figure {
 
 /// Fig 5: TeraSort at larger scale on storage-class nodes (24 GB RAM).
 pub fn fig5() -> Figure {
-    let systems = [System::GigE1, System::IpoIb, System::HadoopA, System::OsuIb];
     let mut experiments = grid(
         "fig5",
         Bench::TeraSort,
-        &systems,
+        &SYSTEMS,
         &[100.0],
         &[Testbed::storage(12, 2)],
     );
     experiments.extend(grid(
         "fig5",
         Bench::TeraSort,
-        &systems,
+        &SYSTEMS,
         &[200.0],
         &[Testbed::storage(24, 2)],
     ));
@@ -238,14 +245,13 @@ pub fn fig5() -> Figure {
 
 /// Fig 6(a): Sort on four DataNodes (single HDD).
 pub fn fig6a() -> Figure {
-    let systems = [System::GigE1, System::IpoIb, System::HadoopA, System::OsuIb];
     Figure {
         id: "fig6a",
         title: "Sort job execution time, 4-node cluster, 1 HDD",
         experiments: grid(
             "fig6a",
             Bench::Sort,
-            &systems,
+            &SYSTEMS,
             &[5.0, 10.0, 15.0, 20.0],
             &[Testbed::compute(4, 1)],
         ),
@@ -272,14 +278,13 @@ pub fn fig6a() -> Figure {
 
 /// Fig 6(b): Sort on eight DataNodes (single HDD).
 pub fn fig6b() -> Figure {
-    let systems = [System::GigE1, System::IpoIb, System::HadoopA, System::OsuIb];
     Figure {
         id: "fig6b",
         title: "Sort job execution time, 8-node cluster, 1 HDD",
         experiments: grid(
             "fig6b",
             Bench::Sort,
-            &systems,
+            &SYSTEMS,
             &[25.0, 30.0, 35.0, 40.0],
             &[Testbed::compute(8, 1)],
         ),
@@ -306,14 +311,13 @@ pub fn fig6b() -> Figure {
 
 /// Fig 7: Sort with SSD HDFS data stores.
 pub fn fig7() -> Figure {
-    let systems = [System::GigE1, System::IpoIb, System::HadoopA, System::OsuIb];
     Figure {
         id: "fig7",
         title: "Sort job execution time with SSD data stores, 4 nodes",
         experiments: grid(
             "fig7",
             Bench::Sort,
-            &systems,
+            &SYSTEMS,
             &[5.0, 10.0, 15.0, 20.0],
             &[Testbed::ssd(4)],
         ),
@@ -458,6 +462,212 @@ pub fn default_threads() -> usize {
         .unwrap_or(4)
 }
 
+/// What command-line tools do with a hung run: print its report (live
+/// tasks, what each blocks on, the runtime dump) and exit 2.
+pub fn exit_hung(hung: &Hung) -> ! {
+    eprintln!("{hung}");
+    std::process::exit(2)
+}
+
+/// [`run_scenario`], or [`exit_hung`].
+pub fn run_or_exit(sc: &Scenario) -> RunReport {
+    run_scenario(sc).unwrap_or_else(|hung| exit_hung(&hung))
+}
+
+/// Everything `rdma-mapred figure <id>` regenerates under `results/`: the
+/// paper's seven figures, the tuning sweeps, and the two beyond-the-paper
+/// row sets (multi-job runtime, shuffle-volume engines).
+pub const FIGURE_IDS: [&str; 10] = [
+    "fig4a", "fig4b", "fig5", "fig6a", "fig6b", "fig7", "fig8", "tuning", "multijob", "engines",
+];
+
+/// Regenerates one of [`FIGURE_IDS`]; false for any other id.
+pub fn regenerate(id: &str, threads: usize) -> bool {
+    match id {
+        "tuning" => tuning(threads),
+        "multijob" => multijob(threads),
+        "engines" => engines(threads),
+        _ => match all_figures().into_iter().find(|f| f.id == id) {
+            Some(fig) => drop(run_figure(&fig, threads)),
+            None => return false,
+        },
+    }
+    true
+}
+
+/// Parameter-tuning sweeps (§III-C-3, §IV pre-amble): HDFS block size per
+/// system, the OSU-IB shuffle packet size, and the mechanism ablation.
+/// These regenerate the tuning choices the paper reports (256 MB blocks for
+/// 10GigE/IPoIB/OSU-IB TeraSort, 128 MB for Hadoop-A, 64 MB for Sort) and
+/// demonstrate the configuration flexibility the paper contrasts against
+/// Hadoop-A.
+pub fn tuning(threads: usize) {
+    let point = |id: &str, bench, system, disks, gb| {
+        Experiment::new(id, bench, system, Testbed::compute(4, disks), gb, 42)
+    };
+    // One sweep: a table of (knob setting, system, time) and its results file.
+    let sweep = |title: &str, knob: &str, points: Vec<(String, Experiment)>| {
+        let (settings, exps): (Vec<String>, Vec<Experiment>) = points.into_iter().unzip();
+        let records = run_grid(&exps, threads);
+        println!("\n{title}");
+        println!("{knob:>18} {:>24} {:>10}", "system", "time(s)");
+        for (setting, r) in settings.iter().zip(&records) {
+            println!("{setting:>18} {:>24} {:>10.0}", r.system, r.duration_s);
+        }
+        write_results(&exps[0].id, &records);
+    };
+
+    let mut blocks = Vec::new();
+    for system in [System::IpoIb, System::HadoopA, System::OsuIb] {
+        for block_mb in [64u64, 128, 256, 512] {
+            let mut e = point("tuning-block", Bench::TeraSort, system, 1, 30.0);
+            e.block_size_override = Some(block_mb << 20);
+            blocks.push((block_mb.to_string(), e));
+        }
+    }
+    sweep(
+        "HDFS block-size sweep — TeraSort 30GB, 4 nodes, 1 HDD",
+        "block(MB)",
+        blocks,
+    );
+
+    // Sort: large kv pairs, where the packet byte budget matters.
+    let packets = [64u64, 128, 256, 512, 1024, 2048].map(|packet_kb| {
+        let mut e = point("tuning-packet", Bench::Sort, System::OsuIb, 1, 20.0);
+        e.osu_packet_override = Some(packet_kb << 10);
+        (packet_kb.to_string(), e)
+    });
+    sweep(
+        "OSU-IB packet-size sweep — Sort 20GB, 4 nodes, 1 HDD",
+        "packet(KB)",
+        packets.into(),
+    );
+
+    // The three OSU mechanisms, one at a time.
+    let ablation = [
+        ("vanilla barrier", System::IpoIb),
+        ("+RDMA/pipeline", System::HadoopA),
+        ("+overlap+packets", System::OsuIbNoCache),
+        ("+PrefetchCache", System::OsuIb),
+    ]
+    .map(|(adds, system)| {
+        let e = point("tuning-ablation", Bench::TeraSort, system, 2, 30.0);
+        (adds.to_string(), e)
+    });
+    sweep(
+        "Mechanism ablation — TeraSort 30GB, 4 nodes, 2 HDDs",
+        "mechanism",
+        ablation.into(),
+    );
+}
+
+/// The multi-job runtime point: 4 × 2 GB TeraSorts through one persistent
+/// OSU-IB runtime on 4 nodes, joined one at a time ("seq", the old
+/// one-job-at-a-time shape) vs submitted at once onto shared slots
+/// ("fifo"). One row per job, `multijob-{seq|fifo}-j{n}`; the makespan is
+/// the summed durations when sequential, the slowest job's when concurrent.
+pub fn multijob(threads: usize) {
+    let (system, testbed, jobs, gb) = (System::OsuIb, Testbed::compute(4, 1), 4, 2.0);
+    let rows = sweep::sweep_map(&[false, true], threads, |&concurrent, _| {
+        let sc = scenarios::multijob(system, testbed.clone(), jobs, gb, concurrent, 42);
+        let label = if concurrent { "fifo" } else { "seq" };
+        let report = run_or_exit(&sc);
+        let records = report.jobs.iter().enumerate().map(|(i, res)| {
+            RunRecord::new(
+                format!("multijob-{label}-j{i}"),
+                "TeraSort",
+                system,
+                &testbed,
+                gb,
+                res,
+            )
+        });
+        records.collect::<Vec<_>>()
+    });
+    let seq: f64 = rows[0].iter().map(|r| r.duration_s).sum();
+    let fifo = rows[1].iter().map(|r| r.duration_s).fold(0.0, f64::max);
+    println!("\nmultijob — {jobs} x {gb} GB TeraSort, OSU-IB, 4 nodes, one runtime");
+    println!("  sequential joins       makespan {seq:>8.2}s");
+    println!(
+        "  concurrent FIFO        makespan {fifo:>8.2}s  ({:.2}x)",
+        seq / fifo
+    );
+    write_results("multijob", &rows.concat());
+}
+
+/// The shuffle-volume engines: WordCount A/B rows (job combiner on/off ×
+/// OSU-IB/in-node combiner, pinning what each aggregation layer takes off
+/// the wire), the in-node combiner at the fig4a 30 GB shape (TeraSort has
+/// no combiner, so its row must match fig4a's OSU-IB row bit-for-bit), and
+/// striped multi-rail at the fig4b 100 GB shape (vs fig4b's single-rail
+/// OSU-IB row).
+pub fn engines(threads: usize) {
+    let wordcount = |system: System, combine: bool| {
+        let testbed = Testbed::compute(4, 1);
+        let mut sc = Scenario::tuned(
+            "experiment-driver",
+            system,
+            Bench::TeraSort,
+            testbed.clone(),
+            42,
+        );
+        sc.hdfs = TEXT_HDFS;
+        sc.conf.num_reduces = testbed.nodes;
+        // A 30k-word vocabulary: one map's ~100k tokens cover most of it, so
+        // the map-side combiner leaves ~a-vocabulary of records per map and
+        // the cross-map in-node fold is what actually shrinks the wire volume.
+        let datagen = Datagen::Text {
+            lines: 120_000,
+            lines_per_block: 10_000,
+            vocab: Some(30_000),
+        };
+        let (bench, spec) = if combine {
+            ("WordCount", wordcount_spec("/wc/in", "/wc/out"))
+        } else {
+            (
+                "WordCount-nocombine",
+                wordcount_spec_no_combiner("/wc/in", "/wc/out"),
+            )
+        };
+        sc.jobs = vec![Job { datagen, spec }];
+        let report = run_or_exit(&sc);
+        let res = &report.jobs[0];
+        let gb = res.input_bytes as f64 / (1u64 << 30) as f64;
+        RunRecord::new("engines".to_string(), bench, system, &testbed, gb, res)
+    };
+    let figure_shape = |system, nodes, gb| {
+        let exp = Experiment::new(
+            "engines",
+            Bench::TeraSort,
+            system,
+            Testbed::compute(nodes, 1),
+            gb,
+            42,
+        );
+        run_experiment_traced(&exp).0
+    };
+    let records = sweep::sweep(6, threads, |i| match i {
+        0 => wordcount(System::OsuIb, false),
+        1 => wordcount(System::OsuIb, true),
+        2 => wordcount(System::NodeCombiner, false),
+        3 => wordcount(System::NodeCombiner, true),
+        4 => figure_shape(System::NodeCombiner, 4, 30.0),
+        _ => figure_shape(System::MultiRail, 8, 100.0),
+    });
+    println!("\nengines — shuffle volume and job time per engine");
+    println!(
+        "{:>20} {:>22} {:>16} {:>10}",
+        "bench", "system", "shuffled_bytes", "time(s)"
+    );
+    for r in &records {
+        println!(
+            "{:>20} {:>22} {:>16} {:>10.2}",
+            r.bench, r.system, r.shuffled_bytes, r.duration_s
+        );
+    }
+    write_results("engines", &records);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -486,20 +696,16 @@ mod tests {
     fn every_claim_references_a_grid_point() {
         for fig in all_figures() {
             for c in &fig.claims {
-                let osu_point = fig.experiments.iter().any(|e| {
-                    e.system == System::OsuIb
-                        && (e.data_gb - c.data_gb).abs() < 1e-9
-                        && e.testbed.disks == c.disks
-                        && e.testbed.ssd == c.ssd
-                });
-                let base_point = fig.experiments.iter().any(|e| {
-                    e.system == c.baseline
-                        && (e.data_gb - c.data_gb).abs() < 1e-9
-                        && e.testbed.disks == c.disks
-                        && e.testbed.ssd == c.ssd
-                });
+                let has_point = |system| {
+                    fig.experiments.iter().any(|e| {
+                        e.system == system
+                            && (e.data_gb - c.data_gb).abs() < 1e-9
+                            && e.testbed.disks == c.disks
+                            && e.testbed.ssd == c.ssd
+                    })
+                };
                 assert!(
-                    osu_point && base_point,
+                    has_point(System::OsuIb) && has_point(c.baseline),
                     "{}: claim {:?} dangling",
                     fig.id,
                     c.context

@@ -1,6 +1,5 @@
-//! Service-mode bench plumbing: the canonical two-tenant workload shared by
-//! `probe service` and the thread-count determinism gate, plus the
-//! [`ServiceReport`] → trajectory-row projection.
+//! The canonical two-tenant service workload shared by `probe service`,
+//! the thread-count determinism gate and `benchmark/`'s `service_cap`.
 //!
 //! The spec mirrors the capacity-isolation scenario from the load crate's
 //! own gates: an interactive tenant submitting a Poisson stream of small
@@ -9,11 +8,7 @@
 //! remaining 400‰. Under FIFO the batch elephants block the interactive
 //! mice head-of-line; under capacity scheduling they cannot.
 
-use rmr_load::{
-    Arrival, BoundedPareto, JobKind, JobMix, ServicePolicy, ServiceReport, ServiceSpec, TenantSpec,
-};
-
-use crate::trajectory::Run;
+use rmr_load::{Arrival, BoundedPareto, JobKind, JobMix, ServicePolicy, ServiceSpec, TenantSpec};
 
 /// The canonical two-tenant service spec. `jobs` is split 60/40 between the
 /// interactive and batch tenants. Arrival rates scale with the cluster so
@@ -70,34 +65,6 @@ pub fn service_spec(
     }
 }
 
-/// Projects one service run onto trajectory rows: one row per tenant
-/// carrying the latency percentiles, plus a `:all` row carrying the
-/// executor counters. `wall_s` is left zero — the caller stamps it on the
-/// `:all` row if it measured one (the determinism gates byte-compare rows
-/// and must see no host time).
-pub fn service_rows(rep: &ServiceReport) -> Vec<Run> {
-    let label = rep.policy_label();
-    let mut rows = Vec::new();
-    for t in &rep.tenants {
-        let mut r = Run::blank("service", format!("{label}:t{}", t.queue));
-        r.sim_s = rep.makespan_s;
-        r.items = t.jobs as u64;
-        r.nodes = rep.nodes as u64;
-        r.p50_s = t.latency.p50();
-        r.p95_s = t.latency.p95();
-        r.p99_s = t.latency.p99();
-        rows.push(r);
-    }
-    let mut all = Run::blank("service", format!("{label}:all"));
-    all.sim_s = rep.makespan_s;
-    all.events = rep.events_fired;
-    all.polls = rep.polls;
-    all.items = rep.jobs as u64;
-    all.nodes = rep.nodes as u64;
-    rows.push(all);
-    rows
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,19 +77,5 @@ mod tests {
         assert_eq!(spec.tenants[0].jobs, 6);
         let mille: u32 = spec.tenants.iter().map(|t| t.share_mille).sum();
         assert_eq!(mille, 1000);
-    }
-
-    #[test]
-    fn rows_carry_percentiles_and_counters() {
-        let spec = service_spec(2, 4, 3, ServicePolicy::Capacity { preempt: true }, false);
-        let rep = rmr_load::run_service(&spec);
-        let rows = service_rows(&rep);
-        assert_eq!(rows.len(), 3);
-        assert_eq!(rows[0].case, "cap+preempt:t0");
-        assert_eq!(rows[2].case, "cap+preempt:all");
-        assert!(rows[0].p99_s > 0.0);
-        assert!(rows[2].events > 0);
-        assert_eq!(rows[2].items, 4);
-        assert!(rows.iter().all(|r| r.wall_s == 0.0));
     }
 }

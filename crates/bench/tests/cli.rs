@@ -1,0 +1,61 @@
+//! `probe` rejects bad input with a message, the usage text and exit 2 — it
+//! used to run OSU-IB for an unknown system name, 1024 nodes for an
+//! unparsable count, and panic on a malformed flag value.
+
+fn probe(args: &[&str]) -> (Option<i32>, String) {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_probe"))
+        .args(args)
+        .output()
+        .expect("spawn probe");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn bad_input_is_a_usage_error() {
+    for (args, complaint) in [
+        (&["one", "4", "hadoopa"][..], "bad system: \"hadoopa\""),
+        (&["scale", "25x", "8", "75"][..], "bad nodes: \"25x\""),
+        (
+            &["scale", "16", "2", "1", "--budget-s", "abc"][..],
+            "bad value for --budget-s: \"abc\"",
+        ),
+        (&["chaos", "--plan", "3"][..], "unknown flag --plan"),
+        (
+            &["grid", "2", "4", "1", "wordcount"][..],
+            "bad bench: \"wordcount\"",
+        ),
+        (
+            &["obs", "4", "8", "0.25", "out", "91", "extra"][..],
+            "unexpected argument \"extra\"",
+        ),
+        (&["frobnicate"][..], "unknown subcommand \"frobnicate\""),
+    ] {
+        let (code, stderr) = probe(args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(complaint), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage: probe"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn a_run_past_rmr_limit_reports_and_exits_2() {
+    // 4 GB on 4 nodes finishes near 75 sim-seconds; stop it at 30.
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_probe"))
+        .args(["one", "4", "osu", "4", "1"])
+        .env("RMR_LIMIT", "30")
+        .output()
+        .expect("spawn probe");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("experiment-driver hung: limit 30"),
+        "{stderr}"
+    );
+    assert!(
+        stderr.contains("- experiment-driver (blocked on"),
+        "{stderr}"
+    );
+}

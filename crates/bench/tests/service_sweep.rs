@@ -1,10 +1,10 @@
 //! Thread-count invariance gate for the service probe's fan-out: the same
-//! two-policy service grid must produce byte-identical trajectory rows —
-//! and identical trace hashes — at 1, 2, and 4 worker threads.
+//! two-policy service grid must produce byte-identical per-tenant latency
+//! rows (`ServiceReport::tenants_jsonl`, the `--hist-dir` artifact) — and
+//! identical trace hashes — at 1, 2, and 4 worker threads.
 
-use rmr_bench::service::{service_rows, service_spec};
+use rmr_bench::service::service_spec;
 use rmr_bench::sweep::sweep_map;
-use rmr_bench::trajectory::run_line;
 use rmr_load::{run_service, ServicePolicy};
 
 #[cfg(debug_assertions)]
@@ -13,7 +13,7 @@ const SCALE: (usize, usize) = (4, 14); // nodes, jobs
 const SCALE: (usize, usize) = (16, 80);
 
 #[test]
-fn service_rows_are_byte_identical_at_any_thread_count() {
+fn tenant_rows_are_byte_identical_at_any_thread_count() {
     let (nodes, jobs) = SCALE;
     let cases = [
         ServicePolicy::Fifo,
@@ -25,17 +25,13 @@ fn service_rows_are_byte_identical_at_any_thread_count() {
             let reports = sweep_map(&cases, threads, |&policy, _| {
                 run_service(&service_spec(nodes, jobs, 7, policy, false))
             });
-            let jsonl: String = reports
-                .iter()
-                .flat_map(service_rows)
-                .map(|r| format!("{}\n", run_line("gate", false, &r)))
-                .collect();
+            let jsonl: String = reports.iter().map(|r| r.tenants_jsonl()).collect();
             let hashes: Vec<u64> = reports.iter().map(|r| r.trace_hash).collect();
             (jsonl, hashes)
         })
         .collect();
-    assert!(runs[0].0.lines().count() == 6, "3 rows per policy");
-    assert!(runs[0].0.contains("\"p99_s\":"));
+    assert!(runs[0].0.lines().count() == 4, "2 tenants per policy");
+    assert!(runs[0].0.contains("\"latency_p99_s\":"));
     for (i, threads) in [2usize, 4].into_iter().enumerate() {
         assert_eq!(
             runs[0].0,

@@ -1,16 +1,14 @@
-//! The experiment runner: one simulation per (system, size, testbed) point,
-//! run in parallel across OS threads (each `Sim` is single-threaded and
-//! `!Send`, so parallelism lives *across* runs).
+//! Figure points and their result rows: an [`Experiment`] is one
+//! (system, size, testbed) point of a paper figure, a [`RunRecord`] the row
+//! it produces in `results/*.jsonl`. Running a point is
+//! [`Experiment::scenario`] handed to [`run_scenario`]; each simulation is
+//! single-threaded and `!Send`, so parallelism lives *across* runs (see
+//! `rmr_bench::sweep`).
 
-use std::cell::RefCell;
-use std::rc::Rc;
+use rmr_core::JobResult;
 
-use rmr_core::cluster::Cluster;
-use rmr_core::{run_job, JobResult, Runtime, SchedulePolicy};
-use rmr_hdfs::HdfsConfig;
-use rmr_workloads::{randomwriter, sort_spec, teragen, terasort_spec};
-
-use crate::testbed::{tuned_block_size, tuned_conf, Bench, System, Testbed};
+use crate::scenario::{gb_to_bytes, run_scenario, Job, Scenario};
+use crate::testbed::{Bench, System, Testbed};
 
 /// One experiment point.
 #[derive(Debug, Clone)]
@@ -53,6 +51,32 @@ impl Experiment {
             block_size_override: None,
             osu_packet_override: None,
         }
+    }
+
+    /// This point as a scenario: the tuned (system, bench, testbed) setup,
+    /// one job over `data_gb` of generated input.
+    pub fn scenario(&self) -> Scenario {
+        let mut sc = Scenario::tuned(
+            "experiment-driver",
+            self.system,
+            self.bench,
+            self.testbed.clone(),
+            self.seed,
+        );
+        if let Some(b) = self.block_size_override {
+            sc.hdfs.block_size = b;
+        }
+        if let Some(p) = self.osu_packet_override {
+            sc.conf.osu_packet_bytes = p;
+        }
+        let bytes = gb_to_bytes(self.data_gb);
+        sc.jobs = vec![Job::sort_bench(
+            self.bench,
+            "/bench/in",
+            "/bench/out",
+            bytes,
+        )];
+        sc
     }
 }
 
@@ -134,65 +158,68 @@ impl RunRecord {
     }
 
     /// Parses a record produced by [`RunRecord::to_json`]. Field order is
-    /// free; unknown keys are ignored; missing keys fall back to defaults.
+    /// free; unknown keys are ignored; missing keys fall back to defaults
+    /// (`schema` to 1: pre-versioning records carry no field).
     pub fn from_json(json: &str) -> Result<RunRecord, String> {
-        let mut rec = RunRecord {
-            schema: 1, // pre-versioning records carry no field
-            id: String::new(),
-            bench: String::new(),
-            system: String::new(),
-            nodes: 0,
-            disks: 0,
-            ssd: false,
-            data_gb: 0.0,
-            duration_s: 0.0,
-            map_phase_end_s: 0.0,
-            maps: 0,
-            reduces: 0,
-            shuffled_bytes: 0,
-            cache_hit_rate: 0.0,
-            failed_maps: 0,
-            failed_reduces: 0,
-            queue_wait_s: 0.0,
-            slot_occupancy: 0.0,
+        let doc = rmr_obs::json::parse(json)?;
+        let obj = doc.as_obj().ok_or("expected a JSON object")?;
+        let num = |key: &str, default: f64| match obj.get(key) {
+            None => Ok(default),
+            Some(v) => v.as_num().ok_or(format!("{key}: expected number")),
         };
-        for (key, value) in json_fields(json)? {
-            match key.as_str() {
-                "schema" => rec.schema = value.into_number()? as u32,
-                "id" => rec.id = value.into_string()?,
-                "bench" => rec.bench = value.into_string()?,
-                "system" => rec.system = value.into_string()?,
-                "nodes" => rec.nodes = value.into_number()? as usize,
-                "disks" => rec.disks = value.into_number()? as usize,
-                "ssd" => rec.ssd = value.into_bool()?,
-                "data_gb" => rec.data_gb = value.into_number()?,
-                "duration_s" => rec.duration_s = value.into_number()?,
-                "map_phase_end_s" => rec.map_phase_end_s = value.into_number()?,
-                "maps" => rec.maps = value.into_number()? as usize,
-                "reduces" => rec.reduces = value.into_number()? as usize,
-                "shuffled_bytes" => rec.shuffled_bytes = value.into_number()? as u64,
-                "cache_hit_rate" => rec.cache_hit_rate = value.into_number()?,
-                "failed_maps" => rec.failed_maps = value.into_number()? as usize,
-                "failed_reduces" => rec.failed_reduces = value.into_number()? as usize,
-                "queue_wait_s" => rec.queue_wait_s = value.into_number()?,
-                "slot_occupancy" => rec.slot_occupancy = value.into_number()?,
-                _ => {}
-            }
-        }
-        Ok(rec)
+        let text = |key: &str| match obj.get(key) {
+            None => Ok(String::new()),
+            Some(v) => v
+                .as_str()
+                .map(str::to_string)
+                .ok_or(format!("{key}: expected string")),
+        };
+        Ok(RunRecord {
+            schema: num("schema", 1.0)? as u32,
+            id: text("id")?,
+            bench: text("bench")?,
+            system: text("system")?,
+            nodes: num("nodes", 0.0)? as usize,
+            disks: num("disks", 0.0)? as usize,
+            ssd: match obj.get("ssd") {
+                None => false,
+                Some(rmr_obs::json::Json::Bool(b)) => *b,
+                Some(_) => return Err("ssd: expected bool".into()),
+            },
+            data_gb: num("data_gb", 0.0)?,
+            duration_s: num("duration_s", 0.0)?,
+            map_phase_end_s: num("map_phase_end_s", 0.0)?,
+            maps: num("maps", 0.0)? as usize,
+            reduces: num("reduces", 0.0)? as usize,
+            shuffled_bytes: num("shuffled_bytes", 0.0)? as u64,
+            cache_hit_rate: num("cache_hit_rate", 0.0)?,
+            failed_maps: num("failed_maps", 0.0)? as usize,
+            failed_reduces: num("failed_reduces", 0.0)? as usize,
+            queue_wait_s: num("queue_wait_s", 0.0)?,
+            slot_occupancy: num("slot_occupancy", 0.0)?,
+        })
     }
 
-    fn from_result(exp: &Experiment, res: &JobResult) -> RunRecord {
+    /// The row for one finished job: `bench` and `data_gb` describe the
+    /// workload, the rest comes from the testbed and the result.
+    pub fn new(
+        id: String,
+        bench: &str,
+        system: System,
+        testbed: &Testbed,
+        data_gb: f64,
+        res: &JobResult,
+    ) -> RunRecord {
         let lookups = res.cache_hits + res.cache_misses;
         RunRecord {
             schema: RUN_RECORD_SCHEMA,
-            id: exp.id.clone(),
-            bench: exp.bench.label().to_string(),
-            system: exp.system.label().to_string(),
-            nodes: exp.testbed.nodes,
-            disks: exp.testbed.disks,
-            ssd: exp.testbed.ssd,
-            data_gb: exp.data_gb,
+            id,
+            bench: bench.to_string(),
+            system: system.label().to_string(),
+            nodes: testbed.nodes,
+            disks: testbed.disks,
+            ssd: testbed.ssd,
+            data_gb,
             duration_s: res.duration_s,
             map_phase_end_s: res.map_phase_end_s,
             maps: res.maps,
@@ -229,122 +256,6 @@ fn json_str(s: &str) -> String {
     out
 }
 
-/// A scalar value from a flat JSON object.
-enum JsonValue {
-    Str(String),
-    Num(f64),
-    Bool(bool),
-}
-
-impl JsonValue {
-    fn into_string(self) -> Result<String, String> {
-        match self {
-            JsonValue::Str(s) => Ok(s),
-            _ => Err("expected string".into()),
-        }
-    }
-    fn into_number(self) -> Result<f64, String> {
-        match self {
-            JsonValue::Num(n) => Ok(n),
-            _ => Err("expected number".into()),
-        }
-    }
-    fn into_bool(self) -> Result<bool, String> {
-        match self {
-            JsonValue::Bool(b) => Ok(b),
-            _ => Err("expected bool".into()),
-        }
-    }
-}
-
-/// Parses a flat `{"key":scalar,...}` object into (key, value) pairs.
-fn json_fields(json: &str) -> Result<Vec<(String, JsonValue)>, String> {
-    let mut chars = json.chars().peekable();
-    let mut fields = Vec::new();
-    let skip_ws = |chars: &mut std::iter::Peekable<std::str::Chars>| {
-        while chars.peek().is_some_and(|c| c.is_whitespace()) {
-            chars.next();
-        }
-    };
-    let parse_string =
-        |chars: &mut std::iter::Peekable<std::str::Chars>| -> Result<String, String> {
-            if chars.next() != Some('"') {
-                return Err("expected '\"'".into());
-            }
-            let mut s = String::new();
-            loop {
-                match chars.next() {
-                    Some('"') => return Ok(s),
-                    Some('\\') => match chars.next() {
-                        Some('"') => s.push('"'),
-                        Some('\\') => s.push('\\'),
-                        Some('n') => s.push('\n'),
-                        Some('t') => s.push('\t'),
-                        Some('u') => {
-                            let hex: String = (0..4).filter_map(|_| chars.next()).collect();
-                            let code = u32::from_str_radix(&hex, 16)
-                                .map_err(|e| format!("bad \\u escape: {e}"))?;
-                            s.push(char::from_u32(code).ok_or("bad \\u codepoint")?);
-                        }
-                        other => return Err(format!("bad escape {other:?}")),
-                    },
-                    Some(c) => s.push(c),
-                    None => return Err("unterminated string".into()),
-                }
-            }
-        };
-    skip_ws(&mut chars);
-    if chars.next() != Some('{') {
-        return Err("expected '{'".into());
-    }
-    loop {
-        skip_ws(&mut chars);
-        match chars.peek() {
-            Some('}') => break,
-            Some('"') => {}
-            other => return Err(format!("expected key, found {other:?}")),
-        }
-        let key = parse_string(&mut chars)?;
-        skip_ws(&mut chars);
-        if chars.next() != Some(':') {
-            return Err("expected ':'".into());
-        }
-        skip_ws(&mut chars);
-        let value = match chars.peek() {
-            Some('"') => JsonValue::Str(parse_string(&mut chars)?),
-            Some('t') | Some('f') => {
-                let word: String =
-                    std::iter::from_fn(|| chars.next_if(|c| c.is_ascii_alphabetic())).collect();
-                match word.as_str() {
-                    "true" => JsonValue::Bool(true),
-                    "false" => JsonValue::Bool(false),
-                    w => return Err(format!("bad literal {w:?}")),
-                }
-            }
-            _ => {
-                let num: String = std::iter::from_fn(|| {
-                    chars.next_if(|c| c.is_ascii_digit() || "+-.eE".contains(*c))
-                })
-                .collect();
-                JsonValue::Num(
-                    num.parse()
-                        .map_err(|e| format!("bad number {num:?}: {e}"))?,
-                )
-            }
-        };
-        fields.push((key, value));
-        skip_ws(&mut chars);
-        match chars.peek() {
-            Some(',') => {
-                chars.next();
-            }
-            Some('}') => break,
-            other => return Err(format!("expected ',' or '}}', found {other:?}")),
-        }
-    }
-    Ok(fields)
-}
-
 /// Runs one experiment point (synthetic data plane) to completion inside
 /// its own simulation.
 pub fn run_experiment(exp: &Experiment) -> RunRecord {
@@ -353,189 +264,19 @@ pub fn run_experiment(exp: &Experiment) -> RunRecord {
 
 /// [`run_experiment`] plus the simulation's replay-identity trace hash —
 /// the determinism fingerprint the sweep gates compare across thread
-/// counts and topologies.
+/// counts and topologies. Panics with the [`crate::Hung`] report if the
+/// run hangs.
 pub fn run_experiment_traced(exp: &Experiment) -> (RunRecord, u64) {
-    let sim = rmr_des::Sim::new(exp.seed);
-    let block_size = exp
-        .block_size_override
-        .unwrap_or_else(|| tuned_block_size(exp.system, exp.bench));
-    let cluster = Cluster::build_with_topology(
-        &sim,
-        exp.system.fabric(),
-        exp.testbed.topology,
-        &exp.testbed.node_specs(),
-        HdfsConfig {
-            block_size,
-            replication: 1,
-            packet_size: 4 << 20,
-        },
+    let report = run_scenario(&exp.scenario()).unwrap_or_else(|hung| panic!("{hung}"));
+    let rec = RunRecord::new(
+        exp.id.clone(),
+        exp.bench.label(),
+        exp.system,
+        &exp.testbed,
+        exp.data_gb,
+        &report.jobs[0],
     );
-    let mut conf = tuned_conf(exp.system, exp.bench, &exp.testbed);
-    if let Some(p) = exp.osu_packet_override {
-        conf.osu_packet_bytes = p;
-    }
-    let bytes = (exp.data_gb * (1u64 << 30) as f64) as u64;
-    let result: Rc<RefCell<Option<JobResult>>> = Rc::new(RefCell::new(None));
-    let r2 = Rc::clone(&result);
-    let c2 = cluster.clone();
-    let bench = exp.bench;
-    sim.spawn_named("experiment-driver", async move {
-        let spec = match bench {
-            Bench::TeraSort => {
-                teragen(&c2, "/bench/in", bytes, false).await;
-                terasort_spec("/bench/in", "/bench/out")
-            }
-            Bench::Sort => {
-                randomwriter(&c2, "/bench/in", bytes, false).await;
-                sort_spec("/bench/in", "/bench/out")
-            }
-        };
-        let res = run_job(&c2, conf, spec).await;
-        *r2.borrow_mut() = Some(res);
-    })
-    .detach();
-    sim.run();
-    let res = result
-        .borrow_mut()
-        .take()
-        .unwrap_or_else(|| panic!("experiment {} hung", exp.id));
-    (RunRecord::from_result(exp, &res), sim.trace_hash())
-}
-
-/// A multi-job experiment point: `jobs` identical TeraSort jobs through one
-/// persistent runtime, either submitted all at once (concurrent, the slots
-/// are shared) or joined one after another (sequential baseline).
-#[derive(Debug, Clone)]
-pub struct MultiJobExperiment {
-    /// Experiment id, echoed into each per-job record as `{id}-j{n}`.
-    pub id: String,
-    /// Which system.
-    pub system: System,
-    /// Cluster shape.
-    pub testbed: Testbed,
-    /// How many jobs to submit.
-    pub jobs: usize,
-    /// Dataset size per job, GB.
-    pub data_gb_per_job: f64,
-    /// How the control plane orders jobs competing for slots.
-    pub policy: SchedulePolicy,
-    /// Submit everything up front (true) or join each job before the next.
-    pub concurrent: bool,
-    /// Simulation seed.
-    pub seed: u64,
-}
-
-/// Runs a multi-job experiment; returns one record per job, in submission
-/// order, with per-job queue wait and slot occupancy filled in.
-pub fn run_multijob(exp: &MultiJobExperiment) -> Vec<RunRecord> {
-    let sim = rmr_des::Sim::new(exp.seed);
-    let cluster = Cluster::build_with_topology(
-        &sim,
-        exp.system.fabric(),
-        exp.testbed.topology,
-        &exp.testbed.node_specs(),
-        HdfsConfig {
-            block_size: tuned_block_size(exp.system, Bench::TeraSort),
-            replication: 1,
-            packet_size: 4 << 20,
-        },
-    );
-    let conf = tuned_conf(exp.system, Bench::TeraSort, &exp.testbed);
-    let bytes = (exp.data_gb_per_job * (1u64 << 30) as f64) as u64;
-    let results: Rc<RefCell<Vec<JobResult>>> = Rc::new(RefCell::new(Vec::new()));
-    let r2 = Rc::clone(&results);
-    let c2 = cluster.clone();
-    let jobs = exp.jobs;
-    let concurrent = exp.concurrent;
-    let policy = exp.policy.clone();
-    sim.spawn_named("multijob-driver", async move {
-        for i in 0..jobs {
-            teragen(&c2, &format!("/mj/in{i}"), bytes, false).await;
-        }
-        let rt = Runtime::with_policy(&c2, conf.clone(), policy);
-        if concurrent {
-            let ids: Vec<_> = (0..jobs)
-                .map(|i| {
-                    rt.submit(
-                        conf.clone(),
-                        terasort_spec(&format!("/mj/in{i}"), &format!("/mj/out{i}")),
-                    )
-                })
-                .collect();
-            for id in ids {
-                let res = rt.join(id).await;
-                r2.borrow_mut().push(res);
-            }
-        } else {
-            for i in 0..jobs {
-                let id = rt.submit(
-                    conf.clone(),
-                    terasort_spec(&format!("/mj/in{i}"), &format!("/mj/out{i}")),
-                );
-                let res = rt.join(id).await;
-                r2.borrow_mut().push(res);
-            }
-        }
-    })
-    .detach();
-    sim.run();
-    let results = results.borrow();
-    assert_eq!(results.len(), exp.jobs, "multijob {} hung", exp.id);
-    results
-        .iter()
-        .enumerate()
-        .map(|(i, res)| {
-            let point = Experiment::new(
-                format!("{}-j{i}", exp.id),
-                Bench::TeraSort,
-                exp.system,
-                exp.testbed.clone(),
-                exp.data_gb_per_job,
-                exp.seed,
-            );
-            RunRecord::from_result(&point, res)
-        })
-        .collect()
-}
-
-/// Runs experiments in parallel across `threads` OS threads, preserving
-/// input order in the output.
-pub fn run_all(experiments: &[Experiment], threads: usize) -> Vec<RunRecord> {
-    let threads = threads.max(1);
-    let n = experiments.len();
-    let results: Vec<std::sync::Mutex<Option<RunRecord>>> =
-        (0..n).map(|_| std::sync::Mutex::new(None)).collect();
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    // Each worker owns a whole single-threaded Sim; threads never share sim
-    // state, and results are written to per-experiment slots, so replay
-    // stays bit-identical at any thread count.
-    // simcheck: allow(thread-spawn)
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(n.max(1)) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                if i >= n {
-                    break;
-                }
-                let rec = run_experiment(&experiments[i]);
-                eprintln!(
-                    "  [{}] {} {} {}GB n{} d{} → {:.0}s",
-                    experiments[i].id,
-                    rec.bench,
-                    rec.system,
-                    rec.data_gb,
-                    rec.nodes,
-                    rec.disks,
-                    rec.duration_s
-                );
-                *results[i].lock().unwrap() = Some(rec);
-            });
-        }
-    });
-    results
-        .into_iter()
-        .map(|m| m.into_inner().unwrap().expect("missing result"))
-        .collect()
+    (rec, report.trace_hash)
 }
 
 /// Formats records as an aligned text table grouped the way the paper's
@@ -543,17 +284,6 @@ pub fn run_all(experiments: &[Experiment], threads: usize) -> Vec<RunRecord> {
 pub fn format_table(records: &[RunRecord]) -> String {
     use std::collections::BTreeMap;
     let mut systems: Vec<String> = Vec::new();
-    for r in records {
-        let key = format!(
-            "{} ({}d{})",
-            r.system,
-            if r.ssd { "ssd " } else { "" },
-            r.disks
-        );
-        if !systems.contains(&key) {
-            systems.push(key);
-        }
-    }
     let mut rows: BTreeMap<u64, BTreeMap<String, f64>> = BTreeMap::new();
     for r in records {
         let key = format!(
@@ -562,6 +292,9 @@ pub fn format_table(records: &[RunRecord]) -> String {
             if r.ssd { "ssd " } else { "" },
             r.disks
         );
+        if !systems.contains(&key) {
+            systems.push(key.clone());
+        }
         rows.entry((r.data_gb * 1000.0) as u64)
             .or_default()
             .insert(key, r.duration_s);
@@ -610,24 +343,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_runner_preserves_order() {
-        let exps = vec![tiny_exp(System::IpoIb), tiny_exp(System::OsuIb)];
-        let recs = run_all(&exps, 2);
-        assert_eq!(recs.len(), 2);
-        assert_eq!(recs[0].system, System::IpoIb.label());
-        assert_eq!(recs[1].system, System::OsuIb.label());
-    }
-
-    #[test]
-    fn records_serialize_to_json() {
-        let rec = run_experiment(&tiny_exp(System::GigE1));
-        let json = rec.to_json();
-        let back = RunRecord::from_json(&json).unwrap();
-        assert_eq!(back.system, rec.system);
-        assert_eq!(back.duration_s, rec.duration_s);
-    }
-
-    #[test]
     fn json_round_trips_escapes_and_fields() {
         let rec = RunRecord {
             schema: RUN_RECORD_SCHEMA,
@@ -662,52 +377,8 @@ mod tests {
     }
 
     #[test]
-    fn records_without_schema_field_parse_as_v1() {
-        let legacy = r#"{"id":"old","bench":"Sort","system":"IPoIB","duration_s":42}"#;
-        let rec = RunRecord::from_json(legacy).unwrap();
-        assert_eq!(rec.schema, 1);
-        assert_eq!(rec.id, "old");
-        assert_eq!(rec.duration_s, 42.0);
-    }
-
-    #[test]
-    fn concurrent_multijob_shares_the_cluster() {
-        let exp = MultiJobExperiment {
-            id: "mj".to_string(),
-            system: System::OsuIb,
-            testbed: Testbed::compute(2, 1),
-            jobs: 2,
-            data_gb_per_job: 0.25,
-            policy: SchedulePolicy::Fifo,
-            concurrent: true,
-            seed: 7,
-        };
-        let recs = run_multijob(&exp);
-        assert_eq!(recs.len(), 2);
-        assert_eq!(recs[0].id, "mj-j0");
-        assert_eq!(recs[1].id, "mj-j1");
-        for r in &recs {
-            assert!(r.duration_s > 0.0);
-            assert!(r.queue_wait_s >= 0.0);
-            assert!(r.slot_occupancy > 0.0 && r.slot_occupancy <= 1.0);
-        }
-        // The sequential variant of the same point must take at least as
-        // long end to end as the concurrent one (no slot sharing).
-        let seq = run_multijob(&MultiJobExperiment {
-            concurrent: false,
-            ..exp
-        });
-        let seq_end: f64 = seq.iter().map(|r| r.duration_s).sum();
-        let conc_last = recs.last().unwrap().duration_s;
-        assert!(
-            conc_last <= seq_end + 1e-6,
-            "concurrent makespan {conc_last} vs sequential {seq_end}"
-        );
-    }
-
-    #[test]
     fn format_table_lists_all_systems() {
-        let recs = run_all(&[tiny_exp(System::IpoIb), tiny_exp(System::OsuIb)], 2);
+        let recs = [System::IpoIb, System::OsuIb].map(|s| run_experiment(&tiny_exp(s)));
         let table = format_table(&recs);
         assert!(table.contains("IPoIB"));
         assert!(table.contains("OSU-IB"));

@@ -49,6 +49,21 @@ impl System {
         }
     }
 
+    /// The system a command-line name stands for; `None` for anything else.
+    pub fn parse(name: &str) -> Option<System> {
+        Some(match name {
+            "g1" | "1gige" => System::GigE1,
+            "g10" | "10gige" => System::GigE10,
+            "ipoib" => System::IpoIb,
+            "ha" | "hadoop-a" => System::HadoopA,
+            "osu" | "osu-ib" => System::OsuIb,
+            "osunc" | "osu-nocache" => System::OsuIbNoCache,
+            "comb" => System::NodeCombiner,
+            "mr" => System::MultiRail,
+            _ => return None,
+        })
+    }
+
     /// The interconnect this system runs on.
     pub fn fabric(self) -> FabricParams {
         match self {
@@ -277,6 +292,15 @@ mod tests {
         assert_eq!(System::MultiRail.shuffle(), ShuffleKind::MultiRail);
         assert_eq!(System::MultiRail.fabric().rails, 2);
         assert_eq!(System::NodeCombiner.fabric().rails, 1);
+    }
+
+    #[test]
+    fn every_system_has_a_command_line_name() {
+        let named = ["g1", "g10", "ipoib", "ha", "osu", "osunc", "comb", "mr"];
+        assert_eq!(named.map(System::parse), System::EXTENDED.map(Some));
+        assert_eq!(System::parse("hadoop-a"), Some(System::HadoopA));
+        assert_eq!(System::parse("hadoopa"), None);
+        assert_eq!(System::parse(""), None);
     }
 
     #[test]

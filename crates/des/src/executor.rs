@@ -736,8 +736,16 @@ impl Sim {
     /// again — no event will wake it — so a non-empty `stalled` list is a
     /// deadlock or a lost waker, named task by task.
     pub fn step_until_no_events(&self) -> QuiescenceReport {
-        let time = self.run_with_limit(None);
+        self.run_with_limit(None);
+        self.live_report()
+    }
+
+    /// The tasks live right now and what each last blocked on, without
+    /// running anything. After [`Sim::run`] this is the deadlock list; after
+    /// a [`Sim::run_until`] limit expired it names whoever was still working.
+    pub fn live_report(&self) -> QuiescenceReport {
         let core = self.core.borrow();
+        let time = core.now;
         let stalled = core
             .tasks
             .iter()

@@ -192,7 +192,7 @@ proptest! {
     }
 }
 
-/// Runs the wallclock churn pattern at size `n`: staggered consumers each
+/// Runs the fluid-churn pattern at size `n`: staggered consumers each
 /// doing several transfers on one shared resource, so completions happen
 /// under persistently high concurrency. Returns (solver work, completions).
 fn churn_work(n: usize) -> (u64, u64) {

@@ -27,4 +27,6 @@ pub mod service;
 pub use arrival::{tenant_rng, Arrival, Schedule};
 pub use mix::{BoundedPareto, JobKind, JobMix, JobSample};
 pub use report::{ServiceReport, TenantReport};
-pub use service::{run_service, ServicePolicy, ServiceSpec, TenantSpec, SERVICE_BLOCK};
+pub use service::{
+    run_service, try_run_service, ServicePolicy, ServiceSpec, TenantSpec, SERVICE_BLOCK,
+};

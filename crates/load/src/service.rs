@@ -8,17 +8,12 @@
 //! time. Two runs of the same [`ServiceSpec`] therefore replay bit-identical
 //! trace hashes, with the recorder on or off.
 
-use std::cell::{Cell, RefCell};
 use std::collections::BTreeSet;
-use std::rc::Rc;
 
-use rmr_core::{
-    CapacityPlan, Cluster, JobConf, JobResult, JobSpec, NodeSpec, Runtime, SchedulePolicy,
-};
+use rmr_cluster::{run_with, Bench, Driver, Hung, Scenario, System, Testbed};
+use rmr_core::{CapacityPlan, Cluster, JobConf, JobSpec, Runtime, SchedulePolicy};
 use rmr_des::prelude::*;
-use rmr_hdfs::{Blob, HdfsConfig};
-use rmr_net::FabricParams;
-use rmr_obs::{ObsEvent, Recorder};
+use rmr_hdfs::Blob;
 use rmr_workloads::{sort_spec, terasort_spec, textgen, wordcount_spec};
 
 use crate::arrival::{tenant_rng, Arrival, Schedule};
@@ -147,10 +142,49 @@ struct TenantPlan {
     jobs: Vec<JobSample>,
 }
 
+/// One tenant's submission stream: open-loop plans sleep to each absolute
+/// arrival instant and join at the end; closed-loop plans join each job,
+/// then think.
+async fn tenant(plan: TenantPlan, rt: Runtime, d: Driver, locality_delay: u32) {
+    let sim = d.cluster.sim.clone();
+    let submit = |i: usize, job: &JobSample| {
+        let conf = conf_for(&d.conf, plan.queue, locality_delay, job.input_bytes);
+        rt.submit(conf, spec_for(job, plan.queue, i))
+    };
+    match &plan.schedule {
+        Schedule::Open(times) => {
+            let mut ids = Vec::with_capacity(plan.jobs.len());
+            for (i, (t, job)) in times.iter().zip(&plan.jobs).enumerate() {
+                let now = sim.now().as_secs_f64();
+                if *t > now {
+                    sim.sleep(SimDuration::from_secs_f64(t - now)).await;
+                }
+                ids.push(submit(i, job));
+            }
+            for id in ids {
+                d.finished(rt.join(id).await);
+            }
+        }
+        Schedule::Closed(gaps) => {
+            for (i, (gap, job)) in gaps.iter().zip(&plan.jobs).enumerate() {
+                let id = submit(i, job);
+                d.finished(rt.join(id).await);
+                sim.sleep(SimDuration::from_secs_f64(*gap)).await;
+            }
+        }
+    }
+}
+
 /// Runs one service-mode experiment to completion and aggregates the
-/// per-tenant report. Panics if any job hangs (the sim drains with jobs
-/// unfinished) or job-keyed runtime state leaks.
+/// per-tenant report. Panics with the [`Hung`] report if any job hangs
+/// (see [`try_run_service`]).
 pub fn run_service(spec: &ServiceSpec) -> ServiceReport {
+    try_run_service(spec).unwrap_or_else(|hung| panic!("{hung}"))
+}
+
+/// [`run_service`], with a run that drains (or reaches `RMR_LIMIT`) with
+/// jobs unfinished returned as [`Hung`] instead of a panic.
+pub fn try_run_service(spec: &ServiceSpec) -> Result<ServiceReport, Hung> {
     assert!(spec.nodes > 0, "need at least one worker");
     assert!(!spec.tenants.is_empty(), "need at least one tenant");
 
@@ -175,106 +209,52 @@ pub fn run_service(spec: &ServiceSpec) -> ServiceReport {
         .flat_map(|p| p.jobs.iter().map(|j| (j.kind, j.input_bytes)))
         .collect();
 
-    let sim = Sim::new(spec.seed);
-    let node_specs = vec![NodeSpec::westmere_compute(); spec.nodes];
-    let cluster = Cluster::build(
-        &sim,
-        FabricParams::ib_verbs_qdr(),
-        &node_specs,
-        HdfsConfig {
-            block_size: SERVICE_BLOCK,
-            replication: 1,
-            packet_size: 4 << 20,
-        },
+    // Sim, cluster, runtime and counters come from the shared driver; what
+    // is service-specific is the submission loop below (the scenario's own
+    // job list stays empty). Stock OSU-IB conf rather than the figures'
+    // benchmark tuning: per-job reduce counts are sized in `conf_for`.
+    let mut sc = Scenario::tuned(
+        "service-driver",
+        System::OsuIb,
+        Bench::TeraSort,
+        Testbed::compute(spec.nodes, 1),
+        spec.seed,
     );
-    let obs = if spec.record_events {
-        Recorder::on(&sim)
-    } else {
-        Recorder::off()
-    };
-    let base = JobConf::osu_ib();
-    let policy = spec.schedule_policy();
+    sc.hdfs.block_size = SERVICE_BLOCK;
+    sc.conf = JobConf::osu_ib();
+    sc.policy = spec.schedule_policy();
+    sc.record = spec.record_events;
+    let slots = (sc.conf.map_slots + sc.conf.reduce_slots) as f64;
     let locality_delay = spec.locality_delay;
 
-    let results: Rc<RefCell<Vec<JobResult>>> = Rc::new(RefCell::new(Vec::new()));
-    let footprint = Rc::new(Cell::new(usize::MAX));
-
-    let c2 = cluster.clone();
-    let sim2 = sim.clone();
-    let obs2 = obs.clone();
-    let base2 = base.clone();
-    let results2 = Rc::clone(&results);
-    let footprint2 = Rc::clone(&footprint);
-    sim.spawn_named("service-driver", async move {
+    let report = run_with(&sc, |d| async move {
         // Catalog datagen strictly precedes the first submission so input
         // generation never perturbs arrival timing.
         for (salt, (kind, bytes)) in catalog.iter().enumerate() {
             let path = rung_path(*kind, *bytes);
             match kind {
                 JobKind::TeraSort | JobKind::Sort => {
-                    gen_synthetic(&c2, &path, *bytes, salt).await;
+                    gen_synthetic(&d.cluster, &path, *bytes, salt).await;
                 }
                 JobKind::WordCount => {
-                    textgen(&c2, &path, wordcount_lines(*bytes), 8).await;
+                    textgen(&d.cluster, &path, wordcount_lines(*bytes), 8).await;
                 }
             }
         }
-        let rt = Runtime::with_obs(&c2, base2.clone(), policy, obs2);
+        let rt = d.start_runtime();
         let mut tenants = Vec::new();
         for plan in plans {
-            let rt = rt.clone();
-            let sim = sim2.clone();
-            let base = base2.clone();
-            let results = Rc::clone(&results2);
-            tenants.push(
-                sim2.spawn_named(format!("tenant-{}", plan.queue), async move {
-                    match plan.schedule {
-                        Schedule::Open(times) => {
-                            let mut ids = Vec::with_capacity(plan.jobs.len());
-                            for (i, (t, job)) in times.iter().zip(&plan.jobs).enumerate() {
-                                let now = sim.now().as_secs_f64();
-                                if *t > now {
-                                    sim.sleep(SimDuration::from_secs_f64(t - now)).await;
-                                }
-                                let conf =
-                                    conf_for(&base, plan.queue, locality_delay, job.input_bytes);
-                                ids.push(rt.submit(conf, spec_for(job, plan.queue, i)));
-                            }
-                            for id in ids {
-                                let res = rt.join(id).await;
-                                results.borrow_mut().push(res);
-                            }
-                        }
-                        Schedule::Closed(gaps) => {
-                            for (i, (gap, job)) in gaps.iter().zip(&plan.jobs).enumerate() {
-                                let conf =
-                                    conf_for(&base, plan.queue, locality_delay, job.input_bytes);
-                                let id = rt.submit(conf, spec_for(job, plan.queue, i));
-                                let res = rt.join(id).await;
-                                results.borrow_mut().push(res);
-                                sim.sleep(SimDuration::from_secs_f64(*gap)).await;
-                            }
-                        }
-                    }
-                }),
-            );
+            tenants.push(d.cluster.sim.spawn_named(
+                format!("tenant-{}", plan.queue),
+                tenant(plan, rt.clone(), d.clone(), locality_delay),
+            ));
         }
         for t in tenants {
             t.await;
         }
-        footprint2.set(rt.state_footprint().total());
-    })
-    .detach();
-    sim.run();
-
-    let results = results.borrow();
-    assert_eq!(
-        results.len(),
-        total_jobs,
-        "service run drained with jobs unfinished"
-    );
-    let footprint_total = footprint.get();
-    assert_ne!(footprint_total, usize::MAX, "driver never completed");
+    })?;
+    let results = &report.jobs;
+    assert_eq!(results.len(), total_jobs, "driver finished early");
 
     // Per-tenant rollup, tenants sorted by queue id.
     let mut queues: Vec<(u32, u32)> = spec
@@ -302,16 +282,14 @@ pub fn run_service(spec: &ServiceSpec) -> ServiceReport {
         })
         .collect();
 
-    let makespan_s = results.iter().map(|r| r.end_s).fold(0.0, f64::max);
-    let slots = (base.map_slots + base.reduce_slots) as f64;
+    let makespan_s = report.makespan_s();
     let utilization = if makespan_s > 0.0 {
         total_slot_secs / (makespan_s * spec.nodes as f64 * slots)
     } else {
         0.0
     };
-    let events: Vec<ObsEvent> = obs.events();
 
-    ServiceReport {
+    Ok(ServiceReport {
         policy: spec.policy,
         nodes: spec.nodes,
         seed: spec.seed,
@@ -319,10 +297,10 @@ pub fn run_service(spec: &ServiceSpec) -> ServiceReport {
         tenants,
         makespan_s,
         utilization,
-        trace_hash: sim.trace_hash(),
-        events_fired: sim.events_fired(),
-        polls: sim.polls(),
-        footprint_total,
-        events,
-    }
+        trace_hash: report.trace_hash,
+        events_fired: report.events,
+        polls: report.polls,
+        footprint_total: report.footprint.total(),
+        events: report.recorder.events(),
+    })
 }

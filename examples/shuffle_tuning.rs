@@ -20,7 +20,7 @@ fn main() {
             2013,
         ));
     }
-    let records = run_all(&caching, 2);
+    let records = rmr_bench::run_grid(&caching, 2);
     println!("Sort 8 GB on SSD, 4 nodes:");
     for r in &records {
         println!(

@@ -32,10 +32,7 @@ fn main() {
             ));
         }
     }
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(2);
-    let records = run_all(&experiments, threads);
+    let records = rmr_bench::run_grid(&experiments, rmr_bench::default_threads());
 
     println!("\nTeraSort {gb} GB on 4 nodes (virtual seconds):");
     println!("{:>28} {:>10} {:>10}", "system", "1 disk", "2 disks");

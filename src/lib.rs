@@ -19,7 +19,7 @@
 //! | [`rmr_hdfs`] | mini-HDFS: NameNode, DataNodes, pipelined replication, locality reads |
 //! | [`rmr_core`] | the MapReduce engine and the three shuffle designs (the paper's contribution) |
 //! | [`rmr_workloads`] | TeraGen/TeraSort/TeraValidate, RandomWriter/Sort, WordCount |
-//! | [`rmr_cluster`] | the paper's testbed presets and a parallel experiment driver |
+//! | [`rmr_cluster`] | the paper's testbed presets and the scenario driver every run goes through |
 //!
 //! ## Quickstart
 //!
@@ -60,7 +60,7 @@ pub use rmr_workloads as workloads;
 
 /// Everything needed to build and run jobs.
 pub mod prelude {
-    pub use rmr_cluster::{run_all, run_experiment, Bench, Experiment, RunRecord, System, Testbed};
+    pub use rmr_cluster::{run_experiment, Bench, Experiment, RunRecord, System, Testbed};
     pub use rmr_core::cluster::{Cluster, NodeSpec};
     pub use rmr_core::{
         run_job, run_job_with_faults, CpuCosts, FaultEvent, FaultPlan, JobConf, JobResult, JobSpec,

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! rdma-mapred run      --bench terasort --system osu --gb 30 --nodes 4 --disks 1
-//! rdma-mapred figure   fig4a | fig4b | fig5 | fig6a | fig6b | fig7 | fig8 | all
+//! rdma-mapred figure   fig4a | … | fig8 | tuning | multijob | engines | all
 //! rdma-mapred validate --gb-mb 64 --nodes 4
 //! rdma-mapred systems
 //! ```
@@ -12,77 +12,53 @@ use std::process::exit;
 use std::rc::Rc;
 
 use rdma_mapred::prelude::*;
+use rmr_bench::cli::{parse_bench, usage_error, Args};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage:\n  \
-         rdma-mapred run [--bench terasort|sort] [--system g1|g10|ipoib|ha|osu|osunc]\n              \
-         [--gb N] [--nodes N] [--disks N] [--ssd] [--storage] [--seed N]\n              \
-         [--block-mb N] [--packet-kb N]\n  \
-         rdma-mapred figure <fig4a|fig4b|fig5|fig6a|fig6b|fig7|fig8|all>\n  \
-         rdma-mapred validate [--mb N] [--nodes N] [--system osu|ha|ipoib]\n  \
-         rdma-mapred systems"
-    );
-    exit(2)
-}
-
-fn parse_system(s: &str) -> System {
-    match s {
-        "g1" | "1gige" => System::GigE1,
-        "g10" | "10gige" => System::GigE10,
-        "ipoib" => System::IpoIb,
-        "ha" | "hadoop-a" => System::HadoopA,
-        "osu" | "osu-ib" => System::OsuIb,
-        "osunc" | "osu-nocache" => System::OsuIbNoCache,
-        other => {
-            eprintln!("unknown system: {other}");
-            usage()
-        }
-    }
-}
-
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-fn flag_present(args: &[String], flag: &str) -> bool {
-    args.iter().any(|a| a == flag)
-}
+const USAGE: &str = "usage:
+  rdma-mapred run [--bench terasort|sort] [--system g1|g10|ipoib|ha|osu|osunc|comb|mr]
+              [--gb N] [--nodes N] [--disks N] [--ssd] [--storage] [--seed N]
+              [--block-mb N] [--packet-kb N]
+  rdma-mapred figure <fig4a|fig4b|fig5|fig6a|fig6b|fig7|fig8|tuning|multijob|engines|all>
+  rdma-mapred validate [--mb N] [--nodes N] [--system osu|ha|ipoib|...]
+  rdma-mapred systems";
 
 fn cmd_run(args: &[String]) {
-    let bench = match flag_value(args, "--bench").as_deref() {
-        Some("sort") => Bench::Sort,
-        _ => Bench::TeraSort,
-    };
-    let system = parse_system(&flag_value(args, "--system").unwrap_or_else(|| "osu".into()));
-    let gb: f64 = flag_value(args, "--gb")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(10.0);
-    let nodes: usize = flag_value(args, "--nodes")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4);
-    let disks: usize = flag_value(args, "--disks")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
-    let seed: u64 = flag_value(args, "--seed")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(42);
-    let testbed = if flag_present(args, "--ssd") {
+    let args = Args::parse(
+        args,
+        &[
+            "--bench",
+            "--system",
+            "--gb",
+            "--nodes",
+            "--disks",
+            "--seed",
+            "--block-mb",
+            "--packet-kb",
+        ],
+        &["--ssd", "--storage"],
+        USAGE,
+    );
+    args.done();
+    let bench = args
+        .flag_with("--bench", parse_bench)
+        .unwrap_or(Bench::TeraSort);
+    let system = args
+        .flag_with("--system", System::parse)
+        .unwrap_or(System::OsuIb);
+    let gb: f64 = args.flag("--gb").unwrap_or(10.0);
+    let nodes: usize = args.flag("--nodes").unwrap_or(4);
+    let disks: usize = args.flag("--disks").unwrap_or(1);
+    let seed: u64 = args.flag("--seed").unwrap_or(42);
+    let testbed = if args.switch("--ssd") {
         Testbed::ssd(nodes)
-    } else if flag_present(args, "--storage") {
+    } else if args.switch("--storage") {
         Testbed::storage(nodes, disks)
     } else {
         Testbed::compute(nodes, disks)
     };
     let mut exp = Experiment::new("cli", bench, system, testbed, gb, seed);
-    exp.block_size_override = flag_value(args, "--block-mb")
-        .and_then(|v| v.parse::<u64>().ok())
-        .map(|mb| mb << 20);
-    exp.osu_packet_override = flag_value(args, "--packet-kb")
-        .and_then(|v| v.parse::<u64>().ok())
-        .map(|kb| kb << 10);
+    exp.block_size_override = args.flag::<u64>("--block-mb").map(|mb| mb << 20);
+    exp.osu_packet_override = args.flag::<u64>("--packet-kb").map(|kb| kb << 10);
     let rec = run_experiment(&exp);
     println!(
         "{} {} {:.0}GB on {} nodes ({} disk{}{}):",
@@ -105,30 +81,27 @@ fn cmd_run(args: &[String]) {
 }
 
 fn cmd_figure(args: &[String]) {
-    let which = args.first().map(String::as_str).unwrap_or("all");
+    let mut args = Args::parse(args, &[], &[], USAGE);
+    let which: String = args.pos("figure", "all".to_string());
+    args.done();
     let threads = rmr_bench::default_threads();
-    let figs = rmr_bench::all_figures();
-    let mut ran = false;
-    for fig in figs {
-        if which == "all" || which == fig.id {
-            rmr_bench::run_figure(&fig, threads);
-            ran = true;
+    if which == "all" {
+        for id in rmr_bench::FIGURE_IDS {
+            rmr_bench::regenerate(id, threads);
         }
-    }
-    if !ran {
-        eprintln!("unknown figure: {which}");
-        usage();
+    } else if !rmr_bench::regenerate(&which, threads) {
+        args.fail(&format!("unknown figure: {which}"));
     }
 }
 
 fn cmd_validate(args: &[String]) {
-    let mb: u64 = flag_value(args, "--mb")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(32);
-    let nodes: usize = flag_value(args, "--nodes")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4);
-    let system = parse_system(&flag_value(args, "--system").unwrap_or_else(|| "osu".into()));
+    let args = Args::parse(args, &["--mb", "--nodes", "--system"], &[], USAGE);
+    args.done();
+    let mb: u64 = args.flag("--mb").unwrap_or(32);
+    let nodes: usize = args.flag("--nodes").unwrap_or(4);
+    let system = args
+        .flag_with("--system", System::parse)
+        .unwrap_or(System::OsuIb);
     let sim = Sim::new(42);
     let mut spec = NodeSpec::westmere_compute();
     spec.page_cache = 512 << 20;
@@ -182,10 +155,10 @@ fn main() {
         Some("figure") => cmd_figure(&args[1..]),
         Some("validate") => cmd_validate(&args[1..]),
         Some("systems") => {
-            for s in System::ALL {
+            for s in System::EXTENDED {
                 println!("{:12} {}", format!("{s:?}"), s.label());
             }
         }
-        _ => usage(),
+        _ => usage_error("expected run, figure, validate or systems", USAGE),
     }
 }

@@ -223,11 +223,7 @@ proptest! {
         };
         let sim_seed = 0x5EED ^ plan_seed;
         let (twin, _) = synthetic_run(sim_seed, workers, kind, &FaultPlan::none());
-        let timing = TwinTiming {
-            submit_s: twin.start_s,
-            map_end_s: twin.map_phase_end_s,
-            end_s: twin.end_s,
-        };
+        let timing = TwinTiming::of(std::slice::from_ref(&twin));
         let plan = derive_plan(plan_seed, workers, &timing);
         prop_assert!(!plan.is_empty(), "derive_plan produced no faults");
 
