@@ -30,7 +30,7 @@ use rmr_obs::Ev;
 use crate::config::ShuffleKind;
 use crate::engine::{LocalBoxFuture, ShuffleEngine, StageCtx, Staged};
 use crate::mapoutput::MapOutputInfo;
-use crate::record::Segment;
+use crate::record::{for_each_group, Segment};
 use crate::reduce::common::{ReduceCtx, ReduceError, ReduceStats};
 use crate::reduce::rdma::{run_reduce_rdma, RdmaVariant};
 use crate::runtime::JobId;
@@ -291,18 +291,8 @@ fn fold_segment(merged: Segment, peak_records: u64, combine: &ReduceFn, ratio: f
         return merged;
     }
     if merged.is_real() {
-        let recs = merged.to_records().expect("real segment records");
         let mut out = Vec::new();
-        let mut i = 0;
-        while i < recs.len() {
-            let key = recs[i].key.clone();
-            let mut values = Vec::new();
-            while i < recs.len() && recs[i].key == key {
-                values.push(recs[i].value.clone());
-                i += 1;
-            }
-            out.extend(combine(&key, &values));
-        }
+        for_each_group(merged.real_window(), |k, vs| combine(k, vs, &mut out));
         Segment::from_records(out)
     } else {
         let floor = (merged.records as f64 * ratio).ceil() as u64;
@@ -319,12 +309,12 @@ mod tests {
     use bytes::Bytes;
 
     fn sum_combiner() -> ReduceFn {
-        Rc::new(|k: &Bytes, vs: &[Bytes]| {
+        Rc::new(|k: &Bytes, vs: &[Bytes], out: &mut Vec<Record>| {
             let total: u64 = vs
                 .iter()
                 .map(|v| String::from_utf8_lossy(v).parse::<u64>().unwrap_or(0))
                 .sum();
-            vec![Record::new(k.clone(), Bytes::from(total.to_string()))]
+            out.push(Record::new(k.clone(), Bytes::from(total.to_string())));
         })
     }
 

@@ -5,14 +5,24 @@
 //! sort buffer of `io.sort.mb`; each buffer-full is sorted and spilled to
 //! the local disk as a partitioned, sorted run; multiple spills are merged
 //! into the single indexed map-output file the shuffle serves.
+//!
+//! That is the *simulated* cost. On the host, real records follow
+//! [`crate::record`]'s one-copy rule, the way Hadoop's `kvbuffer`/`kvmeta`
+//! keep bytes in an arena and sort an index: input records are windows into
+//! the HDFS block, the map function pushes into a reused sink, a combiner
+//! job folds that sink into a group table instead of sorting it, and the
+//! final run is built by [`Segment::from_records`]'s index sort.
 
+use std::collections::BTreeMap;
 use std::rc::Rc;
+
+use bytes::Bytes;
 
 use crate::cluster::Cluster;
 use crate::config::JobConf;
 use crate::jobtracker::MapTaskDesc;
 use crate::mapoutput::MapOutputInfo;
-use crate::record::{decode_records, Record, Segment};
+use crate::record::{decode_records, key_prefix, Record, Segment};
 use crate::runtime::JobId;
 use crate::spec::JobSpec;
 use crate::tasktracker::TaskTracker;
@@ -58,42 +68,52 @@ pub async fn run_map(
         return None;
     }
     node.compute(map_cpu).await;
-    let mut out_records_real: Option<Vec<Record>> = real_records.map(|recs| {
-        let mut out = Vec::with_capacity(recs.len());
-        match &spec.mapper {
+    let out_records_real: Option<Vec<Record>> = match (real_records, &spec.combiner) {
+        (None, _) => None,
+        (Some(recs), None) => Some(match &spec.mapper {
             Some(f) => {
+                let mut out = Vec::with_capacity(recs.len());
                 for r in &recs {
-                    out.extend(f(r));
+                    f(r, &mut out);
                 }
+                out
             }
-            None => out = recs,
-        }
-        out
-    });
-
-    // Map-side combiner: group sorted intermediate records by key and fold
-    // each group (same key ⇒ same partition, so combining before the
-    // partition step is equivalent to Hadoop's per-spill combine).
-    if let Some(combine) = &spec.combiner {
-        if let Some(recs) = out_records_real.take() {
-            let mut sorted = recs;
-            sorted.sort_by(|a, b| a.key.cmp(&b.key));
-            node.compute(costs.reduce_per_record * sorted.len() as f64)
-                .await;
+            None => recs,
+        }),
+        // Map-side combiner: fold the mapper's output straight into an
+        // ordered group table (key → values in arrival order) and combine
+        // each group in key order — record for record what stably sorting
+        // the whole map output and scanning it for equal keys yields,
+        // without ever holding the uncombined output. Same key ⇒ same
+        // partition, so combining before the partition step is equivalent
+        // to Hadoop's per-spill combine. The table is keyed by (key prefix,
+        // key), which orders like the key alone but settles most lookups'
+        // comparisons on an integer.
+        (Some(recs), Some(combine)) => {
+            let mut groups: BTreeMap<(u64, Bytes), Vec<Bytes>> = BTreeMap::new();
+            let mut fold = |r: Record| {
+                let slot = (key_prefix(&r.key), r.key);
+                groups.entry(slot).or_default().push(r.value);
+            };
+            match &spec.mapper {
+                Some(f) => {
+                    let mut emitted = Vec::new();
+                    for r in &recs {
+                        f(r, &mut emitted);
+                        emitted.drain(..).for_each(&mut fold);
+                    }
+                }
+                None => recs.into_iter().for_each(&mut fold),
+            }
+            let mapped: usize = groups.values().map(Vec::len).sum();
+            node.compute(costs.reduce_per_record * mapped as f64).await;
             let mut combined = Vec::new();
-            let mut i = 0;
-            while i < sorted.len() {
-                let key = sorted[i].key.clone();
-                let mut values = Vec::new();
-                while i < sorted.len() && sorted[i].key == key {
-                    values.push(sorted[i].value.clone());
-                    i += 1;
-                }
-                combined.extend(combine(&key, &values));
+            for ((_, key), values) in &groups {
+                combine(key, values, &mut combined);
             }
-            out_records_real = Some(combined);
+            Some(combined)
         }
-    }
+    };
 
     // 4. Sizing of the intermediate output.
     let (out_records, out_bytes) = match &out_records_real {
@@ -173,7 +193,6 @@ mod tests {
     use crate::config::JobConf;
     use crate::mapoutput::MapOutputStore;
     use crate::record::encode_records;
-    use bytes::Bytes;
     use rmr_des::prelude::*;
     use rmr_hdfs::{Blob, HdfsConfig};
     use rmr_net::FabricParams;

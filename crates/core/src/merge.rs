@@ -16,11 +16,12 @@
 //! key distributions).
 
 use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 
 use bytes::Bytes;
 
-use crate::record::{Record, RunData, Segment};
+use crate::record::{key_prefix, Record, RunData, Segment};
 
 /// What [`StreamingMerge::emit`] produced.
 #[derive(Debug)]
@@ -136,16 +137,29 @@ impl Source {
 
 /// Head-of-source entry in the real-mode merge heap: the minimum buffered
 /// key of one source. Ties break on source index, matching the scan order
-/// the merge used before it was heap-based.
+/// the merge used before it was heap-based. The key's eight-byte prefix
+/// rides along and is compared first — it orders like the key wherever two
+/// prefixes differ, so most sift steps never touch the key bytes.
 #[derive(PartialEq, Eq)]
 struct HeadKey {
+    prefix: u64,
     key: Bytes,
     src: usize,
 }
 
+impl HeadKey {
+    fn new(key: &Bytes, src: usize) -> Self {
+        HeadKey {
+            prefix: key_prefix(key),
+            key: key.clone(),
+            src,
+        }
+    }
+}
+
 impl Ord for HeadKey {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (&self.key, self.src).cmp(&(&other.key, other.src))
+        (self.prefix, &self.key, self.src).cmp(&(other.prefix, &other.key, other.src))
     }
 }
 
@@ -270,12 +284,8 @@ impl StreamingMerge {
         // it), never drop it under.
         s.low = s.low && s.below(self.watermark);
         if is_real && !had_head {
-            let key = self.sources[source]
-                .head()
-                .expect("appended head")
-                .key
-                .clone();
-            self.heads.push(Reverse(HeadKey { key, src: source }));
+            let head = self.sources[source].head().expect("appended head");
+            self.heads.push(Reverse(HeadKey::new(&head.key, source)));
         }
     }
 
@@ -341,7 +351,7 @@ impl StreamingMerge {
     }
 
     fn emit_real(&mut self, max_records: u64) -> Segment {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(max_records.min(self.remaining) as usize);
         while (out.len() as u64) < max_records {
             // Extraction is only safe while every non-exhausted source has a
             // buffered head.
@@ -350,16 +360,21 @@ impl StreamingMerge {
             }
             // The heap holds exactly one entry per source with a buffered
             // head, so its minimum is the global minimum head key.
-            let Some(Reverse(top)) = self.heads.pop() else {
+            let Some(mut top) = self.heads.peek_mut() else {
                 break;
             };
-            let src = top.src;
+            let src = top.0.src;
             out.push(self.sources[src].pop_real());
-            self.consumed(src, 1);
-            if let Some(h) = self.sources[src].head() {
-                let key = h.key.clone();
-                self.heads.push(Reverse(HeadKey { key, src }));
+            // Re-key the top entry in place (one sift-down when the guard
+            // drops) instead of a pop and a push.
+            match self.sources[src].head() {
+                Some(h) => {
+                    top.0 = HeadKey::new(&h.key, src);
+                    drop(top);
+                }
+                None => drop(PeekMut::pop(top)),
             }
+            self.consumed(src, 1);
         }
         Segment::from_sorted(out)
     }

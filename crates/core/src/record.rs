@@ -6,6 +6,20 @@
 //! the *timing* model is identical in both modes. [`RunData::Real`] holds a
 //! shared, immutable, sorted record vector plus a slice window, which lets
 //! shuffle packets reference sub-ranges without copying.
+//!
+//! # The one-copy rule
+//!
+//! A real byte is copied once — when its record is encoded into an HDFS
+//! blob by [`encode_records`] — and no stage allocates per record. Every
+//! [`Record`] after that is two [`Bytes`] *windows* into the block it was
+//! decoded from ([`decode_records`]), and sorting ([`Segment::from_records`]
+//! sorts an index and permutes once), partitioning, shuffling, merging and
+//! grouping ([`for_each_group`]) move or clone windows, never payload. A
+//! window pins its backing block: the map output of a job whose mapper emits
+//! sub-windows of its input (WordCount's words are windows of the input
+//! line) keeps that input block alive until the output is dropped — which
+//! costs nothing extra, because HDFS holds the block's content for the
+//! file's life anyway.
 
 use std::rc::Rc;
 
@@ -41,12 +55,16 @@ impl Record {
 /// length, then the bytes) — the on-HDFS representation used by the real
 /// data plane.
 pub fn encode_records(records: &[Record]) -> Bytes {
-    let total: usize = records
-        .iter()
-        .map(|r| 8 + r.key.len() + r.value.len())
-        .sum();
+    encode_parts(&[records])
+}
+
+/// [`encode_records`] over the concatenation of `parts`, without building
+/// the concatenation.
+pub(crate) fn encode_parts(parts: &[&[Record]]) -> Bytes {
+    let records = || parts.iter().flat_map(|p| p.iter());
+    let total: usize = records().map(|r| 8 + r.key.len() + r.value.len()).sum();
     let mut buf = BytesMut::with_capacity(total);
-    for r in records {
+    for r in records() {
         buf.put_u32(r.key.len() as u32);
         buf.put_u32(r.value.len() as u32);
         buf.put_slice(&r.key);
@@ -55,19 +73,89 @@ pub fn encode_records(records: &[Record]) -> Bytes {
     buf.freeze()
 }
 
-/// Inverse of [`encode_records`]. Panics on malformed input (the encoder is
-/// the only producer in this system).
-pub fn decode_records(mut data: Bytes) -> Vec<Record> {
-    use bytes::Buf;
-    let mut out = Vec::new();
-    while data.remaining() > 0 {
-        let klen = data.get_u32() as usize;
-        let vlen = data.get_u32() as usize;
-        let key = data.split_to(klen);
-        let value = data.split_to(vlen);
-        out.push(Record { key, value });
+/// Reads the two length fields of record number `idx`, which starts at byte
+/// `at` of `buf`, and returns `(key_len, value_len)` once the whole record
+/// is known to lie inside `buf`.
+fn record_lengths(buf: &[u8], idx: usize, at: usize) -> (usize, usize) {
+    let left = buf.len() - at;
+    assert!(
+        left >= 8,
+        "record {idx} at byte {at}: header needs 8 bytes, {left} remaining"
+    );
+    let field = |o: usize| {
+        u32::from_be_bytes(buf[at + o..at + o + 4].try_into().expect("4 bytes")) as usize
+    };
+    let (klen, vlen) = (field(0), field(4));
+    let left = left - 8;
+    assert!(
+        klen <= left,
+        "record {idx} at byte {at}: key length {klen} exceeds {left} remaining bytes"
+    );
+    let left = left - klen;
+    assert!(
+        vlen <= left,
+        "record {idx} at byte {at}: value length {vlen} exceeds {left} remaining bytes"
+    );
+    (klen, vlen)
+}
+
+/// Inverse of [`encode_records`]: every key and value is a window into
+/// `data`. Panics on malformed input (the encoder is the only producer in
+/// this system), naming the record and byte offset where decoding stopped.
+pub fn decode_records(data: Bytes) -> Vec<Record> {
+    let buf: &[u8] = &data;
+    // Walk the headers once to size the output exactly (and to validate),
+    // then cut the windows.
+    let (mut count, mut at) = (0usize, 0usize);
+    while at < buf.len() {
+        let (klen, vlen) = record_lengths(buf, count, at);
+        at += 8 + klen + vlen;
+        count += 1;
+    }
+    let mut out = Vec::with_capacity(count);
+    let mut at = 0usize;
+    for idx in 0..count {
+        let (klen, vlen) = record_lengths(buf, idx, at);
+        let key_at = at + 8;
+        let value_at = key_at + klen;
+        at = value_at + vlen;
+        out.push(Record {
+            key: data.slice(key_at..value_at),
+            value: data.slice(value_at..at),
+        });
     }
     out
+}
+
+/// Calls `f(key, values)` once per run of consecutive records with equal
+/// keys, in order; `values` are the run's values in record order. On sorted
+/// input that is one call per distinct key — the grouping contract of a
+/// reduce or combine function.
+pub fn for_each_group(records: &[Record], mut f: impl FnMut(&Bytes, &[Bytes])) {
+    let mut values: Vec<Bytes> = Vec::new();
+    let mut rest = records;
+    while let Some(first) = rest.first() {
+        let run = rest
+            .iter()
+            .position(|r| r.key != first.key)
+            .unwrap_or(rest.len());
+        values.clear();
+        values.extend(rest[..run].iter().map(|r| r.value.clone()));
+        f(&first.key, &values);
+        rest = &rest[run..];
+    }
+}
+
+/// The first eight key bytes as a big-endian integer, zero-padded: orders
+/// like the key itself wherever two prefixes differ.
+pub(crate) fn key_prefix(key: &[u8]) -> u64 {
+    match key.first_chunk::<8>() {
+        Some(head) => u64::from_be_bytes(*head),
+        None => key
+            .iter()
+            .enumerate()
+            .fold(0, |p, (i, &b)| p | u64::from(b) << (56 - 8 * i)),
+    }
 }
 
 /// The contents of a sorted run: real records or synthetic counts.
@@ -116,10 +204,36 @@ impl Segment {
         }
     }
 
-    /// Builds a real segment by sorting `records` by key.
-    pub fn from_records(mut records: Vec<Record>) -> Self {
-        records.sort_by(|a, b| a.key.cmp(&b.key));
-        Self::from_sorted(records)
+    /// Builds a real segment by sorting `records` by key (stably: records
+    /// with equal keys keep their input order).
+    ///
+    /// Sorts an index of `(key prefix, position)` pairs rather than the
+    /// records — most comparisons are one integer compare on a 16-byte
+    /// element, and only prefix ties dereference the keys — then permutes
+    /// the records once.
+    pub fn from_records(records: Vec<Record>) -> Self {
+        assert!(
+            u32::try_from(records.len()).is_ok(),
+            "a run holds at most 2^32 records"
+        );
+        let mut index: Vec<(u64, u32)> = records
+            .iter()
+            .enumerate()
+            .map(|(i, r)| (key_prefix(&r.key), i as u32))
+            .collect();
+        // The position is the last tie-break, so no two entries compare
+        // equal and the unstable sort is both deterministic and stable.
+        index.sort_unstable_by(|a, b| {
+            a.0.cmp(&b.0)
+                .then_with(|| records[a.1 as usize].key.cmp(&records[b.1 as usize].key))
+                .then(a.1.cmp(&b.1))
+        });
+        let mut slots: Vec<Option<Record>> = records.into_iter().map(Some).collect();
+        let sorted = index
+            .iter()
+            .map(|&(_, i)| slots[i as usize].take().expect("each position once"))
+            .collect();
+        Self::from_sorted(sorted)
     }
 
     /// Builds a real segment from records already sorted by key.
@@ -160,9 +274,14 @@ impl Segment {
     /// Iterates the real records in the window (empty iterator for
     /// synthetic data).
     pub fn iter_real(&self) -> impl Iterator<Item = &Record> {
+        self.real_window().iter()
+    }
+
+    /// The real records in the window (empty for synthetic data).
+    pub(crate) fn real_window(&self) -> &[Record] {
         match &self.data {
-            RunData::Real { recs, start, end } => recs[*start..*end].iter(),
-            RunData::Synthetic { .. } => [].iter(),
+            RunData::Real { recs, start, end } => &recs[*start..*end],
+            RunData::Synthetic { .. } => &[],
         }
     }
 
@@ -552,12 +671,7 @@ impl Partitioner for TotalOrderPartitioner {
     fn partition(&self, key: &[u8], n: usize) -> usize {
         // Interpret the first 8 key bytes as a big-endian fraction of the
         // key space.
-        let mut prefix = [0u8; 8];
-        for (i, b) in key.iter().take(8).enumerate() {
-            prefix[i] = *b;
-        }
-        let x = u64::from_be_bytes(prefix);
-        ((x as u128 * n as u128) >> 64) as usize
+        ((key_prefix(key) as u128 * n as u128) >> 64) as usize
     }
 
     fn is_monotone(&self) -> bool {
@@ -580,6 +694,75 @@ mod tests {
         let records = vec![rec(b"bb", b"2"), rec(b"a", b"111"), rec(b"", b"")];
         let decoded = decode_records(encode_records(&records));
         assert_eq!(decoded, records);
+    }
+
+    #[test]
+    fn decoded_records_are_windows_of_the_block() {
+        let records = vec![rec(b"key", b"value"), rec(b"k2", b"")];
+        let block = encode_records(&records);
+        let base = block.as_ptr();
+        let decoded = decode_records(block);
+        assert_eq!(decoded[0].key.as_ptr(), base.wrapping_add(8));
+        assert_eq!(decoded[0].value.as_ptr(), base.wrapping_add(11));
+        assert_eq!(decoded[1].key.as_ptr(), base.wrapping_add(24));
+    }
+
+    #[test]
+    #[should_panic(expected = "record 1 at byte 12: key length 4096 exceeds 4 remaining bytes")]
+    fn decode_names_the_torn_record() {
+        let mut torn = encode_records(&[rec(b"ab", b"cd")]).to_vec();
+        torn.extend_from_slice(&4096u32.to_be_bytes());
+        torn.extend_from_slice(&1u32.to_be_bytes());
+        torn.extend_from_slice(b"only");
+        decode_records(Bytes::from(torn));
+    }
+
+    #[test]
+    #[should_panic(expected = "record 0 at byte 0: value length 3 exceeds 1 remaining bytes")]
+    fn decode_names_a_truncated_value() {
+        let whole = encode_records(&[rec(b"ab", b"cde")]);
+        decode_records(whole.slice(0..whole.len() - 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "record 1 at byte 12: header needs 8 bytes, 5 remaining")]
+    fn decode_names_a_truncated_header() {
+        let mut torn = encode_records(&[rec(b"ab", b"cd")]).to_vec();
+        torn.extend_from_slice(&[0; 5]);
+        decode_records(Bytes::from(torn));
+    }
+
+    #[test]
+    fn for_each_group_yields_runs_in_order() {
+        let records = vec![
+            rec(b"a", b"1"),
+            rec(b"a", b"2"),
+            rec(b"b", b"3"),
+            rec(b"a", b"4"),
+        ];
+        let mut seen = Vec::new();
+        for_each_group(&records, |k, vs| {
+            seen.push((
+                k.to_vec(),
+                vs.iter().map(|v| v.to_vec()).collect::<Vec<_>>(),
+            ));
+        });
+        assert_eq!(
+            seen,
+            vec![
+                (b"a".to_vec(), vec![b"1".to_vec(), b"2".to_vec()]),
+                (b"b".to_vec(), vec![b"3".to_vec()]),
+                (b"a".to_vec(), vec![b"4".to_vec()]),
+            ]
+        );
+        for_each_group(&[], |_, _| panic!("no groups in no records"));
+    }
+
+    #[test]
+    fn encode_parts_is_encode_of_the_concatenation() {
+        let (a, b) = (vec![rec(b"a", b"1")], vec![rec(b"b", b"22"), rec(b"", b"")]);
+        let joined = [a.clone(), b.clone()].concat();
+        assert_eq!(encode_parts(&[&a, &[], &b]), encode_records(&joined));
     }
 
     #[test]
@@ -611,6 +794,16 @@ mod tests {
         assert_eq!(parts.iter().map(|p| p.bytes).sum::<u64>(), 103);
         let recs: Vec<u64> = parts.iter().map(|p| p.records).collect();
         assert_eq!(recs, vec![3, 3, 2, 2]);
+    }
+
+    #[test]
+    fn key_prefix_pads_short_keys_with_zeros() {
+        assert_eq!(key_prefix(b""), 0);
+        assert_eq!(key_prefix(b"\x01"), 1 << 56);
+        assert_eq!(key_prefix(b"ab"), key_prefix(b"ab\0\0"));
+        assert_eq!(key_prefix(b"abcdefgh"), u64::from_be_bytes(*b"abcdefgh"));
+        assert_eq!(key_prefix(b"abcdefghij"), key_prefix(b"abcdefgh"));
+        assert!(key_prefix(b"ab") < key_prefix(b"b"));
     }
 
     #[test]

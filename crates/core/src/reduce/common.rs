@@ -4,15 +4,13 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use bytes::Bytes;
-
 use rmr_hdfs::Blob;
 
 use crate::cluster::{Cluster, NodeHandle};
 use crate::config::JobConf;
 use crate::faults::NodeLiveness;
 use crate::jobtracker::{CompletionEvent, JobTracker};
-use crate::record::{encode_records, Record, Segment};
+use crate::record::{encode_parts, encode_records, for_each_group, Record, Segment};
 use crate::runtime::JobId;
 use crate::spec::JobSpec;
 use crate::tasktracker::{TaskTracker, TtServerHandle};
@@ -162,52 +160,51 @@ impl ReduceSink {
             )
             .await;
         if seg.is_real() {
-            let mut records = std::mem::take(&mut self.held);
-            records.extend(seg.iter_real().cloned());
-            // Hold back the trailing key group (it may continue in the next
-            // batch).
-            let boundary = match records.last() {
-                Some(last) => records
-                    .iter()
-                    .rposition(|r| r.key != last.key)
-                    .map(|p| p + 1)
-                    .unwrap_or(0),
-                None => 0,
-            };
-            let rest = records.split_off(boundary);
-            self.held = rest;
-            self.emit_groups(records).await;
+            // Emit everything up to the trailing key group, which is held
+            // back because it may continue in the next batch. `held` is one
+            // such group, so it goes out as soon as the key moves on.
+            let window = seg.real_window();
+            let Some(last) = window.last() else { return };
+            let cut = window
+                .iter()
+                .rposition(|r| r.key != last.key)
+                .map_or(0, |p| p + 1);
+            if cut == 0 && self.held.first().is_none_or(|h| h.key == last.key) {
+                self.held.extend_from_slice(window);
+                return;
+            }
+            let held = std::mem::replace(&mut self.held, window[cut..].to_vec());
+            self.emit_groups(&held, &window[..cut]).await;
         } else {
             let out = (seg.bytes as f64 * self.spec.reduce_output_ratio) as u64;
             self.write_blob(Blob::synthetic(out)).await;
         }
     }
 
-    async fn emit_groups(&mut self, records: Vec<Record>) {
-        if records.is_empty() {
+    /// Reduces and writes `held ++ window` (whole key groups, in key order).
+    async fn emit_groups(&mut self, held: &[Record], window: &[Record]) {
+        if held.is_empty() && window.is_empty() {
             return;
         }
-        let out_records = match &self.spec.reducer {
-            None => records,
+        let data = match &self.spec.reducer {
+            // Identity: encode straight from the two pieces.
+            None => encode_parts(&[held, window]),
             Some(f) => {
+                let joined;
+                let records = if held.is_empty() {
+                    window
+                } else {
+                    joined = [held, window].concat();
+                    &joined
+                };
                 let mut out = Vec::new();
-                let mut i = 0;
-                while i < records.len() {
-                    let key = records[i].key.clone();
-                    let mut values: Vec<Bytes> = Vec::new();
-                    while i < records.len() && records[i].key == key {
-                        values.push(records[i].value.clone());
-                        i += 1;
-                    }
-                    out.extend(f(&key, &values));
+                for_each_group(records, |k, vs| f(k, vs, &mut out));
+                if out.is_empty() {
+                    return;
                 }
-                out
+                encode_records(&out)
             }
         };
-        if out_records.is_empty() {
-            return;
-        }
-        let data = encode_records(&out_records);
         let blob = Blob::real(data);
         self.node
             .compute(self.conf.costs.serde_per_byte * blob.len as f64)
@@ -229,7 +226,7 @@ impl ReduceSink {
     /// (input records, input bytes, output bytes).
     pub async fn finish(mut self) -> (u64, u64, u64) {
         let held = std::mem::take(&mut self.held);
-        self.emit_groups(held).await;
+        self.emit_groups(&held, &[]).await;
         self.writer
             .take()
             .expect("double finish")
@@ -253,6 +250,7 @@ impl JobTracker {
 mod tests {
     use super::*;
     use crate::cluster::NodeSpec;
+    use bytes::Bytes;
     use rmr_des::prelude::*;
     use rmr_hdfs::HdfsConfig;
     use rmr_net::FabricParams;
@@ -317,10 +315,12 @@ mod tests {
         let conf = Rc::new(JobConf::default());
         let seen = Rc::new(RefCell::new(Vec::<(Vec<u8>, usize)>::new()));
         let seen2 = Rc::clone(&seen);
-        let spec = JobSpec::sort("/in", "/out", 10).with_reducer(Rc::new(move |k, vs| {
-            seen2.borrow_mut().push((k.to_vec(), vs.len()));
-            vec![Record::new(k.clone(), Bytes::from(vs.len().to_string()))]
-        }));
+        let spec = JobSpec::sort("/in", "/out", 10).with_reducer(Rc::new(
+            move |k: &Bytes, vs: &[Bytes], out: &mut Vec<Record>| {
+                seen2.borrow_mut().push((k.to_vec(), vs.len()));
+                out.push(Record::new(k.clone(), Bytes::from(vs.len().to_string())));
+            },
+        ));
         let c2 = cluster.clone();
         sim.spawn(async move {
             let node = c2.workers[0].clone();

@@ -12,12 +12,13 @@ use bytes::Bytes;
 
 use crate::record::{Partitioner, Record, TotalOrderPartitioner};
 
-/// Real-mode map function: one input record to any number of intermediate
-/// records.
-pub type MapFn = Rc<dyn Fn(&Record) -> Vec<Record>>;
+/// Real-mode map function: pushes any number of intermediate records for
+/// one input record onto the sink (which may already hold earlier output).
+pub type MapFn = Rc<dyn Fn(&Record, &mut Vec<Record>)>;
 
-/// Real-mode reduce function: one key and its values to output records.
-pub type ReduceFn = Rc<dyn Fn(&Bytes, &[Bytes]) -> Vec<Record>>;
+/// Real-mode reduce function: pushes the output records for one key and its
+/// values onto the sink (which may already hold earlier groups' output).
+pub type ReduceFn = Rc<dyn Fn(&Bytes, &[Bytes], &mut Vec<Record>)>;
 
 /// A MapReduce job description.
 #[derive(Clone)]
@@ -130,7 +131,9 @@ mod tests {
     #[test]
     fn combiner_builder_applies() {
         let s = JobSpec::sort("/in", "/out", 8).with_combiner(
-            Rc::new(|k: &Bytes, vs: &[Bytes]| vec![Record::new(k.clone(), vs[0].clone())]),
+            Rc::new(|k: &Bytes, vs: &[Bytes], out: &mut Vec<Record>| {
+                out.push(Record::new(k.clone(), vs[0].clone()))
+            }),
             0.2,
         );
         assert!(s.combiner.is_some());
@@ -141,7 +144,9 @@ mod tests {
     fn builders_apply() {
         let s = JobSpec::sort("/in", "/out", 100)
             .with_ratios(0.5, 0.1)
-            .with_mapper(Rc::new(|r: &Record| vec![r.clone()]));
+            .with_mapper(Rc::new(|r: &Record, out: &mut Vec<Record>| {
+                out.push(r.clone())
+            }));
         assert_eq!(s.map_output_ratio, 0.5);
         assert_eq!(s.reduce_output_ratio, 0.1);
         assert!(s.mapper.is_some());

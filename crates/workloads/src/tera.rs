@@ -81,8 +81,7 @@ pub async fn teragen(cluster: &Cluster, path: &str, total_bytes: u64, real: bool
 fn random_record(rng: &mut impl Rng) -> Record {
     let mut key = vec![0u8; KEY_BYTES];
     rng.fill(&mut key[..]);
-    let value = vec![b'V'; VALUE_BYTES];
-    Record::new(key, value)
+    Record::new(key, Bytes::from_static(&[b'V'; VALUE_BYTES]))
 }
 
 /// The TeraSort job over `input` → `output`: identity map/reduce with the

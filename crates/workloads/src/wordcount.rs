@@ -112,20 +112,40 @@ async fn textgen_write(
     w.close().await.expect("textgen close");
 }
 
+/// Pushes one `(word, one)` record per whitespace-separated word of `line`.
+/// Words of a valid-UTF-8 line are windows into the line; a line that is not
+/// valid UTF-8 is tokenised after lossy conversion (each bad sequence
+/// becomes U+FFFD), which needs a copy per word.
+fn tokenize(line: &Bytes, one: &Bytes, out: &mut Vec<Record>) {
+    match std::str::from_utf8(line) {
+        Ok(text) => out.extend(text.split_whitespace().map(|w| {
+            let at = w.as_ptr() as usize - text.as_ptr() as usize;
+            Record::new(line.slice(at..at + w.len()), one.clone())
+        })),
+        Err(_) => out.extend(
+            String::from_utf8_lossy(line)
+                .split_whitespace()
+                .map(|w| Record::new(w.as_bytes().to_vec(), one.clone())),
+        ),
+    }
+}
+
+/// A count as the reducer reads it — whatever `str::parse::<u64>` accepts,
+/// anything else counting as zero — parsed from the bytes in place.
+fn parse_count(value: &[u8]) -> u64 {
+    std::str::from_utf8(value)
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(0)
+}
+
 /// The WordCount job: map splits lines into (word, 1); reduce sums counts.
 pub fn wordcount_spec(input: &str, output: &str) -> JobSpec {
-    let mapper = Rc::new(|r: &Record| -> Vec<Record> {
-        let line = String::from_utf8_lossy(&r.value);
-        line.split_whitespace()
-            .map(|w| Record::new(w.as_bytes().to_vec(), Bytes::from_static(b"1")))
-            .collect()
-    });
-    let reducer = Rc::new(|key: &Bytes, values: &[Bytes]| -> Vec<Record> {
-        let sum: u64 = values
-            .iter()
-            .map(|v| String::from_utf8_lossy(v).parse::<u64>().unwrap_or(0))
-            .sum();
-        vec![Record::new(key.clone(), Bytes::from(sum.to_string()))]
+    let one = Bytes::from_static(b"1");
+    let mapper = Rc::new(move |r: &Record, out: &mut Vec<Record>| tokenize(&r.value, &one, out));
+    let reducer = Rc::new(|key: &Bytes, values: &[Bytes], out: &mut Vec<Record>| {
+        let sum: u64 = values.iter().map(|v| parse_count(v)).sum();
+        out.push(Record::new(key.clone(), Bytes::from(sum.to_string())));
     });
     let mut spec = JobSpec::sort(input, output, 8)
         .with_partitioner(Rc::new(HashPartitioner))
@@ -181,30 +201,73 @@ pub async fn read_counts(
 mod tests {
     use super::*;
 
+    fn map(line: &[u8]) -> Vec<Record> {
+        let mapper = wordcount_spec("/in", "/out").mapper.unwrap();
+        let mut out = Vec::new();
+        mapper(&Record::new(b"line1".to_vec(), line.to_vec()), &mut out);
+        out
+    }
+
+    /// What the mapper has always meant: lossy UTF-8, Unicode whitespace.
+    fn reference(line: &[u8]) -> Vec<Record> {
+        String::from_utf8_lossy(line)
+            .split_whitespace()
+            .map(|w| Record::new(w.as_bytes().to_vec(), b"1".to_vec()))
+            .collect()
+    }
+
     #[test]
     fn mapper_splits_lines() {
-        let spec = wordcount_spec("/in", "/out");
-        let mapper = spec.mapper.unwrap();
-        let out = mapper(&Record::new(
-            b"line1".to_vec(),
-            Bytes::from_static(b"rdma verbs rdma"),
-        ));
+        let out = map(b"rdma verbs rdma");
         assert_eq!(out.len(), 3);
         assert_eq!(out[0].key.as_ref(), b"rdma");
         assert_eq!(out[1].key.as_ref(), b"verbs");
+        assert_eq!(out[2].value.as_ref(), b"1");
+    }
+
+    #[test]
+    fn mapper_emits_windows_of_the_line() {
+        let line = Bytes::from(b"  rdma\tverbs ".to_vec());
+        let mapper = wordcount_spec("/in", "/out").mapper.unwrap();
+        let mut out = vec![Record::new(&b"kept"[..], &b"0"[..])];
+        mapper(&Record::new(&b"k"[..], line.clone()), &mut out);
+        assert_eq!(out.len(), 3, "the sink keeps what it held");
+        assert_eq!(out[1].key.as_ptr(), line.as_ptr().wrapping_add(2));
+        assert_eq!(out[2].key.as_ptr(), line.as_ptr().wrapping_add(7));
+        assert_eq!(out[1].value.as_ptr(), out[2].value.as_ptr());
+    }
+
+    #[test]
+    fn mapper_matches_lossy_split_whitespace_on_awkward_lines() {
+        let lines: [&[u8]; 9] = [
+            b"",
+            b"   ",
+            b"  lead trail  ",
+            b"a  b\t\tc\x0bd\x0ce\rf\ng",
+            "caf\u{e9}\u{a0}au\u{2003}lait \u{3000}x".as_bytes(),
+            b"bad\xffbyte \xc3( split\xe2\x82",
+            b"\xa0nbsp-byte-alone\xa0 ok",
+            b"\x1cfs\x1fus are-not-blank",
+            "\u{85}nel\u{85}".as_bytes(),
+        ];
+        for line in lines {
+            assert_eq!(map(line), reference(line), "line {line:?}");
+        }
     }
 
     #[test]
     fn reducer_sums_values() {
         let spec = wordcount_spec("/in", "/out");
         let reducer = spec.reducer.unwrap();
-        let out = reducer(
+        let mut out = Vec::new();
+        reducer(
             &Bytes::from_static(b"rdma"),
             &[
                 Bytes::from_static(b"1"),
                 Bytes::from_static(b"1"),
                 Bytes::from_static(b"3"),
             ],
+            &mut out,
         );
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].value.as_ref(), b"5");

@@ -2,21 +2,45 @@
 //!
 //! Provides the subset the workspace uses: [`Bytes`] (cheaply cloneable,
 //! immutable, sliceable), [`BytesMut`] (growable builder), and the [`Buf`] /
-//! [`BufMut`] cursor traits. `Bytes` keeps an `Arc<[u8]>` plus a window, so
-//! `clone` and `split_to` are O(1) and never copy payload — the same
-//! performance contract the real crate gives the shuffle data plane.
+//! [`BufMut`] cursor traits. `Bytes` is a `(pointer, length)` window beside
+//! the shared owner of the buffer it points into, so `clone`, `slice` and
+//! `split_to` are O(1), `From<Vec<u8>>` / [`BytesMut::freeze`] adopt the
+//! vector's allocation instead of copying it, `from_static` allocates
+//! nothing, and `Deref` is one load — the same performance contract the real
+//! crate gives the shuffle data plane.
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::Deref;
+use std::ptr::NonNull;
 use std::sync::Arc;
 
 /// A cheaply cloneable immutable byte string (window into a shared buffer).
-#[derive(Clone, Default)]
+#[derive(Clone)]
 pub struct Bytes {
-    data: Arc<[u8]>,
-    start: usize,
-    end: usize,
+    /// First byte of the window.
+    ptr: NonNull<u8>,
+    /// Length of the window.
+    len: usize,
+    /// Keeps the buffer `ptr` points into alive; `None` for `'static` data.
+    /// Never read through: the window is cached in `ptr`/`len` so `Deref`
+    /// does not chase `Arc` → `Vec` → heap.
+    owner: Option<Arc<Vec<u8>>>,
+}
+
+// SAFETY: `ptr` points into memory that is never written while any `Bytes`
+// can reach it — a `'static` slice, or the heap buffer of the `Vec<u8>` in
+// `owner`, which is only ever handed out behind `Arc` with no mutable access
+// — and `owner` (`Option<Arc<Vec<u8>>>`) is itself `Send + Sync`. Sharing or
+// moving a `Bytes` across threads therefore only shares immutable data.
+unsafe impl Send for Bytes {}
+// SAFETY: as for `Send` above.
+unsafe impl Sync for Bytes {}
+
+impl Default for Bytes {
+    fn default() -> Self {
+        Bytes::from_static(&[])
+    }
 }
 
 impl Bytes {
@@ -25,51 +49,58 @@ impl Bytes {
         Bytes::default()
     }
 
-    /// Wraps a static byte slice without copying semantics concerns.
+    /// Wraps a static byte slice: no allocation, no copy.
     pub fn from_static(bytes: &'static [u8]) -> Self {
-        Bytes::copy_from_slice(bytes)
+        Bytes {
+            ptr: NonNull::from(bytes).cast(),
+            len: bytes.len(),
+            owner: None,
+        }
     }
 
     /// Copies a slice into a fresh buffer.
     pub fn copy_from_slice(bytes: &[u8]) -> Self {
-        let data: Arc<[u8]> = Arc::from(bytes);
-        Bytes {
-            start: 0,
-            end: data.len(),
-            data,
-        }
+        Bytes::from(bytes.to_vec())
     }
 
     /// Length of the window.
     pub fn len(&self) -> usize {
-        self.end - self.start
+        self.len
     }
 
     /// True when the window is empty.
     pub fn is_empty(&self) -> bool {
-        self.start == self.end
+        self.len == 0
     }
 
     /// O(1) sub-window `[at.start, at.end)` relative to this window.
     pub fn slice(&self, range: std::ops::Range<usize>) -> Bytes {
-        assert!(range.start <= range.end && range.end <= self.len());
+        assert!(range.start <= range.end && range.end <= self.len);
         Bytes {
-            data: Arc::clone(&self.data),
-            start: self.start + range.start,
-            end: self.start + range.end,
+            // SAFETY: `range.start <= self.len` was just checked, so the
+            // offset stays inside (or one past the end of) the buffer
+            // `self.ptr` points into.
+            ptr: unsafe { self.ptr.add(range.start) },
+            len: range.end - range.start,
+            owner: self.owner.clone(),
         }
     }
 
     /// Splits off and returns the first `at` bytes, leaving the rest (O(1)).
     pub fn split_to(&mut self, at: usize) -> Bytes {
-        assert!(at <= self.len(), "split_to out of bounds");
-        let head = Bytes {
-            data: Arc::clone(&self.data),
-            start: self.start,
-            end: self.start + at,
-        };
-        self.start += at;
+        assert!(at <= self.len, "split_to out of bounds");
+        let head = self.slice(0..at);
+        self.advance(at);
         head
+    }
+
+    /// Drops the first `n` bytes from the window.
+    fn advance(&mut self, n: usize) {
+        assert!(n <= self.len, "advance out of bounds");
+        // SAFETY: `n <= self.len`, so the new start is inside (or one past
+        // the end of) the buffer.
+        self.ptr = unsafe { self.ptr.add(n) };
+        self.len -= n;
     }
 
     /// Copies the window out into a `Vec`.
@@ -81,7 +112,12 @@ impl Bytes {
 impl Deref for Bytes {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.data[self.start..self.end]
+        // SAFETY: every constructor sets `ptr`/`len` to a sub-range of a live
+        // slice — a `'static` one, or the initialised contents of the `Vec`
+        // held (immutably, for as long as `self` lives) by `owner`, whose heap
+        // buffer does not move when the `Vec` itself is moved into the `Arc`
+        // — and `slice`/`advance` only ever shrink that range.
+        unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
     }
 }
 
@@ -91,13 +127,20 @@ impl AsRef<[u8]> for Bytes {
     }
 }
 
+impl std::borrow::Borrow<[u8]> for Bytes {
+    fn borrow(&self) -> &[u8] {
+        self
+    }
+}
+
 impl From<Vec<u8>> for Bytes {
+    /// Adopts the vector's allocation: no copy, the bytes stay where they are.
     fn from(v: Vec<u8>) -> Self {
-        let data: Arc<[u8]> = Arc::from(v.into_boxed_slice());
+        let owner = Arc::new(v);
         Bytes {
-            start: 0,
-            end: data.len(),
-            data,
+            ptr: NonNull::from(owner.as_slice()).cast(),
+            len: owner.len(),
+            owner: Some(owner),
         }
     }
 }
@@ -110,13 +153,13 @@ impl From<String> for Bytes {
 
 impl From<&'static [u8]> for Bytes {
     fn from(s: &'static [u8]) -> Self {
-        Bytes::copy_from_slice(s)
+        Bytes::from_static(s)
     }
 }
 
 impl From<&'static str> for Bytes {
     fn from(s: &'static str) -> Self {
-        Bytes::copy_from_slice(s.as_bytes())
+        Bytes::from_static(s.as_bytes())
     }
 }
 
@@ -231,13 +274,15 @@ impl Buf for Bytes {
     }
 
     fn get_u32(&mut self) -> u32 {
-        let head = self.split_to(4);
-        u32::from_be_bytes(head.as_ref().try_into().unwrap())
+        let v = u32::from_be_bytes(self[..4].try_into().unwrap());
+        self.advance(4);
+        v
     }
 
     fn get_u64(&mut self) -> u64 {
-        let head = self.split_to(8);
-        u64::from_be_bytes(head.as_ref().try_into().unwrap())
+        let v = u64::from_be_bytes(self[..8].try_into().unwrap());
+        self.advance(8);
+        v
     }
 }
 
@@ -302,5 +347,114 @@ mod tests {
         let a = Bytes::from(vec![1u8; 1024]);
         let b = a.clone();
         assert!(std::ptr::eq(a.as_ref().as_ptr(), b.as_ref().as_ptr()));
+    }
+
+    #[test]
+    fn from_vec_and_freeze_adopt_the_buffer() {
+        let v = vec![7u8; 4096];
+        let addr = v.as_ptr();
+        let b = Bytes::from(v);
+        assert_eq!(b.as_ptr(), addr, "From<Vec<u8>> must not copy");
+        assert_eq!(b.len(), 4096);
+
+        // Spare capacity (a builder that over-reserved) must not force a
+        // shrinking reallocation either.
+        let mut m = BytesMut::with_capacity(1 << 16);
+        m.put_u64(0x0102_0304_0506_0708);
+        m.put_slice(b"payload");
+        let addr = m.as_ptr();
+        let frozen = m.freeze();
+        assert_eq!(frozen.as_ptr(), addr, "freeze must not copy");
+        assert_eq!(&frozen[8..], b"payload");
+    }
+
+    #[test]
+    fn from_static_borrows_the_static() {
+        static WORD: &[u8] = b"infiniband";
+        let a = Bytes::from_static(WORD);
+        let b = Bytes::from_static(WORD);
+        // Both point at the static itself: nothing was allocated or copied.
+        assert_eq!(a.as_ptr(), WORD.as_ptr());
+        assert_eq!(b.as_ptr(), WORD.as_ptr());
+        assert_eq!(Bytes::from(WORD).as_ptr(), WORD.as_ptr());
+        assert_eq!(Bytes::from("infiniband"), a);
+        assert_eq!(a.slice(2..6).as_ref(), b"fini");
+        assert!(Bytes::new().is_empty());
+        assert_eq!(Bytes::default().as_ref(), b"");
+    }
+
+    #[test]
+    fn windows_share_storage_and_outlive_their_parent() {
+        let mut whole = Bytes::from(b"0123456789".to_vec());
+        let base = whole.as_ptr();
+        let mid = whole.slice(3..7);
+        assert_eq!(mid.as_ptr(), base.wrapping_add(3));
+        let head = whole.split_to(4);
+        assert_eq!(head.as_ptr(), base);
+        assert_eq!(whole.as_ptr(), base.wrapping_add(4));
+        assert_eq!(whole.clone().as_ptr(), whole.as_ptr());
+        let empty_tail = whole.slice(6..6);
+        assert!(empty_tail.is_empty());
+        // A window keeps the buffer alive after every other handle is gone.
+        drop((whole, head, empty_tail));
+        assert_eq!(mid.as_ref(), b"3456");
+        assert_eq!(mid.to_vec(), b"3456".to_vec());
+    }
+
+    #[test]
+    fn cursor_reads_advance_the_window() {
+        let mut m = BytesMut::new();
+        m.put_u64(u64::MAX - 1);
+        m.put_u32(9);
+        let mut b = m.freeze();
+        assert_eq!(b.remaining(), 12);
+        assert_eq!(b.get_u64(), u64::MAX - 1);
+        assert_eq!(b.get_u32(), 9);
+        assert_eq!(b.remaining(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "split_to out of bounds")]
+    fn split_to_past_the_end_panics() {
+        Bytes::from_static(b"abc").split_to(4);
+    }
+
+    #[test]
+    fn eq_ord_hash_follow_content_not_storage() {
+        use std::collections::hash_map::DefaultHasher;
+        fn h(b: &Bytes) -> u64 {
+            let mut s = DefaultHasher::new();
+            b.hash(&mut s);
+            s.finish()
+        }
+        let owned = Bytes::from(b"xxabcxx".to_vec()).slice(2..5);
+        let stat = Bytes::from_static(b"abc");
+        assert_eq!(owned, stat);
+        assert_eq!(h(&owned), h(&stat));
+        assert_eq!(h(&stat), {
+            let mut s = DefaultHasher::new();
+            b"abc"[..].hash(&mut s);
+            s.finish()
+        });
+        assert_eq!(owned.cmp(&stat), std::cmp::Ordering::Equal);
+        assert!(Bytes::new() < stat, "empty sorts first");
+        assert!(stat < Bytes::from_static(b"abcd"), "prefix sorts first");
+        assert!(
+            Bytes::from_static(b"ab\xff") > stat,
+            "bytes compare unsigned"
+        );
+        assert_eq!(stat, b"abc"[..]);
+        assert_eq!(stat, *b"abc");
+        assert_eq!(format!("{stat:?}"), "b\"abc\"");
+    }
+
+    #[test]
+    fn bytes_cross_threads() {
+        let b = Bytes::from(vec![5u8; 64]).slice(8..16);
+        let sum: u32 = std::thread::scope(|s| {
+            let t = s.spawn(|| b.iter().map(|&x| x as u32).sum());
+            t.join().expect("reader thread")
+        });
+        assert_eq!(sum, 40);
     }
 }

@@ -1,10 +1,18 @@
-//! Tier-1 (`cargo test -q` runs only the root package) reach for two gates
+//! Tier-1 (`cargo test -q` runs only the root package) reach for the gates
 //! that otherwise run only under CI's `--workspace`: the sweep pool's
-//! thread-count invariance and service mode's replay determinism. The files
-//! are included, not copied, so there is one definition of each gate.
+//! thread-count invariance, service mode's replay determinism, and the data
+//! plane's property tests (codec/partition/merge/cursor invariants, and the
+//! map side against its oracle). The files are included, not copied, so
+//! there is one definition of each gate.
 
 #[path = "../crates/bench/tests/sweep_determinism.rs"]
 mod sweep_determinism;
 
 #[path = "../crates/load/tests/service_determinism.rs"]
 mod service_determinism;
+
+#[path = "../crates/core/tests/prop_record.rs"]
+mod prop_record;
+
+#[path = "../crates/core/tests/prop_map.rs"]
+mod prop_map;
