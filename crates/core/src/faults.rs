@@ -17,30 +17,29 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use rmr_des::prelude::*;
 use rmr_des::{SimDuration, SimTime};
 
 /// Shared liveness state of one TaskTracker node.
 ///
 /// `alive` flips false at kill and true at restart; `epoch` counts restarts
 /// (an endpoint established under epoch `e` is dead once `epoch() != e`,
-/// even if the node is up again). `changed` fires on every transition so
-/// reducers select against it instead of polling.
+/// even if the node is up again). Whoever makes a transition — the runtime's
+/// `kill_node` / `restart_node` — fires the one runtime-wide
+/// `liveness-changed` signal after it ([`ReduceCtx::liveness_changed`]), so
+/// reducers select against that instead of polling every node.
+///
+/// [`ReduceCtx::liveness_changed`]: crate::reduce::common::ReduceCtx::liveness_changed
 pub struct NodeLiveness {
     alive: Cell<bool>,
     epoch: Cell<u64>,
-    /// Notified on every kill/restart transition.
-    pub changed: Notify,
 }
 
 impl NodeLiveness {
-    /// A live node at epoch 0. `tt_idx` names the notify for deadlock
-    /// reports.
-    pub fn new(tt_idx: usize) -> Rc<Self> {
+    /// A live node at epoch 0.
+    pub fn new() -> Rc<Self> {
         Rc::new(NodeLiveness {
             alive: Cell::new(true),
             epoch: Cell::new(0),
-            changed: Notify::new_named(&format!("tt{tt_idx}-liveness")),
         })
     }
 
@@ -60,7 +59,6 @@ impl NodeLiveness {
             return false;
         }
         self.alive.set(false);
-        self.changed.notify_all();
         true
     }
 
@@ -69,7 +67,6 @@ impl NodeLiveness {
         debug_assert!(!self.alive.get(), "restart of a live node");
         self.alive.set(true);
         self.epoch.set(self.epoch.get() + 1);
-        self.changed.notify_all();
         self.epoch.get()
     }
 }
@@ -184,7 +181,7 @@ mod tests {
 
     #[test]
     fn liveness_transitions_and_epochs() {
-        let l = NodeLiveness::new(3);
+        let l = NodeLiveness::new();
         assert!(l.alive());
         assert_eq!(l.epoch(), 0);
         assert!(l.kill());
@@ -194,28 +191,6 @@ mod tests {
         assert!(l.alive());
         assert!(l.kill());
         assert_eq!(l.restart(), 2);
-    }
-
-    #[test]
-    fn liveness_notifies_waiters_on_transition() {
-        let sim = Sim::new(1);
-        let l = NodeLiveness::new(0);
-        let l2 = Rc::clone(&l);
-        let seen = Rc::new(Cell::new(false));
-        let seen2 = Rc::clone(&seen);
-        sim.spawn(async move {
-            let w = l2.changed.notified();
-            w.await;
-            seen2.set(!l2.alive());
-        })
-        .detach();
-        let l3 = Rc::clone(&l);
-        sim.spawn(async move {
-            l3.kill();
-        })
-        .detach();
-        sim.run();
-        assert!(seen.get(), "waiter woke and saw the node dead");
     }
 
     #[test]

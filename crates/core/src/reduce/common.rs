@@ -4,6 +4,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use rmr_des::sync::Notify;
 use rmr_hdfs::Blob;
 
 use crate::cluster::{Cluster, NodeHandle};
@@ -40,9 +41,13 @@ pub struct ReduceCtx {
     /// Shuffle server addresses, by TaskTracker index. Behind a `RefCell`
     /// because a node restart installs a fresh server handle in place.
     pub servers: Rc<RefCell<Vec<TtServerHandle>>>,
-    /// Per-TaskTracker liveness signals (out-of-band death detection for
+    /// Per-TaskTracker liveness state (out-of-band death detection for
     /// the RDMA paths, whose completion queues never close on peer death).
     pub liveness: Rc<Vec<Rc<NodeLiveness>>>,
+    /// Fired by the runtime after every kill or restart of any TaskTracker:
+    /// the one signal a reducer's copier watches, whichever servers it is
+    /// connected to.
+    pub liveness_changed: Notify,
     /// The TaskTracker this reducer runs on.
     pub tt: Rc<TaskTracker>,
     /// The job this reducer belongs to.

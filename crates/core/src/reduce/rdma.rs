@@ -1,11 +1,14 @@
 //! The RDMA reduce side, shared by Hadoop-A and OSU-IB (§III-B).
 //!
-//! An `RDMACopier` connects UCR endpoints to every TaskTracker up front.
-//! Packets stream into per-source buffers; a priority-queue
-//! [`StreamingMerge`] extracts globally sorted batches into the bounded
-//! `DataToReduceQueue`, which a concurrently running reduce consumer drains
-//! — reduce is pipelined with merge and shuffle (§III-B-4), unlike
-//! vanilla's barrier.
+//! One `RDMACopier` per ReduceTask connects a UCR endpoint to every
+//! TaskTracker up front and receives for all of them: the endpoints share
+//! one receive queue ([`EndpointSet`]), a connection is an entry in a table,
+//! and only a connection that is writing a spill to disk has a task of its
+//! own, for as long as the write takes. Packets stream into an
+//! arrival-order queue; a priority-queue [`StreamingMerge`] extracts
+//! globally sorted batches into the bounded `DataToReduceQueue`, which a
+//! concurrently running reduce consumer drains — reduce is pipelined with
+//! merge and shuffle (§III-B-4), unlike vanilla's barrier.
 //!
 //! Engine differences (§III-C):
 //! * **OSU-IB** — starts pulling data as soon as each map completes
@@ -31,16 +34,20 @@
 //! # Fault handling
 //!
 //! A verbs CQ never closes on peer death, so a dead TaskTracker cannot be
-//! detected in-band the way vanilla's socket copiers detect it. Each copier
-//! therefore watches its server's [`NodeLiveness`] signal out of band and
-//! reports the death to the merge loop. Because the server-side
-//! `SegmentCursor` for a partially-pulled segment dies with the node (the
-//! re-executed map's server starts from offset zero), a source that already
-//! delivered bytes cannot be resumed: the whole attempt returns
-//! [`ReduceError::SourceLost`] and the runtime re-queues it. Sources that
-//! were fully delivered before the death, and sources that had delivered
-//! nothing yet (which are transparently re-homed onto the re-executed map's
-//! TaskTracker), survive within the attempt.
+//! detected in-band the way vanilla's socket copiers detect it. The copier
+//! therefore watches the runtime's `liveness-changed` signal out of band,
+//! checks each connection's server against its [`NodeLiveness`] when it
+//! fires, and reports a death to the merge loop. A connection is one
+//! *incarnation* of a server: what still arrives from a dead one is ignored,
+//! also after the attempt has reconnected to the restarted node.
+//!
+//! Because the server-side `SegmentCursor` for a partially-pulled segment
+//! dies with the node (the re-executed map's server starts from offset
+//! zero), a source that already delivered bytes cannot be resumed: the whole
+//! attempt returns [`ReduceError::SourceLost`] and the runtime re-queues it.
+//! Sources that were fully delivered before the death, and sources that had
+//! delivered nothing yet (which are transparently re-homed onto the
+//! re-executed map's TaskTracker), survive within the attempt.
 //!
 //! [`NodeLiveness`]: crate::faults::NodeLiveness
 
@@ -49,13 +56,17 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::rc::Rc;
 
 use rmr_des::prelude::*;
-use rmr_net::EndPoint;
-use rmr_obs::Ev;
+use rmr_net::{EndPoint, EndpointSet, UcrConnector};
+use rmr_obs::{Ev, Recorder};
 
+use crate::cluster::NodeHandle;
+use crate::config::JobConf;
+use crate::faults::NodeLiveness;
 use crate::merge::{Emit, StreamingMerge};
 use crate::proto::{PacketBudget, ShufMsg};
 use crate::record::Segment;
 use crate::reduce::common::{poll_events, ReduceCtx, ReduceError, ReduceSink, ReduceStats};
+use crate::runtime::JobId;
 use crate::tasktracker::TtServerHandle;
 
 /// Records per emitted merge batch.
@@ -144,7 +155,30 @@ impl SourceState {
     }
 }
 
+/// One connection of the attempt: an endpoint to one incarnation of one
+/// TaskTracker. Indexed by the endpoint's tag in the attempt's
+/// [`EndpointSet`].
+struct Conn {
+    tt_idx: usize,
+    /// The server's liveness epoch when the connection was made.
+    epoch: u64,
+    /// The copier saw that incarnation die; nothing arriving on the
+    /// connection counts any more.
+    dead: bool,
+    /// One of its packets is being written to the local spill file. The
+    /// write holds up the connection's later packets (they wait in
+    /// `backlog`, their receive credits unreturned) and nobody else's.
+    spilling: bool,
+    backlog: VecDeque<ShufMsg>,
+}
+
 struct ShufState {
+    /// Every connection the attempt has made, by endpoint tag.
+    conns: Vec<Conn>,
+    /// The endpoint requests to a TaskTracker go out on: the latest
+    /// connection made to it. A dead server keeps its entry until a
+    /// reconnect replaces it (requests on it go nowhere).
+    eps: BTreeMap<usize, Rc<EndPoint<ShufMsg>>>,
     /// Indexed by `map_idx` (maps are `0..total_maps`); `None` until the
     /// map's completion event is seen.
     sources: Vec<Option<SourceState>>,
@@ -175,8 +209,57 @@ struct ShufState {
 }
 
 impl ShufState {
+    /// Nothing connected (room for a connection per server), no map
+    /// discovered yet.
+    fn new(servers: usize, total_maps: usize, est_packet_bytes: u64) -> Self {
+        ShufState {
+            conns: Vec::with_capacity(servers),
+            eps: BTreeMap::new(),
+            sources: (0..total_maps).map(|_| None).collect(),
+            missing: BTreeSet::new(),
+            cands: BTreeSet::new(),
+            tails: BTreeSet::new(),
+            est_packet_bytes,
+            pending: VecDeque::new(),
+            shuffled_bytes: 0,
+            last_arrival_s: 0.0,
+            resident_bytes: 0,
+            spilled_bytes: 0,
+        }
+    }
+
     fn src(&mut self, map_idx: usize) -> &mut SourceState {
         self.sources[map_idx].as_mut().expect("unknown source")
+    }
+
+    /// Books a fresh connection to `tt_idx` as the one its requests use.
+    /// Returns the endpoint it replaces, if any, for the caller to close.
+    fn connected(
+        &mut self,
+        tt_idx: usize,
+        epoch: u64,
+        ep: Rc<EndPoint<ShufMsg>>,
+    ) -> Option<Rc<EndPoint<ShufMsg>>> {
+        assert_eq!(ep.tag() as usize, self.conns.len(), "tags count up");
+        self.conns.push(Conn {
+            tt_idx,
+            epoch,
+            dead: false,
+            spilling: false,
+            backlog: VecDeque::new(),
+        });
+        self.eps.insert(tt_idx, ep)
+    }
+
+    /// No endpoint to `tt`'s current incarnation: it is down, was never
+    /// connected to, or restarted since.
+    fn ep_dead(&self, liveness: &[Rc<NodeLiveness>], tt: usize) -> bool {
+        let l = &liveness[tt];
+        !l.alive()
+            || self
+                .eps
+                .get(&tt)
+                .is_none_or(|ep| self.conns[ep.tag() as usize].epoch != l.epoch())
     }
 
     /// The discovered sources, in map order.
@@ -237,7 +320,7 @@ impl MemBudget {
 fn lost_source(
     st: &ShufState,
     poisoned: &BTreeSet<usize>,
-    ep_dead: &dyn Fn(usize) -> bool,
+    liveness: &[Rc<NodeLiveness>],
 ) -> Option<usize> {
     st.known().find_map(|(m, s)| {
         if s.fully_delivered {
@@ -246,11 +329,243 @@ fn lost_source(
         if poisoned.contains(&m) {
             return Some(s.tt_idx);
         }
-        if (s.delivered_records > 0 || s.delivered_bytes > 0) && ep_dead(s.tt_idx) {
+        if (s.delivered_records > 0 || s.delivered_bytes > 0) && st.ep_dead(liveness, s.tt_idx) {
             return Some(s.tt_idx);
         }
         None
     })
+}
+
+/// What became of one arrived message.
+enum Arrival {
+    /// Not a shuffle response.
+    Ignored,
+    /// Booked: the merge loop can use it (or, spilled on Hadoop-A, will
+    /// refetch it).
+    Ready,
+    /// Booked, but this many bytes must reach the local spill file first.
+    Spill(u64),
+}
+
+/// The attempt's `RDMACopier`: everything the receive side shares between
+/// the copier task and the spill writers it starts.
+struct Copier {
+    /// The attempt's connections: one receive queue for all of them.
+    endpoints: Rc<EndpointSet<ShufMsg>>,
+    state: Rc<RefCell<ShufState>>,
+    mem: Rc<MemBudget>,
+    /// Fired on every booked packet and every observed death.
+    arrived: Notify,
+    /// Set, then `stopped` fired, when the attempt is over.
+    stop: Cell<bool>,
+    stopped: Notify,
+    /// Server deaths seen under a connection of this attempt.
+    deaths_seen: Cell<u64>,
+    sim: Sim,
+    node: NodeHandle,
+    conf: Rc<JobConf>,
+    obs: Recorder,
+    /// The TaskTracker's group: the receive side dies with the node.
+    group: TaskGroup,
+    variant: RdmaVariant,
+    my_idx: usize,
+    job: JobId,
+    reduce_idx: usize,
+    spill_file: String,
+    spill_task: Rc<str>,
+}
+
+impl Copier {
+    /// Ends the receive side (idempotent).
+    fn stop(&self) {
+        self.stop.set(true);
+        self.stopped.notify_all();
+    }
+
+    /// Connects to the incarnation of TaskTracker `tt_idx` that is up now
+    /// and makes the connection the one requests to it use, closing the one
+    /// it replaces. False if the server went away meanwhile.
+    async fn connect(&self, tt_idx: usize, epoch: u64, server: UcrConnector<ShufMsg>) -> bool {
+        let Some(ep) = server
+            .try_connect_into(self.node.id, self.variant.striped, &self.endpoints)
+            .await
+        else {
+            return false;
+        };
+        let old = self.state.borrow_mut().connected(tt_idx, epoch, ep);
+        if let Some(old) = old {
+            self.endpoints.remove(old.tag());
+        }
+        true
+    }
+
+    /// Books one message into the shuffle state. A packet that lands when
+    /// the shuffle buffer is already full cannot stay in memory: it is
+    /// spilled to the reducer's local disk and read back when the merge
+    /// consumes it — this is what breaks Hadoop-A's stage overlap when its
+    /// fixed-count packets are huge (§IV-C).
+    fn book(&self, msg: ShufMsg) -> Arrival {
+        let ShufMsg::Response {
+            map_idx,
+            packet,
+            remaining_records,
+            total_records,
+            total_bytes,
+            ..
+        } = msg
+        else {
+            return Arrival::Ignored;
+        };
+        let mut st = self.state.borrow_mut();
+        st.shuffled_bytes += packet.bytes;
+        st.last_arrival_s = self.sim.now().as_secs_f64();
+        st.missing.remove(&map_idx);
+        let src = st.src(map_idx);
+        src.total_records = Some(total_records);
+        src.total_bytes = Some(total_bytes);
+        src.delivered_records += packet.records;
+        src.delivered_bytes += packet.bytes;
+        src.fully_delivered = remaining_records == 0;
+        // Reserved packets always fit (the budget was held for them); only
+        // overdraft packets can overflow and spill.
+        let covered = src.reserved >= packet.bytes;
+        // Balance the reservation against what actually came.
+        if src.reserved > packet.bytes {
+            self.mem.release(src.reserved - packet.bytes);
+        }
+        src.reserved = 0;
+        src.inflight = false;
+        st.relist(map_idx);
+        if packet.records == 0 {
+            return Arrival::Ready;
+        }
+        let over = !covered && st.resident_bytes + packet.bytes > self.conf.shuffle_buffer;
+        let bytes = packet.bytes;
+        st.src(map_idx).buffered_bytes += bytes;
+        st.resident_bytes += bytes;
+        st.pending.push_back((map_idx, packet, over));
+        if !over {
+            return Arrival::Ready;
+        }
+        st.spilled_bytes += bytes;
+        drop(st);
+        self.sim
+            .metrics()
+            .add("reduce.shuffle_spill_bytes", bytes as f64);
+        self.obs.emit(|| Ev::Spill {
+            node: self.my_idx,
+            job: self.job.0,
+            reduce: self.reduce_idx,
+            bytes,
+        });
+        if self.variant.local_spill {
+            // OSU-IB reuses Hadoop's local spill machinery (§III-C-2:
+            // minimal changes to the existing merge).
+            Arrival::Spill(bytes)
+        } else {
+            // Hadoop-A's native-C merge has no reduce-side spill path: the
+            // overflowing packet is dropped and later refetched from the
+            // TaskTracker (charged at drain).
+            Arrival::Ready
+        }
+    }
+
+    /// A message has arrived on `ep`.
+    fn on_message(self: &Rc<Self>, ep: Rc<EndPoint<ShufMsg>>, msg: ShufMsg) {
+        {
+            let mut st = self.state.borrow_mut();
+            let conn = &mut st.conns[ep.tag() as usize];
+            if conn.dead {
+                return;
+            }
+            if conn.spilling {
+                conn.backlog.push_back(msg);
+                return;
+            }
+        }
+        ep.replenish();
+        match self.book(msg) {
+            Arrival::Ignored => {}
+            Arrival::Ready => self.arrived.notify_all(),
+            Arrival::Spill(bytes) => {
+                self.state.borrow_mut().conns[ep.tag() as usize].spilling = true;
+                let copier = Rc::clone(self);
+                self.group
+                    .spawn_daemon(Rc::clone(&self.spill_task), copier.spill(ep, bytes))
+                    .detach();
+            }
+        }
+    }
+
+    /// Writes `bytes` of a packet from `ep`'s connection to the spill file,
+    /// then works through what arrived on the connection meanwhile, in
+    /// order — for as long as it takes, this is the connection's own copier.
+    async fn spill(self: Rc<Self>, ep: Rc<EndPoint<ShufMsg>>, mut bytes: u64) {
+        loop {
+            let w = self
+                .node
+                .fs
+                .writer(&self.spill_file)
+                .expect("shuffle spill file");
+            w.append(bytes).await.expect("shuffle spill write");
+            self.arrived.notify_all();
+            bytes = loop {
+                let next = {
+                    let mut st = self.state.borrow_mut();
+                    let conn = &mut st.conns[ep.tag() as usize];
+                    if self.stop.get() || conn.dead {
+                        conn.backlog.clear();
+                    }
+                    let next = conn.backlog.pop_front();
+                    conn.spilling = next.is_some();
+                    next
+                };
+                let Some(msg) = next else { return };
+                ep.replenish();
+                match self.book(msg) {
+                    Arrival::Ignored => {}
+                    Arrival::Ready => self.arrived.notify_all(),
+                    Arrival::Spill(bytes) => break bytes,
+                }
+            };
+        }
+    }
+
+    /// The runtime signalled a liveness change: finds the connections whose
+    /// server incarnation is gone and tells the merge loop.
+    fn sweep_deaths(&self, liveness: &[Rc<NodeLiveness>]) {
+        let mut died = 0;
+        for conn in self.state.borrow_mut().conns.iter_mut() {
+            let l = &liveness[conn.tt_idx];
+            let gone = !l.alive() || l.epoch() != conn.epoch;
+            if gone && !conn.dead {
+                conn.dead = true;
+                died += 1;
+            }
+        }
+        if died > 0 {
+            self.deaths_seen.set(self.deaths_seen.get() + died);
+            self.arrived.notify_all();
+        }
+    }
+
+    /// The copier task: receives for every connection of the attempt until
+    /// stopped. The CQ never closes, so death is out of band.
+    async fn run(self: Rc<Self>, liveness: Rc<Vec<Rc<NodeLiveness>>>, liveness_changed: Notify) {
+        let mut stopped = self.stopped.notified();
+        let mut changed = liveness_changed.notified();
+        while !self.stop.get() {
+            let next = self.endpoints.recv();
+            match select2(next, select2(&mut changed, &mut stopped)).await {
+                Either::Left((ep, msg)) => self.on_message(ep, msg),
+                Either::Right(Either::Left(())) => {
+                    changed = liveness_changed.notified();
+                    self.sweep_deaths(&liveness);
+                }
+                Either::Right(Either::Right(())) => break,
+            }
+        }
+    }
 }
 
 /// Runs one Hadoop-A or OSU-IB ReduceTask to completion, branching on
@@ -265,21 +580,7 @@ pub async fn run_reduce_rdma(
     let node = ctx.tt.node.clone();
     let obs = ctx.tt.obs().clone();
     let my_idx = ctx.tt.idx;
-
-    // Endpoints keyed by TaskTracker index. Unlike the fault-free design a
-    // plain vector no longer works: a dead server has no endpoint, and a
-    // restarted one needs a fresh connection (tracked by liveness epoch).
-    let eps: Rc<RefCell<BTreeMap<usize, Rc<EndPoint<ShufMsg>>>>> =
-        Rc::new(RefCell::new(BTreeMap::new()));
-    let ep_epochs: Rc<RefCell<BTreeMap<usize, u64>>> = Rc::new(RefCell::new(BTreeMap::new()));
-    let ep_dead = {
-        let ep_epochs = Rc::clone(&ep_epochs);
-        let liveness = Rc::clone(&ctx.liveness);
-        move |tt: usize| -> bool {
-            let l = &liveness[tt];
-            !l.alive() || ep_epochs.borrow().get(&tt).is_none_or(|e| *e != l.epoch())
-        }
-    };
+    let liveness = Rc::clone(&ctx.liveness);
 
     let packet_budget = || {
         if variant.byte_packets {
@@ -294,202 +595,70 @@ pub async fn run_reduce_rdma(
         conf.hadoop_a_kv_per_packet * ctx.spec.avg_record_bytes.max(1)
     };
 
-    let state = Rc::new(RefCell::new(ShufState {
-        sources: (0..ctx.total_maps).map(|_| None).collect(),
-        missing: BTreeSet::new(),
-        cands: BTreeSet::new(),
-        tails: BTreeSet::new(),
+    let n_servers = ctx.servers.borrow().len();
+    let state = Rc::new(RefCell::new(ShufState::new(
+        n_servers,
+        ctx.total_maps,
         est_packet_bytes,
-        pending: VecDeque::new(),
-        shuffled_bytes: 0,
-        last_arrival_s: 0.0,
-        resident_bytes: 0,
-        spilled_bytes: 0,
-    }));
+    )));
     let arrived = Notify::new_named(&format!("r{}-packet-arrived", ctx.reduce_idx));
     let mem = Rc::new(MemBudget {
         capacity: conf.shuffle_buffer,
         outstanding: Cell::new(0),
     });
-
-    // Attempt-scoped shutdown for the copier daemons (they live in the
-    // TaskTracker's task group, so the node's death also reaps them), and a
-    // counter the copiers bump when they see their server die.
-    let stop_flag = Rc::new(Cell::new(false));
-    let stop_note = Notify::new_named(&format!("r{}-attempt-shutdown", ctx.reduce_idx));
-    let deaths_seen = Rc::new(Cell::new(0u64));
     // Set when a request could not be sent because the source's TaskTracker
     // has no endpoint — e.g. a map re-executed on a node that was down when
     // this attempt connected up front (so no death was ever *seen* here).
     // Arms the same reconnect sweep a death does.
     let no_ep = Rc::new(Cell::new(false));
-    let stop_copiers = {
-        let flag = Rc::clone(&stop_flag);
-        let note = stop_note.clone();
-        move || {
-            flag.set(true);
-            note.notify_all();
-        }
-    };
 
-    // Receiver: one task per endpoint, buffering packets. A packet that
-    // lands when the shuffle buffer is already full cannot stay in memory:
-    // it is spilled to the reducer's local disk and read back when the
-    // merge consumes it — this is what breaks Hadoop-A's stage overlap when
-    // its fixed-count packets are huge (§IV-C). Each copier also watches its
-    // server's liveness: the CQ never closes, so death is out of band.
-    let spawn_copier = {
-        let state = Rc::clone(&state);
-        let arrived = arrived.clone();
-        let sim = sim.clone();
-        let mem = Rc::clone(&mem);
-        let node = node.clone();
-        let conf = Rc::clone(&conf);
-        let obs = obs.clone();
-        let group = ctx.tt.group.clone();
-        let liveness = Rc::clone(&ctx.liveness);
-        let stop_flag = Rc::clone(&stop_flag);
-        let stop_note = stop_note.clone();
-        let deaths_seen = Rc::clone(&deaths_seen);
-        let (job_id, reduce_idx) = (ctx.job, ctx.reduce_idx);
-        let spill_file = format!("{}_r{}_shufspill", ctx.job, ctx.reduce_idx);
-        move |tt_i: usize, ep: Rc<EndPoint<ShufMsg>>, ep_epoch: u64| {
-            let state = Rc::clone(&state);
-            let arrived = arrived.clone();
-            let sim2 = sim.clone();
-            let mem = Rc::clone(&mem);
-            let node2 = node.clone();
-            let conf = Rc::clone(&conf);
-            let obs2 = obs.clone();
-            let live = Rc::clone(&liveness[tt_i]);
-            let stop_flag = Rc::clone(&stop_flag);
-            let stop_note = stop_note.clone();
-            let deaths_seen = Rc::clone(&deaths_seen);
-            let spill_file = spill_file.clone();
-            let copier_name = format!("r{reduce_idx}-rdma-copier-tt{tt_i}");
-            group
-                .spawn_daemon(copier_name, async move {
-                    loop {
-                        if stop_flag.get() {
-                            break;
-                        }
-                        let stopped = stop_note.notified();
-                        let death = live.changed.notified();
-                        let msg = match select2(ep.recv(), select2(death, stopped)).await {
-                            Either::Left(Some(msg)) => msg,
-                            Either::Left(None) => break,
-                            Either::Right(Either::Left(())) => {
-                                if live.alive() && live.epoch() == ep_epoch {
-                                    continue; // not our death (e.g. a later restart's kill)
-                                }
-                                deaths_seen.set(deaths_seen.get() + 1);
-                                arrived.notify_all();
-                                break;
-                            }
-                            Either::Right(Either::Right(())) => break,
-                        };
-                        let ShufMsg::Response {
-                            map_idx,
-                            packet,
-                            remaining_records,
-                            total_records,
-                            total_bytes,
-                            ..
-                        } = msg
-                        else {
-                            continue;
-                        };
-                        let spill = {
-                            let mut st = state.borrow_mut();
-                            st.shuffled_bytes += packet.bytes;
-                            st.last_arrival_s = sim2.now().as_secs_f64();
-                            st.missing.remove(&map_idx);
-                            let src = st.src(map_idx);
-                            src.total_records = Some(total_records);
-                            src.total_bytes = Some(total_bytes);
-                            src.delivered_records += packet.records;
-                            src.delivered_bytes += packet.bytes;
-                            src.fully_delivered = remaining_records == 0;
-                            // Reserved packets always fit (the budget was held for
-                            // them); only overdraft packets can overflow and spill.
-                            let covered = src.reserved >= packet.bytes;
-                            // Balance the reservation against what actually came.
-                            if src.reserved > packet.bytes {
-                                mem.release(src.reserved - packet.bytes);
-                            }
-                            src.reserved = 0;
-                            src.inflight = false;
-                            st.relist(map_idx);
-                            let over =
-                                !covered && st.resident_bytes + packet.bytes > conf.shuffle_buffer;
-                            if packet.records > 0 {
-                                st.src(map_idx).buffered_bytes += packet.bytes;
-                                st.resident_bytes += packet.bytes;
-                                if over {
-                                    st.spilled_bytes += packet.bytes;
-                                }
-                                let bytes = packet.bytes;
-                                st.pending.push_back((map_idx, packet, over));
-                                over.then_some(bytes)
-                            } else {
-                                None
-                            }
-                        };
-                        if let Some(bytes) = spill {
-                            sim2.metrics()
-                                .add("reduce.shuffle_spill_bytes", bytes as f64);
-                            obs2.emit(|| Ev::Spill {
-                                node: my_idx,
-                                job: job_id.0,
-                                reduce: reduce_idx,
-                                bytes,
-                            });
-                            if variant.local_spill {
-                                // OSU-IB reuses Hadoop's local spill machinery
-                                // (§III-C-2: minimal changes to the existing merge).
-                                let w = node2.fs.writer(&spill_file).expect("shuffle spill file");
-                                w.append(bytes).await.expect("shuffle spill write");
-                            }
-                            // Hadoop-A's native-C merge has no reduce-side spill
-                            // path: the overflowing packet is dropped and later
-                            // refetched from the TaskTracker (charged at drain).
-                        }
-                        arrived.notify_all();
-                    }
-                })
-                .detach();
-        }
+    // The receive side. Attempt-scoped: it lives in the TaskTracker's task
+    // group (so the node's death also reaps it) and is stopped when the
+    // attempt ends.
+    let copier = Rc::new(Copier {
+        endpoints: EndpointSet::new(),
+        state: Rc::clone(&state),
+        mem: Rc::clone(&mem),
+        arrived: arrived.clone(),
+        stop: Cell::new(false),
+        stopped: Notify::new_named(&format!("r{}-attempt-shutdown", ctx.reduce_idx)),
+        deaths_seen: Cell::new(0),
+        sim: sim.clone(),
+        node: node.clone(),
+        conf: Rc::clone(&conf),
+        obs: obs.clone(),
+        group: ctx.tt.group.clone(),
+        variant,
+        my_idx,
+        job: ctx.job,
+        reduce_idx: ctx.reduce_idx,
+        spill_file: format!("{}_r{}_shufspill", ctx.job, ctx.reduce_idx),
+        spill_task: format!("r{}-shuffle-spill", ctx.reduce_idx).into(),
+    });
+    let connect = |tt_i: usize| {
+        let server = match &ctx.servers.borrow()[tt_i] {
+            TtServerHandle::Rdma(c) => c.clone(),
+            _ => panic!("RDMA reducer needs RDMA servers"),
+        };
+        copier.connect(tt_i, liveness[tt_i].epoch(), server)
     };
 
     // Connect an endpoint to every live TaskTracker up front (§III-B-1: "one
     // RDMACopier sends such information to all available TaskTrackers").
     // Dead servers are skipped; if a source later lands on one (restart or
     // re-execution), the Phase A reconnect pass picks it up.
-    let n_servers = ctx.servers.borrow().len();
-    {
-        let mut connected: Vec<(usize, Rc<EndPoint<ShufMsg>>, u64)> = Vec::new();
-        for tt_i in 0..n_servers {
-            if !ctx.liveness[tt_i].alive() {
-                continue;
-            }
-            let epoch = ctx.liveness[tt_i].epoch();
-            let connector = match &ctx.servers.borrow()[tt_i] {
-                TtServerHandle::Rdma(c) => c.clone(),
-                _ => panic!("RDMA reducer needs RDMA servers"),
-            };
-            if let Some(ep) = connector
-                .try_connect_striped(node.id, variant.striped)
-                .await
-            {
-                connected.push((tt_i, Rc::new(ep), epoch));
-            }
-        }
-        for (tt_i, ep, epoch) in connected {
-            eps.borrow_mut().insert(tt_i, Rc::clone(&ep));
-            ep_epochs.borrow_mut().insert(tt_i, epoch);
-            spawn_copier(tt_i, ep, epoch);
+    for tt_i in 0..n_servers {
+        if liveness[tt_i].alive() {
+            connect(tt_i).await;
         }
     }
+    ctx.tt
+        .group
+        .spawn_daemon(
+            format!("r{}-rdma-copier", ctx.reduce_idx),
+            Rc::clone(&copier).run(Rc::clone(&liveness), ctx.liveness_changed.clone()),
+        )
+        .detach();
 
     // Sends the next packet request for `map_idx`. `forced` bypasses the
     // memory budget (stall recovery); otherwise the request is skipped when
@@ -497,7 +666,6 @@ pub async fn run_reduce_rdma(
     // TaskTracker has no live endpoint.
     let send_request = {
         let state = Rc::clone(&state);
-        let eps = Rc::clone(&eps);
         let mem = Rc::clone(&mem);
         let obs = obs.clone();
         let no_ep = Rc::clone(&no_ep);
@@ -506,17 +674,15 @@ pub async fn run_reduce_rdma(
         let attempt = ctx.attempt;
         move |map_idx: usize, budget: PacketBudget, est: u64, forced: bool| -> bool {
             let mut st = state.borrow_mut();
-            let src = st.src(map_idx);
+            let src = st.sources[map_idx].as_ref().expect("unknown source");
             if src.inflight || src.fully_delivered {
                 return false;
             }
-            let ep = match eps.borrow().get(&src.tt_idx) {
-                Some(e) => Rc::clone(e),
-                None => {
-                    no_ep.set(true);
-                    return false;
-                }
+            let Some(ep) = st.eps.get(&src.tt_idx).cloned() else {
+                no_ep.set(true);
+                return false;
             };
+            let src = st.src(map_idx);
             let est = src.request_bytes(est);
             let reserved = if mem.try_reserve(est) {
                 est
@@ -560,7 +726,7 @@ pub async fn run_reduce_rdma(
         // its source's TaskTracker without an endpoint, whether or not the
         // budget would have covered it. While some TaskTracker has none, walk
         // every candidate so that request is attempted.
-        let walk_all = fair_share.is_some() && eps.borrow().len() < n_servers;
+        let walk_all = fair_share.is_some() && state.borrow().eps.len() < n_servers;
         let mut from = 0usize;
         loop {
             let map_idx = {
@@ -664,37 +830,27 @@ pub async fn run_reduce_rdma(
         // also arms it: a source can live on a TaskTracker this attempt has
         // no endpoint for without ever witnessing a death (the node was down
         // at connect time and a re-executed map landed on it post-restart).
-        if deaths_seen.get() > 0 || !poisoned.is_empty() || no_ep.replace(false) {
-            if let Some(tt_idx) = lost_source(&state.borrow(), &poisoned, &ep_dead) {
-                stop_copiers();
+        if copier.deaths_seen.get() > 0 || !poisoned.is_empty() || no_ep.replace(false) {
+            if let Some(tt_idx) = lost_source(&state.borrow(), &poisoned, &liveness) {
+                copier.stop();
                 return Err(ReduceError::SourceLost { tt_idx });
             }
             // Reconnect to the (live) homes of still-pending sources whose
             // endpoint died — a restarted node, or a re-execution landing on
             // a TaskTracker that was down when we connected up front.
-            let need: BTreeSet<usize> = state
-                .borrow()
-                .known()
-                .filter(|(_, s)| {
-                    !s.fully_delivered && ep_dead(s.tt_idx) && ctx.liveness[s.tt_idx].alive()
-                })
-                .map(|(_, s)| s.tt_idx)
-                .collect();
+            let need: BTreeSet<usize> = {
+                let st = state.borrow();
+                st.known()
+                    .filter(|(_, s)| {
+                        !s.fully_delivered
+                            && st.ep_dead(&liveness, s.tt_idx)
+                            && liveness[s.tt_idx].alive()
+                    })
+                    .map(|(_, s)| s.tt_idx)
+                    .collect()
+            };
             for tt in need {
-                let epoch = ctx.liveness[tt].epoch();
-                let connector = match &ctx.servers.borrow()[tt] {
-                    TtServerHandle::Rdma(c) => c.clone(),
-                    _ => panic!("RDMA reducer needs RDMA servers"),
-                };
-                if let Some(ep) = connector
-                    .try_connect_striped(node.id, variant.striped)
-                    .await
-                {
-                    let ep = Rc::new(ep);
-                    eps.borrow_mut().insert(tt, Rc::clone(&ep));
-                    ep_epochs.borrow_mut().insert(tt, epoch);
-                    spawn_copier(tt, ep, epoch);
-                }
+                connect(tt).await;
             }
         }
         // Keep the pipeline fed while maps are still finishing (OSU): pull
@@ -714,8 +870,8 @@ pub async fn run_reduce_rdma(
                 send_request(m, packet_budget(), est_packet_bytes, true);
             }
         }
-        // Wake on the next poll tick or on any packet arrival (copiers also
-        // fire the arrival notify when they observe a server death).
+        // Wake on the next poll tick or on any packet arrival (the copier also
+        // fires the arrival notify when it observes a server death).
         let n = arrived.notified();
         rmr_des::sync::select2(sim.sleep(conf.event_poll), n).await;
     }
@@ -813,7 +969,7 @@ pub async fn run_reduce_rdma(
         }
     };
 
-    let spill_file = format!("{}_r{}_shufspill", ctx.job, ctx.reduce_idx);
+    let spill_file = &copier.spill_file;
     let metrics = sim.metrics().clone();
     // Cached counter handles: the loop body runs per batch/stall, and a
     // handle bump skips the registry lookup entirely.
@@ -824,8 +980,8 @@ pub async fn run_reduce_rdma(
     let mut lost_tt: Option<usize> = None;
     loop {
         c_loop_iters.incr();
-        if deaths_seen.get() > 0 || !poisoned.is_empty() {
-            if let Some(tt) = lost_source(&state.borrow(), &poisoned, &ep_dead) {
+        if copier.deaths_seen.get() > 0 || !poisoned.is_empty() {
+            if let Some(tt) = lost_source(&state.borrow(), &poisoned, &liveness) {
                 lost_tt = Some(tt);
                 break;
             }
@@ -834,8 +990,8 @@ pub async fn run_reduce_rdma(
         if spilled > 0 {
             if variant.local_spill {
                 // Read the spilled packets back from local disk.
-                if node.fs.exists(&spill_file) {
-                    let mut r = node.fs.reader(&spill_file).expect("spill file");
+                if node.fs.exists(spill_file) {
+                    let mut r = node.fs.reader(spill_file).expect("spill file");
                     let want = spilled.min(r.remaining().unwrap_or(0));
                     if want > 0 {
                         r.read_exact(want).await.expect("spill readback");
@@ -905,8 +1061,8 @@ pub async fn run_reduce_rdma(
                 // Same ordering for deaths: the fatal sweep must run after
                 // arming so a death signalled during the awaits above either
                 // shows up here or wakes the waiter.
-                if deaths_seen.get() > 0 || !poisoned.is_empty() {
-                    if let Some(tt) = lost_source(&state.borrow(), &poisoned, &ep_dead) {
+                if copier.deaths_seen.get() > 0 || !poisoned.is_empty() {
+                    if let Some(tt) = lost_source(&state.borrow(), &poisoned, &liveness) {
                         lost_tt = Some(tt);
                         break;
                     }
@@ -930,7 +1086,7 @@ pub async fn run_reduce_rdma(
     // Always join the consumer so the sink closes cleanly; on failure its
     // partial part-file is deleted by the next attempt's ReduceSink::open.
     let (in_records, _in_bytes, out_bytes) = consumer.await;
-    stop_copiers();
+    copier.stop();
     if let Some(tt_idx) = lost_tt {
         return Err(ReduceError::SourceLost { tt_idx });
     }
@@ -944,4 +1100,232 @@ pub async fn run_reduce_rdma(
         reduced_records: in_records,
         output_bytes: out_bytes,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cluster::{Cluster, NodeSpec};
+    use rmr_hdfs::HdfsConfig;
+    use rmr_net::{ucr_listen, FabricParams, UcrListener};
+
+    /// The receive side of a reducer on worker 2 with maps 0 and 1
+    /// discovered on TaskTrackers 0 and 1, and a fake server per TaskTracker
+    /// for the test to answer from. Map 0 has nothing reserved (whatever
+    /// does not fit `shuffle_buffer` overflows); map 1 has a request for
+    /// `RESERVED` bytes out.
+    struct Rig {
+        sim: Sim,
+        copier: Rc<Copier>,
+        servers: Vec<UcrListener<ShufMsg>>,
+        liveness: Rc<Vec<Rc<NodeLiveness>>>,
+        changed: Notify,
+        cluster: Cluster,
+    }
+
+    const RESERVED: u64 = 100;
+
+    fn rig(shuffle_buffer: u64) -> Rig {
+        let sim = Sim::new(5);
+        let cluster = Cluster::build(
+            &sim,
+            FabricParams::ib_verbs_qdr(),
+            &vec![NodeSpec::westmere_compute(); 3],
+            HdfsConfig::default(),
+        );
+        let conf = Rc::new(JobConf {
+            shuffle_buffer,
+            ..JobConf::osu_ib()
+        });
+        let source = |tt_idx, reserved| {
+            Some(SourceState {
+                tt_idx,
+                total_records: None,
+                total_bytes: None,
+                buffered_bytes: 0,
+                delivered_records: 0,
+                delivered_bytes: 0,
+                fully_delivered: false,
+                inflight: reserved > 0,
+                reserved,
+                below: true,
+            })
+        };
+        let mut state = ShufState::new(2, 2, conf.osu_packet_bytes);
+        state.sources = vec![source(0, 0), source(1, RESERVED)];
+        let state = Rc::new(RefCell::new(state));
+        let copier = Rc::new(Copier {
+            endpoints: EndpointSet::new(),
+            state,
+            mem: Rc::new(MemBudget {
+                capacity: shuffle_buffer,
+                outstanding: Cell::new(RESERVED),
+            }),
+            arrived: Notify::new(),
+            stop: Cell::new(false),
+            stopped: Notify::new(),
+            deaths_seen: Cell::new(0),
+            sim: sim.clone(),
+            node: cluster.workers[2].clone(),
+            conf,
+            obs: Recorder::off(),
+            group: sim.group(),
+            variant: RdmaVariant::osu_ib(),
+            my_idx: 2,
+            job: JobId(0),
+            reduce_idx: 0,
+            spill_file: "j0_r0_shufspill".into(),
+            spill_task: "r0-shuffle-spill".into(),
+        });
+        let servers = (0..2)
+            .map(|tt| ucr_listen(&cluster.net, cluster.workers[tt].id))
+            .collect();
+        Rig {
+            sim,
+            copier,
+            servers,
+            liveness: Rc::new(vec![NodeLiveness::new(), NodeLiveness::new()]),
+            changed: Notify::new(),
+            cluster,
+        }
+    }
+
+    impl Rig {
+        /// Connects the copier to both servers (under liveness epoch 0),
+        /// starts it, and returns the server ends.
+        async fn connect(&self) -> Vec<EndPoint<ShufMsg>> {
+            let mut server_ends = Vec::new();
+            for (tt, server) in self.servers.iter().enumerate() {
+                assert!(self.copier.connect(tt, 0, server.connector()).await);
+                server_ends.push(server.accept().await.expect("connected"));
+            }
+            let run = Rc::clone(&self.copier).run(Rc::clone(&self.liveness), self.changed.clone());
+            self.sim.spawn_daemon("copier", run).detach();
+            self.sim.yield_now().await; // it is up and watching
+            server_ends
+        }
+    }
+
+    /// A packet of `bytes` of map `map_idx`'s segment; `last` ends it.
+    fn packet(map_idx: usize, bytes: u64, last: bool) -> ShufMsg {
+        ShufMsg::Response {
+            map_idx,
+            reduce: 0,
+            packet: Segment::synthetic(bytes / 100, bytes),
+            remaining_records: if last { 0 } else { 1 },
+            total_records: 1 << 20,
+            total_bytes: 100 << 20,
+            from_cache: true,
+        }
+    }
+
+    #[test]
+    fn a_spill_holds_up_its_own_connection_only() {
+        const BIG: u64 = 4 << 20;
+        let rig = rig(1 << 20);
+        // What the merge loop would see at each `arrived`:
+        // (delivered from map 0, from map 1, conn 0 spilling, its backlog,
+        // bytes in the spill file).
+        let seen = Rc::new(RefCell::new(Vec::new()));
+        {
+            let (copier, seen) = (Rc::clone(&rig.copier), Rc::clone(&seen));
+            rig.sim
+                .spawn_daemon("merge-loop", async move {
+                    loop {
+                        copier.arrived.notified().await;
+                        let st = copier.state.borrow();
+                        let delivered = |m: usize| st.sources[m].as_ref().unwrap().delivered_bytes;
+                        seen.borrow_mut().push((
+                            delivered(0),
+                            delivered(1),
+                            st.conns[0].spilling,
+                            st.conns[0].backlog.len(),
+                            copier.node.fs.size(&copier.spill_file).unwrap_or(0),
+                        ));
+                    }
+                })
+                .detach();
+        }
+        let sim = rig.sim.clone();
+        sim.spawn(async move {
+            let servers = rig.connect().await;
+            // TaskTracker 0 streams an overflowing packet and a small one
+            // behind it; TaskTracker 1 answers while the first is still
+            // being spilled (4 MiB take the disk tens of milliseconds).
+            servers[0].send_nowait(packet(0, BIG, false));
+            servers[0].send_nowait(packet(0, 100, true));
+            rig.sim.sleep(SimDuration::from_millis(5)).await;
+            let t = rig.sim.now();
+            servers[1].send(packet(1, 100, true)).await;
+            assert!(rig.sim.now().saturating_since(t) < SimDuration::from_millis(1));
+        })
+        .detach();
+        sim.run();
+        assert_eq!(
+            *seen.borrow(),
+            [
+                // TaskTracker 1's packet is booked on arrival, mid-write; the
+                // second packet of TaskTracker 0 waits, its credit unreturned.
+                (BIG, RESERVED, true, 1, 0),
+                // The write is done: the packet behind it follows at once —
+                // and, overflowing too, keeps the connection held.
+                (BIG + 100, RESERVED, true, 0, BIG),
+                (BIG + 100, RESERVED, false, 0, BIG + 100),
+            ]
+        );
+    }
+
+    #[test]
+    fn a_dead_incarnations_messages_do_not_count() {
+        let rig = rig(1 << 20);
+        let sim = rig.sim.clone();
+        let copier = Rc::clone(&rig.copier);
+        sim.spawn(async move {
+            let servers = rig.connect().await;
+            let delivered = || {
+                let st = rig.copier.state.borrow();
+                (
+                    st.sources[0].as_ref().unwrap().delivered_bytes,
+                    st.shuffled_bytes,
+                )
+            };
+            // TaskTracker 0 restarts under the connection.
+            rig.liveness[0].kill();
+            rig.liveness[0].restart();
+            rig.changed.notify_all();
+            rig.sim.yield_now().await;
+            assert_eq!(rig.copier.deaths_seen.get(), 1);
+            assert!(rig.copier.state.borrow().ep_dead(&rig.liveness, 0));
+            assert!(!rig.copier.state.borrow().ep_dead(&rig.liveness, 1));
+            // What the old incarnation still had on the wire arrives on
+            // the old connection and is ignored...
+            servers[0].send(packet(0, 100, false)).await;
+            assert_eq!(delivered(), (0, 0));
+            // ...also once the attempt has a connection to the new one:
+            // a connection is an incarnation, not a TaskTracker.
+            let restarted = ucr_listen(&rig.cluster.net, servers[0].local());
+            assert!(rig.copier.connect(0, 1, restarted.connector()).await);
+            let new_end = restarted.accept().await.expect("reconnected");
+            assert!(!rig.copier.state.borrow().ep_dead(&rig.liveness, 0));
+            servers[0].send(packet(0, 100, false)).await;
+            assert_eq!(delivered(), (0, 0));
+            new_end.send(packet(0, 300, false)).await;
+            rig.sim.yield_now().await;
+            assert_eq!(delivered(), (300, 300));
+            // Another transition elsewhere is not a death seen twice.
+            rig.liveness[1].kill();
+            rig.changed.notify_all();
+            rig.sim.yield_now().await;
+            assert_eq!(rig.copier.deaths_seen.get(), 2);
+            rig.copier.stop();
+        })
+        .detach();
+        sim.run();
+        assert_eq!(
+            sim.live_tasks(),
+            0,
+            "the copier stopped; no task per connection"
+        );
+        assert_eq!(copier.state.borrow().conns.len(), 3);
+    }
 }

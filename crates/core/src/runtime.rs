@@ -59,6 +59,9 @@ pub struct StateFootprint {
     pub tt_serve_cursors: usize,
     /// Open shuffle-serving disk readers across TaskTrackers.
     pub tt_serve_readers: usize,
+    /// Reducer connections the TaskTrackers' RDMA servers still hold an
+    /// endpoint for (released when the reducer closes its end).
+    pub tt_endpoints: usize,
     /// TaskTrackers currently killed (blacklisted until restart).
     pub down_nodes: usize,
 }
@@ -73,6 +76,7 @@ impl StateFootprint {
             + self.tt_cache_jobs
             + self.tt_serve_cursors
             + self.tt_serve_readers
+            + self.tt_endpoints
             + self.down_nodes
     }
 }
@@ -239,8 +243,11 @@ struct RtInner {
     /// Per-TaskTracker shuffle-server handles. `RefCell`: a node restart
     /// installs a fresh server in the dead one's slot.
     servers: Rc<RefCell<Vec<TtServerHandle>>>,
-    /// Per-TaskTracker liveness signals, shared with every ReduceCtx.
+    /// Per-TaskTracker liveness state, shared with every ReduceCtx.
     liveness: Rc<Vec<Rc<NodeLiveness>>>,
+    /// Fired after every liveness transition of any node (see
+    /// [`ReduceCtx::liveness_changed`]).
+    liveness_changed: Notify,
     outputs: MapOutputStore,
     /// Jobs still in the system. A finished job's scheduling state is
     /// dropped at completion: the entry moves to [`RtInner::finished`] as a
@@ -377,6 +384,7 @@ impl Runtime {
             tts,
             servers: Rc::new(RefCell::new(servers)),
             liveness,
+            liveness_changed: Notify::new_named("liveness-changed"),
             outputs,
             jobs: RefCell::new(BTreeMap::new()),
             finished: RefCell::new(BTreeMap::new()),
@@ -566,6 +574,7 @@ impl Runtime {
         if !tt.liveness.kill() {
             return; // already down
         }
+        inner.liveness_changed.notify_all();
         // Abort everything running on the node. Slot permits held by the
         // aborted attempts are dropped with their futures, so the slots
         // read free again after the restart.
@@ -627,6 +636,7 @@ impl Runtime {
             return; // never killed, or already back
         }
         let epoch = tt.liveness.restart();
+        inner.liveness_changed.notify_all();
         let server = inner.engine.start_server(tt, &inner.cluster.net);
         inner.servers.borrow_mut()[tt_idx] = server;
         tt.respawn_prefetcher();
@@ -732,6 +742,11 @@ impl Runtime {
             fp.tt_serve_readers += readers;
             if !tt.liveness.alive() {
                 fp.down_nodes += 1;
+            }
+        }
+        for server in inner.servers.borrow().iter() {
+            if let TtServerHandle::Rdma(connector) = server {
+                fp.tt_endpoints += connector.served();
             }
         }
         fp
@@ -1519,6 +1534,7 @@ fn spawn_reduce_attempt(
         jt: Rc::clone(&job.jt),
         servers: Rc::clone(&inner.servers),
         liveness: Rc::clone(&inner.liveness),
+        liveness_changed: inner.liveness_changed.clone(),
         tt: Rc::clone(tt),
         job: job.id,
         reduce_idx,

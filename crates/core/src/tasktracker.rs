@@ -11,11 +11,13 @@
 //!   OS page cache.
 //! * Hadoop-A: verbs endpoints; each request pulls a fixed kv-count packet
 //!   that the DataEngine reads from disk — no cache of its own (§III-C-1).
-//! * OSU-IB: the paper's `RDMAListener` accepts UCR endpoints, an
-//!   `RDMAReceiver` per endpoint enqueues requests into the
-//!   `DataRequestQueue`, and a pool of light-weight `RDMAResponder`s serves
-//!   them — from the `PrefetchCache` on a hit, straight from disk on a miss
-//!   (then re-caching at demand priority).
+//! * OSU-IB: the paper's `RDMAListener` adds every accepted UCR endpoint to
+//!   the TaskTracker's end-point list, one `RDMAReceiver` pulls requests
+//!   from all of them into the `DataRequestQueue`, and a pool of
+//!   light-weight `RDMAResponder`s serves them — from the `PrefetchCache` on
+//!   a hit, straight from disk on a miss (then re-caching at demand
+//!   priority). An endpoint leaves the list when its reducer closes it, so a
+//!   TaskTracker holds connection state for live reduce attempts only.
 //!
 //! Which flavour of server runs (and whether the cache is live) is decided
 //! by the [`crate::engine::ShuffleEngine`] the runtime was built with.
@@ -25,7 +27,9 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use rmr_des::prelude::*;
-use rmr_net::{listen, ucr_listen, EndPoint, ListenerHandle, Network, UcrConnector};
+use rmr_net::{
+    listen, ucr_listen_into, EndPoint, EndpointSet, ListenerHandle, Network, UcrConnector,
+};
 use rmr_obs::{Ev, Recorder};
 use rmr_store::FileReader;
 
@@ -75,8 +79,9 @@ pub struct TaskTracker {
     /// servers, prefetcher pool, and task attempts — joins this group, so
     /// `kill_node` is one `abort()`.
     pub group: TaskGroup,
-    /// Out-of-band failure signal (RDMA reducers select on it; verbs CQs
-    /// never close on peer death).
+    /// Out-of-band failure detection: whether this node is up, and under
+    /// which restart epoch (RDMA reducers check it when the runtime signals a
+    /// change; a verbs CQ does not close on peer death).
     pub liveness: Rc<NodeLiveness>,
     sim: Sim,
     /// Observability bus handle (off by default; near-zero cost when off).
@@ -128,7 +133,7 @@ impl TaskTracker {
             cache,
             prefetcher: RefCell::new(prefetcher),
             group,
-            liveness: NodeLiveness::new(idx),
+            liveness: NodeLiveness::new(),
             sim: sim.clone(),
             obs,
             cache_enabled,
@@ -438,7 +443,7 @@ pub(crate) fn start_http_server(tt: &Rc<TaskTracker>, net: &Network) -> TtServer
     TtServerHandle::Http(handle)
 }
 
-/// Hadoop-A and OSU-IB: `RDMAListener` + per-endpoint `RDMAReceiver`s +
+/// Hadoop-A and OSU-IB: `RDMAListener` + the one `RDMAReceiver` +
 /// `DataRequestQueue` + `RDMAResponder` pool (§III-B-1).
 pub(crate) fn start_rdma_server(tt: &Rc<TaskTracker>, net: &Network) -> TtServerHandle {
     start_rdma_server_with(tt, net, false)
@@ -454,8 +459,10 @@ pub(crate) fn start_rdma_server_with(
     net: &Network,
     batch_requests: bool,
 ) -> TtServerHandle {
-    let listener = ucr_listen::<ShufMsg>(net, tt.node.id);
-    let connector = listener.connector();
+    // RDMAListener: the server end of every connection joins this list as
+    // it is established, and leaves it when the reducer closes its end.
+    let endpoints = EndpointSet::<ShufMsg>::new();
+    let connector = ucr_listen_into(net, tt.node.id, &endpoints);
     let tt_id = tt.node.id.0;
 
     // DataRequestQueue: (endpoint, job, map, reduce, attempt, budget).
@@ -515,37 +522,23 @@ pub(crate) fn start_rdma_server_with(
             .detach();
     }
 
-    // RDMAListener + RDMAReceivers.
-    let group = tt.group.clone();
-    let group2 = group.clone();
-    group
-        .spawn_daemon(format!("tt{tt_id}-rdma-listener"), async move {
-            while let Some(ep) = listener.accept().await {
-                let ep = Rc::new(ep);
-                let req_tx = req_tx.clone();
-                group2
-                    .spawn_daemon(format!("tt{tt_id}-rdma-receiver"), async move {
-                        while let Some(msg) = ep.recv().await {
-                            if let ShufMsg::Request {
-                                job,
-                                map_idx,
-                                reduce,
-                                attempt,
-                                budget,
-                            } = msg
-                            {
-                                let _ = req_tx.send_now((
-                                    Rc::clone(&ep),
-                                    job,
-                                    map_idx,
-                                    reduce,
-                                    attempt,
-                                    budget,
-                                ));
-                            }
-                        }
-                    })
-                    .detach();
+    // RDMAReceiver: one task for the whole list. It owns the list, so the
+    // node's death (the group's abort) closes every endpoint with it.
+    tt.group
+        .spawn_daemon(format!("tt{tt_id}-rdma-receiver"), async move {
+            loop {
+                let (ep, msg) = endpoints.recv().await;
+                ep.replenish();
+                if let ShufMsg::Request {
+                    job,
+                    map_idx,
+                    reduce,
+                    attempt,
+                    budget,
+                } = msg
+                {
+                    let _ = req_tx.send_now((ep, job, map_idx, reduce, attempt, budget));
+                }
             }
         })
         .detach();

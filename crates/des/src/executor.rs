@@ -83,15 +83,10 @@ struct TaskSlot {
     /// Daemon tasks (server loops that live as long as the sim) are
     /// excluded from quiescence stall reports, like Java daemon threads.
     daemon: bool,
-    /// Waker for this (slot, generation), built once at spawn and cloned
-    /// (an `Arc` bump) on every poll instead of allocating a fresh
-    /// `WakeEntry` per poll.
-    waker: Waker,
-    /// Shared with this generation's [`WakeEntry`]: true while the task sits
-    /// in the ready queue, so broadcast wake fan-out (a fluid completion
-    /// batch finishing every leg of one transfer's `join_all` at the same
-    /// instant) collapses to a single queue entry and a single poll.
-    queued: Arc<AtomicBool>,
+    /// Wake entry for this (slot, generation), built once at spawn; every
+    /// poll makes its `Waker` from a clone (an `Arc` bump) instead of
+    /// allocating a fresh entry.
+    wake: Arc<WakeEntry>,
 }
 
 /// The shared FIFO of tasks made runnable by wakers. `Waker` must be
@@ -102,10 +97,13 @@ type ReadyQueue = Arc<Mutex<VecDeque<TaskId>>>;
 struct WakeEntry {
     task: TaskId,
     ready: ReadyQueue,
-    /// See [`TaskSlot::queued`]. Redundant wakes while the task is already
-    /// queued are dropped; the executor clears the flag when it pops the
-    /// task, so wakes arriving during a poll still re-queue it.
-    queued: Arc<AtomicBool>,
+    /// True while the task sits in the ready queue, so broadcast wake
+    /// fan-out (a fluid completion batch finishing every leg of one
+    /// transfer's `join_all` at the same instant) collapses to a single
+    /// queue entry and a single poll. Redundant wakes while the task is
+    /// already queued are dropped; the executor clears the flag when it pops
+    /// the task, so wakes arriving during a poll still re-queue it.
+    queued: AtomicBool,
 }
 
 impl Wake for WakeEntry {
@@ -189,7 +187,7 @@ pub enum BlockedLabel {
 }
 
 impl BlockedLabel {
-    fn as_str(&self) -> &str {
+    pub(crate) fn as_str(&self) -> &str {
         match self {
             BlockedLabel::Static(s) => s,
             BlockedLabel::Shared(s) => s,
@@ -391,7 +389,7 @@ impl Sim {
     /// [`Sim::spawn_named`]: names are what the deadlock detector and stall
     /// reports print.
     pub fn spawn<T: 'static>(&self, fut: impl Future<Output = T> + 'static) -> JoinHandle<T> {
-        self.spawn_inner(None, false, fut)
+        self.spawn_tracked(None, false, fut).0
     }
 
     /// Spawns a task under a diagnostic name. The name surfaces in
@@ -399,10 +397,10 @@ impl Sim {
     /// live after the event heap drains.
     pub fn spawn_named<T: 'static>(
         &self,
-        name: impl Into<String>,
+        name: impl Into<Rc<str>>,
         fut: impl Future<Output = T> + 'static,
     ) -> JoinHandle<T> {
-        self.spawn_inner(Some(name.into()), false, fut)
+        self.spawn_tracked(Some(name.into()), false, fut).0
     }
 
     /// Spawns a named daemon task: a server loop meant to stay alive (and
@@ -412,24 +410,28 @@ impl Sim {
     /// daemon threads don't block JVM exit.
     pub fn spawn_daemon<T: 'static>(
         &self,
-        name: impl Into<String>,
+        name: impl Into<Rc<str>>,
         fut: impl Future<Output = T> + 'static,
     ) -> JoinHandle<T> {
-        self.spawn_inner(Some(name.into()), true, fut)
+        self.spawn_tracked(Some(name.into()), true, fut).0
     }
 
-    fn spawn_inner<T: 'static>(
+    /// [`Sim::spawn_daemon`] for a daemon nobody joins: no [`JoinHandle`]
+    /// state and no wrapper future, and a `name` that is already an
+    /// `Rc<str>` is shared rather than copied — two allocations a spawn (the
+    /// boxed future and its wake entry). For daemons that come and go by the
+    /// million, such as a queue pair's engine.
+    pub fn spawn_detached_daemon(
         &self,
-        name: Option<String>,
-        daemon: bool,
-        fut: impl Future<Output = T> + 'static,
-    ) -> JoinHandle<T> {
-        self.spawn_tracked(name, daemon, fut).0
+        name: impl Into<Rc<str>>,
+        fut: impl Future<Output = ()> + 'static,
+    ) {
+        self.spawn_unit(Some(name.into()), true, fut);
     }
 
     fn spawn_tracked<T: 'static>(
         &self,
-        name: Option<String>,
+        name: Option<Rc<str>>,
         daemon: bool,
         fut: impl Future<Output = T> + 'static,
     ) -> (JoinHandle<T>, TaskId) {
@@ -452,15 +454,12 @@ impl Sim {
 
     fn spawn_unit(
         &self,
-        name: Option<String>,
+        name: Option<Rc<str>>,
         daemon: bool,
         fut: impl Future<Output = ()> + 'static,
     ) -> TaskId {
         let mut core = self.core.borrow_mut();
-        let name: Rc<str> = match name {
-            Some(n) => Rc::from(n.as_str()),
-            None => Rc::from(format!("task-{}", core.spawns).as_str()),
-        };
+        let name = name.unwrap_or_else(|| Rc::from(format!("task-{}", core.spawns)));
         core.spawns += 1;
         // Spawn order and names are part of the program shape: fold them so
         // a renamed or reordered task set changes the trace hash.
@@ -471,7 +470,13 @@ impl Sim {
         let ready = Arc::clone(&core.ready);
         // Spawned tasks are enqueued immediately below, so the flag starts
         // true: a wake landing before the first poll must not double-queue.
-        let queued = Arc::new(AtomicBool::new(true));
+        let wake = |task| {
+            Arc::new(WakeEntry {
+                task,
+                ready,
+                queued: AtomicBool::new(true),
+            })
+        };
         let id = if let Some(index) = core.free_tasks.pop() {
             let slot = &mut core.tasks[index as usize];
             let id = TaskId {
@@ -484,13 +489,8 @@ impl Sim {
             slot.blocked_on = None;
             slot.daemon = daemon;
             // The slot's generation changed since it was last occupied, so
-            // the cached waker must be rebuilt for the new id.
-            slot.queued = Arc::clone(&queued);
-            slot.waker = Waker::from(Arc::new(WakeEntry {
-                task: id,
-                ready,
-                queued,
-            }));
+            // the wake entry must be rebuilt for the new id.
+            slot.wake = wake(id);
             id
         } else {
             let index = core.tasks.len() as u32;
@@ -502,12 +502,7 @@ impl Sim {
                 name,
                 blocked_on: None,
                 daemon,
-                queued: Arc::clone(&queued),
-                waker: Waker::from(Arc::new(WakeEntry {
-                    task: id,
-                    ready,
-                    queued,
-                })),
+                wake: wake(id),
             });
             id
         };
@@ -596,12 +591,12 @@ impl Sim {
             };
             // Popped out of the ready queue: clear the dedup flag first so a
             // wake arriving during the poll below re-queues the task.
-            slot.queued.store(false, Ordering::Relaxed);
+            slot.wake.queued.store(false, Ordering::Relaxed);
             // Cleared before every poll; a primitive that suspends the task
             // again will re-record the reason.
             slot.blocked_on = None;
             match slot.future.take() {
-                Some(f) => (f, slot.waker.clone()),
+                Some(f) => (f, Waker::from(Arc::clone(&slot.wake))),
                 // Already being polled higher up the stack (a waker fired
                 // synchronously during poll); the re-queued id handles it.
                 None => return,
@@ -788,7 +783,7 @@ impl TaskGroup {
     /// [`Sim::spawn_named`], scoped to this group.
     pub fn spawn_named<T: 'static>(
         &self,
-        name: impl Into<String>,
+        name: impl Into<Rc<str>>,
         fut: impl Future<Output = T> + 'static,
     ) -> JoinHandle<T> {
         let (handle, id) = self.sim.spawn_tracked(Some(name.into()), false, fut);
@@ -799,7 +794,7 @@ impl TaskGroup {
     /// [`Sim::spawn_daemon`], scoped to this group.
     pub fn spawn_daemon<T: 'static>(
         &self,
-        name: impl Into<String>,
+        name: impl Into<Rc<str>>,
         fut: impl Future<Output = T> + 'static,
     ) -> JoinHandle<T> {
         let (handle, id) = self.sim.spawn_tracked(Some(name.into()), true, fut);

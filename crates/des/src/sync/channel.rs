@@ -14,7 +14,7 @@ use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
-use crate::executor::note_current_blocked;
+use crate::executor::{note_current_blocked, BlockedLabel};
 
 struct Inner<T> {
     queue: VecDeque<T>,
@@ -23,11 +23,11 @@ struct Inner<T> {
     receivers: usize,
     recv_wakers: VecDeque<Waker>,
     send_wakers: VecDeque<Waker>,
-    /// Pre-formatted blocking labels ("send on <name>" / "recv on <name>"),
-    /// built once at construction so `Pending` polls record them with an
-    /// `Rc` clone instead of a `format!` allocation.
-    send_label: Rc<str>,
-    recv_label: Rc<str>,
+    /// Blocking labels ("send on <name>" / "recv on <name>"): static for an
+    /// unnamed channel, pre-formatted once at construction for a named one,
+    /// so `Pending` polls record them without a `format!` allocation.
+    send_label: BlockedLabel,
+    recv_label: BlockedLabel,
 }
 
 impl<T> Inner<T> {
@@ -53,31 +53,38 @@ impl<T> Inner<T> {
 
 /// Creates an unbounded FIFO channel.
 pub fn channel<T>() -> (Sender<T>, Receiver<T>) {
-    with_capacity_opt(None, "channel")
+    with_capacity_opt(None, None)
 }
 
 /// Creates an unbounded FIFO channel with a diagnostic name. Tasks stalled
 /// on this channel appear as "recv on <name>" / "send on <name>" in
 /// [`crate::executor::Sim::step_until_no_events`] reports.
 pub fn channel_named<T>(name: &str) -> (Sender<T>, Receiver<T>) {
-    with_capacity_opt(None, name)
+    with_capacity_opt(None, Some(name))
 }
 
 /// Creates a bounded FIFO channel; `send` suspends while `cap` items are
 /// queued.
 pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
     assert!(cap > 0, "bounded channel capacity must be positive");
-    with_capacity_opt(Some(cap), "channel")
+    with_capacity_opt(Some(cap), None)
 }
 
 /// Creates a bounded FIFO channel with a diagnostic name (see
 /// [`channel_named`]).
 pub fn bounded_named<T>(name: &str, cap: usize) -> (Sender<T>, Receiver<T>) {
     assert!(cap > 0, "bounded channel capacity must be positive");
-    with_capacity_opt(Some(cap), name)
+    with_capacity_opt(Some(cap), Some(name))
 }
 
-fn with_capacity_opt<T>(capacity: Option<usize>, name: &str) -> (Sender<T>, Receiver<T>) {
+fn with_capacity_opt<T>(capacity: Option<usize>, name: Option<&str>) -> (Sender<T>, Receiver<T>) {
+    let (send_label, recv_label) = match name {
+        Some(name) => (
+            format!("send on {name}").into(),
+            format!("recv on {name}").into(),
+        ),
+        None => ("send on channel".into(), "recv on channel".into()),
+    };
     let inner = Rc::new(RefCell::new(Inner {
         queue: VecDeque::new(),
         capacity,
@@ -85,8 +92,8 @@ fn with_capacity_opt<T>(capacity: Option<usize>, name: &str) -> (Sender<T>, Rece
         receivers: 1,
         recv_wakers: VecDeque::new(),
         send_wakers: VecDeque::new(),
-        send_label: Rc::from(format!("send on {name}").as_str()),
-        recv_label: Rc::from(format!("recv on {name}").as_str()),
+        send_label,
+        recv_label,
     }));
     (
         Sender {
@@ -238,7 +245,7 @@ impl<T> Future for SendFuture<'_, T> {
         match inner.capacity {
             Some(cap) if inner.queue.len() >= cap => {
                 inner.send_wakers.push_back(cx.waker().clone());
-                let label = Rc::clone(&inner.send_label);
+                let label = inner.send_label.clone();
                 drop(inner);
                 note_current_blocked(label);
                 self.value = Some(value);
@@ -270,7 +277,7 @@ impl<T> Future for RecvFuture<'_, T> {
             return Poll::Ready(None);
         }
         inner.recv_wakers.push_back(cx.waker().clone());
-        let label = Rc::clone(&inner.recv_label);
+        let label = inner.recv_label.clone();
         drop(inner);
         note_current_blocked(label);
         Poll::Pending

@@ -5,6 +5,13 @@
 //! *created*; the future resolves once the epoch moves past the snapshot.
 //! This gives the usual "no lost wakeups between check and wait" guarantee:
 //! create the future while the predicate is false, re-check, then await.
+//!
+//! A [`Notified`] registers its task's waker once, at its first pending poll,
+//! and takes it back when dropped, so the waiter list holds exactly the
+//! futures that are live and were polled — however often a `select2` polls
+//! them again, and however many are created and abandoned between two
+//! notifications. (It must therefore be awaited from one task; a task's
+//! waker never changes in this executor.)
 
 use std::cell::RefCell;
 use std::future::Future;
@@ -16,11 +23,14 @@ use crate::executor::note_current_blocked;
 
 struct Inner {
     epoch: u64,
-    waiters: Vec<Waker>,
+    /// Registered waiters in registration order, each under the ticket its
+    /// [`Notified`] holds. `notify_all` drains the list.
+    waiters: Vec<(u64, Waker)>,
+    next_ticket: u64,
     /// Recycled buffer for the multi-waiter `notify_all` path so repeated
     /// fan-outs reuse one allocation instead of re-growing the waiter list
     /// from empty on every cycle.
-    scratch: Vec<Waker>,
+    scratch: Vec<(u64, Waker)>,
     /// Pre-formatted blocking label ("notified on <name>"), built once at
     /// construction so `Pending` polls record it with an `Rc` clone instead
     /// of a `format!` allocation.
@@ -53,6 +63,7 @@ impl Notify {
             inner: Rc::new(RefCell::new(Inner {
                 epoch: 0,
                 waiters: Vec::new(),
+                next_ticket: 0,
                 scratch: Vec::new(),
                 label: Rc::from(format!("notified on {name}").as_str()),
             })),
@@ -75,7 +86,7 @@ impl Notify {
             0 => {}
             1 => {
                 // Single-waiter fast path: no buffer churn at all.
-                let w = inner.waiters.pop().expect("len checked");
+                let (_, w) = inner.waiters.pop().expect("len checked");
                 drop(inner);
                 w.wake();
             }
@@ -83,7 +94,7 @@ impl Notify {
                 let mut waiters = std::mem::take(&mut inner.scratch);
                 std::mem::swap(&mut inner.waiters, &mut waiters);
                 drop(inner);
-                for w in waiters.drain(..) {
+                for (_, w) in waiters.drain(..) {
                     w.wake();
                 }
                 // Hand the (drained, still-allocated) buffer back for reuse.
@@ -98,7 +109,13 @@ impl Notify {
         Notified {
             inner: Rc::clone(&self.inner),
             seen: self.inner.borrow().epoch,
+            ticket: None,
         }
+    }
+
+    /// Number of registered waiters (diagnostic).
+    pub fn waiters(&self) -> usize {
+        self.inner.borrow().waiters.len()
     }
 }
 
@@ -106,20 +123,40 @@ impl Notify {
 pub struct Notified {
     inner: Rc<RefCell<Inner>>,
     seen: u64,
+    /// Set once this future's waker is in the waiter list.
+    ticket: Option<u64>,
 }
 
 impl Future for Notified {
     type Output = ();
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        let this = self.get_mut();
+        let mut inner = this.inner.borrow_mut();
+        if inner.epoch > this.seen {
+            return Poll::Ready(());
+        }
+        if this.ticket.is_none() {
+            let ticket = inner.next_ticket;
+            inner.next_ticket += 1;
+            inner.waiters.push((ticket, cx.waker().clone()));
+            this.ticket = Some(ticket);
+        }
+        let label = Rc::clone(&inner.label);
+        drop(inner);
+        note_current_blocked(label);
+        Poll::Pending
+    }
+}
+
+impl Drop for Notified {
+    fn drop(&mut self) {
+        let Some(ticket) = self.ticket else { return };
         let mut inner = self.inner.borrow_mut();
-        if inner.epoch > self.seen {
-            Poll::Ready(())
-        } else {
-            inner.waiters.push(cx.waker().clone());
-            let label = Rc::clone(&inner.label);
-            drop(inner);
-            note_current_blocked(label);
-            Poll::Pending
+        // A notification since `seen` drained the list, this waiter with it.
+        if inner.epoch == self.seen {
+            if let Some(at) = inner.waiters.iter().position(|(t, _)| *t == ticket) {
+                inner.waiters.remove(at);
+            }
         }
     }
 }
@@ -250,5 +287,87 @@ mod tests {
         .detach();
         sim.run();
         assert_eq!(count.get(), 5);
+    }
+
+    /// Polls `fut` once with a waker that records nothing.
+    fn poll_once(fut: &mut Notified) -> Poll<()> {
+        let mut cx = Context::from_waker(Waker::noop());
+        Pin::new(fut).poll(&mut cx)
+    }
+
+    #[test]
+    fn repeated_pending_polls_register_one_waiter() {
+        // A `select2` polls its losing branch on every wake of the task; a
+        // shuffle run used to leave one waker per message behind.
+        let n = Notify::new();
+        let mut fut = n.notified();
+        for _ in 0..100 {
+            assert!(poll_once(&mut fut).is_pending());
+        }
+        assert_eq!(n.waiters(), 1);
+        n.notify_all();
+        assert_eq!(n.waiters(), 0);
+        assert!(poll_once(&mut fut).is_ready());
+    }
+
+    #[test]
+    fn abandoned_futures_leave_the_list() {
+        // Created, polled and dropped without a notification in between —
+        // the loser of a `select2` against a timer, once per loop turn.
+        let n = Notify::new();
+        let mut keeper = n.notified();
+        assert!(poll_once(&mut keeper).is_pending());
+        for _ in 0..100 {
+            let mut fut = n.notified();
+            assert!(poll_once(&mut fut).is_pending());
+            assert_eq!(n.waiters(), 2);
+            drop(fut);
+            assert_eq!(n.waiters(), 1);
+        }
+        // Never polled: never registered, nothing to take back.
+        drop(n.notified());
+        assert_eq!(n.waiters(), 1);
+        // Dropped after the notification that drained it: must not take a
+        // later waiter's entry with it.
+        n.notify_all();
+        let mut later = n.notified();
+        assert!(poll_once(&mut later).is_pending());
+        drop(keeper);
+        assert_eq!(n.waiters(), 1);
+    }
+
+    #[test]
+    fn waiters_wake_in_registration_order() {
+        // Registration order, with an abandoned waiter taken out of the
+        // middle: replay determinism rests on this order.
+        let sim = Sim::new(1);
+        let n = Notify::new();
+        let order = Rc::new(RefCell::new(Vec::new()));
+        let gate = Notify::new();
+        for i in 0..5u32 {
+            let (n2, gate2, order2) = (n.clone(), gate.clone(), Rc::clone(&order));
+            sim.spawn(async move {
+                if i == 2 {
+                    // Registers third, then walks away before the notify.
+                    crate::sync::select2(n2.notified(), gate2.notified()).await;
+                } else {
+                    n2.notified().await;
+                    order2.borrow_mut().push(i);
+                }
+            })
+            .detach();
+        }
+        let sim2 = sim.clone();
+        let n2 = n.clone();
+        sim.spawn(async move {
+            sim2.sleep(SimDuration::from_millis(1)).await;
+            gate.notify_all();
+            sim2.sleep(SimDuration::from_millis(1)).await;
+            assert_eq!(n2.waiters(), 4);
+            n2.notify_all();
+        })
+        .detach();
+        sim.run();
+        assert_eq!(*order.borrow(), vec![0, 1, 3, 4]);
     }
 }

@@ -13,7 +13,7 @@ use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
-use crate::executor::note_current_blocked;
+use crate::executor::{note_current_blocked, BlockedLabel};
 
 struct Waiter {
     id: u64,
@@ -27,8 +27,9 @@ struct Inner {
     next_id: u64,
     waiters: VecDeque<Waiter>,
     /// Diagnostic name; shows up in deadlock reports as
-    /// "acquire(n) on <name>".
-    name: Rc<str>,
+    /// "acquire(n) on <name>". Static for an unnamed semaphore, so creating
+    /// one is a single allocation.
+    name: BlockedLabel,
 }
 
 impl Inner {
@@ -70,19 +71,23 @@ pub struct Semaphore {
 impl Semaphore {
     /// Creates a semaphore holding `permits` permits.
     pub fn new(permits: u64) -> Self {
-        Self::new_named("semaphore", permits)
+        Self::with_name("semaphore".into(), permits)
     }
 
     /// Creates a named semaphore. Tasks stalled acquiring it appear as
     /// "acquire(n) on <name>" in
     /// [`crate::executor::Sim::step_until_no_events`] reports.
     pub fn new_named(name: &str, permits: u64) -> Self {
+        Self::with_name(name.to_string().into(), permits)
+    }
+
+    fn with_name(name: BlockedLabel, permits: u64) -> Self {
         Semaphore {
             inner: Rc::new(RefCell::new(Inner {
                 permits,
                 next_id: 0,
                 waiters: VecDeque::new(),
-                name: Rc::from(name),
+                name,
             })),
         }
     }
@@ -178,10 +183,10 @@ pub struct AcquireFuture {
 }
 
 impl AcquireFuture {
-    fn blocked_label(&mut self, name: &Rc<str>) -> Rc<str> {
+    fn blocked_label(&mut self, name: &BlockedLabel) -> Rc<str> {
         if self.label.is_none() {
             self.label = Some(Rc::from(
-                format!("acquire({}) on {name}", self.need).as_str(),
+                format!("acquire({}) on {}", self.need, name.as_str()).as_str(),
             ));
         }
         Rc::clone(self.label.as_ref().unwrap())
@@ -230,7 +235,7 @@ impl Future for AcquireFuture {
                         n,
                     });
                 }
-                let name = Rc::clone(&inner.name);
+                let name = inner.name.clone();
                 drop(inner);
                 let label = self.blocked_label(&name);
                 note_current_blocked(label);
@@ -258,7 +263,7 @@ impl Future for AcquireFuture {
                     if let Some(w) = inner.waiters.iter_mut().find(|w| w.id == id) {
                         w.waker = Some(cx.waker().clone());
                     }
-                    let name = Rc::clone(&inner.name);
+                    let name = inner.name.clone();
                     drop(inner);
                     let label = self.blocked_label(&name);
                     note_current_blocked(label);

@@ -13,12 +13,31 @@
 //! * a `SEND` does not complete until the peer has a posted receive
 //!   (receiver-not-ready blocks the queue, as on real RC QPs);
 //! * one-sided RDMA ops involve no remote CPU and no remote completion;
-//! * completions can be aggregated onto shared CQs for event-loop servers.
+//! * completions carry their QP's number (`ibv_wc.qp_num`), so many QPs can
+//!   bind one CQ and an event-loop server demultiplexes it;
+//! * closing one end disconnects in order, behind whatever that end still
+//!   has queued, and flushes the peer's posted receives to the peer's CQ.
+//!
+//! # A connection is state
+//!
+//! A connected pair is one allocation: two ends, each a work queue, an
+//! in-order completion counter and a run-length-encoded window of posted
+//! receives. An idle pair owns no task, no channel and no ring buffer. The
+//! `qp-engine` task that models the HCA working through a send queue exists
+//! only while that queue is non-empty: the `post_*` that finds the end idle
+//! spawns it with the work request in hand, later posts queue behind it, and
+//! it exits when the queue drains. RC ordering lives in the queue, not in a
+//! parked task, so a cluster with every reducer connected to every
+//! TaskTracker costs memory in proportion to its connections and tasks in
+//! proportion to its traffic.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
+use std::collections::VecDeque;
+use std::future::poll_fn;
 use std::rc::Rc;
+use std::task::{Context, Poll, Waker};
 
-use rmr_des::prelude::*;
+use rmr_des::note_current_blocked;
 use rmr_des::sync::{channel, Receiver, Sender};
 
 use crate::network::{Network, NodeId};
@@ -34,6 +53,11 @@ pub enum Op {
     RdmaRead,
     /// Completion of a posted receive (receive-side only).
     Recv,
+    /// The work did not execute because the peer end was closed
+    /// (`IBV_WC_WR_FLUSH_ERR`). On a receive CQ: one completion per QP for
+    /// every receive it still had posted (`wr_id` is the oldest). On a send
+    /// CQ: a `SEND` the closed peer had no receive left for.
+    Flush,
 }
 
 /// A harvested completion, as in `ibv_wc`. `payload` carries the typed
@@ -49,6 +73,9 @@ pub struct Completion<P> {
     pub bytes: u64,
     /// Message attached by the sender (only on `Recv` completions).
     pub payload: Option<P>,
+    /// The number its QP was bound under ([`Qp::bind_recv_cq`]); 0 on
+    /// send-side completions.
+    pub qp_num: u32,
 }
 
 /// A completion queue; clone handles freely — QPs hold one.
@@ -92,22 +119,236 @@ enum WorkRequest<P> {
     Read { wr_id: u64, bytes: u64 },
 }
 
-struct QpShared<P> {
-    /// Credits: one per receive buffer posted by the *local* side.
-    recv_credits: Semaphore,
-    /// wr_ids of posted receives, consumed FIFO.
-    recv_wr_ids: RefCell<std::collections::VecDeque<u64>>,
-    /// Where the local side's recv completions go.
-    recv_cq_tx: RefCell<Option<Sender<Completion<P>>>>,
+/// Posted receives, consumed FIFO, as runs of consecutive `wr_id`s: an
+/// endpoint that re-posts `n`, `n + 1`, … keeps its whole window in the one
+/// inline run however many credits it holds.
+#[derive(Default)]
+struct RecvWindow {
+    /// The oldest run: `len` receives starting at id `first`.
+    first: u64,
+    len: u64,
+    /// Later runs, when posted ids were not consecutive.
+    more: VecDeque<(u64, u64)>,
 }
 
-/// One end of a connected reliable queue pair.
-pub struct Qp<P: 'static> {
+impl RecvWindow {
+    fn push(&mut self, wr_id: u64) {
+        if self.len == 0 {
+            (self.first, self.len) = (wr_id, 1);
+            return;
+        }
+        let (first, len) = match self.more.back_mut() {
+            Some(run) => (run.0, &mut run.1),
+            None => (self.first, &mut self.len),
+        };
+        if wr_id == first + *len {
+            *len += 1;
+        } else {
+            self.more.push_back((wr_id, 1));
+        }
+    }
+
+    fn pop(&mut self) -> Option<u64> {
+        if self.len == 0 {
+            return None;
+        }
+        let wr_id = self.first;
+        self.first += 1;
+        self.len -= 1;
+        if self.len == 0 {
+            if let Some(run) = self.more.pop_front() {
+                (self.first, self.len) = run;
+            }
+        }
+        Some(wr_id)
+    }
+}
+
+/// One end of a connected pair.
+struct End<P> {
+    node: NodeId,
+    /// Where this end's send-side completions go, if anywhere: a caller
+    /// that waits on [`Qp::completed`] needs no send CQ.
+    send_cq: Option<Sender<Completion<P>>>,
+    /// Work requests behind the one the engine holds. Allocated by the
+    /// first post that finds the engine busy, freed when it drains.
+    wq: RefCell<VecDeque<WorkRequest<P>>>,
+    /// An engine task is working through this end's queue.
+    busy: Cell<bool>,
+    /// Send-queue work requests posted and completed so far. The queue is
+    /// in-order, so request number `n` is done once `completed > n`.
+    posted: Cell<u64>,
+    completed: Cell<u64>,
+    /// Tasks blocked in [`Qp::completed`], with the number they wait for.
+    send_waiters: RefCell<Vec<(u64, Waker)>>,
+    window: RefCell<RecvWindow>,
+    /// The peer's engine, blocked on this end's empty window (RNR).
+    rnr: Cell<Option<Waker>>,
+    recv_cq: RefCell<Option<Sender<Completion<P>>>>,
+    qp_num: Cell<u32>,
+    /// The owner dropped its [`Qp`]. The window stays: what the peer had in
+    /// flight still crosses the wire, to nobody.
+    closed: Cell<bool>,
+}
+
+impl<P: 'static> End<P> {
+    fn new(node: NodeId, send_cq: Option<&Cq<P>>) -> Self {
+        End {
+            node,
+            send_cq: send_cq.map(Cq::sender),
+            wq: RefCell::default(),
+            busy: Cell::new(false),
+            posted: Cell::new(0),
+            completed: Cell::new(0),
+            send_waiters: RefCell::default(),
+            window: RefCell::default(),
+            rnr: Cell::new(None),
+            recv_cq: RefCell::new(None),
+            qp_num: Cell::new(0),
+            closed: Cell::new(false),
+        }
+    }
+
+    /// Takes one posted receive for an inbound `SEND`, suspending the
+    /// sending engine while the window is empty. `None`: the end is closed
+    /// and has no receive left, so the send is flushed.
+    fn poll_take_recv(&self, cx: &mut Context<'_>) -> Poll<Option<u64>> {
+        if let Some(wr_id) = self.window.borrow_mut().pop() {
+            return Poll::Ready(Some(wr_id));
+        }
+        if self.closed.get() {
+            return Poll::Ready(None);
+        }
+        self.rnr.set(Some(cx.waker().clone()));
+        note_current_blocked("receiver not ready");
+        Poll::Pending
+    }
+
+    /// Retires the head of the send queue: bumps the completion counter,
+    /// wakes the senders waiting for it, then feeds the send CQ.
+    fn complete(&self, wr_id: u64, op: Op, bytes: u64) {
+        let done = self.completed.get() + 1;
+        self.completed.set(done);
+        self.send_waiters.borrow_mut().retain(|(seq, waker)| {
+            let reached = *seq < done;
+            if reached {
+                waker.wake_by_ref();
+            }
+            !reached
+        });
+        if let Some(cq) = &self.send_cq {
+            let _ = cq.send_now(Completion {
+                wr_id,
+                op,
+                bytes,
+                payload: None,
+                qp_num: 0,
+            });
+        }
+    }
+
+    /// Feeds the receive CQ, if one is (still) bound.
+    fn deliver(&self, wr_id: u64, op: Op, bytes: u64, payload: Option<P>) {
+        if let Some(cq) = &*self.recv_cq.borrow() {
+            let _ = cq.send_now(Completion {
+                wr_id,
+                op,
+                bytes,
+                payload,
+                qp_num: self.qp_num.get(),
+            });
+        }
+    }
+}
+
+/// A connected pair: the one allocation behind both [`Qp`] handles and
+/// whichever engines are running.
+struct Pair<P> {
     net: Network,
-    local: NodeId,
-    peer: NodeId,
-    wq: Sender<WorkRequest<P>>,
-    local_shared: Rc<QpShared<P>>,
+    striped: bool,
+    ends: [End<P>; 2],
+}
+
+impl<P: 'static> Pair<P> {
+    async fn wire(&self, src: NodeId, dst: NodeId, bytes: u64) {
+        if self.striped {
+            self.net.transfer_striped(src, dst, bytes).await;
+        } else {
+            self.net.transfer(src, dst, bytes).await;
+        }
+    }
+
+    /// Tells `side`'s peer that `side` is closed and has nothing left to
+    /// send: the peer's posted receives can never complete, so they are
+    /// flushed to its CQ.
+    fn disconnect(&self, side: usize) {
+        let peer = &self.ends[1 - side];
+        let oldest = std::mem::take(&mut *peer.window.borrow_mut()).first;
+        if !peer.closed.get() {
+            peer.deliver(oldest, Op::Flush, 0, None);
+        }
+    }
+}
+
+thread_local! {
+    /// Every engine runs under this one name; a shared `Rc<str>` spares the
+    /// spawn a copy.
+    static ENGINE_NAME: Rc<str> = Rc::from("qp-engine");
+}
+
+/// The HCA working through `side`'s send queue, strictly in order, starting
+/// with `wr`. Lives until the queue is empty.
+async fn engine<P: 'static>(pair: Rc<Pair<P>>, side: usize, mut wr: WorkRequest<P>) {
+    let (end, peer) = (&pair.ends[side], &pair.ends[1 - side]);
+    loop {
+        match wr {
+            WorkRequest::Send {
+                wr_id,
+                bytes,
+                payload,
+            } => {
+                // RNR: wait for the peer to post a receive.
+                match poll_fn(|cx| peer.poll_take_recv(cx)).await {
+                    Some(recv_wr_id) => {
+                        pair.wire(end.node, peer.node, bytes).await;
+                        end.complete(wr_id, Op::Send, bytes);
+                        peer.deliver(recv_wr_id, Op::Recv, bytes, Some(payload));
+                    }
+                    None => end.complete(wr_id, Op::Flush, bytes),
+                }
+            }
+            WorkRequest::Write { wr_id, bytes } => {
+                pair.wire(end.node, peer.node, bytes).await;
+                end.complete(wr_id, Op::RdmaWrite, bytes);
+            }
+            WorkRequest::Read { wr_id, bytes } => {
+                // Data flows peer → local; no remote CPU involved (the
+                // remote HCA serves it).
+                pair.wire(peer.node, end.node, bytes).await;
+                end.complete(wr_id, Op::RdmaRead, bytes);
+            }
+        }
+        let next = end.wq.borrow_mut().pop_front();
+        match next {
+            Some(next) => wr = next,
+            None => break,
+        }
+    }
+    // Drained: give the ring back and go idle in the same poll, so a post
+    // can never land between the two.
+    end.wq.take();
+    end.busy.set(false);
+    if end.closed.get() {
+        pair.disconnect(side);
+    }
+}
+
+/// One end of a connected reliable queue pair. Dropping it closes the end:
+/// what it already posted is still sent, then the peer is told (see
+/// [`Op::Flush`]).
+pub struct Qp<P: 'static> {
+    pair: Rc<Pair<P>>,
+    side: usize,
 }
 
 /// Creates a connected RC queue pair between `a` and `b`.
@@ -123,196 +364,151 @@ pub async fn connect_qp<P: 'static>(
     send_cq_a: &Cq<P>,
     send_cq_b: &Cq<P>,
 ) -> (Qp<P>, Qp<P>) {
-    connect_qp_striped(net, a, b, send_cq_a, send_cq_b, false).await
+    connect_qp_striped(net, a, b, Some(send_cq_a), Some(send_cq_b), false).await
 }
 
-/// [`connect_qp`] with an explicit striping mode: a striped QP spreads the
-/// wire bytes of every work request across the fabric's rails (no-op on
-/// single-rail fabrics). Real multi-rail verbs stacks do this below the QP
-/// abstraction, so the API surface is otherwise identical.
+/// [`connect_qp`] with optional send CQs (an end without one reports its
+/// send-side completions through [`Qp::completed`] only) and an explicit
+/// striping mode: a striped QP spreads the wire bytes of every work request
+/// across the fabric's rails (no-op on single-rail fabrics). Real multi-rail
+/// verbs stacks do this below the QP abstraction, so the API surface is
+/// otherwise identical.
 pub async fn connect_qp_striped<P: 'static>(
     net: &Network,
     a: NodeId,
     b: NodeId,
-    send_cq_a: &Cq<P>,
-    send_cq_b: &Cq<P>,
+    send_cq_a: Option<&Cq<P>>,
+    send_cq_b: Option<&Cq<P>>,
     striped: bool,
 ) -> (Qp<P>, Qp<P>) {
     net.connect_delay(a, b).await;
-    let shared_a = Rc::new(QpShared {
-        recv_credits: Semaphore::new(0),
-        recv_wr_ids: RefCell::new(Default::default()),
-        recv_cq_tx: RefCell::new(None),
-    });
-    let shared_b = Rc::new(QpShared {
-        recv_credits: Semaphore::new(0),
-        recv_wr_ids: RefCell::new(Default::default()),
-        recv_cq_tx: RefCell::new(None),
-    });
-    let qp_a = build_qp(net, a, b, send_cq_a.sender(), &shared_a, &shared_b, striped);
-    let qp_b = build_qp(net, b, a, send_cq_b.sender(), &shared_b, &shared_a, striped);
-    (qp_a, qp_b)
-}
-
-fn build_qp<P: 'static>(
-    net: &Network,
-    local: NodeId,
-    peer: NodeId,
-    send_cq: Sender<Completion<P>>,
-    local_shared: &Rc<QpShared<P>>,
-    peer_shared: &Rc<QpShared<P>>,
-    striped: bool,
-) -> Qp<P> {
-    let (wq_tx, wq_rx) = channel::<WorkRequest<P>>();
-    let net2 = net.clone();
-    let peer_shared = Rc::clone(peer_shared);
-    // The QP engine: drains the work queue strictly in order, modelling the
-    // HCA's in-order WQE processing on an RC QP.
-    net.sim()
-        .spawn_daemon(format!("qp-engine {}->{}", local.0, peer.0), async move {
-            while let Some(wr) = wq_rx.recv().await {
-                match wr {
-                    WorkRequest::Send {
-                        wr_id,
-                        bytes,
-                        payload,
-                    } => {
-                        // RNR: wait for the peer to post a receive.
-                        let permit = peer_shared.recv_credits.acquire(1).await;
-                        permit.forget();
-                        if striped {
-                            net2.transfer_striped(local, peer, bytes).await;
-                        } else {
-                            net2.transfer(local, peer, bytes).await;
-                        }
-                        let recv_wr_id = peer_shared
-                            .recv_wr_ids
-                            .borrow_mut()
-                            .pop_front()
-                            .expect("recv credit without wr_id");
-                        let _ = send_cq.send_now(Completion {
-                            wr_id,
-                            op: Op::Send,
-                            bytes,
-                            payload: None,
-                        });
-                        let recv_tx = peer_shared.recv_cq_tx.borrow().clone();
-                        if let Some(tx) = recv_tx {
-                            let _ = tx.send_now(Completion {
-                                wr_id: recv_wr_id,
-                                op: Op::Recv,
-                                bytes,
-                                payload: Some(payload),
-                            });
-                        }
-                    }
-                    WorkRequest::Write { wr_id, bytes } => {
-                        if striped {
-                            net2.transfer_striped(local, peer, bytes).await;
-                        } else {
-                            net2.transfer(local, peer, bytes).await;
-                        }
-                        let _ = send_cq.send_now(Completion {
-                            wr_id,
-                            op: Op::RdmaWrite,
-                            bytes,
-                            payload: None,
-                        });
-                    }
-                    WorkRequest::Read { wr_id, bytes } => {
-                        // Data flows peer → local; no remote CPU involved
-                        // (the remote HCA serves it).
-                        if striped {
-                            net2.transfer_striped(peer, local, bytes).await;
-                        } else {
-                            net2.transfer(peer, local, bytes).await;
-                        }
-                        let _ = send_cq.send_now(Completion {
-                            wr_id,
-                            op: Op::RdmaRead,
-                            bytes,
-                            payload: None,
-                        });
-                    }
-                }
-            }
-        })
-        .detach();
-    Qp {
+    let pair = Rc::new(Pair {
         net: net.clone(),
-        local,
-        peer,
-        wq: wq_tx,
-        local_shared: Rc::clone(local_shared),
-    }
+        striped,
+        ends: [End::new(a, send_cq_a), End::new(b, send_cq_b)],
+    });
+    let qp_a = Qp {
+        pair: Rc::clone(&pair),
+        side: 0,
+    };
+    (qp_a, Qp { pair, side: 1 })
 }
 
 impl<P: 'static> Qp<P> {
-    /// Registers the CQ that receives this end's `Recv` completions.
-    pub fn bind_recv_cq(&self, cq: &Cq<P>) {
-        *self.local_shared.recv_cq_tx.borrow_mut() = Some(cq.sender());
+    fn end(&self) -> &End<P> {
+        &self.pair.ends[self.side]
+    }
+
+    /// Registers the CQ that receives this end's `Recv` completions. They
+    /// carry `qp_num`, so one CQ can serve many QPs.
+    pub fn bind_recv_cq(&self, cq: &Cq<P>, qp_num: u32) {
+        *self.end().recv_cq.borrow_mut() = Some(cq.sender());
+        self.end().qp_num.set(qp_num);
     }
 
     /// Posts a receive buffer (`ibv_post_recv`). Each buffered receive
     /// admits exactly one inbound `SEND`.
     pub fn post_recv(&self, wr_id: u64) {
-        self.local_shared.recv_wr_ids.borrow_mut().push_back(wr_id);
-        self.local_shared.recv_credits.release_raw(1);
+        self.end().window.borrow_mut().push(wr_id);
+        if let Some(engine) = self.end().rnr.take() {
+            engine.wake();
+        }
+    }
+
+    /// Queues `wr` behind whatever this end already posted, starting an
+    /// engine if none is running. Returns the request's position in the send
+    /// queue, for [`Qp::completed`].
+    fn post(&self, wr: WorkRequest<P>) -> u64 {
+        let end = self.end();
+        let seq = end.posted.get();
+        end.posted.set(seq + 1);
+        if end.busy.replace(true) {
+            end.wq.borrow_mut().push_back(wr);
+        } else {
+            self.pair.net.sim().spawn_detached_daemon(
+                ENGINE_NAME.with(Rc::clone),
+                engine(Rc::clone(&self.pair), self.side, wr),
+            );
+        }
+        seq
     }
 
     /// Posts a two-sided send carrying `payload` (`ibv_post_send`, opcode
-    /// `IBV_WR_SEND`).
-    pub fn post_send(&self, wr_id: u64, bytes: u64, payload: P) {
-        if self
-            .wq
-            .send_now(WorkRequest::Send {
-                wr_id,
-                bytes,
-                payload,
-            })
-            .is_err()
-        {
-            panic!("QP engine gone");
-        }
+    /// `IBV_WR_SEND`). Like every `post_*`, returns the request's position
+    /// in this end's send queue.
+    pub fn post_send(&self, wr_id: u64, bytes: u64, payload: P) -> u64 {
+        self.post(WorkRequest::Send {
+            wr_id,
+            bytes,
+            payload,
+        })
     }
 
     /// Posts a one-sided RDMA write of `bytes` into the peer's registered
     /// memory.
-    pub fn post_rdma_write(&self, wr_id: u64, bytes: u64) {
-        if self
-            .wq
-            .send_now(WorkRequest::Write { wr_id, bytes })
-            .is_err()
-        {
-            panic!("QP engine gone");
-        }
+    pub fn post_rdma_write(&self, wr_id: u64, bytes: u64) -> u64 {
+        self.post(WorkRequest::Write { wr_id, bytes })
     }
 
     /// Posts a one-sided RDMA read of `bytes` from the peer's registered
     /// memory.
-    pub fn post_rdma_read(&self, wr_id: u64, bytes: u64) {
-        if self
-            .wq
-            .send_now(WorkRequest::Read { wr_id, bytes })
-            .is_err()
-        {
-            panic!("QP engine gone");
-        }
+    pub fn post_rdma_read(&self, wr_id: u64, bytes: u64) -> u64 {
+        self.post(WorkRequest::Read { wr_id, bytes })
+    }
+
+    /// Waits until the send-queue request at position `seq` (what its
+    /// `post_*` returned) has completed; the queue is in-order, so every
+    /// earlier one has too. Any number of tasks may wait on one QP.
+    pub async fn completed(&self, seq: u64) {
+        let end = self.end();
+        let mut registered = false;
+        poll_fn(|cx| {
+            if end.completed.get() > seq {
+                return Poll::Ready(());
+            }
+            // Once is enough: a task's waker never changes.
+            if !registered {
+                registered = true;
+                end.send_waiters
+                    .borrow_mut()
+                    .push((seq, cx.waker().clone()));
+            }
+            note_current_blocked("send completion");
+            Poll::Pending
+        })
+        .await
     }
 
     /// Local node.
     pub fn local(&self) -> NodeId {
-        self.local
+        self.end().node
     }
 
     /// Remote node.
     pub fn peer(&self) -> NodeId {
-        self.peer
+        self.pair.ends[1 - self.side].node
     }
 
     /// The network this QP runs on.
     pub fn network(&self) -> &Network {
-        &self.net
+        &self.pair.net
+    }
+}
+
+impl<P: 'static> Drop for Qp<P> {
+    fn drop(&mut self) {
+        let end = self.end();
+        end.closed.set(true);
+        end.recv_cq.take();
+        // A peer engine blocked on this end's empty window must see the
+        // close: its send is flushed now.
+        if let Some(engine) = end.rnr.take() {
+            engine.wake();
+        }
+        // In-order close: a running engine disconnects when it has drained.
+        if !end.busy.get() {
+            self.pair.disconnect(self.side);
+        }
     }
 }
 
@@ -320,7 +516,7 @@ impl<P: 'static> Qp<P> {
 mod tests {
     use super::*;
     use crate::fabric::FabricParams;
-    use std::cell::Cell;
+    use rmr_des::prelude::*;
 
     fn fabric(bw: f64) -> FabricParams {
         let mut f = FabricParams::ib_verbs_qdr();
@@ -348,7 +544,7 @@ mod tests {
             let cq_b = Cq::<u64>::new();
             let recv_cq_b = Cq::<u64>::new();
             let (qa, qb) = connect_qp(&net2, a, b, &cq_a, &cq_b).await;
-            qb.bind_recv_cq(&recv_cq_b);
+            qb.bind_recv_cq(&recv_cq_b, 0);
             qb.post_recv(7);
             qa.post_send(1, 100, 0xBEEF); // 100 B at 100 B/s → 1 s
             let c = recv_cq_b.next().await.unwrap();
@@ -381,7 +577,7 @@ mod tests {
             let cq_b = Cq::<()>::new();
             let recv_b = Cq::<()>::new();
             let (qa, qb) = connect_qp(&net2, a, b, &cq_a, &cq_b).await;
-            qb.bind_recv_cq(&recv_b);
+            qb.bind_recv_cq(&recv_b, 0);
             qa.post_send(1, 8, ()); // no recv posted yet → RNR wait
             sim2.sleep(SimDuration::from_secs(3)).await;
             qb.post_recv(2);
@@ -435,7 +631,7 @@ mod tests {
         sim.spawn(async move {
             let cq_a = Cq::<()>::new();
             let cq_b = Cq::<()>::new();
-            let (qa, _qb) = connect_qp_striped(&net2, a, b, &cq_a, &cq_b, true).await;
+            let (qa, _qb) = connect_qp_striped(&net2, a, b, Some(&cq_a), Some(&cq_b), true).await;
             qa.post_rdma_read(9, 200);
             let c = cq_a.next().await.unwrap();
             assert_eq!(c.op, Op::RdmaRead);
@@ -460,7 +656,7 @@ mod tests {
             let cq_b = Cq::<u32>::new();
             let recv_b = Cq::<u32>::new();
             let (qa, qb) = connect_qp(&net2, a, b, &cq_a, &cq_b).await;
-            qb.bind_recv_cq(&recv_b);
+            qb.bind_recv_cq(&recv_b, 0);
             for i in 0..4 {
                 qb.post_recv(100 + i);
             }

@@ -9,7 +9,7 @@ use std::rc::Rc;
 
 use rmr_core::cluster::{Cluster, NodeSpec};
 use rmr_core::{JobConf, Runtime, ShuffleKind, StateFootprint};
-use rmr_des::Sim;
+use rmr_des::{Sim, SimDuration};
 use rmr_hdfs::HdfsConfig;
 use rmr_net::FabricParams;
 use rmr_workloads::{teragen, terasort_spec};
@@ -166,4 +166,39 @@ fn concurrent_batch_drains_to_zero_footprint() {
     sim.run();
     let fp = final_fp.borrow().expect("driver hung");
     assert_eq!(fp, StateFootprint::default(), "batch left state: {fp:?}");
+}
+
+/// A connection is state, not tasks: with every reducer connected to every
+/// TaskTracker, live tasks are counted in nodes and reducers — daemons per
+/// node, a few tasks per attempt — never in (reducer × TaskTracker) pairs.
+#[test]
+fn connect_all_costs_no_task_per_connection() {
+    const NODES: usize = 16;
+    const REDUCES: usize = 32;
+    let sim = Sim::new(0xC0DE);
+    let cluster = tiny_cluster(&sim, NODES);
+    let mut conf = tiny_conf();
+    conf.num_reduces = REDUCES;
+    let done = Rc::new(RefCell::new(false));
+    let done2 = Rc::clone(&done);
+    sim.spawn_named("bounded-driver", async move {
+        teragen(&cluster, "/in", 256 << 20, false).await;
+        let rt = Runtime::start(&cluster, conf.clone());
+        let id = rt.submit(conf, terasort_spec("/in", "/out"));
+        rt.join(id).await;
+        assert_eq!(rt.state_footprint().total(), 0);
+        *done2.borrow_mut() = true;
+    })
+    .detach();
+    // All 32 reducers fit the 16 × 2 reduce slots at once, so at the peak all
+    // 512 connections are up.
+    let mut peak = 0;
+    while !*done.borrow() {
+        sim.run_until(sim.now() + SimDuration::from_millis(20));
+        peak = peak.max(sim.live_tasks());
+    }
+    assert!(
+        peak <= 24 * NODES + 8 * REDUCES,
+        "{peak} live tasks on {NODES} nodes with {REDUCES} reducers"
+    );
 }

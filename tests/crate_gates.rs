@@ -2,8 +2,9 @@
 //! that otherwise run only under CI's `--workspace`: the sweep pool's
 //! thread-count invariance, service mode's replay determinism, and the data
 //! plane's property tests (codec/partition/merge/cursor invariants, and the
-//! map side against its oracle). The files are included, not copied, so
-//! there is one definition of each gate.
+//! map side against its oracle), and the queue-pair engine against its scan
+//! oracle. The files are included, not copied, so there is one definition
+//! of each gate.
 
 #[path = "../crates/bench/tests/sweep_determinism.rs"]
 mod sweep_determinism;
@@ -16,3 +17,6 @@ mod prop_record;
 
 #[path = "../crates/core/tests/prop_map.rs"]
 mod prop_map;
+
+#[path = "../crates/net/tests/prop_verbs.rs"]
+mod prop_verbs;
