@@ -97,8 +97,8 @@ fn terasort_replays_identically_per_engine() {
 fn terasort_trace_hashes_are_pinned() {
     for (kind, want) in [
         (ShuffleKind::Vanilla, 0x0848_4b3a_8520_5a96u64),
-        (ShuffleKind::HadoopA, 0xd59b_6e2a_90bf_b4c1),
-        (ShuffleKind::OsuIb, 0x6201_efb4_e5e4_efdd),
+        (ShuffleKind::HadoopA, 0x8b6d_6cc8_a477_51f5),
+        (ShuffleKind::OsuIb, 0x1e91_8b7b_0ebd_4369),
     ] {
         let sim = Sim::new(41);
         spawn_terasort(&sim, kind, 16 << 20);

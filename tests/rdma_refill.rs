@@ -123,7 +123,7 @@ fn hadoop_a_tight_buffer_issues_the_sweeps_request_sequence() {
     assert_eq!(
         pin,
         Pin {
-            trace_hash: 0x1b53_9ab8_42e4_61c0,
+            trace_hash: 0xcf59_ae7d_4a87_7afb,
             requests: 1160,
             request_stream: 0x979c_451f_70e8_426d,
         }
@@ -136,7 +136,7 @@ fn osu_ib_tight_buffer_issues_the_sweeps_request_sequence() {
     assert_eq!(
         pin,
         Pin {
-            trace_hash: 0x4c06_99d3_58e0_bb0b,
+            trace_hash: 0xd6a8_6c79_3a7c_7c76,
             requests: 780,
             request_stream: 0xedec_0a87_399a_bd5a,
         }
@@ -151,7 +151,7 @@ fn faulted_runs_keep_the_sweeps_request_sequence() {
         (
             ShuffleKind::HadoopA,
             Pin {
-                trace_hash: 0xc7e1_49ac_7b86_32a0,
+                trace_hash: 0xfba7_c7f8_fb9d_4b55,
                 requests: 1232,
                 request_stream: 0xff3b_3ec7_30e0_9731,
             },
@@ -159,7 +159,7 @@ fn faulted_runs_keep_the_sweeps_request_sequence() {
         (
             ShuffleKind::OsuIb,
             Pin {
-                trace_hash: 0xd329_8819_cb47_3a24,
+                trace_hash: 0x8e4c_c17f_ab26_9bdd,
                 requests: 844,
                 request_stream: 0x1645_5417_30a9_6f62,
             },

@@ -35,8 +35,8 @@ fn figure_points_replay_the_parent_commit() {
     };
     for (system, hash, duration_s) in [
         (System::IpoIb, 0x3464f8c008dc5b3a, 34.123687894999996),
-        (System::HadoopA, 0xc9d1075c9240aa5e, 24.255524922),
-        (System::OsuIb, 0xf1224bb749397a93, 32.995377797),
+        (System::HadoopA, 0xd654ede213084094, 24.255524922),
+        (System::OsuIb, 0x10e5276d61555b5f, 32.995377797),
     ] {
         let (rec, h) = point(Bench::TeraSort, system, Testbed::compute(2, 1), 0.5, 1);
         assert_eq!((h, rec.duration_s), (hash, duration_s), "{system:?}");
@@ -44,7 +44,7 @@ fn figure_points_replay_the_parent_commit() {
     // The testbed's rack topology reaches the cluster build.
     let racks = Testbed::compute(4, 1).with_racks(2, 4.0);
     let (rec, h) = point(Bench::Sort, System::OsuIb, racks, 0.5, 3);
-    assert_eq!((h, rec.duration_s), (0x00eeafea6de5a924, 11.900254293));
+    assert_eq!((h, rec.duration_s), (0xb346a56442edb814, 11.900254293));
 }
 
 #[test]
@@ -61,18 +61,18 @@ fn multijob_replays_the_parent_commit() {
         ))
     };
     let conc = mix(true);
-    assert_eq!(conc.trace_hash, 0x4a9d3b0308b94bb5);
+    assert_eq!(conc.trace_hash, 0x6a293da37a722c15);
     assert_eq!(durations(&conc), [21.607835694, 27.607846254000002]);
     let seq = mix(false);
-    assert_eq!(seq.trace_hash, 0x0cc22992b223eafd);
+    assert_eq!(seq.trace_hash, 0xcaca72d578951a63);
     assert_eq!(durations(&seq), [18.607830414, 21.000036960000003]);
 }
 
 #[test]
 fn scale_point_replays_the_parent_commit() {
     let r = run(&scenarios::scale(16, 2, 1.0, 42));
-    assert_eq!(r.trace_hash, 0x2c37430cafcfba95);
-    assert_eq!((r.events, r.polls), (18399, 44069));
+    assert_eq!(r.trace_hash, 0x2a6157e1d7d00af1);
+    assert_eq!((r.events, r.polls), (18399, 40581));
     assert_eq!(durations(&r), [6.894031341000001, 9.464015187000001]);
     assert_eq!(r.makespan_s(), 11.004989989);
     assert_eq!(r.footprint.total(), 0);
@@ -84,10 +84,10 @@ fn chaos_storm_replays_the_parent_commit() {
     let chaos =
         |plan: &FaultPlan| run(&scenarios::chaos(System::OsuIb, false, 8, 2, 1.0, 42, plan));
     let twin = chaos(&FaultPlan::none());
-    assert_eq!(twin.trace_hash, 0xf294e3482b88435b);
+    assert_eq!(twin.trace_hash, 0xb8b864f567964fac);
     assert_eq!(twin.makespan_s(), 18.63560132);
     let storm = chaos(&storm_plan(8, 2, &TwinTiming::of(&twin.jobs)));
-    assert_eq!(storm.trace_hash, 0x41638e4a2188a6f2);
+    assert_eq!(storm.trace_hash, 0x9380baa1fe96ae6e);
     assert_eq!(durations(&storm), [13.733833658, 21.607625498]);
     assert_eq!(storm.footprint.total(), 0, "both victims restarted");
 
@@ -104,7 +104,7 @@ fn chaos_storm_replays_the_parent_commit() {
     ));
     assert_eq!(
         (wc.trace_hash, wc.shuffled_bytes()),
-        (0xc7eb41916988700a, 616)
+        (0x531f8cad83902fe6, 616)
     );
 }
 
@@ -119,13 +119,13 @@ fn phases_points_replay_the_parent_commit() {
     let r = run(&ha);
     assert_eq!(
         (r.trace_hash, durations(&r)[0]),
-        (0xfbe0fdb2a704dda1, 28.236380571000005)
+        (0x866b8a0e02efb2a4, 28.236380571000005)
     );
     let ssd = scenarios::phases(Bench::Sort, System::OsuIb, Testbed::ssd(2), 1.0);
     let r = run(&ssd);
     assert_eq!(
         (r.trace_hash, durations(&r)[0]),
-        (0x58f9f63f8a2ad4cd, 13.345544199000003)
+        (0x73a63c0fea488cb8, 13.345544199000003)
     );
 }
 
@@ -141,17 +141,17 @@ fn service_runs_replay_the_parent_commit() {
     for (policy, hash, makespan_s, events, polls) in [
         (
             ServicePolicy::Fifo,
-            0x02bdca8911e8d27d,
+            0x6204ca9b83d5a2b1,
             42.082738062,
             19283,
-            36530,
+            36001,
         ),
         (
             ServicePolicy::Capacity { preempt: true },
-            0xa7bd2e068bd2e47c,
+            0x84b5268c6d9d25fb,
             42.082931898,
             16961,
-            33798,
+            33262,
         ),
     ] {
         let rep = run_service(&service_spec(4, 14, 42, policy, false));
@@ -200,7 +200,7 @@ fn recording_keeps_two_snapshots_and_the_hash() {
     sc.record = true;
     let rec = run(&sc);
     assert_eq!(
-        rec.trace_hash, 0x4a9d3b0308b94bb5,
+        rec.trace_hash, 0x6a293da37a722c15,
         "recorder perturbed the run"
     );
     assert!(!rec.recorder.is_empty());
@@ -230,7 +230,7 @@ fn expired_limit_reports_the_driver_and_the_runtime() {
     assert!(hung.runtime.is_none());
     // With room to finish, the limit changes nothing.
     sc.limit = Some(SimTime::from_nanos(3_600_000_000_000));
-    assert_eq!(run(&sc).trace_hash, 0x4a9d3b0308b94bb5);
+    assert_eq!(run(&sc).trace_hash, 0x6a293da37a722c15);
 }
 
 fn result_files(prefix: &str) -> Vec<std::path::PathBuf> {
