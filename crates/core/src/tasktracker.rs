@@ -27,6 +27,7 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use rmr_des::prelude::*;
+use rmr_des::Counter;
 use rmr_net::{
     listen, ucr_listen_into, EndPoint, EndpointSet, ListenerHandle, Network, UcrConnector,
 };
@@ -51,9 +52,23 @@ pub enum TtServerHandle {
     Rdma(UcrConnector<ShufMsg>),
 }
 
-/// Serve cursors keyed by (job, map, reduce), each tagged with the reduce
-/// attempt it serves.
-type ServeCursors = BTreeMap<(JobId, usize, usize), (u32, SegmentCursor)>;
+/// What a TaskTracker keeps per (job, map, reduce) it has served from: one
+/// entry, so a request finds its cursor and its reader in one search.
+struct ServeEntry {
+    /// The reduce attempt being served. A newer attempt rewinds the entry
+    /// (the retried reducer re-fetches from the head); an older attempt's
+    /// request is stale.
+    attempt: u32,
+    cursor: SegmentCursor,
+    /// The partition's sequential disk reader, once a request missed the
+    /// cache. Taken out while a read is in flight (the `RefCell` must not
+    /// stay borrowed across the await) and put back after it. Boxed: a
+    /// reader is three times the rest of the entry, and most entries of a
+    /// cached or drained map hold none.
+    reader: Option<Box<FileReader>>,
+}
+
+type ServeState = BTreeMap<(JobId, usize, usize), ServeEntry>;
 
 /// One TaskTracker.
 pub struct TaskTracker {
@@ -88,16 +103,16 @@ pub struct TaskTracker {
     obs: Recorder,
     /// Whether the serve path consults the PrefetchCache (engine decides).
     cache_enabled: bool,
-    /// Per-(job, map, reduce) serve cursors, tagged with the reduce attempt
-    /// they serve. A newer attempt rewinds the cursor (the retried reducer
-    /// re-fetches from the head); an older attempt's request is stale.
-    cursors: RefCell<ServeCursors>,
-    /// Per-(job, map, reduce) sequential disk readers.
-    readers: RefCell<BTreeMap<(JobId, usize, usize), FileReader>>,
+    /// Per-(job, map, reduce) serve cursors and disk readers.
+    serving: RefCell<ServeState>,
     /// How many reduce partitions of each map have been fully served; at
     /// the map's partition count the cached copy is released (its useful
     /// life is over).
     served_parts: RefCell<BTreeMap<(JobId, usize), usize>>,
+    /// `tt.cache_hit_bytes` / `tt.disk_serve_bytes`, shared by every
+    /// TaskTracker of the simulation.
+    c_cache_hit_bytes: Counter,
+    c_disk_serve_bytes: Counter,
 }
 
 impl TaskTracker {
@@ -137,9 +152,10 @@ impl TaskTracker {
             sim: sim.clone(),
             obs,
             cache_enabled,
-            cursors: RefCell::new(BTreeMap::new()),
-            readers: RefCell::new(BTreeMap::new()),
+            serving: RefCell::new(BTreeMap::new()),
             served_parts: RefCell::new(BTreeMap::new()),
+            c_cache_hit_bytes: sim.metrics().counter("tt.cache_hit_bytes"),
+            c_disk_serve_bytes: sim.metrics().counter("tt.disk_serve_bytes"),
         })
     }
 
@@ -150,9 +166,12 @@ impl TaskTracker {
     }
 
     /// Open serving-side state: `(segment cursors, disk readers)` — exposed
-    /// for `Runtime::dump()` snapshots.
+    /// for `Runtime::dump()` snapshots. A reader out on a read in flight is
+    /// not counted.
     pub fn serve_state_counts(&self) -> (usize, usize) {
-        (self.cursors.borrow().len(), self.readers.borrow().len())
+        let serving = self.serving.borrow();
+        let readers = serving.values().filter(|e| e.reader.is_some()).count();
+        (serving.len(), readers)
     }
 
     /// Called when a map completes on this TT: kicks the prefetcher
@@ -191,26 +210,30 @@ impl TaskTracker {
         let key = (job, map_idx, reduce);
         let total = info.parts[reduce].clone();
         let (total_records, total_bytes) = (total.records, total.bytes);
-        let mut rewound = false;
-        let (packet, remaining_records) = {
-            let mut cursors = self.cursors.borrow_mut();
-            let ent = cursors
-                .entry(key)
-                .or_insert_with(|| (attempt, SegmentCursor::new(total.clone())));
-            if attempt > ent.0 {
+        let fresh = || ServeEntry {
+            attempt,
+            cursor: SegmentCursor::new(total.clone()),
+            reader: None,
+        };
+        // The one search for this request's state. The reader comes out with
+        // the packet; whoever ends up holding it puts it back below.
+        let (packet, remaining_records, mut reader) = {
+            let mut serving = self.serving.borrow_mut();
+            let ent = serving.entry(key).or_insert_with(fresh);
+            if attempt > ent.attempt {
                 // A newer reduce attempt re-fetches from the segment head:
-                // rewind the cursor the dead attempt advanced. If the old
-                // attempt had fully drained the partition, undo its
-                // served_parts credit so the cache release stays accurate.
-                if ent.1.remaining_records() == 0 && total.records > 0 {
+                // rewind the cursor the dead attempt advanced (and drop its
+                // reader, which is mid-file). If the old attempt had fully
+                // drained the partition, undo its served_parts credit so the
+                // cache release stays accurate.
+                if ent.cursor.remaining_records() == 0 && total.records > 0 {
                     let mut served = self.served_parts.borrow_mut();
                     if let Some(e) = served.get_mut(&(job, map_idx)) {
                         *e = e.saturating_sub(1);
                     }
                 }
-                *ent = (attempt, SegmentCursor::new(total.clone()));
-                rewound = true;
-            } else if attempt < ent.0 {
+                *ent = fresh();
+            } else if attempt < ent.attempt {
                 // Stale request from a superseded (dead) attempt: answer
                 // empty-and-complete without touching the live cursor.
                 return ShufMsg::Response {
@@ -224,17 +247,12 @@ impl TaskTracker {
                 };
             }
             let packet = match budget {
-                PacketBudget::Bytes(b) => ent.1.take_bytes(b),
-                PacketBudget::Records(n) => ent.1.take_records(n),
-                PacketBudget::Full => ent.1.take_bytes(u64::MAX),
+                PacketBudget::Bytes(b) => ent.cursor.take_bytes(b),
+                PacketBudget::Records(n) => ent.cursor.take_records(n),
+                PacketBudget::Full => ent.cursor.take_bytes(u64::MAX),
             };
-            let remaining = ent.1.remaining_records();
-            (packet, remaining)
+            (packet, ent.cursor.remaining_records(), ent.reader.take())
         };
-        if rewound {
-            // The old attempt's sequential reader is mid-file; restart it.
-            self.readers.borrow_mut().remove(&key);
-        }
         if remaining_records == 0 && packet.records > 0 {
             // This partition is fully shipped; once every reducer has
             // drained its partition the cached file has no future readers.
@@ -246,9 +264,13 @@ impl TaskTracker {
             };
             if done {
                 self.cache.remove((job, map_idx));
-                self.readers
-                    .borrow_mut()
-                    .retain(|(j, m, _), _| (*j, *m) != (job, map_idx));
+                // The map's readers go with it, this request's own included:
+                // a last packet that misses is read through a new reader.
+                reader = None;
+                let parts = (job, map_idx, 0)..=(job, map_idx, usize::MAX);
+                for (_, ent) in self.serving.borrow_mut().range_mut(parts) {
+                    ent.reader = None;
+                }
             }
         }
 
@@ -257,9 +279,7 @@ impl TaskTracker {
         if packet.bytes > 0 {
             if self.cache_enabled && self.cache.lookup((job, map_idx)) {
                 from_cache = true;
-                self.sim
-                    .metrics()
-                    .add("tt.cache_hit_bytes", packet.bytes as f64);
+                self.c_cache_hit_bytes.add(packet.bytes as f64);
                 self.obs.emit(|| Ev::CacheHit {
                     node: self.idx,
                     job: job.0,
@@ -276,19 +296,14 @@ impl TaskTracker {
                     });
                 }
                 // Read from disk (through the page cache) with a sequential
-                // per-(job, map, reduce) stream. The reader is moved out for
-                // the await (the RefCell must not stay borrowed across it).
-                let taken = self.readers.borrow_mut().remove(&key);
-                let mut reader = taken
-                    .unwrap_or_else(|| self.node.fs.reader(&info.file).expect("map output file"));
-                reader
-                    .read_exact(packet.bytes)
+                // per-(job, map, reduce) stream.
+                let disk = reader.get_or_insert_with(|| {
+                    Box::new(self.node.fs.reader(&info.file).expect("map output file"))
+                });
+                disk.read_exact(packet.bytes)
                     .await
                     .expect("map output shorter than index");
-                self.readers.borrow_mut().insert(key, reader);
-                self.sim
-                    .metrics()
-                    .add("tt.disk_serve_bytes", packet.bytes as f64);
+                self.c_disk_serve_bytes.add(packet.bytes as f64);
                 if self.cache_enabled {
                     // Demand miss: stage the whole file at high priority so
                     // successive requests hit (§III-B-3).
@@ -301,6 +316,15 @@ impl TaskTracker {
                     });
                 }
             }
+        }
+        if let Some(reader) = reader {
+            // Back into its entry — unless the job's serve state was dropped
+            // while the read was in flight.
+            if let Some(ent) = self.serving.borrow_mut().get_mut(&key) {
+                ent.reader = Some(reader);
+            }
+        }
+        if packet.bytes > 0 {
             // Response staging cost (building the packet buffers).
             self.node
                 .compute(self.conf.costs.serde_per_byte * packet.bytes as f64)
@@ -335,10 +359,7 @@ impl TaskTracker {
 
     /// Resets serve state for a map output (failed-map invalidation).
     pub fn invalidate(&self, job: JobId, map_idx: usize) {
-        self.cursors
-            .borrow_mut()
-            .retain(|(j, m, _), _| (*j, *m) != (job, map_idx));
-        self.readers
+        self.serving
             .borrow_mut()
             .retain(|(j, m, _), _| (*j, *m) != (job, map_idx));
         self.cache.remove((job, map_idx));
@@ -346,8 +367,7 @@ impl TaskTracker {
 
     /// Drops all serve state of a finished job (commit-time cleanup).
     pub fn cleanup_job(&self, job: JobId) {
-        self.cursors.borrow_mut().retain(|(j, _, _), _| *j != job);
-        self.readers.borrow_mut().retain(|(j, _, _), _| *j != job);
+        self.serving.borrow_mut().retain(|(j, _, _), _| *j != job);
         self.served_parts.borrow_mut().retain(|(j, _), _| *j != job);
         self.cache.remove_job(job);
     }
@@ -356,8 +376,7 @@ impl TaskTracker {
     /// The in-heap state dies with the process; per-job hit/miss counters
     /// survive because `JobResult` reads them at commit.
     pub fn clear_serve_state(&self) {
-        self.cursors.borrow_mut().clear();
-        self.readers.borrow_mut().clear();
+        self.serving.borrow_mut().clear();
         self.served_parts.borrow_mut().clear();
         self.cache.clear();
     }

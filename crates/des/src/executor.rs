@@ -6,14 +6,25 @@
 //! 1. drain the ready queue, polling every runnable task at the current
 //!    virtual instant;
 //! 2. when no task is runnable, pop the earliest scheduled event, advance the
-//!    clock to its timestamp, and fire it (waking tasks or running a closure).
+//!    clock to its timestamp, and fire it (waking a task, running a closure,
+//!    or ticking a recurring `Tick` target).
+//!
+//! Pending events live in a slab of `EventSlot`s indexed by a binary
+//! min-heap of `(time, seq, slot)` entries; every heap move writes the
+//! entry's position back into its slot. The heap therefore holds pending
+//! events only: [`Sim::cancel`] removes the entry and recycles the slot on
+//! the spot, [`Sim::reschedule`] re-keys it in one sift, and the slab never
+//! grows past the peak number of events pending at once
+//! ([`Sim::event_slots`]).
 //!
 //! All state lives behind a single `Rc<RefCell<Core>>`; user code is never
 //! invoked while the core is borrowed, so re-entrant calls into the [`Sim`]
 //! handle from inside tasks and event closures are always safe.
 //!
 //! Determinism: ties in the event heap break on a monotonically increasing
-//! sequence number, the ready queue is FIFO, and nothing consults wall-clock
+//! sequence number — firing order is a total order on `(time, seq)`, so it
+//! does not depend on how the heap is laid out or which slot an event got —
+//! the ready queue is FIFO, and nothing consults wall-clock
 //! time or OS entropy (randomness comes from the seeded [`rand`] generator on
 //! the [`Sim`] handle).
 //!
@@ -26,8 +37,7 @@
 //! event heap drains — the lost-waker/deadlock detector.
 
 use std::cell::RefCell;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
@@ -49,7 +59,9 @@ pub struct TaskId {
     gen: u32,
 }
 
-/// Identifier of a scheduled event; cancellable until it fires.
+/// Identifier of a scheduled event; cancellable until it fires. Carries its
+/// slot's generation, which is bumped when the event fires or is cancelled,
+/// so an id outliving its event never touches the slot's next occupant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EventId {
     index: u32,
@@ -59,14 +71,27 @@ pub struct EventId {
 type LocalFuture = Pin<Box<dyn Future<Output = ()> + 'static>>;
 type EventFn = Box<dyn FnOnce(&Sim) + 'static>;
 
+/// The target of a recurring kernel event (a [`crate::resource::Fluid`]'s
+/// next completion): scheduling the shared state itself costs no boxed
+/// closure and no handle clone per event.
+pub(crate) trait Tick {
+    /// Called when the event fires, outside the core borrow.
+    fn tick(self: Rc<Self>, sim: &Sim);
+}
+
 enum EventAction {
     Wake(Waker),
     Call(EventFn),
+    Tick(Rc<dyn Tick>),
 }
 
 struct EventSlot {
+    /// Matches an [`EventId`] exactly while that event is pending.
     gen: u32,
-    /// `None` when the slot is vacant or the event was cancelled.
+    /// Where the event's entry sits in `Core::heap` (meaningless while the
+    /// slot is vacant).
+    pos: u32,
+    /// `Some` exactly while the event is pending.
     action: Option<EventAction>,
 }
 
@@ -99,7 +124,7 @@ struct WakeEntry {
     ready: ReadyQueue,
     /// True while the task sits in the ready queue, so broadcast wake
     /// fan-out (a fluid completion batch finishing every leg of one
-    /// transfer's `join_all` at the same instant) collapses to a single
+    /// transfer at the same instant) collapses to a single
     /// queue entry and a single poll. Redundant wakes while the task is
     /// already queued are dropped; the executor clears the flag when it pops
     /// the task, so wakes arriving during a poll still re-queue it.
@@ -118,30 +143,32 @@ impl Wake for WakeEntry {
     }
 }
 
-#[derive(PartialEq, Eq)]
+/// One pending event in the min-heap, ordered by `(time, seq)`; `slot`
+/// indexes `Core::events`.
+#[derive(Clone, Copy)]
 struct HeapEntry {
     time: SimTime,
     seq: u64,
-    event: EventId,
+    slot: u32,
 }
 
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
-}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+impl HeapEntry {
+    /// `(time, seq)` as one integer: a comparison is a subtract-with-borrow,
+    /// not two branches, so picking the earlier of two children — a coin
+    /// flip to the branch predictor — compiles to a conditional move.
+    fn key(&self) -> u128 {
+        (self.time.as_nanos() as u128) << 64 | self.seq as u128
     }
 }
 
 struct Core {
     now: SimTime,
     seq: u64,
-    heap: BinaryHeap<Reverse<HeapEntry>>,
+    /// Binary min-heap of the pending events, and nothing else.
+    heap: Vec<HeapEntry>,
+    /// The event slab; `heap[events[i].pos].slot == i` for every pending `i`.
     events: Vec<EventSlot>,
+    /// Vacant slots, reused last-freed-first.
     free_events: Vec<u32>,
     tasks: Vec<TaskSlot>,
     free_tasks: Vec<u32>,
@@ -239,31 +266,132 @@ pub fn note_current_blocked(label: impl Into<BlockedLabel>) {
 }
 
 impl Core {
-    fn alloc_event(&mut self, action: EventAction) -> EventId {
-        if let Some(index) = self.free_events.pop() {
+    /// Puts a new event on the queue under the next sequence number.
+    fn push_event(&mut self, at: SimTime, action: EventAction) -> EventId {
+        let (index, gen) = if let Some(index) = self.free_events.pop() {
             let slot = &mut self.events[index as usize];
             slot.action = Some(action);
-            EventId {
-                index,
-                gen: slot.gen,
-            }
+            (index, slot.gen)
         } else {
-            let index = self.events.len() as u32;
             self.events.push(EventSlot {
                 gen: 0,
+                pos: 0,
                 action: Some(action),
             });
-            EventId { index, gen: 0 }
+            (self.events.len() as u32 - 1, 0)
+        };
+        let entry = HeapEntry {
+            time: at.max(self.now),
+            seq: self.next_seq(),
+            slot: index,
+        };
+        self.heap.push(entry);
+        self.sift_up(self.heap.len() - 1);
+        EventId { index, gen }
+    }
+
+    fn next_seq(&mut self) -> u64 {
+        let seq = self.seq;
+        self.seq += 1;
+        seq
+    }
+
+    /// The slot of `id` if that event is still pending: firing and
+    /// cancelling both bump the generation, so a match means neither
+    /// happened yet.
+    fn pending(&mut self, id: EventId) -> Option<&mut EventSlot> {
+        self.events
+            .get_mut(id.index as usize)
+            .filter(|slot| slot.gen == id.gen)
+    }
+
+    /// Removes the heap entry at `pos` and frees its slot, handing back the
+    /// action for the caller to run or drop outside the core borrow.
+    fn take_event(&mut self, pos: usize) -> Option<EventAction> {
+        let index = self.heap[pos].slot;
+        let last = self.heap.pop().expect("heap entry to remove");
+        if pos < self.heap.len() {
+            self.heap[pos] = last;
+            self.sift_from_bottom(pos);
+        }
+        let slot = &mut self.events[index as usize];
+        slot.gen = slot.gen.wrapping_add(1);
+        self.free_events.push(index);
+        slot.action.take()
+    }
+
+    /// Restores heap order around `pos` after its key changed either way.
+    fn sift(&mut self, pos: usize) {
+        if self.sift_up(pos) == pos {
+            self.sift_down(pos);
         }
     }
 
-    fn release_event(&mut self, id: EventId) {
-        let slot = &mut self.events[id.index as usize];
-        debug_assert_eq!(slot.gen, id.gen);
-        slot.gen = slot.gen.wrapping_add(1);
-        slot.action = None;
-        self.free_events.push(id.index);
+    /// Restores heap order after the last leaf was moved into `pos`: such an
+    /// entry nearly always belongs near the bottom again, so the hole is
+    /// walked down along the earlier children (one comparison a level, not
+    /// two) and the entry sifted up from there — as far as it takes, above
+    /// `pos` too.
+    fn sift_from_bottom(&mut self, mut pos: usize) {
+        let (heap, events) = (&mut self.heap[..], &mut self.events[..]);
+        let entry = heap[pos];
+        // While there are two children, take the earlier one.
+        while 2 * pos + 2 < heap.len() {
+            let left = 2 * pos + 1;
+            let child = left + usize::from(heap[left + 1].key() < heap[left].key());
+            place(heap, events, pos, heap[child]);
+            pos = child;
+        }
+        if 2 * pos + 1 < heap.len() {
+            place(heap, events, pos, heap[2 * pos + 1]);
+            pos = 2 * pos + 1;
+        }
+        heap[pos] = entry;
+        self.sift_up(pos);
     }
+
+    /// Moves the entry at `pos` towards the root until its parent is not
+    /// later; returns where it ended up.
+    fn sift_up(&mut self, mut pos: usize) -> usize {
+        let (heap, events) = (&mut self.heap[..], &mut self.events[..]);
+        let entry = heap[pos];
+        while pos > 0 {
+            let parent = (pos - 1) / 2;
+            if heap[parent].key() <= entry.key() {
+                break;
+            }
+            place(heap, events, pos, heap[parent]);
+            pos = parent;
+        }
+        place(heap, events, pos, entry);
+        pos
+    }
+
+    /// Moves the entry at `pos` towards the leaves until no child is earlier.
+    fn sift_down(&mut self, mut pos: usize) {
+        let (heap, events) = (&mut self.heap[..], &mut self.events[..]);
+        let entry = heap[pos];
+        loop {
+            let left = 2 * pos + 1;
+            if left >= heap.len() {
+                break;
+            }
+            let right_is_earlier = left + 1 < heap.len() && heap[left + 1].key() < heap[left].key();
+            let child = left + usize::from(right_is_earlier);
+            if entry.key() <= heap[child].key() {
+                break;
+            }
+            place(heap, events, pos, heap[child]);
+            pos = child;
+        }
+        place(heap, events, pos, entry);
+    }
+}
+
+/// Writes `entry` at heap position `pos` and the position into its slot.
+fn place(heap: &mut [HeapEntry], events: &mut [EventSlot], pos: usize, entry: HeapEntry) {
+    heap[pos] = entry;
+    events[entry.slot as usize].pos = pos as u32;
 }
 
 /// Cloneable handle to a running simulation. All simulation primitives
@@ -282,7 +410,7 @@ impl Sim {
             core: Rc::new(RefCell::new(Core {
                 now: SimTime::ZERO,
                 seq: 0,
-                heap: BinaryHeap::with_capacity(1024),
+                heap: Vec::with_capacity(1024),
                 events: Vec::with_capacity(1024),
                 free_events: Vec::with_capacity(1024),
                 tasks: Vec::with_capacity(256),
@@ -343,45 +471,71 @@ impl Sim {
         self.schedule(at, EventAction::Wake(waker))
     }
 
-    fn schedule(&self, at: SimTime, action: EventAction) -> EventId {
-        let mut core = self.core.borrow_mut();
-        let at = at.max(core.now);
-        let id = core.alloc_event(action);
-        let seq = core.seq;
-        core.seq += 1;
-        core.heap.push(Reverse(HeapEntry {
-            time: at,
-            seq,
-            event: id,
-        }));
-        id
+    /// Schedules `target.tick()` at absolute time `at`: [`Sim::schedule_fn`]
+    /// without the boxed closure, for events that recur on shared state.
+    pub(crate) fn schedule_tick(&self, at: SimTime, target: Rc<dyn Tick>) -> EventId {
+        self.schedule(at, EventAction::Tick(target))
     }
 
-    /// Cancels a pending event. Harmless if the event already fired (the
-    /// generation check rejects stale ids).
+    /// Takes the slab slot last freed (or grows the slab by one) and pushes
+    /// the event onto the heap under the next sequence number.
+    fn schedule(&self, at: SimTime, action: EventAction) -> EventId {
+        self.core.borrow_mut().push_event(at, action)
+    }
+
+    /// Cancels a pending event: its heap entry is removed and its slot is
+    /// free for the next `schedule` before this returns. Harmless if the
+    /// event already fired or was cancelled, even if the slot has been reused
+    /// since (the generation check rejects stale ids).
     pub fn cancel(&self, id: EventId) {
+        let action = {
+            let mut core = self.core.borrow_mut();
+            let Some(slot) = core.pending(id) else {
+                return;
+            };
+            let pos = slot.pos as usize;
+            core.take_event(pos)
+        };
+        // Dropped outside the core borrow: what a closure captured may
+        // re-enter the Sim handle from its destructor.
+        drop(action);
+    }
+
+    /// Moves a pending event to absolute time `at` (clamped to now) under a
+    /// *fresh* sequence number, keeping its action and id: the same
+    /// `(time, seq)` stream as [`Sim::cancel`] followed by a `schedule` of the
+    /// same action, in one sift and without touching the slab. Returns
+    /// `false`, consuming no sequence number, if the event is not pending.
+    ///
+    /// Kernel-internal ([`crate::resource::Fluid`] moves its next-completion
+    /// event with it); public only so the out-of-crate queue oracle in
+    /// `tests/prop_kernel.rs` can drive it.
+    #[doc(hidden)]
+    pub fn reschedule(&self, id: EventId, at: SimTime) -> bool {
         let mut core = self.core.borrow_mut();
-        let slot = &mut core.events[id.index as usize];
-        if slot.gen == id.gen {
-            // Leave the heap entry in place; it is skipped when popped.
-            slot.action = None;
-        }
+        let Some(slot) = core.pending(id) else {
+            return false;
+        };
+        let pos = slot.pos as usize;
+        let (time, seq) = (at.max(core.now), core.next_seq());
+        let entry = &mut core.heap[pos];
+        (entry.time, entry.seq) = (time, seq);
+        core.sift(pos);
+        true
     }
 
     /// Replaces the waker of a pending timer event (used when a timer future
-    /// is polled again with a different waker).
-    pub(crate) fn reset_wake(&self, id: EventId, waker: Waker) {
+    /// is polled again with a different waker). Returns whether the event was
+    /// still pending.
+    pub(crate) fn reset_wake(&self, id: EventId, waker: Waker) -> bool {
         let mut core = self.core.borrow_mut();
-        let slot = &mut core.events[id.index as usize];
-        if slot.gen == id.gen && slot.action.is_some() {
-            slot.action = Some(EventAction::Wake(waker));
+        match core.pending(id) {
+            Some(slot) => {
+                slot.action = Some(EventAction::Wake(waker));
+                true
+            }
+            None => false,
         }
-    }
-
-    pub(crate) fn event_is_pending(&self, id: EventId) -> bool {
-        let core = self.core.borrow();
-        let slot = &core.events[id.index as usize];
-        slot.gen == id.gen && slot.action.is_some()
     }
 
     /// Spawns an anonymous task (named `task-<n>` in spawn order) and
@@ -673,42 +827,32 @@ impl Sim {
             // Phase 2: advance to the next event.
             let fired = {
                 let mut core = self.core.borrow_mut();
-                loop {
-                    match core.heap.pop() {
-                        Some(Reverse(entry)) => {
-                            {
-                                let slot = &core.events[entry.event.index as usize];
-                                if slot.gen != entry.event.gen || slot.action.is_none() {
-                                    continue; // cancelled or stale
-                                }
+                match core.heap.first().copied() {
+                    Some(next) => {
+                        if let Some(limit) = limit {
+                            if next.time > limit {
+                                // Stays queued; stop at the limit.
+                                core.now = limit;
+                                return limit;
                             }
-                            if let Some(limit) = limit {
-                                if entry.time > limit {
-                                    // Push back and stop at the limit.
-                                    core.heap.push(Reverse(entry));
-                                    core.now = limit;
-                                    return limit;
-                                }
-                            }
-                            core.now = entry.time;
-                            core.events_fired += 1;
-                            let mut h = core.trace_hash;
-                            fold_hash(&mut h, &entry.time.as_nanos().to_le_bytes());
-                            fold_hash(&mut h, &entry.seq.to_le_bytes());
-                            core.trace_hash = h;
-                            let id = entry.event;
-                            let action = core.events[id.index as usize].action.take();
-                            // Release after take so the id can be reused.
-                            core.release_event(id);
-                            break action;
                         }
-                        None => break None,
+                        core.now = next.time;
+                        core.events_fired += 1;
+                        let mut h = core.trace_hash;
+                        fold_hash(&mut h, &next.time.as_nanos().to_le_bytes());
+                        fold_hash(&mut h, &next.seq.to_le_bytes());
+                        core.trace_hash = h;
+                        // The slot is free before the action runs, so the
+                        // action's own next `schedule` reuses it.
+                        core.take_event(0)
                     }
+                    None => None,
                 }
             };
             match fired {
                 Some(EventAction::Wake(w)) => w.wake(),
                 Some(EventAction::Call(f)) => f(self),
+                Some(EventAction::Tick(t)) => t.tick(self),
                 None => {
                     let core = self.core.borrow();
                     debug_assert!(
@@ -718,6 +862,38 @@ impl Sim {
                     return core.now;
                 }
             }
+        }
+    }
+
+    /// Number of event slots ever allocated: the slab's length. Slots are
+    /// recycled when their event fires or is cancelled, so this is the peak
+    /// of [`Sim::pending_events`], not the number of events scheduled — the
+    /// leak canary for the event queue.
+    pub fn event_slots(&self) -> usize {
+        self.core.borrow().events.len()
+    }
+
+    /// Number of events scheduled and neither fired nor cancelled yet.
+    pub fn pending_events(&self) -> usize {
+        self.core.borrow().heap.len()
+    }
+
+    /// Panics unless the event queue is consistent: heap order holds, every
+    /// entry's slot points back at it and holds an action, and every other
+    /// slot is vacant and on the free list. For tests.
+    #[doc(hidden)]
+    pub fn check_event_queue(&self) {
+        let core = self.core.borrow();
+        for (pos, entry) in core.heap.iter().enumerate() {
+            let parent = &core.heap[pos.saturating_sub(1) / 2];
+            assert!(parent.key() <= entry.key(), "heap order broken at {pos}");
+            let slot = &core.events[entry.slot as usize];
+            assert_eq!(slot.pos as usize, pos, "slot {} lost its entry", entry.slot);
+            assert!(slot.action.is_some(), "pending slot without an action");
+        }
+        assert_eq!(core.heap.len() + core.free_events.len(), core.events.len());
+        for &index in &core.free_events {
+            assert!(core.events[index as usize].action.is_none());
         }
     }
 
@@ -959,14 +1135,12 @@ impl Future for Timer {
             }
             return Poll::Ready(());
         }
-        match self.event {
-            Some(ev) if self.sim.event_is_pending(ev) => {
-                self.sim.reset_wake(ev, cx.waker().clone());
-            }
-            _ => {
-                let ev = self.sim.schedule_wake(self.deadline, cx.waker().clone());
-                self.event = Some(ev);
-            }
+        let rearmed = self
+            .event
+            .is_some_and(|ev| self.sim.reset_wake(ev, cx.waker().clone()));
+        if !rearmed {
+            let ev = self.sim.schedule_wake(self.deadline, cx.waker().clone());
+            self.event = Some(ev);
         }
         Poll::Pending
     }
@@ -1089,6 +1263,133 @@ mod tests {
         sim.cancel(id);
         sim.run();
         assert!(!fired.get());
+    }
+
+    #[test]
+    fn schedule_cancel_cycles_reuse_one_slot() {
+        // A cancelled event used to keep its slot for good and its heap
+        // entry until its time came round.
+        let sim = Sim::new(1);
+        for i in 0..1_000_000u64 {
+            let id = sim.schedule_fn(SimTime::from_nanos(1 + i % 977), |_| {});
+            sim.cancel(id);
+        }
+        assert_eq!(sim.pending_events(), 0);
+        assert!(sim.event_slots() <= 2, "{} slots", sim.event_slots());
+        sim.check_event_queue();
+        assert_eq!(sim.run(), SimTime::ZERO);
+        assert_eq!(sim.events_fired(), 0);
+    }
+
+    #[test]
+    fn timer_losing_a_million_races_leaves_no_slots_behind() {
+        // The heartbeat shape: wait for a notification or a long timeout,
+        // and the notification always wins, so every timeout is cancelled.
+        const ROUNDS: u32 = 1_000_000;
+        let sim = Sim::new(1);
+        let work = crate::sync::Notify::new();
+        let (sim2, work2) = (sim.clone(), work.clone());
+        sim.spawn_named("waiter", async move {
+            for _ in 0..ROUNDS {
+                let timeout = sim2.sleep(SimDuration::from_secs(3));
+                let r = crate::sync::select2(work2.notified(), timeout).await;
+                assert!(matches!(r, crate::sync::Either::Left(())));
+            }
+        })
+        .detach();
+        let sim3 = sim.clone();
+        sim.spawn_named("notifier", async move {
+            for _ in 0..ROUNDS {
+                sim3.sleep(SimDuration::from_millis(1)).await;
+                work.notify_all();
+            }
+        })
+        .detach();
+        sim.step_until_no_events().assert_clean();
+        assert_eq!(sim.events_fired(), ROUNDS as u64);
+        assert_eq!(sim.pending_events(), 0);
+        assert!(sim.event_slots() <= 2, "{} slots", sim.event_slots());
+    }
+
+    #[test]
+    fn fluid_with_many_arrivals_holds_one_slot() {
+        // Every arrival moves the fluid's next-completion event; none of the
+        // moves may take a second slot.
+        let sim = Sim::new(1);
+        let fluid = crate::resource::Fluid::new(&sim, 100.0);
+        let consumers: Vec<_> = (0..64)
+            .map(|i| {
+                let c = fluid.consume(1_000.0 - i as f64);
+                assert_eq!((sim.pending_events(), sim.event_slots()), (1, 1));
+                c
+            })
+            .collect();
+        sim.check_event_queue();
+        drop(consumers);
+        assert_eq!((sim.pending_events(), sim.event_slots()), (0, 1));
+    }
+
+    #[test]
+    fn stale_event_ids_are_ignored() {
+        let sim = Sim::new(1);
+        let hits = Rc::new(Cell::new(0u32));
+        let bump = |hits: &Rc<Cell<u32>>| {
+            let hits = Rc::clone(hits);
+            move |_: &Sim| hits.set(hits.get() + 1)
+        };
+        // Fired: cancelling or moving it afterwards does nothing.
+        let fired = sim.schedule_fn(SimTime::from_nanos(1), bump(&hits));
+        sim.run();
+        assert_eq!(hits.get(), 1);
+        sim.cancel(fired);
+        assert!(!sim.reschedule(fired, SimTime::from_nanos(5)));
+        // Cancelled twice.
+        let cancelled = sim.schedule_fn(SimTime::from_nanos(10), bump(&hits));
+        sim.cancel(cancelled);
+        sim.cancel(cancelled);
+        // The slot both ids named now belongs to a third event, which the
+        // stale ids must not reach.
+        let live = sim.schedule_fn(SimTime::from_nanos(20), bump(&hits));
+        assert_eq!(sim.event_slots(), 1);
+        sim.cancel(fired);
+        sim.cancel(cancelled);
+        assert!(!sim.reschedule(cancelled, SimTime::from_nanos(30)));
+        assert_eq!(sim.pending_events(), 1);
+        sim.check_event_queue();
+        assert_eq!(sim.run().as_nanos(), 20);
+        assert_eq!(hits.get(), 2);
+        sim.cancel(live);
+        assert_eq!(sim.pending_events(), 0);
+    }
+
+    #[test]
+    fn reschedule_is_cancel_plus_schedule() {
+        // Same firing order and trace hash, ties included: the moved event
+        // goes behind everything already scheduled for its new instant.
+        let run = |in_place: bool| {
+            let sim = Sim::new(1);
+            let log = Rc::new(RefCell::new(Vec::new()));
+            let push = |tag: char| {
+                let log = Rc::clone(&log);
+                move |s: &Sim| log.borrow_mut().push((tag, s.now().as_nanos()))
+            };
+            let a = sim.schedule_fn(SimTime::from_nanos(50), push('a'));
+            sim.schedule_fn(SimTime::from_nanos(10), push('b'));
+            sim.schedule_fn(SimTime::from_nanos(10), push('c'));
+            if in_place {
+                assert!(sim.reschedule(a, SimTime::from_nanos(10)));
+            } else {
+                sim.cancel(a);
+                sim.schedule_fn(SimTime::from_nanos(10), push('a'));
+            }
+            sim.schedule_fn(SimTime::from_nanos(10), push('d'));
+            sim.check_event_queue();
+            sim.run();
+            let order: String = log.borrow().iter().map(|(tag, _)| *tag).collect();
+            (order, sim.trace_hash(), sim.events_fired())
+        };
+        assert_eq!(run(true), run(false));
+        assert_eq!(run(true).0, "bcad");
     }
 
     #[test]

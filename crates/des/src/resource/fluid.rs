@@ -31,7 +31,10 @@
 //!
 //! The implementation schedules exactly one kernel event — the earliest
 //! completion — recomputing it whenever a consumer arrives, departs, or
-//! completes. This is the standard fluid approximation used by
+//! completes. The event's target is the shared state itself (an
+//! `executor::Tick`) and a recomputation moves the pending event instead of
+//! replacing it, so a busy resource holds one event slot and allocates
+//! nothing per event. This is the standard fluid approximation used by
 //! packet-level-accurate-enough network simulators; it reproduces bandwidth
 //! contention without per-packet events.
 
@@ -43,7 +46,7 @@ use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
-use crate::executor::{EventId, Sim};
+use crate::executor::{EventId, Sim, Tick};
 use crate::time::{SimDuration, SimTime};
 
 /// Residual work below this many units counts as complete (sub-microbyte /
@@ -115,11 +118,8 @@ struct Inner {
     /// The virtual clock: per-unit-weight service since the last idle period.
     vt: f64,
     last: SimTime,
-    /// The scheduled next-completion kernel event and its firing time.
-    /// Tracking the time lets [`Fluid::reschedule`] keep the event in place
-    /// when a membership change didn't move the earliest completion
-    /// (cap-bound regimes), skipping a cancel+push pair of heap churn.
-    next_event: Option<(EventId, SimTime)>,
+    /// The scheduled next-completion kernel event, while one is pending.
+    next_event: Option<EventId>,
     /// Reused wake-batch buffer for [`Inner::complete_finished`].
     wake_batch: Vec<usize>,
     served: f64,
@@ -383,47 +383,13 @@ impl Fluid {
             }));
         }
         drop(inner);
-        self.reschedule();
+        reschedule(&self.sim, &self.inner);
         ConsumeFuture {
             fluid: self.clone(),
             idx,
             gen,
             finished: false,
         }
-    }
-
-    /// Recomputes and reschedules the next-completion event.
-    ///
-    /// Always cancel + schedule fresh: an in-place "keep the event when the
-    /// time is unchanged" variant was measured to reorder same-instant event
-    /// seqs against other schedulers, which perturbs verbs-engine results —
-    /// the replay-identity gates forbid it. The cancel is O(1) (lazy).
-    fn reschedule(&self) {
-        let mut inner = self.inner.borrow_mut();
-        if let Some((ev, _)) = inner.next_event.take() {
-            drop(inner);
-            self.sim.cancel(ev);
-            inner = self.inner.borrow_mut();
-        }
-        if let Some(dt) = inner.time_to_next_completion() {
-            let at = self.sim.now() + SimDuration::from_secs_f64(dt);
-            let handle = self.clone();
-            drop(inner);
-            let ev = self.sim.schedule_fn(at, move |_| handle.tick());
-            self.inner.borrow_mut().next_event = Some((ev, at));
-        }
-    }
-
-    /// Event callback: advance, complete, reschedule.
-    fn tick(&self) {
-        let now = self.sim.now();
-        {
-            let mut inner = self.inner.borrow_mut();
-            inner.next_event = None;
-            inner.advance(now);
-            inner.complete_finished();
-        }
-        self.reschedule();
     }
 
     fn release_slot(&self, idx: usize) {
@@ -446,9 +412,53 @@ impl Fluid {
                     inner.reset_clock();
                 }
                 drop(inner);
-                self.reschedule();
+                reschedule(&self.sim, &self.inner);
             }
         }
+    }
+}
+
+/// Recomputes `inner`'s next completion and makes its kernel event fire then.
+///
+/// The event always ends up under a *fresh* sequence number, exactly as if it
+/// had been cancelled and scheduled anew: keeping the old number when the
+/// time did not move was measured to reorder same-instant events against
+/// other schedulers, which perturbs verbs-engine results — the
+/// replay-identity gates forbid it. [`Sim::reschedule`] does that in one
+/// sift of the pending entry, in its slot.
+fn reschedule(sim: &Sim, inner: &Rc<RefCell<Inner>>) {
+    let (pending, next) = {
+        let mut inner = inner.borrow_mut();
+        (inner.next_event, inner.time_to_next_completion())
+    };
+    let next = next.map(|dt| sim.now() + SimDuration::from_secs_f64(dt));
+    match (pending, next) {
+        (Some(ev), Some(at)) => {
+            let moved = sim.reschedule(ev, at);
+            debug_assert!(moved, "the fluid's own event is pending until it ticks");
+        }
+        (Some(ev), None) => {
+            sim.cancel(ev);
+            inner.borrow_mut().next_event = None;
+        }
+        (None, Some(at)) => {
+            let ev = sim.schedule_tick(at, Rc::clone(inner) as Rc<dyn Tick>);
+            inner.borrow_mut().next_event = Some(ev);
+        }
+        (None, None) => {}
+    }
+}
+
+/// The next-completion event: advance, complete, reschedule.
+impl Tick for RefCell<Inner> {
+    fn tick(self: Rc<Self>, sim: &Sim) {
+        {
+            let mut inner = self.borrow_mut();
+            inner.next_event = None;
+            inner.advance(sim.now());
+            inner.complete_finished();
+        }
+        reschedule(sim, &self);
     }
 }
 

@@ -2,7 +2,9 @@
 //!
 //! The kernel deliberately avoids pulling in a futures library; simulated
 //! components need only these two shapes — racing a timer against a
-//! notification, and waiting for a batch of spawned children.
+//! notification, and waiting for a batch of concurrent legs. Both poll their
+//! futures in place, in a fixed order: `select2` holds its two inline,
+//! `join_all` holds its batch in one allocation.
 
 use std::future::Future;
 use std::pin::Pin;
@@ -49,41 +51,55 @@ impl<A: Future, B: Future> Future for Select2<A, B> {
 }
 
 /// Awaits every future in `futs`, returning outputs in input order.
-pub async fn join_all<F: Future>(futs: Vec<F>) -> Vec<F::Output> {
-    let mut futs: Vec<Pin<Box<F>>> = futs.into_iter().map(Box::pin).collect();
-    let mut out: Vec<Option<F::Output>> = futs.iter().map(|_| None).collect();
+///
+/// Every poll polls the unfinished futures in input order; a future that
+/// finished is dropped at once and never polled again. The futures live side
+/// by side in one pinned allocation.
+pub fn join_all<F: Future>(futs: Vec<F>) -> JoinAll<F> {
+    let slots: Box<[JoinSlot<F>]> = futs.into_iter().map(JoinSlot::Running).collect();
     JoinAll {
-        futs: &mut futs,
-        out: &mut out,
+        slots: Box::into_pin(slots),
     }
-    .await;
-    out.into_iter().map(|v| v.expect("join_all slot")).collect()
 }
 
-struct JoinAll<'a, F: Future> {
-    futs: &'a mut Vec<Pin<Box<F>>>,
-    out: &'a mut Vec<Option<F::Output>>,
+enum JoinSlot<F: Future> {
+    Running(F),
+    Done(F::Output),
+    /// The output moved into [`JoinAll`]'s result.
+    Taken,
 }
 
-impl<F: Future> Future for JoinAll<'_, F> {
-    type Output = ();
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        let this = &mut *self;
+/// Future returned by [`join_all`].
+pub struct JoinAll<F: Future> {
+    slots: Pin<Box<[JoinSlot<F>]>>,
+}
+
+impl<F: Future> Future for JoinAll<F> {
+    type Output = Vec<F::Output>;
+    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
+        // SAFETY: the slots stay where the box put them. A running future is
+        // only polled in place or dropped in place (the assignment below);
+        // outputs are not futures and are free to move.
+        let slots = unsafe { self.slots.as_mut().get_unchecked_mut() };
         let mut all_done = true;
-        for (i, fut) in this.futs.iter_mut().enumerate() {
-            if this.out[i].is_some() {
-                continue;
-            }
-            match fut.as_mut().poll(cx) {
-                Poll::Ready(v) => this.out[i] = Some(v),
-                Poll::Pending => all_done = false,
+        for slot in slots.iter_mut() {
+            if let JoinSlot::Running(fut) = slot {
+                match unsafe { Pin::new_unchecked(fut) }.poll(cx) {
+                    Poll::Ready(v) => *slot = JoinSlot::Done(v),
+                    Poll::Pending => all_done = false,
+                }
             }
         }
-        if all_done {
-            Poll::Ready(())
-        } else {
-            Poll::Pending
+        if !all_done {
+            return Poll::Pending;
         }
+        let outputs = slots
+            .iter_mut()
+            .map(|slot| match std::mem::replace(slot, JoinSlot::Taken) {
+                JoinSlot::Done(v) => v,
+                _ => panic!("join_all polled after completion"),
+            });
+        Poll::Ready(outputs.collect())
     }
 }
 
@@ -92,7 +108,7 @@ mod tests {
     use super::*;
     use crate::executor::Sim;
     use crate::time::SimDuration;
-    use std::cell::Cell;
+    use std::cell::{Cell, RefCell};
     use std::rc::Rc;
 
     #[test]
@@ -162,6 +178,83 @@ mod tests {
         let end = sim.run();
         assert_eq!(out.get(), 1);
         assert_eq!(end.as_nanos(), 3_000_000_000);
+    }
+
+    /// Finishes on its `polls_needed`-th poll with `id * 10`; logs every poll
+    /// and every drop, and refuses to be polled once finished.
+    struct Probe {
+        id: u32,
+        polls_needed: u32,
+        polls: u32,
+        log: Rc<RefCell<Vec<(char, u32)>>>,
+    }
+
+    impl Future for Probe {
+        type Output = u32;
+        fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<u32> {
+            assert!(self.polls < self.polls_needed, "polled after it finished");
+            self.polls += 1;
+            self.log.borrow_mut().push(('p', self.id));
+            if self.polls == self.polls_needed {
+                return Poll::Ready(self.id * 10);
+            }
+            cx.waker().wake_by_ref();
+            Poll::Pending
+        }
+    }
+
+    impl Drop for Probe {
+        fn drop(&mut self) {
+            self.log.borrow_mut().push(('d', self.id));
+        }
+    }
+
+    fn probes(polls_needed: &[u32], log: &Rc<RefCell<Vec<(char, u32)>>>) -> Vec<Probe> {
+        let probe = |(id, &polls_needed)| Probe {
+            id: id as u32,
+            polls_needed,
+            polls: 0,
+            log: Rc::clone(log),
+        };
+        polls_needed.iter().enumerate().map(probe).collect()
+    }
+
+    #[test]
+    fn join_all_polls_in_order_and_drops_each_future_once() {
+        let sim = Sim::new(1);
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let futs = probes(&[2, 1, 3], &log);
+        let out = Rc::new(RefCell::new(Vec::new()));
+        let out2 = Rc::clone(&out);
+        sim.spawn(async move {
+            let outputs = join_all(futs).await;
+            *out2.borrow_mut() = outputs;
+        })
+        .detach();
+        sim.run();
+        assert_eq!(*out.borrow(), vec![0, 10, 20]);
+        // Each round polls the unfinished probes in input order; a probe is
+        // dropped the moment it finishes and never seen again.
+        let (p, d) = (|id| ('p', id), |id| ('d', id));
+        let want = vec![p(0), p(1), d(1), p(2), p(0), d(0), p(2), p(2), d(2)];
+        assert_eq!(*log.borrow(), want);
+    }
+
+    #[test]
+    fn dropping_a_join_drops_its_unfinished_futures() {
+        let sim = Sim::new(1);
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let futs = probes(&[1, 9, 9], &log);
+        sim.spawn(async move {
+            // The join gets one round, then loses to the ready right side.
+            let r = select2(join_all(futs), std::future::ready(())).await;
+            assert!(matches!(r, Either::Right(())));
+        })
+        .detach();
+        sim.run();
+        let (p, d) = (|id| ('p', id), |id| ('d', id));
+        let want = vec![p(0), d(0), p(1), p(2), d(1), d(2)];
+        assert_eq!(*log.borrow(), want);
     }
 
     #[test]

@@ -12,6 +12,12 @@
 //! the paper's results (many reducers pulling from one TaskTracker, shuffle
 //! competing with HDFS replication traffic) without per-packet events.
 //!
+//! The legs of one transfer are a fixed, small set — tx, rx, the two rack
+//! legs, the two CPUs — so they live inline in the transfer's own future
+//! ([`Legs`]) and are polled in place, in the order they were started; only
+//! a striped transfer's extra rails spill to a `Vec`. A transfer on a
+//! single-rail fabric allocates nothing.
+//!
 //! With a hierarchical [`Topology`], cross-rack transfers additionally
 //! contend on the source rack's core uplink and the destination rack's
 //! downlink — two more fluid legs, sized at
@@ -19,8 +25,12 @@
 //! (oversubscription 1.0) adds no legs at all and replays bit-identically
 //! against the flat network (see [`Topology::constrains`]).
 
+use std::future::Future;
+use std::pin::Pin;
+use std::task::{Context, Poll};
+
 use rmr_des::prelude::*;
-use rmr_des::sync::join_all;
+use rmr_des::resource::fluid::ConsumeFuture;
 
 use crate::fabric::FabricParams;
 use crate::topology::Topology;
@@ -53,6 +63,43 @@ struct NodeNet {
 struct RackNet {
     up: Fluid,
     down: Fluid,
+}
+
+/// The concurrent fluid legs of one transfer, in start order: the wire pair,
+/// a striped transfer's extra rails, then rack uplink/downlink and the two
+/// host CPUs. Resolves when every leg has; a finished leg is dropped and not
+/// polled again. Dropping it mid-flight cancels the unfinished legs in the
+/// same order. `ConsumeFuture` is `Unpin`, so polling in place needs no
+/// `unsafe`.
+#[derive(Default)]
+struct Legs {
+    wire: [Option<ConsumeFuture>; 2],
+    /// Rails 1..k, senders' tx then receivers' rx; never allocated by an
+    /// unstriped transfer.
+    rails: Vec<Option<ConsumeFuture>>,
+    /// Rack up, rack down, send CPU, receive CPU.
+    rest: [Option<ConsumeFuture>; 4],
+}
+
+impl Future for Legs {
+    type Output = ();
+    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        let Legs { wire, rails, rest } = &mut *self;
+        let mut all_done = true;
+        for leg in wire.iter_mut().chain(rails).chain(rest) {
+            if let Some(fut) = leg {
+                match Pin::new(fut).poll(cx) {
+                    Poll::Ready(()) => *leg = None,
+                    Poll::Pending => all_done = false,
+                }
+            }
+        }
+        if all_done {
+            Poll::Ready(())
+        } else {
+            Poll::Pending
+        }
+    }
 }
 
 /// A scheduled impairment window on one node's links, injected by a fault
@@ -251,95 +298,69 @@ impl Network {
         self.len() == 0
     }
 
-    fn leg_futures(
+    /// Starts every leg of one message, in [`Legs`] order. A striped message
+    /// splits its wire bytes evenly over the rails; with no extra rails
+    /// (single-rail fabric) or no wire at all (loopback) striping changes
+    /// nothing.
+    fn start_legs(
         &self,
         src: NodeId,
         dst: NodeId,
         bytes: u64,
         wire_scale: f64,
-    ) -> Vec<rmr_des::resource::fluid::ConsumeFuture> {
+        striped: bool,
+    ) -> Legs {
         let nodes = self.nodes.borrow();
         let s = &nodes[src.0 as usize];
         let d = &nodes[dst.0 as usize];
         // Degraded links stretch the wire legs only; `wire_scale` is exactly
         // 1.0 on healthy paths, leaving the consumed amount bit-identical.
         let wire = bytes as f64 * wire_scale;
-        let mut legs = Vec::with_capacity(4);
+        let mut legs = Legs::default();
         if src != dst {
-            legs.push(s.tx.consume(wire));
-            legs.push(d.rx.consume(wire));
+            let (s_rails, d_rails) = if striped {
+                (&s.rails[..], &d.rails[..])
+            } else {
+                (&[][..], &[][..])
+            };
+            // Even fluid split: each rail moves 1/k of the wire bytes. Rail 0
+            // is the node's plain tx/rx pair, so a striped message still
+            // shares it fairly with un-striped traffic.
+            let share = wire / (s_rails.len() + 1) as f64;
+            legs.wire = [Some(s.tx.consume(share)), Some(d.rx.consume(share))];
+            legs.rails.reserve_exact(s_rails.len() + d_rails.len());
+            for (stx, _) in s_rails {
+                legs.rails.push(Some(stx.consume(share)));
+            }
+            for (_, drx) in d_rails {
+                legs.rails.push(Some(drx.consume(share)));
+            }
             // Cross-rack messages also queue on the source rack's core
             // uplink and the destination rack's downlink — but only when
             // the core can actually bind (oversubscription > 1.0); a
             // fully-provisioned core is mathematically never the
             // bottleneck, and omitting its legs keeps flat replay exact.
+            // The core carries the whole message however many rails fed it.
             if self.topology.constrains() && self.topology.cross_rack(src, dst) {
                 let racks = self.racks.borrow();
-                legs.push(racks[self.topology.rack_of(src)].up.consume(wire));
-                legs.push(racks[self.topology.rack_of(dst)].down.consume(wire));
+                legs.rest[0] = Some(racks[self.topology.rack_of(src)].up.consume(wire));
+                legs.rest[1] = Some(racks[self.topology.rack_of(dst)].down.consume(wire));
             }
         }
+        // Protocol CPU is charged once for the whole message: striping
+        // splits the wire, not the work-request posting.
         let send_cpu = self.fabric.send_cpu(bytes);
         let recv_cpu = self.fabric.recv_cpu(bytes);
         if let Some(cpu) = &s.cpu {
             if send_cpu > 0.0 {
-                legs.push(cpu.consume(send_cpu));
+                legs.rest[2] = Some(cpu.consume(send_cpu));
             }
         }
         if src != dst {
             if let Some(cpu) = &d.cpu {
                 if recv_cpu > 0.0 {
-                    legs.push(cpu.consume(recv_cpu));
+                    legs.rest[3] = Some(cpu.consume(recv_cpu));
                 }
-            }
-        }
-        legs
-    }
-
-    fn striped_leg_futures(
-        &self,
-        src: NodeId,
-        dst: NodeId,
-        bytes: u64,
-        wire_scale: f64,
-    ) -> Vec<rmr_des::resource::fluid::ConsumeFuture> {
-        let nodes = self.nodes.borrow();
-        let s = &nodes[src.0 as usize];
-        let d = &nodes[dst.0 as usize];
-        let k = (s.rails.len() + 1) as f64;
-        let wire = bytes as f64 * wire_scale;
-        // Even fluid split: each rail moves 1/k of the wire bytes. Rail 0
-        // is the node's plain tx/rx pair, so a striped message still shares
-        // it fairly with un-striped traffic.
-        let share = wire / k;
-        let mut legs = Vec::with_capacity(2 * (s.rails.len() + 1) + 4);
-        legs.push(s.tx.consume(share));
-        legs.push(d.rx.consume(share));
-        for (stx, _) in &s.rails {
-            legs.push(stx.consume(share));
-        }
-        for (_, drx) in &d.rails {
-            legs.push(drx.consume(share));
-        }
-        // The rack core carries the aggregate regardless of how many HCA
-        // rails fed it, so its legs see the full message.
-        if self.topology.constrains() && self.topology.cross_rack(src, dst) {
-            let racks = self.racks.borrow();
-            legs.push(racks[self.topology.rack_of(src)].up.consume(wire));
-            legs.push(racks[self.topology.rack_of(dst)].down.consume(wire));
-        }
-        // Protocol CPU is charged once for the whole message: striping
-        // splits the wire, not the work-request posting.
-        let send_cpu = self.fabric.send_cpu(bytes);
-        if let Some(cpu) = &s.cpu {
-            if send_cpu > 0.0 {
-                legs.push(cpu.consume(send_cpu));
-            }
-        }
-        let recv_cpu = self.fabric.recv_cpu(bytes);
-        if let Some(cpu) = &d.cpu {
-            if recv_cpu > 0.0 {
-                legs.push(cpu.consume(recv_cpu));
             }
         }
         legs
@@ -350,23 +371,7 @@ impl Network {
     /// `transfer` — same legs, same ordering — so engines can call it
     /// unconditionally without perturbing single-rail replays.
     pub async fn transfer_striped(&self, src: NodeId, dst: NodeId, bytes: u64) {
-        if self.fabric.rails <= 1 || src == dst {
-            return self.transfer(src, dst, bytes).await;
-        }
-        let mut wire_scale = 1.0;
-        if !self.faults.borrow().is_empty() {
-            self.wait_out_partitions(src, dst).await;
-            let now = self.sim.now();
-            wire_scale =
-                1.0 / (self.degradation_factor(src, now) * self.degradation_factor(dst, now));
-        }
-        let legs = self.striped_leg_futures(src, dst, bytes, wire_scale);
-        join_all(legs).await;
-        self.sim.sleep(self.fabric.latency).await;
-        self.c_transferred.add(bytes as f64);
-        if self.topology.cross_rack(src, dst) {
-            self.c_cross_rack.add(bytes as f64);
-        }
+        self.transfer_over(src, dst, bytes, true).await
     }
 
     /// Moves one `bytes`-sized message from `src` to `dst`, resolving when
@@ -374,6 +379,10 @@ impl Network {
     /// pays the protocol CPU cost on socket fabrics (local HTTP fetches in
     /// vanilla Hadoop are real socket traffic through loopback).
     pub async fn transfer(&self, src: NodeId, dst: NodeId, bytes: u64) {
+        self.transfer_over(src, dst, bytes, false).await
+    }
+
+    async fn transfer_over(&self, src: NodeId, dst: NodeId, bytes: u64, striped: bool) {
         let mut wire_scale = 1.0;
         if !self.faults.borrow().is_empty() {
             if src != dst {
@@ -383,8 +392,7 @@ impl Network {
             wire_scale =
                 1.0 / (self.degradation_factor(src, now) * self.degradation_factor(dst, now));
         }
-        let legs = self.leg_futures(src, dst, bytes, wire_scale);
-        join_all(legs).await;
+        self.start_legs(src, dst, bytes, wire_scale, striped).await;
         if src != dst {
             self.sim.sleep(self.fabric.latency).await;
         }
@@ -763,6 +771,86 @@ mod tests {
         }
         sim.run();
         assert_eq!(*t.borrow().iter().max().unwrap(), secs(2.0));
+    }
+
+    /// Two hosts in different racks of an oversubscribed, three-rail socket
+    /// fabric, each with a CPU: a transfer between them has every kind of
+    /// leg (wire pair, rails, rack up/down, both CPUs).
+    fn every_leg_net(sim: &Sim) -> (Network, NodeId, NodeId) {
+        let mut f = FabricParams::ipoib_qdr().with_rails(3);
+        f.link_bw = 97.0;
+        f.latency = rmr_des::SimDuration::from_micros(7);
+        f.cpu_send_per_byte = 1e-3;
+        f.cpu_recv_per_byte = 2e-3;
+        let net = Network::with_topology(sim, f, Topology::racks(1, 4.0));
+        let a = net.add_node(Some(Fluid::with_entry_cap(sim, 2.0, 1.0)));
+        let b = net.add_node(Some(Fluid::with_entry_cap(sim, 2.0, 1.0)));
+        (net, a, b)
+    }
+
+    /// In-flight consumers summed over every fluid of the network.
+    fn active_legs(net: &Network) -> usize {
+        let node = |n: &NodeNet| {
+            let rails: usize = n.rails.iter().map(|(t, r)| t.active() + r.active()).sum();
+            n.tx.active() + n.rx.active() + rails + n.cpu.as_ref().map_or(0, Fluid::active)
+        };
+        let nodes: usize = net.nodes.borrow().iter().map(node).sum();
+        let racks = net.racks.borrow();
+        nodes
+            + racks
+                .iter()
+                .map(|r| r.up.active() + r.down.active())
+                .sum::<usize>()
+    }
+
+    #[test]
+    fn aborting_mid_transfer_releases_every_leg() {
+        for striped in [false, true] {
+            let sim = Sim::new(1);
+            let (net, a, b) = every_leg_net(&sim);
+            let group = sim.group();
+            let net2 = net.clone();
+            group
+                .spawn_named("sender", async move {
+                    if striped {
+                        net2.transfer_striped(a, b, 1_000).await;
+                    } else {
+                        net2.transfer(a, b, 1_000).await;
+                    }
+                    unreachable!("aborted before the last byte lands");
+                })
+                .detach();
+            // The send CPU leg (1 s) is done, the rest are mid-flight.
+            sim.run_until(secs(1.5));
+            assert_eq!(active_legs(&net), if striped { 9 } else { 5 });
+            group.abort();
+            assert_eq!(active_legs(&net), 0, "striped: {striped}");
+            assert_eq!(sim.pending_events(), 0, "striped: {striped}");
+        }
+    }
+
+    #[test]
+    fn three_rail_striped_transfer_finishes_when_it_did_before_legs() {
+        // Against a plain transfer on rail 0 and a rack core slower than the
+        // rails: the finish times of the version that boxed every leg.
+        let sim = Sim::new(1);
+        let (net, a, b) = every_leg_net(&sim);
+        let done = Rc::new(std::cell::RefCell::new(Vec::new()));
+        for striped in [true, false] {
+            let (net, sim2, done) = (net.clone(), sim.clone(), Rc::clone(&done));
+            sim.spawn(async move {
+                if striped {
+                    net.transfer_striped(a, b, 1_001).await;
+                } else {
+                    net.transfer(a, b, 703).await;
+                }
+                done.borrow_mut().push(sim2.now().as_nanos());
+            })
+            .detach();
+        }
+        sim.run();
+        assert_eq!(*done.borrow(), vec![57_979_388_444u64, 70_268_048_238]);
+        assert_eq!(net.cross_rack_bytes(), 1_704.0);
     }
 
     #[test]

@@ -51,9 +51,11 @@ fn hundred_job_sequence_leaves_no_job_keyed_state() {
     let final_fp: Rc<RefCell<Option<StateFootprint>>> = Rc::new(RefCell::new(None));
     let peak2 = Rc::clone(&peak);
     let final2 = Rc::clone(&final_fp);
+    let sim2 = sim.clone();
     sim.spawn_named("bounded-driver", async move {
         teragen(&cluster, "/in", 8 << 20, false).await;
         let rt = Runtime::start(&cluster, conf.clone());
+        let mut slots_at_10 = 0;
         for i in 0..JOBS {
             let id = rt.submit(conf.clone(), terasort_spec("/in", &format!("/out{i}")));
             let res = rt.join(id).await;
@@ -66,7 +68,20 @@ fn hundred_job_sequence_leaves_no_job_keyed_state() {
             if p.is_none_or(|prev| fp.total() > prev.total()) {
                 *p = Some(fp);
             }
+            // The kernel's event slab is the high-water mark of events
+            // pending at once — a property of one job's concurrency, which
+            // the first ten jobs have shown. Every timer that lost its race
+            // (a heartbeat woken early, a fluid event moved) used to add a
+            // slot for good.
+            if i == 9 {
+                slots_at_10 = sim2.event_slots();
+            }
         }
+        assert_eq!(
+            sim2.event_slots(),
+            slots_at_10,
+            "event slab grew between job 10 and job {JOBS}"
+        );
         *final2.borrow_mut() = Some(rt.state_footprint());
     })
     .detach();
@@ -77,7 +92,12 @@ fn hundred_job_sequence_leaves_no_job_keyed_state() {
         StateFootprint::default(),
         "state left after {JOBS} jobs"
     );
-    // The assertion above is the gate; the peak is diagnostic context.
+    // The slab that held the whole sequence's events is a cluster-sized
+    // constant (thousands at the cancellation rate of a single job, were
+    // cancelled slots not reused).
+    let slots = sim.event_slots();
+    assert!((1..=64).contains(&slots), "{slots} event slots");
+    // The assertions above are the gate; the peak is diagnostic context.
     eprintln!("peak between-job footprint: {:?}", peak.borrow());
 }
 

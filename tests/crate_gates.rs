@@ -2,9 +2,10 @@
 //! that otherwise run only under CI's `--workspace`: the sweep pool's
 //! thread-count invariance, service mode's replay determinism, and the data
 //! plane's property tests (codec/partition/merge/cursor invariants, and the
-//! map side against its oracle), and the queue-pair engine against its scan
-//! oracle. The files are included, not copied, so there is one definition
-//! of each gate.
+//! map side against its oracle), the queue-pair engine against its scan
+//! oracle, and the kernel's own (the event queue against the queue it
+//! replaced, the fluid solver against brute force). The files are included,
+//! not copied, so there is one definition of each gate.
 
 #[path = "../crates/bench/tests/sweep_determinism.rs"]
 mod sweep_determinism;
@@ -20,3 +21,9 @@ mod prop_map;
 
 #[path = "../crates/net/tests/prop_verbs.rs"]
 mod prop_verbs;
+
+#[path = "../crates/des/tests/prop_kernel.rs"]
+mod prop_kernel;
+
+#[path = "../crates/des/tests/prop_fluid_vst.rs"]
+mod prop_fluid_vst;
