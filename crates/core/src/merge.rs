@@ -14,6 +14,13 @@
 //! proportionally to each source's remaining share (the fluid limit of a
 //! merge over uniformly distributed keys — exactly TeraGen/RandomWriter
 //! key distributions).
+//!
+//! A synthetic batch visits every live source, and with hundreds of sources
+//! per reducer and hundreds of reducers in flight that walk is bound by
+//! memory, not arithmetic. Per-source state is therefore laid out by how
+//! often it is touched: all a batch reads or writes of a source is one
+//! 64-byte record (`Hot`); the packets queued behind the head, and what only
+//! real mode uses, sit apart (`Cold`) and are reached once per packet.
 
 use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
@@ -42,38 +49,49 @@ fn mul_div(a: u64, b: u64, c: u64) -> u64 {
     }
 }
 
-struct Source {
-    expected_records: u64,
-    appended_records: u64,
-    consumed_records: u64,
-    consumed_bytes_in_head: u64,
-    /// FIFO of delivered, not-yet-fully-consumed packets.
-    packets: VecDeque<Segment>,
-    /// Index into the head packet (real mode).
-    head_idx: usize,
+/// Everything a synthetic batch reads or writes about one source, in one
+/// cache line of one dense `Vec`. Two counters answer every question `emit`,
+/// `append` and `consumed` ask: exhausted ⇔ `rem == 0`, dry ⇔
+/// `avail == 0 < rem`, packets still to come ⇔ `avail < rem`, over-delivery
+/// ⇔ a packet larger than `rem - avail`.
+#[derive(Default)]
+#[repr(align(64))]
+struct Hot {
+    /// Records still to consume, delivered or not.
+    rem: u64,
+    /// Records delivered and not yet consumed.
+    avail: u64,
+    /// The head packet of a synthetic source — a synthetic `Segment` *is* its
+    /// two counts — and how much of it is consumed. No head: all zero.
+    head_records: u64,
+    head_bytes: u64,
+    head_taken: u64,
+    head_taken_bytes: u64,
     /// Buffered below the refill watermark with more packets still to come
     /// (see [`StreamingMerge::wants_refill`]).
     low: bool,
 }
 
-impl Source {
-    fn available(&self) -> u64 {
-        self.appended_records - self.consumed_records
-    }
+const _: () = assert!(std::mem::size_of::<Hot>() == 64);
 
-    /// Records still to be consumed, delivered or not.
-    fn remaining(&self) -> u64 {
-        self.expected_records - self.consumed_records
-    }
-
+impl Hot {
     fn below(&self, watermark: u64) -> bool {
-        self.appended_records < self.expected_records && self.available() < watermark
+        self.avail < self.rem && self.avail < watermark
     }
+}
 
-    fn exhausted(&self) -> bool {
-        self.consumed_records >= self.expected_records
-    }
+/// What a pop touches once per packet, never per batch.
+struct Cold {
+    /// Records the source delivers in total (for the over-delivery message).
+    expected: u64,
+    /// Delivered, not-yet-consumed packets in order: in synthetic mode those
+    /// queued *behind* the inline head, in real mode all of them.
+    packets: VecDeque<Segment>,
+    /// Index into the front packet (real mode).
+    head_idx: usize,
+}
 
+impl Cold {
     /// The current head record (real mode; None if dry).
     fn head(&self) -> Option<&Record> {
         let pkt = self.packets.front()?;
@@ -98,40 +116,11 @@ impl Source {
             RunData::Synthetic { .. } => unreachable!("pop_real on synthetic"),
         };
         self.head_idx += 1;
-        self.consumed_records += 1;
         if self.head_idx as u64 >= pkt.records {
             self.packets.pop_front();
             self.head_idx = 0;
         }
         rec
-    }
-
-    /// Consumes `n` records from the packet FIFO (synthetic mode), returning
-    /// bytes consumed (proportional within partially consumed packets).
-    fn pop_synthetic(&mut self, mut n: u64) -> u64 {
-        let mut bytes = 0u64;
-        while n > 0 {
-            let pkt = self.packets.front_mut().expect("pop from dry source");
-            let pkt_consumed = self.head_idx as u64;
-            let left_in_pkt = pkt.records - pkt_consumed;
-            let take = n.min(left_in_pkt);
-            let b = if take == left_in_pkt {
-                pkt.bytes - self.consumed_bytes_in_head
-            } else {
-                mul_div(pkt.bytes, take, pkt.records)
-            };
-            bytes += b;
-            self.consumed_bytes_in_head += b;
-            self.head_idx += take as usize;
-            self.consumed_records += take;
-            n -= take;
-            if self.head_idx as u64 >= pkt.records {
-                self.packets.pop_front();
-                self.head_idx = 0;
-                self.consumed_bytes_in_head = 0;
-            }
-        }
-        bytes
     }
 }
 
@@ -178,8 +167,13 @@ impl PartialOrd for HeadKey {
 /// sources have fallen below the refill watermark. Real-mode extraction pops
 /// a min-heap of buffered head keys, O(log k) per record; a synthetic batch
 /// is two passes over the sources that still have records to give.
+///
+/// `hot[i]` and `cold[i]` are source `i`. Both modes keep `rem`, `avail` and
+/// `low` in `hot`; a synthetic source also keeps its head packet there and
+/// goes to `cold` only to queue a packet behind a head or promote the next.
 pub struct StreamingMerge {
-    sources: Vec<Source>,
+    hot: Vec<Hot>,
+    cold: Vec<Cold>,
     real: Option<bool>,
     emitted_records: u64,
     emitted_bytes: u64,
@@ -209,42 +203,42 @@ impl StreamingMerge {
     /// fewer unconsumed records than that, with packets still to come,
     /// [wants a refill](Self::wants_refill).
     pub fn with_watermark(expected_records: Vec<u64>, watermark: u64) -> Self {
-        let sources: Vec<Source> = expected_records
-            .into_iter()
-            .map(|expected_records| Source {
-                expected_records,
-                appended_records: 0,
-                consumed_records: 0,
-                consumed_bytes_in_head: 0,
-                packets: VecDeque::new(),
-                head_idx: 0,
-                low: expected_records > 0 && watermark > 0,
-            })
-            .collect();
         // Every source expecting data starts dry (and low); zero-record
         // sources are born exhausted.
-        let live: Vec<usize> = (0..sources.len())
-            .filter(|&i| !sources[i].exhausted())
+        let hot: Vec<Hot> = expected_records
+            .iter()
+            .map(|&rem| Hot {
+                rem,
+                low: rem > 0 && watermark > 0,
+                ..Hot::default()
+            })
             .collect();
-        let newly_low = live.iter().copied().filter(|&i| sources[i].low).collect();
-        let heads = BinaryHeap::with_capacity(sources.len());
+        let live: Vec<usize> = (0..hot.len()).filter(|&i| hot[i].rem > 0).collect();
         StreamingMerge {
             real: None,
             emitted_records: 0,
             emitted_bytes: 0,
-            remaining: sources.iter().map(Source::remaining).sum(),
+            remaining: expected_records.iter().sum(),
             dry: live.iter().copied().collect(),
-            heads,
+            heads: BinaryHeap::with_capacity(hot.len()),
+            newly_low: live.iter().copied().filter(|&i| hot[i].low).collect(),
             live,
             watermark,
-            newly_low,
-            sources,
+            hot,
+            cold: expected_records
+                .into_iter()
+                .map(|expected| Cold {
+                    expected,
+                    packets: VecDeque::new(),
+                    head_idx: 0,
+                })
+                .collect(),
         }
     }
 
     /// Number of sources.
     pub fn source_count(&self) -> usize {
-        self.sources.len()
+        self.hot.len()
     }
 
     /// Records emitted so far.
@@ -267,25 +261,30 @@ impl StreamingMerge {
             None => self.real = Some(is_real),
             Some(r) => assert_eq!(r, is_real, "mixed real/synthetic packets"),
         }
-        let s = &mut self.sources[source];
-        if s.available() == 0 {
+        let (s, cold) = (&mut self.hot[source], &mut self.cold[source]);
+        assert!(
+            packet.records <= s.rem - s.avail,
+            "source {source} over-delivered: {} > {}",
+            cold.expected - (s.rem - s.avail) + packet.records,
+            cold.expected
+        );
+        let had_head = s.avail > 0;
+        if !had_head {
             self.dry.remove(&source);
         }
-        let had_head = !s.packets.is_empty();
-        s.appended_records += packet.records;
-        assert!(
-            s.appended_records <= s.expected_records,
-            "source {source} over-delivered: {} > {}",
-            s.appended_records,
-            s.expected_records
-        );
-        s.packets.push_back(packet);
+        s.avail += packet.records;
         // A delivery can only lift a source over the watermark (or complete
         // it), never drop it under.
         s.low = s.low && s.below(self.watermark);
         if is_real && !had_head {
-            let head = self.sources[source].head().expect("appended head");
-            self.heads.push(Reverse(HeadKey::new(&head.key, source)));
+            let key = &packet.real_window()[0].key;
+            self.heads.push(Reverse(HeadKey::new(key, source)));
+        }
+        if is_real || had_head {
+            cold.packets.push_back(packet);
+        } else {
+            // The packet becomes the inline head: nothing is allocated.
+            (s.head_records, s.head_bytes) = (packet.records, packet.bytes);
         }
     }
 
@@ -293,7 +292,7 @@ impl StreamingMerge {
     /// and has packets still to come — the engine should request its next
     /// packet. Raised by extraction, cleared by [`Self::append`].
     pub fn wants_refill(&self, source: usize) -> bool {
-        self.sources[source].low
+        self.hot[source].low
     }
 
     /// The sources that started wanting a refill since the previous call, in
@@ -314,11 +313,13 @@ impl StreamingMerge {
         self.dry.iter().copied().collect()
     }
 
-    /// Bookkeeping for `n` records just popped from `source`.
+    /// Bookkeeping for `n` records just popped from `source` (the pop has
+    /// already taken them out of `avail`).
     fn consumed(&mut self, source: usize, n: u64) {
         self.remaining -= n;
-        let s = &mut self.sources[source];
-        if s.available() == 0 && !s.exhausted() {
+        let s = &mut self.hot[source];
+        s.rem -= n;
+        if s.avail == 0 && s.rem > 0 {
             self.dry.insert(source);
         }
         if !s.low && s.below(self.watermark) {
@@ -364,23 +365,51 @@ impl StreamingMerge {
                 break;
             };
             let src = top.0.src;
-            out.push(self.sources[src].pop_real());
+            let cold = &mut self.cold[src];
+            out.push(cold.pop_real());
             // Re-key the top entry in place (one sift-down when the guard
             // drops) instead of a pop and a push.
-            match self.sources[src].head() {
+            match cold.head() {
                 Some(h) => {
                     top.0 = HeadKey::new(&h.key, src);
                     drop(top);
                 }
                 None => drop(PeekMut::pop(top)),
             }
+            self.hot[src].avail -= 1;
             self.consumed(src, 1);
         }
         Segment::from_sorted(out)
     }
 
+    /// Consumes `n` buffered records of `source` (synthetic mode), returning
+    /// the bytes consumed (proportional within a partially consumed packet).
     fn pop_synthetic(&mut self, source: usize, n: u64) -> u64 {
-        let bytes = self.sources[source].pop_synthetic(n);
+        let s = &mut self.hot[source];
+        let (mut left, mut bytes) = (n, 0u64);
+        while left > 0 {
+            let in_head = s.head_records - s.head_taken;
+            let take = left.min(in_head);
+            left -= take;
+            s.avail -= take;
+            if take < in_head {
+                let b = mul_div(s.head_bytes, take, s.head_records);
+                bytes += b;
+                s.head_taken += take;
+                s.head_taken_bytes += b;
+            } else {
+                bytes += s.head_bytes - s.head_taken_bytes;
+                // Head used up: promote the packet queued behind it, if any
+                // (`avail` counts it) — the pop's one touch of `cold`.
+                (s.head_records, s.head_bytes) = match s.avail {
+                    0 => (0, 0),
+                    _ => (self.cold[source].packets.pop_front())
+                        .map(|p| (p.records, p.bytes))
+                        .expect("avail counts a queued packet"),
+                };
+                (s.head_taken, s.head_taken_bytes) = (0, 0);
+            }
+        }
         self.consumed(source, n);
         bytes
     }
@@ -394,14 +423,12 @@ impl StreamingMerge {
         // that source has buffered, `avail * total / rem` at its tightest.
         // Only a source that lowers the running minimum costs a division.
         let mut batch = max_records.min(total);
-        let sources = &self.sources;
+        let hot = &self.hot;
         self.live.retain(|&i| {
-            let s = &sources[i];
-            let rem = s.remaining();
+            let Hot { rem, avail, .. } = hot[i];
             if rem == 0 {
                 return false;
             }
-            let avail = s.available();
             if (avail as u128 * total as u128) < batch as u128 * rem as u128 {
                 batch = mul_div(avail, total, rem);
             }
@@ -412,11 +439,8 @@ impl StreamingMerge {
         let mut bytes = 0u64;
         for at in 0..self.live.len() {
             let i = self.live[at];
-            let take = mul_div(batch, self.sources[i].remaining(), total);
-            debug_assert!(
-                take <= self.sources[i].available(),
-                "pass 1 caps every share"
-            );
+            let take = mul_div(batch, self.hot[i].rem, total);
+            debug_assert!(take <= self.hot[i].avail, "pass 1 caps every share");
             if take > 0 {
                 bytes += self.pop_synthetic(i, take);
                 taken += take;
@@ -430,7 +454,7 @@ impl StreamingMerge {
                 break;
             }
             let i = self.live[at];
-            let take = self.sources[i].available().min(residue);
+            let take = self.hot[i].avail.min(residue);
             if take > 0 {
                 bytes += self.pop_synthetic(i, take);
                 residue -= take;
@@ -591,11 +615,55 @@ mod tests {
         assert_eq!(low(&m), vec![0]);
     }
 
+    /// Bytes as the parent commit returned them for the same calls: whole
+    /// packets give what is left of their bytes, a partial one its floor
+    /// share `1003 * 2 / 10`.
     #[test]
-    #[should_panic(expected = "over-delivered")]
+    fn one_pop_spans_queued_packets_and_promotes_the_next_head() {
+        let mut m = StreamingMerge::new(vec![30]);
+        for (records, bytes) in [(4, 401), (3, 299), (10, 1_003)] {
+            m.append(0, Segment::synthetic(records, bytes));
+        }
+        assert_eq!(m.cold[0].packets.len(), 2, "two queued behind the head");
+        // A single source takes the whole batch in one pop.
+        match m.emit(9) {
+            Emit::Data(seg) => assert_eq!((seg.records, seg.bytes), (9, 401 + 299 + 200)),
+            other => panic!("{other:?}"),
+        }
+        let s = &m.hot[0];
+        assert_eq!((s.rem, s.avail), (21, 8));
+        assert_eq!((s.head_records, s.head_bytes), (10, 1_003));
+        assert_eq!((s.head_taken, s.head_taken_bytes), (2, 200));
+        assert!(m.cold[0].packets.is_empty());
+        // The rest of the head is its remaining bytes, not a second floor.
+        match m.emit(100) {
+            Emit::Data(seg) => assert_eq!((seg.records, seg.bytes), (8, 803)),
+            other => panic!("{other:?}"),
+        }
+        assert_eq!(m.hot[0].head_records, 0, "no head while dry");
+        assert!(matches!(m.emit(100), Emit::Stalled(dry) if dry == [0]));
+    }
+
+    #[test]
+    fn a_headless_synthetic_source_takes_its_packet_inline() {
+        let mut m = StreamingMerge::new(vec![10]);
+        m.append(0, Segment::synthetic(4, 40));
+        assert_eq!((m.hot[0].head_records, m.hot[0].head_bytes), (4, 40));
+        assert_eq!(m.cold[0].packets.capacity(), 0, "no FIFO allocated");
+        m.append(0, Segment::synthetic(3, 30));
+        assert_eq!(m.cold[0].packets.len(), 1);
+        assert_eq!((m.hot[0].avail, m.hot[0].head_records), (7, 4));
+    }
+
+    #[test]
+    #[should_panic(expected = "source 1 over-delivered: 7 > 5")]
     fn over_delivery_is_rejected() {
-        let mut m = StreamingMerge::new(vec![1]);
+        let mut m = StreamingMerge::new(vec![2, 5]);
         m.append(0, Segment::synthetic(2, 20));
+        m.append(1, Segment::synthetic(3, 30));
+        // Consumed records still count as delivered.
+        assert!(matches!(m.emit(4), Emit::Data(_)));
+        m.append(1, Segment::synthetic(4, 40));
     }
 
     #[test]

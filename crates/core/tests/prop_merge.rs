@@ -382,9 +382,12 @@ proptest! {
         let packet_records: Vec<u64> = (0..k)
             .map(|_| scaled(1 + next(64), next(1 << 20)))
             .collect();
+        // One packet in two is half size, so the packets one source queues
+        // differ and promoting the wrong one shows.
         let mut undelivered = expected.clone();
-        let mut packet = |i: usize| -> Segment {
-            let n = undelivered[i].min(packet_records[i]);
+        let mut packet = |i: usize, halve: bool| -> Segment {
+            let size = if halve { packet_records[i].div_ceil(2) } else { packet_records[i] };
+            let n = undelivered[i].min(size);
             undelivered[i] -= n;
             Segment::synthetic(n, n * (97 + i as u64 % 17) + i as u64 % 5)
         };
@@ -410,7 +413,8 @@ proptest! {
             let want = reference.emit(batch);
             prop_assert_eq!(&got, &want);
             // Deliver: to some of the stalled sources (at least one), or
-            // ahead of need to some of the sources under the watermark.
+            // ahead of need to some of the sources under the watermark — one
+            // packet, or a burst of two or three that queue behind it.
             let (targets, at_least_one) = match got {
                 oracle::Emit::Done => break,
                 oracle::Emit::Stalled(dry) => (dry, true),
@@ -419,10 +423,15 @@ proptest! {
             let forced = if at_least_one { next(targets.len() as u64) as usize } else { usize::MAX };
             for (at, &i) in targets.iter().enumerate() {
                 if at == forced || next(3) == 0 {
-                    let pkt = packet(i);
-                    prop_assert!(pkt.records > 0, "source {} wants data it already has", i);
-                    merge.append(i, pkt.clone());
-                    reference.append(i, pkt);
+                    let burst = [1, 1, 2, 3][next(4) as usize];
+                    for nth in 0..burst {
+                        let pkt = packet(i, next(2) == 0);
+                        if nth == 0 {
+                            prop_assert!(pkt.records > 0, "source {} wants data it already has", i);
+                        }
+                        merge.append(i, pkt.clone());
+                        reference.append(i, pkt);
+                    }
                     if !merge.wants_refill(i) {
                         low.remove(&i);
                     }

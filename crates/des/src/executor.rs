@@ -200,24 +200,36 @@ thread_local! {
         const { RefCell::new(None) };
 }
 
-/// A blocking-reason label: either a static description or a shared,
-/// pre-formatted string owned by the sync primitive that records it. Sync
-/// primitives format their label once at construction and hand out `Rc`
-/// clones on every `Pending` poll, so the per-poll cost is a refcount bump
-/// rather than a `format!` allocation.
+/// A blocking-reason label: a static description, a shared, pre-formatted
+/// string owned by the sync primitive that records it, or the parts of one
+/// that differs per call. Sync primitives format their label once at
+/// construction and hand out `Rc` clones on every `Pending` poll, so the
+/// per-poll cost is a refcount bump rather than a `format!` allocation; the
+/// text is rendered ([`std::fmt::Display`]) only when a report asks for it.
 #[derive(Clone)]
 pub enum BlockedLabel {
     /// A compile-time constant reason (e.g. `"join on spawned task"`).
     Static(&'static str),
     /// A shared, pre-formatted reason (e.g. `"recv on map-output"`).
     Shared(Rc<str>),
+    /// `"acquire(<need>) on <name>"`; `None` is an unnamed semaphore.
+    Acquire {
+        /// Permits asked for.
+        need: u64,
+        /// The semaphore's diagnostic name.
+        on: Option<Rc<str>>,
+    },
 }
 
-impl BlockedLabel {
-    pub(crate) fn as_str(&self) -> &str {
+impl std::fmt::Display for BlockedLabel {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            BlockedLabel::Static(s) => s,
-            BlockedLabel::Shared(s) => s,
+            BlockedLabel::Static(s) => f.write_str(s),
+            BlockedLabel::Shared(s) => f.write_str(s),
+            BlockedLabel::Acquire { need, on } => {
+                let name = on.as_deref().unwrap_or("semaphore");
+                write!(f, "acquire({need}) on {name}")
+            }
         }
     }
 }
@@ -923,7 +935,7 @@ impl Sim {
             .filter(|t| t.live && !t.daemon)
             .map(|t| StalledTask {
                 name: t.name.to_string(),
-                blocked_on: t.blocked_on.as_ref().map(|b| b.as_str().to_string()),
+                blocked_on: t.blocked_on.as_ref().map(|b| b.to_string()),
             })
             .collect();
         QuiescenceReport {

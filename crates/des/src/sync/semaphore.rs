@@ -27,9 +27,9 @@ struct Inner {
     next_id: u64,
     waiters: VecDeque<Waiter>,
     /// Diagnostic name; shows up in deadlock reports as
-    /// "acquire(n) on <name>". Static for an unnamed semaphore, so creating
+    /// "acquire(n) on <name>". `None` for an unnamed semaphore, so creating
     /// one is a single allocation.
-    name: BlockedLabel,
+    name: Option<Rc<str>>,
 }
 
 impl Inner {
@@ -71,17 +71,17 @@ pub struct Semaphore {
 impl Semaphore {
     /// Creates a semaphore holding `permits` permits.
     pub fn new(permits: u64) -> Self {
-        Self::with_name("semaphore".into(), permits)
+        Self::with_name(None, permits)
     }
 
     /// Creates a named semaphore. Tasks stalled acquiring it appear as
     /// "acquire(n) on <name>" in
     /// [`crate::executor::Sim::step_until_no_events`] reports.
     pub fn new_named(name: &str, permits: u64) -> Self {
-        Self::with_name(name.to_string().into(), permits)
+        Self::with_name(Some(Rc::from(name)), permits)
     }
 
-    fn with_name(name: BlockedLabel, permits: u64) -> Self {
+    fn with_name(name: Option<Rc<str>>, permits: u64) -> Self {
         Semaphore {
             inner: Rc::new(RefCell::new(Inner {
                 permits,
@@ -110,7 +110,6 @@ impl Semaphore {
             sem: self.clone(),
             need: n,
             id: None,
-            label: None,
         }
     }
 
@@ -177,19 +176,15 @@ pub struct AcquireFuture {
     sem: Semaphore,
     need: u64,
     id: Option<u64>,
-    /// Blocking label ("acquire(n) on <name>"), formatted lazily on the
-    /// first `Pending` poll and reused (an `Rc` clone) on every later one.
-    label: Option<Rc<str>>,
 }
 
 impl AcquireFuture {
-    fn blocked_label(&mut self, name: &BlockedLabel) -> Rc<str> {
-        if self.label.is_none() {
-            self.label = Some(Rc::from(
-                format!("acquire({}) on {}", self.need, name.as_str()).as_str(),
-            ));
-        }
-        Rc::clone(self.label.as_ref().unwrap())
+    /// Records "acquire(n) on <name>" as what the current task waits for —
+    /// as its parts: a blocked acquire is one per queued disk I/O, and only
+    /// a stall report ever reads the text.
+    fn note_blocked(&self, on: Option<Rc<str>>) {
+        let need = self.need;
+        note_current_blocked(BlockedLabel::Acquire { need, on });
     }
 }
 
@@ -237,8 +232,7 @@ impl Future for AcquireFuture {
                 }
                 let name = inner.name.clone();
                 drop(inner);
-                let label = self.blocked_label(&name);
-                note_current_blocked(label);
+                self.note_blocked(name);
                 self.id = Some(id);
                 Poll::Pending
             }
@@ -265,8 +259,7 @@ impl Future for AcquireFuture {
                     }
                     let name = inner.name.clone();
                     drop(inner);
-                    let label = self.blocked_label(&name);
-                    note_current_blocked(label);
+                    self.note_blocked(name);
                     Poll::Pending
                 }
             }
@@ -404,5 +397,33 @@ mod tests {
         }
         sim.run();
         assert_eq!(sem.available(), 3);
+    }
+
+    /// The stall report's text, pinned from the parent commit (which
+    /// formatted the label at the first `Pending`; it is now rendered here,
+    /// from the parts).
+    #[test]
+    fn blocked_acquire_reports_need_and_name() {
+        let sim = Sim::new(1);
+        let disk = Semaphore::new_named("dn3-disk0", 2);
+        let anon = Semaphore::new(1);
+        for (task, sem, need) in [
+            ("writer", &disk, 3),
+            ("reader", &disk, 1),
+            ("other", &anon, 2),
+        ] {
+            let sem = sem.clone();
+            sim.spawn_named(task, async move {
+                let _p = sem.acquire(need).await;
+            })
+            .detach();
+        }
+        assert_eq!(
+            sim.step_until_no_events().to_string(),
+            "deadlock at 0.000000s: 3 task(s) live but unrunnable:\n  \
+             - writer (blocked on acquire(3) on dn3-disk0)\n  \
+             - reader (blocked on acquire(1) on dn3-disk0)\n  \
+             - other (blocked on acquire(2) on semaphore)"
+        );
     }
 }

@@ -139,7 +139,7 @@ impl HdfsCluster {
     pub async fn delete(&self, path: &str, client: NodeId) -> Result<(), HdfsError> {
         self.nn_rpc(client).await;
         let blocks = self.nn.borrow_mut().delete(path)?;
-        let dns = self.dns.borrow().clone();
+        let dns = self.dns.borrow();
         for b in blocks {
             self.contents.borrow_mut().remove(&b.id);
             for &r in &b.replicas {
@@ -194,21 +194,26 @@ impl HdfsCluster {
         block: &BlockMeta,
         client: NodeId,
     ) -> Result<BlockRead, HdfsError> {
-        let dns = self.dns.borrow().clone();
-        // Prefer a local replica (short-circuit read).
-        let chosen = block
-            .replicas
-            .iter()
-            .copied()
-            .find(|&r| dns[r].node == client)
-            .or_else(|| block.replicas.first().copied())
-            .ok_or(HdfsError::NoDataNodes)?;
-        let dn = &dns[chosen];
-        let local = dn.node == client;
-        let mut reader = dn
-            .fs
-            .reader(&block.id.to_string())
-            .map_err(|e| HdfsError::Storage(e.to_string()))?;
+        // The DataNode table is borrowed only to pick a replica and open it,
+        // never across an await.
+        let (src, mut reader) = {
+            let dns = self.dns.borrow();
+            // Prefer a local replica (short-circuit read).
+            let chosen = block
+                .replicas
+                .iter()
+                .copied()
+                .find(|&r| dns[r].node == client)
+                .or_else(|| block.replicas.first().copied())
+                .ok_or(HdfsError::NoDataNodes)?;
+            let dn = &dns[chosen];
+            let reader = dn
+                .fs
+                .reader(&block.id.to_string())
+                .map_err(|e| HdfsError::Storage(e.to_string()))?;
+            (dn.node, reader)
+        };
+        let local = src == client;
         if local {
             reader
                 .read_exact(block.size)
@@ -221,7 +226,7 @@ impl HdfsCluster {
             // Remote: overlap the DataNode's disk read with the transfer.
             let size = block.size;
             let net = self.net.clone();
-            let (src, dst) = (dn.node, client);
+            let dst = client;
             let disk_leg: Pin<Box<dyn Future<Output = ()>>> = Box::pin(async move {
                 reader
                     .read_exact(size)
@@ -338,7 +343,7 @@ impl HdfsWriter {
             c.sim
                 .with_rng(|rng| nn.add_block(&self.path, writer_dn, n, replication, rng))?
         };
-        let dns = c.dns.borrow().clone();
+        let dns = c.dns.borrow();
         let writers = meta
             .replicas
             .iter()
@@ -369,10 +374,9 @@ impl HdfsWriter {
         while sent < len {
             let take = packet.min(len - sent);
             let mut legs: Vec<Pin<Box<dyn Future<Output = ()>>>> = Vec::new();
-            let dns = c.dns.borrow().clone();
             let mut prev = self.client;
             for (i, &r) in cur.meta.replicas.iter().enumerate() {
-                let dst = dns[r].node;
+                let dst = c.dn_node(r);
                 let net = c.net.clone();
                 let src = prev;
                 legs.push(Box::pin(async move {
@@ -599,6 +603,32 @@ mod tests {
         })
         .detach();
         sim.run();
+    }
+
+    /// 16 DataNodes, replication 3: three blocks of up to four 1 MiB packets
+    /// written from one node, then read back from another. The nanoseconds
+    /// are the parent commit's (which cloned the whole DataNode table per
+    /// packet and per block): how the table is consulted is host-side only.
+    #[test]
+    fn replicated_write_on_16_nodes_ends_at_the_pinned_nanosecond() {
+        let (sim, hdfs) = quick_setup(7, 16, 3, 4 << 20);
+        let h2 = hdfs.clone();
+        let sim2 = sim.clone();
+        let times = Rc::new(std::cell::Cell::new((0u64, 0u64)));
+        let times2 = Rc::clone(&times);
+        sim.spawn(async move {
+            let mut w = h2.create("/f", h2.dn_node(5)).await.unwrap();
+            w.write(Blob::synthetic((9 << 20) + 12_345)).await.unwrap();
+            w.close().await.unwrap();
+            let written = sim2.now().as_nanos();
+            let mut r = h2.open("/f", h2.dn_node(11)).await.unwrap();
+            while r.next_block().await.unwrap().is_some() {}
+            times2.set((written, sim2.now().as_nanos()));
+        })
+        .detach();
+        sim.run();
+        assert_eq!(sim.metrics().get("hdfs.bytes_written"), 9_449_529.0);
+        assert_eq!(times.get(), (23_851_919, 29_115_656));
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! thread-count invariance, service mode's replay determinism, and the data
 //! plane's property tests (codec/partition/merge/cursor invariants, and the
 //! map side against its oracle), the queue-pair engine against its scan
-//! oracle, and the kernel's own (the event queue against the queue it
-//! replaced, the fluid solver against brute force). The files are included,
-//! not copied, so there is one definition of each gate.
+//! oracle, HDFS placement/round-trip/accounting, and the kernel's own (the
+//! event queue against the queue it replaced, the fluid solver against brute
+//! force). The files are included, not copied, so there is one definition of
+//! each gate.
 
 #[path = "../crates/bench/tests/sweep_determinism.rs"]
 mod sweep_determinism;
@@ -21,6 +22,9 @@ mod prop_map;
 
 #[path = "../crates/net/tests/prop_verbs.rs"]
 mod prop_verbs;
+
+#[path = "../crates/hdfs/tests/prop_hdfs.rs"]
+mod prop_hdfs;
 
 #[path = "../crates/des/tests/prop_kernel.rs"]
 mod prop_kernel;
