@@ -302,6 +302,10 @@ fn service(mut args: Args) {
     args.done();
     let budget_s: Option<f64> = args.flag("--budget-s");
     let hist_dir: Option<String> = args.flag("--hist-dir");
+    // An unusable artifact directory is an error now, not after the runs.
+    if let Some(dir) = &hist_dir {
+        create_dir_or_exit(dir);
+    }
     let run = |policy, record| {
         try_run_service(&service_spec(nodes, jobs, seed, policy, record))
             .unwrap_or_else(|hung| exit_hung(&hung))
@@ -382,10 +386,9 @@ fn service(mut args: Args) {
     );
 
     if let Some(dir) = hist_dir {
-        std::fs::create_dir_all(&dir).expect("create hist dir");
         for rep in [&fifo, &cap] {
             let path = format!("{dir}/service_{}_tenants.jsonl", rep.policy_label());
-            std::fs::write(&path, rep.tenants_jsonl()).expect("write tenant jsonl");
+            write_or_exit(&path, &rep.tenants_jsonl());
             println!("wrote {path}");
         }
         for (what, hm) in [
@@ -396,7 +399,7 @@ fn service(mut args: Args) {
             ("latency", rmr_obs::tenant_latency_heatmap(&cap.events, 24)),
         ] {
             let path = format!("{dir}/service_tenant_{what}.json");
-            std::fs::write(&path, hm.to_json()).expect("write heatmap");
+            write_or_exit(&path, &hm.to_json());
             println!("wrote {path}\n{}", hm.to_ascii());
         }
     }
@@ -689,6 +692,23 @@ fn jsonl<'a, P: 'a>(
     series.flatten().map(|pt| to_json(pt) + "\n").collect()
 }
 
+/// Creates `dir` and its parents; a path the user gave that cannot be one is
+/// an error line naming it and the OS error, exit 2 — not a panic.
+fn create_dir_or_exit(dir: &str) {
+    if let Err(e) = std::fs::create_dir_all(dir) {
+        eprintln!("probe: cannot create directory {dir}: {e}");
+        std::process::exit(2);
+    }
+}
+
+/// Writes an artifact, or exits like [`create_dir_or_exit`].
+fn write_or_exit(path: &str, body: &str) {
+    if let Err(e) = std::fs::write(path, body) {
+        eprintln!("probe: cannot write {path}: {e}");
+        std::process::exit(2);
+    }
+}
+
 /// A concurrent multi-job OSU-IB mix with the observability recorder on.
 /// Writes every `rmr_obs` artifact to `outdir` and self-validates the
 /// Chrome trace — a schema violation exits non-zero (the CI smoke job
@@ -701,14 +721,11 @@ fn obs(mut args: Args) {
     let seed: u64 = args.pos("seed", 91);
     args.done();
 
+    create_dir_or_exit(&outdir);
     let sc = scenarios::obs(jobs, nodes, gb, seed);
     let report = run_or_exit(&sc);
 
-    std::fs::create_dir_all(&outdir).expect("create outdir");
-    let write = |name: &str, body: &str| {
-        std::fs::write(format!("{outdir}/{name}"), body)
-            .unwrap_or_else(|e| panic!("write {outdir}/{name}: {e}"))
-    };
+    let write = |name: &str, body: &str| write_or_exit(&format!("{outdir}/{name}"), body);
     let events = report.recorder.events();
     write("events.jsonl", &report.recorder.to_jsonl());
 

@@ -40,6 +40,28 @@ fn bad_input_is_a_usage_error() {
     }
 }
 
+/// An artifact directory that cannot be created (a file stands where a
+/// directory is needed) is an error line naming the path and the OS error,
+/// exit 2, before anything is simulated — it used to be an `expect` panic
+/// after the runs.
+#[test]
+fn an_unwritable_artifact_path_is_an_error_not_a_panic() {
+    let file = std::env::temp_dir().join(format!("probe-cli-{}", std::process::id()));
+    std::fs::write(&file, b"not a directory").expect("scratch file");
+    let under_file = format!("{}/artifacts", file.display());
+    for args in [
+        &["service", "4", "2", "1", "--hist-dir", &under_file][..],
+        &["obs", "1", "2", "0.01", &under_file][..],
+    ] {
+        let (code, stderr) = probe(args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        let complaint = format!("probe: cannot create directory {under_file}: ");
+        assert!(stderr.contains(&complaint), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+    std::fs::remove_file(&file).expect("scratch file removed");
+}
+
 #[test]
 fn a_run_past_rmr_limit_reports_and_exits_2() {
     // 4 GB on 4 nodes finishes near 75 sim-seconds; stop it at 30.

@@ -291,8 +291,9 @@ fn fold_segment(merged: Segment, peak_records: u64, combine: &ReduceFn, ratio: f
         return merged;
     }
     if merged.is_real() {
+        let records = merged.to_records().expect("real");
         let mut out = Vec::new();
-        for_each_group(merged.real_window(), |k, vs| combine(k, vs, &mut out));
+        for_each_group(&records, |k, vs| combine(k, vs, &mut out));
         Segment::from_records(out)
     } else {
         let floor = (merged.records as f64 * ratio).ceil() as u64;

@@ -90,6 +90,17 @@ impl MapOutputStore {
         lost
     }
 
+    /// What `job`'s registered outputs add up to — (maps, bytes, any of them
+    /// real) — for the conservation check at job commit.
+    pub fn job_totals(&self, job: JobId) -> (usize, u64, bool) {
+        let inner = self.inner.borrow();
+        let outputs = inner.range((job, 0)..=(job, usize::MAX));
+        outputs.fold((0, 0, false), |(maps, bytes, real), (_, info)| {
+            let is_real = info.parts.iter().any(Segment::is_real);
+            (maps + 1, bytes + info.total_bytes, real || is_real)
+        })
+    }
+
     /// Number of registered outputs (all jobs).
     pub fn len(&self) -> usize {
         self.inner.borrow().len()

@@ -7,11 +7,15 @@
 //! into the single indexed map-output file the shuffle serves.
 //!
 //! That is the *simulated* cost. On the host, real records follow
-//! [`crate::record`]'s one-copy rule, the way Hadoop's `kvbuffer`/`kvmeta`
-//! keep bytes in an arena and sort an index: input records are windows into
-//! the HDFS block, the map function pushes into a reused sink, a combiner
-//! job folds that sink into a group table instead of sorting it, and the
-//! final run is built by [`Segment::from_records`]'s index sort.
+//! [`crate::record`]'s copy rule, the way Hadoop's `kvbuffer`/`kvmeta` keep
+//! bytes in an arena and sort an index. An identity map adopts its input:
+//! the HDFS block becomes the run's backing buffer and only a 16-byte index
+//! entry per record is built and sorted ([`Segment::from_encoded`]) — no
+//! record is materialised, no byte copied. A map function sees its input as
+//! by-value [`Record`] windows into the block and pushes into a reused sink;
+//! a combiner job folds that sink into a group table instead of sorting it;
+//! either way the output pays one encode into a fresh arena
+//! ([`Segment::from_records`]), whose index is what gets sorted.
 
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -26,6 +30,14 @@ use crate::record::{decode_records, key_prefix, Record, Segment};
 use crate::runtime::JobId;
 use crate::spec::JobSpec;
 use crate::tasktracker::TaskTracker;
+
+/// A real input block as the attempt takes it.
+enum RealInput {
+    /// An identity map's: indexed where it lies, already the sorted output.
+    Run(Segment),
+    /// By-value views for the map or combine function.
+    Records(Vec<Record>),
+}
 
 /// Runs one map attempt of `job`. When `abort_fraction` is set (fault
 /// injection), the attempt does that fraction of its input work and then
@@ -51,10 +63,16 @@ pub async fn run_map(
         .expect("split read failed");
     let in_bytes = block.size;
 
-    // 2. Decode input records.
-    let real_records: Option<Vec<Record>> = block.data.map(decode_records);
-    let in_records = match &real_records {
-        Some(v) => v.len() as u64,
+    // 2. Decode input records: an identity map indexes the block where it
+    // lies (already its sorted output), user code gets by-value views.
+    let identity = spec.mapper.is_none() && spec.combiner.is_none();
+    let real_input: Option<RealInput> = block.data.map(|data| match identity {
+        true => RealInput::Run(Segment::from_encoded(data)),
+        false => RealInput::Records(decode_records(data)),
+    });
+    let in_records = match &real_input {
+        Some(RealInput::Run(run)) => run.records,
+        Some(RealInput::Records(records)) => records.len() as u64,
         None => (in_bytes / spec.avg_record_bytes.max(1)).max(1),
     };
     node.compute(costs.serde_per_byte * in_bytes as f64).await;
@@ -68,18 +86,17 @@ pub async fn run_map(
         return None;
     }
     node.compute(map_cpu).await;
-    let out_records_real: Option<Vec<Record>> = match (real_records, &spec.combiner) {
+    let out_real: Option<Segment> = match (real_input, &spec.combiner) {
         (None, _) => None,
-        (Some(recs), None) => Some(match &spec.mapper {
-            Some(f) => {
-                let mut out = Vec::with_capacity(recs.len());
-                for r in &recs {
-                    f(r, &mut out);
-                }
-                out
+        (Some(RealInput::Run(run)), _) => Some(run),
+        (Some(RealInput::Records(recs)), None) => {
+            let f = spec.mapper.as_ref().expect("not an identity map");
+            let mut out = Vec::with_capacity(recs.len());
+            for r in &recs {
+                f(r, &mut out);
             }
-            None => recs,
-        }),
+            Some(Segment::from_records(out))
+        }
         // Map-side combiner: fold the mapper's output straight into an
         // ordered group table (key → values in arrival order) and combine
         // each group in key order — record for record what stably sorting
@@ -89,7 +106,7 @@ pub async fn run_map(
         // to Hadoop's per-spill combine. The table is keyed by (key prefix,
         // key), which orders like the key alone but settles most lookups'
         // comparisons on an integer.
-        (Some(recs), Some(combine)) => {
+        (Some(RealInput::Records(recs)), Some(combine)) => {
             let mut groups: BTreeMap<(u64, Bytes), Vec<Bytes>> = BTreeMap::new();
             let mut fold = |r: Record| {
                 let slot = (key_prefix(&r.key), r.key);
@@ -111,13 +128,13 @@ pub async fn run_map(
             for ((_, key), values) in &groups {
                 combine(key, values, &mut combined);
             }
-            Some(combined)
+            Some(Segment::from_records(combined))
         }
     };
 
     // 4. Sizing of the intermediate output.
-    let (out_records, out_bytes) = match &out_records_real {
-        Some(v) => (v.len() as u64, v.iter().map(Record::size).sum::<u64>()),
+    let (out_records, out_bytes) = match &out_real {
+        Some(run) => (run.records, run.bytes),
         None => {
             let bytes = (in_bytes as f64 * spec.map_output_ratio * spec.combine_ratio) as u64;
             ((bytes / spec.avg_record_bytes.max(1)).max(1), bytes)
@@ -163,14 +180,9 @@ pub async fn run_map(
     }
 
     // 6. Partition the (sorted) output per reducer.
-    let parts = match out_records_real {
-        Some(recs) => {
-            let seg = Segment::from_records(recs);
-            seg.partition(conf.num_reduces, spec.partitioner.as_ref())
-        }
-        None => Segment::synthetic(out_records, out_bytes)
-            .partition(conf.num_reduces, spec.partitioner.as_ref()),
-    };
+    let parts = out_real
+        .unwrap_or_else(|| Segment::synthetic(out_records, out_bytes))
+        .partition(conf.num_reduces, spec.partitioner.as_ref());
 
     sim.metrics().add("map.output_bytes", out_bytes as f64);
     sim.metrics().incr("map.completed");
@@ -269,6 +281,51 @@ mod tests {
             cluster.workers[0].fs.size(&out.file).unwrap(),
             out.total_bytes
         );
+    }
+
+    /// An identity map adopts its input block: however many records it holds,
+    /// the output is index entries over the one window the run's buffer
+    /// table keeps — no `Record` (two windows each) is ever built.
+    #[test]
+    fn identity_map_holds_one_window_into_its_block_whatever_the_record_count() {
+        let windows_held = |records: u32| -> usize {
+            let sim = Sim::new(5);
+            let cluster = mk_cluster(&sim);
+            let conf = Rc::new(JobConf {
+                num_reduces: 3,
+                ..JobConf::default()
+            });
+            let spec = JobSpec::sort("/in", "/out", 14);
+            let tt = mk_tt(&sim, &cluster, &conf);
+            let held = Rc::new(std::cell::Cell::new(0));
+            let (c2, h2) = (cluster.clone(), Rc::clone(&held));
+            sim.spawn(async move {
+                let recs: Vec<Record> = (0..records)
+                    .map(|i| Record::new(i.to_be_bytes().to_vec(), Bytes::from_static(b"v")))
+                    .collect();
+                let block = encode_records(&recs);
+                let mut w = c2.hdfs.create("/in", c2.workers[0].id).await.unwrap();
+                w.write(Blob::real(block.clone())).await.unwrap();
+                w.close().await.unwrap();
+                let locs = c2.hdfs.split_locations("/in").unwrap();
+                let desc = MapTaskDesc {
+                    idx: 0,
+                    block: locs[0].0.clone(),
+                    locations: locs[0].1.clone(),
+                };
+                let before = block.strong_count();
+                let out = run_map(&c2, &conf, &spec, &tt, JobId(0), &desc, None)
+                    .await
+                    .unwrap();
+                assert_eq!(out.total_records, u64::from(records));
+                h2.set(block.strong_count() - before);
+            })
+            .detach();
+            sim.run();
+            held.get()
+        };
+        assert_eq!(windows_held(10), 1);
+        assert_eq!(windows_held(1_000), 1);
     }
 
     #[test]

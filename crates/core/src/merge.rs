@@ -21,14 +21,18 @@
 //! often it is touched: all a batch reads or writes of a source is one
 //! 64-byte record (`Hot`); the packets queued behind the head, and what only
 //! real mode uses, sit apart (`Cold`) and are reached once per packet.
+//!
+//! A real batch moves 16-byte index entries, not records: the heap orders
+//! sources by the key prefix their head entry carries and goes to the key
+//! bytes only when two prefixes tie, and the emitted segment is a fresh index
+//! over the buffers of the packets it drew from — no payload copy, no
+//! per-record reference count.
 
-use std::cmp::Reverse;
-use std::collections::binary_heap::PeekMut;
-use std::collections::{BTreeSet, BinaryHeap, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
 use bytes::Bytes;
 
-use crate::record::{key_prefix, Record, RunData, Segment};
+use crate::record::{Entry, RealRun, Segment};
 
 /// What [`StreamingMerge::emit`] produced.
 #[derive(Debug)]
@@ -91,70 +95,50 @@ struct Cold {
     head_idx: usize,
 }
 
+const _: () = assert!(std::mem::size_of::<Cold>() == 48);
+
 impl Cold {
-    /// The current head record (real mode; None if dry).
-    fn head(&self) -> Option<&Record> {
-        let pkt = self.packets.front()?;
-        match &pkt.data {
-            RunData::Real { recs, start, end } => {
-                let i = start + self.head_idx;
-                if i < *end {
-                    Some(&recs[i])
-                } else {
-                    None
-                }
-            }
-            RunData::Synthetic { .. } => None,
-        }
-    }
-
-    /// Consumes the head record (real mode), returning it.
-    fn pop_real(&mut self) -> Record {
-        let pkt = self.packets.front().expect("pop from dry source");
-        let rec = match &pkt.data {
-            RunData::Real { recs, start, .. } => recs[start + self.head_idx].clone(),
-            RunData::Synthetic { .. } => unreachable!("pop_real on synthetic"),
-        };
-        self.head_idx += 1;
-        if self.head_idx as u64 >= pkt.records {
-            self.packets.pop_front();
-            self.head_idx = 0;
-        }
-        rec
+    /// The front packet's run and its head entry (real mode; None if dry).
+    fn head(&self) -> Option<(&RealRun, &Entry)> {
+        let run = self.packets.front()?.real()?;
+        Some((run, run.entries().get(self.head_idx)?))
     }
 }
 
-/// Head-of-source entry in the real-mode merge heap: the minimum buffered
-/// key of one source. Ties break on source index, matching the scan order
-/// the merge used before it was heap-based. The key's eight-byte prefix
-/// rides along and is compared first — it orders like the key wherever two
-/// prefixes differ, so most sift steps never touch the key bytes.
-#[derive(PartialEq, Eq)]
-struct HeadKey {
+/// Head-of-source entry in the real-mode merge heap: the key prefix of the
+/// minimum buffered record of one source. It orders like the key wherever
+/// two prefixes differ, so most sift steps never touch key bytes; a tie goes
+/// to the sources' head keys and then to the source index, matching the scan
+/// order the merge used before it was heap-based.
+#[derive(Clone, Copy)]
+struct Head {
     prefix: u64,
-    key: Bytes,
-    src: usize,
+    src: u32,
 }
 
-impl HeadKey {
-    fn new(key: &Bytes, src: usize) -> Self {
-        HeadKey {
-            prefix: key_prefix(key),
-            key: key.clone(),
-            src,
+/// Heap order of two heads (`cold` supplies the key bytes behind a tie).
+fn before(cold: &[Cold], a: &Head, b: &Head) -> bool {
+    let key = |h: &Head| cold[h.src as usize].head().map(|(run, e)| run.key(e));
+    (a.prefix.cmp(&b.prefix))
+        .then_with(|| key(a).cmp(&key(b)))
+        .then(a.src.cmp(&b.src))
+        .is_lt()
+}
+
+/// Moves `heap[at]` down to where the min-heap order (by [`before`]) holds
+/// again. std's `BinaryHeap` cannot do this: its order may not borrow `cold`.
+fn sift_down(heap: &mut [Head], mut at: usize, cold: &[Cold]) {
+    loop {
+        let (l, r) = (2 * at + 1, 2 * at + 2);
+        let least = match heap.get(r) {
+            Some(right) if before(cold, right, &heap[l]) => r,
+            _ => l,
+        };
+        if least >= heap.len() || !before(cold, &heap[least], &heap[at]) {
+            return;
         }
-    }
-}
-
-impl Ord for HeadKey {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.prefix, &self.key, self.src).cmp(&(other.prefix, &other.key, other.src))
-    }
-}
-
-impl PartialOrd for HeadKey {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+        heap.swap(at, least);
+        at = least;
     }
 }
 
@@ -181,8 +165,15 @@ pub struct StreamingMerge {
     remaining: u64,
     /// The sources that are dry (not exhausted, nothing buffered).
     dry: BTreeSet<usize>,
-    /// Real mode only: one entry per source that has a buffered head.
-    heads: BinaryHeap<Reverse<HeadKey>>,
+    /// Real mode only: a min-heap (see [`sift_down`]) with one entry per
+    /// source that has a buffered head.
+    heads: Vec<Head>,
+    /// Real mode only, per source: the batch (counted in `batches`, from 1)
+    /// that last drew from the source's front packet, and where that batch's
+    /// buffer table holds the packet's buffers. Apart from `cold`, whose size
+    /// synthetic runs with hundreds of thousands of sources pay for.
+    joined: Vec<(u64, u32)>,
+    batches: u64,
     /// Sources with records left to consume, ascending. Exhausted entries
     /// are dropped by the next synthetic batch, not at the pop.
     live: Vec<usize>,
@@ -220,7 +211,9 @@ impl StreamingMerge {
             emitted_bytes: 0,
             remaining: expected_records.iter().sum(),
             dry: live.iter().copied().collect(),
-            heads: BinaryHeap::with_capacity(hot.len()),
+            heads: Vec::with_capacity(hot.len()),
+            joined: Vec::new(),
+            batches: 0,
             newly_low: live.iter().copied().filter(|&i| hot[i].low).collect(),
             live,
             watermark,
@@ -276,15 +269,24 @@ impl StreamingMerge {
         // A delivery can only lift a source over the watermark (or complete
         // it), never drop it under.
         s.low = s.low && s.below(self.watermark);
-        if is_real && !had_head {
-            let key = &packet.real_window()[0].key;
-            self.heads.push(Reverse(HeadKey::new(key, source)));
-        }
         if is_real || had_head {
             cold.packets.push_back(packet);
         } else {
             // The packet becomes the inline head: nothing is allocated.
             (s.head_records, s.head_bytes) = (packet.records, packet.bytes);
+        }
+        if is_real && !had_head {
+            let (_, head) = self.cold[source].head().expect("a packet was just queued");
+            self.heads.push(Head {
+                prefix: head.prefix,
+                src: source as u32,
+            });
+            // Sift the new head up to its place.
+            let mut at = self.heads.len() - 1;
+            while at > 0 && before(&self.cold, &self.heads[at], &self.heads[(at - 1) / 2]) {
+                self.heads.swap(at, (at - 1) / 2);
+                at = (at - 1) / 2;
+            }
         }
     }
 
@@ -352,34 +354,48 @@ impl StreamingMerge {
     }
 
     fn emit_real(&mut self, max_records: u64) -> Segment {
-        let mut out = Vec::with_capacity(max_records.min(self.remaining) as usize);
-        while (out.len() as u64) < max_records {
-            // Extraction is only safe while every non-exhausted source has a
-            // buffered head.
-            if !self.dry.is_empty() {
-                break;
-            }
-            // The heap holds exactly one entry per source with a buffered
-            // head, so its minimum is the global minimum head key.
-            let Some(mut top) = self.heads.peek_mut() else {
+        self.batches += 1;
+        self.joined.resize(self.cold.len(), (0, 0));
+        let mut index = Vec::with_capacity(max_records.min(self.remaining) as usize);
+        let mut bufs: Vec<Bytes> = Vec::new();
+        let mut bytes = 0u64;
+        // Extraction is only safe while every non-exhausted source has a
+        // buffered head. The heap holds exactly one entry per source with a
+        // buffered head, so its minimum is the global minimum head key.
+        while (index.len() as u64) < max_records && self.dry.is_empty() {
+            let Some(&Head { src, .. }) = self.heads.first() else {
                 break;
             };
-            let src = top.0.src;
-            let cold = &mut self.cold[src];
-            out.push(cold.pop_real());
-            // Re-key the top entry in place (one sift-down when the guard
-            // drops) instead of a pop and a push.
-            match cold.head() {
-                Some(h) => {
-                    top.0 = HeadKey::new(&h.key, src);
-                    drop(top);
-                }
-                None => drop(PeekMut::pop(top)),
+            let cold = &mut self.cold[src as usize];
+            let run = (cold.packets.front().and_then(Segment::real))
+                .expect("a source in the heap has a head");
+            let (in_run, mut entry) = (run.entries().len(), run.entries()[cold.head_idx]);
+            bytes += run.size(&entry);
+            let joined = &mut self.joined[src as usize];
+            if joined.0 != self.batches {
+                // This batch's first record from this packet: the packet's
+                // buffers join the batch's table.
+                *joined = (self.batches, bufs.len() as u32);
+                bufs.extend(run.bufs().iter().cloned());
             }
-            self.hot[src].avail -= 1;
-            self.consumed(src, 1);
+            entry.buf += joined.1;
+            index.push(entry);
+            cold.head_idx += 1;
+            if cold.head_idx == in_run {
+                cold.packets.pop_front();
+                (cold.head_idx, joined.0) = (0, 0);
+            }
+            // Re-key the top entry in place (one sift-down) instead of a pop
+            // and a push.
+            match cold.head() {
+                Some((_, next)) => self.heads[0].prefix = next.prefix,
+                None => drop(self.heads.swap_remove(0)),
+            }
+            sift_down(&mut self.heads, 0, &self.cold);
+            self.hot[src as usize].avail -= 1;
+            self.consumed(src as usize, 1);
         }
-        Segment::from_sorted(out)
+        RealRun::over(index, bufs.into()).holding(bytes)
     }
 
     /// Consumes `n` buffered records of `source` (synthetic mode), returning
@@ -467,7 +483,7 @@ impl StreamingMerge {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
+    use crate::record::Record;
 
     fn rec(k: u32) -> Record {
         Record::new(k.to_be_bytes().to_vec(), Bytes::from_static(b"v"))

@@ -11,7 +11,7 @@ use crate::cluster::{Cluster, NodeHandle};
 use crate::config::JobConf;
 use crate::faults::NodeLiveness;
 use crate::jobtracker::{CompletionEvent, JobTracker};
-use crate::record::{encode_parts, encode_records, for_each_group, Record, Segment};
+use crate::record::{encode_into, encoded_len, for_each_group, Record, Segment};
 use crate::runtime::JobId;
 use crate::spec::JobSpec;
 use crate::tasktracker::{TaskTracker, TtServerHandle};
@@ -76,6 +76,9 @@ pub struct ReduceStats {
     pub shuffled_bytes: u64,
     /// Records reduced.
     pub reduced_records: u64,
+    /// Bytes reduced: everything pulled was merged and consumed, so a
+    /// finished reducer has `reduced_bytes == shuffled_bytes`.
+    pub reduced_bytes: u64,
     /// Output bytes written to HDFS.
     pub output_bytes: u64,
 }
@@ -106,7 +109,9 @@ pub struct ReduceSink {
     node: NodeHandle,
     conf: Rc<JobConf>,
     spec: JobSpec,
-    held: Vec<Record>,
+    path: String,
+    /// The trailing key group of the batches so far, as windows of them.
+    held: Vec<Segment>,
     /// Records consumed (reduce input).
     pub in_records: u64,
     /// Bytes consumed.
@@ -146,6 +151,7 @@ impl ReduceSink {
             node: node.clone(),
             conf: Rc::clone(conf),
             spec: spec.clone(),
+            path,
             held: Vec::new(),
             in_records: 0,
             in_bytes: 0,
@@ -168,76 +174,83 @@ impl ReduceSink {
             // Emit everything up to the trailing key group, which is held
             // back because it may continue in the next batch. `held` is one
             // such group, so it goes out as soon as the key moves on.
-            let window = seg.real_window();
-            let Some(last) = window.last() else { return };
-            let cut = window
-                .iter()
-                .rposition(|r| r.key != last.key)
-                .map_or(0, |p| p + 1);
-            if cut == 0 && self.held.first().is_none_or(|h| h.key == last.key) {
-                self.held.extend_from_slice(window);
+            let Some(last) = seg.last_key() else { return };
+            let (head, tail) = seg.split_trailing_group();
+            let same_key = |held: &Segment| held.first_key() == Some(last);
+            if head.records == 0 && self.held.first().is_none_or(same_key) {
+                self.held.push(tail);
                 return;
             }
-            let held = std::mem::replace(&mut self.held, window[cut..].to_vec());
-            self.emit_groups(&held, &window[..cut]).await;
+            let mut groups = std::mem::replace(&mut self.held, vec![tail]);
+            groups.push(head);
+            self.emit_groups(&groups).await;
         } else {
             let out = (seg.bytes as f64 * self.spec.reduce_output_ratio) as u64;
-            self.write_blob(Blob::synthetic(out)).await;
+            self.out_bytes += out;
+            self.writer()
+                .write(Blob::synthetic(out))
+                .await
+                .expect("output write");
         }
     }
 
-    /// Reduces and writes `held ++ window` (whole key groups, in key order).
-    async fn emit_groups(&mut self, held: &[Record], window: &[Record]) {
-        if held.is_empty() && window.is_empty() {
+    fn writer(&mut self) -> &mut rmr_hdfs::HdfsWriter {
+        self.writer.as_mut().expect("sink already finished")
+    }
+
+    /// Reduces and writes the concatenation of `pieces` (whole key groups, in
+    /// key order), gathered straight into the open HDFS block: the identity
+    /// reducer's output is the pieces' records as they lie in their buffers,
+    /// a user reducer's is encoded from what it returned.
+    async fn emit_groups(&mut self, pieces: &[Segment]) {
+        let reduced: Option<Vec<Record>> = self.spec.reducer.as_ref().map(|f| {
+            let records: Vec<Record> = pieces.iter().flat_map(Segment::iter_real).collect();
+            let mut out = Vec::new();
+            for_each_group(&records, |k, vs| f(k, vs, &mut out));
+            out
+        });
+        let len = match &reduced {
+            Some(out) => encoded_len(out),
+            None => pieces.iter().map(|p| p.bytes + 8 * p.records).sum(),
+        };
+        if len == 0 {
             return;
         }
-        let data = match &self.spec.reducer {
-            // Identity: encode straight from the two pieces.
-            None => encode_parts(&[held, window]),
-            Some(f) => {
-                let joined;
-                let records = if held.is_empty() {
-                    window
-                } else {
-                    joined = [held, window].concat();
-                    &joined
-                };
-                let mut out = Vec::new();
-                for_each_group(records, |k, vs| f(k, vs, &mut out));
-                if out.is_empty() {
-                    return;
-                }
-                encode_records(&out)
-            }
-        };
-        let blob = Blob::real(data);
         self.node
-            .compute(self.conf.costs.serde_per_byte * blob.len as f64)
+            .compute(self.conf.costs.serde_per_byte * len as f64)
             .await;
-        self.write_blob(blob).await;
-    }
-
-    async fn write_blob(&mut self, blob: Blob) {
-        self.out_bytes += blob.len;
-        self.writer
-            .as_mut()
-            .expect("sink already finished")
-            .write(blob)
-            .await
-            .expect("output write");
+        self.out_bytes += len;
+        let fill = |buf: &mut bytes::BytesMut| match &reduced {
+            Some(out) => encode_into(out, buf),
+            None => pieces.iter().for_each(|p| p.encode_into(buf)),
+        };
+        (self.writer().write_with(len, fill).await).expect("output write");
     }
 
     /// Flushes the held group and closes the output file. Returns
     /// (input records, input bytes, output bytes).
     pub async fn finish(mut self) -> (u64, u64, u64) {
         let held = std::mem::take(&mut self.held);
-        self.emit_groups(&held, &[]).await;
+        let real = !held.is_empty();
+        self.emit_groups(&held).await;
         self.writer
             .take()
             .expect("double finish")
             .close()
             .await
             .expect("output close");
+        // Conservation on the real plane: the identity reducer writes every
+        // record it consumed, each under an 8-byte header.
+        let identity = self.in_bytes + 8 * self.in_records;
+        assert!(
+            !real || self.spec.reducer.is_some() || self.out_bytes == identity,
+            "{} ({}): the identity reducer consumed {} records / {} bytes and wrote {} bytes, not {identity}",
+            self.spec.name,
+            self.path,
+            self.in_records,
+            self.in_bytes,
+            self.out_bytes,
+        );
         (self.in_records, self.in_bytes, self.out_bytes)
     }
 }
@@ -293,14 +306,20 @@ mod tests {
                 rec(b"b", b"2"),
             ]))
             .await;
-            sink.consume(Segment::from_records(vec![
-                rec(b"b", b"3"),
-                rec(b"c", b"4"),
-            ]))
-            .await;
-            let (in_recs, _, out_bytes) = sink.finish().await;
-            assert_eq!(in_recs, 4);
-            assert!(out_bytes > 0);
+            // An adopted block passes through as index entries: the sink
+            // holds no window into it per record, only the held group's run.
+            let block = crate::record::encode_records(&[rec(b"b", b"3"), rec(b"c", b"4")]);
+            let windows = block.strong_count();
+            sink.consume(Segment::from_encoded(block.clone())).await;
+            assert_eq!(block.strong_count(), windows + 1);
+            let (in_recs, in_bytes, out_bytes) = sink.finish().await;
+            assert_eq!(block.strong_count(), windows);
+            assert_eq!((in_recs, in_bytes), (4, 8));
+            assert_eq!(
+                out_bytes,
+                in_bytes + 8 * in_recs,
+                "identity: every record, framed"
+            );
             // Read back and check order & count.
             let mut r = c2.hdfs.open("/out/part-00000", node.id).await.unwrap();
             let mut all = Vec::new();

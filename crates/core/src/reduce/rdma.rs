@@ -1085,7 +1085,7 @@ pub async fn run_reduce_rdma(
     let merge_end_s = sim.now().as_secs_f64();
     // Always join the consumer so the sink closes cleanly; on failure its
     // partial part-file is deleted by the next attempt's ReduceSink::open.
-    let (in_records, _in_bytes, out_bytes) = consumer.await;
+    let (in_records, in_bytes, out_bytes) = consumer.await;
     copier.stop();
     if let Some(tt_idx) = lost_tt {
         return Err(ReduceError::SourceLost { tt_idx });
@@ -1098,6 +1098,7 @@ pub async fn run_reduce_rdma(
         reduce_end_s: sim.now().as_secs_f64(),
         shuffled_bytes: st.shuffled_bytes,
         reduced_records: in_records,
+        reduced_bytes: in_bytes,
         output_bytes: out_bytes,
     })
 }

@@ -213,7 +213,7 @@ pub async fn run_reduce_vanilla(ctx: ReduceCtx) -> Result<ReduceStats, ReduceErr
             sink.consume(batch).await;
         }
     }
-    let (in_records, _in_bytes, out_bytes) = sink.finish().await;
+    let (in_records, in_bytes, out_bytes) = sink.finish().await;
     // Clean up run files.
     for f in &disk_files {
         let _ = node.fs.delete(f);
@@ -226,6 +226,7 @@ pub async fn run_reduce_vanilla(ctx: ReduceCtx) -> Result<ReduceStats, ReduceErr
         reduce_end_s: sim.now().as_secs_f64(),
         shuffled_bytes: st.shuffled_bytes,
         reduced_records: in_records,
+        reduced_bytes: in_bytes,
         output_bytes: out_bytes,
     })
 }

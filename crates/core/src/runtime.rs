@@ -1090,6 +1090,7 @@ impl RtInner {
             tt.cleanup_job(job.id);
             tt.cache.forget_job_stats(job.id);
         }
+        let (maps_registered, map_output_bytes, real) = self.outputs.job_totals(job.id);
         self.outputs.remove_job(job.id);
         self.engine.job_finalized(job.id);
         self.active.borrow_mut().retain(|&j| j != job.id.0);
@@ -1105,6 +1106,25 @@ impl RtInner {
             .map(|s| s.clone().expect("reducer finished without stats"))
             .collect();
         let shuffled_bytes = reduce_stats.iter().map(|s| s.shuffled_bytes).sum();
+        if real {
+            // Conservation on the real plane: every reducer consumed what it
+            // pulled, and (while no node death has unregistered an output)
+            // together they pulled what the maps — or the in-node combiner's
+            // folds — produced.
+            for (partition, s) in reduce_stats.iter().enumerate() {
+                assert_eq!(
+                    s.reduced_bytes, s.shuffled_bytes,
+                    "{} partition {partition}: reduced {} bytes of {} shuffled",
+                    job.id, s.reduced_bytes, s.shuffled_bytes
+                );
+            }
+            assert!(
+                maps_registered < job.total_maps || map_output_bytes == shuffled_bytes,
+                "{}: {} maps produced {map_output_bytes} bytes, the reducers pulled {shuffled_bytes}",
+                job.id,
+                job.total_maps
+            );
+        }
         let output_bytes = reduce_stats.iter().map(|s| s.output_bytes).sum();
         let duration_s = end - job.submit_s;
         let queue_wait_s = job

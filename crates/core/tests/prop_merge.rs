@@ -2,7 +2,9 @@
 //! packet delivery schedules must never lose, duplicate, or disorder
 //! records, and must stall exactly when a non-exhausted source is dry. The
 //! synthetic path is additionally held, emit for emit, to the scan-based
-//! implementation it replaced ([`oracle`]).
+//! implementation it replaced ([`oracle`]), and the real path to a merge over
+//! `Vec<Record>` packets that scans the heads ([`real_oracle`]): the same
+//! records in the same batches, whatever buffers the packets lie in.
 
 use std::collections::BTreeSet;
 
@@ -220,6 +222,79 @@ mod oracle {
     }
 }
 
+/// The real-mode merge over materialised records: packets are `Vec<Record>`,
+/// the next record is found by scanning every source's head (least key, the
+/// lowest source among equals), and a batch ends at `max_records` or when a
+/// source that still expects records has none buffered.
+mod real_oracle {
+    use std::collections::VecDeque;
+
+    use rmr_core::Record;
+
+    pub struct Oracle {
+        /// Per source: records still expected, and those buffered.
+        sources: Vec<(u64, VecDeque<Record>)>,
+    }
+
+    impl Oracle {
+        pub fn new(expected: Vec<u64>) -> Self {
+            let sources = expected.into_iter().map(|n| (n, VecDeque::new())).collect();
+            Oracle { sources }
+        }
+
+        pub fn append(&mut self, source: usize, packet: Vec<Record>) {
+            self.sources[source].1.extend(packet);
+        }
+
+        fn dry(&self) -> Vec<usize> {
+            let dry = |(_, (left, buffered)): &(usize, &(u64, VecDeque<Record>))| {
+                *left > 0 && buffered.is_empty()
+            };
+            (self.sources.iter().enumerate().filter(dry))
+                .map(|(i, _)| i)
+                .collect()
+        }
+
+        /// `Ok(batch)`, `Err(Some(dry sources))` when stalled, `Err(None)`
+        /// when done.
+        pub fn emit(&mut self, max_records: u64) -> Result<Vec<Record>, Option<Vec<usize>>> {
+            if self.sources.iter().all(|(left, _)| *left == 0) {
+                return Err(None);
+            }
+            let mut out = Vec::new();
+            while (out.len() as u64) < max_records && self.dry().is_empty() {
+                let heads = self.sources.iter().enumerate();
+                let least = heads
+                    .filter_map(|(i, (_, buffered))| Some((&buffered.front()?.key, i)))
+                    .min();
+                let Some((_, i)) = least else { break };
+                out.push(self.sources[i].1.pop_front().expect("a head"));
+                self.sources[i].0 -= 1;
+            }
+            if out.is_empty() {
+                return Err(Some(self.dry()));
+            }
+            Ok(out)
+        }
+    }
+}
+
+/// Keys that collide in and past their first eight bytes, and values that
+/// tell equal keys apart.
+fn arb_tied_source() -> impl Strategy<Value = (Vec<Record>, u64, u8)> {
+    let symbol = || (0usize..3).prop_map(|i| [0u8, 7, 255][i]);
+    let tail = move |max| proptest::collection::vec(symbol(), 0..max);
+    let key = prop_oneof![
+        tail(4),
+        tail(3).prop_map(|t| [&b"prefix__"[..], &t].concat()),
+        tail(12),
+    ];
+    let value = proptest::collection::vec(any::<u8>(), 0..4);
+    let records =
+        proptest::collection::vec((key, value).prop_map(|(k, v)| Record::new(k, v)), 0..40);
+    (records, 1u64..48, 0u8..3)
+}
+
 /// One source's data plus a packetisation of it.
 fn arb_source() -> impl Strategy<Value = (Vec<Record>, u64)> {
     (
@@ -276,7 +351,7 @@ proptest! {
                 Emit::Done => break,
                 Emit::Data(seg) => {
                     prop_assert!(seg.is_sorted());
-                    out.extend(seg.iter_real().cloned());
+                    out.extend(seg.iter_real());
                 }
                 Emit::Stalled(dry) => {
                     prop_assert!(!dry.is_empty());
@@ -300,6 +375,74 @@ proptest! {
             out.iter().map(|r| (r.key.to_vec(), r.value.len())).collect();
         got.sort();
         prop_assert_eq!(got, expect);
+    }
+
+    /// The index merge against [`real_oracle`], in lockstep over a random
+    /// delivery schedule: every `emit` must agree — the records of the batch
+    /// (so the batch boundaries too), its byte count, the stalled set, done.
+    /// A source's packets are windows of one sorted run, or each packet an
+    /// arena of its own, or each an adopted block, so one batch draws from
+    /// several buffers and several buffer tables.
+    #[test]
+    fn real_merge_matches_the_scan_based_oracle_batch_for_batch(
+        sources in proptest::collection::vec(arb_tied_source(), 1..6),
+        batch in 1u64..24,
+        schedule_seed in any::<u64>(),
+    ) {
+        let mut rng = schedule_seed;
+        let mut next = move |n: usize| {
+            rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (rng >> 33) as usize % n
+        };
+        // Per source, its packets in delivery order, last first.
+        let mut queues: Vec<Vec<Segment>> = Vec::new();
+        for (records, budget, backing) in &sources {
+            let mut cursor = SegmentCursor::new(Segment::from_records(records.clone()));
+            let mut packets = Vec::new();
+            while !cursor.exhausted() {
+                let window = cursor.take_bytes(*budget);
+                let rows = window.to_records().expect("real");
+                packets.push(match backing {
+                    0 => window,
+                    1 => Segment::from_sorted(rows),
+                    _ => Segment::from_encoded(rmr_core::encode_records(&rows)),
+                });
+            }
+            packets.reverse();
+            queues.push(packets);
+        }
+        let expected: Vec<u64> = sources.iter().map(|(r, ..)| r.len() as u64).collect();
+        let mut merge = StreamingMerge::new(expected.clone());
+        let mut reference = real_oracle::Oracle::new(expected);
+        let mut guard = 0;
+        loop {
+            guard += 1;
+            prop_assert!(guard < 10_000, "merge did not converge");
+            let dry = match (merge.emit(batch), reference.emit(batch)) {
+                (Emit::Done, Err(None)) => break,
+                (Emit::Data(seg), Ok(want)) => {
+                    prop_assert_eq!(seg.to_records().expect("real"), &want[..]);
+                    prop_assert_eq!(seg.records, want.len() as u64);
+                    prop_assert_eq!(seg.bytes, want.iter().map(Record::size).sum::<u64>());
+                    // Deliver ahead of need now and then.
+                    (0..queues.len()).filter(|&i| !queues[i].is_empty() && next(4) == 0).collect()
+                }
+                (Emit::Stalled(dry), Err(Some(want))) => {
+                    prop_assert_eq!(&dry, &want);
+                    vec![dry[next(dry.len())]]
+                }
+                (got, want) => {
+                    prop_assert!(false, "merge {:?}, oracle {:?}", got, want.map(|b| b.len()));
+                    unreachable!()
+                }
+            };
+            for i in dry {
+                let packet = queues[i].pop().expect("stalled on a fully delivered source");
+                reference.append(i, packet.to_records().expect("real"));
+                merge.append(i, packet);
+            }
+        }
+        prop_assert!(queues.iter().all(Vec::is_empty), "done before every packet was delivered");
     }
 
     #[test]

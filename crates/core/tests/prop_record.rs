@@ -1,5 +1,11 @@
 //! Property-based tests for the data plane: serialisation, partitioning,
 //! merging, and packet cursors.
+//!
+//! [`oracle`] is the record plane as it stood while a run was a vector of
+//! `Record`s — a stable `sort_by`, a stable bucketing, a cursor summing
+//! `Record::size`, a scan-based merge — kept as the definition of what the
+//! index-over-buffers [`Segment`] must give: the same records in the same
+//! order, the same partitions, the same packet sequence.
 
 use bytes::Bytes;
 use proptest::prelude::*;
@@ -20,6 +26,85 @@ fn arb_record() -> impl Strategy<Value = Record> {
 
 fn arb_records(max: usize) -> impl Strategy<Value = Vec<Record>> {
     proptest::collection::vec(arb_record(), 0..max)
+}
+
+/// Records whose keys collide: 0–20 bytes from a four-symbol alphabet, often
+/// behind a shared eight-byte prefix, so empty keys, keys shorter than the
+/// prefix, duplicates and keys that differ only past the prefix are all
+/// common; values (possibly empty) tell equal keys apart.
+fn arb_tied_records(max: usize) -> impl Strategy<Value = Vec<Record>> {
+    let symbol = || (0usize..4).prop_map(|i| [0u8, 1, 254, 255][i]);
+    let tail = move |max| proptest::collection::vec(symbol(), 0..max);
+    let key = prop_oneof![
+        tail(5),
+        tail(20),
+        tail(12).prop_map(|t| [&b"prefix__"[..], &t].concat()),
+        tail(3).prop_map(|t| [&[0u8; 8][..], &t].concat()),
+    ];
+    let value = proptest::collection::vec(any::<u8>(), 0..6);
+    proptest::collection::vec((key, value).prop_map(|(k, v)| Record::new(k, v)), 0..max)
+}
+
+mod oracle {
+    use super::*;
+
+    pub fn sorted(mut records: Vec<Record>) -> Vec<Record> {
+        records.sort_by(|a, b| a.key.cmp(&b.key));
+        records
+    }
+
+    pub fn partition(sorted: &[Record], n: usize, part: &dyn Partitioner) -> Vec<Vec<Record>> {
+        let mut buckets = vec![Vec::new(); n];
+        for r in sorted {
+            buckets[part.partition(&r.key, n)].push(r.clone());
+        }
+        buckets
+    }
+
+    /// The `(records, bytes)` of the packets `take_bytes(budget)` cuts.
+    pub fn packets_by_bytes(sorted: &[Record], budget: u64) -> Vec<(u64, u64)> {
+        let (mut out, mut at) = (Vec::new(), 0);
+        while at < sorted.len() {
+            let (mut to, mut bytes) = (at, 0);
+            while to < sorted.len() && (to == at || bytes + sorted[to].size() <= budget) {
+                bytes += sorted[to].size();
+                to += 1;
+            }
+            out.push(((to - at) as u64, bytes));
+            at = to;
+        }
+        out
+    }
+
+    /// The `(records, bytes)` of the packets `take_records(n)` cuts.
+    pub fn packets_by_records(sorted: &[Record], n: usize) -> Vec<(u64, u64)> {
+        let sizes = |c: &[Record]| (c.len() as u64, c.iter().map(Record::size).sum());
+        sorted.chunks(n).map(sizes).collect()
+    }
+
+    /// K-way merge by scanning the heads: the least key, the earliest run
+    /// among equals.
+    pub fn merge(runs: &[Vec<Record>]) -> Vec<Record> {
+        let mut at = vec![0; runs.len()];
+        let mut out = Vec::new();
+        loop {
+            let heads = (0..runs.len()).filter(|&i| at[i] < runs[i].len());
+            let Some(least) = heads.min_by_key(|&i| (&runs[i][at[i]].key, i)) else {
+                return out;
+            };
+            out.push(runs[least][at[least]].clone());
+            at[least] += 1;
+        }
+    }
+}
+
+fn records_of(seg: &Segment) -> Vec<Record> {
+    seg.to_records().expect("a real segment")
+}
+
+/// [`records_of`], where joining nothing may give the (synthetic) empty run.
+fn records_of_or_empty(seg: &Segment) -> Vec<Record> {
+    seg.to_records().unwrap_or_default()
 }
 
 proptest! {
@@ -146,6 +231,120 @@ proptest! {
         prop_assert_eq!(rebuilt.records, recs);
         prop_assert_eq!(rebuilt.bytes, bytes);
         prop_assert!(rebuilt.is_sorted());
+    }
+
+    /// Both ways into a real run — a block adopted as it stands, records
+    /// encoded into an arena — give the oracle's stable sort, with `bytes`
+    /// counting keys and values only.
+    #[test]
+    fn adopted_and_encoded_runs_are_the_oracles_stable_sort(records in arb_tied_records(64)) {
+        let want = oracle::sorted(records.clone());
+        let bytes: u64 = want.iter().map(Record::size).sum();
+        let adopted = Segment::from_encoded(encode_records(&records));
+        let presorted = Segment::from_sorted(want.clone());
+        for seg in [&adopted, &Segment::from_records(records), &presorted] {
+            prop_assert!(seg.is_sorted());
+            prop_assert_eq!((seg.records, seg.bytes), (want.len() as u64, bytes));
+            prop_assert_eq!(&records_of(seg), &want);
+        }
+    }
+
+    #[test]
+    fn partitions_match_the_oracle_under_both_partitioners(
+        records in arb_tied_records(64),
+        n in 1usize..9,
+        total_order in any::<bool>(),
+        adopt in any::<bool>(),
+    ) {
+        let part: Box<dyn Partitioner> = if total_order {
+            Box::new(TotalOrderPartitioner)
+        } else {
+            Box::new(HashPartitioner)
+        };
+        let want = oracle::partition(&oracle::sorted(records.clone()), n, part.as_ref());
+        let seg = if adopt {
+            Segment::from_encoded(encode_records(&records))
+        } else {
+            Segment::from_records(records)
+        };
+        let got = seg.partition(n, part.as_ref());
+        prop_assert_eq!(got.len(), n);
+        for (got, want) in got.iter().zip(&want) {
+            prop_assert_eq!(&records_of(got), want);
+            prop_assert_eq!(got.records, want.len() as u64);
+            prop_assert_eq!(got.bytes, want.iter().map(Record::size).sum::<u64>());
+            // A partition is a run like any other: it cuts into the oracle's
+            // packets too.
+            let mut cursor = SegmentCursor::new(got.clone());
+            let mut packets = Vec::new();
+            while !cursor.exhausted() {
+                let p = cursor.take_bytes(40);
+                packets.push((p.records, p.bytes));
+            }
+            prop_assert_eq!(packets, oracle::packets_by_bytes(want, 40));
+        }
+    }
+
+    #[test]
+    fn cursors_cut_the_oracles_packets_and_concat_rejoins_them(
+        records in arb_tied_records(64),
+        budget in 1u64..96,
+        n in 1usize..12,
+    ) {
+        let want = oracle::sorted(records.clone());
+        let seg = Segment::from_records(records);
+        let mut by_bytes = SegmentCursor::new(seg.clone());
+        let mut by_records = SegmentCursor::new(seg);
+        let (mut packets, mut sizes, mut rows) = (Vec::new(), Vec::new(), Vec::new());
+        while !by_bytes.exhausted() {
+            let p = by_bytes.take_bytes(budget);
+            sizes.push((p.records, p.bytes));
+            rows.extend(records_of(&p));
+            packets.push(p);
+        }
+        prop_assert_eq!(sizes, oracle::packets_by_bytes(&want, budget));
+        prop_assert_eq!(&rows, &want);
+        let mut sizes = Vec::new();
+        while !by_records.exhausted() {
+            let p = by_records.take_records(n as u64);
+            sizes.push((p.records, p.bytes));
+        }
+        prop_assert_eq!(sizes, oracle::packets_by_records(&want, n));
+        // Any run of consecutive packets rejoins into exactly their records.
+        let (from, to) = (n.min(packets.len()) / 2, packets.len());
+        let rejoined = Segment::concat(packets[from..to].to_vec());
+        let skipped: usize = packets[..from].iter().map(|p| p.records as usize).sum();
+        prop_assert_eq!(records_of_or_empty(&rejoined), want[skipped..].to_vec());
+        prop_assert_eq!(rejoined.bytes, want[skipped..].iter().map(Record::size).sum::<u64>());
+        // Windows with a gap between them do not adjoin: the middle stays out.
+        if let [first, _, .., last] = &packets[..] {
+            let ends = Segment::concat(vec![first.clone(), last.clone()]);
+            prop_assert_eq!(records_of(&ends), [records_of(first), records_of(last)].concat());
+        }
+    }
+
+    /// Runs over different buffers — arenas and adopted blocks, whole and as
+    /// packet windows out of order — merge into the oracle's output, ties
+    /// going to the earlier run; `concat` of windows that do not adjoin falls
+    /// back to the same merge.
+    #[test]
+    fn merge_matches_the_oracle_across_buffers(
+        groups in proptest::collection::vec((arb_tied_records(24), any::<bool>()), 1..6),
+    ) {
+        let runs: Vec<Vec<Record>> = groups.iter().map(|(g, _)| oracle::sorted(g.clone())).collect();
+        let segs: Vec<Segment> = groups
+            .into_iter()
+            .map(|(g, adopt)| if adopt { Segment::from_encoded(encode_records(&g)) } else { Segment::from_records(g) })
+            .collect();
+        let want = oracle::merge(&runs);
+        let merged = Segment::merge(&segs);
+        prop_assert_eq!(&records_of(&merged), &want);
+        prop_assert_eq!(merged.bytes, want.iter().map(Record::size).sum::<u64>());
+        // Two windows of one run, the later first: not adjoining, so merged.
+        let mut cursor = SegmentCursor::new(merged.clone());
+        let (a, b) = (cursor.take_records(merged.records / 2), cursor.take_bytes(u64::MAX));
+        let swapped = Segment::concat(vec![b.clone(), a.clone()]);
+        prop_assert_eq!(records_of_or_empty(&swapped), oracle::merge(&[records_of(&b), records_of(&a)]));
     }
 
     #[test]

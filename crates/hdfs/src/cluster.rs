@@ -18,7 +18,7 @@ use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
 
-use bytes::Bytes;
+use bytes::{BufMut, Bytes, BytesMut};
 
 use rmr_des::prelude::*;
 use rmr_des::sync::join_all;
@@ -264,12 +264,40 @@ pub struct BlockRead {
     pub data: Option<Bytes>,
 }
 
+/// The real content of an open block: nothing yet, the one blob it can adopt
+/// as it stands, or the buffer it is being built in. There is no third way to
+/// hold bytes, so a block that got a blob and then more has copied the blob
+/// into its buffer first — [`HdfsWriter::seal_current`] checks that nothing
+/// was lost on the way.
+enum Content {
+    Empty,
+    Adopted(Bytes),
+    Building(BytesMut),
+}
+
+impl Content {
+    /// The block's buffer, reserved once at `reserve` bytes (the block size,
+    /// or the one oversized piece the block will hold), with an adopted blob
+    /// copied in.
+    fn into_building(self, reserve: u64) -> BytesMut {
+        let fresh = || BytesMut::with_capacity(reserve as usize);
+        match self {
+            Content::Empty => fresh(),
+            Content::Adopted(blob) => {
+                let mut buf = fresh();
+                buf.put_slice(&blob);
+                buf
+            }
+            Content::Building(buf) => buf,
+        }
+    }
+}
+
 struct OpenBlock {
     meta: BlockMeta,
     written: u64,
     writers: Vec<rmr_store::FileWriter>,
-    /// The real blobs written into this block so far, in order.
-    data: Vec<Bytes>,
+    content: Content,
 }
 
 /// Streaming writer with pipelined replication.
@@ -287,28 +315,23 @@ impl HdfsWriter {
     /// blobs carrying real content are kept whole within one block — the
     /// simulation-level stand-in for record readers compensating at block
     /// boundaries (no record is ever torn). Writers of real data should
-    /// therefore chunk their blobs to at most the block size.
+    /// therefore chunk their blobs to at most the block size. A blob that
+    /// opens a block is adopted as the block's content, not copied.
     pub async fn write(&mut self, blob: Blob) -> Result<(), HdfsError> {
         debug_assert!(blob.is_consistent());
         assert!(!self.closed, "write after close");
         let block_size = self.cluster.cfg.block_size;
-        if blob.data.is_some() {
-            // Whole-blob path: seal the current block first if the blob
-            // doesn't fit, then append the blob intact.
-            if let Some(cur) = &self.cur {
-                if cur.written > 0 && cur.written + blob.len > block_size {
-                    self.seal_current().await?;
+        if let Some(data) = blob.data {
+            let reserve = block_size.max(blob.len);
+            let put = |content| match content {
+                Content::Empty => Content::Adopted(data),
+                held => {
+                    let mut buf = held.into_building(reserve);
+                    buf.put_slice(&data);
+                    Content::Building(buf)
                 }
-            }
-            if self.cur.is_none() {
-                self.open_block().await?;
-            }
-            let len = blob.len;
-            self.pipeline_chunk(len, blob.data).await?;
-            if self.cur.as_ref().unwrap().written >= block_size {
-                self.seal_current().await?;
-            }
-            return Ok(());
+            };
+            return self.write_real(blob.len, put).await;
         }
         let mut offset: u64 = 0;
         while offset < blob.len {
@@ -318,16 +341,73 @@ impl HdfsWriter {
             let cur = self.cur.as_mut().unwrap();
             let room = block_size - cur.written;
             let take = room.min(blob.len - offset);
-            let chunk_data = blob
-                .data
-                .as_ref()
-                .map(|d| d.slice(offset as usize..(offset + take) as usize));
-            self.pipeline_chunk(take, chunk_data).await?;
+            self.pipeline_chunk(take).await?;
             offset += take;
             let cur = self.cur.as_ref().unwrap();
             if cur.written >= block_size {
                 self.seal_current().await?;
             }
+        }
+        Ok(())
+    }
+
+    /// Appends `len` bytes of real content that `fill` writes straight into
+    /// the block's buffer — kept whole within one block like a real blob of
+    /// [`Self::write`], with the same simulated cost, but the bytes are
+    /// produced where they will live instead of being copied there. `fill`
+    /// runs before anything is awaited and must append exactly `len` bytes.
+    pub async fn write_with(
+        &mut self,
+        len: u64,
+        fill: impl FnOnce(&mut BytesMut),
+    ) -> Result<(), HdfsError> {
+        assert!(!self.closed, "write after close");
+        let reserve = self.cluster.cfg.block_size.max(len);
+        let path = self.path.clone();
+        let put = move |content: Content| {
+            let mut buf = content.into_building(reserve);
+            let before = buf.len() as u64;
+            fill(&mut buf);
+            let filled = buf.len() as u64 - before;
+            assert_eq!(
+                filled, len,
+                "{path}: a {len}-byte piece was filled with {filled} bytes"
+            );
+            Content::Building(buf)
+        };
+        self.write_real(len, put).await
+    }
+
+    /// The whole-piece path: `put` adds the piece to the content of the block
+    /// it will live in — the open one if the piece fits, else a fresh one,
+    /// opened once the current block is sealed. `put` runs first, before any
+    /// await: a fill may draw from the simulation's RNG, and where in the
+    /// schedule it does so is part of the run.
+    async fn write_real(
+        &mut self,
+        len: u64,
+        put: impl FnOnce(Content) -> Content,
+    ) -> Result<(), HdfsError> {
+        let block_size = self.cluster.cfg.block_size;
+        let room = |cur: &OpenBlock| cur.written == 0 || cur.written + len <= block_size;
+        let content = match &mut self.cur {
+            Some(cur) if room(cur) => put(std::mem::replace(&mut cur.content, Content::Empty)),
+            _ => {
+                let content = put(Content::Empty);
+                self.seal_current().await?;
+                self.open_block().await?;
+                content
+            }
+        };
+        let cur = self.cur.as_mut().expect("a block is open");
+        cur.content = content;
+        self.pipeline_chunk(len).await?;
+        if self
+            .cur
+            .as_ref()
+            .is_some_and(|cur| cur.written >= block_size)
+        {
+            self.seal_current().await?;
         }
         Ok(())
     }
@@ -358,7 +438,7 @@ impl HdfsWriter {
             meta,
             written: 0,
             writers,
-            data: Vec::new(),
+            content: Content::Empty,
         });
         Ok(())
     }
@@ -366,7 +446,7 @@ impl HdfsWriter {
     /// Streams one packet-train of `len` bytes down the pipeline in
     /// [`HdfsConfig::packet_size`] packets; network hops and replica disk
     /// writes overlap.
-    async fn pipeline_chunk(&mut self, len: u64, data: Option<Bytes>) -> Result<(), HdfsError> {
+    async fn pipeline_chunk(&mut self, len: u64) -> Result<(), HdfsError> {
         let c = self.cluster.clone();
         let cur = self.cur.as_mut().unwrap();
         let packet = c.cfg.packet_size.max(1);
@@ -392,27 +472,34 @@ impl HdfsWriter {
             sent += take;
         }
         cur.written += len;
-        cur.data.extend(data);
         c.sim.metrics().add("hdfs.bytes_written", len as f64);
         Ok(())
     }
 
     async fn seal_current(&mut self) -> Result<(), HdfsError> {
-        if let Some(mut cur) = self.cur.take() {
+        if let Some(cur) = self.cur.take() {
             let c = &self.cluster;
             c.nn_rpc(self.client).await;
             c.nn.borrow_mut()
                 .seal_block(&self.path, cur.meta.id, cur.written)?;
-            // A block holding one real blob adopts it as its content; only
-            // a block several blobs share pays one concatenating copy.
-            let content = match cur.data.len() {
-                0 => None,
-                1 => cur.data.pop(),
-                _ => Some(Bytes::from(cur.data.concat())),
+            // Either way the block adopts what it holds: the one blob it was
+            // given, or the buffer its pieces were written into. Nothing is
+            // copied at seal.
+            let content = match cur.content {
+                Content::Empty => return Ok(()),
+                Content::Adopted(blob) => blob,
+                Content::Building(buf) => buf.freeze(),
             };
-            if let Some(d) = content {
-                c.contents.borrow_mut().insert(cur.meta.id, d);
-            }
+            assert_eq!(
+                content.len() as u64,
+                cur.written,
+                "{}: block {} holds {} real bytes of {} written",
+                self.path,
+                cur.meta.id,
+                content.len(),
+                cur.written
+            );
+            c.contents.borrow_mut().insert(cur.meta.id, content);
         }
         Ok(())
     }
@@ -457,6 +544,11 @@ mod tests {
     use super::*;
     use rmr_net::FabricParams;
     use rmr_store::DiskParams;
+
+    /// What `blobs_pieces_and_mixtures_cut_the_same_blocks`' writes gave at
+    /// the parent commit.
+    const PARENT_LENGTHS: [u64; 5] = [70, 50, 100, 120, 10];
+    const PARENT_EVENTS_AND_HASH: (u64, u64) = (118, 0x0b58_165e_87f6_81f7);
 
     fn quick_setup(
         seed: u64,
@@ -578,6 +670,81 @@ mod tests {
         // is held is host-side only.
         assert_eq!(real_blob_writes(1), (280.0, 87, 0xdfb1_eb3e_5e86_0b16));
         assert_eq!(real_blob_writes(2), (280.0, 107, 0xe45d_0854_7d3c_edef));
+    }
+
+    /// Seven real pieces against 100-byte blocks, each written as an adopted
+    /// blob ([`HdfsWriter::write`]) or filled in place
+    /// ([`HdfsWriter::write_with`]) as `in_place(i)` says. Returns the
+    /// per-block lengths, the file's bytes as read back, events fired and
+    /// the trace hash.
+    fn piecewise_writes(
+        in_place: impl Fn(usize) -> bool + 'static,
+    ) -> (Vec<u64>, Vec<u8>, u64, u64) {
+        let (sim, hdfs) = quick_setup(8, 3, 2, 100);
+        let h2 = hdfs.clone();
+        let out = Rc::new(RefCell::new((Vec::new(), Vec::new())));
+        let out2 = Rc::clone(&out);
+        sim.spawn(async move {
+            let client = h2.dn_node(0);
+            let mut w = h2.create("/f", client).await.unwrap();
+            for (i, len) in [30usize, 40, 50, 80, 20, 120, 10].into_iter().enumerate() {
+                let piece = vec![i as u8 + 1; len];
+                if in_place(i) {
+                    w.write_with(len as u64, |buf| buf.put_slice(&piece))
+                        .await
+                        .unwrap();
+                } else {
+                    w.write(Blob::real(Bytes::from(piece))).await.unwrap();
+                }
+            }
+            w.close().await.unwrap();
+            let mut r = h2.open("/f", client).await.unwrap();
+            while let Some(b) = r.next_block().await.unwrap() {
+                let data = b.data.expect("content present");
+                assert_eq!(data.len() as u64, b.size);
+                let mut out = out2.borrow_mut();
+                out.0.push(b.size);
+                out.1.extend_from_slice(&data);
+            }
+        })
+        .detach();
+        sim.run();
+        let (lengths, bytes) = out.take();
+        (lengths, bytes, sim.events_fired(), sim.trace_hash())
+    }
+
+    #[test]
+    fn blobs_pieces_and_mixtures_cut_the_same_blocks() {
+        // Pinned from the same seven `write`s at the parent commit (which
+        // kept a block's blobs in a list and concatenated them at seal):
+        // whether a piece is adopted or filled in place is host-side only.
+        let blobs = piecewise_writes(|_| false);
+        assert_eq!(blobs.0, PARENT_LENGTHS);
+        assert_eq!((blobs.2, blobs.3), PARENT_EVENTS_AND_HASH);
+        let want: Vec<u8> = [30usize, 40, 50, 80, 20, 120, 10]
+            .into_iter()
+            .enumerate()
+            .flat_map(|(i, len)| vec![i as u8 + 1; len])
+            .collect();
+        assert_eq!(blobs.1, want);
+        // All in place (block 0 is two pieces, block 2 two more), blob then
+        // piece (the adopted blob is copied into the block's buffer first),
+        // piece then blob.
+        assert_eq!(piecewise_writes(|_| true), blobs);
+        assert_eq!(piecewise_writes(|i| i % 2 == 1), blobs);
+        assert_eq!(piecewise_writes(|i| i % 2 == 0), blobs);
+    }
+
+    #[test]
+    #[should_panic(expected = "/f: a 10-byte piece was filled with 7 bytes")]
+    fn a_short_fill_is_caught_where_it_happens() {
+        let (sim, hdfs) = quick_setup(9, 1, 1, 100);
+        sim.spawn(async move {
+            let mut w = hdfs.create("/f", hdfs.dn_node(0)).await.unwrap();
+            let _ = w.write_with(10, |buf| buf.put_slice(&[0; 7])).await;
+        })
+        .detach();
+        sim.run();
     }
 
     #[test]

@@ -8,11 +8,12 @@
 //! partition must be internally sorted and partition boundaries must be
 //! non-decreasing, and no record may be lost.
 
-use bytes::Bytes;
+use bytes::BufMut;
 use rand::Rng;
 
 use rmr_core::cluster::Cluster;
-use rmr_core::{encode_records, JobSpec, Record};
+use rmr_core::record::walk;
+use rmr_core::JobSpec;
 use rmr_hdfs::Blob;
 
 /// Key bytes per record.
@@ -57,14 +58,25 @@ pub async fn teragen(cluster: &Cluster, path: &str, total_bytes: u64, real: bool
             };
             while records_left > 0 {
                 let n = stride_records.min(records_left);
-                let blob = if real {
-                    let records =
-                        sim.with_rng(|rng| (0..n).map(|_| random_record(rng)).collect::<Vec<_>>());
-                    Blob::real(encode_records(&records))
+                if real {
+                    // One block's worth, generated where it will live: the
+                    // framed record is a template, only its key is drawn.
+                    let mut record = [b'V'; RECORD_ENCODED_BYTES as usize];
+                    record[..4].copy_from_slice(&(KEY_BYTES as u32).to_be_bytes());
+                    record[4..8].copy_from_slice(&(VALUE_BYTES as u32).to_be_bytes());
+                    let fill = |buf: &mut bytes::BytesMut| {
+                        sim.with_rng(|rng| {
+                            for _ in 0..n {
+                                rng.fill(&mut record[8..8 + KEY_BYTES]);
+                                buf.put_slice(&record);
+                            }
+                        })
+                    };
+                    w.write_with(n * RECORD_ENCODED_BYTES, fill).await
                 } else {
-                    Blob::synthetic(n * RECORD_BYTES)
-                };
-                w.write(blob).await.expect("teragen write");
+                    w.write(Blob::synthetic(n * RECORD_BYTES)).await
+                }
+                .expect("teragen write");
                 records_left -= n;
             }
             w.close().await.expect("teragen close");
@@ -76,12 +88,6 @@ pub async fn teragen(cluster: &Cluster, path: &str, total_bytes: u64, real: bool
         total += w.await;
     }
     total
-}
-
-fn random_record(rng: &mut impl Rng) -> Record {
-    let mut key = vec![0u8; KEY_BYTES];
-    rng.fill(&mut key[..]);
-    Record::new(key, Bytes::from_static(&[b'V'; VALUE_BYTES]))
 }
 
 /// The TeraSort job over `input` → `output`: identity map/reduce with the
@@ -111,7 +117,9 @@ pub async fn teravalidate(
 ) -> Result<ValidateReport, String> {
     let client = cluster.workers[0].id;
     let mut total = 0u64;
-    let mut prev_last: Option<Bytes> = None;
+    // The last key seen, across blocks and partitions (none yet: empty, which
+    // precedes every key).
+    let mut prev: Vec<u8> = Vec::new();
     for r in 0..reduces {
         let path = format!("{output}/part-{r:05}");
         let mut reader = cluster
@@ -119,29 +127,21 @@ pub async fn teravalidate(
             .open(&path, client)
             .await
             .map_err(|e| e.to_string())?;
-        let mut part_records: Vec<Record> = Vec::new();
         while let Some(block) = reader.next_block().await.map_err(|e| e.to_string())? {
             let data = block
                 .data
                 .ok_or_else(|| format!("{path}: no content (synthetic run?)"))?;
-            part_records.extend(rmr_core::decode_records(data));
-        }
-        for w in part_records.windows(2) {
-            if w[0].key > w[1].key {
-                return Err(format!("{path}: out-of-order records"));
+            for (key, _) in walk(&data) {
+                let key = &data[key];
+                if *prev > *key {
+                    // Within the partition or across the boundary before it.
+                    return Err(format!("{path}: out-of-order records"));
+                }
+                prev.clear();
+                prev.extend_from_slice(key);
+                total += 1;
             }
         }
-        if let (Some(prev), Some(first)) = (&prev_last, part_records.first()) {
-            if *prev > first.key {
-                return Err(format!(
-                    "{path}: first key precedes previous partition's last key"
-                ));
-            }
-        }
-        if let Some(last) = part_records.last() {
-            prev_last = Some(last.key.clone());
-        }
-        total += part_records.len() as u64;
     }
     if total != expected_records {
         return Err(format!(
@@ -206,15 +206,14 @@ mod tests {
                 .open("/in/part-00000", c2.workers[0].id)
                 .await
                 .unwrap();
-            let mut records = Vec::new();
+            let mut records = 0;
             while let Some(b) = r.next_block().await.unwrap() {
-                records.extend(rmr_core::decode_records(b.data.unwrap()));
+                for (key, value) in walk(&b.data.unwrap()) {
+                    assert_eq!((key.len(), value.len()), (KEY_BYTES, VALUE_BYTES));
+                    records += 1;
+                }
             }
-            assert!(!records.is_empty());
-            for rec in &records {
-                assert_eq!(rec.key.len(), KEY_BYTES);
-                assert_eq!(rec.value.len(), VALUE_BYTES);
-            }
+            assert_eq!(records, 100_000 / RECORD_BYTES);
         })
         .detach();
         sim.run();

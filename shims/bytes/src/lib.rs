@@ -103,6 +103,13 @@ impl Bytes {
         self.len -= n;
     }
 
+    /// How many `Bytes` share this window's buffer (0 for `'static` data).
+    /// Not in the published crate: tests use it to show a path holds a
+    /// constant number of windows into a block, not some per record.
+    pub fn strong_count(&self) -> usize {
+        self.owner.as_ref().map_or(0, Arc::strong_count)
+    }
+
     /// Copies the window out into a `Vec`.
     pub fn to_vec(&self) -> Vec<u8> {
         self.as_ref().to_vec()

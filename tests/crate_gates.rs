@@ -3,10 +3,11 @@
 //! thread-count invariance, service mode's replay determinism, and the data
 //! plane's property tests (codec/partition/merge/cursor invariants, and the
 //! map side against its oracle), the queue-pair engine against its scan
-//! oracle, HDFS placement/round-trip/accounting, and the kernel's own (the
-//! event queue against the queue it replaced, the fluid solver against brute
-//! force). The files are included, not copied, so there is one definition of
-//! each gate.
+//! oracle, HDFS placement/round-trip/accounting, the prefetch cache's budget,
+//! the schedulers' invariants, the local store's accounting, and the kernel's
+//! own (the event queue against the queue it replaced, the fluid solver
+//! against brute force). The files are included, not copied, so there is one
+//! definition of each gate.
 
 #[path = "../crates/bench/tests/sweep_determinism.rs"]
 mod sweep_determinism;
@@ -19,6 +20,15 @@ mod prop_record;
 
 #[path = "../crates/core/tests/prop_map.rs"]
 mod prop_map;
+
+#[path = "../crates/core/tests/prop_cache.rs"]
+mod prop_cache;
+
+#[path = "../crates/core/tests/prop_scheduler.rs"]
+mod prop_scheduler;
+
+#[path = "../crates/store/tests/prop_store.rs"]
+mod prop_store;
 
 #[path = "../crates/net/tests/prop_verbs.rs"]
 mod prop_verbs;
