@@ -10,7 +10,7 @@
 
 use rmr_bench::chaos::{combiner_plan, derive_plan, render_plan, storm_plan, TwinTiming};
 use rmr_bench::cli::{parse_bench, usage_error, Args};
-use rmr_bench::{exit_hung, run_grid, run_or_exit, scenarios, sweep};
+use rmr_bench::{exit_hung, run_grid_traced, run_or_exit, scenarios, sweep};
 use rmr_cluster::{run_scenario, Bench, Experiment, RunReport, Scenario, System, Testbed};
 use rmr_core::{FaultPlan, JobResult};
 
@@ -92,11 +92,10 @@ fn fluidcmp() {
 }
 
 /// One Fig 4(a)-style point per system, in parallel. With `--engines` the
-/// grid covers all five shuffle engines (Vanilla via IPoIB, Hadoop-A,
-/// OSU-IB, in-node combiner, striped multi-rail) and becomes a gate: the
-/// three seed engines must regenerate bit-identically in a second pass run
-/// without the new engines present (0.00% delta), and the combiner engine's
-/// combiner-less row must replay OSU-IB's exactly.
+/// grid covers the three shuffle engines (Vanilla via IPoIB, Hadoop-A,
+/// OSU-IB) and the two OSU-IB presets (in-node combiner stage, second rail)
+/// and becomes a gate: with the combiner stage switched on, each engine's
+/// combiner-less run must replay the run without it exactly.
 fn grid(mut args: Args) {
     let gb: f64 = args.pos("gb", 30.0);
     let nodes: usize = args.pos("nodes", 4);
@@ -114,15 +113,11 @@ fn grid(mut args: Args) {
     } else {
         [&[System::GigE10], &seed_systems[..]].concat()
     };
-    let sweep_systems = |systems: &[System]| {
-        let exps: Vec<Experiment> = systems
-            .iter()
-            .map(|&s| Experiment::new("probe", bench, s, Testbed::compute(nodes, disks), gb, 42))
-            .collect();
-        run_grid(&exps, exps.len())
-    };
-    let recs = sweep_systems(&systems);
-    for r in &recs {
+    let exp =
+        |s: System| Experiment::new("probe", bench, s, Testbed::compute(nodes, disks), gb, 42);
+    let exps: Vec<Experiment> = systems.iter().map(|&s| exp(s)).collect();
+    let recs = run_grid_traced(&exps, exps.len());
+    for (r, _) in &recs {
         println!(
             "{:28} {:6.0}s  (map_end {:5.0}s, shuffled {:.1} GB, cache {:.0}%)",
             r.system,
@@ -135,37 +130,24 @@ fn grid(mut args: Args) {
     if !engines {
         return;
     }
-    // Seed-regeneration gate: the three paper engines, swept again without
-    // the new engines in the mix, must land on the same numbers to the bit.
-    let again = sweep_systems(&seed_systems);
-    let row = |system: System| {
-        recs.iter()
-            .find(|r| r.system == system.label())
-            .expect("system missing from the engine grid")
-    };
-    let mut failed = false;
-    for (b, &system) in again.iter().zip(&seed_systems) {
-        let a = row(system);
-        let delta = (a.duration_s - b.duration_s).abs() / b.duration_s * 100.0;
-        let exact = a.duration_s == b.duration_s && a.shuffled_bytes == b.shuffled_bytes;
-        println!(
-            "regen {:28} {:6.0}s  delta {delta:.2}%  {}",
-            b.system,
-            b.duration_s,
-            gate("bit-identical", exact)
-        );
-        failed |= !exact;
-    }
     // Pass-through gate: the sort benches carry no combiner fn, so the
-    // in-node combiner engine must replay the OSU-IB data plane exactly.
-    let (osu, comb) = (row(System::OsuIb), row(System::NodeCombiner));
-    let passthrough =
-        osu.duration_s == comb.duration_s && osu.shuffled_bytes == comb.shuffled_bytes;
-    println!(
-        "combiner-less pass-through: {}",
-        gate("matches-osu-ib", passthrough)
-    );
-    failed |= !passthrough;
+    // stage must leave every engine's schedule as it is, poll for poll.
+    let staged = sweep::sweep_map(&seed_systems, seed_systems.len(), |&system, _| {
+        let mut sc = exp(system).scenario();
+        sc.conf.node_combine = true;
+        let report = run_or_exit(&sc);
+        (report.jobs[0].duration_s, report.trace_hash)
+    });
+    let mut failed = false;
+    for ((plain, hash), staged) in recs.iter().zip(staged) {
+        let same = (plain.duration_s, *hash) == staged;
+        println!(
+            "combiner-less pass-through {:28} {}",
+            plain.system,
+            gate("replays-the-engine", same)
+        );
+        failed |= !same;
+    }
     if failed {
         std::process::exit(1);
     }

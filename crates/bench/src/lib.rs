@@ -595,12 +595,12 @@ pub fn multijob(threads: usize) {
     write_results("multijob", &rows.concat());
 }
 
-/// The shuffle-volume engines: WordCount A/B rows (job combiner on/off ×
-/// OSU-IB/in-node combiner, pinning what each aggregation layer takes off
-/// the wire), the in-node combiner at the fig4a 30 GB shape (TeraSort has
-/// no combiner, so its row must match fig4a's OSU-IB row bit-for-bit), and
-/// striped multi-rail at the fig4b 100 GB shape (vs fig4b's single-rail
-/// OSU-IB row).
+/// The two OSU-IB presets: WordCount A/B rows (job combiner on/off ×
+/// in-node combiner stage off/on, pinning what each aggregation layer takes
+/// off the wire), the stage at the fig4a 30 GB shape (TeraSort has no
+/// combiner, so its row must match fig4a's OSU-IB row bit-for-bit), and the
+/// two-rail fabric at the fig4b 100 GB shape (vs fig4b's single-rail OSU-IB
+/// row).
 pub fn engines(threads: usize) {
     let wordcount = |system: System, combine: bool| {
         let testbed = Testbed::compute(4, 1);

@@ -28,9 +28,9 @@ pub enum System {
     OsuIb,
     /// OSU-IB with `mapred.local.caching.enabled = false` (Fig 8).
     OsuIbNoCache,
-    /// OSU-IB plus the per-node combiner aggregation stage.
+    /// OSU-IB with the in-node combiner stage on (`JobConf::node_combine`).
     NodeCombiner,
-    /// OSU-IB striped across two QDR rails (dual-port HCAs).
+    /// OSU-IB on a fabric of two QDR rails (dual-port HCAs).
     MultiRail,
 }
 
@@ -82,9 +82,9 @@ impl System {
         match self {
             System::GigE1 | System::GigE10 | System::IpoIb => ShuffleKind::Vanilla,
             System::HadoopA => ShuffleKind::HadoopA,
-            System::OsuIb | System::OsuIbNoCache => ShuffleKind::OsuIb,
-            System::NodeCombiner => ShuffleKind::NodeCombiner,
-            System::MultiRail => ShuffleKind::MultiRail,
+            System::OsuIb | System::OsuIbNoCache | System::NodeCombiner | System::MultiRail => {
+                ShuffleKind::OsuIb
+            }
         }
     }
 
@@ -99,8 +99,8 @@ impl System {
         System::OsuIbNoCache,
     ];
 
-    /// [`System::ALL`] plus the shuffle-volume extension systems, for the
-    /// engine-comparison grids.
+    /// [`System::ALL`] plus the two OSU-IB presets (combiner stage, second
+    /// rail), for the engine-comparison grids.
     pub const EXTENDED: [System; 8] = [
         System::GigE1,
         System::GigE10,
@@ -247,8 +247,8 @@ pub fn tuned_conf(system: System, _bench: Bench, testbed: &Testbed) -> JobConf {
                 JobConf::osu_ib()
             }
         }
-        kind @ (ShuffleKind::NodeCombiner | ShuffleKind::MultiRail) => JobConf::for_kind(kind),
     };
+    conf.node_combine = system == System::NodeCombiner;
     conf.map_slots = 4;
     conf.reduce_slots = 4;
     // Benchmark tuning pairs io.sort.mb with the block size so a map's
@@ -288,8 +288,9 @@ mod tests {
         assert_eq!(System::OsuIb.shuffle(), ShuffleKind::OsuIb);
         assert!(System::OsuIb.fabric().is_rdma());
         assert!(!System::GigE10.fabric().is_rdma());
-        assert_eq!(System::NodeCombiner.shuffle(), ShuffleKind::NodeCombiner);
-        assert_eq!(System::MultiRail.shuffle(), ShuffleKind::MultiRail);
+        // The two presets are OSU-IB: one on a wider fabric, one staged.
+        assert_eq!(System::NodeCombiner.shuffle(), ShuffleKind::OsuIb);
+        assert_eq!(System::MultiRail.shuffle(), ShuffleKind::OsuIb);
         assert_eq!(System::MultiRail.fabric().rails, 2);
         assert_eq!(System::NodeCombiner.fabric().rails, 1);
     }
@@ -311,10 +312,9 @@ mod tests {
             Bench::TeraSort,
             &Testbed::compute(4, 1),
         );
-        assert_eq!(conf.shuffle, ShuffleKind::NodeCombiner);
-        assert!(conf.caching_enabled);
+        assert!(conf.node_combine && conf.caching_enabled);
         let conf = tuned_conf(System::MultiRail, Bench::Sort, &Testbed::compute(4, 1));
-        assert_eq!(conf.shuffle, ShuffleKind::MultiRail);
+        assert!(!conf.node_combine && conf.caching_enabled);
     }
 
     #[test]

@@ -10,11 +10,9 @@ use std::rc::Rc;
 
 use rmr_des::SimDuration;
 
-use crate::combine::NodeCombinerEngine;
-use crate::engine::{HadoopAEngine, MultiRailEngine, OsuIbEngine, ShuffleEngine, VanillaEngine};
+use crate::engine::{HadoopAEngine, OsuIbEngine, ShuffleEngine, VanillaEngine};
 
-/// Which shuffle engine a job runs (the paper's three systems plus the
-/// shuffle-volume extensions).
+/// Which shuffle engine a job runs: the paper's three designs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ShuffleKind {
     /// Stock Hadoop: HTTP over sockets, copier threads, two-level disk
@@ -27,15 +25,6 @@ pub enum ShuffleKind {
     /// PrefetchCache on the TaskTracker, byte-budgeted packets,
     /// priority-queue merge overlapped with reduce.
     OsuIb,
-    /// OSU-IB plus a per-node aggregation stage: all co-located maps' sorted
-    /// output is folded through the job's combiner before registration with
-    /// the shuffle servers, cutting bytes served and reducer merge fan-in.
-    /// Jobs without a combiner fall back to plain OSU-IB pass-through.
-    NodeCombiner,
-    /// OSU-IB striped across `k` fabric rails, with responder-pool request
-    /// batching: adjacent segment requests from one reduce attempt coalesce
-    /// into one serve (RDMAbox-style doorbell batching).
-    MultiRail,
 }
 
 impl ShuffleKind {
@@ -52,8 +41,6 @@ impl ShuffleKind {
             ShuffleKind::Vanilla => Rc::new(VanillaEngine),
             ShuffleKind::HadoopA => Rc::new(HadoopAEngine),
             ShuffleKind::OsuIb => Rc::new(OsuIbEngine),
-            ShuffleKind::NodeCombiner => Rc::new(NodeCombinerEngine::new()),
-            ShuffleKind::MultiRail => Rc::new(MultiRailEngine),
         }
     }
 
@@ -63,19 +50,14 @@ impl ShuffleKind {
             ShuffleKind::Vanilla => "Hadoop",
             ShuffleKind::HadoopA => "HadoopA-IB",
             ShuffleKind::OsuIb => "OSU-IB",
-            ShuffleKind::NodeCombiner => "OSU-IB+Comb",
-            ShuffleKind::MultiRail => "OSU-IB-MR",
         }
     }
 
-    /// Every engine the repo hosts, in table order (the paper's three plus
-    /// the shuffle-volume extensions).
-    pub const ALL: [ShuffleKind; 5] = [
+    /// Every engine the repo hosts, in table order.
+    pub const ALL: [ShuffleKind; 3] = [
         ShuffleKind::Vanilla,
         ShuffleKind::HadoopA,
         ShuffleKind::OsuIb,
-        ShuffleKind::NodeCombiner,
-        ShuffleKind::MultiRail,
     ];
 }
 
@@ -195,6 +177,12 @@ pub struct JobConf {
     /// accepting a non-local launch. `0` disables the wait (stock Hadoop
     /// 0.20 behaviour, and the default so existing replays are unchanged).
     pub locality_delay: u32,
+
+    /// In-node combiner ([`crate::combine`]): hold each node's finished map
+    /// outputs back from registration and fold a wave of them through the
+    /// job's combiner into one aggregated output. Works under every engine;
+    /// a job without a combiner fn is unaffected.
+    pub node_combine: bool,
 }
 
 impl Default for JobConf {
@@ -227,6 +215,7 @@ impl Default for JobConf {
             speculative_maps: false,
             queue: 0,
             locality_delay: 0,
+            node_combine: false,
         }
     }
 }
@@ -266,15 +255,11 @@ impl JobConf {
     }
 
     /// The paper's preset for `kind` (caching on only where the design
-    /// has a cache). The shuffle-volume engines extend OSU-IB, so they
-    /// inherit its PrefetchCache.
+    /// has a cache).
     pub fn for_kind(kind: ShuffleKind) -> Self {
         JobConf {
             shuffle: kind,
-            caching_enabled: matches!(
-                kind,
-                ShuffleKind::OsuIb | ShuffleKind::NodeCombiner | ShuffleKind::MultiRail
-            ),
+            caching_enabled: kind == ShuffleKind::OsuIb,
             ..Default::default()
         }
     }
@@ -299,8 +284,6 @@ mod tests {
         assert!(!ShuffleKind::Vanilla.uses_rdma());
         assert!(ShuffleKind::HadoopA.uses_rdma());
         assert!(ShuffleKind::OsuIb.uses_rdma());
-        assert!(ShuffleKind::NodeCombiner.uses_rdma());
-        assert!(ShuffleKind::MultiRail.uses_rdma());
     }
 
     #[test]
@@ -311,9 +294,12 @@ mod tests {
     }
 
     #[test]
-    fn extension_presets_keep_the_cache() {
-        assert!(JobConf::for_kind(ShuffleKind::NodeCombiner).caching_enabled);
-        assert!(JobConf::for_kind(ShuffleKind::MultiRail).caching_enabled);
-        assert!(!JobConf::for_kind(ShuffleKind::HadoopA).caching_enabled);
+    fn for_kind_is_the_named_preset() {
+        for kind in ShuffleKind::ALL {
+            let conf = JobConf::for_kind(kind);
+            assert_eq!(conf.shuffle, kind);
+            assert_eq!(conf.caching_enabled, kind == ShuffleKind::OsuIb);
+            assert!(!conf.node_combine, "the stage is opt-in");
+        }
     }
 }

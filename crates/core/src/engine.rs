@@ -10,64 +10,25 @@
 //! The runtime dispatches through this trait only — no code outside
 //! [`crate::config`]'s construction factory branches on
 //! [`ShuffleKind`] — so a new design plugs in by implementing the trait and
-//! extending the factory.
+//! extending the factory. What is not a design lives elsewhere: the number
+//! of rails is the fabric's (`FabricParams::with_rails`), the in-node
+//! combiner a registration stage in front of every engine
+//! ([`crate::combine`]).
 
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
 
 use rmr_net::Network;
-use rmr_obs::Recorder;
 
-use crate::cluster::Cluster;
-use crate::config::{JobConf, ShuffleKind};
-use crate::mapoutput::MapOutputInfo;
+use crate::config::ShuffleKind;
 use crate::reduce::common::{ReduceCtx, ReduceError, ReduceStats};
 use crate::reduce::rdma::{run_reduce_rdma, RdmaVariant};
 use crate::reduce::vanilla::run_reduce_vanilla;
-use crate::runtime::JobId;
-use crate::spec::JobSpec;
-use crate::tasktracker::{
-    start_http_server, start_rdma_server, start_rdma_server_with, TaskTracker, TtServerHandle,
-};
+use crate::tasktracker::{start_http_server, start_rdma_server, TaskTracker, TtServerHandle};
 
 /// A boxed single-threaded future (the DES executor is `!Send` throughout).
 pub type LocalBoxFuture<T> = Pin<Box<dyn Future<Output = T>>>;
-
-/// What a map attempt's output hands the engine's staging hook.
-pub struct StageCtx {
-    /// The cluster (node handles for staging CPU/disk work).
-    pub cluster: Cluster,
-    /// The job's configuration.
-    pub conf: Rc<JobConf>,
-    /// The job's spec (combiner fn, synthetic ratios).
-    pub spec: JobSpec,
-    /// The job.
-    pub job: JobId,
-    /// Total maps in the job (termination detection).
-    pub total_maps: usize,
-    /// The TaskTracker the attempt ran on.
-    pub tt_idx: usize,
-    /// Observability bus.
-    pub obs: Recorder,
-}
-
-/// Outcome of [`ShuffleEngine::stage_map_output`].
-pub enum Staged {
-    /// Register the output right away (the default: no staging stage).
-    Direct(MapOutputInfo),
-    /// The engine buffered or folded the output. `accepted` is false when
-    /// the output was a duplicate (speculative loser) the engine discarded.
-    /// `ready` lists every output — possibly aggregated, possibly from
-    /// *other* nodes whose buffers this call flushed — that is now final
-    /// and must be registered with the MapOutputStore.
-    Deferred {
-        /// Whether this attempt's output was taken (vs discarded as a dup).
-        accepted: bool,
-        /// Outputs now ready for registration, in deterministic order.
-        ready: Vec<MapOutputInfo>,
-    },
-}
 
 /// One shuffle design: the server the TaskTrackers run for it and the
 /// reduce-side pipeline that pulls from those servers.
@@ -84,20 +45,6 @@ pub trait ShuffleEngine {
     /// Starts this engine's shuffle server on one TaskTracker and returns
     /// its address.
     fn start_server(&self, tt: &Rc<TaskTracker>, net: &Network) -> TtServerHandle;
-
-    /// Hook between a map attempt finishing and its output being registered
-    /// for serving. The default registers immediately; an aggregating
-    /// engine may buffer the output and release folded results later.
-    fn stage_map_output(&self, _ctx: StageCtx, info: MapOutputInfo) -> LocalBoxFuture<Staged> {
-        Box::pin(async move { Staged::Direct(info) })
-    }
-
-    /// Notifies the engine that a node died (staged-but-unregistered
-    /// outputs on it are gone; the JobTracker re-queues their maps).
-    fn node_lost(&self, _tt_idx: usize) {}
-
-    /// Notifies the engine that a job finished (drop per-job staging state).
-    fn job_finalized(&self, _job: JobId) {}
 
     /// Runs one ReduceTask's shuffle/merge/reduce pipeline. `Err` means a
     /// shuffle source died under the attempt; the runtime re-queues it.
@@ -161,29 +108,6 @@ impl ShuffleEngine for OsuIbEngine {
     }
 }
 
-/// OSU-IB striped across the fabric's rails, with RDMAbox-style request
-/// batching in the responder pool: queued requests from the same reduce
-/// attempt for adjacent maps coalesce into one serve turn.
-pub struct MultiRailEngine;
-
-impl ShuffleEngine for MultiRailEngine {
-    fn kind(&self) -> ShuffleKind {
-        ShuffleKind::MultiRail
-    }
-
-    fn server_cache(&self) -> bool {
-        true
-    }
-
-    fn start_server(&self, tt: &Rc<TaskTracker>, net: &Network) -> TtServerHandle {
-        start_rdma_server_with(tt, net, true)
-    }
-
-    fn run_reduce(&self, ctx: ReduceCtx) -> LocalBoxFuture<Result<ReduceStats, ReduceError>> {
-        Box::pin(run_reduce_rdma(ctx, RdmaVariant::multi_rail()))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,11 +120,9 @@ mod tests {
     }
 
     #[test]
-    fn osu_ib_family_caches_on_the_server() {
+    fn only_osu_ib_caches_on_the_server() {
         assert!(!ShuffleKind::Vanilla.engine().server_cache());
         assert!(!ShuffleKind::HadoopA.engine().server_cache());
         assert!(ShuffleKind::OsuIb.engine().server_cache());
-        assert!(ShuffleKind::NodeCombiner.engine().server_cache());
-        assert!(ShuffleKind::MultiRail.engine().server_cache());
     }
 }

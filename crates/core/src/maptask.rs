@@ -17,16 +17,13 @@
 //! either way the output pays one encode into a fresh arena
 //! ([`Segment::from_records`]), whose index is what gets sorted.
 
-use std::collections::BTreeMap;
 use std::rc::Rc;
-
-use bytes::Bytes;
 
 use crate::cluster::Cluster;
 use crate::config::JobConf;
 use crate::jobtracker::MapTaskDesc;
 use crate::mapoutput::MapOutputInfo;
-use crate::record::{decode_records, key_prefix, Record, Segment};
+use crate::record::{decode_records, GroupTable, Record, Segment};
 use crate::runtime::JobId;
 use crate::spec::JobSpec;
 use crate::tasktracker::TaskTracker;
@@ -97,38 +94,25 @@ pub async fn run_map(
             }
             Some(Segment::from_records(out))
         }
-        // Map-side combiner: fold the mapper's output straight into an
-        // ordered group table (key → values in arrival order) and combine
-        // each group in key order — record for record what stably sorting
-        // the whole map output and scanning it for equal keys yields,
-        // without ever holding the uncombined output. Same key ⇒ same
+        // Map-side combiner: fold the mapper's output straight into the
+        // group table, never holding the uncombined output. Same key ⇒ same
         // partition, so combining before the partition step is equivalent
-        // to Hadoop's per-spill combine. The table is keyed by (key prefix,
-        // key), which orders like the key alone but settles most lookups'
-        // comparisons on an integer.
+        // to Hadoop's per-spill combine.
         (Some(RealInput::Records(recs)), Some(combine)) => {
-            let mut groups: BTreeMap<(u64, Bytes), Vec<Bytes>> = BTreeMap::new();
-            let mut fold = |r: Record| {
-                let slot = (key_prefix(&r.key), r.key);
-                groups.entry(slot).or_default().push(r.value);
-            };
+            let mut table = GroupTable::default();
             match &spec.mapper {
                 Some(f) => {
                     let mut emitted = Vec::new();
                     for r in &recs {
                         f(r, &mut emitted);
-                        emitted.drain(..).for_each(&mut fold);
+                        emitted.drain(..).for_each(|r| table.push(r));
                     }
                 }
-                None => recs.into_iter().for_each(&mut fold),
+                None => recs.into_iter().for_each(|r| table.push(r)),
             }
-            let mapped: usize = groups.values().map(Vec::len).sum();
-            node.compute(costs.reduce_per_record * mapped as f64).await;
-            let mut combined = Vec::new();
-            for ((_, key), values) in &groups {
-                combine(key, values, &mut combined);
-            }
-            Some(Segment::from_records(combined))
+            node.compute(costs.reduce_per_record * table.records() as f64)
+                .await;
+            Some(table.combine(combine))
         }
     };
 
@@ -205,6 +189,7 @@ mod tests {
     use crate::config::JobConf;
     use crate::mapoutput::MapOutputStore;
     use crate::record::encode_records;
+    use bytes::Bytes;
     use rmr_des::prelude::*;
     use rmr_hdfs::{Blob, HdfsConfig};
     use rmr_net::FabricParams;

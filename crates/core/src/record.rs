@@ -33,12 +33,14 @@
 //! an input block for the file's life anyway.
 
 use std::cmp::Ordering;
+use std::collections::BTreeMap;
 use std::ops::Range;
 use std::rc::Rc;
 
 use bytes::{BufMut, Bytes, BytesMut};
 
 use crate::merge::{Emit, StreamingMerge};
+use crate::spec::ReduceFn;
 
 /// One key-value pair. Keys and values are opaque byte strings, compared
 /// lexicographically (Hadoop's `BytesWritable` ordering, which is also
@@ -201,6 +203,39 @@ pub(crate) fn key_prefix(key: &[u8]) -> u64 {
             .iter()
             .enumerate()
             .fold(0, |p, (i, &b)| p | u64::from(b) << (56 - 8 * i)),
+    }
+}
+
+/// A combiner's ordered group table: key → values in arrival order. Pushing
+/// records in any order and combining each group in key order yields, record
+/// for record, what stably sorting the records and scanning them for equal
+/// keys would — without ever holding the uncombined records. Keyed by (key
+/// prefix, key), which orders like the key alone but settles most lookups'
+/// comparisons on an integer.
+#[derive(Default)]
+pub struct GroupTable {
+    groups: BTreeMap<(u64, Bytes), Vec<Bytes>>,
+}
+
+impl GroupTable {
+    /// Adds one record to its key's group.
+    pub fn push(&mut self, r: Record) {
+        let slot = (key_prefix(&r.key), r.key);
+        self.groups.entry(slot).or_default().push(r.value);
+    }
+
+    /// Records pushed so far.
+    pub fn records(&self) -> usize {
+        self.groups.values().map(Vec::len).sum()
+    }
+
+    /// Runs `combine` over every group in key order; its output as a run.
+    pub fn combine(&self, combine: &ReduceFn) -> Segment {
+        let mut combined = Vec::new();
+        for ((_, key), values) in &self.groups {
+            combine(key, values, &mut combined);
+        }
+        Segment::from_records(combined)
     }
 }
 
@@ -571,7 +606,9 @@ impl Segment {
     /// K-way merges sorted segments into one sorted segment, ties going to
     /// the earlier segment: a [`StreamingMerge`] with every source delivered
     /// up front. All-real and all-synthetic inputs are supported; mixing
-    /// panics (a job runs in one mode).
+    /// panics (a job runs in one mode). An empty segment has no mode — a
+    /// zero-record map output is served as `synthetic(0, 0)` whatever the
+    /// job's — so it merges with either.
     pub fn merge(segments: &[Segment]) -> Segment {
         if segments.iter().all(|s| !s.is_real()) {
             let records = segments.iter().map(|s| s.records).sum();
@@ -579,11 +616,12 @@ impl Segment {
             return Segment::synthetic(records, bytes);
         }
         assert!(
-            segments.iter().all(Segment::is_real),
+            segments.iter().all(|s| s.is_real() || s.is_empty()),
             "cannot merge mixed real/synthetic segments"
         );
-        let mut merge = StreamingMerge::new(segments.iter().map(|s| s.records).collect());
-        for (source, seg) in segments.iter().enumerate() {
+        let real = || segments.iter().filter(|s| s.is_real());
+        let mut merge = StreamingMerge::new(real().map(|s| s.records).collect());
+        for (source, seg) in real().enumerate() {
             merge.append(source, seg.clone());
         }
         match merge.emit(u64::MAX) {
@@ -967,6 +1005,22 @@ mod tests {
         assert_eq!(keys(&m), [b"a", b"b", b"c", b"d"].map(|k| k.to_vec()));
         let none = Segment::merge(&[Segment::from_sorted(Vec::new())]);
         assert!(none.is_real() && none.is_empty());
+    }
+
+    #[test]
+    fn merge_skips_an_empty_segment_whatever_its_mode() {
+        let a = Segment::from_records(vec![rec(b"a", b"1"), rec(b"d", b"4")]);
+        let b = Segment::from_records(vec![rec(b"b", b"2"), rec(b"c", b"3")]);
+        let with = Segment::merge(&[a.clone(), Segment::empty(), b.clone()]);
+        assert!(with.is_real());
+        assert_eq!(with.to_records(), Segment::merge(&[a, b]).to_records());
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot merge mixed real/synthetic segments")]
+    fn merge_still_rejects_non_empty_segments_of_both_modes() {
+        let real = Segment::from_records(vec![rec(b"a", b"1")]);
+        Segment::merge(&[real, Segment::synthetic(1, 10)]);
     }
 
     #[test]

@@ -88,9 +88,6 @@ pub struct RdmaVariant {
     /// Overflowing packets spill to the reducer's local disk (vs dropped
     /// and refetched from the TaskTracker).
     pub local_spill: bool,
-    /// Stripe every shuffle message across the fabric's rails (multi-rail
-    /// HCAs). A no-op on single-rail fabrics, so seed variants keep it off.
-    pub striped: bool,
 }
 
 impl RdmaVariant {
@@ -100,7 +97,6 @@ impl RdmaVariant {
             byte_packets: true,
             eager_fetch: true,
             local_spill: true,
-            striped: false,
         }
     }
 
@@ -111,16 +107,6 @@ impl RdmaVariant {
             byte_packets: false,
             eager_fetch: false,
             local_spill: false,
-            striped: false,
-        }
-    }
-
-    /// Multi-rail OSU-IB: the same pipeline, but every reducer↔server QP
-    /// stripes its wire bytes across the fabric's rails.
-    pub fn multi_rail() -> Self {
-        RdmaVariant {
-            striped: true,
-            ..RdmaVariant::osu_ib()
         }
     }
 }
@@ -386,10 +372,7 @@ impl Copier {
     /// and makes the connection the one requests to it use, closing the one
     /// it replaces. False if the server went away meanwhile.
     async fn connect(&self, tt_idx: usize, epoch: u64, server: UcrConnector<ShufMsg>) -> bool {
-        let Some(ep) = server
-            .try_connect_into(self.node.id, self.variant.striped, &self.endpoints)
-            .await
-        else {
+        let Some(ep) = server.try_connect_into(self.node.id, &self.endpoints).await else {
             return false;
         };
         let old = self.state.borrow_mut().connected(tt_idx, epoch, ep);

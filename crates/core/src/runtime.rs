@@ -25,11 +25,12 @@ use rmr_obs::{
 };
 
 use crate::cluster::Cluster;
+use crate::combine::NodeCombiner;
 use crate::config::{JobConf, ShuffleKind};
-use crate::engine::{ShuffleEngine, StageCtx, Staged};
+use crate::engine::ShuffleEngine;
 use crate::faults::{FaultEvent, FaultPlan, NodeLiveness};
 use crate::jobtracker::{JobTracker, MapTaskDesc};
-use crate::mapoutput::MapOutputStore;
+use crate::mapoutput::{MapOutputInfo, MapOutputStore};
 use crate::maptask::run_map;
 use crate::reduce::common::{ReduceCtx, ReduceError, ReduceStats};
 use crate::spec::JobSpec;
@@ -94,9 +95,6 @@ pub enum SchedulePolicy {
     /// use before the next job sees any (Hadoop's default JobQueue).
     #[default]
     Fifo,
-    /// Round-robin over active jobs: each heartbeat starts the walk one
-    /// job later, so slots spread across jobs over time.
-    Fair,
     /// Hadoop capacity scheduler: jobs are submitted to queues
     /// ([`JobConf::queue`]), each with a guaranteed share of the cluster's
     /// slot pools; slots a queue is not using spill over to queues with
@@ -238,6 +236,9 @@ struct RtInner {
     /// pools, cache sizing, heartbeat cadence).
     conf: Rc<JobConf>,
     engine: Rc<dyn ShuffleEngine>,
+    /// The in-node combiner stage in front of `outputs`, for jobs that set
+    /// [`JobConf::node_combine`].
+    combiner: NodeCombiner,
     policy: SchedulePolicy,
     tts: Vec<Rc<TaskTracker>>,
     /// Per-TaskTracker shuffle-server handles. `RefCell`: a node restart
@@ -262,8 +263,6 @@ struct RtInner {
     /// Injected task failures from a [`FaultPlan`] whose job ordinal has not
     /// been submitted yet; consumed by [`Runtime::submit`].
     injected: RefCell<BTreeMap<u32, Vec<FaultEvent>>>,
-    /// Fair policy's rotating walk offset.
-    rr: Cell<usize>,
     /// Running attempts per queue as `(maps, reduces)`, maintained by
     /// [`QueueSlotGuard`]s so aborted attempt futures (node kills,
     /// preemption) release their count on drop. Entries are removed at
@@ -380,6 +379,7 @@ impl Runtime {
             cluster: cluster.clone(),
             conf,
             engine,
+            combiner: NodeCombiner::new(cluster.clone(), obs.clone()),
             policy,
             tts,
             servers: Rc::new(RefCell::new(servers)),
@@ -391,7 +391,6 @@ impl Runtime {
             active: RefCell::new(VecDeque::new()),
             next_id: Cell::new(0),
             injected: RefCell::new(BTreeMap::new()),
-            rr: Cell::new(0),
             queue_used: Rc::new(RefCell::new(BTreeMap::new())),
             spec_running: RefCell::new(BTreeMap::new()),
             work: Notify::new(),
@@ -583,9 +582,9 @@ impl Runtime {
         // contents, and committed map outputs are gone.
         tt.clear_serve_state();
         inner.outputs.remove_node(tt_idx);
-        // Staged-but-unregistered outputs buffered by an aggregating engine
-        // die with the node; their maps re-queue below via `node_lost`.
-        inner.engine.node_lost(tt_idx);
+        // Outputs the in-node combiner holds staged but unregistered die
+        // with the node; their maps re-queue below via `node_lost`.
+        inner.combiner.node_lost(tt_idx);
         // Aborted speculative attempts can no longer be preempted; their
         // slot-ledger entries are released by the dropped futures' guards.
         inner
@@ -845,25 +844,11 @@ impl RtInner {
         free_m: &mut usize,
         free_r: &mut usize,
     ) -> Vec<Assignment> {
-        if let SchedulePolicy::Capacity(plan) = &self.policy {
-            return self.schedule_capacity(plan, node, tt_idx, free_m, free_r);
-        }
-        let order: Vec<u32> = {
-            let active = self.active.borrow();
-            match self.policy {
-                SchedulePolicy::Fifo => active.iter().copied().collect(),
-                SchedulePolicy::Fair => {
-                    if active.is_empty() {
-                        Vec::new()
-                    } else {
-                        let n = active.len();
-                        let start = self.rr.get() % n;
-                        self.rr.set(self.rr.get().wrapping_add(1));
-                        (0..n).map(|i| active[(start + i) % n]).collect()
-                    }
-                }
-                SchedulePolicy::Capacity(_) => unreachable!("handled above"),
+        let order: Vec<u32> = match &self.policy {
+            SchedulePolicy::Capacity(plan) => {
+                return self.schedule_capacity(plan, node, tt_idx, free_m, free_r)
             }
+            SchedulePolicy::Fifo => self.active.borrow().iter().copied().collect(),
         };
         let mut out = Vec::new();
         for id in order {
@@ -1092,7 +1077,7 @@ impl RtInner {
         }
         let (maps_registered, map_output_bytes, real) = self.outputs.job_totals(job.id);
         self.outputs.remove_job(job.id);
-        self.engine.job_finalized(job.id);
+        self.combiner.job_finalized(job.id);
         self.active.borrow_mut().retain(|&j| j != job.id.0);
 
         let (failed_map_attempts, failed_reduce_attempts) = {
@@ -1402,41 +1387,34 @@ fn spawn_map_attempt(
                     });
                 }
                 Some(Some(info)) => {
-                    let map_idx = info.map_idx;
-                    // The engine may register the output immediately (the
-                    // default) or stage it for aggregation and release
-                    // folded outputs — possibly several, possibly none —
-                    // once a wave is full.
-                    let staged = inner
-                        .engine
-                        .stage_map_output(
-                            StageCtx {
-                                cluster: inner.cluster.clone(),
-                                conf: Rc::clone(&job.conf),
-                                spec: job.spec.clone(),
-                                job: job.id,
-                                total_maps: job.total_maps,
-                                tt_idx: tt.idx,
-                                obs: inner.obs.clone(),
-                            },
-                            info,
-                        )
-                        .await;
-                    let (committed, ready) = match staged {
-                        Staged::Direct(info) => {
-                            let first = job.jt.borrow_mut().map_completed(map_idx, tt.idx);
-                            if first {
-                                // Only the winning attempt's output is
-                                // committed; speculative losers are
-                                // discarded (their file stays on disk until
-                                // job cleanup, as in Hadoop).
-                                inner.outputs.insert(info);
-                                tt.on_map_output(job.id, map_idx);
-                            }
-                            (first, Vec::new())
+                    // Registers a final map output for serving, on behalf
+                    // of the node that holds it. Only the winning attempt's
+                    // output is committed; speculative losers are discarded
+                    // (their file stays on disk until job cleanup, as in
+                    // Hadoop).
+                    let register = |out: MapOutputInfo| {
+                        let (map_idx, tt_idx) = (out.map_idx, out.tt_idx);
+                        let first = job.jt.borrow_mut().map_completed(map_idx, tt_idx);
+                        if first {
+                            inner.outputs.insert(out);
+                            inner.tts[tt_idx].on_map_output(job.id, map_idx);
                         }
-                        Staged::Deferred { accepted, ready } => (accepted, ready),
+                        first
                     };
+                    // With the in-node combiner on, a job that has a combiner
+                    // stages the output instead: it registers — folded with
+                    // its wave, possibly along with other nodes' flushed
+                    // waves — once the wave is full.
+                    let (committed, flushed) =
+                        if job.conf.node_combine && job.spec.combiner.is_some() {
+                            let staged = inner
+                                .combiner
+                                .stage(&job.conf, &job.spec, job.total_maps, info)
+                                .await;
+                            (staged.is_some(), staged.unwrap_or_default())
+                        } else {
+                            (register(info), Vec::new())
+                        };
                     job.timeline.record(TaskEvent {
                         kind: TaskKind::Map,
                         idx,
@@ -1460,15 +1438,8 @@ fn spawn_map_attempt(
                             AttemptOutcome::Discarded
                         },
                     });
-                    // Flushed staged outputs register now, on behalf of the
-                    // nodes that buffered them.
-                    for out in ready {
-                        let out_map = out.map_idx;
-                        let out_tt = out.tt_idx;
-                        if job.jt.borrow_mut().map_completed(out_map, out_tt) {
-                            inner.outputs.insert(out);
-                            inner.tts[out_tt].on_map_output(job.id, out_map);
-                        }
+                    for out in flushed {
+                        register(out);
                     }
                     if committed {
                         let (maps_done, job_done) = {

@@ -465,19 +465,6 @@ pub(crate) fn start_http_server(tt: &Rc<TaskTracker>, net: &Network) -> TtServer
 /// Hadoop-A and OSU-IB: `RDMAListener` + the one `RDMAReceiver` +
 /// `DataRequestQueue` + `RDMAResponder` pool (§III-B-1).
 pub(crate) fn start_rdma_server(tt: &Rc<TaskTracker>, net: &Network) -> TtServerHandle {
-    start_rdma_server_with(tt, net, false)
-}
-
-/// [`start_rdma_server`] with optional RDMAbox-style request batching: a
-/// responder that pops a request also drains the queue and coalesces every
-/// queued request from the same reduce attempt into one serve turn (one
-/// doorbell), served back-to-back in map order. Off (`false`) for the seed
-/// engines so their replays are untouched.
-pub(crate) fn start_rdma_server_with(
-    tt: &Rc<TaskTracker>,
-    net: &Network,
-    batch_requests: bool,
-) -> TtServerHandle {
     // RDMAListener: the server end of every connection joins this list as
     // it is established, and leaves it when the reducer closes its end.
     let endpoints = EndpointSet::<ShufMsg>::new();
@@ -498,44 +485,13 @@ pub(crate) fn start_rdma_server_with(
     // RDMAResponder pool.
     for i in 0..tt.conf.responder_threads.max(1) {
         let rx = req_rx.clone();
-        let requeue = req_tx.clone();
         let tt = Rc::clone(tt);
         tt.group
             .clone()
             .spawn_daemon(format!("tt{tt_id}-rdma-responder-{i}"), async move {
-                while let Some(head) = rx.recv().await {
-                    let mut batch = vec![head];
-                    if batch_requests {
-                        // Drain once (no re-draining our own re-queues),
-                        // keep same-attempt requests, put the rest back.
-                        let mut rest = Vec::new();
-                        while let Some(q) = rx.try_recv() {
-                            let same = Rc::ptr_eq(&q.0, &batch[0].0)
-                                && q.1 == batch[0].1
-                                && q.3 == batch[0].3
-                                && q.4 == batch[0].4;
-                            if same {
-                                batch.push(q);
-                            } else {
-                                rest.push(q);
-                            }
-                        }
-                        for q in rest {
-                            let _ = requeue.send_now(q);
-                        }
-                        if batch.len() > 1 {
-                            batch.sort_by_key(|q| q.2);
-                            let merged = batch.len();
-                            tt.obs.emit(|| Ev::BatchMerge {
-                                node: tt.idx,
-                                merged,
-                            });
-                        }
-                    }
-                    for (ep, job, map_idx, reduce, attempt, budget) in batch {
-                        let resp = tt.serve(job, map_idx, reduce, attempt, budget).await;
-                        ep.send(resp).await;
-                    }
+                while let Some((ep, job, map_idx, reduce, attempt, budget)) = rx.recv().await {
+                    let resp = tt.serve(job, map_idx, reduce, attempt, budget).await;
+                    ep.send(resp).await;
                 }
             })
             .detach();

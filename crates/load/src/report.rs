@@ -101,7 +101,6 @@ impl ServiceReport {
     pub fn policy_label(&self) -> &'static str {
         match self.policy {
             ServicePolicy::Fifo => "fifo",
-            ServicePolicy::Fair => "fair",
             ServicePolicy::Capacity { preempt: false } => "cap",
             ServicePolicy::Capacity { preempt: true } => "cap+preempt",
         }

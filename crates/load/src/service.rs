@@ -30,8 +30,6 @@ pub const SERVICE_BLOCK: u64 = 32 << 20;
 pub enum ServicePolicy {
     /// Strict job-arrival order (head-of-line blocking under heavy tails).
     Fifo,
-    /// Least-slot-seconds-first fair sharing.
-    Fair,
     /// Capacity queues built from each tenant's `share_mille`;
     /// `preempt` enables standing down speculative attempts under pressure.
     Capacity { preempt: bool },
@@ -67,7 +65,6 @@ impl ServiceSpec {
     fn schedule_policy(&self) -> SchedulePolicy {
         match self.policy {
             ServicePolicy::Fifo => SchedulePolicy::Fifo,
-            ServicePolicy::Fair => SchedulePolicy::Fair,
             ServicePolicy::Capacity { preempt } => {
                 let shares: Vec<(u32, u32)> = self
                     .tenants

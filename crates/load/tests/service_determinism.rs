@@ -130,7 +130,7 @@ fn closed_loop_mode_drains() {
     let spec = ServiceSpec {
         nodes,
         seed: 9,
-        policy: ServicePolicy::Fair,
+        policy: ServicePolicy::Fifo,
         locality_delay: 0,
         record_events: false,
         tenants: vec![TenantSpec {

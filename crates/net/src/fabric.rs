@@ -52,8 +52,8 @@ pub struct FabricParams {
     pub connect_cost: SimDuration,
     /// Independent wire rails per node (multi-rail HCAs / dual-port
     /// bonding). `1` everywhere by default: per-rail fluid legs are only
-    /// created above 1, so single-rail replays are untouched. Transfers use
-    /// the rails only when asked to stripe (see `Network::transfer_striped`).
+    /// created above 1, so single-rail replays are untouched. Every transfer
+    /// splits its wire bytes evenly over the rails (`Network::transfer`).
     pub rails: usize,
 }
 
@@ -173,8 +173,7 @@ impl FabricParams {
     }
 
     /// Returns the fabric with `k` independent wire rails per node
-    /// (clamped to at least one). Only striped transfers spread load
-    /// across them; plain transfers keep using rail 0.
+    /// (clamped to at least one); every transfer stripes across them.
     pub fn with_rails(mut self, k: usize) -> Self {
         self.rails = k.max(1);
         self

@@ -27,4 +27,4 @@ pub use fabric::{FabricKind, FabricParams};
 pub use network::{FaultWindow, Network, NodeId};
 pub use topology::Topology;
 pub use ucr::{ucr_listen, ucr_listen_into, EndPoint, EndpointSet, UcrConnector, UcrListener};
-pub use verbs::{connect_qp, connect_qp_striped, Completion, Cq, Op, Qp};
+pub use verbs::{connect_qp, Completion, Cq, Op, Qp};

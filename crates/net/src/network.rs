@@ -15,7 +15,7 @@
 //! The legs of one transfer are a fixed, small set — tx, rx, the two rack
 //! legs, the two CPUs — so they live inline in the transfer's own future
 //! ([`Legs`]) and are polled in place, in the order they were started; only
-//! a striped transfer's extra rails spill to a `Vec`. A transfer on a
+//! a multi-rail fabric's extra rails spill to a `Vec`. A transfer on a
 //! single-rail fabric allocates nothing.
 //!
 //! With a hierarchical [`Topology`], cross-rack transfers additionally
@@ -66,7 +66,7 @@ struct RackNet {
 }
 
 /// The concurrent fluid legs of one transfer, in start order: the wire pair,
-/// a striped transfer's extra rails, then rack uplink/downlink and the two
+/// a multi-rail fabric's extra rails, then rack uplink/downlink and the two
 /// host CPUs. Resolves when every leg has; a finished leg is dropped and not
 /// polled again. Dropping it mid-flight cancels the unfinished legs in the
 /// same order. `ConsumeFuture` is `Unpin`, so polling in place needs no
@@ -74,8 +74,8 @@ struct RackNet {
 #[derive(Default)]
 struct Legs {
     wire: [Option<ConsumeFuture>; 2],
-    /// Rails 1..k, senders' tx then receivers' rx; never allocated by an
-    /// unstriped transfer.
+    /// Rails 1..k, senders' tx then receivers' rx; never allocated on a
+    /// single-rail fabric.
     rails: Vec<Option<ConsumeFuture>>,
     /// Rack up, rack down, send CPU, receive CPU.
     rest: [Option<ConsumeFuture>; 4],
@@ -298,18 +298,11 @@ impl Network {
         self.len() == 0
     }
 
-    /// Starts every leg of one message, in [`Legs`] order. A striped message
-    /// splits its wire bytes evenly over the rails; with no extra rails
-    /// (single-rail fabric) or no wire at all (loopback) striping changes
-    /// nothing.
-    fn start_legs(
-        &self,
-        src: NodeId,
-        dst: NodeId,
-        bytes: u64,
-        wire_scale: f64,
-        striped: bool,
-    ) -> Legs {
+    /// Starts every leg of one message, in [`Legs`] order. The wire bytes
+    /// split evenly over the fabric's rails (real multi-rail stacks stripe
+    /// below the QP and socket abstractions); a single-rail fabric has the
+    /// wire pair only.
+    fn start_legs(&self, src: NodeId, dst: NodeId, bytes: u64, wire_scale: f64) -> Legs {
         let nodes = self.nodes.borrow();
         let s = &nodes[src.0 as usize];
         let d = &nodes[dst.0 as usize];
@@ -318,21 +311,15 @@ impl Network {
         let wire = bytes as f64 * wire_scale;
         let mut legs = Legs::default();
         if src != dst {
-            let (s_rails, d_rails) = if striped {
-                (&s.rails[..], &d.rails[..])
-            } else {
-                (&[][..], &[][..])
-            };
             // Even fluid split: each rail moves 1/k of the wire bytes. Rail 0
-            // is the node's plain tx/rx pair, so a striped message still
-            // shares it fairly with un-striped traffic.
-            let share = wire / (s_rails.len() + 1) as f64;
+            // is the node's plain tx/rx pair.
+            let share = wire / (s.rails.len() + 1) as f64;
             legs.wire = [Some(s.tx.consume(share)), Some(d.rx.consume(share))];
-            legs.rails.reserve_exact(s_rails.len() + d_rails.len());
-            for (stx, _) in s_rails {
+            legs.rails.reserve_exact(s.rails.len() + d.rails.len());
+            for (stx, _) in &s.rails {
                 legs.rails.push(Some(stx.consume(share)));
             }
-            for (_, drx) in d_rails {
+            for (_, drx) in &d.rails {
                 legs.rails.push(Some(drx.consume(share)));
             }
             // Cross-rack messages also queue on the source rack's core
@@ -366,23 +353,11 @@ impl Network {
         legs
     }
 
-    /// Like [`Network::transfer`], but stripes the wire bytes evenly across
-    /// the fabric's rails. On single-rail fabrics and loopback this *is*
-    /// `transfer` — same legs, same ordering — so engines can call it
-    /// unconditionally without perturbing single-rail replays.
-    pub async fn transfer_striped(&self, src: NodeId, dst: NodeId, bytes: u64) {
-        self.transfer_over(src, dst, bytes, true).await
-    }
-
     /// Moves one `bytes`-sized message from `src` to `dst`, resolving when
     /// the last byte lands. Loopback (src == dst) skips the wire but still
     /// pays the protocol CPU cost on socket fabrics (local HTTP fetches in
     /// vanilla Hadoop are real socket traffic through loopback).
     pub async fn transfer(&self, src: NodeId, dst: NodeId, bytes: u64) {
-        self.transfer_over(src, dst, bytes, false).await
-    }
-
-    async fn transfer_over(&self, src: NodeId, dst: NodeId, bytes: u64, striped: bool) {
         let mut wire_scale = 1.0;
         if !self.faults.borrow().is_empty() {
             if src != dst {
@@ -392,7 +367,7 @@ impl Network {
             wire_scale =
                 1.0 / (self.degradation_factor(src, now) * self.degradation_factor(dst, now));
         }
-        self.start_legs(src, dst, bytes, wire_scale, striped).await;
+        self.start_legs(src, dst, bytes, wire_scale).await;
         if src != dst {
             self.sim.sleep(self.fabric.latency).await;
         }
@@ -694,83 +669,70 @@ mod tests {
         assert_eq!(done.get(), secs(6.0));
     }
 
-    #[test]
-    fn striping_splits_the_wire_across_rails() {
-        // 200 B at 100 B/s per rail: one rail takes 2 s, two rails 1 s.
-        let sim = Sim::new(1);
-        let mut f = FabricParams::ib_verbs_qdr().with_rails(2);
+    /// Two hosts on a flat `rails`-rail verbs fabric at 100 B/s per rail, no
+    /// latency, no CPU.
+    fn rail_net(sim: &Sim, rails: usize) -> (Network, NodeId, NodeId) {
+        let mut f = FabricParams::ib_verbs_qdr().with_rails(rails);
         f.link_bw = 100.0;
         f.latency = rmr_des::SimDuration::ZERO;
         f.cpu_per_message = 0.0;
-        let net = Network::new(&sim, f);
-        let a = net.add_node(None);
-        let b = net.add_node(None);
-        let done = Rc::new(Cell::new(SimTime::ZERO));
-        let d = Rc::clone(&done);
-        let sim2 = sim.clone();
-        let net2 = net.clone();
-        sim.spawn(async move {
-            net2.transfer_striped(a, b, 200).await;
-            d.set(sim2.now());
-        })
-        .detach();
-        sim.run();
-        assert_eq!(done.get(), secs(1.0));
+        let net = Network::new(sim, f);
+        let (a, b) = (net.add_node(None), net.add_node(None));
+        (net, a, b)
     }
 
-    #[test]
-    fn striped_on_one_rail_is_plain_transfer() {
-        let sim = Sim::new(1);
-        let mut f = FabricParams::ib_verbs_qdr();
-        f.link_bw = 100.0;
-        f.latency = rmr_des::SimDuration::ZERO;
-        f.cpu_per_message = 0.0;
-        let net = Network::new(&sim, f);
-        let a = net.add_node(None);
-        let b = net.add_node(None);
-        let done = Rc::new(Cell::new(SimTime::ZERO));
-        let d = Rc::clone(&done);
-        let sim2 = sim.clone();
-        let net2 = net.clone();
-        sim.spawn(async move {
-            net2.transfer_striped(a, b, 200).await;
-            d.set(sim2.now());
-        })
-        .detach();
-        sim.run();
-        assert_eq!(done.get(), secs(2.0));
-    }
-
-    #[test]
-    fn striped_transfers_share_rail_zero_with_plain_traffic() {
-        // A plain 100 B transfer and a striped 200 B transfer from the same
-        // sender: rail 0 carries 100 + 100 (striped half), rail 1 carries
-        // the other 100. Rail 0 is the bottleneck at 200 B / 100 B/s = 2 s.
-        let sim = Sim::new(1);
-        let mut f = FabricParams::ib_verbs_qdr().with_rails(2);
-        f.link_bw = 100.0;
-        f.latency = rmr_des::SimDuration::ZERO;
-        f.cpu_per_message = 0.0;
-        let net = Network::new(&sim, f);
-        let a = net.add_node(None);
-        let b = net.add_node(None);
+    /// Starts one `a → b` transfer per size at t = 0; finish times in
+    /// completion order.
+    fn finish_times(
+        sim: &Sim,
+        net: &Network,
+        a: NodeId,
+        b: NodeId,
+        sizes: &[u64],
+    ) -> Rc<std::cell::RefCell<Vec<SimTime>>> {
         let t = Rc::new(std::cell::RefCell::new(Vec::new()));
-        for striped in [false, true] {
-            let net = net.clone();
-            let sim2 = sim.clone();
-            let t2 = Rc::clone(&t);
+        for &bytes in sizes {
+            let (net, sim2, t2) = (net.clone(), sim.clone(), Rc::clone(&t));
             sim.spawn(async move {
-                if striped {
-                    net.transfer_striped(a, b, 200).await;
-                } else {
-                    net.transfer(a, b, 100).await;
-                }
+                net.transfer(a, b, bytes).await;
                 t2.borrow_mut().push(sim2.now());
             })
             .detach();
         }
+        t
+    }
+
+    #[test]
+    fn striping_splits_the_wire_across_rails() {
+        // 200 B at 100 B/s per rail: one rail takes 2 s, two rails 1 s.
+        let sim = Sim::new(1);
+        let (net, a, b) = rail_net(&sim, 2);
+        let t = finish_times(&sim, &net, a, b, &[200]);
         sim.run();
-        assert_eq!(*t.borrow().iter().max().unwrap(), secs(2.0));
+        assert_eq!(*t.borrow(), vec![secs(1.0)]);
+    }
+
+    #[test]
+    fn single_rail_transfer_is_two_wire_legs() {
+        let sim = Sim::new(1);
+        let (net, a, b) = rail_net(&sim, 1);
+        let t = finish_times(&sim, &net, a, b, &[200]);
+        sim.run_until(secs(0.5));
+        assert_eq!(active_legs(&net), 2, "sender tx and receiver rx only");
+        sim.run();
+        assert_eq!(*t.borrow(), vec![secs(2.0)]);
+    }
+
+    #[test]
+    fn concurrent_transfers_share_every_rail() {
+        // 100 B and 200 B from one sender over two rails: each rail carries
+        // 50 + 100. The small message has both rails' halves done at 1 s, the
+        // large one then finishes its last 50 B per rail alone at 1.5 s.
+        let sim = Sim::new(1);
+        let (net, a, b) = rail_net(&sim, 2);
+        let t = finish_times(&sim, &net, a, b, &[100, 200]);
+        sim.run();
+        assert_eq!(*t.borrow(), vec![secs(1.0), secs(1.5)]);
     }
 
     /// Two hosts in different racks of an oversubscribed, three-rail socket
@@ -805,51 +767,35 @@ mod tests {
 
     #[test]
     fn aborting_mid_transfer_releases_every_leg() {
-        for striped in [false, true] {
-            let sim = Sim::new(1);
-            let (net, a, b) = every_leg_net(&sim);
-            let group = sim.group();
-            let net2 = net.clone();
-            group
-                .spawn_named("sender", async move {
-                    if striped {
-                        net2.transfer_striped(a, b, 1_000).await;
-                    } else {
-                        net2.transfer(a, b, 1_000).await;
-                    }
-                    unreachable!("aborted before the last byte lands");
-                })
-                .detach();
-            // The send CPU leg (1 s) is done, the rest are mid-flight.
-            sim.run_until(secs(1.5));
-            assert_eq!(active_legs(&net), if striped { 9 } else { 5 });
-            group.abort();
-            assert_eq!(active_legs(&net), 0, "striped: {striped}");
-            assert_eq!(sim.pending_events(), 0, "striped: {striped}");
-        }
+        let sim = Sim::new(1);
+        let (net, a, b) = every_leg_net(&sim);
+        let group = sim.group();
+        let net2 = net.clone();
+        group
+            .spawn_named("sender", async move {
+                net2.transfer(a, b, 1_000).await;
+                unreachable!("aborted before the last byte lands");
+            })
+            .detach();
+        // The send CPU leg (1 s) is done; three tx, three rx, the two rack
+        // legs and the receive CPU are mid-flight.
+        sim.run_until(secs(1.5));
+        assert_eq!(active_legs(&net), 9);
+        group.abort();
+        assert_eq!(active_legs(&net), 0);
+        assert_eq!(sim.pending_events(), 0);
     }
 
     #[test]
     fn three_rail_striped_transfer_finishes_when_it_did_before_legs() {
-        // Against a plain transfer on rail 0 and a rack core slower than the
+        // Two messages over three rails and a rack core slower than the
         // rails: the finish times of the version that boxed every leg.
         let sim = Sim::new(1);
         let (net, a, b) = every_leg_net(&sim);
-        let done = Rc::new(std::cell::RefCell::new(Vec::new()));
-        for striped in [true, false] {
-            let (net, sim2, done) = (net.clone(), sim.clone(), Rc::clone(&done));
-            sim.spawn(async move {
-                if striped {
-                    net.transfer_striped(a, b, 1_001).await;
-                } else {
-                    net.transfer(a, b, 703).await;
-                }
-                done.borrow_mut().push(sim2.now().as_nanos());
-            })
-            .detach();
-        }
+        let done = finish_times(&sim, &net, a, b, &[1_001, 703]);
         sim.run();
-        assert_eq!(*done.borrow(), vec![57_979_388_444u64, 70_268_048_238]);
+        let nanos: Vec<u64> = done.borrow().iter().map(|t| t.as_nanos()).collect();
+        assert_eq!(nanos, vec![57_979_388_444u64, 70_268_048_238]);
         assert_eq!(net.cross_rack_bytes(), 1_704.0);
     }
 

@@ -30,7 +30,7 @@ use rmr_des::sync::{channel, Receiver, Semaphore, Sender};
 
 use crate::chan::Wire;
 use crate::network::{Network, NodeId};
-use crate::verbs::{connect_qp_striped, Cq, Op, Qp};
+use crate::verbs::{connect_qp_opt, Cq, Op, Qp};
 
 /// Receive-window credits each endpoint keeps pre-posted.
 const RECV_WINDOW: u64 = 64;
@@ -314,34 +314,25 @@ impl<M: Wire> UcrConnector<M> {
     /// killed). The QP setup cost is still paid — connection management
     /// discovers the dead peer only after the exchange times out.
     pub async fn try_connect(&self, from: NodeId) -> Option<EndPoint<M>> {
-        self.try_connect_striped(from, false).await
-    }
-
-    /// [`UcrConnector::try_connect`] over a striped QP: every message on the
-    /// endpoint pair spreads its wire bytes across the fabric's rails. A
-    /// no-op on single-rail fabrics.
-    pub async fn try_connect_striped(&self, from: NodeId, striped: bool) -> Option<EndPoint<M>> {
-        let qp = self.establish(from, striped).await?;
+        let qp = self.establish(from).await?;
         Some(EndPoint::new(qp, None))
     }
 
-    /// [`UcrConnector::try_connect_striped`] with the client end joining
-    /// `set` instead of getting a receive queue of its own.
+    /// [`UcrConnector::try_connect`] with the client end joining `set`
+    /// instead of getting a receive queue of its own.
     pub async fn try_connect_into(
         &self,
         from: NodeId,
-        striped: bool,
         set: &EndpointSet<M>,
     ) -> Option<Rc<EndPoint<M>>> {
-        let qp = self.establish(from, striped).await?;
+        let qp = self.establish(from).await?;
         Some(set.adopt(qp))
     }
 
     /// Connects a queue pair, hands its server end over and returns the
     /// client end; `None` if nobody is listening any more.
-    async fn establish(&self, from: NodeId, striped: bool) -> Option<Qp<M>> {
-        let (client, server) =
-            connect_qp_striped(&self.net, from, self.node, None, None, striped).await;
+    async fn establish(&self, from: NodeId) -> Option<Qp<M>> {
+        let (client, server) = connect_qp_opt(&self.net, from, self.node, None, None).await;
         match &self.accept {
             Accept::Listener(tx) => tx.send_now(EndPoint::new(server, None)).ok()?,
             Accept::Set(set) => {
@@ -659,10 +650,7 @@ mod tests {
             sim.spawn(async move {
                 assert!(connector.try_connect(client).await.is_none());
                 let mine = EndpointSet::new();
-                assert!(connector
-                    .try_connect_into(client, false, &mine)
-                    .await
-                    .is_none());
+                assert!(connector.try_connect_into(client, &mine).await.is_none());
                 assert!(mine.is_empty());
                 refused.set(refused.get() + 1);
             })

@@ -265,19 +265,10 @@ impl<P: 'static> End<P> {
 /// whichever engines are running.
 struct Pair<P> {
     net: Network,
-    striped: bool,
     ends: [End<P>; 2],
 }
 
 impl<P: 'static> Pair<P> {
-    async fn wire(&self, src: NodeId, dst: NodeId, bytes: u64) {
-        if self.striped {
-            self.net.transfer_striped(src, dst, bytes).await;
-        } else {
-            self.net.transfer(src, dst, bytes).await;
-        }
-    }
-
     /// Tells `side`'s peer that `side` is closed and has nothing left to
     /// send: the peer's posted receives can never complete, so they are
     /// flushed to its CQ.
@@ -310,7 +301,7 @@ async fn engine<P: 'static>(pair: Rc<Pair<P>>, side: usize, mut wr: WorkRequest<
                 // RNR: wait for the peer to post a receive.
                 match poll_fn(|cx| peer.poll_take_recv(cx)).await {
                     Some(recv_wr_id) => {
-                        pair.wire(end.node, peer.node, bytes).await;
+                        pair.net.transfer(end.node, peer.node, bytes).await;
                         end.complete(wr_id, Op::Send, bytes);
                         peer.deliver(recv_wr_id, Op::Recv, bytes, Some(payload));
                     }
@@ -318,13 +309,13 @@ async fn engine<P: 'static>(pair: Rc<Pair<P>>, side: usize, mut wr: WorkRequest<
                 }
             }
             WorkRequest::Write { wr_id, bytes } => {
-                pair.wire(end.node, peer.node, bytes).await;
+                pair.net.transfer(end.node, peer.node, bytes).await;
                 end.complete(wr_id, Op::RdmaWrite, bytes);
             }
             WorkRequest::Read { wr_id, bytes } => {
                 // Data flows peer → local; no remote CPU involved (the
                 // remote HCA serves it).
-                pair.wire(peer.node, end.node, bytes).await;
+                pair.net.transfer(peer.node, end.node, bytes).await;
                 end.complete(wr_id, Op::RdmaRead, bytes);
             }
         }
@@ -364,27 +355,21 @@ pub async fn connect_qp<P: 'static>(
     send_cq_a: &Cq<P>,
     send_cq_b: &Cq<P>,
 ) -> (Qp<P>, Qp<P>) {
-    connect_qp_striped(net, a, b, Some(send_cq_a), Some(send_cq_b), false).await
+    connect_qp_opt(net, a, b, Some(send_cq_a), Some(send_cq_b)).await
 }
 
-/// [`connect_qp`] with optional send CQs (an end without one reports its
-/// send-side completions through [`Qp::completed`] only) and an explicit
-/// striping mode: a striped QP spreads the wire bytes of every work request
-/// across the fabric's rails (no-op on single-rail fabrics). Real multi-rail
-/// verbs stacks do this below the QP abstraction, so the API surface is
-/// otherwise identical.
-pub async fn connect_qp_striped<P: 'static>(
+/// [`connect_qp`] with optional send CQs: an end without one reports its
+/// send-side completions through [`Qp::completed`] only.
+pub(crate) async fn connect_qp_opt<P: 'static>(
     net: &Network,
     a: NodeId,
     b: NodeId,
     send_cq_a: Option<&Cq<P>>,
     send_cq_b: Option<&Cq<P>>,
-    striped: bool,
 ) -> (Qp<P>, Qp<P>) {
     net.connect_delay(a, b).await;
     let pair = Rc::new(Pair {
         net: net.clone(),
-        striped,
         ends: [End::new(a, send_cq_a), End::new(b, send_cq_b)],
     });
     let qp_a = Qp {
@@ -617,7 +602,7 @@ mod tests {
     }
 
     #[test]
-    fn striped_qp_reads_across_rails() {
+    fn qp_reads_across_the_fabrics_rails() {
         // Same pull as `rdma_read_pulls_from_peer`, but over two rails: the
         // 200 B read finishes in 1 s instead of 2 s.
         let sim = Sim::new(1);
@@ -631,7 +616,7 @@ mod tests {
         sim.spawn(async move {
             let cq_a = Cq::<()>::new();
             let cq_b = Cq::<()>::new();
-            let (qa, _qb) = connect_qp_striped(&net2, a, b, Some(&cq_a), Some(&cq_b), true).await;
+            let (qa, _qb) = connect_qp(&net2, a, b, &cq_a, &cq_b).await;
             qa.post_rdma_read(9, 200);
             let c = cq_a.next().await.unwrap();
             assert_eq!(c.op, Op::RdmaRead);

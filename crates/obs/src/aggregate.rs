@@ -379,7 +379,7 @@ pub fn shuffle_latencies(events: &[ObsEvent]) -> Histogram {
 }
 
 /// Job → capacity-queue (tenant) mapping from `JobQueued` events. Jobs that
-/// never saw a `JobQueued` (Fifo/Fair runs, or streams from before the
+/// never saw a `JobQueued` (Fifo runs, or streams from before the
 /// service mode existed) fold into tenant 0 by the callers below.
 pub fn job_tenants(events: &[ObsEvent]) -> BTreeMap<u32, u32> {
     let mut out = BTreeMap::new();

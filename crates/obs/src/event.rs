@@ -217,9 +217,6 @@ pub enum Ev {
         bytes_in: u64,
         bytes_out: u64,
     },
-    /// An RDMA responder coalesced `merged` queued requests from one reduce
-    /// attempt into a single serve turn (RDMAbox-style doorbell batching).
-    BatchMerge { node: usize, merged: usize },
 }
 
 impl Ev {
@@ -246,7 +243,6 @@ impl Ev {
             Ev::MapReExecute { .. } => "map_re_execute",
             Ev::JobQueued { .. } => "job_queued",
             Ev::CombineFold { .. } => "combine_fold",
-            Ev::BatchMerge { .. } => "batch_merge",
         }
     }
 }
@@ -432,9 +428,6 @@ impl ObsEvent {
                 s.push_str(&format!(
                     ",\"node\":{node},\"job\":{job},\"maps\":{maps},\"bytes_in\":{bytes_in},\"bytes_out\":{bytes_out}"
                 ));
-            }
-            Ev::BatchMerge { node, merged } => {
-                s.push_str(&format!(",\"node\":{node},\"merged\":{merged}"));
             }
         }
         s.push('}');
@@ -738,7 +731,6 @@ mod tests {
                 },
                 "combine_fold",
             ),
-            (Ev::BatchMerge { node: 2, merged: 3 }, "batch_merge"),
         ];
         for (ev, tag) in cases {
             assert_eq!(ev.tag(), tag);

@@ -1,12 +1,14 @@
-//! Shuffle-volume engine gates: the in-node combiner and striped multi-rail
-//! engines behind the `ShuffleEngine` seam.
+//! Gates on what rides around the three shuffle engines: the in-node
+//! combiner stage (`JobConf::node_combine`) and the fabric's rails.
 //!
-//! * Correctness: WordCount counts are identical on Vanilla and NodeCombiner
-//!   (aggregation must be invisible in the output), and the combiner engine
-//!   cuts shuffled bytes against plain OSU-IB.
-//! * Fallback: a combiner-less job (TeraSort) on NodeCombiner replays the
-//!   OSU-IB data plane exactly — same duration, same shuffle volume.
-//! * Replay: both new engines pass the double-run trace-hash gate.
+//! * Correctness: under every engine, WordCount counts with the stage on are
+//!   the counts without it (aggregation must be invisible in the output) and
+//!   fewer bytes are shuffled.
+//! * Pass-through: a combiner-less job (TeraSort) with the stage on replays
+//!   its engine exactly — same duration, same shuffle volume.
+//! * Rails: a second rail is wall-clock when the wire binds.
+//! * Replay: both presets (stage on, two rails) pass the double-run
+//!   trace-hash gate.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -36,19 +38,17 @@ fn cluster(sim: &Sim, workers: usize, fabric: FabricParams, block: u64) -> Clust
 }
 
 fn fabric_for(kind: ShuffleKind) -> FabricParams {
-    // Fabric choice, not engine dispatch: sockets ride IPoIB, verbs engines
-    // ride the QDR HCA, and the striped engine gets a second rail.
+    // Sockets ride IPoIB, verbs engines the QDR HCA.
     if kind == ShuffleKind::Vanilla {
         FabricParams::ipoib_qdr()
-    } else if kind == ShuffleKind::MultiRail {
-        FabricParams::ib_verbs_qdr().with_rails(2)
     } else {
         FabricParams::ib_verbs_qdr()
     }
 }
 
-fn conf_for(kind: ShuffleKind, reduces: usize) -> JobConf {
+fn conf_for(kind: ShuffleKind, node_combine: bool, reduces: usize) -> JobConf {
     let mut conf = JobConf::for_kind(kind);
+    conf.node_combine = node_combine;
     conf.num_reduces = reduces;
     conf.map_slots = 2;
     conf.reduce_slots = 2;
@@ -58,13 +58,23 @@ fn conf_for(kind: ShuffleKind, reduces: usize) -> JobConf {
     conf
 }
 
+/// The two OSU-IB presets as (stage on?, fabric): the in-node combiner and
+/// the two-rail fabric.
+fn presets() -> [(bool, FabricParams); 2] {
+    let qdr = FabricParams::ib_verbs_qdr();
+    [(true, qdr.clone()), (false, qdr.with_rails(2))]
+}
+
 /// Runs one WordCount on `kind` and returns (counts, shuffled bytes).
-fn wordcount_on(kind: ShuffleKind) -> (std::collections::BTreeMap<String, u64>, u64) {
+fn wordcount_on(
+    kind: ShuffleKind,
+    node_combine: bool,
+) -> (std::collections::BTreeMap<String, u64>, u64) {
     let sim = Sim::new(61);
     // Small blocks so the input spans several maps per node — the in-node
     // stage only folds when co-located maps share a wave.
     let c = cluster(&sim, 3, fabric_for(kind), 256 << 10);
-    let conf = conf_for(kind, 2);
+    let conf = conf_for(kind, node_combine, 2);
     let done = Rc::new(RefCell::new(None));
     let d = Rc::clone(&done);
     let c2 = c.clone();
@@ -82,33 +92,41 @@ fn wordcount_on(kind: ShuffleKind) -> (std::collections::BTreeMap<String, u64>, 
 
 #[test]
 fn wordcount_counts_identical_on_vanilla_and_node_combiner() {
-    let (vanilla, _) = wordcount_on(ShuffleKind::Vanilla);
-    let (combined, _) = wordcount_on(ShuffleKind::NodeCombiner);
+    let (vanilla, _) = wordcount_on(ShuffleKind::Vanilla, false);
     let total: u64 = vanilla.values().sum();
     assert_eq!(total, 20_000 * 10, "oracle word total");
-    assert_eq!(
-        vanilla, combined,
-        "per-node aggregation must be invisible in the output"
-    );
+    for kind in ShuffleKind::ALL {
+        let (combined, _) = wordcount_on(kind, true);
+        assert_eq!(
+            vanilla, combined,
+            "{kind:?}: per-node aggregation must be invisible in the output"
+        );
+    }
 }
 
 #[test]
-fn node_combiner_cuts_shuffle_volume_vs_osu_ib() {
-    let (osu_counts, osu_bytes) = wordcount_on(ShuffleKind::OsuIb);
-    let (comb_counts, comb_bytes) = wordcount_on(ShuffleKind::NodeCombiner);
-    assert_eq!(osu_counts, comb_counts);
-    assert!(
-        comb_bytes < osu_bytes,
-        "in-node aggregation must shrink the shuffle: {comb_bytes} vs {osu_bytes}"
-    );
+fn node_combiner_cuts_shuffle_volume_on_every_engine() {
+    for kind in ShuffleKind::ALL {
+        let (plain_counts, plain_bytes) = wordcount_on(kind, false);
+        let (comb_counts, comb_bytes) = wordcount_on(kind, true);
+        assert_eq!(plain_counts, comb_counts, "{kind:?}");
+        assert!(
+            comb_bytes < plain_bytes,
+            "{kind:?}: in-node aggregation must shrink the shuffle: {comb_bytes} vs {plain_bytes}"
+        );
+    }
 }
 
 /// Runs one TeraSort on `kind` over `fabric` and returns (duration,
-/// shuffled bytes).
-fn terasort_on_fabric(kind: ShuffleKind, fabric: FabricParams) -> (f64, u64) {
+/// shuffled bytes, trace hash).
+fn terasort_on_fabric(
+    kind: ShuffleKind,
+    node_combine: bool,
+    fabric: FabricParams,
+) -> (f64, u64, u64) {
     let sim = Sim::new(62);
     let c = cluster(&sim, 3, fabric, 2 << 20);
-    let conf = conf_for(kind, 3);
+    let conf = conf_for(kind, node_combine, 3);
     let done = Rc::new(RefCell::new(None));
     let d = Rc::clone(&done);
     let c2 = c.clone();
@@ -122,20 +140,22 @@ fn terasort_on_fabric(kind: ShuffleKind, fabric: FabricParams) -> (f64, u64) {
     .detach();
     sim.run();
     let out = done.borrow_mut().take();
-    out.unwrap_or_else(|| panic!("{kind:?}: TeraSort hung"))
+    let (secs, bytes) = out.unwrap_or_else(|| panic!("{kind:?}: TeraSort hung"));
+    (secs, bytes, sim.trace_hash())
 }
 
 #[test]
-fn combiner_less_jobs_fall_back_to_the_osu_ib_data_plane() {
-    // TeraSort has no combiner fn, so NodeCombiner's staging hook is
-    // pass-through: the job must replay OSU-IB's timings exactly.
-    let (osu_s, osu_bytes) = terasort_on_fabric(ShuffleKind::OsuIb, fabric_for(ShuffleKind::OsuIb));
-    let (comb_s, comb_bytes) = terasort_on_fabric(
-        ShuffleKind::NodeCombiner,
-        fabric_for(ShuffleKind::NodeCombiner),
-    );
-    assert_eq!(osu_s, comb_s, "pass-through must be bit-identical");
-    assert_eq!(osu_bytes, comb_bytes);
+fn combiner_less_jobs_replay_their_engine() {
+    // TeraSort has no combiner fn, so it never enters the stage: the job
+    // must replay its engine poll for poll.
+    for kind in ShuffleKind::ALL {
+        let plain = terasort_on_fabric(kind, false, fabric_for(kind));
+        let staged = terasort_on_fabric(kind, true, fabric_for(kind));
+        assert_eq!(
+            plain, staged,
+            "{kind:?}: pass-through must be bit-identical"
+        );
+    }
 }
 
 #[test]
@@ -144,22 +164,23 @@ fn multi_rail_beats_single_rail_when_the_wire_binds() {
     // then has to show up as wall-clock, not noise.
     let mut slow = FabricParams::ib_verbs_qdr();
     slow.link_bw /= 500.0;
-    let striped = slow.clone().with_rails(2);
-    let (osu_s, osu_bytes) = terasort_on_fabric(ShuffleKind::OsuIb, slow);
-    let (mr_s, mr_bytes) = terasort_on_fabric(ShuffleKind::MultiRail, striped);
-    assert_eq!(osu_bytes, mr_bytes, "striping moves the same bytes");
+    let two_rails = slow.clone().with_rails(2);
+    let (one_s, one_bytes, _) = terasort_on_fabric(ShuffleKind::OsuIb, false, slow);
+    let (two_s, two_bytes, _) = terasort_on_fabric(ShuffleKind::OsuIb, false, two_rails);
+    assert_eq!(one_bytes, two_bytes, "striping moves the same bytes");
     assert!(
-        mr_s < osu_s,
-        "two rails must beat one on a wire-bound shuffle: {mr_s} vs {osu_s}"
+        two_s < one_s,
+        "two rails must beat one on a wire-bound shuffle: {two_s} vs {one_s}"
     );
 }
 
 #[test]
 fn new_engines_replay_identically() {
-    for kind in [ShuffleKind::NodeCombiner, ShuffleKind::MultiRail] {
+    // What PR 10 added as engines: the two OSU-IB presets.
+    for (node_combine, fabric) in presets() {
         assert_deterministic(63, move |sim| {
-            let c = cluster(sim, 3, fabric_for(kind), 256 << 10);
-            let conf = conf_for(kind, 2);
+            let c = cluster(sim, 3, fabric.clone(), 256 << 10);
+            let conf = conf_for(ShuffleKind::OsuIb, node_combine, 2);
             sim.spawn_named("replay-driver", async move {
                 textgen_blocks(&c, "/r/in", 2_000, 8, 500).await;
                 let res = run_job(&c, conf, wordcount_spec("/r/in", "/r/out")).await;
@@ -173,11 +194,11 @@ fn new_engines_replay_identically() {
 #[test]
 fn new_engine_trace_hashes_are_stable_across_runs() {
     // Beyond assert_deterministic's end-state checks: pin the full event
-    // trace (events and polls) for each new engine across two fresh runs.
-    let hash_of = |kind: ShuffleKind| {
+    // trace (events and polls) for each preset across two fresh runs.
+    let hash_of = |node_combine: bool, fabric: FabricParams| {
         let sim = Sim::new(64);
-        let c = cluster(&sim, 3, fabric_for(kind), 2 << 20);
-        let conf = conf_for(kind, 2);
+        let c = cluster(&sim, 3, fabric, 2 << 20);
+        let conf = conf_for(ShuffleKind::OsuIb, node_combine, 2);
         sim.spawn_named("hash-driver", async move {
             teragen(&c, "/h/in", 8 << 20, false).await;
             run_job(&c, conf, terasort_spec("/h/in", "/h/out")).await;
@@ -186,7 +207,11 @@ fn new_engine_trace_hashes_are_stable_across_runs() {
         sim.run();
         sim.trace_hash()
     };
-    for kind in [ShuffleKind::NodeCombiner, ShuffleKind::MultiRail] {
-        assert_eq!(hash_of(kind), hash_of(kind), "{kind:?} trace must replay");
+    for (node_combine, fabric) in presets() {
+        assert_eq!(
+            hash_of(node_combine, fabric.clone()),
+            hash_of(node_combine, fabric),
+            "stage {node_combine}: trace must replay"
+        );
     }
 }
