@@ -27,6 +27,11 @@
 //! bytes only when two prefixes tie, and the emitted segment is a fresh index
 //! over the buffers of the packets it drew from — no payload copy, no
 //! per-record reference count.
+//!
+//! What a real pop does read is the popped record's header (its size), at
+//! wherever the record lies in its buffer. The pop therefore prefetches the
+//! record two entries further on in the same source: the heap interleaves
+//! sources, so by the time it comes back to this one the line has landed.
 
 use std::collections::{BTreeSet, VecDeque};
 
@@ -44,6 +49,11 @@ pub enum Emit {
     /// Every source fully consumed and emitted.
     Done,
 }
+
+/// How far ahead in the source it pops from a real batch prefetches, in
+/// entries. The heap interleaves sources, so the line has landed by the time
+/// it comes back to this one; one ahead would be the next pop's own miss.
+const MERGE_PREFETCH_AHEAD: usize = 2;
 
 /// `a * b / c` without leaving `u64` unless the product overflows it.
 fn mul_div(a: u64, b: u64, c: u64) -> u64 {
@@ -370,6 +380,7 @@ impl StreamingMerge {
             let run = (cold.packets.front().and_then(Segment::real))
                 .expect("a source in the heap has a head");
             let (in_run, mut entry) = (run.entries().len(), run.entries()[cold.head_idx]);
+            run.prefetch(cold.head_idx + MERGE_PREFETCH_AHEAD);
             bytes += run.size(&entry);
             let joined = &mut self.joined[src as usize];
             if joined.0 != self.batches {

@@ -63,12 +63,22 @@ pub enum ShufMsg {
         /// True if the packet was served from the PrefetchCache.
         from_cache: bool,
     },
+    /// TaskTracker → reducer: this TaskTracker does not hold map `map_idx`'s
+    /// output. The request acted on a completion event older than the
+    /// server's incarnation (it restarted since, or the map re-executed
+    /// elsewhere); the map's next completion event says where it is now.
+    Unavailable {
+        /// Which map output.
+        map_idx: usize,
+        /// Which reduce partition.
+        reduce: usize,
+    },
 }
 
 impl Wire for ShufMsg {
     fn wire_size(&self) -> u64 {
         match self {
-            ShufMsg::Request { .. } => MSG_HEADER_BYTES,
+            ShufMsg::Request { .. } | ShufMsg::Unavailable { .. } => MSG_HEADER_BYTES,
             ShufMsg::Response { packet, .. } => MSG_HEADER_BYTES + packet.bytes,
         }
     }

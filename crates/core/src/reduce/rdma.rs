@@ -49,6 +49,13 @@
 //! delivered nothing yet (which are transparently re-homed onto the
 //! re-executed map's TaskTracker), survive within the attempt.
 //!
+//! The completion log a reducer reads is a history: an attempt launched
+//! after a node loss replays events whose TaskTracker has since died or
+//! restarted without the output. A request acting on one is answered
+//! [`ShufMsg::Unavailable`], and the source waits, requesting nothing, for
+//! the map's next completion event; an answer from a TaskTracker the source
+//! has been re-homed away from is ignored.
+//!
 //! [`NodeLiveness`]: crate::faults::NodeLiveness
 
 use std::cell::{Cell, RefCell};
@@ -128,6 +135,9 @@ struct SourceState {
     /// full — buffers only grow and shares only shrink there), the merge's
     /// refill watermark in Phase B ([`StreamingMerge::wants_refill`]).
     below: bool,
+    /// Its home answered [`ShufMsg::Unavailable`]: nothing is requested until
+    /// the map's next completion event re-homes it.
+    homeless: bool,
 }
 
 impl SourceState {
@@ -260,7 +270,7 @@ impl ShufState {
     /// changing any field of the source.
     fn relist(&mut self, map_idx: usize) {
         let s = self.sources[map_idx].as_ref().expect("unknown source");
-        let cand = s.below && !s.inflight && !s.fully_delivered;
+        let cand = s.below && !s.inflight && !s.fully_delivered && !s.homeless;
         let tail = cand && s.request_bytes(self.est_packet_bytes) < self.est_packet_bytes;
         for (set, member) in [(&mut self.cands, cand), (&mut self.tails, tail)] {
             if member {
@@ -301,8 +311,9 @@ impl MemBudget {
 
 /// Finds an unrecoverable source: one that is not fully delivered and whose
 /// partial bytes came from an endpoint that no longer serves them (the node
-/// died, or it restarted and lost its MapOutputStore, or the map has already
-/// been re-homed away from a lost incarnation — `poisoned`).
+/// died, or it restarted and lost its MapOutputStore — which it may also have
+/// answered — or the map has already been re-homed away from a lost
+/// incarnation — `poisoned`).
 fn lost_source(
     st: &ShufState,
     poisoned: &BTreeSet<usize>,
@@ -315,7 +326,8 @@ fn lost_source(
         if poisoned.contains(&m) {
             return Some(s.tt_idx);
         }
-        if (s.delivered_records > 0 || s.delivered_bytes > 0) && st.ep_dead(liveness, s.tt_idx) {
+        let pulled = s.delivered_records > 0 || s.delivered_bytes > 0;
+        if pulled && (s.homeless || st.ep_dead(liveness, s.tt_idx)) {
             return Some(s.tt_idx);
         }
         None
@@ -345,7 +357,8 @@ struct Copier {
     /// Set, then `stopped` fired, when the attempt is over.
     stop: Cell<bool>,
     stopped: Notify,
-    /// Server deaths seen under a connection of this attempt.
+    /// Server deaths seen under a connection of this attempt (a server
+    /// answering that it lost an output this attempt pulled from counts).
     deaths_seen: Cell<u64>,
     sim: Sim,
     node: NodeHandle,
@@ -382,14 +395,23 @@ impl Copier {
         true
     }
 
-    /// Books one message into the shuffle state. A packet that lands when
-    /// the shuffle buffer is already full cannot stay in memory: it is
-    /// spilled to the reducer's local disk and read back when the merge
-    /// consumes it — this is what breaks Hadoop-A's stage overlap when its
-    /// fixed-count packets are huge (§IV-C).
-    fn book(&self, msg: ShufMsg) -> Arrival {
+    /// Books one message that arrived on connection `tag` into the shuffle
+    /// state. A packet that lands when the shuffle buffer is already full
+    /// cannot stay in memory: it is spilled to the reducer's local disk and
+    /// read back when the merge consumes it — this is what breaks Hadoop-A's
+    /// stage overlap when its fixed-count packets are huge (§IV-C).
+    fn book(&self, tag: u32, msg: ShufMsg) -> Arrival {
+        let mut st = self.state.borrow_mut();
+        let map_idx = match &msg {
+            ShufMsg::Request { .. } => return Arrival::Ignored,
+            ShufMsg::Response { map_idx, .. } | ShufMsg::Unavailable { map_idx, .. } => *map_idx,
+        };
+        // An answer from a TaskTracker the source has been re-homed away from
+        // answers a request the re-home abandoned.
+        if st.src(map_idx).tt_idx != st.conns[tag as usize].tt_idx {
+            return Arrival::Ignored;
+        }
         let ShufMsg::Response {
-            map_idx,
             packet,
             remaining_records,
             total_records,
@@ -397,9 +419,17 @@ impl Copier {
             ..
         } = msg
         else {
-            return Arrival::Ignored;
+            // The home does not hold the output (any more).
+            let src = st.src(map_idx);
+            self.mem.release(src.reserved);
+            (src.reserved, src.inflight, src.homeless) = (0, false, true);
+            let pulled = src.delivered_records > 0 || src.delivered_bytes > 0;
+            st.relist(map_idx);
+            if pulled {
+                self.deaths_seen.set(self.deaths_seen.get() + 1);
+            }
+            return Arrival::Ready;
         };
-        let mut st = self.state.borrow_mut();
         st.shuffled_bytes += packet.bytes;
         st.last_arrival_s = self.sim.now().as_secs_f64();
         st.missing.remove(&map_idx);
@@ -418,6 +448,7 @@ impl Copier {
         }
         src.reserved = 0;
         src.inflight = false;
+        src.homeless = false;
         st.relist(map_idx);
         if packet.records == 0 {
             return Arrival::Ready;
@@ -467,7 +498,7 @@ impl Copier {
             }
         }
         ep.replenish();
-        match self.book(msg) {
+        match self.book(ep.tag(), msg) {
             Arrival::Ignored => {}
             Arrival::Ready => self.arrived.notify_all(),
             Arrival::Spill(bytes) => {
@@ -505,7 +536,7 @@ impl Copier {
                 };
                 let Some(msg) = next else { return };
                 ep.replenish();
-                match self.book(msg) {
+                match self.book(ep.tag(), msg) {
                     Arrival::Ignored => {}
                     Arrival::Ready => self.arrived.notify_all(),
                     Arrival::Spill(bytes) => break bytes,
@@ -658,7 +689,7 @@ pub async fn run_reduce_rdma(
         move |map_idx: usize, budget: PacketBudget, est: u64, forced: bool| -> bool {
             let mut st = state.borrow_mut();
             let src = st.sources[map_idx].as_ref().expect("unknown source");
-            if src.inflight || src.fully_delivered {
+            if src.inflight || src.fully_delivered || src.homeless {
                 return false;
             }
             let Some(ep) = st.eps.get(&src.tt_idx).cloned() else {
@@ -763,6 +794,7 @@ pub async fn run_reduce_rdma(
                             inflight: false,
                             reserved: 0,
                             below: true,
+                            homeless: false,
                         });
                         discovered += 1;
                         st.missing.insert(map_idx);
@@ -782,12 +814,13 @@ pub async fn run_reduce_rdma(
                             false
                         } else {
                             // Nothing delivered yet: re-home cleanly, dropping
-                            // any request that was in flight to the dead node.
+                            // any request that was in flight to the old home
+                            // (`Copier::book` ignores its answer).
                             if s.reserved > 0 {
                                 mem.release(s.reserved);
                                 s.reserved = 0;
                             }
-                            s.inflight = false;
+                            (s.inflight, s.homeless) = (false, false);
                             s.tt_idx = tt_idx;
                             st.relist(map_idx);
                             true
@@ -1133,6 +1166,7 @@ mod tests {
                 inflight: reserved > 0,
                 reserved,
                 below: true,
+                homeless: false,
             })
         };
         let mut state = ShufState::new(2, 2, conf.osu_packet_bytes);

@@ -263,7 +263,8 @@ async fn fetch_with_retry(
 
 /// Fetches one whole map-output partition over HTTP and routes it to memory
 /// or disk, running the mergers as thresholds trip. `Err` = the server died
-/// (refused or dropped the connection); nothing was committed.
+/// (refused or dropped the connection) or does not hold the output; nothing
+/// was committed.
 async fn fetch_one(
     ctx: &ReduceCtx,
     state: &Rc<RefCell<VanillaState>>,
@@ -314,7 +315,9 @@ async fn fetch_one(
             ..
         }) = conn.recv().await
         else {
-            return Err(()); // server died mid-stream; retry from scratch
+            // The server died mid-stream, or answered that it does not hold
+            // the output: start over.
+            return Err(());
         };
         bytes += packet.bytes;
         if packet.records > 0 {

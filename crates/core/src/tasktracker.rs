@@ -192,7 +192,8 @@ impl TaskTracker {
     }
 
     /// Serves one shuffle request, charging disk/cache/CPU, and returns the
-    /// response message.
+    /// response message — [`ShufMsg::Unavailable`] if this TaskTracker does
+    /// not hold the output.
     pub async fn serve(
         &self,
         job: JobId,
@@ -202,11 +203,10 @@ impl TaskTracker {
         budget: PacketBudget,
     ) -> ShufMsg {
         let serve_t0_ns = self.obs.now_ns();
-        let info = self
-            .outputs
-            .get(job, map_idx)
-            .expect("request for unknown map output");
-        debug_assert_eq!(info.tt_idx, self.idx, "request routed to wrong TT");
+        // The store is cluster-wide; this server holds only what it ran.
+        let Some(info) = (self.outputs.get(job, map_idx)).filter(|i| i.tt_idx == self.idx) else {
+            return ShufMsg::Unavailable { map_idx, reduce };
+        };
         let key = (job, map_idx, reduce);
         let total = info.parts[reduce].clone();
         let (total_records, total_bytes) = (total.records, total.bytes);
@@ -439,10 +439,12 @@ pub(crate) fn start_http_server(tt: &Rc<TaskTracker>, net: &Network) -> TtServer
                                         PacketBudget::Bytes(tt.conf.stream_chunk),
                                     )
                                     .await;
-                                let last = matches!(
+                                // The last packet ends the stream, and so
+                                // does `Unavailable`.
+                                let last = !matches!(
                                     &resp,
                                     ShufMsg::Response {
-                                        remaining_records: 0,
+                                        remaining_records: 1..,
                                         ..
                                     }
                                 );
@@ -665,6 +667,56 @@ mod tests {
         .detach();
         sim.run();
         assert_eq!(got.get(), 1000);
+    }
+
+    /// A request for an output this TaskTracker does not hold — no map ran
+    /// it, or another TaskTracker did — is answered `Unavailable`.
+    #[test]
+    fn servers_answer_for_outputs_they_do_not_hold() {
+        for kind in [ShuffleKind::Vanilla, ShuffleKind::HadoopA] {
+            let (sim, cluster, tt, server) = setup(kind, false);
+            tt.outputs.insert(MapOutputInfo {
+                job: J,
+                map_idx: 1,
+                tt_idx: 1,
+                node: cluster.workers[1].id,
+                file: "j0_map_1.out".into(),
+                total_bytes: 100,
+                total_records: 1,
+                parts: vec![Segment::synthetic(1, 100)],
+            });
+            let client = cluster.workers[1].id;
+            let answers = Rc::new(std::cell::RefCell::new(Vec::new()));
+            let seen = Rc::clone(&answers);
+            sim.spawn(async move {
+                for map_idx in [2, 1] {
+                    let req = ShufMsg::Request {
+                        job: J,
+                        map_idx,
+                        reduce: 0,
+                        attempt: 0,
+                        budget: PacketBudget::Full,
+                    };
+                    let answer = match &server {
+                        TtServerHandle::Http(h) => {
+                            let conn = h.connect(client).await;
+                            conn.send(req).await.expect("connected");
+                            conn.recv().await
+                        }
+                        TtServerHandle::Rdma(c) => {
+                            let ep = c.connect(client).await;
+                            ep.send(req).await;
+                            ep.recv().await
+                        }
+                    };
+                    let unavailable = matches!(answer, Some(ShufMsg::Unavailable { map_idx: m, .. }) if m == map_idx);
+                    seen.borrow_mut().push(unavailable);
+                }
+            })
+            .detach();
+            sim.run();
+            assert_eq!(*answers.borrow(), [true, true], "{kind:?}");
+        }
     }
 
     #[test]

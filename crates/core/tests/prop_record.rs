@@ -5,12 +5,17 @@
 //! `Record`s — a stable `sort_by`, a stable bucketing, a cursor summing
 //! `Record::size`, a scan-based merge — kept as the definition of what the
 //! index-over-buffers [`Segment`] must give: the same records in the same
-//! order, the same partitions, the same packet sequence.
+//! order, the same partitions, the same packet sequence. [`oracle::GroupTable`]
+//! is the combiner's group table as an ordered map, the definition the
+//! hashed table must meet.
+
+use std::rc::Rc;
 
 use bytes::Bytes;
 use proptest::prelude::*;
 
-use rmr_core::record::SegmentCursor;
+use rmr_core::record::{GroupTable, SegmentCursor};
+use rmr_core::spec::ReduceFn;
 use rmr_core::{
     decode_records, encode_records, HashPartitioner, Partitioner, Record, Segment,
     TotalOrderPartitioner,
@@ -80,6 +85,42 @@ mod oracle {
     pub fn packets_by_records(sorted: &[Record], n: usize) -> Vec<(u64, u64)> {
         let sizes = |c: &[Record]| (c.len() as u64, c.iter().map(Record::size).sum());
         sorted.chunks(n).map(sizes).collect()
+    }
+
+    /// The combiner's group table while it was an ordered map, verbatim
+    /// (with `key_prefix` as it is in the crate).
+    #[derive(Default)]
+    pub struct GroupTable {
+        groups: std::collections::BTreeMap<(u64, Bytes), Vec<Bytes>>,
+    }
+
+    fn key_prefix(key: &[u8]) -> u64 {
+        match key.first_chunk::<8>() {
+            Some(head) => u64::from_be_bytes(*head),
+            None => key
+                .iter()
+                .enumerate()
+                .fold(0, |p, (i, &b)| p | u64::from(b) << (56 - 8 * i)),
+        }
+    }
+
+    impl GroupTable {
+        pub fn push(&mut self, r: Record) {
+            let slot = (key_prefix(&r.key), r.key);
+            self.groups.entry(slot).or_default().push(r.value);
+        }
+
+        pub fn records(&self) -> usize {
+            self.groups.values().map(Vec::len).sum()
+        }
+
+        pub fn combine(&self, combine: &ReduceFn) -> Segment {
+            let mut combined = Vec::new();
+            for ((_, key), values) in &self.groups {
+                combine(key, values, &mut combined);
+            }
+            Segment::from_records(combined)
+        }
     }
 
     /// K-way merge by scanning the heads: the least key, the earliest run
@@ -345,6 +386,26 @@ proptest! {
         let (a, b) = (cursor.take_records(merged.records / 2), cursor.take_bytes(u64::MAX));
         let swapped = Segment::concat(vec![b.clone(), a.clone()]);
         prop_assert_eq!(records_of_or_empty(&swapped), oracle::merge(&[records_of(&b), records_of(&a)]));
+    }
+
+    /// The hashed group table combines what the ordered one did, record for
+    /// record. The combiner writes every group's key and values, in the order
+    /// it is handed them, under one key, so the run's stable sort keeps its
+    /// output in call order: groups out of key order, or a group's values
+    /// out of arrival order, show.
+    #[test]
+    fn group_table_combines_like_the_ordered_map(records in arb_tied_records(96)) {
+        let trace: ReduceFn = Rc::new(|key: &Bytes, values: &[Bytes], out: &mut Vec<Record>| {
+            let written = values.iter().map(|v| Record::new(key.clone(), v.clone()));
+            out.push(Record::new(Bytes::new(), encode_records(&written.collect::<Vec<_>>())));
+        });
+        let (mut table, mut want) = (GroupTable::default(), oracle::GroupTable::default());
+        for r in records {
+            table.push(r.clone());
+            want.push(r);
+        }
+        prop_assert_eq!(table.records(), want.records());
+        prop_assert_eq!(records_of(&table.combine(&trace)), records_of(&want.combine(&trace)));
     }
 
     #[test]

@@ -117,11 +117,19 @@ async fn textgen_write(
 /// valid UTF-8 is tokenised after lossy conversion (each bad sequence
 /// becomes U+FFFD), which needs a copy per word.
 fn tokenize(line: &Bytes, one: &Bytes, out: &mut Vec<Record>) {
+    let window = |w: &[u8]| {
+        let at = w.as_ptr() as usize - line.as_ptr() as usize;
+        Record::new(line.slice(at..at + w.len()), one.clone())
+    };
+    if line.is_ascii() {
+        // `char::is_whitespace` on ASCII: TAB, LF, VT, FF, CR and SPACE
+        // (`u8::is_ascii_whitespace` leaves out VT).
+        let blank = |b: &u8| matches!(b, b'\t' | b'\n' | 0x0b | 0x0c | b'\r' | b' ');
+        out.extend(line.split(blank).filter(|w| !w.is_empty()).map(window));
+        return;
+    }
     match std::str::from_utf8(line) {
-        Ok(text) => out.extend(text.split_whitespace().map(|w| {
-            let at = w.as_ptr() as usize - text.as_ptr() as usize;
-            Record::new(line.slice(at..at + w.len()), one.clone())
-        })),
+        Ok(text) => out.extend(text.split_whitespace().map(|w| window(w.as_bytes()))),
         Err(_) => out.extend(
             String::from_utf8_lossy(line)
                 .split_whitespace()
@@ -200,6 +208,7 @@ pub async fn read_counts(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn map(line: &[u8]) -> Vec<Record> {
         let mapper = wordcount_spec("/in", "/out").mapper.unwrap();
@@ -252,6 +261,46 @@ mod tests {
         ];
         for line in lines {
             assert_eq!(map(line), reference(line), "line {line:?}");
+        }
+    }
+
+    /// Bytes a line is built from: every ASCII byte (the six blanks and the
+    /// four separators `char::is_whitespace` does not count, 0x1C–0x1F, more
+    /// often), Unicode blanks (U+0085, U+00A0, U+3000) and invalid UTF-8.
+    fn arb_piece() -> impl Strategy<Value = Vec<u8>> {
+        const SEPARATORS: [&[u8]; 10] = [
+            b"\t", b"\n", b"\x0b", b"\x0c", b"\r", b" ", b"\x1c", b"\x1d", b"\x1e", b"\x1f",
+        ];
+        const NOT_ASCII: [&[u8]; 7] = [
+            "\u{85}".as_bytes(),
+            "\u{a0}".as_bytes(),
+            "\u{3000}".as_bytes(),
+            b"\xff",
+            b"\xc3",
+            b"\x80",
+            b"\xe2\x82",
+        ];
+        prop_oneof![
+            (0u8..128).prop_map(|b| vec![b]),
+            (0u8..128).prop_map(|b| vec![b]),
+            (0..SEPARATORS.len()).prop_map(|i| SEPARATORS[i].to_vec()),
+            (0..NOT_ASCII.len()).prop_map(|i| NOT_ASCII[i].to_vec()),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The mapper against `split_whitespace` after lossy conversion, on
+        /// all-ASCII lines (the fast path) and lines that are not.
+        #[test]
+        fn mapper_matches_lossy_split_whitespace(
+            pieces in proptest::collection::vec(arb_piece(), 0..24),
+            ascii in any::<bool>(),
+        ) {
+            let pieces = pieces.into_iter().filter(|p| !ascii || p.is_ascii());
+            let line = pieces.collect::<Vec<_>>().concat();
+            prop_assert_eq!(map(&line), reference(&line));
         }
     }
 
