@@ -59,7 +59,7 @@
 //! [`NodeLiveness`]: crate::faults::NodeLiveness
 
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::rc::Rc;
 
 use rmr_des::prelude::*;
@@ -171,10 +171,12 @@ struct Conn {
 struct ShufState {
     /// Every connection the attempt has made, by endpoint tag.
     conns: Vec<Conn>,
-    /// The endpoint requests to a TaskTracker go out on: the latest
+    /// By TaskTracker, the endpoint requests to it go out on: the latest
     /// connection made to it. A dead server keeps its entry until a
     /// reconnect replaces it (requests on it go nowhere).
-    eps: BTreeMap<usize, Rc<EndPoint<ShufMsg>>>,
+    eps: Vec<Option<EndPoint<ShufMsg>>>,
+    /// TaskTrackers with no entry in `eps` yet.
+    unreached: usize,
     /// Indexed by `map_idx` (maps are `0..total_maps`); `None` until the
     /// map's completion event is seen.
     sources: Vec<Option<SourceState>>,
@@ -210,7 +212,8 @@ impl ShufState {
     fn new(servers: usize, total_maps: usize, est_packet_bytes: u64) -> Self {
         ShufState {
             conns: Vec::with_capacity(servers),
-            eps: BTreeMap::new(),
+            eps: vec![None; servers],
+            unreached: servers,
             sources: (0..total_maps).map(|_| None).collect(),
             missing: BTreeSet::new(),
             cands: BTreeSet::new(),
@@ -234,8 +237,8 @@ impl ShufState {
         &mut self,
         tt_idx: usize,
         epoch: u64,
-        ep: Rc<EndPoint<ShufMsg>>,
-    ) -> Option<Rc<EndPoint<ShufMsg>>> {
+        ep: EndPoint<ShufMsg>,
+    ) -> Option<EndPoint<ShufMsg>> {
         assert_eq!(ep.tag() as usize, self.conns.len(), "tags count up");
         self.conns.push(Conn {
             tt_idx,
@@ -244,7 +247,11 @@ impl ShufState {
             spilling: false,
             backlog: VecDeque::new(),
         });
-        self.eps.insert(tt_idx, ep)
+        let old = self.eps[tt_idx].replace(ep);
+        if old.is_none() {
+            self.unreached -= 1;
+        }
+        old
     }
 
     /// No endpoint to `tt`'s current incarnation: it is down, was never
@@ -252,9 +259,8 @@ impl ShufState {
     fn ep_dead(&self, liveness: &[Rc<NodeLiveness>], tt: usize) -> bool {
         let l = &liveness[tt];
         !l.alive()
-            || self
-                .eps
-                .get(&tt)
+            || self.eps[tt]
+                .as_ref()
                 .is_none_or(|ep| self.conns[ep.tag() as usize].epoch != l.epoch())
     }
 
@@ -485,7 +491,7 @@ impl Copier {
     }
 
     /// A message has arrived on `ep`.
-    fn on_message(self: &Rc<Self>, ep: Rc<EndPoint<ShufMsg>>, msg: ShufMsg) {
+    fn on_message(self: &Rc<Self>, ep: EndPoint<ShufMsg>, msg: ShufMsg) {
         {
             let mut st = self.state.borrow_mut();
             let conn = &mut st.conns[ep.tag() as usize];
@@ -514,7 +520,7 @@ impl Copier {
     /// Writes `bytes` of a packet from `ep`'s connection to the spill file,
     /// then works through what arrived on the connection meanwhile, in
     /// order — for as long as it takes, this is the connection's own copier.
-    async fn spill(self: Rc<Self>, ep: Rc<EndPoint<ShufMsg>>, mut bytes: u64) {
+    async fn spill(self: Rc<Self>, ep: EndPoint<ShufMsg>, mut bytes: u64) {
         loop {
             let w = self
                 .node
@@ -692,7 +698,7 @@ pub async fn run_reduce_rdma(
             if src.inflight || src.fully_delivered || src.homeless {
                 return false;
             }
-            let Some(ep) = st.eps.get(&src.tt_idx).cloned() else {
+            let Some(ep) = st.eps[src.tt_idx].clone() else {
                 no_ep.set(true);
                 return false;
             };
@@ -740,7 +746,7 @@ pub async fn run_reduce_rdma(
         // its source's TaskTracker without an endpoint, whether or not the
         // budget would have covered it. While some TaskTracker has none, walk
         // every candidate so that request is attempted.
-        let walk_all = fair_share.is_some() && state.borrow().eps.len() < n_servers;
+        let walk_all = fair_share.is_some() && state.borrow().unreached > 0;
         let mut from = 0usize;
         loop {
             let map_idx = {
@@ -1124,7 +1130,7 @@ mod tests {
     use super::*;
     use crate::cluster::{Cluster, NodeSpec};
     use rmr_hdfs::HdfsConfig;
-    use rmr_net::{ucr_listen, FabricParams, UcrListener};
+    use rmr_net::{ucr_listen, FabricParams, PrivateEndPoint, UcrListener};
 
     /// The receive side of a reducer on worker 2 with maps 0 and 1
     /// discovered on TaskTrackers 0 and 1, and a fake server per TaskTracker
@@ -1211,7 +1217,7 @@ mod tests {
     impl Rig {
         /// Connects the copier to both servers (under liveness epoch 0),
         /// starts it, and returns the server ends.
-        async fn connect(&self) -> Vec<EndPoint<ShufMsg>> {
+        async fn connect(&self) -> Vec<PrivateEndPoint<ShufMsg>> {
             let mut server_ends = Vec::new();
             for (tt, server) in self.servers.iter().enumerate() {
                 assert!(self.copier.connect(tt, 0, server.connector()).await);

@@ -464,6 +464,20 @@ pub(crate) fn start_http_server(tt: &Rc<TaskTracker>, net: &Network) -> TtServer
     TtServerHandle::Http(handle)
 }
 
+/// One `DataRequestQueue` entry. Hadoop-A's reducers ask every map for its
+/// header as soon as it completes, so thousands of these can wait at one
+/// TaskTracker; the indices are `u32` to keep an entry at 48 bytes.
+struct DataRequest {
+    ep: EndPoint<ShufMsg>,
+    job: JobId,
+    map_idx: u32,
+    reduce: u32,
+    attempt: u32,
+    budget: PacketBudget,
+}
+
+const _: () = assert!(std::mem::size_of::<DataRequest>() == 48);
+
 /// Hadoop-A and OSU-IB: `RDMAListener` + the one `RDMAReceiver` +
 /// `DataRequestQueue` + `RDMAResponder` pool (§III-B-1).
 pub(crate) fn start_rdma_server(tt: &Rc<TaskTracker>, net: &Network) -> TtServerHandle {
@@ -473,16 +487,7 @@ pub(crate) fn start_rdma_server(tt: &Rc<TaskTracker>, net: &Network) -> TtServer
     let connector = ucr_listen_into(net, tt.node.id, &endpoints);
     let tt_id = tt.node.id.0;
 
-    // DataRequestQueue: (endpoint, job, map, reduce, attempt, budget).
-    type Queued = (
-        Rc<EndPoint<ShufMsg>>,
-        JobId,
-        usize,
-        usize,
-        u32,
-        PacketBudget,
-    );
-    let (req_tx, req_rx) = channel_named::<Queued>(&format!("tt{tt_id}-data-request-queue"));
+    let (req_tx, req_rx) = channel_named::<DataRequest>(&format!("tt{tt_id}-data-request-queue"));
 
     // RDMAResponder pool.
     for i in 0..tt.conf.responder_threads.max(1) {
@@ -491,9 +496,12 @@ pub(crate) fn start_rdma_server(tt: &Rc<TaskTracker>, net: &Network) -> TtServer
         tt.group
             .clone()
             .spawn_daemon(format!("tt{tt_id}-rdma-responder-{i}"), async move {
-                while let Some((ep, job, map_idx, reduce, attempt, budget)) = rx.recv().await {
-                    let resp = tt.serve(job, map_idx, reduce, attempt, budget).await;
-                    ep.send(resp).await;
+                while let Some(req) = rx.recv().await {
+                    let (map_idx, reduce) = (req.map_idx as usize, req.reduce as usize);
+                    let resp = tt
+                        .serve(req.job, map_idx, reduce, req.attempt, req.budget)
+                        .await;
+                    req.ep.send(resp).await;
                 }
             })
             .detach();
@@ -514,7 +522,14 @@ pub(crate) fn start_rdma_server(tt: &Rc<TaskTracker>, net: &Network) -> TtServer
                     budget,
                 } = msg
                 {
-                    let _ = req_tx.send_now((ep, job, map_idx, reduce, attempt, budget));
+                    let _ = req_tx.send_now(DataRequest {
+                        ep,
+                        job,
+                        map_idx: u32::try_from(map_idx).expect("map index fits u32"),
+                        reduce: u32::try_from(reduce).expect("reduce index fits u32"),
+                        attempt,
+                        budget,
+                    });
                 }
             }
         })

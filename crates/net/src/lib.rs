@@ -26,5 +26,7 @@ pub use chan::{listen, pair, Conn, Listener, ListenerHandle, Wire};
 pub use fabric::{FabricKind, FabricParams};
 pub use network::{FaultWindow, Network, NodeId};
 pub use topology::Topology;
-pub use ucr::{ucr_listen, ucr_listen_into, EndPoint, EndpointSet, UcrConnector, UcrListener};
+pub use ucr::{
+    ucr_listen, ucr_listen_into, EndPoint, EndpointSet, PrivateEndPoint, UcrConnector, UcrListener,
+};
 pub use verbs::{connect_qp, Completion, Cq, Op, Qp};

@@ -25,8 +25,11 @@
 //! (oversubscription 1.0) adds no legs at all and replays bit-identically
 //! against the flat network (see [`Topology::constrains`]).
 
+use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::future::Future;
 use std::pin::Pin;
+use std::rc::Rc;
 use std::task::{Context, Poll};
 
 use rmr_des::prelude::*;
@@ -116,16 +119,22 @@ pub struct FaultWindow {
     pub factor: f64,
 }
 
-/// The shared network of one simulated cluster.
+/// The shared network of one simulated cluster: a handle, so a clone is one
+/// reference-count bump. Every queue pair and every HDFS packet replica
+/// holds one.
 #[derive(Clone)]
 pub struct Network {
+    inner: Rc<Shared>,
+}
+
+struct Shared {
     sim: Sim,
-    fabric: std::rc::Rc<FabricParams>,
+    fabric: FabricParams,
     topology: Topology,
-    nodes: std::rc::Rc<std::cell::RefCell<Vec<NodeNet>>>,
+    nodes: RefCell<Vec<NodeNet>>,
     /// Per-rack uplink/downlink fluids, indexed by rack; grown lazily as
     /// nodes are added. Empty on flat or fully-provisioned topologies.
-    racks: std::rc::Rc<std::cell::RefCell<Vec<RackNet>>>,
+    racks: RefCell<Vec<RackNet>>,
     /// Cached `net.bytes_transferred` handle; transfers are the hottest
     /// metric site in a shuffle-bound run.
     c_transferred: rmr_des::Counter,
@@ -134,8 +143,10 @@ pub struct Network {
     /// Per-node impairment windows keyed by node index. Empty on healthy
     /// runs: the only cost then is one host-side `is_empty` check per
     /// transfer, so fault-free runs replay bit-identically by construction.
-    faults: std::rc::Rc<std::cell::RefCell<std::collections::BTreeMap<u32, Vec<FaultWindow>>>>,
+    faults: RefCell<BTreeMap<u32, Vec<FaultWindow>>>,
 }
+
+const _: () = assert!(std::mem::size_of::<Network>() == 8);
 
 impl Network {
     /// Creates an empty network over the given fabric with a flat (single
@@ -147,14 +158,16 @@ impl Network {
     /// Creates an empty network over the given fabric and rack topology.
     pub fn with_topology(sim: &Sim, fabric: FabricParams, topology: Topology) -> Self {
         Network {
-            sim: sim.clone(),
-            fabric: std::rc::Rc::new(fabric),
-            topology,
-            nodes: std::rc::Rc::new(std::cell::RefCell::new(Vec::new())),
-            racks: std::rc::Rc::new(std::cell::RefCell::new(Vec::new())),
-            c_transferred: sim.metrics().counter("net.bytes_transferred"),
-            c_cross_rack: sim.metrics().counter("net.cross_rack_bytes"),
-            faults: std::rc::Rc::new(std::cell::RefCell::new(std::collections::BTreeMap::new())),
+            inner: Rc::new(Shared {
+                sim: sim.clone(),
+                fabric,
+                topology,
+                nodes: RefCell::default(),
+                racks: RefCell::default(),
+                c_transferred: sim.metrics().counter("net.bytes_transferred"),
+                c_cross_rack: sim.metrics().counter("net.cross_rack_bytes"),
+                faults: RefCell::default(),
+            }),
         }
     }
 
@@ -172,7 +185,8 @@ impl Network {
             factor > 0.0 && factor <= 1.0,
             "degradation factor must be in (0, 1], got {factor}"
         );
-        self.faults
+        self.inner
+            .faults
             .borrow_mut()
             .entry(node.0)
             .or_default()
@@ -183,7 +197,8 @@ impl Network {
     /// attempts touching the node inside `[start, end)` stall until the
     /// window closes, then proceed (the fabric heals; nothing is lost).
     pub fn inject_partition(&self, node: NodeId, start: rmr_des::SimTime, end: rmr_des::SimTime) {
-        self.faults
+        self.inner
+            .faults
             .borrow_mut()
             .entry(node.0)
             .or_default()
@@ -196,7 +211,7 @@ impl Network {
 
     /// End of the latest partition window covering `node` at `now`, if any.
     fn partition_end(&self, node: NodeId, now: rmr_des::SimTime) -> Option<rmr_des::SimTime> {
-        let faults = self.faults.borrow();
+        let faults = self.inner.faults.borrow();
         faults.get(&node.0).and_then(|ws| {
             ws.iter()
                 .filter(|w| w.factor == 0.0 && w.start <= now && now < w.end)
@@ -207,7 +222,7 @@ impl Network {
 
     /// Worst active degradation factor for `node` at `now` (1.0 = healthy).
     fn degradation_factor(&self, node: NodeId, now: rmr_des::SimTime) -> f64 {
-        let faults = self.faults.borrow();
+        let faults = self.inner.faults.borrow();
         faults
             .get(&node.0)
             .map(|ws| {
@@ -223,45 +238,53 @@ impl Network {
     /// the instant one window closes, a later one may already be open.
     async fn wait_out_partitions(&self, src: NodeId, dst: NodeId) {
         loop {
-            let now = self.sim.now();
+            let now = self.inner.sim.now();
             let until = match (self.partition_end(src, now), self.partition_end(dst, now)) {
                 (None, None) => return,
                 (a, b) => a.max(b).unwrap(),
             };
-            self.sim.sleep_until(until).await;
+            self.inner.sim.sleep_until(until).await;
         }
     }
 
     /// Adds a host. `cpu` is the host's compute resource; socket fabrics
     /// charge protocol work to it, coupling communication and computation.
     pub fn add_node(&self, cpu: Option<Fluid>) -> NodeId {
-        let mut nodes = self.nodes.borrow_mut();
+        let Shared {
+            sim,
+            fabric,
+            topology,
+            nodes,
+            racks,
+            ..
+        } = &*self.inner;
+        let mut nodes = nodes.borrow_mut();
         let id = NodeId(nodes.len() as u32);
-        let rails = (1..self.fabric.rails)
+        let rails = (1..fabric.rails)
             .map(|r| {
                 (
-                    Fluid::new(&self.sim, self.fabric.link_bw)
+                    Fluid::new(sim, fabric.link_bw)
                         .with_metrics_key(format!("net.{id}.rail{r}.tx")),
-                    Fluid::new(&self.sim, self.fabric.link_bw)
+                    Fluid::new(sim, fabric.link_bw)
                         .with_metrics_key(format!("net.{id}.rail{r}.rx")),
                 )
             })
             .collect();
         nodes.push(NodeNet {
-            tx: Fluid::new(&self.sim, self.fabric.link_bw).with_metrics_key(format!("net.{id}.tx")),
-            rx: Fluid::new(&self.sim, self.fabric.link_bw).with_metrics_key(format!("net.{id}.rx")),
+            tx: Fluid::new(sim, fabric.link_bw).with_metrics_key(format!("net.{id}.tx")),
+            rx: Fluid::new(sim, fabric.link_bw).with_metrics_key(format!("net.{id}.rx")),
             rails,
             cpu,
         });
-        if self.topology.constrains() {
-            let rack = self.topology.rack_of(id);
-            let mut racks = self.racks.borrow_mut();
+        if topology.constrains() {
+            let rack = topology.rack_of(id);
+            let mut racks = racks.borrow_mut();
             while racks.len() <= rack {
-                let bw = self.topology.core_bw(self.fabric.link_bw);
+                let bw = topology.core_bw(fabric.link_bw);
                 let r = racks.len();
                 racks.push(RackNet {
-                    up: Fluid::new(&self.sim, bw).with_metrics_key(format!("net.rack{r}.up")),
-                    down: Fluid::new(&self.sim, bw).with_metrics_key(format!("net.rack{r}.down")),
+                    up: Fluid::new(sim, bw).with_metrics_key(format!("net.rack{r}.up")),
+                    down: Fluid::new(sim, bw).with_metrics_key(format!("net.rack{r}.down")),
                 });
             }
         }
@@ -270,27 +293,27 @@ impl Network {
 
     /// The fabric this network runs on.
     pub fn fabric(&self) -> &FabricParams {
-        &self.fabric
+        &self.inner.fabric
     }
 
     /// The rack topology this network runs on.
     pub fn topology(&self) -> &Topology {
-        &self.topology
+        &self.inner.topology
     }
 
     /// Bytes that crossed rack boundaries so far (0 on flat topologies).
     pub fn cross_rack_bytes(&self) -> f64 {
-        self.c_cross_rack.get()
+        self.inner.c_cross_rack.get()
     }
 
     /// The simulation handle.
     pub fn sim(&self) -> &Sim {
-        &self.sim
+        &self.inner.sim
     }
 
     /// Number of hosts.
     pub fn len(&self) -> usize {
-        self.nodes.borrow().len()
+        self.inner.nodes.borrow().len()
     }
 
     /// True when no hosts were added yet.
@@ -303,7 +326,14 @@ impl Network {
     /// below the QP and socket abstractions); a single-rail fabric has the
     /// wire pair only.
     fn start_legs(&self, src: NodeId, dst: NodeId, bytes: u64, wire_scale: f64) -> Legs {
-        let nodes = self.nodes.borrow();
+        let Shared {
+            fabric,
+            topology,
+            nodes,
+            racks,
+            ..
+        } = &*self.inner;
+        let nodes = nodes.borrow();
         let s = &nodes[src.0 as usize];
         let d = &nodes[dst.0 as usize];
         // Degraded links stretch the wire legs only; `wire_scale` is exactly
@@ -328,16 +358,16 @@ impl Network {
             // fully-provisioned core is mathematically never the
             // bottleneck, and omitting its legs keeps flat replay exact.
             // The core carries the whole message however many rails fed it.
-            if self.topology.constrains() && self.topology.cross_rack(src, dst) {
-                let racks = self.racks.borrow();
-                legs.rest[0] = Some(racks[self.topology.rack_of(src)].up.consume(wire));
-                legs.rest[1] = Some(racks[self.topology.rack_of(dst)].down.consume(wire));
+            if topology.constrains() && topology.cross_rack(src, dst) {
+                let racks = racks.borrow();
+                legs.rest[0] = Some(racks[topology.rack_of(src)].up.consume(wire));
+                legs.rest[1] = Some(racks[topology.rack_of(dst)].down.consume(wire));
             }
         }
         // Protocol CPU is charged once for the whole message: striping
         // splits the wire, not the work-request posting.
-        let send_cpu = self.fabric.send_cpu(bytes);
-        let recv_cpu = self.fabric.recv_cpu(bytes);
+        let send_cpu = fabric.send_cpu(bytes);
+        let recv_cpu = fabric.recv_cpu(bytes);
         if let Some(cpu) = &s.cpu {
             if send_cpu > 0.0 {
                 legs.rest[2] = Some(cpu.consume(send_cpu));
@@ -359,21 +389,21 @@ impl Network {
     /// vanilla Hadoop are real socket traffic through loopback).
     pub async fn transfer(&self, src: NodeId, dst: NodeId, bytes: u64) {
         let mut wire_scale = 1.0;
-        if !self.faults.borrow().is_empty() {
+        if !self.inner.faults.borrow().is_empty() {
             if src != dst {
                 self.wait_out_partitions(src, dst).await;
             }
-            let now = self.sim.now();
+            let now = self.inner.sim.now();
             wire_scale =
                 1.0 / (self.degradation_factor(src, now) * self.degradation_factor(dst, now));
         }
         self.start_legs(src, dst, bytes, wire_scale).await;
         if src != dst {
-            self.sim.sleep(self.fabric.latency).await;
+            self.inner.sim.sleep(self.inner.fabric.latency).await;
         }
-        self.c_transferred.add(bytes as f64);
-        if self.topology.cross_rack(src, dst) {
-            self.c_cross_rack.add(bytes as f64);
+        self.inner.c_transferred.add(bytes as f64);
+        if self.inner.topology.cross_rack(src, dst) {
+            self.inner.c_cross_rack.add(bytes as f64);
         }
     }
 
@@ -381,13 +411,13 @@ impl Network {
     /// fabric-specific setup).
     pub async fn connect_delay(&self, src: NodeId, dst: NodeId) {
         if src != dst {
-            if !self.faults.borrow().is_empty() {
+            if !self.inner.faults.borrow().is_empty() {
                 self.wait_out_partitions(src, dst).await;
             }
-            let rtt = self.fabric.latency * 2;
-            self.sim.sleep(rtt).await;
+            let rtt = self.inner.fabric.latency * 2;
+            self.inner.sim.sleep(rtt).await;
         }
-        self.sim.sleep(self.fabric.connect_cost).await;
+        self.inner.sim.sleep(self.inner.fabric.connect_cost).await;
     }
 }
 
@@ -756,8 +786,8 @@ mod tests {
             let rails: usize = n.rails.iter().map(|(t, r)| t.active() + r.active()).sum();
             n.tx.active() + n.rx.active() + rails + n.cpu.as_ref().map_or(0, Fluid::active)
         };
-        let nodes: usize = net.nodes.borrow().iter().map(node).sum();
-        let racks = net.racks.borrow();
+        let nodes: usize = net.inner.nodes.borrow().iter().map(node).sum();
+        let racks = net.inner.racks.borrow();
         nodes
             + racks
                 .iter()

@@ -11,72 +11,59 @@
 //! Endpoints pre-post a window of receives (credit-based flow control, as
 //! UCR does internally) so senders never stall on RNR in normal operation.
 //!
-//! An endpoint is a queue pair end, a tag and a counter — no task, and no
-//! queue of its own unless it asks for one. Either side of a connection
-//! chooses how it receives: an endpoint from [`UcrListener::accept`] or
-//! [`UcrConnector::connect`] has a private receive queue behind
-//! [`EndPoint::recv`]; an endpoint that joined an [`EndpointSet`]
-//! ([`ucr_listen_into`], [`UcrConnector::try_connect_into`]) delivers into
-//! the set's one queue, where a single task serves every member — the
-//! paper's one `RDMAReceiver` per TaskTracker and one `RDMACopier` per
-//! ReduceTask (§III-B-1). A blocking send waits on the queue pair's
-//! completion counter for its own message, so no endpoint needs a send CQ.
+//! An endpoint is a 16-byte `(pair, side)` handle to a queue-pair end and
+//! keeps no state of its own: its tag is the end's `qp_num`, its credit
+//! counter the end's receive window (a replenish posts the id after the
+//! newest), and the lock that orders its blocking sends lives in the end
+//! too. Cloning an endpoint is two counter bumps; the connection closes when
+//! the last clone drops. So a connection costs one allocation, the queue
+//! pair's (see [`crate::verbs`]), however many holders — a set, a reducer's
+//! table, a responder's request queue — share its ends: an idle one between
+//! two sets is 216 bytes of queue pair plus a 24-byte member entry in each
+//! set (`tests/conn_memory.rs` holds it to 320).
+//!
+//! Either side of a connection chooses how it receives: [`UcrListener::accept`]
+//! and [`UcrConnector::connect`] hand out a [`PrivateEndPoint`], an endpoint
+//! with a receive queue of its own; an endpoint that joined an
+//! [`EndpointSet`] ([`ucr_listen_into`], [`UcrConnector::try_connect_into`])
+//! delivers into the set's one queue, where a single task serves every
+//! member — the paper's one `RDMAReceiver` per TaskTracker and one
+//! `RDMACopier` per ReduceTask (§III-B-1). A blocking send waits on the queue
+//! pair's completion counter for its own message, so no endpoint needs a
+//! send CQ.
 
-use std::cell::{Cell, OnceCell, RefCell};
-use std::collections::BTreeMap;
+use std::cell::{Cell, RefCell};
 use std::rc::{Rc, Weak};
 
-use rmr_des::sync::{channel, Receiver, Semaphore, Sender};
+use rmr_des::sync::{channel, Receiver, Sender};
 
 use crate::chan::Wire;
 use crate::network::{Network, NodeId};
-use crate::verbs::{connect_qp_opt, Cq, Op, Qp};
+use crate::verbs::{connect_qp_opt, Completion, Cq, Op, Qp};
 
 /// Receive-window credits each endpoint keeps pre-posted.
 const RECV_WINDOW: u64 = 64;
 
-/// One UCR endpoint: a connected, typed, duplex message pipe over verbs.
-/// Dropping it closes the connection; the peer learns of it in order, after
-/// everything this end had already sent.
+/// One UCR endpoint: a handle to a connected, typed, duplex message pipe over
+/// verbs. Clones share the connection; dropping the last one closes it, and
+/// the peer learns of it in order, after everything this end had already
+/// sent.
 pub struct EndPoint<M: Wire> {
     qp: Qp<M>,
-    /// This endpoint's own receive queue; `None` for a member of an
-    /// [`EndpointSet`], which receives for it.
-    recv_cq: Option<Cq<M>>,
-    tag: u32,
-    next_recv: Cell<u64>,
-    /// Serialises blocking sends; made by the first one (an endpoint that
-    /// only streams never pays for it). See [`EndPoint::send`].
-    send_lock: OnceCell<Semaphore>,
+}
+
+const _: () = assert!(std::mem::size_of::<EndPoint<u64>>() == 16);
+
+/// Binds `qp`'s receive side to `cq` under `tag` and posts its credit window.
+fn open<M: Wire>(qp: Qp<M>, cq: &Cq<M>, tag: u32) -> EndPoint<M> {
+    qp.bind_recv_cq(cq, tag);
+    for i in 0..RECV_WINDOW {
+        qp.post_recv(i);
+    }
+    EndPoint { qp }
 }
 
 impl<M: Wire> EndPoint<M> {
-    /// Wraps `qp`, receiving into `shared` under the given tag or, without
-    /// one, into a queue of its own.
-    fn new(qp: Qp<M>, shared: Option<(&Cq<M>, u32)>) -> Self {
-        let (recv_cq, tag) = match shared {
-            Some((cq, tag)) => {
-                qp.bind_recv_cq(cq, tag);
-                (None, tag)
-            }
-            None => {
-                let cq = Cq::new();
-                qp.bind_recv_cq(&cq, 0);
-                (Some(cq), 0)
-            }
-        };
-        for i in 0..RECV_WINDOW {
-            qp.post_recv(i);
-        }
-        EndPoint {
-            qp,
-            recv_cq,
-            tag,
-            next_recv: Cell::new(RECV_WINDOW),
-            send_lock: OnceCell::new(),
-        }
-    }
-
     /// The node this endpoint lives on.
     pub fn local(&self) -> NodeId {
         self.qp.local()
@@ -87,25 +74,21 @@ impl<M: Wire> EndPoint<M> {
         self.qp.peer()
     }
 
-    /// What tells this endpoint's deliveries apart in its [`EndpointSet`]
-    /// (0 for an endpoint with a receive queue of its own).
+    /// What tells this endpoint's deliveries apart in its [`EndpointSet`].
     pub fn tag(&self) -> u32 {
-        self.tag
+        self.qp.qp_num()
     }
 
     /// Sends `m` and waits for the send completion (the message is on the
     /// wire and landed; with RC semantics that means delivered). Concurrent
-    /// callers are serialised per endpoint: one posts only after the one
-    /// before it has seen its own message land. The completion counter
-    /// would keep them apart without that, but when they post is part of
-    /// the model — on a loopback connection a transfer takes no time, and
-    /// whether four responses go out back to back or one per completion
-    /// decides which packet overflows a tight shuffle buffer.
+    /// callers are serialised per endpoint, first come first served: one
+    /// posts only after the one before it has seen its own message land.
+    /// The completion counter would keep them apart without that, but when
+    /// they post is part of the model — on a loopback connection a transfer
+    /// takes no time, and whether four responses go out back to back or one
+    /// per completion decides which packet overflows a tight shuffle buffer.
     pub async fn send(&self, m: M) {
-        let lock = self.send_lock.get_or_init(|| Semaphore::new(1));
-        let _guard = lock.acquire(1).await;
-        let seq = self.qp.post_send(0, m.wire_size(), m);
-        self.qp.completed(seq).await;
+        self.qp.send_in_turn(0, m.wire_size(), m).await;
     }
 
     /// Posts a send without waiting for its completion ("fire and forget").
@@ -114,34 +97,73 @@ impl<M: Wire> EndPoint<M> {
         self.qp.post_send(0, m.wire_size(), m);
     }
 
-    /// Receives the next message, re-posting a receive buffer to keep the
-    /// credit window full. `None` once the peer has closed.
-    ///
-    /// # Panics
-    /// On a member of an [`EndpointSet`]: the set receives for it.
-    pub async fn recv(&self) -> Option<M> {
-        let cq = self
-            .recv_cq
-            .as_ref()
-            .expect("an EndpointSet member receives through its set");
-        let c = cq.next().await?;
-        match c.op {
-            Op::Recv => {
-                self.replenish();
-                c.payload
-            }
-            _ => None, // flushed: the peer closed
-        }
-    }
-
     /// Re-posts the receive buffer one delivered message used up. The task
     /// serving an [`EndpointSet`] calls this once per message, when it has
     /// consumed it — that is the flow control: a member whose messages sit
     /// unconsumed runs its sender out of credits.
     pub fn replenish(&self) {
-        let wr = self.next_recv.get();
-        self.next_recv.set(wr + 1);
-        self.qp.post_recv(wr);
+        self.qp.post_next_recv();
+    }
+}
+
+// Manual impl: `M` itself need not be `Clone` for the handle to be.
+impl<M: Wire> Clone for EndPoint<M> {
+    fn clone(&self) -> Self {
+        EndPoint {
+            qp: self.qp.clone(),
+        }
+    }
+}
+
+/// An [`EndPoint`] with a receive queue of its own, behind
+/// [`PrivateEndPoint::recv`]: what [`UcrListener::accept`] and
+/// [`UcrConnector::connect`] hand out.
+pub struct PrivateEndPoint<M: Wire> {
+    ep: EndPoint<M>,
+    rx: Receiver<Completion<M>>,
+}
+
+impl<M: Wire> PrivateEndPoint<M> {
+    fn new(qp: Qp<M>) -> Self {
+        let cq = Cq::new();
+        let ep = open(qp, &cq, 0);
+        PrivateEndPoint {
+            ep,
+            rx: cq.into_receiver(),
+        }
+    }
+
+    /// The node this endpoint lives on.
+    pub fn local(&self) -> NodeId {
+        self.ep.local()
+    }
+
+    /// The node the peer endpoint lives on.
+    pub fn peer(&self) -> NodeId {
+        self.ep.peer()
+    }
+
+    /// [`EndPoint::send`].
+    pub async fn send(&self, m: M) {
+        self.ep.send(m).await;
+    }
+
+    /// [`EndPoint::send_nowait`].
+    pub fn send_nowait(&self, m: M) {
+        self.ep.send_nowait(m);
+    }
+
+    /// Receives the next message, re-posting a receive buffer to keep the
+    /// credit window full. `None` once the peer has closed.
+    pub async fn recv(&self) -> Option<M> {
+        let c = self.rx.recv().await?;
+        match c.op {
+            Op::Recv => {
+                self.ep.replenish();
+                c.payload
+            }
+            _ => None, // flushed: the peer closed
+        }
     }
 }
 
@@ -151,7 +173,9 @@ impl<M: Wire> EndPoint<M> {
 /// dropping the set closes every member nobody else holds.
 pub struct EndpointSet<M: Wire> {
     cq: Cq<M>,
-    members: RefCell<BTreeMap<u32, Rc<EndPoint<M>>>>,
+    /// Members in tag order (tags only grow, so adopting one appends), the
+    /// tag inline so a delivery finds its member without touching the others.
+    members: RefCell<Vec<(u32, EndPoint<M>)>>,
     next_tag: Cell<u32>,
 }
 
@@ -168,12 +192,19 @@ impl<M: Wire> EndpointSet<M> {
     /// Makes `qp` a member under the next tag (tags count up from 0 and are
     /// never reused, so a late delivery cannot be taken for a newer
     /// member's).
-    fn adopt(&self, qp: Qp<M>) -> Rc<EndPoint<M>> {
+    fn adopt(&self, qp: Qp<M>) -> EndPoint<M> {
         let tag = self.next_tag.get();
         self.next_tag.set(tag + 1);
-        let ep = Rc::new(EndPoint::new(qp, Some((&self.cq, tag))));
-        self.members.borrow_mut().insert(tag, Rc::clone(&ep));
+        let ep = open(qp, &self.cq, tag);
+        self.members.borrow_mut().push((tag, ep.clone()));
         ep
+    }
+
+    /// The member under `tag`, if it still is one.
+    fn member(&self, tag: u32) -> Option<EndPoint<M>> {
+        let members = self.members.borrow();
+        let at = members.binary_search_by_key(&tag, |m| m.0).ok()?;
+        Some(members[at].1.clone())
     }
 
     /// Number of members.
@@ -189,20 +220,23 @@ impl<M: Wire> EndpointSet<M> {
     /// Drops the member with this tag, if it still is one; whatever it has
     /// yet to deliver is discarded.
     pub fn remove(&self, tag: u32) {
-        let member = self.members.borrow_mut().remove(&tag);
+        let member = {
+            let mut members = self.members.borrow_mut();
+            let at = members.binary_search_by_key(&tag, |m| m.0);
+            at.ok().map(|at| members.remove(at))
+        };
         drop(member); // closes the endpoint; not under the borrow
     }
 
     /// The next message from any member, with the endpoint it came in on.
     /// The caller owes that endpoint a [`EndPoint::replenish`]. A member
     /// whose peer has closed is dropped from the set on the way.
-    pub async fn recv(&self) -> (Rc<EndPoint<M>>, M) {
+    pub async fn recv(&self) -> (EndPoint<M>, M) {
         loop {
             let c = self.cq.next().await.expect("the set holds its own CQ open");
             match c.op {
                 Op::Recv => {
-                    let member = self.members.borrow().get(&c.qp_num).cloned();
-                    if let (Some(ep), Some(m)) = (member, c.payload) {
+                    if let (Some(ep), Some(m)) = (self.member(c.qp_num), c.payload) {
                         return (ep, m);
                     }
                 }
@@ -216,15 +250,15 @@ impl<M: Wire> EndpointSet<M> {
 /// `RDMAListener`).
 pub struct UcrListener<M: Wire> {
     node: NodeId,
-    incoming: Receiver<EndPoint<M>>,
-    tx: Sender<EndPoint<M>>,
+    incoming: Receiver<PrivateEndPoint<M>>,
+    tx: Sender<PrivateEndPoint<M>>,
     net: Network,
 }
 
 /// Where a connector's server-side endpoints go.
 enum Accept<M: Wire> {
     /// To whoever calls [`UcrListener::accept`].
-    Listener(Sender<EndPoint<M>>),
+    Listener(Sender<PrivateEndPoint<M>>),
     /// Straight into a set ([`ucr_listen_into`]).
     Set(Weak<EndpointSet<M>>),
 }
@@ -275,7 +309,7 @@ impl<M: Wire> UcrListener<M> {
     }
 
     /// Waits for the next established endpoint.
-    pub async fn accept(&self) -> Option<EndPoint<M>> {
+    pub async fn accept(&self) -> Option<PrivateEndPoint<M>> {
         self.incoming.recv().await
     }
 
@@ -303,7 +337,7 @@ impl<M: Wire> UcrConnector<M> {
     /// Establishes an endpoint pair from `from`; returns the client end.
     /// Pays QP connection cost (heavier than a TCP handshake; paid once per
     /// ReduceTask × TaskTracker pair, exactly as in the paper's design).
-    pub async fn connect(&self, from: NodeId) -> EndPoint<M> {
+    pub async fn connect(&self, from: NodeId) -> PrivateEndPoint<M> {
         self.try_connect(from)
             .await
             .expect("UCR listener dropped while connecting")
@@ -313,9 +347,9 @@ impl<M: Wire> UcrConnector<M> {
     /// panicking: returns `None` when the listener is gone (the node was
     /// killed). The QP setup cost is still paid — connection management
     /// discovers the dead peer only after the exchange times out.
-    pub async fn try_connect(&self, from: NodeId) -> Option<EndPoint<M>> {
+    pub async fn try_connect(&self, from: NodeId) -> Option<PrivateEndPoint<M>> {
         let qp = self.establish(from).await?;
-        Some(EndPoint::new(qp, None))
+        Some(PrivateEndPoint::new(qp))
     }
 
     /// [`UcrConnector::try_connect`] with the client end joining `set`
@@ -324,7 +358,7 @@ impl<M: Wire> UcrConnector<M> {
         &self,
         from: NodeId,
         set: &EndpointSet<M>,
-    ) -> Option<Rc<EndPoint<M>>> {
+    ) -> Option<EndPoint<M>> {
         let qp = self.establish(from).await?;
         Some(set.adopt(qp))
     }
@@ -334,7 +368,7 @@ impl<M: Wire> UcrConnector<M> {
     async fn establish(&self, from: NodeId) -> Option<Qp<M>> {
         let (client, server) = connect_qp_opt(&self.net, from, self.node, None, None).await;
         match &self.accept {
-            Accept::Listener(tx) => tx.send_now(EndPoint::new(server, None)).ok()?,
+            Accept::Listener(tx) => tx.send_now(PrivateEndPoint::new(server)).ok()?,
             Accept::Set(set) => {
                 set.upgrade()?.adopt(server);
             }
@@ -363,8 +397,7 @@ mod tests {
     use super::*;
     use crate::fabric::FabricParams;
     use rmr_des::{Sim, SimDuration};
-    use std::cell::Cell;
-    use std::rc::Rc;
+    use std::collections::BTreeMap;
 
     struct Msg {
         size: u64,
@@ -658,5 +691,134 @@ mod tests {
         }
         sim.run();
         assert_eq!(refused.get(), 2);
+    }
+
+    fn secs(s: f64) -> rmr_des::SimTime {
+        rmr_des::SimTime::from_nanos((s * 1e9) as u64)
+    }
+
+    /// A connected pair of endpoints with receive queues of their own, on a
+    /// 100 B/s fabric: `(client, server)`.
+    fn connected(sim: &Sim) -> (PrivateEndPoint<Msg>, PrivateEndPoint<Msg>) {
+        let net = Network::new(sim, fabric(100.0));
+        let listener = ucr_listen::<Msg>(&net, net.add_node(None));
+        let client = net.add_node(None);
+        let ends = Rc::new(std::cell::RefCell::new(None));
+        let ends2 = Rc::clone(&ends);
+        sim.spawn(async move {
+            let c = listener.connector().connect(client).await;
+            let s = listener.accept().await.expect("connected");
+            *ends2.borrow_mut() = Some((c, s));
+        })
+        .detach();
+        sim.run();
+        ends.take().expect("connected")
+    }
+
+    /// What has reached `ep`'s own receive queue so far: (op, message tag).
+    fn drain(ep: &PrivateEndPoint<Msg>) -> Vec<(Op, Option<u32>)> {
+        std::iter::from_fn(|| ep.rx.try_recv())
+            .map(|c| (c.op, c.payload.map(|m| m.tag)))
+            .collect()
+    }
+
+    #[test]
+    fn an_endpoint_closes_at_its_last_handle_behind_what_it_posted() {
+        let sim = Sim::new(1);
+        let (client, server) = connected(&sim);
+        let (a, b) = (client.ep.clone(), client.ep.clone());
+        // Two of three handles post a second of wire each and drop while
+        // the engine is still sending the first.
+        a.send_nowait(Msg { size: 100, tag: 1 });
+        b.send_nowait(Msg { size: 100, tag: 2 });
+        drop((a, b));
+        sim.run();
+        assert_eq!(
+            drain(&server),
+            [(Op::Recv, Some(1)), (Op::Recv, Some(2))],
+            "two drops of three close nothing"
+        );
+        // The third closes the end, behind its own message.
+        client.send_nowait(Msg { size: 100, tag: 3 });
+        drop(client);
+        sim.run_until(secs(2.5));
+        assert_eq!(drain(&server), [], "no flush before the message lands");
+        sim.run();
+        assert_eq!(drain(&server), [(Op::Recv, Some(3)), (Op::Flush, None)]);
+        assert_eq!(sim.now(), secs(3.0));
+        assert_eq!(sim.live_tasks(), 0);
+    }
+
+    #[test]
+    fn dropping_a_clone_mid_send_leaves_the_sender_its_connection() {
+        let sim = Sim::new(1);
+        let (client, server) = connected(&sim);
+        let other = client.ep.clone();
+        sim.spawn(async move {
+            client.send(Msg { size: 100, tag: 1 }).await;
+            client.send_nowait(Msg { size: 100, tag: 2 });
+            // `client` is the last handle: dropping it closes the end.
+        })
+        .detach();
+        let sim2 = sim.clone();
+        sim.spawn(async move {
+            sim2.sleep(SimDuration::from_millis(500)).await;
+            drop(other); // the blocking send is on the wire
+        })
+        .detach();
+        sim.run_until(secs(0.75));
+        assert_eq!(drain(&server), []);
+        sim.run_until(secs(1.5));
+        assert_eq!(drain(&server), [(Op::Recv, Some(1))]);
+        sim.run();
+        assert_eq!(drain(&server), [(Op::Recv, Some(2)), (Op::Flush, None)]);
+        assert_eq!(sim.now(), secs(2.0));
+    }
+
+    #[test]
+    fn blocking_sends_take_turns_in_arrival_order_past_a_cancelled_one() {
+        // Four senders queue on one endpoint at t = 0; the second is
+        // cancelled while it waits. The others post one after another, each
+        // once the one before has landed (1 s of wire each), and the lock is
+        // free again at the end.
+        let sim = Sim::new(1);
+        let (client, server) = connected(&sim);
+        let cancelled = sim.group();
+        for tag in 0..4 {
+            let (ep, spawner) = (
+                client.ep.clone(),
+                if tag == 1 {
+                    cancelled.clone()
+                } else {
+                    sim.group()
+                },
+            );
+            spawner
+                .spawn_named(
+                    "sender",
+                    async move { ep.send(Msg { size: 100, tag }).await },
+                )
+                .detach();
+        }
+        sim.run_until(secs(0.5));
+        cancelled.abort();
+        sim.run();
+        assert_eq!(
+            drain(&server),
+            [
+                (Op::Recv, Some(0)),
+                (Op::Recv, Some(2)),
+                (Op::Recv, Some(3))
+            ]
+        );
+        assert_eq!(sim.now(), secs(3.0));
+        let sim2 = sim.clone();
+        sim.spawn(async move {
+            client.send(Msg { size: 100, tag: 4 }).await;
+            assert_eq!(sim2.now(), secs(4.0), "the lock was free");
+        })
+        .detach();
+        sim.run();
+        assert_eq!(drain(&server), [(Op::Recv, Some(4)), (Op::Flush, None)]);
     }
 }

@@ -18,22 +18,33 @@
 //! * closing one end disconnects in order, behind whatever that end still
 //!   has queued, and flushes the peer's posted receives to the peer's CQ.
 //!
-//! # A connection is state
+//! # A connection is one allocation
 //!
-//! A connected pair is one allocation: two ends, each a work queue, an
-//! in-order completion counter and a run-length-encoded window of posted
-//! receives. An idle pair owns no task, no channel and no ring buffer. The
-//! `qp-engine` task that models the HCA working through a send queue exists
-//! only while that queue is non-empty: the `post_*` that finds the end idle
-//! spawns it with the work request in hand, later posts queue behind it, and
-//! it exits when the queue drains. RC ordering lives in the queue, not in a
-//! parked task, so a cluster with every reducer connected to every
-//! TaskTracker costs memory in proportion to its connections and tasks in
-//! proportion to its traffic.
+//! A connected pair is one heap block: a 200-byte `Pair` (`const`-asserted)
+//! behind an `Rc`'s two counts, 216 bytes in all. It holds the network handle
+//! and two ends, each a handle count, an in-order completion counter, its
+//! receive CQ's sender and a run-length-encoded window of posted receives.
+//! An idle pair owns nothing else: no task, no channel, no ring buffer, no
+//! waiter list. What only a busy end needs — the work requests queued behind
+//! the one in flight, the tasks waiting for a completion or for the send
+//! lock, the engine's receiver-not-ready waker — is one boxed `Busy` made by
+//! the first of them and freed when the end is idle again. The `qp-engine`
+//! task that models the HCA working through a send queue exists only while
+//! that queue is non-empty: the `post_*` that finds the end idle spawns it
+//! with the work request in hand, later posts queue behind it, and it exits
+//! when the queue drains. RC ordering lives in the queue, not in a parked
+//! task, so a cluster with every reducer connected to every TaskTracker
+//! costs memory in proportion to its connections and tasks in proportion to
+//! its traffic.
+//!
+//! A [`Qp`] is a `(pair, side)` handle. Cloning one counts a handle on its
+//! end; the end closes when the last handle drops, so however many holders
+//! share an end, the peer sees one in-order close.
 
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, RefCell, RefMut};
 use std::collections::VecDeque;
-use std::future::poll_fn;
+use std::future::{poll_fn, Future};
+use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
@@ -78,7 +89,7 @@ pub struct Completion<P> {
     pub qp_num: u32,
 }
 
-/// A completion queue; clone handles freely — QPs hold one.
+/// A completion queue; QPs hold a handle to it.
 pub struct Cq<P> {
     rx: Receiver<Completion<P>>,
     tx: Sender<Completion<P>>,
@@ -100,6 +111,13 @@ impl<P: 'static> Cq<P> {
     /// Non-blocking poll, as `ibv_poll_cq`.
     pub fn poll(&self) -> Option<Completion<P>> {
         self.rx.try_recv()
+    }
+
+    /// The consuming side alone, for an owner that binds this CQ to one QP
+    /// and keeps no producer handle of its own: the queue then reports
+    /// `None` once that QP's end has closed.
+    pub(crate) fn into_receiver(self) -> Receiver<Completion<P>> {
+        self.rx
     }
 
     fn sender(&self) -> Sender<Completion<P>> {
@@ -127,8 +145,11 @@ struct RecvWindow {
     /// The oldest run: `len` receives starting at id `first`.
     first: u64,
     len: u64,
-    /// Later runs, when posted ids were not consecutive.
-    more: VecDeque<(u64, u64)>,
+    /// Later runs, when posted ids were not consecutive, and only while
+    /// there are any. Boxed: 8 bytes in every end instead of a 32-byte
+    /// `VecDeque` that UCR's in-order re-posting never uses.
+    #[allow(clippy::box_collection)]
+    more: Option<Box<VecDeque<(u64, u64)>>>,
 }
 
 impl RecvWindow {
@@ -137,14 +158,14 @@ impl RecvWindow {
             (self.first, self.len) = (wr_id, 1);
             return;
         }
-        let (first, len) = match self.more.back_mut() {
+        let (first, len) = match self.more.as_mut().and_then(|more| more.back_mut()) {
             Some(run) => (run.0, &mut run.1),
             None => (self.first, &mut self.len),
         };
         if wr_id == first + *len {
             *len += 1;
         } else {
-            self.more.push_back((wr_id, 1));
+            self.more.get_or_insert_default().push_back((wr_id, 1));
         }
     }
 
@@ -156,72 +177,138 @@ impl RecvWindow {
         self.first += 1;
         self.len -= 1;
         if self.len == 0 {
-            if let Some(run) = self.more.pop_front() {
-                (self.first, self.len) = run;
+            if let Some(more) = &mut self.more {
+                if let Some(run) = more.pop_front() {
+                    (self.first, self.len) = run;
+                }
+                if more.is_empty() {
+                    self.more = None;
+                }
             }
         }
         Some(wr_id)
+    }
+
+    /// The id that extends the newest run.
+    fn next_id(&self) -> u64 {
+        match self.more.as_ref().and_then(|more| more.back()) {
+            Some(&(first, len)) => first + len,
+            None => self.first + self.len,
+        }
+    }
+}
+
+/// What only a busy end needs. Made by the first post that queues behind
+/// the engine, task that waits for a completion or for the send lock, or
+/// receiver-not-ready stall; freed once the engine has drained and nobody
+/// waits for the lock ([`End::settle`]).
+struct Busy<P> {
+    /// Work requests behind the one the engine holds.
+    wq: VecDeque<WorkRequest<P>>,
+    /// Tasks blocked in [`Qp::completed`], with the number they wait for.
+    send_waiters: Vec<(u64, Waker)>,
+    /// This end's engine, blocked on the peer's empty window (RNR).
+    rnr: Option<Waker>,
+    /// Tasks waiting for the send lock, by ticket, in arrival order.
+    lock_waiters: VecDeque<(u64, Waker)>,
+    /// The ticket the lock was handed to, until its task takes it.
+    handoff: Option<u64>,
+    next_ticket: u64,
+}
+
+impl<P> Default for Busy<P> {
+    fn default() -> Self {
+        Busy {
+            wq: VecDeque::new(),
+            send_waiters: Vec::new(),
+            rnr: None,
+            lock_waiters: VecDeque::new(),
+            handoff: None,
+            next_ticket: 0,
+        }
     }
 }
 
 /// One end of a connected pair.
 struct End<P> {
     node: NodeId,
-    /// Where this end's send-side completions go, if anywhere: a caller
-    /// that waits on [`Qp::completed`] needs no send CQ.
-    send_cq: Option<Sender<Completion<P>>>,
-    /// Work requests behind the one the engine holds. Allocated by the
-    /// first post that finds the engine busy, freed when it drains.
-    wq: RefCell<VecDeque<WorkRequest<P>>>,
-    /// An engine task is working through this end's queue.
-    busy: Cell<bool>,
+    /// What its receive completions carry ([`Qp::bind_recv_cq`]).
+    qp_num: Cell<u32>,
+    /// Live [`Qp`] handles; the last one to drop closes the end.
+    handles: Cell<u32>,
+    /// An engine task is working through this end's send queue.
+    engine: Cell<bool>,
+    /// A task holds the send lock ([`Qp::send_in_turn`]).
+    locked: Cell<bool>,
+    /// Every handle has dropped. The window stays: what the peer had in
+    /// flight still crosses the wire, to nobody.
+    closed: Cell<bool>,
     /// Send-queue work requests posted and completed so far. The queue is
     /// in-order, so request number `n` is done once `completed > n`.
     posted: Cell<u64>,
     completed: Cell<u64>,
-    /// Tasks blocked in [`Qp::completed`], with the number they wait for.
-    send_waiters: RefCell<Vec<(u64, Waker)>>,
+    /// Where this end's send-side completions go, if anywhere: a caller
+    /// that waits on [`Qp::completed`] needs no send CQ.
+    send_cq: Option<Sender<Completion<P>>>,
+    recv_cq: Cell<Option<Sender<Completion<P>>>>,
     window: RefCell<RecvWindow>,
-    /// The peer's engine, blocked on this end's empty window (RNR).
-    rnr: Cell<Option<Waker>>,
-    recv_cq: RefCell<Option<Sender<Completion<P>>>>,
-    qp_num: Cell<u32>,
-    /// The owner dropped its [`Qp`]. The window stays: what the peer had in
-    /// flight still crosses the wire, to nobody.
-    closed: Cell<bool>,
+    busy: RefCell<Option<Box<Busy<P>>>>,
 }
+
+/// A connected pair: the one allocation behind every [`Qp`] handle to
+/// either end and whichever engines are running.
+struct Pair<P> {
+    net: Network,
+    ends: [End<P>; 2],
+}
+
+const _: () = assert!(std::mem::size_of::<End<()>>() == 96);
+const _: () = assert!(std::mem::size_of::<Pair<()>>() == 200);
 
 impl<P: 'static> End<P> {
     fn new(node: NodeId, send_cq: Option<&Cq<P>>) -> Self {
         End {
             node,
-            send_cq: send_cq.map(Cq::sender),
-            wq: RefCell::default(),
-            busy: Cell::new(false),
+            qp_num: Cell::new(0),
+            handles: Cell::new(1),
+            engine: Cell::new(false),
+            locked: Cell::new(false),
+            closed: Cell::new(false),
             posted: Cell::new(0),
             completed: Cell::new(0),
-            send_waiters: RefCell::default(),
+            send_cq: send_cq.map(Cq::sender),
+            recv_cq: Cell::new(None),
             window: RefCell::default(),
-            rnr: Cell::new(None),
-            recv_cq: RefCell::new(None),
-            qp_num: Cell::new(0),
-            closed: Cell::new(false),
+            busy: RefCell::new(None),
         }
     }
 
-    /// Takes one posted receive for an inbound `SEND`, suspending the
-    /// sending engine while the window is empty. `None`: the end is closed
-    /// and has no receive left, so the send is flushed.
-    fn poll_take_recv(&self, cx: &mut Context<'_>) -> Poll<Option<u64>> {
-        if let Some(wr_id) = self.window.borrow_mut().pop() {
-            return Poll::Ready(Some(wr_id));
+    /// The busy state, made if the end has none.
+    fn busy(&self) -> RefMut<'_, Busy<P>> {
+        RefMut::map(self.busy.borrow_mut(), |busy| {
+            &mut **busy.get_or_insert_with(Box::default)
+        })
+    }
+
+    /// Frees the busy state once nothing needs it: no engine (so no queued
+    /// work, completion waiter or RNR stall) and nobody waiting for the
+    /// send lock.
+    fn settle(&self) {
+        if self.engine.get() {
+            return;
         }
-        if self.closed.get() {
-            return Poll::Ready(None);
+        let mut busy = self.busy.borrow_mut();
+        if busy
+            .as_ref()
+            .is_some_and(|b| b.lock_waiters.is_empty() && b.handoff.is_none())
+        {
+            *busy = None;
         }
-        self.rnr.set(Some(cx.waker().clone()));
-        note_current_blocked("receiver not ready");
-        Poll::Pending
+    }
+
+    /// Takes this end's RNR-stalled engine waker, if it has one.
+    fn take_rnr(&self) -> Option<Waker> {
+        self.busy.borrow_mut().as_mut()?.rnr.take()
     }
 
     /// Retires the head of the send queue: bumps the completion counter,
@@ -229,13 +316,15 @@ impl<P: 'static> End<P> {
     fn complete(&self, wr_id: u64, op: Op, bytes: u64) {
         let done = self.completed.get() + 1;
         self.completed.set(done);
-        self.send_waiters.borrow_mut().retain(|(seq, waker)| {
-            let reached = *seq < done;
-            if reached {
-                waker.wake_by_ref();
-            }
-            !reached
-        });
+        if let Some(busy) = self.busy.borrow_mut().as_mut() {
+            busy.send_waiters.retain(|(seq, waker)| {
+                let reached = *seq < done;
+                if reached {
+                    waker.wake_by_ref();
+                }
+                !reached
+            });
+        }
         if let Some(cq) = &self.send_cq {
             let _ = cq.send_now(Completion {
                 wr_id,
@@ -249,7 +338,8 @@ impl<P: 'static> End<P> {
 
     /// Feeds the receive CQ, if one is (still) bound.
     fn deliver(&self, wr_id: u64, op: Op, bytes: u64, payload: Option<P>) {
-        if let Some(cq) = &*self.recv_cq.borrow() {
+        let cq = self.recv_cq.take();
+        if let Some(cq) = &cq {
             let _ = cq.send_now(Completion {
                 wr_id,
                 op,
@@ -258,17 +348,44 @@ impl<P: 'static> End<P> {
                 qp_num: self.qp_num.get(),
             });
         }
+        self.recv_cq.set(cq);
+    }
+
+    /// Hands the send lock to the longest waiter, or unlocks it.
+    fn pass_turn(&self) {
+        let next = self.busy.borrow_mut().as_mut().and_then(|busy| {
+            let (ticket, waker) = busy.lock_waiters.pop_front()?;
+            busy.handoff = Some(ticket);
+            Some(waker)
+        });
+        match next {
+            Some(waker) => waker.wake(),
+            None => {
+                self.locked.set(false);
+                self.settle();
+            }
+        }
     }
 }
 
-/// A connected pair: the one allocation behind both [`Qp`] handles and
-/// whichever engines are running.
-struct Pair<P> {
-    net: Network,
-    ends: [End<P>; 2],
-}
-
 impl<P: 'static> Pair<P> {
+    /// Takes one of the peer's posted receives for a `SEND` from `side`'s
+    /// engine, suspending the engine while the peer's window is empty.
+    /// `None`: the peer is closed and has no receive left, so the send is
+    /// flushed.
+    fn poll_take_recv(&self, side: usize, cx: &mut Context<'_>) -> Poll<Option<u64>> {
+        let peer = &self.ends[1 - side];
+        if let Some(wr_id) = peer.window.borrow_mut().pop() {
+            return Poll::Ready(Some(wr_id));
+        }
+        if peer.closed.get() {
+            return Poll::Ready(None);
+        }
+        self.ends[side].busy().rnr = Some(cx.waker().clone());
+        note_current_blocked("receiver not ready");
+        Poll::Pending
+    }
+
     /// Tells `side`'s peer that `side` is closed and has nothing left to
     /// send: the peer's posted receives can never complete, so they are
     /// flushed to its CQ.
@@ -299,7 +416,7 @@ async fn engine<P: 'static>(pair: Rc<Pair<P>>, side: usize, mut wr: WorkRequest<
                 payload,
             } => {
                 // RNR: wait for the peer to post a receive.
-                match poll_fn(|cx| peer.poll_take_recv(cx)).await {
+                match poll_fn(|cx| pair.poll_take_recv(side, cx)).await {
                     Some(recv_wr_id) => {
                         pair.net.transfer(end.node, peer.node, bytes).await;
                         end.complete(wr_id, Op::Send, bytes);
@@ -319,24 +436,28 @@ async fn engine<P: 'static>(pair: Rc<Pair<P>>, side: usize, mut wr: WorkRequest<
                 end.complete(wr_id, Op::RdmaRead, bytes);
             }
         }
-        let next = end.wq.borrow_mut().pop_front();
+        let next = end
+            .busy
+            .borrow_mut()
+            .as_mut()
+            .and_then(|b| b.wq.pop_front());
         match next {
             Some(next) => wr = next,
             None => break,
         }
     }
-    // Drained: give the ring back and go idle in the same poll, so a post
-    // can never land between the two.
-    end.wq.take();
-    end.busy.set(false);
+    // Drained: go idle and give the busy state back in the same poll, so a
+    // post can never land between the two.
+    end.engine.set(false);
+    end.settle();
     if end.closed.get() {
         pair.disconnect(side);
     }
 }
 
-/// One end of a connected reliable queue pair. Dropping it closes the end:
-/// what it already posted is still sent, then the peer is told (see
-/// [`Op::Flush`]).
+/// A handle to one end of a connected reliable queue pair. Clones share the
+/// end; dropping the last one closes it: what it already posted is still
+/// sent, then the peer is told (see [`Op::Flush`]).
 pub struct Qp<P: 'static> {
     pair: Rc<Pair<P>>,
     side: usize,
@@ -387,17 +508,30 @@ impl<P: 'static> Qp<P> {
     /// Registers the CQ that receives this end's `Recv` completions. They
     /// carry `qp_num`, so one CQ can serve many QPs.
     pub fn bind_recv_cq(&self, cq: &Cq<P>, qp_num: u32) {
-        *self.end().recv_cq.borrow_mut() = Some(cq.sender());
+        self.end().recv_cq.set(Some(cq.sender()));
         self.end().qp_num.set(qp_num);
+    }
+
+    /// The number this end's receive completions carry.
+    pub(crate) fn qp_num(&self) -> u32 {
+        self.end().qp_num.get()
     }
 
     /// Posts a receive buffer (`ibv_post_recv`). Each buffered receive
     /// admits exactly one inbound `SEND`.
     pub fn post_recv(&self, wr_id: u64) {
         self.end().window.borrow_mut().push(wr_id);
-        if let Some(engine) = self.end().rnr.take() {
+        if let Some(engine) = self.pair.ends[1 - self.side].take_rnr() {
             engine.wake();
         }
+    }
+
+    /// Posts a receive under the id that follows the newest one posted: an
+    /// owner that only ever re-posts this way needs no counter of its own,
+    /// and its window stays one run.
+    pub(crate) fn post_next_recv(&self) {
+        let wr_id = self.end().window.borrow().next_id();
+        self.post_recv(wr_id);
     }
 
     /// Queues `wr` behind whatever this end already posted, starting an
@@ -407,8 +541,8 @@ impl<P: 'static> Qp<P> {
         let end = self.end();
         let seq = end.posted.get();
         end.posted.set(seq + 1);
-        if end.busy.replace(true) {
-            end.wq.borrow_mut().push_back(wr);
+        if end.engine.replace(true) {
+            end.busy().wq.push_back(wr);
         } else {
             self.pair.net.sim().spawn_detached_daemon(
                 ENGINE_NAME.with(Rc::clone),
@@ -454,14 +588,27 @@ impl<P: 'static> Qp<P> {
             // Once is enough: a task's waker never changes.
             if !registered {
                 registered = true;
-                end.send_waiters
-                    .borrow_mut()
-                    .push((seq, cx.waker().clone()));
+                end.busy().send_waiters.push((seq, cx.waker().clone()));
             }
             note_current_blocked("send completion");
             Poll::Pending
         })
         .await
+    }
+
+    /// Posts a send and waits for its completion, in turn: callers on one
+    /// end take a FIFO lock, so each posts only once the one before it has
+    /// seen its own message land. The lock lives in the end and its waiters
+    /// in the end's busy state; an end that never sends this way pays
+    /// nothing for it.
+    pub(crate) async fn send_in_turn(&self, wr_id: u64, bytes: u64, payload: P) {
+        let _turn = WaitTurn {
+            end: self.end(),
+            ticket: None,
+        }
+        .await;
+        let seq = self.post_send(wr_id, bytes, payload);
+        self.completed(seq).await;
     }
 
     /// Local node.
@@ -480,20 +627,110 @@ impl<P: 'static> Qp<P> {
     }
 }
 
+impl<P: 'static> Clone for Qp<P> {
+    fn clone(&self) -> Self {
+        let end = self.end();
+        end.handles.set(end.handles.get() + 1);
+        Qp {
+            pair: Rc::clone(&self.pair),
+            side: self.side,
+        }
+    }
+}
+
 impl<P: 'static> Drop for Qp<P> {
     fn drop(&mut self) {
         let end = self.end();
+        let left = end.handles.get() - 1;
+        end.handles.set(left);
+        if left > 0 {
+            return;
+        }
         end.closed.set(true);
         end.recv_cq.take();
         // A peer engine blocked on this end's empty window must see the
         // close: its send is flushed now.
-        if let Some(engine) = end.rnr.take() {
+        if let Some(engine) = self.pair.ends[1 - self.side].take_rnr() {
             engine.wake();
         }
         // In-order close: a running engine disconnects when it has drained.
-        if !end.busy.get() {
+        if !end.engine.get() {
             self.pair.disconnect(self.side);
         }
+    }
+}
+
+/// Waits for an end's send lock ([`Qp::send_in_turn`]): the lock is free and
+/// nobody queued, or it was handed to this waiter's ticket.
+struct WaitTurn<'a, P: 'static> {
+    end: &'a End<P>,
+    ticket: Option<u64>,
+}
+
+/// The send lock, held; dropping it passes the lock on.
+struct Turn<'a, P: 'static>(&'a End<P>);
+
+impl<'a, P: 'static> Future for WaitTurn<'a, P> {
+    type Output = Turn<'a, P>;
+
+    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Turn<'a, P>> {
+        let end = self.end;
+        match self.ticket {
+            None if !end.locked.get() => {
+                end.locked.set(true);
+                return Poll::Ready(Turn(end));
+            }
+            None => {
+                let mut busy = end.busy();
+                let ticket = busy.next_ticket;
+                busy.next_ticket += 1;
+                busy.lock_waiters.push_back((ticket, cx.waker().clone()));
+                self.ticket = Some(ticket);
+            }
+            Some(ticket) => {
+                let mut busy = end.busy();
+                if busy.handoff == Some(ticket) {
+                    busy.handoff = None;
+                    drop(busy);
+                    self.ticket = None;
+                    end.settle();
+                    return Poll::Ready(Turn(end));
+                }
+                if let Some(waiter) = busy.lock_waiters.iter_mut().find(|w| w.0 == ticket) {
+                    waiter.1 = cx.waker().clone();
+                }
+            }
+        }
+        note_current_blocked("send lock");
+        Poll::Pending
+    }
+}
+
+impl<P: 'static> Drop for WaitTurn<'_, P> {
+    fn drop(&mut self) {
+        let Some(ticket) = self.ticket else { return };
+        let handed = {
+            let mut busy = self.end.busy();
+            if busy.handoff == Some(ticket) {
+                busy.handoff = None;
+                true
+            } else {
+                busy.lock_waiters.retain(|w| w.0 != ticket);
+                false
+            }
+        };
+        // Handed the lock but never took it: pass it on.
+        if handed {
+            self.end.pass_turn();
+        } else {
+            self.end.settle();
+        }
+    }
+}
+
+impl<P: 'static> Drop for Turn<'_, P> {
+    fn drop(&mut self) {
+        self.0.pass_turn();
     }
 }
 

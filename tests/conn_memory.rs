@@ -1,0 +1,174 @@
+//! What an idle connection costs on the heap.
+//!
+//! The RDMA engines connect every ReduceTask to every TaskTracker up front
+//! (§III-B-1), so live connections grow as reducers × nodes and their size
+//! sets the memory peak of the large points (`scale_256` holds 65 536 at
+//! once). This binary has its own counting allocator and builds K × T idle
+//! connections the way the engines do — server ends joining one
+//! [`EndpointSet`] per TaskTracker through [`ucr_listen_into`], client ends
+//! joining one set per reducer through [`UcrConnector::try_connect_into`] —
+//! then holds the live heap they add, counting both ends and both sets, to a
+//! byte and an allocation budget per connection.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::rc::Rc;
+
+use rmr_des::Sim;
+use rmr_net::{ucr_listen_into, EndpointSet, FabricParams, Network, NodeId, UcrConnector};
+
+/// Live heap bytes and blocks allocated by this thread, net of frees. The
+/// simulation is single-threaded, so the test thread's count is the run's.
+struct Counting;
+
+thread_local! {
+    static LIVE: Cell<(isize, isize)> = const { Cell::new((0, 0)) };
+}
+
+fn track(bytes: isize, blocks: isize) {
+    // `try_with`: the allocator also runs while the thread tears down.
+    let _ = LIVE.try_with(|live| {
+        let (b, n) = live.get();
+        live.set((b + bytes, n + blocks));
+    });
+}
+
+// SAFETY: every call is forwarded to `System` unchanged; the wrapper only
+// counts.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let p = System.alloc(layout);
+        if !p.is_null() {
+            track(layout.size() as isize, 1);
+        }
+        p
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        let p = System.alloc_zeroed(layout);
+        if !p.is_null() {
+            track(layout.size() as isize, 1);
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
+        System.dealloc(p, layout);
+        track(-(layout.size() as isize), -1);
+    }
+
+    unsafe fn realloc(&self, p: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let q = System.realloc(p, layout, new_size);
+        if !q.is_null() {
+            track(new_size as isize - layout.size() as isize, 0);
+        }
+        q
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+fn live() -> (isize, isize) {
+    LIVE.with(Cell::get)
+}
+
+/// Reducers and TaskTrackers: 4 096 connections.
+const K: usize = 64;
+const T: usize = 64;
+/// What one idle connection may add to the heap: its queue pair (both ends)
+/// and its entry in the set on either side. An end held through an `Rc`'s own
+/// allocation, or a queue pair that carries a full `Network` clone, is over.
+const MAX_BYTES_PER_CONN: f64 = 320.0;
+/// Blocks per connection, not counting the one member table each set grows
+/// (a set's, not a connection's).
+const MAX_ALLOCS_PER_CONN: f64 = 1.0;
+
+/// Each reducer connects to every TaskTracker in turn and keeps nothing but
+/// its set: the engines' `Copier::connect`, without the bookkeeping above
+/// the net layer.
+fn connect_all(
+    sim: &Sim,
+    nodes: &[NodeId],
+    reducers: &[Rc<EndpointSet<u64>>],
+    servers: &[UcrConnector<u64>],
+) {
+    for (r, set) in reducers.iter().enumerate() {
+        let (set, servers, from) = (Rc::clone(set), servers.to_vec(), nodes[r % T]);
+        sim.spawn_named("reducer", async move {
+            for server in &servers {
+                server
+                    .try_connect_into(from, &set)
+                    .await
+                    .expect("the TaskTracker is listening");
+            }
+        })
+        .detach();
+    }
+    sim.run();
+}
+
+#[test]
+fn an_idle_connection_is_one_small_allocation() {
+    let sim = Sim::new(1);
+    let net = Network::new(&sim, FabricParams::ib_verbs_qdr());
+    let nodes: Vec<NodeId> = (0..T).map(|_| net.add_node(None)).collect();
+    // Warm-up: the same tasks and timers without a connection, so the
+    // executor's task table and event slab are already at their size.
+    for _ in 0..K {
+        let sim2 = sim.clone();
+        let delay = net.fabric().connect_cost;
+        sim.spawn_named("reducer", async move {
+            for _ in 0..T {
+                sim2.sleep(delay).await;
+            }
+        })
+        .detach();
+    }
+    sim.run();
+
+    let before = live();
+    let tts: Vec<_> = nodes
+        .iter()
+        .map(|&node| {
+            let set = EndpointSet::<u64>::new();
+            let connector = ucr_listen_into(&net, node, &set);
+            (set, connector)
+        })
+        .collect();
+    let connectors: Vec<_> = tts.iter().map(|(_, c)| c.clone()).collect();
+    let reducers: Vec<_> = (0..K).map(|_| EndpointSet::new()).collect();
+    let empty = live();
+    connect_all(&sim, &nodes, &reducers, &connectors);
+    let connected = live();
+
+    assert_eq!(sim.live_tasks(), 0, "an idle connection owns no task");
+    assert!(reducers.iter().all(|set| set.len() == T));
+    assert!(connectors.iter().all(|c| c.served() == K));
+    let conns = (K * T) as f64;
+    let bytes = (connected.0 - empty.0) as f64 / conns;
+    let allocs = (connected.1 - empty.1 - (K + T) as isize) as f64 / conns;
+    assert!(
+        bytes <= MAX_BYTES_PER_CONN,
+        "{bytes:.1} B of live heap per idle connection (budget {MAX_BYTES_PER_CONN})"
+    );
+    assert!(
+        allocs <= MAX_ALLOCS_PER_CONN,
+        "{allocs:.3} live allocations per idle connection (budget {MAX_ALLOCS_PER_CONN})"
+    );
+
+    // Closing every connection gives all of it back: the reducers' sets
+    // close the client ends, whose flushes land in the TaskTrackers' sets,
+    // which then close the server ends.
+    drop(reducers);
+    sim.run();
+    drop((tts, connectors));
+    sim.run();
+    assert_eq!(
+        live(),
+        before,
+        "live (bytes, blocks) after every set is gone"
+    );
+    // Last: under the test harness's output capture, printing allocates.
+    eprintln!("per idle connection: {bytes:.1} B, {allocs:.3} allocations");
+}
