@@ -260,7 +260,7 @@ fn fold_segment(merged: Segment, peak_records: u64, combine: &ReduceFn, ratio: f
     }
     if merged.is_real() {
         let mut table = GroupTable::default();
-        merged.iter_real().for_each(|r| table.push(r));
+        merged.iter_real().for_each(|r| table.push(&r.key, r.value));
         table.combine(combine)
     } else {
         let floor = (merged.records as f64 * ratio).ceil() as u64;

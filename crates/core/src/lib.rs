@@ -46,7 +46,7 @@ pub use engine::ShuffleEngine;
 pub use faults::{FaultEvent, FaultPlan, NodeLiveness};
 pub use job::{run_job, run_job_with_faults, JobResult};
 pub use record::{
-    decode_records, encode_records, HashPartitioner, Partitioner, Record, Segment,
+    decode_records, encode_records, HashPartitioner, MapSink, Partitioner, Record, Segment,
     TotalOrderPartitioner,
 };
 pub use runtime::{CapacityPlan, JobId, QueueShare, Runtime, SchedulePolicy, StateFootprint};

@@ -11,19 +11,24 @@
 //! bytes in an arena and sort an index. An identity map adopts its input:
 //! the HDFS block becomes the run's backing buffer and only a 16-byte index
 //! entry per record is built and sorted ([`Segment::from_encoded`]) — no
-//! record is materialised, no byte copied. A map function sees its input as
-//! by-value [`Record`] windows into the block and pushes into a reused sink;
-//! a combiner job folds that sink into a group table instead of sorting it;
-//! either way the output pays one encode into a fresh arena
-//! ([`Segment::from_records`]), whose index is what gets sorted.
+//! record is materialised, no byte copied. Any other attempt holds nothing
+//! but its output across a simulated charge: it counts its input with a
+//! header walk, and only after the read and map charges does it show the map
+//! function one by-value [`Record`] window at a time. The function emits
+//! into a [`MapSink`] — encoded straight into the arena that becomes the
+//! output run, or, with a combiner, into a group table that copies a key
+//! only the first time it sees it — and the table is combined, and dropped,
+//! before the combine charge.
 
 use std::rc::Rc;
+
+use bytes::{Bytes, BytesMut};
 
 use crate::cluster::Cluster;
 use crate::config::JobConf;
 use crate::jobtracker::MapTaskDesc;
 use crate::mapoutput::MapOutputInfo;
-use crate::record::{decode_records, GroupTable, Record, Segment};
+use crate::record::{count_records, walk, GroupTable, MapSink, Record, Segment};
 use crate::runtime::JobId;
 use crate::spec::JobSpec;
 use crate::tasktracker::TaskTracker;
@@ -32,8 +37,23 @@ use crate::tasktracker::TaskTracker;
 enum RealInput {
     /// An identity map's: indexed where it lies, already the sorted output.
     Run(Segment),
-    /// By-value views for the map or combine function.
-    Records(Vec<Record>),
+    /// For the map or combine function.
+    Block(Bytes),
+}
+
+/// Shows the map function (the identity without one) each record of `data`
+/// as a by-value view, one at a time: no view outlives the call.
+fn map_block(data: &Bytes, spec: &JobSpec, mut sink: MapSink) {
+    for (key, value) in walk(data) {
+        let r = Record {
+            key: data.slice(key),
+            value: data.slice(value),
+        };
+        match &spec.mapper {
+            Some(f) => f(&r, &mut sink),
+            None => sink.emit(&r.key, r.value),
+        }
+    }
 }
 
 /// Runs one map attempt of `job`. When `abort_fraction` is set (fault
@@ -61,15 +81,15 @@ pub async fn run_map(
     let in_bytes = block.size;
 
     // 2. Decode input records: an identity map indexes the block where it
-    // lies (already its sorted output), user code gets by-value views.
+    // lies (already its sorted output); user code's views wait for step 3.
     let identity = spec.mapper.is_none() && spec.combiner.is_none();
     let real_input: Option<RealInput> = block.data.map(|data| match identity {
         true => RealInput::Run(Segment::from_encoded(data)),
-        false => RealInput::Records(decode_records(data)),
+        false => RealInput::Block(data),
     });
     let in_records = match &real_input {
         Some(RealInput::Run(run)) => run.records,
-        Some(RealInput::Records(records)) => records.len() as u64,
+        Some(RealInput::Block(data)) => count_records(data) as u64,
         None => (in_bytes / spec.avg_record_bytes.max(1)).max(1),
     };
     node.compute(costs.serde_per_byte * in_bytes as f64).await;
@@ -86,33 +106,22 @@ pub async fn run_map(
     let out_real: Option<Segment> = match (real_input, &spec.combiner) {
         (None, _) => None,
         (Some(RealInput::Run(run)), _) => Some(run),
-        (Some(RealInput::Records(recs)), None) => {
-            let f = spec.mapper.as_ref().expect("not an identity map");
-            let mut out = Vec::with_capacity(recs.len());
-            for r in &recs {
-                f(r, &mut out);
-            }
-            Some(Segment::from_records(out))
+        (Some(RealInput::Block(data)), None) => {
+            let mut arena = BytesMut::new();
+            map_block(&data, spec, MapSink::Arena(&mut arena));
+            Some(Segment::from_encoded(arena.freeze()))
         }
         // Map-side combiner: fold the mapper's output straight into the
         // group table, never holding the uncombined output. Same key ⇒ same
         // partition, so combining before the partition step is equivalent
-        // to Hadoop's per-spill combine.
-        (Some(RealInput::Records(recs)), Some(combine)) => {
+        // to Hadoop's per-spill combine. The charge needs only the count.
+        (Some(RealInput::Block(data)), Some(combine)) => {
             let mut table = GroupTable::default();
-            match &spec.mapper {
-                Some(f) => {
-                    let mut emitted = Vec::new();
-                    for r in &recs {
-                        f(r, &mut emitted);
-                        emitted.drain(..).for_each(|r| table.push(r));
-                    }
-                }
-                None => recs.into_iter().for_each(|r| table.push(r)),
-            }
-            node.compute(costs.reduce_per_record * table.records() as f64)
-                .await;
-            Some(table.combine(combine))
+            map_block(&data, spec, MapSink::Groups(&mut table));
+            let folded = table.records();
+            let combined = table.combine(combine);
+            node.compute(costs.reduce_per_record * folded as f64).await;
+            Some(combined)
         }
     };
 

@@ -21,8 +21,9 @@
 //!
 //! * **input** is adopted — an HDFS block *is* a run's backing buffer
 //!   ([`Segment::from_encoded`] walks its headers once);
-//! * **mapper / combiner output** pays one encode into a fresh arena
-//!   ([`Segment::from_records`], [`Segment::from_sorted`]);
+//! * **mapper / combiner output** pays one encode into a fresh arena — a
+//!   mapper's as it emits ([`MapSink`]), a combiner's through
+//!   [`Segment::from_records`];
 //! * **reduce output** pays one gather, record by record, straight into the
 //!   open HDFS block (`Segment::encode_into` under `ReduceSink`).
 //!
@@ -94,11 +95,16 @@ pub(crate) fn encoded_len(records: &[Record]) -> u64 {
 /// [`encode_records`] appended to a buffer the caller owns.
 pub(crate) fn encode_into(records: &[Record], buf: &mut BytesMut) {
     for r in records {
-        buf.put_u32(r.key.len() as u32);
-        buf.put_u32(r.value.len() as u32);
-        buf.put_slice(&r.key);
-        buf.put_slice(&r.value);
+        encode_record(&r.key, &r.value, buf);
     }
+}
+
+/// One record in [`encode_records`]' layout, appended to `buf`.
+pub fn encode_record(key: &[u8], value: &[u8], buf: &mut BytesMut) {
+    buf.put_u32(key.len() as u32);
+    buf.put_u32(value.len() as u32);
+    buf.put_slice(key);
+    buf.put_slice(value);
 }
 
 /// The two length fields of the header at byte `at` of `buf`.
@@ -163,12 +169,7 @@ pub fn decode_records(data: Bytes) -> Vec<Record> {
     let buf: &[u8] = &data;
     // Walk the headers once to size the output exactly (and to validate),
     // then cut the windows.
-    let (mut count, mut at) = (0usize, 0usize);
-    while at < buf.len() {
-        let (klen, vlen) = record_lengths(buf, count, at);
-        at += 8 + klen + vlen;
-        count += 1;
-    }
+    let count = count_records(buf);
     let mut out = Vec::with_capacity(count);
     let mut at = 0usize;
     for idx in 0..count {
@@ -182,6 +183,18 @@ pub fn decode_records(data: Bytes) -> Vec<Record> {
         });
     }
     out
+}
+
+/// The number of records in an encoded buffer, from one walk over their
+/// headers: no window is cut. Panics on malformed input like [`walk`].
+pub(crate) fn count_records(buf: &[u8]) -> usize {
+    let (mut count, mut at) = (0usize, 0usize);
+    while at < buf.len() {
+        let (klen, vlen) = record_lengths(buf, count, at);
+        at += 8 + klen + vlen;
+        count += 1;
+    }
+    count
 }
 
 /// Calls `f(key, values)` once per run of consecutive records with equal
@@ -215,11 +228,35 @@ pub(crate) fn key_prefix(key: &[u8]) -> u64 {
     }
 }
 
+/// Where a map function puts its output, one [`MapSink::emit`] per record:
+/// the key is borrowed (the sink copies what it keeps of it), the value
+/// owned.
+pub enum MapSink<'a> {
+    /// Each record encoded at the end of one arena, in [`encode_records`]'
+    /// layout and emission order: a job without a combiner, whose arena
+    /// becomes its output run ([`Segment::from_encoded`]).
+    Arena(&'a mut BytesMut),
+    /// The map-side combiner's group table.
+    Groups(&'a mut GroupTable),
+}
+
+impl MapSink<'_> {
+    /// Adds one record.
+    #[inline]
+    pub fn emit(&mut self, key: &[u8], value: Bytes) {
+        match self {
+            MapSink::Arena(arena) => encode_record(key, &value, arena),
+            MapSink::Groups(table) => table.push(key, value),
+        }
+    }
+}
+
 /// A combiner's group table: key → values in arrival order. Pushing records
 /// in any order and combining each group in key order yields, record for
 /// record, what stably sorting the records and scanning them for equal keys
 /// would — without ever holding the uncombined records. A push is one hash
-/// lookup; the groups are put in key order once, by (key prefix, key), when
+/// lookup by the borrowed key, which is copied only the first time it
+/// arrives; the groups are put in key order once, by (key prefix, key), when
 /// they are combined.
 #[derive(Default)]
 pub struct GroupTable {
@@ -233,20 +270,21 @@ pub struct GroupTable {
 
 impl GroupTable {
     /// Adds one record to its key's group.
-    pub fn push(&mut self, r: Record) {
+    pub fn push(&mut self, key: &[u8], value: Bytes) {
         self.records += 1;
-        let group = match self.index.get(&r.key[..]) {
+        let group = match self.index.get(key) {
             Some(&group) => group,
             None => {
-                self.index.insert(r.key.clone(), self.groups.len());
+                let key = Bytes::copy_from_slice(key);
+                self.index.insert(key.clone(), self.groups.len());
                 // A group starts empty, so its first push makes room for
                 // four: `vec![value]` allocates one and reallocates on the
                 // next push, which left `service_cap` peaking 0.8 MB higher.
-                self.groups.push((key_prefix(&r.key), r.key, Vec::new()));
+                self.groups.push((key_prefix(&key), key, Vec::new()));
                 self.groups.len() - 1
             }
         };
-        self.groups[group].2.push(r.value);
+        self.groups[group].2.push(value);
     }
 
     /// Records pushed so far.

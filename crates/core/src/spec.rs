@@ -10,11 +10,11 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 
-use crate::record::{Partitioner, Record, TotalOrderPartitioner};
+use crate::record::{MapSink, Partitioner, Record, TotalOrderPartitioner};
 
-/// Real-mode map function: pushes any number of intermediate records for
-/// one input record onto the sink (which may already hold earlier output).
-pub type MapFn = Rc<dyn Fn(&Record, &mut Vec<Record>)>;
+/// Real-mode map function: emits any number of intermediate records for one
+/// input record into the sink (which may already hold earlier output).
+pub type MapFn = Rc<dyn Fn(&Record, &mut MapSink)>;
 
 /// Real-mode reduce function: pushes the output records for one key and its
 /// values onto the sink (which may already hold earlier groups' output).
@@ -144,8 +144,8 @@ mod tests {
     fn builders_apply() {
         let s = JobSpec::sort("/in", "/out", 100)
             .with_ratios(0.5, 0.1)
-            .with_mapper(Rc::new(|r: &Record, out: &mut Vec<Record>| {
-                out.push(r.clone())
+            .with_mapper(Rc::new(|r: &Record, out: &mut MapSink| {
+                out.emit(&r.key, r.value.clone())
             }));
         assert_eq!(s.map_output_ratio, 0.5);
         assert_eq!(s.reduce_output_ratio, 0.1);

@@ -5,9 +5,10 @@
 //! stable `sort_by` plus a scan for the combiner, a stable sort and a stable
 //! bucketing for the final partitioned run — kept here, verbatim, as the
 //! definition of what a map attempt outputs. The engine's
-//! [`run_map`](rmr_core::maptask::run_map) (sink-style functions, group
-//! table, prefix-index sort, windows into the HDFS block) must produce the
-//! same partitions record for record: key, value and order.
+//! [`run_map`](rmr_core::maptask::run_map) (a mapper emitting borrowed keys
+//! into an encoding arena or a group table that copies a key on a miss,
+//! prefix-index sort, windows into the HDFS block) must produce the same
+//! partitions record for record: key, value and order.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -22,8 +23,8 @@ use rmr_core::maptask::run_map;
 use rmr_core::spec::{MapFn, ReduceFn};
 use rmr_core::tasktracker::TaskTracker;
 use rmr_core::{
-    encode_records, HashPartitioner, JobConf, JobId, JobSpec, Partitioner, Record, Segment,
-    TotalOrderPartitioner,
+    encode_records, HashPartitioner, JobConf, JobId, JobSpec, MapSink, Partitioner, Record,
+    Segment, TotalOrderPartitioner,
 };
 use rmr_des::prelude::*;
 use rmr_hdfs::{Blob, HdfsConfig};
@@ -89,14 +90,30 @@ mod oracle {
     }
 }
 
-/// Splits the value at spaces and tags every piece with the key of the
-/// record it came from, so a group's values tell their arrival order apart.
-fn tag_pieces(r: &Record) -> Vec<Record> {
+/// The pieces of the value between spaces.
+fn pieces(r: &Record) -> impl Iterator<Item = &[u8]> {
     r.value
         .split(|&b| b == b' ')
         .filter(|piece| !piece.is_empty())
+}
+
+/// Each piece with the key of the record it came from (a window of the
+/// input as key, an owned clone as value), so a group's values tell their
+/// arrival order apart.
+fn tag_pieces(r: &Record) -> Vec<Record> {
+    pieces(r)
         .map(|piece| Record::new(piece.to_vec(), r.key.clone()))
         .collect()
+}
+
+/// Keys and values the input does not hold, built per record in buffers the
+/// mapper drops after each emit: the key reversed and cut to its last two
+/// bytes (short, so groups form) with the value's length, then the value's
+/// length with the key's.
+fn computed(r: &Record) -> Vec<(Vec<u8>, Vec<u8>)> {
+    let tail: Vec<u8> = r.key.iter().rev().take(2).copied().collect();
+    let len = |b: &Bytes| b.len().to_string().into_bytes();
+    vec![(tail, len(&r.value)), (len(&r.value), len(&r.key))]
 }
 
 /// An order-sensitive combiner: the group's values joined in the order
@@ -116,6 +133,7 @@ enum Mapper {
     Identity,
     WordCount,
     TagPieces,
+    Computed,
 }
 
 impl Mapper {
@@ -128,8 +146,19 @@ impl Mapper {
             ),
             Mapper::TagPieces => (
                 Some(Rc::new(tag_pieces)),
-                Some(Rc::new(|r: &Record, out: &mut Vec<Record>| {
-                    out.extend(tag_pieces(r))
+                Some(Rc::new(|r: &Record, out: &mut MapSink| {
+                    pieces(r).for_each(|piece| out.emit(piece, r.key.clone()))
+                })),
+            ),
+            Mapper::Computed => (
+                Some(Rc::new(|r: &Record| {
+                    let records = computed(r).into_iter();
+                    records.map(|(k, v)| Record::new(k, v)).collect()
+                })),
+                Some(Rc::new(|r: &Record, out: &mut MapSink| {
+                    for (key, value) in computed(r) {
+                        out.emit(&key, Bytes::from(value));
+                    }
                 })),
             ),
         }
@@ -253,7 +282,13 @@ fn arb_records(max: usize) -> impl Strategy<Value = Vec<Record>> {
 }
 
 fn arb_mapper() -> impl Strategy<Value = Mapper> {
-    (0u8..3).prop_map(|i| [Mapper::Identity, Mapper::WordCount, Mapper::TagPieces][i as usize])
+    const MAPPERS: [Mapper; 4] = [
+        Mapper::Identity,
+        Mapper::WordCount,
+        Mapper::TagPieces,
+        Mapper::Computed,
+    ];
+    (0..MAPPERS.len()).prop_map(|i| MAPPERS[i])
 }
 
 fn check_against_oracle(

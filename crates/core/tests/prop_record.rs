@@ -401,7 +401,7 @@ proptest! {
         });
         let (mut table, mut want) = (GroupTable::default(), oracle::GroupTable::default());
         for r in records {
-            table.push(r.clone());
+            table.push(&r.key, r.value.clone());
             want.push(r);
         }
         prop_assert_eq!(table.records(), want.records());

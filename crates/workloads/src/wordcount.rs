@@ -1,13 +1,16 @@
 //! WordCount — a non-identity map/reduce pair exercising the public API
 //! beyond the sort benchmarks (grouping reducers, shrinking ratios).
 
+use std::fmt::Write;
 use std::rc::Rc;
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
+use rand::rngs::SmallRng;
 use rand::Rng;
 
 use rmr_core::cluster::Cluster;
-use rmr_core::{encode_records, HashPartitioner, JobSpec, Record};
+use rmr_core::record::encode_record;
+use rmr_core::{HashPartitioner, JobSpec, MapSink, Record};
 use rmr_hdfs::Blob;
 
 /// A small vocabulary so counts aggregate meaningfully.
@@ -46,13 +49,8 @@ pub async fn textgen_blocks(
     words_per_line: usize,
     lines_per_block: usize,
 ) {
-    textgen_write(cluster, path, lines, lines_per_block, |rng| {
-        let line: Vec<&str> = (0..words_per_line)
-            .map(|_| WORDS[rng.gen_range(0..WORDS.len())])
-            .collect();
-        line.join(" ")
-    })
-    .await;
+    let line_of = words_line(words_per_line, builtin_word);
+    textgen_write(cluster, path, lines, lines_per_block, line_of).await;
 }
 
 /// [`textgen_blocks`] over a synthetic `vocab`-word vocabulary (`w000000` …)
@@ -70,13 +68,59 @@ pub async fn textgen_vocab(
     vocab: usize,
 ) {
     assert!(vocab > 0, "need a non-empty vocabulary");
-    textgen_write(cluster, path, lines, lines_per_block, |rng| {
-        let line: Vec<String> = (0..words_per_line)
-            .map(|_| format!("w{:06}", rng.gen_range(0..vocab)))
-            .collect();
-        line.join(" ")
-    })
-    .await;
+    let line_of = words_line(words_per_line, vocab_word(vocab));
+    textgen_write(cluster, path, lines, lines_per_block, line_of).await;
+}
+
+/// Appends one word of the built-in vocabulary.
+fn builtin_word(rng: &mut SmallRng, line: &mut String) {
+    line.push_str(WORDS[rng.gen_range(0..WORDS.len())]);
+}
+
+/// Appends one word of a `vocab`-word synthetic vocabulary.
+fn vocab_word(vocab: usize) -> impl FnMut(&mut SmallRng, &mut String) {
+    move |rng, line| write!(line, "w{:06}", rng.gen_range(0..vocab)).expect("writing to a String")
+}
+
+/// A line of `words` words drawn by `word`, separated by single spaces.
+fn words_line(
+    words: usize,
+    mut word: impl FnMut(&mut SmallRng, &mut String),
+) -> impl FnMut(&mut SmallRng, &mut String) {
+    move |rng, line| {
+        for i in 0..words {
+            if i > 0 {
+                line.push(' ');
+            }
+            word(rng, line);
+        }
+    }
+}
+
+/// `lines` records in blocks of `lines_per_block`, each block encoded
+/// straight into one buffer: record `i` is keyed `line{i:08}` and valued by
+/// the line `line_of` appends, drawing from `rng` in record order.
+fn text_blocks(
+    rng: &mut SmallRng,
+    lines: usize,
+    lines_per_block: usize,
+    mut line_of: impl FnMut(&mut SmallRng, &mut String),
+) -> Vec<Bytes> {
+    let (mut key, mut line) = (String::new(), String::new());
+    (0..lines)
+        .step_by(lines_per_block)
+        .map(|first| {
+            let mut block = BytesMut::new();
+            for i in first..lines.min(first + lines_per_block) {
+                key.clear();
+                line.clear();
+                write!(key, "line{i:08}").expect("writing to a String");
+                line_of(rng, &mut line);
+                encode_record(key.as_bytes(), line.as_bytes(), &mut block);
+            }
+            block.freeze()
+        })
+        .collect()
 }
 
 async fn textgen_write(
@@ -84,7 +128,7 @@ async fn textgen_write(
     path: &str,
     lines: usize,
     lines_per_block: usize,
-    mut line_of: impl FnMut(&mut rand::rngs::SmallRng) -> String,
+    line_of: impl FnMut(&mut SmallRng, &mut String),
 ) {
     assert!(lines_per_block > 0, "need at least one line per block");
     let node = cluster.workers[0].id;
@@ -94,47 +138,31 @@ async fn textgen_write(
         .create(path, node)
         .await
         .expect("textgen create");
-    let records: Vec<Record> = sim.with_rng(|rng| {
-        (0..lines)
-            .map(|i| {
-                Record::new(
-                    format!("line{i:08}").into_bytes(),
-                    Bytes::from(line_of(rng)),
-                )
-            })
-            .collect()
-    });
-    for chunk in records.chunks(lines_per_block) {
-        w.write(Blob::real(encode_records(chunk)))
-            .await
-            .expect("textgen write");
+    // Every line is drawn before the first write, which draws replica
+    // placements from the same generator.
+    let blocks = sim.with_rng(|rng| text_blocks(rng, lines, lines_per_block, line_of));
+    for block in blocks {
+        w.write(Blob::real(block)).await.expect("textgen write");
     }
     w.close().await.expect("textgen close");
 }
 
-/// Pushes one `(word, one)` record per whitespace-separated word of `line`.
-/// Words of a valid-UTF-8 line are windows into the line; a line that is not
-/// valid UTF-8 is tokenised after lossy conversion (each bad sequence
-/// becomes U+FFFD), which needs a copy per word.
-fn tokenize(line: &Bytes, one: &Bytes, out: &mut Vec<Record>) {
-    let window = |w: &[u8]| {
-        let at = w.as_ptr() as usize - line.as_ptr() as usize;
-        Record::new(line.slice(at..at + w.len()), one.clone())
-    };
+/// Emits one `(word, one)` record per whitespace-separated word of `line`,
+/// each word a borrowed slice. A line that is not valid UTF-8 is tokenised
+/// after lossy conversion (each bad sequence becomes U+FFFD), which copies
+/// the line once and no word.
+fn tokenize(line: &[u8], one: &Bytes, out: &mut MapSink) {
     if line.is_ascii() {
         // `char::is_whitespace` on ASCII: TAB, LF, VT, FF, CR and SPACE
         // (`u8::is_ascii_whitespace` leaves out VT).
         let blank = |b: &u8| matches!(b, b'\t' | b'\n' | 0x0b | 0x0c | b'\r' | b' ');
-        out.extend(line.split(blank).filter(|w| !w.is_empty()).map(window));
+        for word in line.split(blank).filter(|w| !w.is_empty()) {
+            out.emit(word, one.clone());
+        }
         return;
     }
-    match std::str::from_utf8(line) {
-        Ok(text) => out.extend(text.split_whitespace().map(|w| window(w.as_bytes()))),
-        Err(_) => out.extend(
-            String::from_utf8_lossy(line)
-                .split_whitespace()
-                .map(|w| Record::new(w.as_bytes().to_vec(), one.clone())),
-        ),
+    for word in String::from_utf8_lossy(line).split_whitespace() {
+        out.emit(word.as_bytes(), one.clone());
     }
 }
 
@@ -150,7 +178,7 @@ fn parse_count(value: &[u8]) -> u64 {
 /// The WordCount job: map splits lines into (word, 1); reduce sums counts.
 pub fn wordcount_spec(input: &str, output: &str) -> JobSpec {
     let one = Bytes::from_static(b"1");
-    let mapper = Rc::new(move |r: &Record, out: &mut Vec<Record>| tokenize(&r.value, &one, out));
+    let mapper = Rc::new(move |r: &Record, out: &mut MapSink| tokenize(&r.value, &one, out));
     let reducer = Rc::new(|key: &Bytes, values: &[Bytes], out: &mut Vec<Record>| {
         let sum: u64 = values.iter().map(|v| parse_count(v)).sum();
         out.push(Record::new(key.clone(), Bytes::from(sum.to_string())));
@@ -212,9 +240,10 @@ mod tests {
 
     fn map(line: &[u8]) -> Vec<Record> {
         let mapper = wordcount_spec("/in", "/out").mapper.unwrap();
-        let mut out = Vec::new();
-        mapper(&Record::new(b"line1".to_vec(), line.to_vec()), &mut out);
-        out
+        let mut arena = BytesMut::new();
+        let input = Record::new(b"line1".to_vec(), line.to_vec());
+        mapper(&input, &mut MapSink::Arena(&mut arena));
+        rmr_core::decode_records(arena.freeze())
     }
 
     /// What the mapper has always meant: lossy UTF-8, Unicode whitespace.
@@ -234,16 +263,63 @@ mod tests {
         assert_eq!(out[2].value.as_ref(), b"1");
     }
 
+    /// The mapper appends to what the sink holds; into a group table, each
+    /// word's key is copied once, the first time it is seen.
     #[test]
-    fn mapper_emits_windows_of_the_line() {
-        let line = Bytes::from(b"  rdma\tverbs ".to_vec());
+    fn mapper_appends_to_the_sink() {
         let mapper = wordcount_spec("/in", "/out").mapper.unwrap();
-        let mut out = vec![Record::new(&b"kept"[..], &b"0"[..])];
-        mapper(&Record::new(&b"k"[..], line.clone()), &mut out);
-        assert_eq!(out.len(), 3, "the sink keeps what it held");
-        assert_eq!(out[1].key.as_ptr(), line.as_ptr().wrapping_add(2));
-        assert_eq!(out[2].key.as_ptr(), line.as_ptr().wrapping_add(7));
-        assert_eq!(out[1].value.as_ptr(), out[2].value.as_ptr());
+        let line = Record::new(&b"k"[..], &b"  rdma\tverbs rdma "[..]);
+        let mut arena = BytesMut::new();
+        let mut sink = MapSink::Arena(&mut arena);
+        sink.emit(b"kept", Bytes::from_static(b"0"));
+        mapper(&line, &mut sink);
+        let keys: Vec<Bytes> = rmr_core::decode_records(arena.freeze())
+            .into_iter()
+            .map(|r| r.key)
+            .collect();
+        assert_eq!(keys, ["kept", "rdma", "verbs", "rdma"].map(Bytes::from));
+        let mut table = rmr_core::record::GroupTable::default();
+        mapper(&line, &mut MapSink::Groups(&mut table));
+        assert_eq!(table.records(), 3);
+        let count = wordcount_spec("/in", "/out").combiner.unwrap();
+        let counts = table.combine(&count).to_records().expect("real");
+        assert_eq!(counts[0], Record::new(&b"rdma"[..], &b"2"[..]));
+        assert_eq!(counts[1], Record::new(&b"verbs"[..], &b"1"[..]));
+    }
+
+    /// The line generators' old path — every line a `Vec<&str>` (or
+    /// `Vec<String>`) plus `join` plus a `Record`, all of them held, then
+    /// `encode_records` per chunk — at one seed: the blocks encoded in place
+    /// are byte for byte what it wrote.
+    #[test]
+    fn text_blocks_match_the_collect_and_join_path() {
+        use rand::SeedableRng;
+        let old_blocks = |vocab: Option<usize>| -> Vec<Bytes> {
+            let mut rng = SmallRng::seed_from_u64(20261015);
+            let records: Vec<Record> = (0..1_003)
+                .map(|i| {
+                    let line = match vocab {
+                        None => (0..8)
+                            .map(|_| WORDS[rng.gen_range(0..WORDS.len())])
+                            .collect::<Vec<&str>>()
+                            .join(" "),
+                        Some(vocab) => (0..8)
+                            .map(|_| format!("w{:06}", rng.gen_range(0..vocab)))
+                            .collect::<Vec<String>>()
+                            .join(" "),
+                    };
+                    Record::new(format!("line{i:08}").into_bytes(), Bytes::from(line))
+                })
+                .collect();
+            records.chunks(100).map(rmr_core::encode_records).collect()
+        };
+        let mut rng = SmallRng::seed_from_u64(20261015);
+        let builtin = text_blocks(&mut rng, 1_003, 100, words_line(8, builtin_word));
+        let mut rng = SmallRng::seed_from_u64(20261015);
+        let vocab = text_blocks(&mut rng, 1_003, 100, words_line(8, vocab_word(5_000)));
+        assert_eq!(builtin.len(), 11);
+        assert_eq!(builtin, old_blocks(None));
+        assert_eq!(vocab, old_blocks(Some(5_000)));
     }
 
     #[test]
