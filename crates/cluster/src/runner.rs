@@ -6,6 +6,7 @@
 //! `rmr_bench::sweep`).
 
 use rmr_core::JobResult;
+use rmr_obs::json::quote;
 
 use crate::scenario::{gb_to_bytes, run_scenario, Job, Scenario};
 use crate::testbed::{Bench, System, Testbed};
@@ -127,8 +128,7 @@ pub struct RunRecord {
 }
 
 impl RunRecord {
-    /// One JSON object (hand-rolled: the workspace stays serde-free, same
-    /// convention as `rmr_core::timeline`).
+    /// One JSON object (hand-rolled: the workspace stays serde-free).
     pub fn to_json(&self) -> String {
         format!(
             "{{\"schema\":{},\"id\":{},\"bench\":{},\"system\":{},\"nodes\":{},\"disks\":{},\
@@ -137,9 +137,9 @@ impl RunRecord {
              \"failed_maps\":{},\"failed_reduces\":{},\"queue_wait_s\":{},\
              \"slot_occupancy\":{}}}",
             self.schema,
-            json_str(&self.id),
-            json_str(&self.bench),
-            json_str(&self.system),
+            quote(&self.id),
+            quote(&self.bench),
+            quote(&self.system),
             self.nodes,
             self.disks,
             self.ssd,
@@ -236,24 +236,6 @@ impl RunRecord {
             slot_occupancy: res.slot_occupancy,
         }
     }
-}
-
-/// Escapes a string into a JSON string literal.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Runs one experiment point (synthetic data plane) to completion inside

@@ -38,7 +38,6 @@ pub mod reduce;
 pub mod runtime;
 pub mod spec;
 pub mod tasktracker;
-pub mod timeline;
 
 pub use cluster::{Cluster, NodeHandle, NodeSpec};
 pub use config::{CpuCosts, JobConf, ShuffleKind};

@@ -14,9 +14,7 @@
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
-use std::future::Future;
 use std::rc::Rc;
-use std::task::Poll;
 
 use rmr_des::prelude::*;
 use rmr_net::NodeId;
@@ -35,7 +33,6 @@ use crate::maptask::run_map;
 use crate::reduce::common::{ReduceCtx, ReduceError, ReduceStats};
 use crate::spec::JobSpec;
 use crate::tasktracker::{TaskTracker, TtServerHandle};
-use crate::timeline::{Outcome, TaskEvent, TaskKind, Timeline};
 
 /// Heartbeat RPC payload size on the wire.
 const HEARTBEAT_BYTES: u64 = 1024;
@@ -199,8 +196,6 @@ pub struct JobResult {
     pub queue: u32,
     /// Per-reducer phase stats.
     pub reduce_stats: Vec<ReduceStats>,
-    /// Every task attempt's lifetime (swimlane data).
-    pub timeline: Vec<TaskEvent>,
 }
 
 /// One job in the system: its scheduler, progress counters, and result slot.
@@ -209,7 +204,6 @@ struct ActiveJob {
     conf: Rc<JobConf>,
     spec: JobSpec,
     jt: Rc<RefCell<JobTracker>>,
-    timeline: Timeline,
     total_maps: usize,
     input_bytes: u64,
     submit_s: f64,
@@ -264,10 +258,10 @@ struct RtInner {
     /// been submitted yet; consumed by [`Runtime::submit`].
     injected: RefCell<BTreeMap<u32, Vec<FaultEvent>>>,
     /// Running attempts per queue as `(maps, reduces)`, maintained by
-    /// [`QueueSlotGuard`]s so aborted attempt futures (node kills,
-    /// preemption) release their count on drop. Entries are removed at
-    /// zero, so a drained cluster holds no ledger state.
-    queue_used: Rc<RefCell<BTreeMap<u32, (usize, usize)>>>,
+    /// [`Attempt`]s so aborted attempt futures (node kills, preemption)
+    /// release their count on drop. Entries are removed at zero, so a
+    /// drained cluster holds no ledger state.
+    queue_used: RefCell<BTreeMap<u32, (usize, usize)>>,
     /// Preemptible speculative map attempts in flight:
     /// `(tt_idx, job, map_idx)` → the signal that tells the attempt to
     /// stand down. Only populated under `Capacity` with preemption on.
@@ -276,51 +270,6 @@ struct RtInner {
     work: Notify,
     /// Observability bus (off unless built via [`Runtime::with_obs`]).
     obs: Recorder,
-}
-
-/// Drop-guard for one running attempt's entry in the per-queue slot ledger:
-/// created when the attempt spawns, releases its count however the attempt
-/// ends — completion, failure, preemption, or a node kill aborting the
-/// future mid-await.
-struct QueueSlotGuard {
-    used: Rc<RefCell<BTreeMap<u32, (usize, usize)>>>,
-    queue: u32,
-    map: bool,
-}
-
-impl QueueSlotGuard {
-    fn acquire(used: &Rc<RefCell<BTreeMap<u32, (usize, usize)>>>, queue: u32, map: bool) -> Self {
-        {
-            let mut u = used.borrow_mut();
-            let e = u.entry(queue).or_insert((0, 0));
-            if map {
-                e.0 += 1;
-            } else {
-                e.1 += 1;
-            }
-        }
-        QueueSlotGuard {
-            used: Rc::clone(used),
-            queue,
-            map,
-        }
-    }
-}
-
-impl Drop for QueueSlotGuard {
-    fn drop(&mut self) {
-        let mut u = self.used.borrow_mut();
-        if let Some(e) = u.get_mut(&self.queue) {
-            if self.map {
-                e.0 -= 1;
-            } else {
-                e.1 -= 1;
-            }
-            if *e == (0, 0) {
-                u.remove(&self.queue);
-            }
-        }
-    }
 }
 
 /// The persistent cluster runtime. Cheap to clone (shared handle).
@@ -391,7 +340,7 @@ impl Runtime {
             active: RefCell::new(VecDeque::new()),
             next_id: Cell::new(0),
             injected: RefCell::new(BTreeMap::new()),
-            queue_used: Rc::new(RefCell::new(BTreeMap::new())),
+            queue_used: RefCell::new(BTreeMap::new()),
             spec_running: RefCell::new(BTreeMap::new()),
             work: Notify::new(),
             obs,
@@ -481,7 +430,6 @@ impl Runtime {
             conf: Rc::clone(&conf),
             spec,
             jt,
-            timeline: Timeline::new(),
             total_maps,
             input_bytes,
             submit_s: inner.sim.now().as_secs_f64(),
@@ -1145,7 +1093,6 @@ impl RtInner {
             slot_secs: job.slot_secs.get(),
             queue: job.conf.queue,
             reduce_stats,
-            timeline: job.timeline.events(),
         };
         // In-flight speculative losers of a finished job keep running to
         // completion but drop off the preemption radar with the job.
@@ -1154,7 +1101,7 @@ impl RtInner {
             .retain(|(_, j, _), _| *j != job.id.0);
         *job.result.borrow_mut() = Some(result.clone());
         // Drop the job's scheduling state (its `ActiveJob` — JobTracker
-        // event log, locality index, timeline) from the runtime; the bare
+        // event log, locality index) from the runtime; the bare
         // result parks in `finished` until joined. In-flight speculative
         // losers still hold their own `Rc<ActiveJob>` and report in safely.
         self.finished.borrow_mut().insert(job.id.0, result);
@@ -1208,18 +1155,10 @@ fn spawn_heartbeat(inner: &Rc<RtInner>, tt: &Rc<TaskTracker>) {
 
                 for a in assignments {
                     for (i, desc) in a.maps.into_iter().enumerate() {
-                        let permit = tt
-                            .map_slots
-                            .try_acquire(1)
-                            .expect("slot advertised but unavailable");
-                        spawn_map_attempt(&inner, &a.job, &tt, desc, permit, i >= a.spec_from);
+                        spawn_map_attempt(&inner, &a.job, &tt, desc, i >= a.spec_from);
                     }
                     for reduce_idx in a.reduces {
-                        let permit = tt
-                            .reduce_slots
-                            .try_acquire(1)
-                            .expect("slot advertised but unavailable");
-                        spawn_reduce_attempt(&inner, &a.job, &tt, reduce_idx, permit);
+                        spawn_reduce_attempt(&inner, &a.job, &tt, reduce_idx);
                     }
                 }
                 // Saturated node + starved guaranteed queue → shed
@@ -1257,13 +1196,122 @@ fn spawn_heartbeat(inner: &Rc<RtInner>, tt: &Rc<TaskTracker>) {
         .detach();
 }
 
-fn note_launch(inner: &RtInner, job: &ActiveJob, now_s: f64) {
-    if job.first_launch_s.get().is_none() {
-        job.first_launch_s.set(Some(now_s));
-        inner.obs.emit(|| Ev::JobState {
+/// One task attempt in a TaskTracker slot, from launch to release: the one
+/// place an attempt's lifecycle is written down. It holds the slot's permit
+/// and the attempt's count in the per-queue slot ledger, and emits the
+/// job's first launch, `SlotAcquire`, `AttemptStart`, `AttemptFinish` and
+/// `SlotRelease`. An attempt that a node kill aborts is dropped unfinished:
+/// `Drop` frees the slot and the ledger count and emits nothing.
+struct Attempt {
+    inner: Rc<RtInner>,
+    job: Rc<ActiveJob>,
+    node: usize,
+    kind: TaskFlavor,
+    idx: usize,
+    start_s: f64,
+    _permit: Permit,
+}
+
+impl Attempt {
+    /// Takes one of `tt`'s free `kind` slots for task `idx` of `job`.
+    fn launch(
+        inner: &Rc<RtInner>,
+        job: &Rc<ActiveJob>,
+        tt: &TaskTracker,
+        kind: TaskFlavor,
+        idx: usize,
+    ) -> Attempt {
+        let slots = match kind {
+            TaskFlavor::Map => &tt.map_slots,
+            TaskFlavor::Reduce => &tt.reduce_slots,
+        };
+        let permit = slots
+            .try_acquire(1)
+            .expect("slot advertised but unavailable");
+        let now_s = inner.sim.now().as_secs_f64();
+        if job.first_launch_s.get().is_none() {
+            job.first_launch_s.set(Some(now_s));
+            inner.obs.emit(|| Ev::JobState {
+                job: job.id.0,
+                state: JobState::FirstLaunch,
+            });
+        }
+        inner.obs.emit(|| Ev::SlotAcquire {
+            node: tt.idx,
             job: job.id.0,
-            state: JobState::FirstLaunch,
+            kind,
+            idx,
         });
+        let mut used = inner.queue_used.borrow_mut();
+        let (maps, reduces) = used.entry(job.conf.queue).or_default();
+        match kind {
+            TaskFlavor::Map => *maps += 1,
+            TaskFlavor::Reduce => *reduces += 1,
+        }
+        Attempt {
+            inner: Rc::clone(inner),
+            job: Rc::clone(job),
+            node: tt.idx,
+            kind,
+            idx,
+            start_s: now_s,
+            _permit: permit,
+        }
+    }
+
+    /// The attempt's task starts running.
+    fn start(&mut self) {
+        self.start_s = self.inner.sim.now().as_secs_f64();
+        self.inner.obs.emit(|| Ev::AttemptStart {
+            node: self.node,
+            job: self.job.id.0,
+            kind: self.kind,
+            idx: self.idx,
+        });
+    }
+
+    /// Charges the job the slot-seconds held since [`Attempt::start`].
+    fn charge(&self) {
+        let held_s = self.inner.sim.now().as_secs_f64() - self.start_s;
+        self.job.slot_secs.set(self.job.slot_secs.get() + held_s);
+    }
+
+    /// Records how the attempt ended; the slot stays held until
+    /// [`Attempt::release`].
+    fn finish(&self, outcome: AttemptOutcome) {
+        self.inner.obs.emit(|| Ev::AttemptFinish {
+            node: self.node,
+            job: self.job.id.0,
+            kind: self.kind,
+            idx: self.idx,
+            outcome,
+        });
+    }
+
+    /// Gives the slot back; `Drop` returns the permit and the ledger count.
+    fn release(self) {
+        self.inner.obs.emit(|| Ev::SlotRelease {
+            node: self.node,
+            job: self.job.id.0,
+            kind: self.kind,
+            idx: self.idx,
+        });
+    }
+}
+
+impl Drop for Attempt {
+    fn drop(&mut self) {
+        let mut used = self.inner.queue_used.borrow_mut();
+        let queue = self.job.conf.queue;
+        if let Some(e) = used.get_mut(&queue) {
+            match self.kind {
+                TaskFlavor::Map => e.0 -= 1,
+                TaskFlavor::Reduce => e.1 -= 1,
+            }
+            if *e == (0, 0) {
+                used.remove(&queue);
+            }
+        }
     }
 }
 
@@ -1272,21 +1320,13 @@ fn spawn_map_attempt(
     job: &Rc<ActiveJob>,
     tt: &Rc<TaskTracker>,
     desc: MapTaskDesc,
-    permit: Permit,
     speculative: bool,
 ) {
+    let mut attempt = Attempt::launch(inner, job, tt, TaskFlavor::Map, desc.idx);
     let inner = Rc::clone(inner);
     let job = Rc::clone(job);
     let tt = Rc::clone(tt);
     let sim = inner.sim.clone();
-    note_launch(&inner, &job, sim.now().as_secs_f64());
-    inner.obs.emit(|| Ev::SlotAcquire {
-        node: tt.idx,
-        job: job.id.0,
-        kind: TaskFlavor::Map,
-        idx: desc.idx,
-    });
-    let qguard = QueueSlotGuard::acquire(&inner.queue_used, job.conf.queue, true);
     // A speculative attempt under the capacity policy (with preemption on)
     // registers a stand-down signal the scheduler can fire under queue
     // pressure. The `Notified` is armed *here*, before the task first
@@ -1307,13 +1347,7 @@ fn spawn_map_attempt(
     tt.group
         .clone()
         .spawn_named(format!("{}-map-{}", job.id, desc.idx), async move {
-            let attempt_start = sim.now().as_secs_f64();
-            inner.obs.emit(|| Ev::AttemptStart {
-                node: tt.idx,
-                job: job.id.0,
-                kind: TaskFlavor::Map,
-                idx: desc.idx,
-            });
+            attempt.start();
             let work = async {
                 // JVM spawn + task localisation.
                 sim.sleep(job.conf.task_launch_overhead).await;
@@ -1343,49 +1377,21 @@ fn spawn_map_attempt(
             // the preempting scheduler.
             let outcome = match stop {
                 None => Some(work.await),
-                Some(stop) => {
-                    let mut work = std::pin::pin!(work);
-                    let mut stop = std::pin::pin!(stop);
-                    std::future::poll_fn(|cx| {
-                        // Fixed poll order (work, then stop): deterministic.
-                        if let Poll::Ready(v) = work.as_mut().poll(cx) {
-                            return Poll::Ready(Some(v));
-                        }
-                        if stop.as_mut().poll(cx).is_ready() {
-                            return Poll::Ready(None);
-                        }
-                        Poll::Pending
-                    })
-                    .await
-                }
+                // Work is polled first: a preemption that lands as the
+                // work finishes loses.
+                Some(stop) => match select2(work, stop).await {
+                    Either::Left(out) => Some(out),
+                    Either::Right(()) => None,
+                },
             };
             if speculative {
                 // Off the preemption radar (no-op if the scheduler or a
                 // job finalize already dropped the entry).
                 inner.spec_running.borrow_mut().remove(&spec_key);
             }
-            let idx = desc.idx;
-            let end_s = sim.now().as_secs_f64();
-            job.slot_secs
-                .set(job.slot_secs.get() + (end_s - attempt_start));
+            attempt.charge();
             match outcome {
-                None => {
-                    job.timeline.record(TaskEvent {
-                        kind: TaskKind::Map,
-                        idx,
-                        tt: tt.idx,
-                        start_s: attempt_start,
-                        end_s,
-                        outcome: Outcome::Preempted,
-                    });
-                    inner.obs.emit(|| Ev::AttemptFinish {
-                        node: tt.idx,
-                        job: job.id.0,
-                        kind: TaskFlavor::Map,
-                        idx,
-                        outcome: AttemptOutcome::Preempted,
-                    });
-                }
+                None => attempt.finish(AttemptOutcome::Preempted),
                 Some(Some(info)) => {
                     // Registers a final map output for serving, on behalf
                     // of the node that holds it. Only the winning attempt's
@@ -1415,28 +1421,10 @@ fn spawn_map_attempt(
                         } else {
                             (register(info), Vec::new())
                         };
-                    job.timeline.record(TaskEvent {
-                        kind: TaskKind::Map,
-                        idx,
-                        tt: tt.idx,
-                        start_s: attempt_start,
-                        end_s,
-                        outcome: if committed {
-                            Outcome::Completed
-                        } else {
-                            Outcome::Discarded
-                        },
-                    });
-                    inner.obs.emit(|| Ev::AttemptFinish {
-                        node: tt.idx,
-                        job: job.id.0,
-                        kind: TaskFlavor::Map,
-                        idx,
-                        outcome: if committed {
-                            AttemptOutcome::Completed
-                        } else {
-                            AttemptOutcome::Discarded
-                        },
+                    attempt.finish(if committed {
+                        AttemptOutcome::Completed
+                    } else {
+                        AttemptOutcome::Discarded
                     });
                     for out in flushed {
                         register(out);
@@ -1464,32 +1452,11 @@ fn spawn_map_attempt(
                     }
                 }
                 Some(None) => {
-                    job.timeline.record(TaskEvent {
-                        kind: TaskKind::Map,
-                        idx,
-                        tt: tt.idx,
-                        start_s: attempt_start,
-                        end_s,
-                        outcome: Outcome::Failed,
-                    });
-                    inner.obs.emit(|| Ev::AttemptFinish {
-                        node: tt.idx,
-                        job: job.id.0,
-                        kind: TaskFlavor::Map,
-                        idx,
-                        outcome: AttemptOutcome::Failed,
-                    });
+                    attempt.finish(AttemptOutcome::Failed);
                     job.jt.borrow_mut().map_failed(desc, tt.idx);
                 }
             }
-            inner.obs.emit(|| Ev::SlotRelease {
-                node: tt.idx,
-                job: job.id.0,
-                kind: TaskFlavor::Map,
-                idx,
-            });
-            drop(permit);
-            drop(qguard);
+            attempt.release();
         })
         .detach();
 }
@@ -1499,20 +1466,12 @@ fn spawn_reduce_attempt(
     job: &Rc<ActiveJob>,
     tt: &Rc<TaskTracker>,
     reduce_idx: usize,
-    permit: Permit,
 ) {
+    let mut attempt = Attempt::launch(inner, job, tt, TaskFlavor::Reduce, reduce_idx);
     let inner = Rc::clone(inner);
     let job = Rc::clone(job);
     let sim = inner.sim.clone();
-    note_launch(&inner, &job, sim.now().as_secs_f64());
-    inner.obs.emit(|| Ev::SlotAcquire {
-        node: tt.idx,
-        job: job.id.0,
-        kind: TaskFlavor::Reduce,
-        idx: reduce_idx,
-    });
-    let qguard = QueueSlotGuard::acquire(&inner.queue_used, job.conf.queue, false);
-    let attempt = {
+    let launch = {
         let mut launches = job.reduce_launches.borrow_mut();
         let n = launches.entry(reduce_idx).or_insert(0);
         *n += 1;
@@ -1529,21 +1488,14 @@ fn spawn_reduce_attempt(
         tt: Rc::clone(tt),
         job: job.id,
         reduce_idx,
-        attempt,
+        attempt: launch,
         total_maps: job.total_maps,
     };
-    let tt_idx = tt.idx;
     // Like maps, the attempt dies with its node (TaskTracker group).
     tt.group
         .clone()
         .spawn_named(format!("{}-reduce-{reduce_idx}", job.id), async move {
-            let attempt_start = sim.now().as_secs_f64();
-            inner.obs.emit(|| Ev::AttemptStart {
-                node: tt_idx,
-                job: job.id.0,
-                kind: TaskFlavor::Reduce,
-                idx: reduce_idx,
-            });
+            attempt.start();
             sim.sleep(job.conf.task_launch_overhead).await;
             // Fault injection: this attempt dies before shuffling and the
             // task goes back to the queue (detected at the next status
@@ -1555,33 +1507,10 @@ fn spawn_reduce_attempt(
                     .net
                     .transfer(ctx.tt.node.id, inner.cluster.master, 256)
                     .await;
-                let end_s = sim.now().as_secs_f64();
-                job.slot_secs
-                    .set(job.slot_secs.get() + (end_s - attempt_start));
-                job.timeline.record(TaskEvent {
-                    kind: TaskKind::Reduce,
-                    idx: reduce_idx,
-                    tt: tt_idx,
-                    start_s: attempt_start,
-                    end_s,
-                    outcome: Outcome::Failed,
-                });
-                inner.obs.emit(|| Ev::AttemptFinish {
-                    node: tt_idx,
-                    job: job.id.0,
-                    kind: TaskFlavor::Reduce,
-                    idx: reduce_idx,
-                    outcome: AttemptOutcome::Failed,
-                });
+                attempt.charge();
+                attempt.finish(AttemptOutcome::Failed);
                 job.jt.borrow_mut().reduce_failed(reduce_idx);
-                inner.obs.emit(|| Ev::SlotRelease {
-                    node: tt_idx,
-                    job: job.id.0,
-                    kind: TaskFlavor::Reduce,
-                    idx: reduce_idx,
-                });
-                drop(permit);
-                drop(qguard);
+                attempt.release();
                 return;
             }
             let outcome = inner.engine.run_reduce(ctx).await;
@@ -1591,26 +1520,10 @@ fn spawn_reduce_attempt(
                 .net
                 .transfer(inner.cluster.workers[0].id, inner.cluster.master, 256)
                 .await;
-            let end_s = sim.now().as_secs_f64();
-            job.slot_secs
-                .set(job.slot_secs.get() + (end_s - attempt_start));
+            attempt.charge();
             match outcome {
                 Ok(stats) => {
-                    job.timeline.record(TaskEvent {
-                        kind: TaskKind::Reduce,
-                        idx: reduce_idx,
-                        tt: tt_idx,
-                        start_s: attempt_start,
-                        end_s,
-                        outcome: Outcome::Completed,
-                    });
-                    inner.obs.emit(|| Ev::AttemptFinish {
-                        node: tt_idx,
-                        job: job.id.0,
-                        kind: TaskFlavor::Reduce,
-                        idx: reduce_idx,
-                        outcome: AttemptOutcome::Completed,
-                    });
+                    attempt.finish(AttemptOutcome::Completed);
                     job.reduce_stats.borrow_mut()[reduce_idx] = Some(stats);
                     let finished = {
                         let mut jtb = job.jt.borrow_mut();
@@ -1620,14 +1533,7 @@ fn spawn_reduce_attempt(
                     if finished {
                         inner.finalize(&job);
                     }
-                    inner.obs.emit(|| Ev::SlotRelease {
-                        node: tt_idx,
-                        job: job.id.0,
-                        kind: TaskFlavor::Reduce,
-                        idx: reduce_idx,
-                    });
-                    drop(permit);
-                    drop(qguard);
+                    attempt.release();
                 }
                 Err(ReduceError::SourceLost { .. }) => {
                     // A shuffle source died under the attempt. Release the
@@ -1640,29 +1546,8 @@ fn spawn_reduce_attempt(
                         *n += 1;
                         *n
                     };
-                    job.timeline.record(TaskEvent {
-                        kind: TaskKind::Reduce,
-                        idx: reduce_idx,
-                        tt: tt_idx,
-                        start_s: attempt_start,
-                        end_s,
-                        outcome: Outcome::Failed,
-                    });
-                    inner.obs.emit(|| Ev::AttemptFinish {
-                        node: tt_idx,
-                        job: job.id.0,
-                        kind: TaskFlavor::Reduce,
-                        idx: reduce_idx,
-                        outcome: AttemptOutcome::Failed,
-                    });
-                    inner.obs.emit(|| Ev::SlotRelease {
-                        node: tt_idx,
-                        job: job.id.0,
-                        kind: TaskFlavor::Reduce,
-                        idx: reduce_idx,
-                    });
-                    drop(permit);
-                    drop(qguard);
+                    attempt.finish(AttemptOutcome::Failed);
+                    attempt.release();
                     // Fetch-failure backoff before the re-queued task is
                     // offered to heartbeats again: capped exponential in the
                     // event-poll interval.

@@ -8,6 +8,7 @@ use std::collections::BTreeMap;
 use rmr_des::Histogram;
 
 use crate::event::{Ev, ObsEvent};
+use crate::json::quote;
 use crate::span::Span;
 
 /// Row cap for [`slot_heatmap`]: past this many nodes, adjacent nodes are
@@ -498,8 +499,8 @@ impl TenantHeatmap {
             })
             .collect();
         format!(
-            "{{\"what\":\"{}\",\"t0_s\":{:.6},\"bucket_s\":{:.6},\"tenants\":[{}],\"buckets\":{},\"rows\":[{}]}}",
-            self.what,
+            "{{\"what\":{},\"t0_s\":{:.6},\"bucket_s\":{:.6},\"tenants\":[{}],\"buckets\":{},\"rows\":[{}]}}",
+            quote(&self.what),
             self.t0_s,
             self.bucket_s,
             tenants.join(","),

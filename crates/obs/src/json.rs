@@ -1,4 +1,5 @@
-//! A minimal recursive-descent JSON parser.
+//! A minimal recursive-descent JSON parser, and the string escaper the
+//! workspace's JSON writers share.
 //!
 //! The workspace is deliberately serde-free (offline container, vendored
 //! shims only) and the flat key/value scanner in `rmr_cluster::runner` cannot
@@ -52,6 +53,25 @@ impl Json {
     pub fn get(&self, key: &str) -> Option<&Json> {
         self.as_obj().and_then(|m| m.get(key))
     }
+}
+
+/// `s` as a JSON string literal, quotes included: the one escaper every
+/// hand-rolled `to_json` in the workspace writes strings through.
+pub fn quote(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
 }
 
 /// Parse a complete JSON document; trailing non-whitespace is an error.

@@ -6,9 +6,8 @@
 //! * [`Recorder`] / [`Ev`] — the bus. Core code emits typed events through a
 //!   cheap `Option`-backed handle; with the recorder off the only cost is one
 //!   branch per site (the event constructor closure is never run).
-//! * [`span`] — pairs attempt start/finish events into spans and derives
-//!   swimlane/occupancy figures (the one implementation `rmr_core::timeline`
-//!   also delegates to).
+//! * [`span`] — pairs attempt start/finish events into spans (the one record
+//!   of each task attempt) and derives swimlane/occupancy figures.
 //! * [`aggregate`] — slot-occupancy heatmaps (node x time bucket), per-node
 //!   heartbeat/queue-depth traces, per-job cache-pressure gauges, and
 //!   shuffle-throughput timelines, plus latency histograms.

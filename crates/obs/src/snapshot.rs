@@ -5,6 +5,8 @@
 //! a multi-job schedule has one stable shape. Everything is copied out at
 //! capture time — a snapshot stays valid after the runtime moves on.
 
+use crate::json::quote;
+
 /// Per-job scheduling state at capture time.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobSnapshot {
@@ -27,10 +29,10 @@ pub struct JobSnapshot {
 impl JobSnapshot {
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"id\":{},\"name\":\"{}\",\"state\":\"{}\",\"total_maps\":{},\"maps_completed\":{},\"pending_maps\":{},\"running_maps\":{},\"total_reduces\":{},\"reduces_completed\":{},\"pending_reduces\":{},\"submit_s\":{:.6},\"first_launch_s\":{}}}",
+            "{{\"id\":{},\"name\":{},\"state\":{},\"total_maps\":{},\"maps_completed\":{},\"pending_maps\":{},\"running_maps\":{},\"total_reduces\":{},\"reduces_completed\":{},\"pending_reduces\":{},\"submit_s\":{:.6},\"first_launch_s\":{}}}",
             self.id,
-            self.name,
-            self.state,
+            quote(&self.name),
+            quote(&self.state),
             self.total_maps,
             self.maps_completed,
             self.pending_maps,
@@ -225,6 +227,19 @@ mod tests {
         let mut s = sample();
         s.jobs[0].first_launch_s = None;
         assert!(s.to_json().contains("\"first_launch_s\":null"));
+    }
+
+    #[test]
+    fn job_names_are_escaped() {
+        let name = "a\"b\\c\nd";
+        let mut s = sample();
+        s.jobs[0].name = name.into();
+        let doc = crate::json::parse(&s.to_json()).expect("snapshot JSON must parse");
+        let jobs = doc
+            .get("jobs")
+            .and_then(|j| j.as_arr())
+            .expect("jobs array");
+        assert_eq!(jobs[0].get("name").and_then(|n| n.as_str()), Some(name));
     }
 
     #[test]

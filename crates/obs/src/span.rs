@@ -1,5 +1,5 @@
-//! Attempt spans: pairing start/finish events and the swimlane/occupancy
-//! arithmetic shared with `rmr_core::timeline`.
+//! Attempt spans: pairing start/finish events, the one record of each task
+//! attempt, and the swimlane/occupancy arithmetic over them.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -181,7 +181,7 @@ mod tests {
     }
 
     #[test]
-    fn mean_concurrency_matches_timeline_semantics() {
+    fn mean_concurrency_is_busy_time_over_the_envelope() {
         // Two fully-overlapping 10s maps → concurrency 2 over a 10s envelope.
         let spans = spans_from_events(&[
             start(0.0, 0, 0, TaskFlavor::Map),

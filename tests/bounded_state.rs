@@ -5,13 +5,18 @@
 //! killers for a sweep that pushes hundreds of jobs through one runtime.
 
 use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
+use rmr_bench::chaos::TwinTiming;
+use rmr_bench::scenarios;
+use rmr_cluster::{run_scenario, RunReport, System};
 use rmr_core::cluster::{Cluster, NodeSpec};
-use rmr_core::{JobConf, Runtime, ShuffleKind, StateFootprint};
+use rmr_core::{FaultEvent, FaultPlan, JobConf, Runtime, ShuffleKind, StateFootprint};
 use rmr_des::{Sim, SimDuration};
 use rmr_hdfs::HdfsConfig;
 use rmr_net::FabricParams;
+use rmr_obs::{AttemptOutcome, Ev, ObsEvent, TaskFlavor};
 use rmr_workloads::{teragen, terasort_spec};
 
 fn tiny_cluster(sim: &Sim, workers: usize) -> Cluster {
@@ -186,6 +191,119 @@ fn concurrent_batch_drains_to_zero_footprint() {
     sim.run();
     let fp = final_fp.borrow().expect("driver hung");
     assert_eq!(fp, StateFootprint::default(), "batch left state: {fp:?}");
+}
+
+type AttemptKey = (usize, u32, TaskFlavor, usize);
+
+/// The attempts left holding a slot or running at the end of `events`,
+/// keyed `(node, job, kind, idx)`. Panics on a `SlotRelease` or an
+/// `AttemptFinish` without an earlier `SlotAcquire` or `AttemptStart`.
+fn unreleased(events: &[ObsEvent]) -> Vec<AttemptKey> {
+    let mut open: BTreeMap<(AttemptKey, &str), usize> = BTreeMap::new();
+    for e in events {
+        let (key, what) = match e.ev {
+            Ev::SlotAcquire {
+                node,
+                job,
+                kind,
+                idx,
+            }
+            | Ev::SlotRelease {
+                node,
+                job,
+                kind,
+                idx,
+            } => ((node, job, kind, idx), "slot"),
+            Ev::AttemptStart {
+                node,
+                job,
+                kind,
+                idx,
+            }
+            | Ev::AttemptFinish {
+                node,
+                job,
+                kind,
+                idx,
+                ..
+            } => ((node, job, kind, idx), "run"),
+            _ => continue,
+        };
+        let n = open.entry((key, what)).or_default();
+        if matches!(e.ev, Ev::SlotAcquire { .. } | Ev::AttemptStart { .. }) {
+            *n += 1;
+        } else {
+            assert!(
+                *n > 0,
+                "{:?} at {:.6}s closes no open {what}",
+                e.ev,
+                e.t_s()
+            );
+            *n -= 1;
+        }
+    }
+    open.into_iter()
+        .filter(|&(_, n)| n > 0)
+        .map(|((key, _), _)| key)
+        .collect()
+}
+
+/// Slots balance: after a fault-free two-job run and one whose node crashes
+/// late in the map wave and restarts, every node is up with all its slots
+/// free, and the only attempts that never released their slot are the ones
+/// the crash aborted.
+#[test]
+fn slots_balance_at_quiescence() {
+    const CRASHED: usize = 1;
+    let run = |plan: &FaultPlan| {
+        let mut sc = scenarios::chaos(System::OsuIb, false, 8, 2, 1.0, 42, plan);
+        sc.record = true;
+        // Small enough that reducers are mid-pull from the crashed node's
+        // outputs, so its death ends their attempts as source-lost.
+        sc.conf.shuffle_buffer = 4 << 20;
+        run_scenario(&sc).unwrap_or_else(|hung| panic!("{hung}"))
+    };
+    let twin = run(&FaultPlan::none());
+    let crashed = run(&FaultPlan::none().with(FaultEvent::Crash {
+        tt_idx: CRASHED,
+        at: TwinTiming::of(&twin.jobs).mid_map_wave(0.7),
+        restart_after: Some(SimDuration::from_secs(2)),
+    }));
+    let check = |report: &RunReport, aborted_on: Option<usize>| {
+        let last = report
+            .snapshots
+            .last()
+            .expect("a recorded run keeps snapshots");
+        for n in &last.nodes {
+            assert!(n.alive, "node{} still down", n.node);
+            assert_eq!(
+                (n.free_map_slots, n.free_reduce_slots),
+                (n.total_map_slots, n.total_reduce_slots),
+                "node{} holds slots after the last job",
+                n.node
+            );
+        }
+        let events = report.recorder.events();
+        for (node, job, kind, idx) in unreleased(&events) {
+            assert_eq!(
+                Some(node),
+                aborted_on,
+                "j{job} {kind:?} {idx} on node{node} never released its slot"
+            );
+        }
+        events
+    };
+    check(&twin, None);
+    let events = check(&crashed, Some(CRASHED));
+    // The crash must reach the reducers' source-lost ending.
+    assert!(events.iter().any(|e| matches!(
+        e.ev,
+        Ev::AttemptFinish {
+            kind: TaskFlavor::Reduce,
+            outcome: AttemptOutcome::Failed,
+            ..
+        }
+    )));
 }
 
 /// A connection is state, not tasks: with every reducer connected to every

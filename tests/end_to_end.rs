@@ -2,10 +2,14 @@
 //! planes, with output validation.
 
 use rmr_core::cluster::{Cluster, NodeSpec};
-use rmr_core::{run_job, run_job_with_faults, FaultPlan, JobConf, JobResult, ShuffleKind};
+use rmr_core::{
+    run_job, run_job_with_faults, FaultPlan, JobConf, JobResult, Runtime, SchedulePolicy,
+    ShuffleKind,
+};
 use rmr_des::Sim;
 use rmr_hdfs::HdfsConfig;
 use rmr_net::FabricParams;
+use rmr_obs::{spans_from_events, AttemptOutcome, Recorder, TaskFlavor};
 use rmr_workloads::{teragen, terasort_spec, teravalidate};
 
 fn small_cluster(sim: &Sim, workers: usize, fabric: FabricParams) -> Cluster {
@@ -44,18 +48,28 @@ fn fabric_for(kind: ShuffleKind) -> FabricParams {
     }
 }
 
-fn run_real_terasort(kind: ShuffleKind, seed: u64) -> (JobResult, u64) {
+/// One validated 12 MB real TeraSort: the job's result, the records
+/// teravalidate counted, and the obs bus (off unless `record`).
+fn run_real_terasort(kind: ShuffleKind, seed: u64, record: bool) -> (JobResult, u64, Recorder) {
     let sim = Sim::new(seed);
     let cluster = small_cluster(&sim, 3, fabric_for(kind));
     let reduces = 3;
     let conf = small_conf(kind, reduces);
+    let obs = if record {
+        Recorder::on(&sim)
+    } else {
+        Recorder::off()
+    };
     let result = std::rc::Rc::new(std::cell::RefCell::new(None));
     let r2 = std::rc::Rc::clone(&result);
     let c2 = cluster.clone();
+    let obs2 = obs.clone();
     sim.spawn(async move {
         let total: u64 = 12 << 20; // 12 MB real data
         let expected_records = teragen(&c2, "/tin", total, true).await;
-        let res = run_job(&c2, conf, terasort_spec("/tin", "/tout")).await;
+        let rt = Runtime::with_obs(&c2, conf.clone(), SchedulePolicy::Fifo, obs2);
+        let id = rt.submit(conf, terasort_spec("/tin", "/tout"));
+        let res = rt.join(id).await;
         let report = teravalidate(&c2, "/tout", reduces, expected_records)
             .await
             .expect("teravalidate");
@@ -63,13 +77,13 @@ fn run_real_terasort(kind: ShuffleKind, seed: u64) -> (JobResult, u64) {
     })
     .detach();
     sim.run();
-    let out = result.borrow_mut().take().expect("job did not finish");
-    out
+    let (res, records) = result.borrow_mut().take().expect("job did not finish");
+    (res, records, obs)
 }
 
 #[test]
 fn vanilla_real_terasort_validates() {
-    let (res, records) = run_real_terasort(ShuffleKind::Vanilla, 101);
+    let (res, records, _) = run_real_terasort(ShuffleKind::Vanilla, 101, false);
     assert!(records > 100_000, "12 MB → >100k records, got {records}");
     assert!(res.duration_s > 0.0);
     assert_eq!(res.shuffle, ShuffleKind::Vanilla);
@@ -78,14 +92,14 @@ fn vanilla_real_terasort_validates() {
 
 #[test]
 fn hadoop_a_real_terasort_validates() {
-    let (res, records) = run_real_terasort(ShuffleKind::HadoopA, 102);
+    let (res, records, _) = run_real_terasort(ShuffleKind::HadoopA, 102, false);
     assert!(records > 100_000);
     assert_eq!(res.shuffle, ShuffleKind::HadoopA);
 }
 
 #[test]
 fn osu_ib_real_terasort_validates() {
-    let (res, records) = run_real_terasort(ShuffleKind::OsuIb, 103);
+    let (res, records, _) = run_real_terasort(ShuffleKind::OsuIb, 103, false);
     assert!(records > 100_000);
     assert_eq!(res.shuffle, ShuffleKind::OsuIb);
     assert!(
@@ -129,8 +143,8 @@ fn synthetic_terasort_runs_all_engines() {
 
 #[test]
 fn identical_seeds_are_deterministic() {
-    let (a, _) = run_real_terasort(ShuffleKind::OsuIb, 777);
-    let (b, _) = run_real_terasort(ShuffleKind::OsuIb, 777);
+    let (a, _, _) = run_real_terasort(ShuffleKind::OsuIb, 777, false);
+    let (b, _, _) = run_real_terasort(ShuffleKind::OsuIb, 777, false);
     assert_eq!(a.duration_s, b.duration_s);
     assert_eq!(a.shuffled_bytes, b.shuffled_bytes);
     assert_eq!(a.cache_hits, b.cache_hits);
@@ -161,23 +175,27 @@ fn failed_map_is_reexecuted_and_job_still_validates() {
 
 #[test]
 fn timeline_records_every_attempt() {
-    let (res, _) = run_real_terasort(ShuffleKind::OsuIb, 404);
-    use rmr_core::timeline::{Outcome, TaskKind};
-    let maps = res
-        .timeline
-        .iter()
-        .filter(|e| e.kind == TaskKind::Map && e.outcome == Outcome::Completed)
-        .count();
-    let reduces = res
-        .timeline
-        .iter()
-        .filter(|e| e.kind == TaskKind::Reduce && e.outcome == Outcome::Completed)
-        .count();
-    assert_eq!(maps, res.maps, "one completed attempt per map");
-    assert_eq!(reduces, res.reduces, "one completed attempt per reduce");
-    for e in &res.timeline {
-        assert!(e.end_s >= e.start_s);
-        assert!(e.end_s <= res.end_s + 1e-6);
+    let (res, _, obs) = run_real_terasort(ShuffleKind::OsuIb, 404, true);
+    let spans = spans_from_events(&obs.events());
+    let completed = |kind| {
+        spans
+            .iter()
+            .filter(|s| s.kind == kind && s.outcome == AttemptOutcome::Completed)
+            .count()
+    };
+    assert_eq!(
+        completed(TaskFlavor::Map),
+        res.maps,
+        "one completed attempt per map"
+    );
+    assert_eq!(
+        completed(TaskFlavor::Reduce),
+        res.reduces,
+        "one completed attempt per reduce"
+    );
+    for s in &spans {
+        assert!(s.end_s >= s.start_s);
+        assert!(s.end_s <= res.end_s + 1e-6);
     }
 }
 
