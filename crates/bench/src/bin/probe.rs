@@ -4,7 +4,7 @@
 //! documented on its function.
 //!
 //! A malformed argument is a usage error (exit 2). Every subcommand honours
-//! RMR_LIMIT=<sim-seconds>: a run still going at the limit (or one that
+//! `RMR_LIMIT=<sim-seconds>`: a run still going at the limit (or one that
 //! drains with jobs outstanding) prints its live tasks, what each blocks
 //! on and the runtime dump, and exits 2.
 

@@ -237,17 +237,8 @@ impl Testbed {
 /// block size, and the PrefetchCache sized to the TaskTracker heap headroom
 /// of the node class.
 pub fn tuned_conf(system: System, _bench: Bench, testbed: &Testbed) -> JobConf {
-    let mut conf = match system.shuffle() {
-        ShuffleKind::Vanilla => JobConf::vanilla(),
-        ShuffleKind::HadoopA => JobConf::hadoop_a(),
-        ShuffleKind::OsuIb => {
-            if system == System::OsuIbNoCache {
-                JobConf::osu_ib_no_cache()
-            } else {
-                JobConf::osu_ib()
-            }
-        }
-    };
+    let mut conf = JobConf::for_kind(system.shuffle());
+    conf.caching_enabled &= system != System::OsuIbNoCache;
     conf.node_combine = system == System::NodeCombiner;
     conf.map_slots = 4;
     conf.reduce_slots = 4;
@@ -340,5 +331,35 @@ mod tests {
         assert!(conf.caching_enabled);
         let conf = tuned_conf(System::OsuIbNoCache, Bench::Sort, &tb);
         assert!(!conf.caching_enabled);
+    }
+
+    #[test]
+    fn tuned_conf_table_per_system_and_node_class() {
+        use ShuffleKind::*;
+        // (system, shuffle, caching, node_combine)
+        let rows = [
+            (System::GigE1, Vanilla, false, false),
+            (System::GigE10, Vanilla, false, false),
+            (System::IpoIb, Vanilla, false, false),
+            (System::HadoopA, HadoopA, false, false),
+            (System::OsuIb, OsuIb, true, false),
+            (System::OsuIbNoCache, OsuIb, false, false),
+            (System::NodeCombiner, OsuIb, true, true),
+            (System::MultiRail, OsuIb, true, false),
+        ];
+        assert_eq!(rows.map(|r| r.0), System::EXTENDED);
+        for (tb, cache_bytes) in [
+            (Testbed::compute(4, 1), 3u64 << 30),
+            (Testbed::storage(8, 2), 8 << 30),
+        ] {
+            for (system, shuffle, caching, combine) in rows {
+                let conf = tuned_conf(system, Bench::TeraSort, &tb);
+                assert_eq!(conf.shuffle, shuffle, "{system:?}");
+                assert_eq!(conf.caching_enabled, caching, "{system:?}");
+                assert_eq!(conf.node_combine, combine, "{system:?}");
+                assert_eq!(conf.prefetch_cache_bytes, cache_bytes, "{system:?}");
+                assert_eq!(conf.num_reduces, tb.nodes * 4, "{system:?}");
+            }
+        }
     }
 }

@@ -18,7 +18,7 @@
 //! their engine bit-identically.
 //!
 //! Fault model: staged-but-unregistered outputs live only on their node's
-//! disk. When a node dies, [`NodeCombiner::node_lost`] drops its staging
+//! disk. When a node dies, `NodeCombiner::node_lost` drops its staging
 //! state, the JobTracker re-queues the affected maps (they were never
 //! reported complete), and the re-executed attempts re-stage cleanly —
 //! including re-running the aggregation. A fold that was already in flight
@@ -30,7 +30,9 @@ use std::collections::BTreeMap;
 use rmr_obs::{Ev, Recorder};
 
 use crate::cluster::Cluster;
-use crate::config::JobConf;
+use crate::config::{
+    JobConf, CPU_REDUCE_PER_RECORD, CPU_SERDE_PER_BYTE, CPU_SORT_PER_RECORD_LEVEL,
+};
 use crate::mapoutput::MapOutputInfo;
 use crate::record::{GroupTable, Segment};
 use crate::runtime::JobId;
@@ -128,7 +130,7 @@ impl NodeCombiner {
             // A lone output has nothing to fold with: it registers as it is.
             let folded = match buf.len() {
                 1 => None,
-                _ => Some(self.fold_group(conf, spec, job, n, wave, &buf).await),
+                _ => Some(self.fold_group(spec, job, n, wave, &buf).await),
             };
             // The fold awaited disk and CPU; if node `n` died meanwhile its
             // staging state was cleared and the JobTracker re-queued these
@@ -151,7 +153,6 @@ impl NodeCombiner {
     /// one entry per map).
     async fn fold_group(
         &self,
-        conf: &JobConf,
         spec: &JobSpec,
         job: JobId,
         n: usize,
@@ -159,7 +160,6 @@ impl NodeCombiner {
         buf: &[MapOutputInfo],
     ) -> Vec<MapOutputInfo> {
         let node = self.cluster.workers[n].clone();
-        let costs = &conf.costs;
         let combine = spec.combiner.as_ref().expect("stage without combiner");
         let sum_records: u64 = buf.iter().map(|i| i.total_records).sum();
         let sum_bytes: u64 = buf.iter().map(|i| i.total_bytes).sum();
@@ -174,8 +174,8 @@ impl NodeCombiner {
         // One k-way merge pass plus the combiner over every record.
         let k = buf.len() as f64;
         node.compute(
-            costs.sort_per_record_level * sum_records as f64 * k.log2().max(1.0)
-                + costs.reduce_per_record * sum_records as f64,
+            CPU_SORT_PER_RECORD_LEVEL * sum_records as f64 * k.log2().max(1.0)
+                + CPU_REDUCE_PER_RECORD * sum_records as f64,
         )
         .await;
 
@@ -197,8 +197,7 @@ impl NodeCombiner {
         if total_bytes > 0 {
             w.append(total_bytes).await.expect("aggregate write");
         }
-        node.compute(costs.serde_per_byte * total_bytes as f64)
-            .await;
+        node.compute(CPU_SERDE_PER_BYTE * total_bytes as f64).await;
 
         self.obs.emit(|| Ev::CombineFold {
             node: n,

@@ -2,17 +2,53 @@
 //!
 //! Parameter names follow the Hadoop 0.20.2 keys the paper cites where one
 //! exists (`mapred.rdma.enabled`, `mapred.local.caching.enabled`,
-//! `io.sort.mb`, `io.sort.factor`, …). §III-C(3) highlights configurability
-//! — RDMA packet size, caching toggle, kv-pairs per packet — as a
-//! contribution over Hadoop-A, so all of those are first-class here.
+//! `io.sort.mb`, …). §III-C(3) highlights configurability — RDMA packet
+//! size, caching toggle, kv-pairs per packet — as a contribution over
+//! Hadoop-A, so all of those are first-class here. A Hadoop value that no
+//! experiment varies is a constant in the module that reads it, or below
+//! when several modules do.
 
+use std::future::Future;
+use std::pin::Pin;
 use std::rc::Rc;
 
 use rmr_des::SimDuration;
+use rmr_net::Network;
 
-use crate::engine::{HadoopAEngine, OsuIbEngine, ShuffleEngine, VanillaEngine};
+use crate::reduce::common::{ReduceCtx, ReduceError, ReduceStats};
+use crate::reduce::rdma::{run_reduce_rdma, RdmaVariant};
+use crate::reduce::vanilla::run_reduce_vanilla;
+use crate::tasktracker::{start_http_server, start_rdma_server, TaskTracker, TtServerHandle};
 
-/// Which shuffle engine a job runs: the paper's three designs.
+/// Reducer map-completion-event poll interval.
+pub(crate) const EVENT_POLL: SimDuration = SimDuration::from_secs(1);
+
+/// Simulation granularity of streaming transfers (disk-read/send pipelining
+/// chunk). Wire packetisation costs are charged by the fabric's MTU model
+/// independently of this.
+pub(crate) const STREAM_CHUNK: u64 = 1 << 20;
+
+// CPU cost coefficients of the data-plane operations, in core-seconds.
+// Calibrated for a 2.67 GHz Westmere core (§IV-A) running Hadoop's Java code
+// paths (object churn and serialisation included — these are far above raw
+// memcpy speeds on purpose).
+
+/// Running the user map function, per record.
+pub(crate) const CPU_MAP_PER_RECORD: f64 = 0.8e-6;
+/// Byte-stream handling in the map input path, per byte.
+pub(crate) const CPU_MAP_PER_BYTE: f64 = 2.5e-9;
+/// One comparison+move step in sort/merge, per record per log2-level.
+pub(crate) const CPU_SORT_PER_RECORD_LEVEL: f64 = 0.14e-6;
+/// Running the user reduce function, per record.
+pub(crate) const CPU_REDUCE_PER_RECORD: f64 = 0.9e-6;
+/// Byte-stream handling in the reduce output path, per byte.
+pub(crate) const CPU_REDUCE_PER_BYTE: f64 = 2.5e-9;
+/// Serialisation/deserialisation, per byte (spill, shuffle staging).
+pub(crate) const CPU_SERDE_PER_BYTE: f64 = 3.0e-9;
+
+/// Which shuffle engine a job runs: the paper's three designs. The one
+/// place that branches on the design: the server a TaskTracker runs and the
+/// pipeline a ReduceTask runs are both chosen here.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ShuffleKind {
     /// Stock Hadoop: HTTP over sockets, copier threads, two-level disk
@@ -33,14 +69,35 @@ impl ShuffleKind {
         !matches!(self, ShuffleKind::Vanilla)
     }
 
-    /// Constructs the engine implementation for this kind. This factory is
-    /// the one place that branches on the kind — everything downstream
-    /// dispatches through the [`ShuffleEngine`] trait.
-    pub fn engine(self) -> Rc<dyn ShuffleEngine> {
+    /// Whether the TaskTracker serve path keeps a PrefetchCache. ANDed with
+    /// `mapred.local.caching.enabled` at runtime start.
+    pub fn server_cache(self) -> bool {
         match self {
-            ShuffleKind::Vanilla => Rc::new(VanillaEngine),
-            ShuffleKind::HadoopA => Rc::new(HadoopAEngine),
-            ShuffleKind::OsuIb => Rc::new(OsuIbEngine),
+            ShuffleKind::Vanilla | ShuffleKind::HadoopA => false,
+            ShuffleKind::OsuIb => true,
+        }
+    }
+
+    /// Starts this design's shuffle server on one TaskTracker and returns
+    /// its address.
+    pub(crate) fn start_server(self, tt: &Rc<TaskTracker>, net: &Network) -> TtServerHandle {
+        match self {
+            ShuffleKind::Vanilla => start_http_server(tt, net),
+            ShuffleKind::HadoopA | ShuffleKind::OsuIb => start_rdma_server(tt, net),
+        }
+    }
+
+    /// Runs one ReduceTask's shuffle/merge/reduce pipeline. `Err` means a
+    /// shuffle source died under the attempt; the runtime re-queues it.
+    /// Boxed, so the attempt task that awaits it stays small.
+    pub(crate) fn run_reduce(
+        self,
+        ctx: ReduceCtx,
+    ) -> Pin<Box<dyn Future<Output = Result<ReduceStats, ReduceError>>>> {
+        match self {
+            ShuffleKind::Vanilla => Box::pin(run_reduce_vanilla(ctx)),
+            ShuffleKind::HadoopA => Box::pin(run_reduce_rdma(ctx, RdmaVariant::hadoop_a())),
+            ShuffleKind::OsuIb => Box::pin(run_reduce_rdma(ctx, RdmaVariant::osu_ib())),
         }
     }
 
@@ -61,39 +118,6 @@ impl ShuffleKind {
     ];
 }
 
-/// CPU cost coefficients of the data-plane operations, in core-seconds.
-/// Calibrated for a 2.67 GHz Westmere core (§IV-A) running Hadoop's Java
-/// code paths (object churn and serialisation included — these are far above
-/// raw memcpy speeds on purpose).
-#[derive(Debug, Clone)]
-pub struct CpuCosts {
-    /// Running the user map function, per record.
-    pub map_per_record: f64,
-    /// Byte-stream handling in the map input path, per byte.
-    pub map_per_byte: f64,
-    /// One comparison+move step in sort/merge, per record per log2-level.
-    pub sort_per_record_level: f64,
-    /// Running the user reduce function, per record.
-    pub reduce_per_record: f64,
-    /// Byte-stream handling in the reduce output path, per byte.
-    pub reduce_per_byte: f64,
-    /// Serialisation/deserialisation, per byte (spill, shuffle staging).
-    pub serde_per_byte: f64,
-}
-
-impl Default for CpuCosts {
-    fn default() -> Self {
-        CpuCosts {
-            map_per_record: 0.8e-6,
-            map_per_byte: 2.5e-9,
-            sort_per_record_level: 0.14e-6,
-            reduce_per_record: 0.9e-6,
-            reduce_per_byte: 2.5e-9,
-            serde_per_byte: 3.0e-9,
-        }
-    }
-}
-
 /// Full job + engine configuration.
 #[derive(Debug, Clone)]
 pub struct JobConf {
@@ -108,34 +132,15 @@ pub struct JobConf {
 
     /// `io.sort.mb` — map-side sort buffer, bytes.
     pub io_sort_buffer: u64,
-    /// `io.sort.factor` — merge fan-in.
-    pub io_sort_factor: usize,
 
     /// Reduce-side in-memory shuffle buffer, bytes
     /// (`mapred.job.shuffle.input.buffer.percent` × task heap).
     pub shuffle_buffer: u64,
-    /// Fraction of `shuffle_buffer` that triggers the in-memory merger.
-    pub inmem_merge_threshold: f64,
-    /// Largest single segment kept in memory, as a fraction of
-    /// `shuffle_buffer` (`mapred.job.shuffle.merge.percent` era semantics).
-    pub inmem_segment_limit: f64,
-    /// `mapred.reduce.parallel.copies` — vanilla copier threads.
-    pub parallel_copies: usize,
-    /// Server-side HTTP servlet thread pool (`tasktracker.http.threads`).
-    pub http_threads: usize,
-    /// Simulation granularity of streaming transfers (disk-read/send
-    /// pipelining chunk). Wire packetisation costs are charged by the
-    /// fabric's MTU model independently of this.
-    pub stream_chunk: u64,
 
     /// `mapred.local.caching.enabled` — the paper's PrefetchCache toggle.
     pub caching_enabled: bool,
     /// PrefetchCache capacity, bytes (bounded by TT heap availability).
     pub prefetch_cache_bytes: u64,
-    /// MapOutputPrefetcher daemon pool size.
-    pub prefetcher_threads: usize,
-    /// RDMAResponder pool size (OSU-IB server side).
-    pub responder_threads: usize,
 
     /// OSU-IB packet sizing: target *bytes* of kv-pairs per shuffle packet
     /// ("number of key,value pairs transmitted in each packet" chosen
@@ -145,22 +150,8 @@ pub struct JobConf {
     /// regardless of their size (the inefficiency §IV-C exposes on Sort).
     pub hadoop_a_kv_per_packet: u64,
 
-    /// `mapred.reduce.slowstart.completed.maps`.
-    pub reduce_slowstart: f64,
-    /// TaskTracker heartbeat interval.
-    pub heartbeat: SimDuration,
-    /// Reducer map-completion-event poll interval.
-    pub event_poll: SimDuration,
-
     /// Replication factor for job output files.
     pub output_replication: u32,
-
-    /// Fixed wall-clock cost of launching a task attempt (JVM spawn +
-    /// localisation; Hadoop 0.20 has no JVM reuse by default).
-    pub task_launch_overhead: rmr_des::SimDuration,
-
-    /// CPU cost model.
-    pub costs: CpuCosts,
 
     /// `mapred.map.tasks.speculative.execution`: when the pending queue is
     /// empty, idle slots re-run the oldest still-running map; the first
@@ -193,25 +184,12 @@ impl Default for JobConf {
             map_slots: 4,
             reduce_slots: 4,
             io_sort_buffer: 200 << 20,
-            io_sort_factor: 10,
             shuffle_buffer: 140 << 20,
-            inmem_merge_threshold: 0.66,
-            inmem_segment_limit: 0.25,
-            parallel_copies: 5,
-            http_threads: 40,
-            stream_chunk: 1 << 20,
             caching_enabled: false,
             prefetch_cache_bytes: 1 << 30,
-            prefetcher_threads: 4,
-            responder_threads: 8,
             osu_packet_bytes: 512 << 10,
             hadoop_a_kv_per_packet: 3_000,
-            reduce_slowstart: 0.05,
-            heartbeat: SimDuration::from_secs(3),
-            event_poll: SimDuration::from_secs(1),
             output_replication: 1,
-            task_launch_overhead: SimDuration::from_millis(1_200),
-            costs: CpuCosts::default(),
             speculative_maps: false,
             queue: 0,
             locality_delay: 0,
@@ -222,36 +200,11 @@ impl Default for JobConf {
 
 impl JobConf {
     /// The paper's OSU-IB configuration: RDMA shuffle with pre-fetching and
-    /// caching enabled.
+    /// caching enabled. The same as [`JobConf::for_kind`] with
+    /// [`ShuffleKind::OsuIb`]; kept under its own name because the
+    /// `benchmark/` package calls it.
     pub fn osu_ib() -> Self {
-        JobConf {
-            shuffle: ShuffleKind::OsuIb,
-            caching_enabled: true,
-            ..Default::default()
-        }
-    }
-
-    /// OSU-IB with `mapred.local.caching.enabled = false` (Fig 8 ablation).
-    pub fn osu_ib_no_cache() -> Self {
-        JobConf {
-            shuffle: ShuffleKind::OsuIb,
-            caching_enabled: false,
-            ..Default::default()
-        }
-    }
-
-    /// Hadoop-A as characterised by the paper and SC'11.
-    pub fn hadoop_a() -> Self {
-        JobConf {
-            shuffle: ShuffleKind::HadoopA,
-            caching_enabled: false,
-            ..Default::default()
-        }
-    }
-
-    /// Stock Hadoop 0.20.2.
-    pub fn vanilla() -> Self {
-        JobConf::default()
+        JobConf::for_kind(ShuffleKind::OsuIb)
     }
 
     /// The paper's preset for `kind` (caching on only where the design
@@ -268,16 +221,12 @@ impl JobConf {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn presets_select_engines() {
-        assert_eq!(JobConf::vanilla().shuffle, ShuffleKind::Vanilla);
-        assert_eq!(JobConf::hadoop_a().shuffle, ShuffleKind::HadoopA);
-        assert_eq!(JobConf::osu_ib().shuffle, ShuffleKind::OsuIb);
-        assert!(JobConf::osu_ib().caching_enabled);
-        assert!(!JobConf::osu_ib_no_cache().caching_enabled);
-        assert!(!JobConf::hadoop_a().caching_enabled);
-    }
+    use crate::cluster::{Cluster, NodeSpec};
+    use crate::mapoutput::MapOutputStore;
+    use rmr_des::Sim;
+    use rmr_hdfs::HdfsConfig;
+    use rmr_net::FabricParams;
+    use rmr_obs::Recorder;
 
     #[test]
     fn rdma_flag_matches_engines() {
@@ -301,5 +250,42 @@ mod tests {
             assert_eq!(conf.caching_enabled, kind == ShuffleKind::OsuIb);
             assert!(!conf.node_combine, "the stage is opt-in");
         }
+        let osu = JobConf::osu_ib();
+        assert_eq!(osu.shuffle, ShuffleKind::OsuIb);
+        assert!(osu.caching_enabled);
+    }
+
+    #[test]
+    fn vanilla_serves_http_and_the_verbs_designs_serve_rdma() {
+        for kind in ShuffleKind::ALL {
+            let sim = Sim::new(7);
+            let cluster = Cluster::build(
+                &sim,
+                FabricParams::ib_verbs_qdr(),
+                &[NodeSpec::westmere_compute()],
+                HdfsConfig::default(),
+            );
+            let tt = TaskTracker::new(
+                &sim,
+                0,
+                cluster.workers[0].clone(),
+                &JobConf::for_kind(kind),
+                MapOutputStore::new(),
+                false,
+                Recorder::off(),
+            );
+            let http = matches!(
+                kind.start_server(&tt, &cluster.net),
+                TtServerHandle::Http(_)
+            );
+            assert_eq!(http, kind == ShuffleKind::Vanilla, "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn only_osu_ib_caches_on_the_server() {
+        assert!(!ShuffleKind::Vanilla.server_cache());
+        assert!(!ShuffleKind::HadoopA.server_cache());
+        assert!(ShuffleKind::OsuIb.server_cache());
     }
 }

@@ -24,7 +24,6 @@
 pub mod cluster;
 pub mod combine;
 pub mod config;
-pub mod engine;
 pub mod faults;
 pub mod job;
 pub mod jobtracker;
@@ -40,8 +39,7 @@ pub mod spec;
 pub mod tasktracker;
 
 pub use cluster::{Cluster, NodeHandle, NodeSpec};
-pub use config::{CpuCosts, JobConf, ShuffleKind};
-pub use engine::ShuffleEngine;
+pub use config::{JobConf, ShuffleKind};
 pub use faults::{FaultEvent, FaultPlan, NodeLiveness};
 pub use job::{run_job, run_job_with_faults, JobResult};
 pub use record::{

@@ -25,7 +25,10 @@ use std::rc::Rc;
 use bytes::{Bytes, BytesMut};
 
 use crate::cluster::Cluster;
-use crate::config::JobConf;
+use crate::config::{
+    JobConf, CPU_MAP_PER_BYTE, CPU_MAP_PER_RECORD, CPU_REDUCE_PER_RECORD, CPU_SERDE_PER_BYTE,
+    CPU_SORT_PER_RECORD_LEVEL,
+};
 use crate::jobtracker::MapTaskDesc;
 use crate::mapoutput::MapOutputInfo;
 use crate::record::{count_records, walk, GroupTable, MapSink, Record, Segment};
@@ -70,7 +73,6 @@ pub async fn run_map(
 ) -> Option<MapOutputInfo> {
     let node = tt.node.clone();
     let sim = &cluster.sim;
-    let costs = &conf.costs;
 
     // 1. Read the input split (locality-aware).
     let block = cluster
@@ -92,10 +94,10 @@ pub async fn run_map(
         Some(RealInput::Block(data)) => count_records(data) as u64,
         None => (in_bytes / spec.avg_record_bytes.max(1)).max(1),
     };
-    node.compute(costs.serde_per_byte * in_bytes as f64).await;
+    node.compute(CPU_SERDE_PER_BYTE * in_bytes as f64).await;
 
     // 3. User map function.
-    let map_cpu = costs.map_per_record * in_records as f64 + costs.map_per_byte * in_bytes as f64;
+    let map_cpu = CPU_MAP_PER_RECORD * in_records as f64 + CPU_MAP_PER_BYTE * in_bytes as f64;
     if let Some(frac) = abort_fraction {
         // The attempt dies here after burning `frac` of its map work.
         node.compute(map_cpu * frac).await;
@@ -120,7 +122,7 @@ pub async fn run_map(
             map_block(&data, spec, MapSink::Groups(&mut table));
             let folded = table.records();
             let combined = table.combine(combine);
-            node.compute(costs.reduce_per_record * folded as f64).await;
+            node.compute(CPU_REDUCE_PER_RECORD * folded as f64).await;
             Some(combined)
         }
     };
@@ -138,8 +140,8 @@ pub async fn run_map(
     let n_spills = out_bytes.div_ceil(conf.io_sort_buffer.max(1)).max(1);
     let per_spill_records = (out_records as f64 / n_spills as f64).max(1.0);
     let sort_cpu =
-        out_records as f64 * per_spill_records.log2().max(1.0) * costs.sort_per_record_level
-            + costs.serde_per_byte * out_bytes as f64;
+        out_records as f64 * per_spill_records.log2().max(1.0) * CPU_SORT_PER_RECORD_LEVEL
+            + CPU_SERDE_PER_BYTE * out_bytes as f64;
     node.compute(sort_cpu).await;
 
     let final_file = format!("{job}_map_{idx}.out", idx = desc.idx);
@@ -162,7 +164,7 @@ pub async fn run_map(
             r.read_exact(sz).await.expect("spill read");
         }
         node.compute(
-            out_records as f64 * (n_spills as f64).log2().max(1.0) * costs.sort_per_record_level,
+            out_records as f64 * (n_spills as f64).log2().max(1.0) * CPU_SORT_PER_RECORD_LEVEL,
         )
         .await;
         let w = node.fs.writer(&final_file).expect("final map output");
@@ -221,7 +223,7 @@ mod tests {
             sim,
             0,
             cluster.workers[0].clone(),
-            Rc::clone(conf),
+            conf,
             MapOutputStore::new(),
             false,
             rmr_obs::Recorder::off(),

@@ -366,7 +366,7 @@ struct Backing {
     bufs: Rc<[Bytes]>,
 }
 
-/// A window `[start, end)` of a shared [`Backing`]: one reference count and
+/// A window `[start, end)` of a shared `Backing`: one reference count and
 /// two offsets, so that a [`Segment`] is as small as when a run was a window
 /// of a record vector — synthetic runs, kept by the million, pay for its size
 /// too.

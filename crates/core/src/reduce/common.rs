@@ -8,7 +8,7 @@ use rmr_des::sync::Notify;
 use rmr_hdfs::Blob;
 
 use crate::cluster::{Cluster, NodeHandle};
-use crate::config::JobConf;
+use crate::config::{JobConf, CPU_REDUCE_PER_BYTE, CPU_REDUCE_PER_RECORD, CPU_SERDE_PER_BYTE};
 use crate::faults::NodeLiveness;
 use crate::jobtracker::{CompletionEvent, JobTracker};
 use crate::record::{encode_into, encoded_len, for_each_group, Record, Segment};
@@ -107,7 +107,6 @@ pub async fn poll_events(
 pub struct ReduceSink {
     writer: Option<rmr_hdfs::HdfsWriter>,
     node: NodeHandle,
-    conf: Rc<JobConf>,
     spec: JobSpec,
     path: String,
     /// The trailing key group of the batches so far, as windows of them.
@@ -149,7 +148,6 @@ impl ReduceSink {
         ReduceSink {
             writer: Some(writer),
             node: node.clone(),
-            conf: Rc::clone(conf),
             spec: spec.clone(),
             path,
             held: Vec::new(),
@@ -163,11 +161,9 @@ impl ReduceSink {
     pub async fn consume(&mut self, seg: Segment) {
         self.in_records += seg.records;
         self.in_bytes += seg.bytes;
-        let costs = &self.conf.costs;
         self.node
             .compute(
-                costs.reduce_per_record * seg.records as f64
-                    + costs.reduce_per_byte * seg.bytes as f64,
+                CPU_REDUCE_PER_RECORD * seg.records as f64 + CPU_REDUCE_PER_BYTE * seg.bytes as f64,
             )
             .await;
         if seg.is_real() {
@@ -216,9 +212,7 @@ impl ReduceSink {
         if len == 0 {
             return;
         }
-        self.node
-            .compute(self.conf.costs.serde_per_byte * len as f64)
-            .await;
+        self.node.compute(CPU_SERDE_PER_BYTE * len as f64).await;
         self.out_bytes += len;
         let fill = |buf: &mut bytes::BytesMut| match &reduced {
             Some(out) => encode_into(out, buf),

@@ -67,7 +67,7 @@ use rmr_net::{EndPoint, EndpointSet, UcrConnector};
 use rmr_obs::{Ev, Recorder};
 
 use crate::cluster::NodeHandle;
-use crate::config::JobConf;
+use crate::config::{JobConf, CPU_SORT_PER_RECORD_LEVEL, EVENT_POLL};
 use crate::faults::NodeLiveness;
 use crate::merge::{Emit, StreamingMerge};
 use crate::proto::{PacketBudget, ShufMsg};
@@ -81,9 +81,9 @@ const MERGE_BATCH_RECORDS: u64 = 16 * 1024;
 /// DataToReduceQueue depth, in batches.
 const REDUCE_QUEUE_DEPTH: usize = 8;
 
-/// The capability knobs that distinguish the two RDMA designs. The engine
-/// implementations pick a preset; the pipeline below branches on these
-/// capabilities, never on an engine identity.
+/// The capability knobs that distinguish the two RDMA designs.
+/// `ShuffleKind::run_reduce` picks a preset; the pipeline below branches on
+/// these capabilities, never on an engine identity.
 #[derive(Debug, Clone, Copy)]
 pub struct RdmaVariant {
     /// Packets are byte-budgeted (`osu_packet_bytes`) rather than fixed
@@ -895,7 +895,7 @@ pub async fn run_reduce_rdma(
         // Wake on the next poll tick or on any packet arrival (the copier also
         // fires the arrival notify when it observes a server death).
         let n = arrived.notified();
-        rmr_des::sync::select2(sim.sleep(conf.event_poll), n).await;
+        rmr_des::sync::select2(sim.sleep(EVENT_POLL), n).await;
     }
 
     // ---- Phase B: priority-queue merge pipelined with reduce. ----
@@ -1069,7 +1069,7 @@ pub async fn run_reduce_rdma(
                     st.resident_bytes = st.resident_bytes.saturating_sub(seg.bytes);
                 }
                 let k = (merge.source_count().max(2)) as f64;
-                node.compute(seg.records as f64 * k.log2() * conf.costs.sort_per_record_level)
+                node.compute(seg.records as f64 * k.log2() * CPU_SORT_PER_RECORD_LEVEL)
                     .await;
                 out_tx.send(seg).await.expect("reduce consumer died");
             }

@@ -24,10 +24,21 @@ use rmr_des::SimDuration;
 use rmr_obs::Ev;
 
 use crate::cluster::NodeHandle;
+use crate::config::{CPU_SERDE_PER_BYTE, CPU_SORT_PER_RECORD_LEVEL, EVENT_POLL, STREAM_CHUNK};
 use crate::proto::{PacketBudget, ShufMsg};
 use crate::record::Segment;
 use crate::reduce::common::{poll_events, ReduceCtx, ReduceError, ReduceSink, ReduceStats};
 use crate::tasktracker::TtServerHandle;
+
+/// `mapred.reduce.parallel.copies`: copier threads per ReduceTask.
+const PARALLEL_COPIES: usize = 5;
+/// `io.sort.factor`: merge fan-in.
+const IO_SORT_FACTOR: usize = 10;
+/// Fraction of the shuffle buffer that triggers the in-memory merger.
+const INMEM_MERGE_THRESHOLD: f64 = 0.66;
+/// Largest single segment kept in memory, as a fraction of the shuffle
+/// buffer (`mapred.job.shuffle.merge.percent` era semantics).
+const INMEM_SEGMENT_LIMIT: f64 = 0.25;
 
 struct VanillaState {
     /// In-memory segments with their buffer-space permits.
@@ -103,7 +114,7 @@ pub async fn run_reduce_vanilla(ctx: ReduceCtx) -> Result<ReduceStats, ReduceErr
                         let _ = map_tx.send_now(m);
                     }
                 }
-                sim2.sleep(ctx.conf.event_poll).await;
+                sim2.sleep(EVENT_POLL).await;
             }
         })
         .detach();
@@ -111,7 +122,7 @@ pub async fn run_reduce_vanilla(ctx: ReduceCtx) -> Result<ReduceStats, ReduceErr
 
     // Copier pool.
     let mut copiers = Vec::new();
-    for i in 0..conf.parallel_copies.max(1) {
+    for i in 0..PARALLEL_COPIES {
         let ctx = ctx.clone();
         let state = Rc::clone(&state);
         let mem = mem.clone();
@@ -131,16 +142,15 @@ pub async fn run_reduce_vanilla(ctx: ReduceCtx) -> Result<ReduceStats, ReduceErr
     let shuffle_end_s = sim.now().as_secs_f64();
 
     // ---- Barrier: final merge down to io.sort.factor streams. ----
-    let factor = conf.io_sort_factor.max(2);
     loop {
         let n_runs = {
             let st = state.borrow();
             st.disk_runs.len() + usize::from(!st.inmem.is_empty())
         };
-        if n_runs <= factor {
+        if n_runs <= IO_SORT_FACTOR {
             break;
         }
-        merge_smallest_disk_runs(&ctx, &state, factor).await;
+        merge_smallest_disk_runs(&ctx, &state).await;
     }
     let merge_end_s = sim.now().as_secs_f64();
 
@@ -178,7 +188,7 @@ pub async fn run_reduce_vanilla(ctx: ReduceCtx) -> Result<ReduceStats, ReduceErr
         } else {
             0.0
         };
-        let batch_bytes = conf.stream_chunk * readers.len().max(1) as u64;
+        let batch_bytes = STREAM_CHUNK * readers.len().max(1) as u64;
         let mut disk_read_budget = 0.0f64;
         while !cursor.exhausted() {
             let batch = cursor.take_bytes(batch_bytes);
@@ -201,7 +211,7 @@ pub async fn run_reduce_vanilla(ctx: ReduceCtx) -> Result<ReduceStats, ReduceErr
                 }
             }
             // Final merge CPU for this batch.
-            node.compute(batch.records as f64 * k.log2() * conf.costs.sort_per_record_level)
+            node.compute(batch.records as f64 * k.log2() * CPU_SORT_PER_RECORD_LEVEL)
                 .await;
             ctx.tt.obs().emit(|| Ev::MergeBatch {
                 node: ctx.tt.idx,
@@ -243,7 +253,7 @@ async fn fetch_with_retry(
     map_idx: usize,
 ) {
     let sim = &ctx.cluster.sim;
-    let mut backoff = ctx.conf.event_poll;
+    let mut backoff = EVENT_POLL;
     let cap = SimDuration::from_secs_f64(30.0);
     loop {
         let tt_idx = *locations
@@ -340,7 +350,7 @@ async fn fetch_one(
         .add("reduce.shuffled_bytes", bytes as f64);
 
     // Memory or disk?
-    let seg_limit = (conf.shuffle_buffer as f64 * conf.inmem_segment_limit) as u64;
+    let seg_limit = (conf.shuffle_buffer as f64 * INMEM_SEGMENT_LIMIT) as u64;
     let to_memory = seg.bytes <= seg_limit;
     let permit = if to_memory {
         mem.try_acquire(seg.bytes)
@@ -353,7 +363,7 @@ async fn fetch_one(
                 let mut st = state.borrow_mut();
                 st.inmem_bytes += seg.bytes;
                 st.inmem.push((seg, p));
-                let threshold = (conf.shuffle_buffer as f64 * conf.inmem_merge_threshold) as u64;
+                let threshold = (conf.shuffle_buffer as f64 * INMEM_MERGE_THRESHOLD) as u64;
                 st.inmem_bytes > threshold
             };
             if over {
@@ -375,12 +385,11 @@ async fn fetch_one(
                 reduce: ctx.reduce_idx,
                 bytes: seg.bytes,
             });
-            node.compute(conf.costs.serde_per_byte * seg.bytes as f64)
-                .await;
+            node.compute(CPU_SERDE_PER_BYTE * seg.bytes as f64).await;
             state.borrow_mut().disk_runs.push((file, seg));
-            let too_many = state.borrow().disk_runs.len() >= 2 * conf.io_sort_factor - 1;
+            let too_many = state.borrow().disk_runs.len() >= 2 * IO_SORT_FACTOR - 1;
             if too_many {
-                merge_smallest_disk_runs(ctx, state, conf.io_sort_factor).await;
+                merge_smallest_disk_runs(ctx, state).await;
             }
         }
     }
@@ -391,7 +400,6 @@ async fn fetch_one(
 /// run, freeing the shuffle buffer.
 async fn merge_inmem_to_disk(ctx: &ReduceCtx, state: &Rc<RefCell<VanillaState>>) {
     let node = &ctx.tt.node;
-    let conf = &ctx.conf;
     let (segs, permits): (Vec<Segment>, Vec<Permit>) = {
         let mut st = state.borrow_mut();
         if st.inmem.is_empty() {
@@ -402,7 +410,7 @@ async fn merge_inmem_to_disk(ctx: &ReduceCtx, state: &Rc<RefCell<VanillaState>>)
     };
     let merged = Segment::merge(&segs);
     let k = segs.len().max(2) as f64;
-    node.compute(merged.records as f64 * k.log2() * conf.costs.sort_per_record_level)
+    node.compute(merged.records as f64 * k.log2() * CPU_SORT_PER_RECORD_LEVEL)
         .await;
     let file = {
         let mut st = state.borrow_mut();
@@ -422,22 +430,17 @@ async fn merge_inmem_to_disk(ctx: &ReduceCtx, state: &Rc<RefCell<VanillaState>>)
     ctx.cluster.sim.metrics().incr("reduce.inmem_merges");
 }
 
-/// The Local FS Merger: merges the `factor` smallest on-disk runs into one
-/// (read + merge CPU + write).
-async fn merge_smallest_disk_runs(
-    ctx: &ReduceCtx,
-    state: &Rc<RefCell<VanillaState>>,
-    factor: usize,
-) {
+/// The Local FS Merger: merges the `io.sort.factor` smallest on-disk runs
+/// into one (read + merge CPU + write).
+async fn merge_smallest_disk_runs(ctx: &ReduceCtx, state: &Rc<RefCell<VanillaState>>) {
     let node = &ctx.tt.node;
-    let conf = &ctx.conf;
     let picked: Vec<(String, Segment)> = {
         let mut st = state.borrow_mut();
         if st.disk_runs.len() < 2 {
             return;
         }
         st.disk_runs.sort_by_key(|(_, s)| s.bytes);
-        let take = factor.min(st.disk_runs.len());
+        let take = IO_SORT_FACTOR.min(st.disk_runs.len());
         st.disk_runs.drain(..take).collect()
     };
     // Read every picked run back (concurrently).
@@ -455,7 +458,7 @@ async fn merge_smallest_disk_runs(
     let segs: Vec<Segment> = picked.iter().map(|(_, s)| s.clone()).collect();
     let merged = Segment::merge(&segs);
     let k = segs.len().max(2) as f64;
-    node.compute(merged.records as f64 * k.log2() * conf.costs.sort_per_record_level)
+    node.compute(merged.records as f64 * k.log2() * CPU_SORT_PER_RECORD_LEVEL)
         .await;
     let file = {
         let mut st = state.borrow_mut();

@@ -24,8 +24,7 @@ use rmr_obs::{
 
 use crate::cluster::Cluster;
 use crate::combine::NodeCombiner;
-use crate::config::{JobConf, ShuffleKind};
-use crate::engine::ShuffleEngine;
+use crate::config::{JobConf, ShuffleKind, EVENT_POLL};
 use crate::faults::{FaultEvent, FaultPlan, NodeLiveness};
 use crate::jobtracker::{JobTracker, MapTaskDesc};
 use crate::mapoutput::{MapOutputInfo, MapOutputStore};
@@ -36,6 +35,13 @@ use crate::tasktracker::{TaskTracker, TtServerHandle};
 
 /// Heartbeat RPC payload size on the wire.
 const HEARTBEAT_BYTES: u64 = 1024;
+/// `tasktracker.heartbeat` interval.
+const HEARTBEAT: SimDuration = SimDuration::from_secs(3);
+/// Fixed wall-clock cost of launching a task attempt (JVM spawn +
+/// localisation; Hadoop 0.20 has no JVM reuse by default).
+const TASK_LAUNCH_OVERHEAD: SimDuration = SimDuration::from_millis(1_200);
+/// `mapred.reduce.slowstart.completed.maps`.
+const REDUCE_SLOWSTART: f64 = 0.05;
 
 /// Identifier of one submitted job, unique within a [`Runtime`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -226,10 +232,9 @@ struct ActiveJob {
 struct RtInner {
     sim: Sim,
     cluster: Cluster,
-    /// Cluster-wide configuration (`tasktracker.*` keys: slots, server
-    /// pools, cache sizing, heartbeat cadence).
-    conf: Rc<JobConf>,
-    engine: Rc<dyn ShuffleEngine>,
+    /// Cluster-wide configuration: the shuffle design every job runs, and
+    /// the `tasktracker.*` keys (slots, cache sizing).
+    conf: JobConf,
     /// The in-node combiner stage in front of `outputs`, for jobs that set
     /// [`JobConf::node_combine`].
     combiner: NodeCombiner,
@@ -302,10 +307,8 @@ impl Runtime {
         obs: Recorder,
     ) -> Runtime {
         let sim = cluster.sim.clone();
-        let conf = Rc::new(conf);
-        let engine = conf.shuffle.engine();
         let outputs = MapOutputStore::new();
-        let cache_on = engine.server_cache() && conf.caching_enabled;
+        let cache_on = conf.shuffle.server_cache() && conf.caching_enabled;
         let mut tts = Vec::new();
         let mut servers = Vec::new();
         for (i, w) in cluster.workers.iter().enumerate() {
@@ -313,12 +316,12 @@ impl Runtime {
                 &sim,
                 i,
                 w.clone(),
-                Rc::clone(&conf),
+                &conf,
                 outputs.clone(),
                 cache_on,
                 obs.clone(),
             );
-            servers.push(engine.start_server(&tt, &cluster.net));
+            servers.push(conf.shuffle.start_server(&tt, &cluster.net));
             tts.push(tt);
         }
         let liveness: Rc<Vec<Rc<NodeLiveness>>> =
@@ -327,7 +330,6 @@ impl Runtime {
             sim: sim.clone(),
             cluster: cluster.clone(),
             conf,
-            engine,
             combiner: NodeCombiner::new(cluster.clone(), obs.clone()),
             policy,
             tts,
@@ -357,8 +359,7 @@ impl Runtime {
     pub fn submit(&self, conf: JobConf, spec: JobSpec) -> JobId {
         let inner = &self.inner;
         assert_eq!(
-            conf.shuffle,
-            inner.engine.kind(),
+            conf.shuffle, inner.conf.shuffle,
             "job's shuffle engine must match the runtime's"
         );
         let id = JobId(inner.next_id.get());
@@ -407,7 +408,7 @@ impl Runtime {
         let jt = Rc::new(RefCell::new(JobTracker::new(
             descs,
             conf.num_reduces,
-            conf.reduce_slowstart,
+            REDUCE_SLOWSTART,
         )));
         jt.borrow_mut().set_speculative(conf.speculative_maps);
         jt.borrow_mut().set_locality_delay(conf.locality_delay);
@@ -584,7 +585,7 @@ impl Runtime {
         }
         let epoch = tt.liveness.restart();
         inner.liveness_changed.notify_all();
-        let server = inner.engine.start_server(tt, &inner.cluster.net);
+        let server = inner.conf.shuffle.start_server(tt, &inner.cluster.net);
         inner.servers.borrow_mut()[tt_idx] = server;
         tt.respawn_prefetcher();
         spawn_heartbeat(inner, tt);
@@ -1190,7 +1191,7 @@ fn spawn_heartbeat(inner: &Rc<RtInner>, tt: &Rc<TaskTracker>) {
                         free_reduce_slots: tt.reduce_slots.available(),
                     }
                 });
-                sim.sleep(inner.conf.heartbeat).await;
+                sim.sleep(HEARTBEAT).await;
             }
         })
         .detach();
@@ -1350,7 +1351,7 @@ fn spawn_map_attempt(
             attempt.start();
             let work = async {
                 // JVM spawn + task localisation.
-                sim.sleep(job.conf.task_launch_overhead).await;
+                sim.sleep(TASK_LAUNCH_OVERHEAD).await;
                 let fail = job.jt.borrow_mut().should_fail(desc.idx);
                 let abort = fail.then_some(0.5);
                 let out = run_map(
@@ -1496,7 +1497,7 @@ fn spawn_reduce_attempt(
         .clone()
         .spawn_named(format!("{}-reduce-{reduce_idx}", job.id), async move {
             attempt.start();
-            sim.sleep(job.conf.task_launch_overhead).await;
+            sim.sleep(TASK_LAUNCH_OVERHEAD).await;
             // Fault injection: this attempt dies before shuffling and the
             // task goes back to the queue (detected at the next status
             // interval).
@@ -1513,7 +1514,7 @@ fn spawn_reduce_attempt(
                 attempt.release();
                 return;
             }
-            let outcome = inner.engine.run_reduce(ctx).await;
+            let outcome = inner.conf.shuffle.run_reduce(ctx).await;
             // Commit / status notification.
             inner
                 .cluster
@@ -1552,7 +1553,7 @@ fn spawn_reduce_attempt(
                     // offered to heartbeats again: capped exponential in the
                     // event-poll interval.
                     let exp = (retries - 1).min(5);
-                    sim.sleep(job.conf.event_poll * (1u64 << exp)).await;
+                    sim.sleep(EVENT_POLL * (1u64 << exp)).await;
                     job.jt.borrow_mut().reduce_attempt_lost(reduce_idx);
                     inner.work.notify_all();
                 }

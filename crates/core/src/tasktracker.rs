@@ -20,7 +20,7 @@
 //!   TaskTracker holds connection state for live reduce attempts only.
 //!
 //! Which flavour of server runs (and whether the cache is live) is decided
-//! by the [`crate::engine::ShuffleEngine`] the runtime was built with.
+//! by the runtime's [`ShuffleKind`](crate::config::ShuffleKind).
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -35,13 +35,20 @@ use rmr_obs::{Ev, Recorder};
 use rmr_store::FileReader;
 
 use crate::cluster::NodeHandle;
-use crate::config::JobConf;
+use crate::config::{JobConf, CPU_SERDE_PER_BYTE, STREAM_CHUNK};
 use crate::faults::NodeLiveness;
 use crate::mapoutput::MapOutputStore;
 use crate::prefetch::{PrefetchCache, PrefetchRequest, Prefetcher, Priority};
 use crate::proto::{PacketBudget, ShufMsg};
 use crate::record::{Segment, SegmentCursor};
 use crate::runtime::JobId;
+
+/// `tasktracker.http.threads`: the vanilla server's servlet pool.
+const HTTP_THREADS: u64 = 40;
+/// RDMAResponder pool size (the verbs designs' server side).
+const RESPONDER_THREADS: usize = 8;
+/// MapOutputPrefetcher daemon pool size.
+const PREFETCHER_THREADS: usize = 4;
 
 /// Server address of one TaskTracker's shuffle service.
 #[derive(Clone)]
@@ -76,9 +83,6 @@ pub struct TaskTracker {
     pub idx: usize,
     /// The host's resources.
     pub node: NodeHandle,
-    /// Cluster-wide configuration (`tasktracker.*` keys: slots, server
-    /// pools, cache sizing).
-    pub conf: Rc<JobConf>,
     /// Global map-output registry (this TT serves only its own entries).
     pub outputs: MapOutputStore,
     /// The PrefetchCache (OSU-IB), shared by every job on the runtime.
@@ -101,7 +105,7 @@ pub struct TaskTracker {
     sim: Sim,
     /// Observability bus handle (off by default; near-zero cost when off).
     obs: Recorder,
-    /// Whether the serve path consults the PrefetchCache (engine decides).
+    /// Whether the serve path consults the PrefetchCache (the design decides).
     cache_enabled: bool,
     /// Per-(job, map, reduce) serve cursors and disk readers.
     serving: RefCell<ServeState>,
@@ -116,14 +120,15 @@ pub struct TaskTracker {
 }
 
 impl TaskTracker {
-    /// Creates a TaskTracker on `node`. `cache_enabled` turns the serve
-    /// path's PrefetchCache on (the engine's `server_cache()` ANDed with
-    /// `mapred.local.caching.enabled`).
+    /// Creates a TaskTracker on `node`, sized by `conf`'s cluster-wide
+    /// `tasktracker.*` keys (slots, cache capacity). `cache_enabled` turns
+    /// the serve path's PrefetchCache on (`ShuffleKind::server_cache` ANDed
+    /// with `mapred.local.caching.enabled`).
     pub fn new(
         sim: &Sim,
         idx: usize,
         node: NodeHandle,
-        conf: Rc<JobConf>,
+        conf: &JobConf,
         outputs: MapOutputStore,
         cache_enabled: bool,
         obs: Recorder,
@@ -136,14 +141,12 @@ impl TaskTracker {
         let cache = PrefetchCache::new(cache_bytes);
         cache.set_obs(&obs, idx);
         let group = sim.group();
-        let prefetcher =
-            Prefetcher::spawn_in(sim, &group, &node.fs, &cache, conf.prefetcher_threads);
+        let prefetcher = Prefetcher::spawn_in(sim, &group, &node.fs, &cache, PREFETCHER_THREADS);
         Rc::new(TaskTracker {
             idx,
             map_slots: Semaphore::new(conf.map_slots as u64),
             reduce_slots: Semaphore::new(conf.reduce_slots as u64),
             node,
-            conf,
             outputs,
             cache,
             prefetcher: RefCell::new(prefetcher),
@@ -327,7 +330,7 @@ impl TaskTracker {
         if packet.bytes > 0 {
             // Response staging cost (building the packet buffers).
             self.node
-                .compute(self.conf.costs.serde_per_byte * packet.bytes as f64)
+                .compute(CPU_SERDE_PER_BYTE * packet.bytes as f64)
                 .await;
         }
 
@@ -389,23 +392,20 @@ impl TaskTracker {
             &self.group,
             &self.node.fs,
             &self.cache,
-            self.conf.prefetcher_threads,
+            PREFETCHER_THREADS,
         );
     }
 }
 
 /// Vanilla: HTTP servlets. Each accepted connection is handled by a task;
 /// concurrency is bounded by the servlet thread pool. A `Full` request
-/// streams the whole partition in `stream_chunk` pieces, reading each piece
-/// from disk before sending it.
+/// streams the whole partition in [`STREAM_CHUNK`] pieces, reading each
+/// piece from disk before sending it.
 pub(crate) fn start_http_server(tt: &Rc<TaskTracker>, net: &Network) -> TtServerHandle {
     let listener = listen::<ShufMsg>(net, tt.node.id);
     let handle = listener.handle();
     let tt_id = tt.node.id.0;
-    let servlets = Semaphore::new_named(
-        &format!("tt{tt_id}-http-servlets"),
-        tt.conf.http_threads as u64,
-    );
+    let servlets = Semaphore::new_named(&format!("tt{tt_id}-http-servlets"), HTTP_THREADS);
     let tt = Rc::clone(tt);
     let group = tt.group.clone();
     group
@@ -436,7 +436,7 @@ pub(crate) fn start_http_server(tt: &Rc<TaskTracker>, net: &Network) -> TtServer
                                         map_idx,
                                         reduce,
                                         attempt,
-                                        PacketBudget::Bytes(tt.conf.stream_chunk),
+                                        PacketBudget::Bytes(STREAM_CHUNK),
                                     )
                                     .await;
                                 // The last packet ends the stream, and so
@@ -490,7 +490,7 @@ pub(crate) fn start_rdma_server(tt: &Rc<TaskTracker>, net: &Network) -> TtServer
     let (req_tx, req_rx) = channel_named::<DataRequest>(&format!("tt{tt_id}-data-request-queue"));
 
     // RDMAResponder pool.
-    for i in 0..tt.conf.responder_threads.max(1) {
+    for i in 0..RESPONDER_THREADS {
         let rx = req_rx.clone();
         let tt = Rc::clone(tt);
         tt.group
@@ -561,23 +561,17 @@ mod tests {
             &[NodeSpec::westmere_compute(), NodeSpec::westmere_compute()],
             HdfsConfig::default(),
         );
-        let conf = Rc::new(JobConf {
-            shuffle: kind,
-            caching_enabled: caching,
-            ..JobConf::default()
-        });
-        let engine = kind.engine();
         let outputs = MapOutputStore::new();
         let tt = TaskTracker::new(
             &sim,
             0,
             cluster.workers[0].clone(),
-            conf,
+            &JobConf::default(),
             outputs.clone(),
-            engine.server_cache() && caching,
+            kind.server_cache() && caching,
             Recorder::off(),
         );
-        let server = engine.start_server(&tt, &cluster.net);
+        let server = kind.start_server(&tt, &cluster.net);
         (sim, cluster, tt, server)
     }
 

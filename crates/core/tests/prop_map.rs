@@ -208,7 +208,7 @@ fn engine_map_side(
         &sim,
         0,
         cluster.workers[0].clone(),
-        Rc::clone(&conf),
+        &conf,
         MapOutputStore::new(),
         false,
         rmr_obs::Recorder::off(),

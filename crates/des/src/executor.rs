@@ -811,23 +811,7 @@ impl Sim {
     }
 
     fn run_with_limit(&self, limit: Option<SimTime>) -> SimTime {
-        // Diagnostic heartbeat: RMR_TRACE=<N> prints progress every N polls
-        // (any non-numeric value selects 10M).
-        let trace: Option<u64> = std::env::var("RMR_TRACE")
-            .ok()
-            .map(|v| v.parse().unwrap_or(10_000_000));
-        let mut last_trace: u64 = 0;
         loop {
-            if let Some(every) = trace {
-                let (polls, fired, now) = {
-                    let core = self.core.borrow();
-                    (core.polls, core.events_fired, core.now)
-                };
-                if polls / every > last_trace {
-                    last_trace = polls / every;
-                    eprintln!("[sim-trace] polls={polls} events={fired} t={now}");
-                }
-            }
             // Phase 1: drain runnable tasks at the current instant.
             loop {
                 let next = self.core.borrow().ready.lock().unwrap().pop_front();

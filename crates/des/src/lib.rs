@@ -5,7 +5,7 @@
 //! resource primitives the higher layers are built from.
 //!
 //! * [`Sim`] — the executor/clock handle: `spawn`, `sleep`, `run`.
-//! * [`sync::channel`] / [`sync::bounded`] — FIFO channels (Hadoop's internal
+//! * [`sync::channel()`] / [`sync::bounded`] — FIFO channels (Hadoop's internal
 //!   queues map onto these).
 //! * [`sync::Semaphore`] — fair counting semaphore (task slots, memory
 //!   budgets, thread pools).

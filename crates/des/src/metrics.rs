@@ -163,7 +163,7 @@ const HIST_MIN: f64 = 1e-9;
 
 /// A fixed log-bucket histogram for latency/interval distributions.
 ///
-/// Buckets are geometric ([`BUCKETS_PER_OCTAVE`] per power of two), so the
+/// Buckets are geometric (`BUCKETS_PER_OCTAVE` per power of two), so the
 /// relative error of a percentile estimate is bounded by one bucket width
 /// (~9%) across the whole nanoseconds-to-hours range, and recording is two
 /// float ops plus an array bump — cheap enough for per-request use.

@@ -57,7 +57,7 @@ pub fn channel<T>() -> (Sender<T>, Receiver<T>) {
 }
 
 /// Creates an unbounded FIFO channel with a diagnostic name. Tasks stalled
-/// on this channel appear as "recv on <name>" / "send on <name>" in
+/// on this channel appear as `recv on <name>` / `send on <name>` in
 /// [`crate::executor::Sim::step_until_no_events`] reports.
 pub fn channel_named<T>(name: &str) -> (Sender<T>, Receiver<T>) {
     with_capacity_opt(None, Some(name))

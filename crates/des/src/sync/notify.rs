@@ -56,7 +56,7 @@ impl Notify {
     }
 
     /// Creates a named notifier. Tasks stalled waiting on it appear as
-    /// "notified on <name>" in
+    /// `notified on <name>` in
     /// [`crate::executor::Sim::step_until_no_events`] reports.
     pub fn new_named(name: &str) -> Self {
         Notify {

@@ -75,7 +75,7 @@ impl Semaphore {
     }
 
     /// Creates a named semaphore. Tasks stalled acquiring it appear as
-    /// "acquire(n) on <name>" in
+    /// `acquire(n) on <name>` in
     /// [`crate::executor::Sim::step_until_no_events`] reports.
     pub fn new_named(name: &str, permits: u64) -> Self {
         Self::with_name(Some(Rc::from(name)), permits)

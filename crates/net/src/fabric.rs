@@ -134,44 +134,6 @@ impl FabricParams {
         }
     }
 
-    /// iWARP: RDMA over TCP/IP on 10 Gigabit Ethernet (§II-B-2). OS-bypassed
-    /// like verbs but at Ethernet bandwidth and with the TCP transport's
-    /// higher latency. Not benchmarked in the paper's figures, but part of
-    /// the background's design space and useful for what-if studies.
-    pub fn iwarp_10g() -> Self {
-        FabricParams {
-            name: "iWARP (10GigE)",
-            kind: FabricKind::Verbs,
-            link_bw: 1.1e9,
-            latency: SimDuration::from_micros(8),
-            mtu: 9000,
-            cpu_send_per_byte: 0.0,
-            cpu_recv_per_byte: 0.0,
-            cpu_per_packet: 0.0,
-            cpu_per_message: 1.5e-6,
-            connect_cost: SimDuration::from_micros(400),
-            rails: 1,
-        }
-    }
-
-    /// RoCE: RDMA over Converged Ethernet — verbs semantics on an Ethernet
-    /// fabric (the OpenFabrics stack exposes it identically, §II-B).
-    pub fn roce_10g() -> Self {
-        FabricParams {
-            name: "RoCE (10GigE)",
-            kind: FabricKind::Verbs,
-            link_bw: 1.15e9,
-            latency: SimDuration::from_micros(4),
-            mtu: 4096,
-            cpu_send_per_byte: 0.0,
-            cpu_recv_per_byte: 0.0,
-            cpu_per_packet: 0.0,
-            cpu_per_message: 1.2e-6,
-            connect_cost: SimDuration::from_micros(450),
-            rails: 1,
-        }
-    }
-
     /// Returns the fabric with `k` independent wire rails per node
     /// (clamped to at least one); every transfer stripes across them.
     pub fn with_rails(mut self, k: usize) -> Self {
@@ -240,20 +202,6 @@ mod tests {
         let small = ipoib.send_cpu(1_000);
         let big = ipoib.send_cpu(1_000_000);
         assert!(big > 100.0 * small);
-    }
-
-    #[test]
-    fn rdma_ethernet_variants_sit_between_sockets_and_ib() {
-        let iwarp = FabricParams::iwarp_10g();
-        let roce = FabricParams::roce_10g();
-        let verbs = FabricParams::ib_verbs_qdr();
-        let g10 = FabricParams::gige_10_toe();
-        for f in [&iwarp, &roce] {
-            assert!(f.is_rdma());
-            assert_eq!(f.send_cpu(1 << 20), f.cpu_per_message, "zero-copy");
-            assert!(f.link_bw <= verbs.link_bw);
-            assert!(f.latency < g10.latency);
-        }
     }
 
     #[test]

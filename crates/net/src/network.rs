@@ -14,7 +14,7 @@
 //!
 //! The legs of one transfer are a fixed, small set — tx, rx, the two rack
 //! legs, the two CPUs — so they live inline in the transfer's own future
-//! ([`Legs`]) and are polled in place, in the order they were started; only
+//! (`Legs`) and are polled in place, in the order they were started; only
 //! a multi-rail fabric's extra rails spill to a `Vec`. A transfer on a
 //! single-rail fabric allocates nothing.
 //!

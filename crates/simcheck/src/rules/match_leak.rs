@@ -1,13 +1,13 @@
-//! `match-leak`: `ShuffleKind` dispatch outside the construction seam.
+//! `match-leak`: `ShuffleKind` dispatch outside its seam.
 //!
-//! PR 3's invariant: shuffle designs are one-impl additions behind the
-//! `ShuffleEngine` trait, and the only code allowed to branch on
-//! `ShuffleKind` is the construction seam (`crates/core/src/config.rs`,
-//! which builds the engine, and `crates/cluster/src/testbed.rs`, which maps
-//! the paper's testbed presets onto kinds). A `match`/`matches!`/`if let`
-//! on `ShuffleKind` anywhere else re-opens per-design special cases and
-//! every new engine would have to chase them. Constructing a kind
-//! (`ShuffleKind::OsuIb` as a value) is fine anywhere.
+//! The invariant: the dispatch on the shuffle design lives in one place,
+//! `ShuffleKind`'s own methods in `crates/core/src/config.rs` (the server
+//! a TaskTracker runs, whether it caches, the reduce pipeline), so a new
+//! design is one arm per method. `crates/cluster/src/testbed.rs`, which
+//! maps the paper's testbed presets onto kinds, is exempt too. A
+//! `match`/`matches!`/`if let` on `ShuffleKind` anywhere else re-opens
+//! per-design special cases and every new design would have to chase them.
+//! Constructing a kind (`ShuffleKind::OsuIb` as a value) is fine anywhere.
 
 use crate::index::Workspace;
 use crate::rules::{RawFinding, Rule};

@@ -133,8 +133,8 @@ impl Rule {
                 "a suppression that suppresses nothing hides future hazards; delete it"
             }
             Rule::MatchLeak => {
-                "engine dispatch must stay behind ShuffleEngine so new designs are one-impl \
-                 additions; only config.rs/testbed.rs may match ShuffleKind"
+                "engine dispatch lives in ShuffleKind's own methods in config.rs, so a new \
+                 design is one match arm per method; only config.rs/testbed.rs may match ShuffleKind"
             }
         }
     }
@@ -160,7 +160,7 @@ impl Rule {
             }
             Rule::MatchLeak => {
                 "match conf.shuffle { ShuffleKind::OsuIb => special_case(), .. } \
-                 // bypasses the ShuffleEngine trait"
+                 // a per-design special case outside config.rs"
             }
         }
     }
@@ -184,7 +184,8 @@ impl Rule {
             }
             Rule::StaleAllow => "delete the directive (or fix its rule name)",
             Rule::MatchLeak => {
-                "move the dispatch onto the ShuffleEngine trait (or into the construction seam)"
+                "move the dispatch into a ShuffleKind method in config.rs, or branch on an \
+                 RdmaVariant capability instead of the kind"
             }
         }
     }

@@ -2,7 +2,7 @@
 //!
 //! * [`tera`] — TeraGen / TeraSort / TeraValidate (100-byte records,
 //!   total-order partitioning) — Figs 4 and 5.
-//! * [`randomwriter`] — RandomWriter / Sort (10–1000 B keys, 0–20000 B
+//! * [`randomwriter`](mod@randomwriter) — RandomWriter / Sort (10–1000 B keys, 0–20000 B
 //!   values, hash partitioning) — Figs 6, 7, 8.
 //! * [`wordcount`] — a non-identity job exercising grouping reducers.
 

@@ -267,7 +267,7 @@ pub mod collection {
         VecStrategy { element, len }
     }
 
-    /// Output of [`vec`].
+    /// Output of [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         len: Range<usize>,

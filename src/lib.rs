@@ -63,8 +63,8 @@ pub mod prelude {
     pub use rmr_cluster::{run_experiment, Bench, Experiment, RunRecord, System, Testbed};
     pub use rmr_core::cluster::{Cluster, NodeSpec};
     pub use rmr_core::{
-        run_job, run_job_with_faults, CpuCosts, FaultEvent, FaultPlan, JobConf, JobResult, JobSpec,
-        Record, ShuffleKind,
+        run_job, run_job_with_faults, FaultEvent, FaultPlan, JobConf, JobResult, JobSpec, Record,
+        ShuffleKind,
     };
     pub use rmr_des::prelude::*;
     pub use rmr_hdfs::{Blob, HdfsConfig};

@@ -108,7 +108,7 @@ fn parked_peak(lines: usize) -> (isize, usize) {
         &sim,
         0,
         cluster.workers[0].clone(),
-        Rc::clone(&conf),
+        &conf,
         MapOutputStore::new(),
         false,
         rmr_obs::Recorder::off(),

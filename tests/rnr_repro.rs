@@ -23,7 +23,7 @@ fn hadoop_a_many_sources_completes() {
             packet_size: 256 << 10,
         },
     );
-    let mut conf = JobConf::hadoop_a();
+    let mut conf = JobConf::for_kind(ShuffleKind::HadoopA);
     conf.num_reduces = 4;
     conf.shuffle_buffer = 8 << 20;
     let done = std::rc::Rc::new(std::cell::Cell::new(false));
@@ -38,5 +38,4 @@ fn hadoop_a_many_sources_completes() {
     .detach();
     sim.run_until(SimTime::from_nanos(3_600_000_000_000)); // 1h sim cap
     assert!(done.get(), "job deadlocked");
-    let _ = ShuffleKind::HadoopA;
 }
