@@ -6,7 +6,7 @@
 //! `rmr_bench::sweep`).
 
 use rmr_core::JobResult;
-use rmr_obs::json::quote;
+use rmr_obs::json::Obj;
 
 use crate::scenario::{gb_to_bytes, run_scenario, Job, Scenario};
 use crate::testbed::{Bench, System, Testbed};
@@ -128,33 +128,28 @@ pub struct RunRecord {
 }
 
 impl RunRecord {
-    /// One JSON object (hand-rolled: the workspace stays serde-free).
+    /// One JSON object; floats print in their `Display` form.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"schema\":{},\"id\":{},\"bench\":{},\"system\":{},\"nodes\":{},\"disks\":{},\
-             \"ssd\":{},\"data_gb\":{},\"duration_s\":{},\"map_phase_end_s\":{},\
-             \"maps\":{},\"reduces\":{},\"shuffled_bytes\":{},\"cache_hit_rate\":{},\
-             \"failed_maps\":{},\"failed_reduces\":{},\"queue_wait_s\":{},\
-             \"slot_occupancy\":{}}}",
-            self.schema,
-            quote(&self.id),
-            quote(&self.bench),
-            quote(&self.system),
-            self.nodes,
-            self.disks,
-            self.ssd,
-            self.data_gb,
-            self.duration_s,
-            self.map_phase_end_s,
-            self.maps,
-            self.reduces,
-            self.shuffled_bytes,
-            self.cache_hit_rate,
-            self.failed_maps,
-            self.failed_reduces,
-            self.queue_wait_s,
-            self.slot_occupancy,
-        )
+        Obj::new()
+            .val("schema", self.schema)
+            .str("id", &self.id)
+            .str("bench", &self.bench)
+            .str("system", &self.system)
+            .val("nodes", self.nodes)
+            .val("disks", self.disks)
+            .val("ssd", self.ssd)
+            .val("data_gb", self.data_gb)
+            .val("duration_s", self.duration_s)
+            .val("map_phase_end_s", self.map_phase_end_s)
+            .val("maps", self.maps)
+            .val("reduces", self.reduces)
+            .val("shuffled_bytes", self.shuffled_bytes)
+            .val("cache_hit_rate", self.cache_hit_rate)
+            .val("failed_maps", self.failed_maps)
+            .val("failed_reduces", self.failed_reduces)
+            .val("queue_wait_s", self.queue_wait_s)
+            .val("slot_occupancy", self.slot_occupancy)
+            .finish()
     }
 
     /// Parses a record produced by [`RunRecord::to_json`]. Field order is

@@ -303,40 +303,16 @@ pub struct Prefetcher {
     queued: Rc<RefCell<std::collections::BTreeSet<CacheKey>>>,
 }
 
-/// A boxed staging-daemon body, so one spawn loop can target either the
-/// global executor or a node's [`TaskGroup`].
-type DaemonBody = std::pin::Pin<Box<dyn std::future::Future<Output = ()>>>;
-
 impl Prefetcher {
-    /// Spawns `threads` staging daemons reading from `fs` into `cache`.
-    pub fn spawn(sim: &Sim, fs: &LocalFs, cache: &PrefetchCache, threads: usize) -> Self {
-        let sim2 = sim.clone();
-        Self::spawn_with(sim, fs, cache, threads, &|name, body| {
-            sim2.spawn_daemon(name, body).detach()
-        })
-    }
-
-    /// Like [`Prefetcher::spawn`], but the daemons join `group` so a node
-    /// kill ([`crate::runtime::Runtime::kill_node`]) aborts them with the
-    /// rest of the TaskTracker.
+    /// Spawns `threads` staging daemons reading from `fs` into `cache`. They
+    /// join `group`, so a node kill ([`crate::runtime::Runtime::kill_node`])
+    /// aborts them with the rest of the TaskTracker.
     pub fn spawn_in(
         sim: &Sim,
         group: &TaskGroup,
         fs: &LocalFs,
         cache: &PrefetchCache,
         threads: usize,
-    ) -> Self {
-        Self::spawn_with(sim, fs, cache, threads, &|name, body| {
-            group.spawn_daemon(name, body).detach()
-        })
-    }
-
-    fn spawn_with(
-        sim: &Sim,
-        fs: &LocalFs,
-        cache: &PrefetchCache,
-        threads: usize,
-        spawn: &dyn Fn(String, DaemonBody),
     ) -> Self {
         let (tx, rx): (Sender<PrefetchRequest>, Receiver<PrefetchRequest>) = channel();
         let queued: Rc<RefCell<std::collections::BTreeSet<CacheKey>>> =
@@ -373,7 +349,9 @@ impl Prefetcher {
                     }
                 }
             };
-            spawn(format!("prefetch-daemon-{i}"), Box::pin(body));
+            group
+                .spawn_daemon(format!("prefetch-daemon-{i}"), body)
+                .detach();
         }
         Prefetcher {
             tx,
@@ -501,7 +479,7 @@ mod tests {
         let sim = Sim::new(1);
         let fs = LocalFs::new(&sim, DiskParams::ssd_sata(), 1, 0, "t");
         let cache = PrefetchCache::new(1 << 20);
-        let pf = Prefetcher::spawn(&sim, &fs, &cache, 1);
+        let pf = Prefetcher::spawn_in(&sim, &sim.group(), &fs, &cache, 1);
         let fs2 = fs.clone();
         let pf2 = pf.clone();
         sim.spawn(async move {
@@ -555,7 +533,7 @@ mod tests {
         let sim = Sim::new(1);
         let fs = LocalFs::new(&sim, DiskParams::ssd_sata(), 1, 0, "t");
         let cache = PrefetchCache::new(1 << 20);
-        let pf = Prefetcher::spawn(&sim, &fs, &cache, 2);
+        let pf = Prefetcher::spawn_in(&sim, &sim.group(), &fs, &cache, 2);
         let fs2 = fs.clone();
         let pf2 = pf.clone();
         sim.spawn(async move {
@@ -584,7 +562,7 @@ mod tests {
         p.access_latency = SimDuration::ZERO;
         let fs = LocalFs::new(&sim, p, 1, 0, "t");
         let cache = PrefetchCache::new(1 << 20);
-        let pf = Prefetcher::spawn(&sim, &fs, &cache, 1);
+        let pf = Prefetcher::spawn_in(&sim, &sim.group(), &fs, &cache, 1);
         let fs2 = fs.clone();
         sim.spawn(async move {
             let w = fs2.writer("f").unwrap();

@@ -360,14 +360,6 @@ impl TaskTracker {
         }
     }
 
-    /// Resets serve state for a map output (failed-map invalidation).
-    pub fn invalidate(&self, job: JobId, map_idx: usize) {
-        self.serving
-            .borrow_mut()
-            .retain(|(j, m, _), _| (*j, *m) != (job, map_idx));
-        self.cache.remove((job, map_idx));
-    }
-
     /// Drops all serve state of a finished job (commit-time cleanup).
     pub fn cleanup_job(&self, job: JobId) {
         self.serving.borrow_mut().retain(|(j, _, _), _| *j != job);

@@ -2,6 +2,7 @@
 //! and the scalar outputs the bench harness turns into rows.
 
 use rmr_des::Histogram;
+use rmr_obs::json::Obj;
 
 use crate::service::ServicePolicy;
 
@@ -41,28 +42,22 @@ impl TenantReport {
 
     /// One flat JSON object for artifact export.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"tenant\":{},\"share_mille\":{},\"jobs\":{},\
-             \"latency_p50_s\":{:.6},\"latency_p95_s\":{:.6},\"latency_p99_s\":{:.6},\
-             \"latency_mean_s\":{:.6},\"latency_max_s\":{:.6},\
-             \"wait_p50_s\":{:.6},\"wait_p99_s\":{:.6},\
-             \"exec_p50_s\":{:.6},\"exec_p99_s\":{:.6},\
-             \"slot_secs\":{:.3},\"slot_share\":{:.4}}}",
-            self.queue,
-            self.share_mille,
-            self.jobs,
-            self.latency.p50(),
-            self.latency.p95(),
-            self.latency.p99(),
-            self.latency.mean(),
-            self.latency.max(),
-            self.wait.p50(),
-            self.wait.p99(),
-            self.exec.p50(),
-            self.exec.p99(),
-            self.slot_secs,
-            self.slot_share,
-        )
+        Obj::new()
+            .val("tenant", self.queue)
+            .val("share_mille", self.share_mille)
+            .val("jobs", self.jobs)
+            .fixed("latency_p50_s", self.latency.p50(), 6)
+            .fixed("latency_p95_s", self.latency.p95(), 6)
+            .fixed("latency_p99_s", self.latency.p99(), 6)
+            .fixed("latency_mean_s", self.latency.mean(), 6)
+            .fixed("latency_max_s", self.latency.max(), 6)
+            .fixed("wait_p50_s", self.wait.p50(), 6)
+            .fixed("wait_p99_s", self.wait.p99(), 6)
+            .fixed("exec_p50_s", self.exec.p50(), 6)
+            .fixed("exec_p99_s", self.exec.p99(), 6)
+            .fixed("slot_secs", self.slot_secs, 3)
+            .fixed("slot_share", self.slot_share, 4)
+            .finish()
     }
 }
 

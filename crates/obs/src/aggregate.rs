@@ -8,7 +8,7 @@ use std::collections::BTreeMap;
 use rmr_des::Histogram;
 
 use crate::event::{Ev, ObsEvent};
-use crate::json::quote;
+use crate::json::Obj;
 use crate::span::Span;
 
 /// Row cap for [`slot_heatmap`]: past this many nodes, adjacent nodes are
@@ -38,51 +38,64 @@ impl Heatmap {
     /// ASCII rendering: one row per node, one char per bucket, shaded by
     /// occupancy relative to the hottest cell.
     pub fn to_ascii(&self) -> String {
-        const RAMP: &[u8] = b" .:-=+*#%@";
-        let max = self.rows.iter().flatten().fold(0.0f64, |m, &v| m.max(v));
-        let mut out = String::new();
-        out.push_str(&format!(
-            "slot occupancy — {} nodes x {} buckets of {:.2}s (max {:.2} slots)\n",
-            self.rows.len(),
-            self.n_buckets(),
-            self.bucket_s,
-            max
-        ));
-        for (group, row) in self.rows.iter().enumerate() {
-            let node = group * self.node_stride;
-            out.push_str(&format!("node{node:>3} |"));
-            for &v in row {
-                let shade = if max > 0.0 {
-                    ((v / max) * (RAMP.len() - 1) as f64).round() as usize
-                } else {
-                    0
-                };
-                out.push(RAMP[shade.min(RAMP.len() - 1)] as char);
-            }
-            out.push_str("|\n");
-        }
-        out
+        shaded_grid(
+            &self.rows,
+            |max| {
+                format!(
+                    "slot occupancy — {} nodes x {} buckets of {:.2}s (max {max:.2} slots)\n",
+                    self.rows.len(),
+                    self.n_buckets(),
+                    self.bucket_s,
+                )
+            },
+            |group| format!("node{:>3}", group * self.node_stride),
+        )
     }
 
     pub fn to_json(&self) -> String {
-        let rows: Vec<String> = self
-            .rows
-            .iter()
-            .map(|row| {
-                let cells: Vec<String> = row.iter().map(|v| format!("{v:.4}")).collect();
-                format!("[{}]", cells.join(","))
-            })
-            .collect();
-        format!(
-            "{{\"t0_s\":{:.6},\"bucket_s\":{:.6},\"node_stride\":{},\"nodes\":{},\"buckets\":{},\"rows\":[{}]}}",
-            self.t0_s,
-            self.bucket_s,
-            self.node_stride,
-            self.rows.len(),
-            self.n_buckets(),
-            rows.join(",")
-        )
+        Obj::new()
+            .fixed("t0_s", self.t0_s, 6)
+            .fixed("bucket_s", self.bucket_s, 6)
+            .val("node_stride", self.node_stride)
+            .val("nodes", self.rows.len())
+            .val("buckets", self.n_buckets())
+            .raw("rows", &cells_json(&self.rows))
+            .finish()
     }
+}
+
+/// Renders `rows` one char per cell, shaded against the hottest cell, under
+/// the header `head(max)`; row `i` is framed as `label(i) |...|`.
+fn shaded_grid(
+    rows: &[Vec<f64>],
+    head: impl FnOnce(f64) -> String,
+    label: impl Fn(usize) -> String,
+) -> String {
+    const RAMP: &[u8] = b" .:-=+*#%@";
+    let max = rows.iter().flatten().fold(0.0f64, |m, &v| m.max(v));
+    let mut out = head(max);
+    for (i, row) in rows.iter().enumerate() {
+        out.push_str(&label(i));
+        out.push_str(" |");
+        for &v in row {
+            let shade = if max > 0.0 {
+                ((v / max) * (RAMP.len() - 1) as f64).round() as usize
+            } else {
+                0
+            };
+            out.push(RAMP[shade.min(RAMP.len() - 1)] as char);
+        }
+        out.push_str("|\n");
+    }
+    out
+}
+
+/// A heatmap's cells as a JSON array of rows, 4 decimals each.
+fn cells_json(rows: &[Vec<f64>]) -> String {
+    Obj::list(
+        rows.iter()
+            .map(|row| Obj::list(row.iter().map(|v| format!("{v:.4}")))),
+    )
 }
 
 /// Build the occupancy heatmap from attempt spans (`n_nodes` fixes the row
@@ -143,16 +156,15 @@ pub struct QueuePoint {
 
 impl QueuePoint {
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"t_s\":{:.6},\"node\":{},\"active_jobs\":{},\"pending_maps\":{},\"pending_reduces\":{},\"free_map_slots\":{},\"free_reduce_slots\":{}}}",
-            self.t_s,
-            self.node,
-            self.active_jobs,
-            self.pending_maps,
-            self.pending_reduces,
-            self.free_map_slots,
-            self.free_reduce_slots
-        )
+        Obj::new()
+            .fixed("t_s", self.t_s, 6)
+            .val("node", self.node)
+            .val("active_jobs", self.active_jobs)
+            .val("pending_maps", self.pending_maps)
+            .val("pending_reduces", self.pending_reduces)
+            .val("free_map_slots", self.free_map_slots)
+            .val("free_reduce_slots", self.free_reduce_slots)
+            .finish()
     }
 }
 
@@ -208,19 +220,18 @@ impl CachePoint {
     }
 
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"t_s\":{:.6},\"job\":{},\"hits\":{},\"misses\":{},\"hit_ratio\":{:.4},\"hit_bytes\":{},\"miss_bytes\":{},\"prefetch_insert_bytes\":{},\"demand_insert_bytes\":{},\"evicted_bytes\":{}}}",
-            self.t_s,
-            self.job,
-            self.hits,
-            self.misses,
-            self.hit_ratio(),
-            self.hit_bytes,
-            self.miss_bytes,
-            self.prefetch_insert_bytes,
-            self.demand_insert_bytes,
-            self.evicted_bytes
-        )
+        Obj::new()
+            .fixed("t_s", self.t_s, 6)
+            .val("job", self.job)
+            .val("hits", self.hits)
+            .val("misses", self.misses)
+            .fixed("hit_ratio", self.hit_ratio(), 4)
+            .val("hit_bytes", self.hit_bytes)
+            .val("miss_bytes", self.miss_bytes)
+            .val("prefetch_insert_bytes", self.prefetch_insert_bytes)
+            .val("demand_insert_bytes", self.demand_insert_bytes)
+            .val("evicted_bytes", self.evicted_bytes)
+            .finish()
     }
 }
 
@@ -306,10 +317,13 @@ pub struct ThroughputPoint {
 
 impl ThroughputPoint {
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"t_s\":{:.6},\"node\":{},\"bytes\":{},\"responses\":{},\"cache_hits\":{}}}",
-            self.t_s, self.node, self.bytes, self.responses, self.cache_hits
-        )
+        Obj::new()
+            .fixed("t_s", self.t_s, 6)
+            .val("node", self.node)
+            .val("bytes", self.bytes)
+            .val("responses", self.responses)
+            .val("cache_hits", self.cache_hits)
+            .finish()
     }
 }
 
@@ -392,52 +406,6 @@ pub fn job_tenants(events: &[ObsEvent]) -> BTreeMap<u32, u32> {
     out
 }
 
-/// Per-tenant job-latency rollup over one event stream.
-#[derive(Debug, Clone, Default)]
-pub struct TenantLatency {
-    /// Jobs that finished (latency samples recorded).
-    pub jobs: u64,
-    /// Queue wait: `Submitted` → `FirstLaunch`, seconds.
-    pub wait: Histogram,
-    /// End-to-end job latency: `Submitted` → `Finished`, seconds.
-    pub latency: Histogram,
-}
-
-/// Fold `JobState` lifecycle events into per-tenant wait/latency histograms.
-/// Tenancy comes from [`job_tenants`]; unmapped jobs land in tenant 0.
-pub fn tenant_latency(events: &[ObsEvent]) -> BTreeMap<u32, TenantLatency> {
-    let tenants = job_tenants(events);
-    let mut submitted: BTreeMap<u32, f64> = BTreeMap::new();
-    let mut launched: BTreeMap<u32, f64> = BTreeMap::new();
-    let mut out: BTreeMap<u32, TenantLatency> = BTreeMap::new();
-    for e in events {
-        if let Ev::JobState { job, state } = &e.ev {
-            match state {
-                crate::event::JobState::Submitted => {
-                    submitted.insert(*job, e.t_s());
-                }
-                crate::event::JobState::FirstLaunch => {
-                    launched.insert(*job, e.t_s());
-                }
-                crate::event::JobState::MapsDone => {}
-                crate::event::JobState::Finished => {
-                    let Some(sub) = submitted.get(job) else {
-                        continue;
-                    };
-                    let tenant = tenants.get(job).copied().unwrap_or(0);
-                    let tl = out.entry(tenant).or_default();
-                    tl.jobs += 1;
-                    tl.latency.record(e.t_s() - sub);
-                    if let Some(fl) = launched.get(job) {
-                        tl.wait.record(fl - sub);
-                    }
-                }
-            }
-        }
-    }
-    out
-}
-
 /// Tenant x time heatmap: one row per capacity queue, columns are time
 /// buckets. The same exporter serves the recovery-disruption view (cells
 /// count lost/re-executed attempts) and the latency view (cells are mean
@@ -462,51 +430,30 @@ impl TenantHeatmap {
     /// ASCII rendering mirroring [`Heatmap::to_ascii`]: one row per tenant,
     /// shaded against the hottest cell.
     pub fn to_ascii(&self) -> String {
-        const RAMP: &[u8] = b" .:-=+*#%@";
-        let max = self.rows.iter().flatten().fold(0.0f64, |m, &v| m.max(v));
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{} — {} tenants x {} buckets of {:.2}s (max {:.3})\n",
-            self.what,
-            self.tenants.len(),
-            self.n_buckets(),
-            self.bucket_s,
-            max
-        ));
-        for (i, row) in self.rows.iter().enumerate() {
-            out.push_str(&format!("tenant{:>3} |", self.tenants[i]));
-            for &v in row {
-                let shade = if max > 0.0 {
-                    ((v / max) * (RAMP.len() - 1) as f64).round() as usize
-                } else {
-                    0
-                };
-                out.push(RAMP[shade.min(RAMP.len() - 1)] as char);
-            }
-            out.push_str("|\n");
-        }
-        out
+        shaded_grid(
+            &self.rows,
+            |max| {
+                format!(
+                    "{} — {} tenants x {} buckets of {:.2}s (max {max:.3})\n",
+                    self.what,
+                    self.tenants.len(),
+                    self.n_buckets(),
+                    self.bucket_s,
+                )
+            },
+            |i| format!("tenant{:>3}", self.tenants[i]),
+        )
     }
 
     pub fn to_json(&self) -> String {
-        let tenants: Vec<String> = self.tenants.iter().map(u32::to_string).collect();
-        let rows: Vec<String> = self
-            .rows
-            .iter()
-            .map(|row| {
-                let cells: Vec<String> = row.iter().map(|v| format!("{v:.4}")).collect();
-                format!("[{}]", cells.join(","))
-            })
-            .collect();
-        format!(
-            "{{\"what\":{},\"t0_s\":{:.6},\"bucket_s\":{:.6},\"tenants\":[{}],\"buckets\":{},\"rows\":[{}]}}",
-            quote(&self.what),
-            self.t0_s,
-            self.bucket_s,
-            tenants.join(","),
-            self.n_buckets(),
-            rows.join(",")
-        )
+        Obj::new()
+            .str("what", &self.what)
+            .fixed("t0_s", self.t0_s, 6)
+            .fixed("bucket_s", self.bucket_s, 6)
+            .raw("tenants", &Obj::list(&self.tenants))
+            .val("buckets", self.n_buckets())
+            .raw("rows", &cells_json(&self.rows))
+            .finish()
     }
 }
 
@@ -569,7 +516,7 @@ pub fn tenant_recovery_heatmap(events: &[ObsEvent], n_buckets: usize) -> TenantH
 
 /// Latency heatmap: for each tenant, the mean end-to-end latency of jobs
 /// *finishing* in each time bucket — the service-mode view of "who is slow
-/// right now", complementing the scalar histograms from [`tenant_latency`].
+/// right now".
 pub fn tenant_latency_heatmap(events: &[ObsEvent], n_buckets: usize) -> TenantHeatmap {
     let tenants_of = job_tenants(events);
     let mut ids: Vec<u32> = tenants_of.values().copied().collect();
@@ -865,27 +812,6 @@ mod tests {
     }
 
     #[test]
-    fn tenant_latency_splits_by_queue() {
-        // Job 0 → tenant 1 (queued), job 1 unmapped → tenant 0.
-        let events = vec![
-            at(0.0, Ev::JobQueued { job: 0, queue: 1 }),
-            job_ev(0.0, 0, Js::Submitted),
-            job_ev(1.0, 1, Js::Submitted),
-            job_ev(2.0, 0, Js::FirstLaunch),
-            job_ev(3.0, 1, Js::FirstLaunch),
-            job_ev(10.0, 0, Js::Finished),
-            job_ev(21.0, 1, Js::Finished),
-        ];
-        let tl = tenant_latency(&events);
-        assert_eq!(tl.len(), 2);
-        assert_eq!(tl[&1].jobs, 1);
-        assert!((tl[&1].latency.mean() - 10.0).abs() < 1e-9);
-        assert!((tl[&1].wait.mean() - 2.0).abs() < 1e-9);
-        assert_eq!(tl[&0].jobs, 1);
-        assert!((tl[&0].latency.mean() - 20.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn recovery_heatmap_counts_disruptions_per_tenant() {
         let events = vec![
             at(0.0, Ev::JobQueued { job: 5, queue: 2 }),
@@ -941,6 +867,5 @@ mod tests {
         assert_eq!(hm.n_buckets(), 0);
         assert!(!hm.to_ascii().is_empty());
         assert!(tenant_latency_heatmap(&[], 8).to_json().starts_with('{'));
-        assert!(tenant_latency(&[]).is_empty());
     }
 }

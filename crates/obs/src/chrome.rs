@@ -16,8 +16,10 @@
 //! Timestamps are derived from integer sim nanoseconds, so the exported
 //! document is byte-identical across seeded runs.
 
+use std::fmt::Display;
+
 use crate::event::{Ev, ObsEvent};
-use crate::json::{parse, Json};
+use crate::json::{parse, Json, Obj};
 use crate::span::{assign_lanes, spans_from_events, Span};
 
 /// Synthetic pid hosting job-lifecycle instant events.
@@ -61,9 +63,7 @@ pub fn chrome_trace(events: &[ObsEvent]) -> String {
         }
     }
     for node in &nodes {
-        rows.push(format!(
-            "{{\"ph\":\"M\",\"pid\":{node},\"tid\":0,\"name\":\"process_name\",\"args\":{{\"name\":\"node{node}\"}}}}"
-        ));
+        rows.push(meta(node, 0, "process_name", &format!("node{node}")));
     }
     for (node, tid) in &tracks {
         let lane_name = if *tid >= REDUCE_TID_BASE {
@@ -71,32 +71,30 @@ pub fn chrome_trace(events: &[ObsEvent]) -> String {
         } else {
             format!("map lane {tid}")
         };
-        rows.push(format!(
-            "{{\"ph\":\"M\",\"pid\":{node},\"tid\":{tid},\"name\":\"thread_name\",\"args\":{{\"name\":\"{lane_name}\"}}}}"
-        ));
+        rows.push(meta(node, *tid, "thread_name", &lane_name));
     }
-    rows.push(format!(
-        "{{\"ph\":\"M\",\"pid\":{JOBS_PID},\"tid\":0,\"name\":\"process_name\",\"args\":{{\"name\":\"jobs\"}}}}"
-    ));
+    rows.push(meta(JOBS_PID, 0, "process_name", "jobs"));
 
     // Spans: one X event per attempt.
     for (s, &lane) in spans.iter().zip(&lanes) {
         let start_ns = (s.start_s * 1e9).round() as u64;
         let dur_ns = ((s.end_s - s.start_s).max(0.0) * 1e9).round() as u64;
-        rows.push(format!(
-            "{{\"ph\":\"X\",\"pid\":{},\"tid\":{},\"ts\":{},\"dur\":{},\"name\":\"j{} {} {}\",\"cat\":\"{}\",\"args\":{{\"job\":{},\"idx\":{},\"outcome\":\"{}\"}}}}",
-            s.node,
-            span_tid(s, lane),
-            us(start_ns),
-            us(dur_ns),
-            s.job,
-            s.kind.as_str(),
-            s.idx,
-            s.kind.as_str(),
-            s.job,
-            s.idx,
-            s.outcome.as_str()
-        ));
+        let args = Obj::new()
+            .val("job", s.job)
+            .val("idx", s.idx)
+            .str("outcome", s.outcome.as_str());
+        rows.push(
+            Obj::new()
+                .str("ph", "X")
+                .val("pid", s.node)
+                .val("tid", span_tid(s, lane))
+                .raw("ts", &us(start_ns))
+                .raw("dur", &us(dur_ns))
+                .str("name", &format!("j{} {} {}", s.job, s.kind.as_str(), s.idx))
+                .str("cat", s.kind.as_str())
+                .raw("args", &args.finish())
+                .finish(),
+        );
     }
 
     // Counters and instants straight off the stream.
@@ -108,30 +106,52 @@ pub fn chrome_trace(events: &[ObsEvent]) -> String {
                 pending_reduces,
                 ..
             } => {
-                rows.push(format!(
-                    "{{\"ph\":\"C\",\"pid\":{},\"tid\":0,\"ts\":{},\"name\":\"queue depth\",\"args\":{{\"pending_maps\":{},\"pending_reduces\":{}}}}}",
-                    node,
-                    us(e.t_ns),
-                    pending_maps,
-                    pending_reduces
-                ));
+                let args = Obj::new()
+                    .val("pending_maps", pending_maps)
+                    .val("pending_reduces", pending_reduces);
+                rows.push(
+                    Obj::new()
+                        .str("ph", "C")
+                        .val("pid", node)
+                        .val("tid", 0)
+                        .raw("ts", &us(e.t_ns))
+                        .str("name", "queue depth")
+                        .raw("args", &args.finish())
+                        .finish(),
+                );
             }
             Ev::JobState { job, state } => {
-                rows.push(format!(
-                    "{{\"ph\":\"i\",\"pid\":{},\"tid\":0,\"ts\":{},\"s\":\"g\",\"name\":\"j{} {}\",\"args\":{{\"job\":{},\"state\":\"{}\"}}}}",
-                    JOBS_PID,
-                    us(e.t_ns),
-                    job,
-                    state.as_str(),
-                    job,
-                    state.as_str()
-                ));
+                let args = Obj::new().val("job", job).str("state", state.as_str());
+                rows.push(
+                    Obj::new()
+                        .str("ph", "i")
+                        .val("pid", JOBS_PID)
+                        .val("tid", 0)
+                        .raw("ts", &us(e.t_ns))
+                        .str("s", "g")
+                        .str("name", &format!("j{job} {}", state.as_str()))
+                        .raw("args", &args.finish())
+                        .finish(),
+                );
             }
             _ => {}
         }
     }
 
-    format!("{{\"traceEvents\":[\n{}\n]}}\n", rows.join(",\n"))
+    let doc = Obj::new().raw("traceEvents", &format!("[\n{}\n]", rows.join(",\n")));
+    doc.finish() + "\n"
+}
+
+/// A metadata record naming process `pid` (`what = "process_name"`) or its
+/// thread `tid` (`"thread_name"`).
+fn meta(pid: impl Display, tid: usize, what: &str, name: &str) -> String {
+    Obj::new()
+        .str("ph", "M")
+        .val("pid", pid)
+        .val("tid", tid)
+        .str("name", what)
+        .raw("args", &Obj::new().str("name", name).finish())
+        .finish()
 }
 
 /// Summary of a validated trace document.

@@ -1,13 +1,15 @@
-//! A minimal recursive-descent JSON parser, and the string escaper the
-//! workspace's JSON writers share.
+//! The workspace's JSON, both ways: [`Obj`], the one writer every artifact
+//! goes through, with [`quote`], its string escaper; and [`parse`], a
+//! minimal recursive-descent parser.
 //!
 //! The workspace is deliberately serde-free (offline container, vendored
-//! shims only) and the flat key/value scanner in `rmr_cluster::runner` cannot
-//! handle nested documents, so the Chrome-trace validator gets its own tiny
-//! full parser. It accepts strict JSON, keeps object keys in insertion-free
-//! `BTreeMap` order, and reports errors with a byte offset.
+//! shims only). The parser reads `results/*.jsonl` rows back
+//! (`RunRecord::from_json`) and validates Chrome traces. It accepts strict
+//! JSON, keeps object keys in `BTreeMap` order, and reports errors with a
+//! byte offset.
 
 use std::collections::BTreeMap;
+use std::fmt::{Display, Write};
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -55,8 +57,91 @@ impl Json {
     }
 }
 
+/// One JSON object, `{"k":v,...}`, written key by key in call order: the one
+/// place the workspace's writers spell `{`, `,` and `":`. Keys are written
+/// as given (they are identifiers); strings go through [`quote`].
+///
+/// ```
+/// use rmr_obs::json::Obj;
+/// let row = Obj::new().val("job", 3).str("state", "finished").fixed("t_s", 1.5, 6);
+/// assert_eq!(row.finish(), r#"{"job":3,"state":"finished","t_s":1.500000}"#);
+/// ```
+#[derive(Debug, Default)]
+pub struct Obj(String);
+
+impl Obj {
+    pub fn new() -> Obj {
+        Obj::default()
+    }
+
+    fn key(mut self, key: &str) -> Obj {
+        self.0.push(if self.0.is_empty() { '{' } else { ',' });
+        self.0.push('"');
+        self.0.push_str(key);
+        self.0.push_str("\":");
+        self
+    }
+
+    /// An integer, a bool, or any other value in its `Display` form (a
+    /// float that way prints `30.0` as `30`).
+    pub fn val(self, key: &str, v: impl Display) -> Obj {
+        let mut o = self.key(key);
+        let _ = write!(o.0, "{v}");
+        o
+    }
+
+    /// A float at `decimals` fixed decimals (`{:.N}`).
+    pub fn fixed(self, key: &str, v: f64, decimals: usize) -> Obj {
+        let mut o = self.key(key);
+        let _ = write!(o.0, "{v:.decimals$}");
+        o
+    }
+
+    /// [`Obj::fixed`], or `null` when absent.
+    pub fn opt_fixed(self, key: &str, v: Option<f64>, decimals: usize) -> Obj {
+        match v {
+            Some(v) => self.fixed(key, v, decimals),
+            None => self.raw(key, "null"),
+        }
+    }
+
+    /// A string, escaped.
+    pub fn str(self, key: &str, v: &str) -> Obj {
+        self.raw(key, &quote(v))
+    }
+
+    /// An already-written JSON value: a nested object or an array.
+    pub fn raw(self, key: &str, v: &str) -> Obj {
+        let mut o = self.key(key);
+        o.0.push_str(v);
+        o
+    }
+
+    /// `[a,b,...]` of already-written values, for [`Obj::raw`].
+    pub fn list<T: Display>(items: impl IntoIterator<Item = T>) -> String {
+        let mut out = String::from("[");
+        for (i, item) in items.into_iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let _ = write!(out, "{item}");
+        }
+        out.push(']');
+        out
+    }
+
+    /// The object's text.
+    pub fn finish(mut self) -> String {
+        if self.0.is_empty() {
+            self.0.push('{');
+        }
+        self.0.push('}');
+        self.0
+    }
+}
+
 /// `s` as a JSON string literal, quotes included: the one escaper every
-/// hand-rolled `to_json` in the workspace writes strings through.
+/// JSON writer in the workspace writes strings through.
 pub fn quote(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');

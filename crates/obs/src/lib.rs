@@ -34,11 +34,10 @@ pub mod span;
 
 pub use aggregate::{
     cache_pressure, heartbeat_intervals, job_tenants, queue_depth_traces, shuffle_latencies,
-    shuffle_throughput, slot_heatmap, tenant_latency, tenant_latency_heatmap,
-    tenant_recovery_heatmap, CachePoint, Heatmap, QueuePoint, TenantHeatmap, TenantLatency,
-    ThroughputPoint,
+    shuffle_throughput, slot_heatmap, tenant_latency_heatmap, tenant_recovery_heatmap, CachePoint,
+    Heatmap, QueuePoint, TenantHeatmap, ThroughputPoint,
 };
 pub use chrome::{chrome_trace, validate_chrome_trace, TraceCheck};
 pub use event::{AttemptOutcome, Ev, JobState, ObsEvent, Recorder, TaskFlavor};
 pub use snapshot::{JobSnapshot, NodeSnapshot, RuntimeSnapshot};
-pub use span::{assign_lanes, mean_concurrency, spans_from_events, Span};
+pub use span::{assign_lanes, spans_from_events, Span};

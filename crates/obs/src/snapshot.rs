@@ -5,7 +5,7 @@
 //! a multi-job schedule has one stable shape. Everything is copied out at
 //! capture time — a snapshot stays valid after the runtime moves on.
 
-use crate::json::quote;
+use crate::json::Obj;
 
 /// Per-job scheduling state at capture time.
 #[derive(Debug, Clone, PartialEq)]
@@ -28,24 +28,20 @@ pub struct JobSnapshot {
 
 impl JobSnapshot {
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"id\":{},\"name\":{},\"state\":{},\"total_maps\":{},\"maps_completed\":{},\"pending_maps\":{},\"running_maps\":{},\"total_reduces\":{},\"reduces_completed\":{},\"pending_reduces\":{},\"submit_s\":{:.6},\"first_launch_s\":{}}}",
-            self.id,
-            quote(&self.name),
-            quote(&self.state),
-            self.total_maps,
-            self.maps_completed,
-            self.pending_maps,
-            self.running_maps,
-            self.total_reduces,
-            self.reduces_completed,
-            self.pending_reduces,
-            self.submit_s,
-            match self.first_launch_s {
-                Some(t) => format!("{t:.6}"),
-                None => "null".to_string(),
-            }
-        )
+        Obj::new()
+            .val("id", self.id)
+            .str("name", &self.name)
+            .str("state", &self.state)
+            .val("total_maps", self.total_maps)
+            .val("maps_completed", self.maps_completed)
+            .val("pending_maps", self.pending_maps)
+            .val("running_maps", self.running_maps)
+            .val("total_reduces", self.total_reduces)
+            .val("reduces_completed", self.reduces_completed)
+            .val("pending_reduces", self.pending_reduces)
+            .fixed("submit_s", self.submit_s, 6)
+            .opt_fixed("first_launch_s", self.first_launch_s, 6)
+            .finish()
     }
 }
 
@@ -76,22 +72,21 @@ pub struct NodeSnapshot {
 
 impl NodeSnapshot {
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"node\":{},\"free_map_slots\":{},\"total_map_slots\":{},\"free_reduce_slots\":{},\"total_reduce_slots\":{},\"cache_used\":{},\"cache_capacity\":{},\"cache_hits\":{},\"cache_misses\":{},\"serve_cursors\":{},\"serve_readers\":{},\"alive\":{},\"epoch\":{}}}",
-            self.node,
-            self.free_map_slots,
-            self.total_map_slots,
-            self.free_reduce_slots,
-            self.total_reduce_slots,
-            self.cache_used,
-            self.cache_capacity,
-            self.cache_hits,
-            self.cache_misses,
-            self.serve_cursors,
-            self.serve_readers,
-            self.alive,
-            self.epoch
-        )
+        Obj::new()
+            .val("node", self.node)
+            .val("free_map_slots", self.free_map_slots)
+            .val("total_map_slots", self.total_map_slots)
+            .val("free_reduce_slots", self.free_reduce_slots)
+            .val("total_reduce_slots", self.total_reduce_slots)
+            .val("cache_used", self.cache_used)
+            .val("cache_capacity", self.cache_capacity)
+            .val("cache_hits", self.cache_hits)
+            .val("cache_misses", self.cache_misses)
+            .val("serve_cursors", self.serve_cursors)
+            .val("serve_readers", self.serve_readers)
+            .val("alive", self.alive)
+            .val("epoch", self.epoch)
+            .finish()
     }
 }
 
@@ -105,14 +100,17 @@ pub struct RuntimeSnapshot {
 
 impl RuntimeSnapshot {
     pub fn to_json(&self) -> String {
-        let jobs: Vec<String> = self.jobs.iter().map(JobSnapshot::to_json).collect();
-        let nodes: Vec<String> = self.nodes.iter().map(NodeSnapshot::to_json).collect();
-        format!(
-            "{{\"t_s\":{:.6},\"jobs\":[{}],\"nodes\":[{}]}}",
-            self.t_s,
-            jobs.join(","),
-            nodes.join(",")
-        )
+        Obj::new()
+            .fixed("t_s", self.t_s, 6)
+            .raw(
+                "jobs",
+                &Obj::list(self.jobs.iter().map(JobSnapshot::to_json)),
+            )
+            .raw(
+                "nodes",
+                &Obj::list(self.nodes.iter().map(NodeSnapshot::to_json)),
+            )
+            .finish()
     }
 
     /// Human-readable rendering for terminals and debug logs.

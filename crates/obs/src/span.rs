@@ -1,5 +1,5 @@
 //! Attempt spans: pairing start/finish events, the one record of each task
-//! attempt, and the swimlane/occupancy arithmetic over them.
+//! attempt, and the swimlane layout over them.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -15,12 +15,6 @@ pub struct Span {
     pub start_s: f64,
     pub end_s: f64,
     pub outcome: AttemptOutcome,
-}
-
-impl Span {
-    pub fn duration_s(&self) -> f64 {
-        (self.end_s - self.start_s).max(0.0)
-    }
 }
 
 /// Pair `AttemptStart`/`AttemptFinish` events into spans.
@@ -70,28 +64,6 @@ pub fn spans_from_events(events: &[ObsEvent]) -> Vec<Span> {
         }
     }
     spans
-}
-
-/// Mean number of concurrently-running attempts of `kind` (all kinds when
-/// `None`), averaged over the envelope of *all* spans.
-///
-/// This is the single implementation of the swimlane-occupancy figure: the
-/// envelope `[lo, hi]` spans every attempt regardless of kind, while busy
-/// time sums only the filtered ones — so `mean_concurrency(spans, Reduce)`
-/// on a map-only window is 0, not NaN. Degenerate envelopes return 0.
-pub fn mean_concurrency(spans: &[Span], kind: Option<TaskFlavor>) -> f64 {
-    let (lo, hi) = spans.iter().fold((f64::MAX, f64::MIN), |(lo, hi), s| {
-        (lo.min(s.start_s), hi.max(s.end_s))
-    });
-    if hi <= lo {
-        return 0.0;
-    }
-    let busy: f64 = spans
-        .iter()
-        .filter(|s| kind.is_none_or(|k| s.kind == k))
-        .map(Span::duration_s)
-        .sum();
-    busy / (hi - lo)
 }
 
 /// Assign each span a lane (per node and flavor) such that overlapping spans
@@ -178,21 +150,6 @@ mod tests {
         assert_eq!(spans.len(), 2);
         assert_eq!((spans[0].start_s, spans[0].end_s), (0.0, 2.0));
         assert_eq!((spans[1].start_s, spans[1].end_s), (1.0, 5.0));
-    }
-
-    #[test]
-    fn mean_concurrency_is_busy_time_over_the_envelope() {
-        // Two fully-overlapping 10s maps → concurrency 2 over a 10s envelope.
-        let spans = spans_from_events(&[
-            start(0.0, 0, 0, TaskFlavor::Map),
-            start(0.0, 1, 1, TaskFlavor::Map),
-            finish(10.0, 0, 0, TaskFlavor::Map),
-            finish(10.0, 1, 1, TaskFlavor::Map),
-        ]);
-        assert!((mean_concurrency(&spans, Some(TaskFlavor::Map)) - 2.0).abs() < 1e-12);
-        // No reduce spans at all → 0.0, not NaN.
-        assert_eq!(mean_concurrency(&spans, Some(TaskFlavor::Reduce)), 0.0);
-        assert_eq!(mean_concurrency(&[], None), 0.0);
     }
 
     #[test]
