@@ -14,11 +14,10 @@ use rmr_bench::{exit_hung, run_grid_traced, run_or_exit, scenarios, sweep};
 use rmr_cluster::{run_scenario, Bench, Experiment, RunReport, Scenario, System, Testbed};
 use rmr_core::{FaultPlan, JobResult};
 
-const USAGE: &str = "usage: probe <grid|one|phases|fluidcmp|scale|service|chaos|obs> [args]
+const USAGE: &str = "usage: probe <grid|one|phases|scale|service|chaos|obs> [args]
   probe grid   [gb] [nodes] [disks] [terasort|sort] [--engines]
   probe one    [gb] [system] [nodes] [disks] [terasort|sort] [seed]
   probe phases [gb] [system] [nodes] [disks] [terasort|sort|ssdsort]
-  probe fluidcmp                               — solver differential dump
   probe scale  [nodes] [jobs] [gb] [seed] [--budget-s S] [--min-attempts N]
   probe service [nodes] [jobs] [seed] [--budget-s S] [--hist-dir DIR]
   probe chaos  [nodes] [jobs] [gb] [seed] [--plans N] [--budget-s S]
@@ -36,7 +35,6 @@ fn main() {
         "grid" => grid(args(&[], &["--engines"])),
         "one" => one(args(&[], &[])),
         "phases" => phases(args(&[], &[])),
-        "fluidcmp" => fluidcmp(),
         "obs" => obs(args(&[], &[])),
         "scale" => scale(args(&["--budget-s", "--min-attempts"], &[])),
         "service" => service(args(&["--budget-s", "--hist-dir"], &[])),
@@ -64,31 +62,6 @@ fn require(failed: &mut bool, ok: bool, why: String) {
         eprintln!("{why}");
         *failed = true;
     }
-}
-
-/// Prints exact completion times for a canned fluid-contention scenario —
-/// a differential harness for comparing solver implementations.
-fn fluidcmp() {
-    let sim = rmr_des::Sim::new(5);
-    let f = rmr_des::resource::Fluid::new(&sim, 4.0e9);
-    let cpu = rmr_des::resource::Fluid::with_entry_cap(&sim, 8.0, 1.0);
-    for i in 0..64usize {
-        let f = f.clone();
-        let cpu = cpu.clone();
-        let s = sim.clone();
-        sim.spawn(async move {
-            s.sleep(rmr_des::SimDuration::from_micros((i * 131) as u64))
-                .await;
-            for r in 0..20usize {
-                let amount = 65_536.0 + ((i * 7919 + r * 104729) % 4_000_000) as f64;
-                f.consume(amount).await;
-                cpu.consume(1e-4).await;
-                println!("{i} {r} {}", s.now().as_nanos());
-            }
-        })
-        .detach();
-    }
-    sim.run();
 }
 
 /// One Fig 4(a)-style point per system, in parallel. With `--engines` the
@@ -264,7 +237,7 @@ fn scale(mut args: Args) {
 }
 
 /// Open-arrival service probe: the canonical two-tenant workload (see
-/// `rmr_bench::service`) under FIFO and capacity+preemption, with a replay
+/// `rmr_bench::service`) under FIFO and capacity scheduling, with a replay
 /// run for the determinism gate. Gates (non-zero exit on failure):
 ///
 ///  1. every submitted job finishes (a hung run exits 2 with its report)

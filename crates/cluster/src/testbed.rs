@@ -201,35 +201,19 @@ impl Testbed {
         self
     }
 
-    /// Expands into per-node specs.
+    /// Expands into per-node specs: the paper's node class, with this
+    /// testbed's disk count and device model.
     pub fn node_specs(&self) -> Vec<NodeSpec> {
-        let mem: u64 = if self.storage_class {
-            24 << 30
+        let mut spec = if self.storage_class {
+            NodeSpec::westmere_storage(self.disks)
         } else {
-            12 << 30
+            NodeSpec::westmere_compute()
         };
-        // JVM heaps (8 task slots + TT + DN) eat most of a compute node;
-        // what's left backs the OS page cache.
-        let page_cache = if self.storage_class {
-            10 << 30
-        } else {
-            3 << 30
-        };
-        let disk = if self.ssd {
-            DiskParams::ssd_sata()
-        } else {
-            DiskParams::hdd_7200()
-        };
-        vec![
-            NodeSpec {
-                cores: 8.0,
-                mem,
-                disks: self.disks,
-                disk,
-                page_cache,
-            };
-            self.nodes
-        ]
+        spec.disks = self.disks;
+        if self.ssd {
+            spec.disk = DiskParams::ssd_sata();
+        }
+        vec![spec; self.nodes]
     }
 }
 

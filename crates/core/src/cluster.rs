@@ -117,18 +117,11 @@ impl Cluster {
         let master = net.add_node(Some(master_cpu));
         let hdfs = HdfsCluster::new(sim, &net, master, hdfs_cfg);
         let mut workers = Vec::with_capacity(worker_specs.len());
-        for (i, spec) in worker_specs.iter().enumerate() {
-            let cpu =
-                Fluid::with_entry_cap(sim, spec.cores, 1.0).with_metrics_key(format!("cpu.n{i}"));
+        for spec in worker_specs {
+            let cpu = Fluid::with_entry_cap(sim, spec.cores, 1.0);
             let id = net.add_node(Some(cpu.clone()));
-            let fs = LocalFs::new(
-                sim,
-                spec.disk.clone(),
-                spec.disks,
-                spec.page_cache,
-                &format!("n{i}"),
-            )
-            .with_cpu(cpu.clone());
+            let fs = LocalFs::new(sim, spec.disk.clone(), spec.disks, spec.page_cache, "")
+                .with_cpu(cpu.clone());
             hdfs.add_datanode(id, fs.clone());
             workers.push(NodeHandle {
                 id,

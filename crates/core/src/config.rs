@@ -16,7 +16,7 @@ use rmr_des::SimDuration;
 use rmr_net::Network;
 
 use crate::reduce::common::{ReduceCtx, ReduceError, ReduceStats};
-use crate::reduce::rdma::{run_reduce_rdma, RdmaVariant};
+use crate::reduce::rdma::run_reduce_rdma;
 use crate::reduce::vanilla::run_reduce_vanilla;
 use crate::tasktracker::{start_http_server, start_rdma_server, TaskTracker, TtServerHandle};
 
@@ -78,6 +78,24 @@ impl ShuffleKind {
         }
     }
 
+    /// RDMA reduce: packets are byte-budgeted (`osu_packet_bytes`) rather
+    /// than a fixed kv count (`hadoop_a_kv_per_packet`).
+    pub(crate) fn byte_packets(self) -> bool {
+        self == ShuffleKind::OsuIb
+    }
+
+    /// RDMA reduce: pull data eagerly during the map wave, rather than
+    /// headers only with the levitated-merge heap built once all are in.
+    pub(crate) fn eager_fetch(self) -> bool {
+        self == ShuffleKind::OsuIb
+    }
+
+    /// RDMA reduce: overflowing packets spill to the reducer's local disk,
+    /// rather than being dropped and refetched from the TaskTracker.
+    pub(crate) fn local_spill(self) -> bool {
+        self == ShuffleKind::OsuIb
+    }
+
     /// Starts this design's shuffle server on one TaskTracker and returns
     /// its address.
     pub(crate) fn start_server(self, tt: &Rc<TaskTracker>, net: &Network) -> TtServerHandle {
@@ -96,8 +114,7 @@ impl ShuffleKind {
     ) -> Pin<Box<dyn Future<Output = Result<ReduceStats, ReduceError>>>> {
         match self {
             ShuffleKind::Vanilla => Box::pin(run_reduce_vanilla(ctx)),
-            ShuffleKind::HadoopA => Box::pin(run_reduce_rdma(ctx, RdmaVariant::hadoop_a())),
-            ShuffleKind::OsuIb => Box::pin(run_reduce_rdma(ctx, RdmaVariant::osu_ib())),
+            ShuffleKind::HadoopA | ShuffleKind::OsuIb => Box::pin(run_reduce_rdma(ctx)),
         }
     }
 

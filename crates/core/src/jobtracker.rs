@@ -121,7 +121,6 @@ pub struct JobTracker {
     running_reduces: BTreeMap<usize, usize>,
     speculative_launched: usize,
     speculative_wasted: usize,
-    speculative_preempted: usize,
     /// Delay scheduling: non-local scheduling opportunities to skip before
     /// a pending map accepts a non-local slot (0 = off).
     locality_delay: u32,
@@ -171,7 +170,6 @@ impl JobTracker {
             running_reduces: BTreeMap::new(),
             speculative_launched: 0,
             speculative_wasted: 0,
-            speculative_preempted: 0,
             locality_delay: 0,
             nonlocal_skips: 0,
         }
@@ -206,11 +204,6 @@ impl JobTracker {
     /// the duplicate finished second).
     pub fn speculative_wasted(&self) -> usize {
         self.speculative_wasted
-    }
-
-    /// Speculative attempts preempted by the scheduler under queue pressure.
-    pub fn speculative_preempted(&self) -> usize {
-        self.speculative_preempted
     }
 
     /// Total map tasks.
@@ -263,10 +256,8 @@ impl JobTracker {
     }
 
     /// Heartbeat from TaskTracker `tt_idx` on `node` advertising free
-    /// slots; returns `(maps, speculative_from, reduces)` where
-    /// `speculative_from` is the index into `maps` at which speculative
-    /// duplicates begin (`maps.len()` when there are none). Data-local maps
-    /// are preferred; remaining slots take arbitrary pending maps
+    /// slots; returns the `(maps, reduces)` to launch there, speculative
+    /// duplicates last. Data-local maps are preferred; remaining slots take arbitrary pending maps
     /// (single-rack cluster: everything else is equally remote), unless
     /// delay scheduling is holding them back for a local slot.
     pub fn heartbeat(
@@ -275,7 +266,7 @@ impl JobTracker {
         tt_idx: usize,
         free_map_slots: usize,
         free_reduce_slots: usize,
-    ) -> (Vec<MapTaskDesc>, usize, Vec<usize>) {
+    ) -> (Vec<MapTaskDesc>, Vec<usize>) {
         let mut maps = Vec::new();
         // Pass 1: data-local — pop this node's locality queue, skipping
         // (and discarding) stale keys of tasks already assigned elsewhere.
@@ -324,7 +315,6 @@ impl JobTracker {
         }
         // Pass 3: speculation — pending queue drained, idle slots re-run the
         // oldest single-attempt stragglers.
-        let speculative_from = maps.len();
         if self.speculative && self.pending.is_empty() {
             let mut stragglers: Vec<(u64, usize)> = self
                 .running
@@ -361,7 +351,7 @@ impl JobTracker {
                 }
             }
         }
-        (maps, speculative_from, reduces)
+        (maps, reduces)
     }
 
     fn reduce_phase_open(&self) -> bool {
@@ -459,44 +449,6 @@ impl JobTracker {
             self.running.remove(&desc.idx);
         }
         self.requeue_map(desc);
-    }
-
-    /// The scheduler wants `tt_idx`'s in-flight attempt of `map_idx` gone to
-    /// free its slot for a capacity-starved queue. Only *redundant* work may
-    /// be shed: a duplicate of a task whose other attempt is still running,
-    /// or an orphaned loser of a task that already completed. Returns `true`
-    /// and updates the books when the preemption is granted; returns `false`
-    /// (attempt keeps running) when this is the task's last live attempt —
-    /// preemption must never lose committed work or strand a task.
-    pub fn preempt_speculative(&mut self, map_idx: usize, tt_idx: usize) -> bool {
-        if self.completed_set.contains(&map_idx) {
-            // An orphaned duplicate whose result was doomed anyway.
-            let had = self
-                .orphans
-                .get(&map_idx)
-                .is_some_and(|v| v.contains(&tt_idx));
-            if !had {
-                return false; // stale request: nothing of ours runs there
-            }
-            self.drop_orphan(map_idx, tt_idx);
-            self.maps_running -= 1;
-            self.speculative_wasted += 1;
-            self.speculative_preempted += 1;
-            return true;
-        }
-        let Some(rm) = self.running.get_mut(&map_idx) else {
-            return false;
-        };
-        if rm.attempt_tts.len() < 2 {
-            return false; // last live attempt: not redundant
-        }
-        let Some(p) = rm.attempt_tts.iter().position(|t| *t == tt_idx) else {
-            return false;
-        };
-        rm.attempt_tts.remove(p);
-        self.maps_running -= 1;
-        self.speculative_preempted += 1;
-        true
     }
 
     /// Re-queue at the front (re-execute soon): an ever-smaller key sorts
@@ -656,10 +608,10 @@ mod tests {
     #[test]
     fn locality_preferred() {
         let mut jt = JobTracker::new(vec![desc(0, 1), desc(1, 2), desc(2, 1)], 0, 0.05);
-        let (maps, _, _) = jt.heartbeat(NodeId(1), 0, 2, 0);
+        let (maps, _) = jt.heartbeat(NodeId(1), 0, 2, 0);
         assert_eq!(maps.iter().map(|m| m.idx).collect::<Vec<_>>(), vec![0, 2]);
         // Node 3 has no local splits → takes any.
-        let (maps, _, _) = jt.heartbeat(NodeId(3), 2, 2, 0);
+        let (maps, _) = jt.heartbeat(NodeId(3), 2, 2, 0);
         assert_eq!(maps.iter().map(|m| m.idx).collect::<Vec<_>>(), vec![1]);
     }
 
@@ -667,13 +619,13 @@ mod tests {
     fn slowstart_gates_reducers() {
         let maps: Vec<_> = (0..10).map(|i| desc(i, 0)).collect();
         let mut jt = JobTracker::new(maps, 2, 0.5);
-        let (m, _, r) = jt.heartbeat(NodeId(0), 0, 10, 2);
+        let (m, r) = jt.heartbeat(NodeId(0), 0, 10, 2);
         assert_eq!(m.len(), 10);
         assert!(r.is_empty(), "no reducers before slowstart");
         for i in 0..5 {
             jt.map_completed(i, 0);
         }
-        let (_, _, r) = jt.heartbeat(NodeId(0), 0, 0, 2);
+        let (_, r) = jt.heartbeat(NodeId(0), 0, 0, 2);
         assert_eq!(r, vec![0, 1]);
     }
 
@@ -695,11 +647,11 @@ mod tests {
     fn failed_map_is_rescheduled() {
         let mut jt = JobTracker::new(vec![desc(0, 0)], 0, 0.0);
         jt.inject_map_failure(0);
-        let (maps, _, _) = jt.heartbeat(NodeId(0), 0, 1, 0);
+        let (maps, _) = jt.heartbeat(NodeId(0), 0, 1, 0);
         assert!(jt.should_fail(0));
         assert!(!jt.should_fail(0), "only fails once");
         jt.map_failed(maps.into_iter().next().unwrap(), 0);
-        let (maps, _, _) = jt.heartbeat(NodeId(5), 4, 1, 0);
+        let (maps, _) = jt.heartbeat(NodeId(5), 4, 1, 0);
         assert_eq!(maps.len(), 1);
         jt.map_completed(0, 4);
         assert!(jt.maps_done());
@@ -711,10 +663,10 @@ mod tests {
     fn speculation_duplicates_stragglers_when_queue_drains() {
         let mut jt = JobTracker::new(vec![desc(0, 0), desc(1, 0)], 0, 0.0);
         jt.set_speculative(true);
-        let (m, _, _) = jt.heartbeat(NodeId(0), 0, 2, 0);
+        let (m, _) = jt.heartbeat(NodeId(0), 0, 2, 0);
         assert_eq!(m.len(), 2);
         // Queue empty; a second TT's free slots re-run the oldest straggler.
-        let (m2, _, _) = jt.heartbeat(NodeId(1), 1, 1, 0);
+        let (m2, _) = jt.heartbeat(NodeId(1), 1, 1, 0);
         assert_eq!(m2.len(), 1);
         assert_eq!(m2[0].idx, 0, "oldest straggler first");
         assert_eq!(jt.speculative_launched(), 1);
@@ -725,7 +677,7 @@ mod tests {
         assert!(jt.map_completed(1, 0));
         assert!(jt.maps_done());
         // A completed task is never speculated again.
-        let (m3, _, _) = jt.heartbeat(NodeId(2), 2, 4, 0);
+        let (m3, _) = jt.heartbeat(NodeId(2), 2, 4, 0);
         assert!(m3.is_empty());
     }
 
@@ -733,7 +685,7 @@ mod tests {
     fn speculation_disabled_by_default() {
         let mut jt = JobTracker::new(vec![desc(0, 0)], 0, 0.0);
         let _ = jt.heartbeat(NodeId(0), 0, 1, 0);
-        let (m, _, _) = jt.heartbeat(NodeId(1), 1, 4, 0);
+        let (m, _) = jt.heartbeat(NodeId(1), 1, 4, 0);
         assert!(m.is_empty(), "no duplicates without speculation");
     }
 
@@ -741,12 +693,12 @@ mod tests {
     fn failed_reduce_is_rescheduled() {
         let mut jt = JobTracker::new(vec![], 2, 0.0);
         jt.inject_reduce_failure(1);
-        let (_, _, r) = jt.heartbeat(NodeId(0), 0, 0, 2);
+        let (_, r) = jt.heartbeat(NodeId(0), 0, 0, 2);
         assert_eq!(r, vec![0, 1]);
         assert!(jt.should_fail_reduce(1));
         assert!(!jt.should_fail_reduce(1), "fails only once");
         jt.reduce_failed(1);
-        let (_, _, r) = jt.heartbeat(NodeId(1), 1, 0, 2);
+        let (_, r) = jt.heartbeat(NodeId(1), 1, 0, 2);
         assert_eq!(r, vec![1]);
         jt.reduce_completed(0);
         jt.reduce_completed(1);
@@ -775,11 +727,11 @@ mod tests {
         // 3 maps, 1 reduce, all on tt0 (NodeId 1); tt1 = NodeId 2.
         let maps: Vec<_> = (0..3).map(|i| desc(i, 1)).collect();
         let mut jt = JobTracker::new(maps, 1, 0.0);
-        let (m, _, r) = jt.heartbeat(NodeId(1), 0, 2, 1);
+        let (m, r) = jt.heartbeat(NodeId(1), 0, 2, 1);
         assert_eq!(m.len(), 2);
         assert_eq!(r, vec![0]);
         assert!(jt.map_completed(0, 0)); // map 0 completed ON tt0
-        let (m2, _, _) = jt.heartbeat(NodeId(2), 1, 1, 0);
+        let (m2, _) = jt.heartbeat(NodeId(2), 1, 1, 0);
         assert_eq!(m2.len(), 1, "map 2 goes to tt1");
 
         let report = jt.node_lost(0);
@@ -799,7 +751,7 @@ mod tests {
         assert_eq!(jt.reduce_failures_seen(), 1);
 
         // The surviving node picks everything back up and the job finishes.
-        let (m3, _, r3) = jt.heartbeat(NodeId(2), 1, 2, 1);
+        let (m3, r3) = jt.heartbeat(NodeId(2), 1, 2, 1);
         assert_eq!(m3.len(), 2);
         assert_eq!(r3, vec![0]);
         assert!(jt.map_completed(2, 1));
@@ -818,7 +770,7 @@ mod tests {
         let mut jt = JobTracker::new(vec![desc(0, 1)], 0, 0.0);
         jt.set_speculative(true);
         let _ = jt.heartbeat(NodeId(1), 0, 1, 0);
-        let (dup, _, _) = jt.heartbeat(NodeId(2), 1, 1, 0);
+        let (dup, _) = jt.heartbeat(NodeId(2), 1, 1, 0);
         assert_eq!(dup.len(), 1, "speculative duplicate launched");
         assert_eq!(jt.running_maps(), 2);
         // tt0 dies: one attempt lost, the duplicate on tt1 survives and the

@@ -21,8 +21,6 @@ pub enum PacketBudget {
     Bytes(u64),
     /// Exactly this many kv-pairs regardless of size (Hadoop-A).
     Records(u64),
-    /// The whole remaining partition (vanilla HTTP fetch).
-    Full,
 }
 
 /// A shuffle message.
@@ -95,7 +93,7 @@ mod tests {
             map_idx: 0,
             reduce: 0,
             attempt: 0,
-            budget: PacketBudget::Full,
+            budget: PacketBudget::Records(1),
         };
         assert_eq!(req.wire_size(), MSG_HEADER_BYTES);
         let resp = ShufMsg::Response {

@@ -81,43 +81,6 @@ const MERGE_BATCH_RECORDS: u64 = 16 * 1024;
 /// DataToReduceQueue depth, in batches.
 const REDUCE_QUEUE_DEPTH: usize = 8;
 
-/// The capability knobs that distinguish the two RDMA designs.
-/// `ShuffleKind::run_reduce` picks a preset; the pipeline below branches on
-/// these capabilities, never on an engine identity.
-#[derive(Debug, Clone, Copy)]
-pub struct RdmaVariant {
-    /// Packets are byte-budgeted (`osu_packet_bytes`) rather than fixed
-    /// kv-count (`hadoop_a_kv_per_packet`).
-    pub byte_packets: bool,
-    /// Pull data eagerly during the map wave (vs headers only, building the
-    /// levitated-merge heap when all headers are in).
-    pub eager_fetch: bool,
-    /// Overflowing packets spill to the reducer's local disk (vs dropped
-    /// and refetched from the TaskTracker).
-    pub local_spill: bool,
-}
-
-impl RdmaVariant {
-    /// OSU-IB: byte-budgeted packets, eager overlap, local spill.
-    pub fn osu_ib() -> Self {
-        RdmaVariant {
-            byte_packets: true,
-            eager_fetch: true,
-            local_spill: true,
-        }
-    }
-
-    /// Hadoop-A: fixed kv-count packets, header-first merge, drop-and-
-    /// refetch on overflow.
-    pub fn hadoop_a() -> Self {
-        RdmaVariant {
-            byte_packets: false,
-            eager_fetch: false,
-            local_spill: false,
-        }
-    }
-}
-
 struct SourceState {
     tt_idx: usize,
     total_records: Option<u64>,
@@ -372,7 +335,6 @@ struct Copier {
     obs: Recorder,
     /// The TaskTracker's group: the receive side dies with the node.
     group: TaskGroup,
-    variant: RdmaVariant,
     my_idx: usize,
     job: JobId,
     reduce_idx: usize,
@@ -478,7 +440,7 @@ impl Copier {
             reduce: self.reduce_idx,
             bytes,
         });
-        if self.variant.local_spill {
+        if self.conf.shuffle.local_spill() {
             // OSU-IB reuses Hadoop's local spill machinery (§III-C-2:
             // minimal changes to the existing merge).
             Arrival::Spill(bytes)
@@ -588,28 +550,27 @@ impl Copier {
     }
 }
 
-/// Runs one Hadoop-A or OSU-IB ReduceTask to completion, branching on
-/// `variant`'s capabilities. `Err` means a shuffle source with partial
-/// deliveries died under the attempt; the caller re-queues the whole task.
-pub async fn run_reduce_rdma(
-    ctx: ReduceCtx,
-    variant: RdmaVariant,
-) -> Result<ReduceStats, ReduceError> {
+/// Runs one Hadoop-A or OSU-IB ReduceTask to completion, branching on the
+/// job's [`ShuffleKind`](crate::ShuffleKind) capabilities. `Err` means a
+/// shuffle source with partial deliveries died under the attempt; the
+/// caller re-queues the whole task.
+pub async fn run_reduce_rdma(ctx: ReduceCtx) -> Result<ReduceStats, ReduceError> {
     let sim = ctx.cluster.sim.clone();
     let conf = Rc::clone(&ctx.conf);
+    let kind = conf.shuffle;
     let node = ctx.tt.node.clone();
     let obs = ctx.tt.obs().clone();
     let my_idx = ctx.tt.idx;
     let liveness = Rc::clone(&ctx.liveness);
 
     let packet_budget = || {
-        if variant.byte_packets {
+        if kind.byte_packets() {
             PacketBudget::Bytes(conf.osu_packet_bytes)
         } else {
             PacketBudget::Records(conf.hadoop_a_kv_per_packet)
         }
     };
-    let est_packet_bytes = if variant.byte_packets {
+    let est_packet_bytes = if kind.byte_packets() {
         conf.osu_packet_bytes
     } else {
         conf.hadoop_a_kv_per_packet * ctx.spec.avg_record_bytes.max(1)
@@ -648,7 +609,6 @@ pub async fn run_reduce_rdma(
         conf: Rc::clone(&conf),
         obs: obs.clone(),
         group: ctx.tt.group.clone(),
-        variant,
         my_idx,
         job: ctx.job,
         reduce_idx: ctx.reduce_idx,
@@ -835,7 +795,7 @@ pub async fn run_reduce_rdma(
                 }
             };
             if want_request {
-                if variant.eager_fetch {
+                if kind.eager_fetch() {
                     send_request(map_idx, packet_budget(), est_packet_bytes, false);
                 } else {
                     // Header only: first kv pair + segment metadata.
@@ -878,7 +838,7 @@ pub async fn run_reduce_rdma(
         // Keep the pipeline fed while maps are still finishing (OSU): pull
         // each discovered source up to its fair share of the shuffle buffer,
         // overlapping the data movement with the map wave (§III-B-4).
-        if variant.eager_fetch {
+        if kind.eager_fetch() {
             refill(Some(conf.shuffle_buffer / discovered.max(8) as u64));
         }
         // Done discovering once every map reported and every source has its
@@ -903,7 +863,7 @@ pub async fn run_reduce_rdma(
     // source has delivered at least a header — so a server death in Phase B
     // either touches only fully-delivered sources (harmless) or fails the
     // attempt; there is no Phase B re-home/reconnect path.
-    let watermark = if variant.byte_packets {
+    let watermark = if kind.byte_packets() {
         (conf.osu_packet_bytes / ctx.spec.avg_record_bytes.max(1)).max(16)
     } else {
         conf.hadoop_a_kv_per_packet.max(16)
@@ -1010,7 +970,7 @@ pub async fn run_reduce_rdma(
         }
         let (spilled, refetch) = spill_readback(&mut merge);
         if spilled > 0 {
-            if variant.local_spill {
+            if kind.local_spill() {
                 // Read the spilled packets back from local disk.
                 if node.fs.exists(spill_file) {
                     let mut r = node.fs.reader(spill_file).expect("spill file");
@@ -1194,7 +1154,6 @@ mod tests {
             conf,
             obs: Recorder::off(),
             group: sim.group(),
-            variant: RdmaVariant::osu_ib(),
             my_idx: 2,
             job: JobId(0),
             reduce_idx: 0,

@@ -309,7 +309,7 @@ async fn fetch_one(
             map_idx,
             reduce: ctx.reduce_idx,
             attempt: ctx.attempt,
-            budget: PacketBudget::Full,
+            budget: PacketBudget::Bytes(STREAM_CHUNK),
         })
         .await
         .is_err()

@@ -101,8 +101,7 @@ pub enum SchedulePolicy {
     /// Hadoop capacity scheduler: jobs are submitted to queues
     /// ([`JobConf::queue`]), each with a guaranteed share of the cluster's
     /// slot pools; slots a queue is not using spill over to queues with
-    /// demand (work conservation), and speculative attempts can be
-    /// preempted when a starved queue has unmet guaranteed demand.
+    /// demand (work conservation).
     Capacity(CapacityPlan),
 }
 
@@ -116,33 +115,28 @@ pub struct QueueShare {
     pub share_mille: u32,
 }
 
-/// Capacity-scheduler configuration: per-queue guarantees plus knobs.
-/// Queues absent from `shares` have no guarantee — their jobs run purely on
-/// spillover slots.
+/// Capacity-scheduler configuration: per-queue guarantees. Queues absent
+/// from `shares` have no guarantee — their jobs run purely on spillover
+/// slots.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct CapacityPlan {
     /// Guaranteed shares, one entry per queue.
     pub shares: Vec<QueueShare>,
-    /// Preempt redundant speculative attempts when a queue with unmet
-    /// guaranteed demand finds every slot taken.
-    pub preempt_speculative: bool,
 }
 
 impl CapacityPlan {
-    /// A plan from `(queue, share_mille)` pairs, preemption off.
+    /// A plan from `(queue, share_mille)` pairs.
     pub fn new(shares: &[(u32, u32)]) -> Self {
         CapacityPlan {
             shares: shares
                 .iter()
                 .map(|&(queue, share_mille)| QueueShare { queue, share_mille })
                 .collect(),
-            preempt_speculative: false,
         }
     }
 
-    /// Enables speculative-attempt preemption.
-    pub fn with_preemption(mut self) -> Self {
-        self.preempt_speculative = true;
+    /// A no-op that returns `self`; it stays because `benchmark/` calls it.
+    pub fn with_preemption(self) -> Self {
         self
     }
 
@@ -263,14 +257,10 @@ struct RtInner {
     /// been submitted yet; consumed by [`Runtime::submit`].
     injected: RefCell<BTreeMap<u32, Vec<FaultEvent>>>,
     /// Running attempts per queue as `(maps, reduces)`, maintained by
-    /// [`Attempt`]s so aborted attempt futures (node kills, preemption)
-    /// release their count on drop. Entries are removed at zero, so a
-    /// drained cluster holds no ledger state.
+    /// [`Attempt`]s so aborted attempt futures (node kills) release their
+    /// count on drop. Entries are removed at zero, so a drained cluster
+    /// holds no ledger state.
     queue_used: RefCell<BTreeMap<u32, (usize, usize)>>,
-    /// Preemptible speculative map attempts in flight:
-    /// `(tt_idx, job, map_idx)` → the signal that tells the attempt to
-    /// stand down. Only populated under `Capacity` with preemption on.
-    spec_running: RefCell<BTreeMap<(usize, u32, usize), Notify>>,
     /// Wakes parked heartbeat daemons when work arrives.
     work: Notify,
     /// Observability bus (off unless built via [`Runtime::with_obs`]).
@@ -343,7 +333,6 @@ impl Runtime {
             next_id: Cell::new(0),
             injected: RefCell::new(BTreeMap::new()),
             queue_used: RefCell::new(BTreeMap::new()),
-            spec_running: RefCell::new(BTreeMap::new()),
             work: Notify::new(),
             obs,
         });
@@ -534,12 +523,6 @@ impl Runtime {
         // Outputs the in-node combiner holds staged but unregistered die
         // with the node; their maps re-queue below via `node_lost`.
         inner.combiner.node_lost(tt_idx);
-        // Aborted speculative attempts can no longer be preempted; their
-        // slot-ledger entries are released by the dropped futures' guards.
-        inner
-            .spec_running
-            .borrow_mut()
-            .retain(|(t, _, _), _| *t != tt_idx);
         inner.obs.emit(|| Ev::NodeDown { node: tt_idx });
         // Every active job loses this node's attempts and completed maps.
         let jobs: Vec<Rc<ActiveJob>> = inner.jobs.borrow().values().cloned().collect();
@@ -773,13 +756,11 @@ impl Runtime {
     }
 }
 
-/// One job's share of a heartbeat's assignments: the maps (with the index
-/// where speculative duplicates begin) and reduces to launch.
+/// One job's share of a heartbeat's assignments: the maps and reduces to
+/// launch.
 struct Assignment {
     job: Rc<ActiveJob>,
     maps: Vec<MapTaskDesc>,
-    /// Index into `maps` where speculative duplicates begin.
-    spec_from: usize,
     reduces: Vec<usize>,
 }
 
@@ -818,19 +799,14 @@ impl RtInner {
             if !job.jt.borrow().has_assignable_work() {
                 continue;
             }
-            let (maps, spec_from, reduces) = job
+            let (maps, reduces) = job
                 .jt
                 .borrow_mut()
                 .heartbeat(node, tt_idx, *free_m, *free_r);
             *free_m = free_m.saturating_sub(maps.len());
             *free_r = free_r.saturating_sub(reduces.len());
             if !maps.is_empty() || !reduces.is_empty() {
-                out.push(Assignment {
-                    job,
-                    maps,
-                    spec_from,
-                    reduces,
-                });
+                out.push(Assignment { job, maps, reduces });
             }
         }
         out
@@ -916,7 +892,7 @@ impl RtInner {
                     if !job.jt.borrow().has_assignable_work() {
                         continue;
                     }
-                    let (maps, spec_from, reduces) = job
+                    let (maps, reduces) = job
                         .jt
                         .borrow_mut()
                         .heartbeat(node, tt_idx, offer_m, offer_r);
@@ -930,7 +906,6 @@ impl RtInner {
                         out.push(Assignment {
                             job: Rc::clone(job),
                             maps,
-                            spec_from,
                             reduces,
                         });
                     }
@@ -938,78 +913,6 @@ impl RtInner {
             }
         }
         out
-    }
-
-    /// A heartbeat found the node saturated under the capacity policy:
-    /// if any queue has unmet *guaranteed* map demand, shed redundant
-    /// speculative attempts on this node (from queues that are not
-    /// themselves starved) to free slots for the next heartbeat. Victims
-    /// are chosen in deterministic `(job, map)` order; the JobTracker
-    /// refuses any preemption that would strand a task, so committed work
-    /// is never lost.
-    fn preempt_for_pressure(&self, tt_idx: usize, plan: &CapacityPlan) {
-        if !plan.preempt_speculative {
-            return;
-        }
-        let pool_m = self.cluster.workers.len() * self.conf.map_slots;
-        let used = self.queue_used.borrow().clone();
-        let mut starved: std::collections::BTreeSet<u32> = std::collections::BTreeSet::new();
-        let mut demand = 0usize;
-        {
-            let jobs = self.jobs.borrow();
-            let active = self.active.borrow();
-            let mut pending_by_q: BTreeMap<u32, usize> = BTreeMap::new();
-            for id in active.iter() {
-                if let Some(j) = jobs.get(id) {
-                    *pending_by_q.entry(j.conf.queue).or_default() += j.jt.borrow().pending_maps();
-                }
-            }
-            for (q, pend) in pending_by_q {
-                let g = plan.guaranteed(q, pool_m);
-                let um = used.get(&q).map(|u| u.0).unwrap_or(0);
-                if pend > 0 && um < g {
-                    starved.insert(q);
-                    demand += pend.min(g - um);
-                }
-            }
-        }
-        if demand == 0 {
-            return;
-        }
-        let keys: Vec<(usize, u32, usize)> = self
-            .spec_running
-            .borrow()
-            .keys()
-            .filter(|(t, _, _)| *t == tt_idx)
-            .copied()
-            .collect();
-        let mut preempted = 0usize;
-        for key in keys {
-            if preempted >= demand {
-                break;
-            }
-            let (_, job_id, map_idx) = key;
-            let job = match self.jobs.borrow().get(&job_id) {
-                Some(j) => Rc::clone(j),
-                None => {
-                    self.spec_running.borrow_mut().remove(&key);
-                    continue;
-                }
-            };
-            if starved.contains(&job.conf.queue) {
-                continue; // shedding a starved queue's own work helps nobody
-            }
-            if job.jt.borrow_mut().preempt_speculative(map_idx, tt_idx) {
-                if let Some(signal) = self.spec_running.borrow_mut().remove(&key) {
-                    signal.notify_all();
-                }
-                preempted += 1;
-            }
-        }
-        if preempted > 0 {
-            // Freed slots become visible at the next heartbeats.
-            self.work.notify_all();
-        }
     }
 
     /// Commits a finished job: per-job cache stats, cluster-wide cleanup of
@@ -1095,11 +998,6 @@ impl RtInner {
             queue: job.conf.queue,
             reduce_stats,
         };
-        // In-flight speculative losers of a finished job keep running to
-        // completion but drop off the preemption radar with the job.
-        self.spec_running
-            .borrow_mut()
-            .retain(|(_, j, _), _| *j != job.id.0);
         *job.result.borrow_mut() = Some(result.clone());
         // Drop the job's scheduling state (its `ActiveJob` — JobTracker
         // event log, locality index) from the runtime; the bare
@@ -1155,18 +1053,11 @@ fn spawn_heartbeat(inner: &Rc<RtInner>, tt: &Rc<TaskTracker>) {
                     .await;
 
                 for a in assignments {
-                    for (i, desc) in a.maps.into_iter().enumerate() {
-                        spawn_map_attempt(&inner, &a.job, &tt, desc, i >= a.spec_from);
+                    for desc in a.maps {
+                        spawn_map_attempt(&inner, &a.job, &tt, desc);
                     }
                     for reduce_idx in a.reduces {
                         spawn_reduce_attempt(&inner, &a.job, &tt, reduce_idx);
-                    }
-                }
-                // Saturated node + starved guaranteed queue → shed
-                // redundant speculative work (capacity policy only).
-                if let SchedulePolicy::Capacity(plan) = &inner.policy {
-                    if tt.map_slots.available() == 0 {
-                        inner.preempt_for_pressure(tt.idx, plan);
                     }
                 }
                 // Observe the post-assignment picture: remaining free slots
@@ -1321,79 +1212,41 @@ fn spawn_map_attempt(
     job: &Rc<ActiveJob>,
     tt: &Rc<TaskTracker>,
     desc: MapTaskDesc,
-    speculative: bool,
 ) {
     let mut attempt = Attempt::launch(inner, job, tt, TaskFlavor::Map, desc.idx);
     let inner = Rc::clone(inner);
     let job = Rc::clone(job);
     let tt = Rc::clone(tt);
     let sim = inner.sim.clone();
-    // A speculative attempt under the capacity policy (with preemption on)
-    // registers a stand-down signal the scheduler can fire under queue
-    // pressure. The `Notified` is armed *here*, before the task first
-    // polls, so a preemption decided in the very heartbeat that spawned it
-    // cannot slip through the edge-triggered window.
-    let spec_key = (tt.idx, job.id.0, desc.idx);
-    let stop = match &inner.policy {
-        SchedulePolicy::Capacity(plan) if speculative && plan.preempt_speculative => {
-            let signal = Notify::new_named("preempt");
-            let stop = signal.notified();
-            inner.spec_running.borrow_mut().insert(spec_key, signal);
-            Some(stop)
-        }
-        _ => None,
-    };
     // The attempt runs in the TaskTracker's task group: a node kill aborts
     // it mid-flight (the JobTracker re-queues the task via `node_lost`).
     tt.group
         .clone()
         .spawn_named(format!("{}-map-{}", job.id, desc.idx), async move {
             attempt.start();
-            let work = async {
-                // JVM spawn + task localisation.
-                sim.sleep(TASK_LAUNCH_OVERHEAD).await;
-                let fail = job.jt.borrow_mut().should_fail(desc.idx);
-                let abort = fail.then_some(0.5);
-                let out = run_map(
-                    &inner.cluster,
-                    &job.conf,
-                    &job.spec,
-                    &tt,
-                    job.id,
-                    &desc,
-                    abort,
-                )
+            // JVM spawn + task localisation.
+            sim.sleep(TASK_LAUNCH_OVERHEAD).await;
+            let fail = job.jt.borrow_mut().should_fail(desc.idx);
+            let abort = fail.then_some(0.5);
+            let outcome = run_map(
+                &inner.cluster,
+                &job.conf,
+                &job.spec,
+                &tt,
+                job.id,
+                &desc,
+                abort,
+            )
+            .await;
+            // Status notification to the JobTracker.
+            inner
+                .cluster
+                .net
+                .transfer(tt.node.id, inner.cluster.master, 256)
                 .await;
-                // Status notification to the JobTracker.
-                inner
-                    .cluster
-                    .net
-                    .transfer(tt.node.id, inner.cluster.master, 256)
-                    .await;
-                out
-            };
-            // `None` = preempted mid-flight: the work future is dropped
-            // (cancelling its in-flight transfers exactly like a node-kill
-            // abort would) and the JobTracker books were already fixed by
-            // the preempting scheduler.
-            let outcome = match stop {
-                None => Some(work.await),
-                // Work is polled first: a preemption that lands as the
-                // work finishes loses.
-                Some(stop) => match select2(work, stop).await {
-                    Either::Left(out) => Some(out),
-                    Either::Right(()) => None,
-                },
-            };
-            if speculative {
-                // Off the preemption radar (no-op if the scheduler or a
-                // job finalize already dropped the entry).
-                inner.spec_running.borrow_mut().remove(&spec_key);
-            }
             attempt.charge();
             match outcome {
-                None => attempt.finish(AttemptOutcome::Preempted),
-                Some(Some(info)) => {
+                Some(info) => {
                     // Registers a final map output for serving, on behalf
                     // of the node that holds it. Only the winning attempt's
                     // output is committed; speculative losers are discarded
@@ -1452,7 +1305,7 @@ fn spawn_map_attempt(
                         }
                     }
                 }
-                Some(None) => {
+                None => {
                     attempt.finish(AttemptOutcome::Failed);
                     job.jt.borrow_mut().map_failed(desc, tt.idx);
                 }

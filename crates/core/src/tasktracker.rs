@@ -35,7 +35,7 @@ use rmr_obs::{Ev, Recorder};
 use rmr_store::FileReader;
 
 use crate::cluster::NodeHandle;
-use crate::config::{JobConf, CPU_SERDE_PER_BYTE, STREAM_CHUNK};
+use crate::config::{JobConf, CPU_SERDE_PER_BYTE};
 use crate::faults::NodeLiveness;
 use crate::mapoutput::MapOutputStore;
 use crate::prefetch::{PrefetchCache, PrefetchRequest, Prefetcher, Priority};
@@ -252,7 +252,6 @@ impl TaskTracker {
             let packet = match budget {
                 PacketBudget::Bytes(b) => ent.cursor.take_bytes(b),
                 PacketBudget::Records(n) => ent.cursor.take_records(n),
-                PacketBudget::Full => ent.cursor.take_bytes(u64::MAX),
             };
             (packet, ent.cursor.remaining_records(), ent.reader.take())
         };
@@ -390,9 +389,10 @@ impl TaskTracker {
 }
 
 /// Vanilla: HTTP servlets. Each accepted connection is handled by a task;
-/// concurrency is bounded by the servlet thread pool. A `Full` request
-/// streams the whole partition in [`STREAM_CHUNK`] pieces, reading each
-/// piece from disk before sending it.
+/// concurrency is bounded by the servlet thread pool. A request streams
+/// the whole partition in pieces of its budget (the vanilla reducer asks
+/// for [`STREAM_CHUNK`](crate::config::STREAM_CHUNK)), reading each piece
+/// from disk before sending it.
 pub(crate) fn start_http_server(tt: &Rc<TaskTracker>, net: &Network) -> TtServerHandle {
     let listener = listen::<ShufMsg>(net, tt.node.id);
     let handle = listener.handle();
@@ -414,7 +414,7 @@ pub(crate) fn start_http_server(tt: &Rc<TaskTracker>, net: &Network) -> TtServer
                                 map_idx,
                                 reduce,
                                 attempt,
-                                ..
+                                budget,
                             } = msg
                             else {
                                 continue;
@@ -422,15 +422,7 @@ pub(crate) fn start_http_server(tt: &Rc<TaskTracker>, net: &Network) -> TtServer
                             let _permit = servlets.acquire(1).await;
                             // Stream the partition in chunks: read, then send.
                             loop {
-                                let resp = tt
-                                    .serve(
-                                        job,
-                                        map_idx,
-                                        reduce,
-                                        attempt,
-                                        PacketBudget::Bytes(STREAM_CHUNK),
-                                    )
-                                    .await;
+                                let resp = tt.serve(job, map_idx, reduce, attempt, budget).await;
                                 // The last packet ends the stream, and so
                                 // does `Unavailable`.
                                 let last = !matches!(
@@ -612,7 +604,7 @@ mod tests {
                 map_idx: 0,
                 reduce: 1,
                 attempt: 0,
-                budget: PacketBudget::Full,
+                budget: PacketBudget::Bytes(u64::MAX),
             })
             .await
             .unwrap();
@@ -696,7 +688,7 @@ mod tests {
                         map_idx,
                         reduce: 0,
                         attempt: 0,
-                        budget: PacketBudget::Full,
+                        budget: PacketBudget::Bytes(u64::MAX),
                     };
                     let answer = match &server {
                         TtServerHandle::Http(h) => {

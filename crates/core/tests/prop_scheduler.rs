@@ -4,9 +4,8 @@
 //! a multi-job runtime produces when several jobs share the same trackers.
 //!
 //! The capacity-queue invariants ride the same harness: delay scheduling
-//! may defer a job by at most its skip budget, speculative preemption may
-//! never strand a task or lose a committed completion, and a queue with a
-//! slot guarantee must overtake a FIFO backlog whenever it has demand.
+//! may defer a job by at most its skip budget, and a queue with a slot
+//! guarantee must overtake a FIFO backlog whenever it has demand.
 
 use std::cell::RefCell;
 use std::collections::BTreeSet;
@@ -71,7 +70,7 @@ proptest! {
                 0 => {
                     let gate_open = jt.maps_completed() as f64
                         >= slowstart * total_maps as f64;
-                    let (maps, _, reduces) =
+                    let (maps, reduces) =
                         jt.heartbeat(NodeId(node), node as usize, mslots, rslots);
                     prop_assert!(maps.len() <= mslots, "over-assignment");
                     prop_assert!(reduces.len() <= rslots, "over-assignment");
@@ -162,7 +161,7 @@ proptest! {
 
         for (node, mslots, _, action, pick) in steps {
             if action % 2 == 0 {
-                let (maps, _, _) = jt.heartbeat(NodeId(node), node as usize, mslots, 0);
+                let (maps, _) = jt.heartbeat(NodeId(node), node as usize, mslots, 0);
                 prop_assert!(maps.len() <= mslots);
                 for m in maps {
                     prop_assert!(
@@ -223,7 +222,7 @@ proptest! {
             if pending == 0 {
                 break;
             }
-            let (maps, _, _) = jt.heartbeat(NodeId(node), node as usize, mslots, 0);
+            let (maps, _) = jt.heartbeat(NodeId(node), node as usize, mslots, 0);
             if maps.is_empty() {
                 declines += 1;
                 prop_assert!(
@@ -240,85 +239,6 @@ proptest! {
                 pending -= maps.len();
             }
         }
-    }
-
-    /// Preemption under queue pressure never loses committed work: a grant
-    /// requires a second live attempt (or an orphaned loser), the last live
-    /// attempt of an incomplete task is always refused, and the completed
-    /// count is untouched by preemption.
-    #[test]
-    fn preemption_never_strands_or_uncompletes(
-        total_maps in 1usize..8,
-        steps in proptest::collection::vec(arb_step(), 1..120),
-    ) {
-        let descs: Vec<MapTaskDesc> =
-            (0..total_maps).map(|i| desc(i, (i % 4) as u32)).collect();
-        let mut jt = JobTracker::new(descs, 0, 0.05);
-        jt.set_speculative(true);
-
-        // Shadow multiset of in-flight attempts (winners removed on
-        // completion; losers stay until finished or preempted).
-        let mut attempts: Vec<(usize, usize)> = Vec::new();
-        let mut completed: BTreeSet<usize> = BTreeSet::new();
-
-        for (node, mslots, _, action, pick) in steps {
-            match action % 3 {
-                0 => {
-                    let (maps, _, _) = jt.heartbeat(NodeId(node), node as usize, mslots, 0);
-                    for m in maps {
-                        attempts.push((m.idx, node as usize));
-                    }
-                }
-                1 => {
-                    if attempts.is_empty() {
-                        continue;
-                    }
-                    let (idx, tt) = attempts.remove(pick as usize % attempts.len());
-                    let first = jt.map_completed(idx, tt);
-                    prop_assert_eq!(first, completed.insert(idx));
-                }
-                _ => {
-                    if attempts.is_empty() {
-                        continue;
-                    }
-                    let at = pick as usize % attempts.len();
-                    let (idx, tt) = attempts[at];
-                    let live = attempts.iter().filter(|(i, _)| *i == idx).count();
-                    let before = jt.maps_completed();
-                    let granted = jt.preempt_speculative(idx, tt);
-                    prop_assert_eq!(jt.maps_completed(), before,
-                        "preemption moved the completed count");
-                    if completed.contains(&idx) {
-                        // Orphaned loser: always redundant, always sheddable.
-                        prop_assert!(granted, "orphan preemption refused");
-                    } else {
-                        prop_assert_eq!(granted, live >= 2,
-                            "grant iff a second live attempt covers the task");
-                    }
-                    if granted {
-                        attempts.remove(at);
-                        if !completed.contains(&idx) {
-                            prop_assert!(
-                                attempts.iter().any(|(i, _)| *i == idx),
-                                "preemption stranded incomplete map {idx}"
-                            );
-                        }
-                    }
-                }
-            }
-            prop_assert_eq!(jt.maps_completed(), completed.len());
-        }
-
-        // Drain every surviving attempt: each task launched at least once
-        // must still be completable — nothing was lost to preemption.
-        let launched: BTreeSet<usize> =
-            attempts.iter().map(|(i, _)| *i).chain(completed.iter().copied()).collect();
-        while let Some((idx, tt)) = attempts.pop() {
-            let first = jt.map_completed(idx, tt);
-            prop_assert_eq!(first, completed.insert(idx));
-        }
-        prop_assert_eq!(completed, launched);
-        prop_assert_eq!(jt.maps_completed(), jt.maps_completed().min(total_maps));
     }
 }
 
@@ -393,11 +313,9 @@ proptest! {
     fn capacity_guarantee_overtakes_fifo_backlog(
         batch_jobs in 2usize..5,
         share0 in 300u32..701,
-        preempt in any::<bool>(),
         seed in 0u64..1000,
     ) {
         let plan = CapacityPlan::new(&[(0, share0), (1, 1000 - share0)]);
-        let plan = if preempt { plan.with_preemption() } else { plan };
         let cap = backlog_run(SchedulePolicy::Capacity(plan), batch_jobs, seed);
         let fifo = backlog_run(SchedulePolicy::Fifo, batch_jobs, seed);
 

@@ -5,22 +5,19 @@
 //! (core-seconds/s split across runnable workers, each capped at one core),
 //! or an SSD's internal bandwidth. Each consumer asks to move `amount` units;
 //! while `n` consumers are active each progresses at
-//! `min(entry_cap * weight, capacity * weight / total_weight)` units per
-//! second.
+//! `min(entry_cap, capacity / n)` units per second.
 //!
 //! # Virtual-service-time formulation
 //!
-//! The solver does *not* store per-entry remaining work. Because both the
-//! fair share (`capacity * w / W`) and the per-entry cap (`entry_cap * w`)
-//! scale linearly with the entry's weight, every active entry progresses at
-//! the *same per-unit-weight rate* `r = min(capacity / W, entry_cap)` — in
+//! The solver does *not* store per-entry remaining work. Every active entry
+//! progresses at the *same rate* `r = min(capacity / n, entry_cap)` — in
 //! both the contended and the cap-bound regime. So a single global virtual
 //! clock `vt` with `dvt/dt = r` describes everyone: an entry arriving at
-//! virtual time `v0` with `amount` units and weight `w` finishes exactly when
-//! `vt` reaches `F = v0 + amount / w`, no matter how membership (and hence
-//! `r`) changes in between. This is the classic fair-queuing virtual-time
-//! argument, and here it is *exact* — no fallback is needed when `entry_cap`
-//! binds, because the cap is also weight-proportional.
+//! virtual time `v0` with `amount` units finishes exactly when `vt` reaches
+//! `F = v0 + amount`, no matter how membership (and hence `r`) changes in
+//! between. This is the classic fair-queuing virtual-time argument, and here
+//! it is *exact* — no fallback is needed when `entry_cap` binds, because the
+//! cap applies to every entry alike.
 //!
 //! Finish tags `F` live in a lazy-deletion min-heap. An arrival, departure,
 //! or completion is O(log n); advancing the clock between events is O(1).
@@ -70,7 +67,6 @@ thread_local! {
 struct Entry {
     /// Virtual finish tag: completes when `vt` reaches this.
     finish_v: f64,
-    weight: f64,
     waker: Option<Waker>,
     done: bool,
     gen: u32,
@@ -114,8 +110,7 @@ struct Inner {
     free: Vec<usize>,
     heap: BinaryHeap<Reverse<HeapItem>>,
     active: usize,
-    total_weight: f64,
-    /// The virtual clock: per-unit-weight service since the last idle period.
+    /// The virtual clock: per-entry service since the last idle period.
     vt: f64,
     last: SimTime,
     /// The scheduled next-completion kernel event, while one is pending.
@@ -124,16 +119,15 @@ struct Inner {
     wake_batch: Vec<usize>,
     served: f64,
     busy: f64,
-    metrics_key: Option<String>,
 }
 
 impl Inner {
-    /// Per-unit-weight service rate while `active > 0`.
+    /// Per-entry service rate while `active > 0`.
     fn unit_rate(&self) -> f64 {
-        if self.total_weight <= 0.0 {
+        if self.active == 0 {
             return 0.0;
         }
-        (self.capacity / self.total_weight).min(self.entry_cap)
+        (self.capacity / self.active as f64).min(self.entry_cap)
     }
 
     /// Advances the virtual clock from `self.last` to `now`. O(1).
@@ -147,7 +141,7 @@ impl Inner {
         self.busy += elapsed;
         let r = self.unit_rate();
         self.vt += r * elapsed;
-        self.served += r * elapsed * self.total_weight;
+        self.served += r * elapsed * self.active as f64;
     }
 
     fn is_stale(&self, item: &HeapItem) -> bool {
@@ -159,9 +153,9 @@ impl Inner {
 
     /// An entry's residual counts as complete once it is below the absolute
     /// EPS or below the virtual clock's float-noise floor.
-    fn finished(&self, finish_v: f64, weight: f64) -> bool {
+    fn finished(&self, finish_v: f64) -> bool {
         let residual_v = finish_v - self.vt;
-        residual_v * weight <= EPS || residual_v <= self.vt * VT_REL_EPS
+        residual_v <= EPS || residual_v <= self.vt * VT_REL_EPS
     }
 
     /// Pops and wakes every entry whose finish tag the clock has reached.
@@ -183,20 +177,16 @@ impl Inner {
                 continue;
             }
             let idx = top.idx as usize;
-            let (finish_v, weight) = {
-                let e = self.entries[idx].as_ref().unwrap();
-                (e.finish_v, e.weight)
-            };
-            if !self.finished(finish_v, weight) {
+            let finish_v = self.entries[idx].as_ref().unwrap().finish_v;
+            if !self.finished(finish_v) {
                 break;
             }
             FLUID_ADVANCE_WORK.with(|w| w.set(w.get() + 1));
             self.heap.pop();
             // `advance` billed this entry through `vt`; refund the overshoot
             // past its own finish tag so `served` stays exact.
-            self.served -= (self.vt - finish_v).max(0.0) * weight;
+            self.served -= (self.vt - finish_v).max(0.0);
             self.active -= 1;
-            self.total_weight -= weight;
             self.entries[idx].as_mut().unwrap().done = true;
             batch.push(idx);
         }
@@ -218,7 +208,6 @@ impl Inner {
     /// With no active entries, rebase the virtual clock (kills accumulated
     /// float error) and drop stale heap leftovers from cancellations.
     fn reset_clock(&mut self) {
-        self.total_weight = 0.0;
         self.vt = 0.0;
         self.heap.clear();
     }
@@ -259,7 +248,7 @@ impl Fluid {
         Self::with_entry_cap(sim, capacity, f64::INFINITY)
     }
 
-    /// Creates a resource where a single consumer of weight 1 can progress at
+    /// Creates a resource where a single consumer can progress at
     /// most `entry_cap` units/second even when the resource is idle. Used for
     /// CPUs: capacity = cores, entry_cap = 1 core.
     pub fn with_entry_cap(sim: &Sim, capacity: f64, entry_cap: f64) -> Self {
@@ -274,24 +263,14 @@ impl Fluid {
                 free: Vec::new(),
                 heap: BinaryHeap::new(),
                 active: 0,
-                total_weight: 0.0,
                 vt: 0.0,
                 last: sim.now(),
                 next_event: None,
                 wake_batch: Vec::new(),
                 served: 0.0,
                 busy: 0.0,
-                metrics_key: None,
             })),
         }
-    }
-
-    /// Tags the resource so that, on demand, busy time and served units are
-    /// published to the simulation metrics under `<key>.busy_s` and
-    /// `<key>.served`.
-    pub fn with_metrics_key(self, key: impl Into<String>) -> Self {
-        self.inner.borrow_mut().metrics_key = Some(key.into());
-        self
     }
 
     /// The configured capacity in units/second.
@@ -320,44 +299,19 @@ impl Fluid {
         inner.busy
     }
 
-    /// Publishes `busy_s` / `served` to the metrics registry (if a key was
-    /// set with [`Fluid::with_metrics_key`]).
-    pub fn publish_metrics(&self) {
-        let key = self.inner.borrow().metrics_key.clone();
-        if let Some(key) = key {
-            let busy = self.busy_seconds();
-            let served = self.inner.borrow().served;
-            let m = self.sim.metrics();
-            m.add(
-                &format!("{key}.busy_s"),
-                busy - m.get(&format!("{key}.busy_s")),
-            );
-            m.add(
-                &format!("{key}.served"),
-                served - m.get(&format!("{key}.served")),
-            );
-        }
-    }
-
-    /// Consumes `amount` units with weight 1.
-    pub fn consume(&self, amount: f64) -> ConsumeFuture {
-        self.consume_weighted(amount, 1.0)
-    }
-
-    /// Consumes `amount` units with the given fair-share `weight`.
+    /// Consumes `amount` units at an equal share of the capacity.
     ///
     /// The consumer starts progressing immediately (at call time), even
     /// before the returned future is first polled; dropping the future
     /// cancels the remaining work.
-    pub fn consume_weighted(&self, amount: f64, weight: f64) -> ConsumeFuture {
-        assert!(weight > 0.0, "weight must be positive");
+    pub fn consume(&self, amount: f64) -> ConsumeFuture {
         assert!(amount.is_finite() && amount >= 0.0, "bad amount {amount}");
         let now = self.sim.now();
         let mut inner = self.inner.borrow_mut();
         inner.advance(now);
         inner.complete_finished();
         let done = amount <= EPS;
-        let finish_v = inner.vt + amount / weight;
+        let finish_v = inner.vt + amount;
         let idx = if let Some(idx) = inner.free.pop() {
             idx
         } else {
@@ -368,14 +322,12 @@ impl Fluid {
         let gen = inner.slot_gens[idx];
         inner.entries[idx] = Some(Entry {
             finish_v,
-            weight,
             waker: None,
             done,
             gen,
         });
         if !done {
             inner.active += 1;
-            inner.total_weight += weight;
             inner.heap.push(Reverse(HeapItem {
                 finish_v,
                 idx: idx as u32,
@@ -407,7 +359,6 @@ impl Fluid {
             if !e.done {
                 // Cancelled mid-flight.
                 inner.active -= 1;
-                inner.total_weight -= e.weight;
                 if inner.active == 0 {
                     inner.reset_clock();
                 }
@@ -690,33 +641,6 @@ mod tests {
         }
         sim.run();
         assert_eq!(t.get().as_nanos(), 1_250_000_000);
-    }
-
-    #[test]
-    fn weighted_sharing_splits_proportionally() {
-        let sim = Sim::new(1);
-        let f = Fluid::new(&sim, 100.0);
-        let t = Rc::new(Cell::new(SimTime::ZERO));
-        {
-            // weight 3 → 75 u/s while both active
-            let f = f.clone();
-            let sim2 = sim.clone();
-            let t2 = Rc::clone(&t);
-            sim.spawn(async move {
-                f.consume_weighted(150.0, 3.0).await;
-                t2.set(sim2.now());
-            })
-            .detach();
-        }
-        {
-            let f = f.clone();
-            sim.spawn(async move {
-                f.consume_weighted(1_000.0, 1.0).await;
-            })
-            .detach();
-        }
-        sim.run();
-        assert_eq!(t.get(), at_secs(2)); // 150u at 75u/s
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! The solver in `resource/fluid.rs` tracks one virtual clock and per-entry
 //! finish tags in a min-heap; the oracle below re-derives completion times
 //! the slow, obvious way — advance every active entry at
-//! `min(capacity * w / W, entry_cap * w)` until the next arrival or
-//! completion, O(n) per event. Both must agree on *when* every consumer
-//! finishes, for arbitrary arrival schedules, weights, and entry caps.
+//! `min(capacity / n, entry_cap)` until the next arrival or completion,
+//! O(n) per event. Both must agree on *when* every consumer finishes, for
+//! arbitrary arrival schedules and entry caps.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -17,9 +17,8 @@ use rmr_des::prelude::*;
 use rmr_des::resource::fluid::FLUID_ADVANCE_WORK;
 use rmr_des::sync::{select2, Either};
 
-/// One generated consumer: `(amount, arrival, weight)` in units, seconds,
-/// and unitless weight.
-type Job = (f64, f64, f64);
+/// One generated consumer: `(amount, arrival)` in units and seconds.
+type Job = (f64, f64);
 
 /// Brute-force processor-sharing oracle: event-stepped, O(n) per step.
 /// Returns each job's completion time in seconds. Matches the solver's
@@ -45,18 +44,16 @@ fn oracle_finish_times(jobs: &[Job], capacity: f64, entry_cap: f64) -> Vec<f64> 
             }
             break;
         }
-        let total_w: f64 = active.iter().map(|&i| jobs[i].2).sum();
-        // Per-unit-weight rate: every active entry shares it (see the
-        // module docs in resource/fluid.rs for why it is uniform).
-        let r = (capacity / total_w).min(entry_cap);
+        // Every active entry progresses at the same rate.
+        let r = (capacity / active.len() as f64).min(entry_cap);
         let dt_done = active
             .iter()
-            .map(|&i| (remaining[i] - EPS) / (r * jobs[i].2))
+            .map(|&i| (remaining[i] - EPS) / r)
             .fold(f64::INFINITY, f64::min)
             .max(0.0);
         let dt = dt_done.min(next_arrival - t);
         for &i in &active {
-            remaining[i] -= dt * r * jobs[i].2;
+            remaining[i] -= dt * r;
         }
         t += dt;
         for &i in &active {
@@ -68,40 +65,38 @@ fn oracle_finish_times(jobs: &[Job], capacity: f64, entry_cap: f64) -> Vec<f64> 
     finish
 }
 
-const WEIGHTS: [f64; 3] = [1.0, 2.0, 4.0];
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The heap solver and the brute-force oracle agree on every
-    /// completion time, across random arrival schedules, mixed weights,
-    /// and entry caps. This is the end-to-end correctness property of the
+    /// completion time, across random arrival schedules and entry caps.
+    /// This is the end-to-end correctness property of the
     /// virtual-service-time rewrite.
     #[test]
     fn fluid_matches_brute_force_oracle(
-        raw in proptest::collection::vec((1u64..5_000, 0u64..2_000, 0usize..3), 1..16),
+        raw in proptest::collection::vec((1u64..5_000, 0u64..2_000), 1..16),
         capacity in 1u64..1_000,
-        // 0 = uncapped; otherwise units/second per unit weight.
+        // 0 = uncapped; otherwise units/second per consumer.
         cap_raw in 0u64..500,
     ) {
         let capacity = capacity as f64;
         let entry_cap = if cap_raw == 0 { f64::INFINITY } else { cap_raw as f64 };
         let jobs: Vec<Job> = raw
             .iter()
-            .map(|&(a, d, w)| (a as f64, d as f64 / 1e3, WEIGHTS[w]))
+            .map(|&(a, d)| (a as f64, d as f64 / 1e3))
             .collect();
 
         let sim = Sim::new(11);
         let fluid = Fluid::with_entry_cap(&sim, capacity, entry_cap);
         let finish: Rc<RefCell<Vec<f64>>> = Rc::new(RefCell::new(vec![f64::NAN; jobs.len()]));
-        for (i, &(amount, _, weight)) in jobs.iter().enumerate() {
+        for (i, &(amount, _)) in jobs.iter().enumerate() {
             let delay_ms = raw[i].1;
             let sim2 = sim.clone();
             let fluid = fluid.clone();
             let finish = Rc::clone(&finish);
             sim.spawn(async move {
                 sim2.sleep(SimDuration::from_millis(delay_ms)).await;
-                fluid.consume_weighted(amount, weight).await;
+                fluid.consume(amount).await;
                 finish.borrow_mut()[i] = sim2.now().as_nanos() as f64 / 1e9;
             })
             .detach();
@@ -115,9 +110,7 @@ proptest! {
             // Slack: the solver's 1e-6-unit completion tolerance divided by
             // the slowest possible entry rate, plus relative float drift
             // over a long virtual-clock run, plus nanosecond quantisation.
-            let w = jobs[i].2;
-            let total_w: f64 = jobs.iter().map(|j| j.2).sum();
-            let slowest_rate = (capacity / total_w).min(entry_cap) * w;
+            let slowest_rate = (capacity / jobs.len() as f64).min(entry_cap);
             let tol = 2e-6 / slowest_rate + 1e-6 * e + 1e-6;
             prop_assert!(
                 (g - e).abs() <= tol,
@@ -138,8 +131,8 @@ proptest! {
     #[test]
     fn fluid_survives_cancellation(
         raw in proptest::collection::vec(
-            // (amount, arrival ms, weight index, cancel-after ms; 0 = never)
-            (1u64..5_000, 0u64..500, 0usize..3, 0u64..200),
+            // (amount, arrival ms, cancel-after ms; 0 = never)
+            (1u64..5_000, 0u64..500, 0u64..200),
             1..16,
         ),
         capacity in 1u64..100,
@@ -148,14 +141,14 @@ proptest! {
         let fluid = Fluid::new(&sim, capacity as f64);
         let completed: Rc<RefCell<Vec<usize>>> = Rc::new(RefCell::new(Vec::new()));
         let cancelled: Rc<RefCell<Vec<usize>>> = Rc::new(RefCell::new(Vec::new()));
-        for (i, &(amount, delay_ms, w, cancel_ms)) in raw.iter().enumerate() {
+        for (i, &(amount, delay_ms, cancel_ms)) in raw.iter().enumerate() {
             let sim2 = sim.clone();
             let fluid = fluid.clone();
             let completed = Rc::clone(&completed);
             let cancelled = Rc::clone(&cancelled);
             sim.spawn(async move {
                 sim2.sleep(SimDuration::from_millis(delay_ms)).await;
-                let consume = fluid.consume_weighted(amount as f64, WEIGHTS[w]);
+                let consume = fluid.consume(amount as f64);
                 if cancel_ms == 0 {
                     consume.await;
                     completed.borrow_mut().push(i);
@@ -175,7 +168,7 @@ proptest! {
         let cancelled = cancelled.borrow();
         prop_assert_eq!(completed.len() + cancelled.len(), raw.len(),
             "every consumer resolved one way or the other");
-        for (i, &(_, _, _, cancel_ms)) in raw.iter().enumerate() {
+        for (i, &(_, _, cancel_ms)) in raw.iter().enumerate() {
             if cancel_ms == 0 {
                 prop_assert!(completed.contains(&i), "job {i} (no timeout) must complete");
             }

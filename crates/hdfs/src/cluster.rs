@@ -532,11 +532,6 @@ impl HdfsReader {
         self.idx += 1;
         Ok(Some(self.cluster.read_block(&b, self.client).await?))
     }
-
-    /// Remaining block count.
-    pub fn remaining_blocks(&self) -> usize {
-        self.blocks.len() - self.idx
-    }
 }
 
 #[cfg(test)]

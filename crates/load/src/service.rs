@@ -30,8 +30,9 @@ pub const SERVICE_BLOCK: u64 = 32 << 20;
 pub enum ServicePolicy {
     /// Strict job-arrival order (head-of-line blocking under heavy tails).
     Fifo,
-    /// Capacity queues built from each tenant's `share_mille`;
-    /// `preempt` enables standing down speculative attempts under pressure.
+    /// Capacity queues built from each tenant's `share_mille`. `preempt`
+    /// only selects the `cap+preempt` report label; it stays because
+    /// `benchmark/` sets it.
     Capacity { preempt: bool },
 }
 
@@ -65,18 +66,13 @@ impl ServiceSpec {
     fn schedule_policy(&self) -> SchedulePolicy {
         match self.policy {
             ServicePolicy::Fifo => SchedulePolicy::Fifo,
-            ServicePolicy::Capacity { preempt } => {
+            ServicePolicy::Capacity { .. } => {
                 let shares: Vec<(u32, u32)> = self
                     .tenants
                     .iter()
                     .map(|t| (t.queue, t.share_mille))
                     .collect();
-                let plan = CapacityPlan::new(&shares);
-                SchedulePolicy::Capacity(if preempt {
-                    plan.with_preemption()
-                } else {
-                    plan
-                })
+                SchedulePolicy::Capacity(CapacityPlan::new(&shares))
             }
         }
     }

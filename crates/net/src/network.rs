@@ -261,18 +261,16 @@ impl Network {
         let mut nodes = nodes.borrow_mut();
         let id = NodeId(nodes.len() as u32);
         let rails = (1..fabric.rails)
-            .map(|r| {
+            .map(|_| {
                 (
-                    Fluid::new(sim, fabric.link_bw)
-                        .with_metrics_key(format!("net.{id}.rail{r}.tx")),
-                    Fluid::new(sim, fabric.link_bw)
-                        .with_metrics_key(format!("net.{id}.rail{r}.rx")),
+                    Fluid::new(sim, fabric.link_bw),
+                    Fluid::new(sim, fabric.link_bw),
                 )
             })
             .collect();
         nodes.push(NodeNet {
-            tx: Fluid::new(sim, fabric.link_bw).with_metrics_key(format!("net.{id}.tx")),
-            rx: Fluid::new(sim, fabric.link_bw).with_metrics_key(format!("net.{id}.rx")),
+            tx: Fluid::new(sim, fabric.link_bw),
+            rx: Fluid::new(sim, fabric.link_bw),
             rails,
             cpu,
         });
@@ -281,10 +279,9 @@ impl Network {
             let mut racks = racks.borrow_mut();
             while racks.len() <= rack {
                 let bw = topology.core_bw(fabric.link_bw);
-                let r = racks.len();
                 racks.push(RackNet {
-                    up: Fluid::new(sim, bw).with_metrics_key(format!("net.rack{r}.up")),
-                    down: Fluid::new(sim, bw).with_metrics_key(format!("net.rack{r}.down")),
+                    up: Fluid::new(sim, bw),
+                    down: Fluid::new(sim, bw),
                 });
             }
         }

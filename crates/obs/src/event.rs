@@ -38,9 +38,7 @@ pub enum AttemptOutcome {
     Discarded,
     /// Injected or induced failure.
     Failed,
-    /// Speculative attempt stood down by the capacity scheduler to free a
-    /// slot for a queue below its guarantee; the original attempt keeps
-    /// running, so no committed work is lost.
+    /// Never emitted; it stays because `benchmark/` matches on it.
     Preempted,
 }
 

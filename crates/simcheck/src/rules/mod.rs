@@ -184,8 +184,7 @@ impl Rule {
             }
             Rule::StaleAllow => "delete the directive (or fix its rule name)",
             Rule::MatchLeak => {
-                "move the dispatch into a ShuffleKind method in config.rs, or branch on an \
-                 RdmaVariant capability instead of the kind"
+                "move the dispatch into a ShuffleKind method in config.rs and branch on that"
             }
         }
     }

@@ -90,13 +90,13 @@ pub struct Disk {
 }
 
 impl Disk {
-    /// Creates a device; `tag` names it in metrics (`disk.<tag>.…`).
-    pub fn new(sim: &Sim, params: DiskParams, tag: &str) -> Self {
-        let bw = Fluid::new(sim, params.seq_bw).with_metrics_key(format!("disk.{tag}"));
+    /// Creates a device. `_tag` is unused; it stays because `benchmark/`
+    /// passes one.
+    pub fn new(sim: &Sim, params: DiskParams, _tag: &str) -> Self {
         Disk {
             sim: sim.clone(),
             slots: Semaphore::new(params.queue_depth),
-            bw,
+            bw: Fluid::new(sim, params.seq_bw),
             params: Rc::new(params),
             inner: Rc::new(RefCell::new(DiskInner {
                 last_stream: None,

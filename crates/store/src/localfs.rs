@@ -86,17 +86,17 @@ impl std::error::Error for FsError {}
 impl LocalFs {
     /// Creates a filesystem over `n_disks` devices of the given parameters,
     /// with a page cache of `cache_budget` bytes shared across them.
-    /// `tag` prefixes the per-disk metric keys.
+    /// `_tag` is unused; it stays because `benchmark/` passes one.
     pub fn new(
         sim: &Sim,
         params: DiskParams,
         n_disks: usize,
         cache_budget: u64,
-        tag: &str,
+        _tag: &str,
     ) -> Self {
         assert!(n_disks > 0, "need at least one disk");
         let disks = (0..n_disks)
-            .map(|i| Disk::new(sim, params.clone(), &format!("{tag}.d{i}")))
+            .map(|_| Disk::new(sim, params.clone(), ""))
             .collect();
         LocalFs {
             disks: Rc::new(disks),
@@ -125,11 +125,6 @@ impl LocalFs {
             cpu.consume(IO_CPU_PER_OP + IO_CPU_PER_BYTE * bytes as f64)
                 .await;
         }
-    }
-
-    /// Number of devices.
-    pub fn disk_count(&self) -> usize {
-        self.disks.len()
     }
 
     /// The underlying page cache (for instrumentation).
@@ -228,14 +223,6 @@ impl LocalFs {
             pos: 0,
         })
     }
-
-    /// One-shot whole-file read with a fresh stream (pays its own seek).
-    pub async fn read_all(&self, path: &str) -> Result<u64, FsError> {
-        let size = self.size(path)?;
-        let r = self.reader(path)?;
-        r.read_exact_owned(size).await?;
-        Ok(size)
-    }
 }
 
 /// Sequential append handle; one I/O stream on the owning disk.
@@ -309,17 +296,6 @@ impl FileReader {
     pub fn remaining(&self) -> Result<u64, FsError> {
         Ok(self.fs.size(&self.path)? - self.pos)
     }
-
-    /// `read_exact` consuming self (for one-shot helpers).
-    async fn read_exact_owned(mut self, bytes: u64) -> Result<(), FsError> {
-        self.read_exact(bytes).await
-    }
-}
-
-/// Convenience: builds a JBOD `LocalFs` from a disk preset name used in the
-/// paper's configurations.
-pub fn jbod(sim: &Sim, params: DiskParams, n: usize, cache: u64, tag: &str) -> LocalFs {
-    LocalFs::new(sim, params, n, cache, tag)
 }
 
 #[cfg(test)]

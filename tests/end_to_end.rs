@@ -3,8 +3,8 @@
 
 use rmr_core::cluster::{Cluster, NodeSpec};
 use rmr_core::{
-    run_job, run_job_with_faults, FaultPlan, JobConf, JobResult, Runtime, SchedulePolicy,
-    ShuffleKind,
+    run_job, run_job_with_faults, CapacityPlan, FaultPlan, JobConf, JobResult, Runtime,
+    SchedulePolicy, ShuffleKind,
 };
 use rmr_des::Sim;
 use rmr_hdfs::HdfsConfig;
@@ -228,24 +228,91 @@ fn failed_reduce_is_reexecuted_and_job_still_validates() {
     );
 }
 
+/// Speculative maps under FIFO (one job) and under a 600/400 capacity
+/// plan (one job per queue, submitted together): every output validates,
+/// duplicates really ran, no job-keyed state survives, and the run replays.
 #[test]
 fn speculative_execution_completes_and_validates() {
+    let capacity = SchedulePolicy::Capacity(CapacityPlan::new(&[(0, 600), (1, 400)]));
+    for (policy, queues) in [(SchedulePolicy::Fifo, &[0][..]), (capacity, &[0, 1][..])] {
+        let run = speculative_run(&policy, queues);
+        assert_eq!(run.records.len(), queues.len());
+        assert!(
+            run.records.iter().all(|&r| r > 100_000),
+            "speculation must not corrupt output: {:?}",
+            run.records
+        );
+        assert!(
+            run.map_attempts > run.maps,
+            "{policy:?}: {} attempts for {} maps",
+            run.map_attempts,
+            run.maps
+        );
+        assert_eq!(run.footprint, 0, "job-keyed state leaked");
+        let again = speculative_run(&policy, queues);
+        assert_eq!(
+            again.trace_hash, run.trace_hash,
+            "{policy:?} did not replay"
+        );
+    }
+}
+
+struct SpeculativeRun {
+    /// Validated output records, one entry per job.
+    records: Vec<u64>,
+    maps: usize,
+    map_attempts: usize,
+    footprint: usize,
+    trace_hash: u64,
+}
+
+/// One speculative 12 MB TeraSort per queue in `queues`, all over one
+/// input and submitted at once. Four workers write the input as four
+/// one-block files, so even two jobs leave map slots free for duplicates.
+fn speculative_run(policy: &SchedulePolicy, queues: &[u32]) -> SpeculativeRun {
     let sim = Sim::new(66);
-    let cluster = small_cluster(&sim, 3, FabricParams::ib_verbs_qdr());
+    let cluster = small_cluster(&sim, 4, FabricParams::ib_verbs_qdr());
     let reduces = 3;
     let mut conf = small_conf(ShuffleKind::OsuIb, reduces);
     conf.speculative_maps = true;
+    let obs = Recorder::on(&sim);
+    let rt_obs = obs.clone();
+    let (policy, queues) = (policy.clone(), queues.to_vec());
     let result = std::rc::Rc::new(std::cell::RefCell::new(None));
     let r2 = std::rc::Rc::clone(&result);
     let c2 = cluster.clone();
     sim.spawn(async move {
         let expected = teragen(&c2, "/in", 12 << 20, true).await;
-        let res = run_job(&c2, conf, terasort_spec("/in", "/out")).await;
-        let report = teravalidate(&c2, "/out", reduces, expected).await.unwrap();
-        *r2.borrow_mut() = Some((res, report.records));
+        let rt = Runtime::with_obs(&c2, conf.clone(), policy, rt_obs);
+        let ids: Vec<_> = queues
+            .iter()
+            .map(|&queue| {
+                let mut c = conf.clone();
+                c.queue = queue;
+                rt.submit(c, terasort_spec("/in", &format!("/out{queue}")))
+            })
+            .collect();
+        let (mut maps, mut records) = (0, Vec::new());
+        for (queue, id) in queues.iter().zip(ids) {
+            maps += rt.join(id).await.maps;
+            let out = format!("/out{queue}");
+            let report = teravalidate(&c2, &out, reduces, expected).await.unwrap();
+            records.push(report.records);
+        }
+        *r2.borrow_mut() = Some((records, maps, rt.state_footprint().total()));
     })
     .detach();
     sim.run();
-    let (_res, records) = result.borrow_mut().take().expect("job hung");
-    assert!(records > 100_000, "speculation must not corrupt output");
+    let (records, maps, footprint) = result.borrow_mut().take().expect("jobs hung");
+    let map_attempts = spans_from_events(&obs.events())
+        .iter()
+        .filter(|s| s.kind == TaskFlavor::Map)
+        .count();
+    SpeculativeRun {
+        records,
+        maps,
+        map_attempts,
+        footprint,
+        trace_hash: sim.trace_hash(),
+    }
 }
