@@ -43,8 +43,8 @@ pub use config::{JobConf, ShuffleKind};
 pub use faults::{FaultEvent, FaultPlan, NodeLiveness};
 pub use job::{run_job, run_job_with_faults, JobResult};
 pub use record::{
-    decode_records, encode_records, HashPartitioner, MapSink, Partitioner, Record, Segment,
-    TotalOrderPartitioner,
+    block_records, decode_records, encode_records, BlockRecords, HashPartitioner, MapSink,
+    Partitioner, Record, Segment, TotalOrderPartitioner,
 };
 pub use runtime::{CapacityPlan, JobId, QueueShare, Runtime, SchedulePolicy, StateFootprint};
 pub use spec::JobSpec;

@@ -8,13 +8,16 @@
 //!
 //! That is the *simulated* cost. On the host, real records follow
 //! [`crate::record`]'s copy rule, the way Hadoop's `kvbuffer`/`kvmeta` keep
-//! bytes in an arena and sort an index. An identity map adopts its input:
-//! the HDFS block becomes the run's backing buffer and only a 16-byte index
-//! entry per record is built and sorted ([`Segment::from_encoded`]) — no
-//! record is materialised, no byte copied. Any other attempt holds nothing
-//! but its output across a simulated charge: it counts its input with a
-//! header walk, and only after the read and map charges does it show the map
-//! function one by-value [`Record`] window at a time. The function emits
+//! bytes in an arena and sort an index, and the split is read through
+//! [`block_records`] whichever way its block holds them. An identity map
+//! adopts its input: an encoded HDFS block becomes the run's backing buffer
+//! and only a 16-byte index entry per record is built and sorted
+//! ([`Segment::from_encoded`]); a block an identity reduce wrote already
+//! holds sorted windows, which are joined as they stand. No record is
+//! materialised, no byte copied. Any other attempt holds nothing but its
+//! output across a simulated charge: it counts its input (a header walk over
+//! encoded bytes), and only after the read and map charges does it show the
+//! map function one by-value [`Record`] window at a time. The function emits
 //! into a [`MapSink`] — encoded straight into the arena that becomes the
 //! output run, or, with a combiner, into a group table that copies a key
 //! only the first time it sees it — and the table is combined, and dropped,
@@ -22,7 +25,7 @@
 
 use std::rc::Rc;
 
-use bytes::{Bytes, BytesMut};
+use bytes::BytesMut;
 
 use crate::cluster::Cluster;
 use crate::config::{
@@ -31,7 +34,7 @@ use crate::config::{
 };
 use crate::jobtracker::MapTaskDesc;
 use crate::mapoutput::MapOutputInfo;
-use crate::record::{count_records, walk, GroupTable, MapSink, Record, Segment};
+use crate::record::{block_records, BlockRecords, GroupTable, MapSink, Record, Segment};
 use crate::runtime::JobId;
 use crate::spec::JobSpec;
 use crate::tasktracker::TaskTracker;
@@ -41,22 +44,16 @@ enum RealInput {
     /// An identity map's: indexed where it lies, already the sorted output.
     Run(Segment),
     /// For the map or combine function.
-    Block(Bytes),
+    Block(BlockRecords),
 }
 
-/// Shows the map function (the identity without one) each record of `data`
+/// Shows the map function (the identity without one) each record of `block`
 /// as a by-value view, one at a time: no view outlives the call.
-fn map_block(data: &Bytes, spec: &JobSpec, mut sink: MapSink) {
-    for (key, value) in walk(data) {
-        let r = Record {
-            key: data.slice(key),
-            value: data.slice(value),
-        };
-        match &spec.mapper {
-            Some(f) => f(&r, &mut sink),
-            None => sink.emit(&r.key, r.value),
-        }
-    }
+fn map_block(block: &BlockRecords, spec: &JobSpec, mut sink: MapSink) {
+    block.for_each(|r: Record| match &spec.mapper {
+        Some(f) => f(&r, &mut sink),
+        None => sink.emit(&r.key, r.value),
+    });
 }
 
 /// Runs one map attempt of `job`. When `abort_fraction` is set (fault
@@ -86,12 +83,12 @@ pub async fn run_map(
     // lies (already its sorted output); user code's views wait for step 3.
     let identity = spec.mapper.is_none() && spec.combiner.is_none();
     let real_input: Option<RealInput> = block.data.map(|data| match identity {
-        true => RealInput::Run(Segment::from_encoded(data)),
-        false => RealInput::Block(data),
+        true => RealInput::Run(block_records(data).into_run()),
+        false => RealInput::Block(block_records(data)),
     });
     let in_records = match &real_input {
         Some(RealInput::Run(run)) => run.records,
-        Some(RealInput::Block(data)) => count_records(data) as u64,
+        Some(RealInput::Block(block)) => block.count() as u64,
         None => (in_bytes / spec.avg_record_bytes.max(1)).max(1),
     };
     node.compute(CPU_SERDE_PER_BYTE * in_bytes as f64).await;
@@ -108,18 +105,18 @@ pub async fn run_map(
     let out_real: Option<Segment> = match (real_input, &spec.combiner) {
         (None, _) => None,
         (Some(RealInput::Run(run)), _) => Some(run),
-        (Some(RealInput::Block(data)), None) => {
+        (Some(RealInput::Block(block)), None) => {
             let mut arena = BytesMut::new();
-            map_block(&data, spec, MapSink::Arena(&mut arena));
+            map_block(&block, spec, MapSink::Arena(&mut arena));
             Some(Segment::from_encoded(arena.freeze()))
         }
         // Map-side combiner: fold the mapper's output straight into the
         // group table, never holding the uncombined output. Same key ⇒ same
         // partition, so combining before the partition step is equivalent
         // to Hadoop's per-spill combine. The charge needs only the count.
-        (Some(RealInput::Block(data)), Some(combine)) => {
+        (Some(RealInput::Block(block)), Some(combine)) => {
             let mut table = GroupTable::default();
-            map_block(&data, spec, MapSink::Groups(&mut table));
+            map_block(&block, spec, MapSink::Groups(&mut table));
             let folded = table.records();
             let combined = table.combine(combine);
             node.compute(CPU_REDUCE_PER_RECORD * folded as f64).await;

@@ -24,8 +24,15 @@
 //! * **mapper / combiner output** pays one encode into a fresh arena — a
 //!   mapper's as it emits ([`MapSink`]), a combiner's through
 //!   [`Segment::from_records`];
-//! * **reduce output** pays one gather, record by record, straight into the
-//!   open HDFS block (`Segment::encode_into` under `ReduceSink`).
+//! * **identity reduce output** is held, not copied: the output block keeps
+//!   the merged windows the reduce sink was given (a 16-byte `Entry` per
+//!   record over the batch's shared index), and HDFS keeps the input blocks
+//!   they point into for the file's life anyway;
+//! * **a user reducer's output** pays one encode into the open HDFS block.
+//!
+//! Every reader of a real HDFS block — a map's input, the validators, the
+//! tests — goes through [`block_records`], whichever way the block holds its
+//! records.
 //!
 //! [`Record`] is the by-value view user code sees ([`decode_records`],
 //! [`Segment::to_records`], [`for_each_group`]): two [`Bytes`] windows into
@@ -38,16 +45,18 @@
 //! The index is sorted; the bytes it points into are not. A loop that walks
 //! entries in key order and reads each record therefore goes to a scattered
 //! offset per record, a DRAM miss apiece, so it prefetches the record it
-//! will read a few entries on (`RealRun::prefetch`) — the reduce gather
-//! eight ahead in batch order, the streaming merge two ahead in the source
+//! will read a few entries on (`RealRun::prefetch`) — the held-block walk
+//! eight ahead in file order, the streaming merge two ahead in the source
 //! it pops. A prefetch is a hint: it moves no byte and changes no value.
 
+use std::any::Any;
 use std::cmp::Ordering;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
 use std::rc::Rc;
 
 use bytes::{BufMut, Bytes, BytesMut};
+use rmr_hdfs::{BlockData, HeldPiece};
 
 use crate::merge::{Emit, StreamingMerge};
 use crate::spec::ReduceFn;
@@ -433,21 +442,18 @@ impl RealRun {
         }
     }
 
-    /// `e` as it lies in its buffer: header, key, value.
-    fn encoded(&self, e: &Entry) -> &[u8] {
+    /// `e` as the by-value view user code sees.
+    fn record(&self, e: &Entry) -> Record {
         let (buf, key, value) = self.locate(e);
-        &buf[key.start - 8..value.end]
+        Record {
+            key: buf.slice(key),
+            value: buf.slice(value),
+        }
     }
 
     /// The window's records, each as the by-value view user code sees.
     fn records(&self) -> impl Iterator<Item = Record> + '_ {
-        self.entries().iter().map(|e| {
-            let (buf, key, value) = self.locate(e);
-            Record {
-                key: buf.slice(key),
-                value: buf.slice(value),
-            }
-        })
+        self.entries().iter().map(|e| self.record(e))
     }
 
     /// Key order of two entries of this run: the prefixes settle it unless
@@ -501,8 +507,8 @@ fn prefetch_line(p: *const u8) {
     let _ = p;
 }
 
-/// How far ahead of the record it copies the reduce gather prefetches, in
-/// entries: far enough to cover a DRAM miss with eight 108-byte copies.
+/// How far ahead of the record it reads the held-block walk prefetches, in
+/// entries: far enough to cover a DRAM miss with eight records' work.
 const GATHER_PREFETCH_AHEAD: usize = 8;
 
 /// The contents of a sorted run: real records or synthetic counts.
@@ -648,17 +654,6 @@ impl Segment {
         })
     }
 
-    /// Appends the window's records to `buf` in [`encode_records`]' layout:
-    /// the one copy a reduce output byte pays (nothing for synthetic data).
-    pub(crate) fn encode_into(&self, buf: &mut BytesMut) {
-        if let Some(run) = self.real() {
-            for (i, e) in run.entries().iter().enumerate() {
-                run.prefetch(i + GATHER_PREFETCH_AHEAD);
-                buf.put_slice(run.encoded(e));
-            }
-        }
-    }
-
     /// Splits a real segment in front of its trailing key group: everything
     /// before the last key's first record, and that key's records.
     pub(crate) fn split_trailing_group(&self) -> (Segment, Segment) {
@@ -764,6 +759,99 @@ impl Segment {
         match merge.emit(u64::MAX) {
             Emit::Data(merged) => merged,
             _ => Segment::from_sorted(Vec::new()),
+        }
+    }
+}
+
+/// An output block may hold a run as it stands: it counts for its records as
+/// [`encode_records`] would lay them out, each under an 8-byte header.
+impl HeldPiece for Segment {
+    fn file_len(&self) -> u64 {
+        self.bytes + 8 * self.records
+    }
+}
+
+/// The records of one real HDFS block, in file order, whichever way the
+/// block holds them: as [`encode_records`]' bytes, or as the runs an
+/// identity reduce handed its output file ([`BlockData::Held`]). Made by
+/// [`block_records`].
+#[derive(Debug, Clone)]
+pub struct BlockRecords(BlockData);
+
+/// The one way to read a real HDFS block's records.
+pub fn block_records(data: BlockData) -> BlockRecords {
+    BlockRecords(data)
+}
+
+/// The runs a block holds, in file order.
+fn held_runs(pieces: &[Box<dyn HeldPiece>]) -> impl Iterator<Item = &Segment> {
+    pieces.iter().map(|piece| {
+        let piece: &dyn Any = &**piece;
+        (piece.downcast_ref::<Segment>())
+            .filter(|seg| seg.is_real())
+            .expect("a held piece is a real run")
+    })
+}
+
+/// Calls `f` with every entry of the held runs in file order, prefetching
+/// [`GATHER_PREFETCH_AHEAD`] entries ahead: the runs are sorted, the bytes
+/// they point into are where the input blocks had them.
+fn walk_held(pieces: &[Box<dyn HeldPiece>], mut f: impl FnMut(&RealRun, &Entry)) {
+    for run in held_runs(pieces).filter_map(Segment::real) {
+        for (i, e) in run.entries().iter().enumerate() {
+            run.prefetch(i + GATHER_PREFETCH_AHEAD);
+            f(run, e);
+        }
+    }
+}
+
+impl BlockRecords {
+    /// How many records the block holds (a header walk over encoded bytes).
+    pub fn count(&self) -> usize {
+        match &self.0 {
+            BlockData::Encoded(data) => count_records(data),
+            BlockData::Held(pieces) => held_runs(pieces).map(|run| run.records as usize).sum(),
+        }
+    }
+
+    /// Calls `f` with each record's key in file order; no view is built.
+    pub fn for_each_key(&self, mut f: impl FnMut(&[u8])) {
+        match &self.0 {
+            BlockData::Encoded(data) => walk(data).for_each(|(key, _)| f(&data[key])),
+            BlockData::Held(pieces) => walk_held(pieces, |run, e| f(run.key(e))),
+        }
+    }
+
+    /// Calls `f` with each record in file order, as the by-value view user
+    /// code sees.
+    pub fn for_each(&self, mut f: impl FnMut(Record)) {
+        match &self.0 {
+            BlockData::Encoded(data) => {
+                for (key, value) in walk(data) {
+                    f(Record {
+                        key: data.slice(key),
+                        value: data.slice(value),
+                    });
+                }
+            }
+            BlockData::Held(pieces) => walk_held(pieces, |run, e| f(run.record(e))),
+        }
+    }
+
+    /// The records, collected.
+    pub fn to_records(&self) -> Vec<Record> {
+        let mut out = Vec::with_capacity(self.count());
+        self.for_each(|r| out.push(r));
+        out
+    }
+
+    /// The block's records as one sorted run: encoded bytes are indexed
+    /// where they lie and sorted ([`Segment::from_encoded`]); held runs,
+    /// already in key order, are joined.
+    pub(crate) fn into_run(self) -> Segment {
+        match self.0 {
+            BlockData::Encoded(data) => Segment::from_encoded(data),
+            BlockData::Held(pieces) => Segment::concat(held_runs(&pieces).cloned().collect()),
         }
     }
 }
@@ -1044,8 +1132,7 @@ mod tests {
     }
 
     /// An adopted block is the run's one backing buffer: the index points at
-    /// the block's own headers, sorted stably, and encoding the run back out
-    /// is `encode_records` of the sorted records.
+    /// the block's own headers, sorted stably.
     #[test]
     fn from_encoded_indexes_the_block_in_place() {
         let records = vec![
@@ -1073,9 +1160,6 @@ mod tests {
             rec(b"b", b"0"),
         ];
         assert_eq!(seg.to_records().expect("real"), sorted);
-        let mut out = BytesMut::new();
-        seg.encode_into(&mut out);
-        assert_eq!(out.freeze(), encode_records(&sorted));
     }
 
     #[test]

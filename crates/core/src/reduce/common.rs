@@ -1,11 +1,17 @@
 //! Shared reduce-side machinery: the output sink (user reduce function +
 //! HDFS writer) and the map-completion event poller.
+//!
+//! The sink follows [`crate::record`]'s copy rule: without a reduce function
+//! its output blocks hold the merged windows it was given as they stand
+//! ([`HdfsWriter::write_held`]) — a 16-byte index entry per record over the
+//! merge batch's shared index, no byte gathered — and a reduce function's
+//! output pays one encode into the open block. Both are charged alike.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use rmr_des::sync::Notify;
-use rmr_hdfs::Blob;
+use rmr_hdfs::{Blob, HdfsWriter, HeldPiece};
 
 use crate::cluster::{Cluster, NodeHandle};
 use crate::config::{JobConf, CPU_REDUCE_PER_BYTE, CPU_REDUCE_PER_RECORD, CPU_SERDE_PER_BYTE};
@@ -105,7 +111,7 @@ pub async fn poll_events(
 /// sorted batches and streams the result into an HDFS writer. Handles key
 /// groups that straddle batch boundaries by holding back the trailing group.
 pub struct ReduceSink {
-    writer: Option<rmr_hdfs::HdfsWriter>,
+    writer: Option<HdfsWriter>,
     node: NodeHandle,
     spec: JobSpec,
     path: String,
@@ -179,7 +185,7 @@ impl ReduceSink {
             }
             let mut groups = std::mem::replace(&mut self.held, vec![tail]);
             groups.push(head);
-            self.emit_groups(&groups).await;
+            self.emit_groups(groups).await;
         } else {
             let out = (seg.bytes as f64 * self.spec.reduce_output_ratio) as u64;
             self.out_bytes += out;
@@ -190,15 +196,15 @@ impl ReduceSink {
         }
     }
 
-    fn writer(&mut self) -> &mut rmr_hdfs::HdfsWriter {
+    fn writer(&mut self) -> &mut HdfsWriter {
         self.writer.as_mut().expect("sink already finished")
     }
 
     /// Reduces and writes the concatenation of `pieces` (whole key groups, in
-    /// key order), gathered straight into the open HDFS block: the identity
-    /// reducer's output is the pieces' records as they lie in their buffers,
-    /// a user reducer's is encoded from what it returned.
-    async fn emit_groups(&mut self, pieces: &[Segment]) {
+    /// key order) as one piece of the output file: the identity reducer's
+    /// output is the pieces themselves, held by the open HDFS block; a user
+    /// reducer's is encoded into it from what the function returned.
+    async fn emit_groups(&mut self, pieces: Vec<Segment>) {
         let reduced: Option<Vec<Record>> = self.spec.reducer.as_ref().map(|f| {
             let records: Vec<Record> = pieces.iter().flat_map(Segment::iter_real).collect();
             let mut out = Vec::new();
@@ -207,18 +213,25 @@ impl ReduceSink {
         });
         let len = match &reduced {
             Some(out) => encoded_len(out),
-            None => pieces.iter().map(|p| p.bytes + 8 * p.records).sum(),
+            None => pieces.iter().map(HeldPiece::file_len).sum(),
         };
         if len == 0 {
             return;
         }
         self.node.compute(CPU_SERDE_PER_BYTE * len as f64).await;
         self.out_bytes += len;
-        let fill = |buf: &mut bytes::BytesMut| match &reduced {
-            Some(out) => encode_into(out, buf),
-            None => pieces.iter().for_each(|p| p.encode_into(buf)),
+        let written = match reduced {
+            Some(out) => {
+                let fill = |buf: &mut bytes::BytesMut| encode_into(&out, buf);
+                self.writer().write_with(len, fill).await
+            }
+            None => {
+                let held = pieces.into_iter().filter(|p| p.records > 0);
+                let held = held.map(|p| Box::new(p) as Box<dyn HeldPiece>).collect();
+                self.writer().write_held(held).await
+            }
         };
-        (self.writer().write_with(len, fill).await).expect("output write");
+        written.expect("output write");
     }
 
     /// Flushes the held group and closes the output file. Returns
@@ -226,7 +239,7 @@ impl ReduceSink {
     pub async fn finish(mut self) -> (u64, u64, u64) {
         let held = std::mem::take(&mut self.held);
         let real = !held.is_empty();
-        self.emit_groups(&held).await;
+        self.emit_groups(held).await;
         self.writer
             .take()
             .expect("double finish")
@@ -307,21 +320,27 @@ mod tests {
             sink.consume(Segment::from_encoded(block.clone())).await;
             assert_eq!(block.strong_count(), windows + 1);
             let (in_recs, in_bytes, out_bytes) = sink.finish().await;
-            assert_eq!(block.strong_count(), windows);
+            // The part file holds the run's windows, not a copy: the block
+            // stays pinned while the file exists.
+            assert_eq!(block.strong_count(), windows + 1);
             assert_eq!((in_recs, in_bytes), (4, 8));
             assert_eq!(
                 out_bytes,
                 in_bytes + 8 * in_recs,
                 "identity: every record, framed"
             );
+            assert_eq!(c2.hdfs.file_size("/out/part-00000"), Ok(out_bytes));
             // Read back and check order & count.
             let mut r = c2.hdfs.open("/out/part-00000", node.id).await.unwrap();
             let mut all = Vec::new();
             while let Some(b) = r.next_block().await.unwrap() {
-                all.extend(crate::record::decode_records(b.data.unwrap()));
+                all.extend(crate::record::block_records(b.data.unwrap()).to_records());
             }
-            assert_eq!(all.len(), 4);
-            assert!(all.windows(2).all(|w| w[0].key <= w[1].key));
+            let want = [(b"a", b"1"), (b"b", b"2"), (b"b", b"3"), (b"c", b"4")];
+            assert_eq!(all, want.map(|(k, v)| rec(k, v)));
+            drop(all);
+            c2.hdfs.delete("/out/part-00000", node.id).await.unwrap();
+            assert_eq!(block.strong_count(), windows);
         })
         .detach();
         sim.run();

@@ -26,7 +26,7 @@ use rmr_net::{Network, NodeId};
 use rmr_store::LocalFs;
 
 use crate::namenode::{BlockMeta, NameNode};
-use crate::types::{Blob, BlockId, HdfsConfig, HdfsError};
+use crate::types::{Blob, BlockData, BlockId, HdfsConfig, HdfsError, HeldPiece};
 
 /// One DataNode: a cluster node plus its local filesystem.
 #[derive(Clone)]
@@ -46,7 +46,7 @@ pub struct HdfsCluster {
     cfg: Rc<HdfsConfig>,
     nn: Rc<RefCell<NameNode>>,
     dns: Rc<RefCell<Vec<DataNode>>>,
-    contents: Rc<RefCell<BTreeMap<BlockId, Bytes>>>,
+    contents: Rc<RefCell<BTreeMap<BlockId, BlockData>>>,
 }
 
 /// Size of a NameNode RPC on the wire.
@@ -261,19 +261,24 @@ pub struct BlockRead {
     /// Whether a local replica served it.
     pub local: bool,
     /// Content in real-data runs.
-    pub data: Option<Bytes>,
+    pub data: Option<BlockData>,
 }
 
 /// The real content of an open block: nothing yet, the one blob it can adopt
-/// as it stands, or the buffer it is being built in. There is no third way to
-/// hold bytes, so a block that got a blob and then more has copied the blob
-/// into its buffer first — [`HdfsWriter::seal_current`] checks that nothing
-/// was lost on the way.
+/// as it stands, the buffer it is being built in, or the pieces it holds as
+/// they were handed over. There is no other way to hold bytes, so a block
+/// that got a blob and then more has copied the blob into its buffer first —
+/// [`HdfsWriter::seal_current`] checks that nothing was lost on the way. A
+/// block holds encoded bytes or held pieces, never both.
 enum Content {
     Empty,
     Adopted(Bytes),
     Building(BytesMut),
+    Held(Vec<Box<dyn HeldPiece>>),
 }
+
+/// Why a block cannot take a piece of the other kind.
+const MIXED: &str = "a block holds encoded bytes or held pieces, not both";
 
 impl Content {
     /// The block's buffer, reserved once at `reserve` bytes (the block size,
@@ -289,6 +294,7 @@ impl Content {
                 buf
             }
             Content::Building(buf) => buf,
+            Content::Held(_) => panic!("{MIXED}"),
         }
     }
 }
@@ -374,6 +380,24 @@ impl HdfsWriter {
                 "{path}: a {len}-byte piece was filled with {filled} bytes"
             );
             Content::Building(buf)
+        };
+        self.write_real(len, put).await
+    }
+
+    /// Appends `pieces` as they stand, kept whole within one block like a
+    /// real blob of [`Self::write`] and charged the same for their
+    /// [`HeldPiece::file_len`]s: nothing is encoded or copied, the block
+    /// holds the pieces themselves ([`BlockData::Held`]).
+    pub async fn write_held(&mut self, pieces: Vec<Box<dyn HeldPiece>>) -> Result<(), HdfsError> {
+        assert!(!self.closed, "write after close");
+        let len = pieces.iter().map(|p| p.file_len()).sum();
+        let put = |content| match content {
+            Content::Empty => Content::Held(pieces),
+            Content::Held(mut held) => {
+                held.extend(pieces);
+                Content::Held(held)
+            }
+            Content::Adopted(_) | Content::Building(_) => panic!("{MIXED}"),
         };
         self.write_real(len, put).await
     }
@@ -482,21 +506,22 @@ impl HdfsWriter {
             c.nn_rpc(self.client).await;
             c.nn.borrow_mut()
                 .seal_block(&self.path, cur.meta.id, cur.written)?;
-            // Either way the block adopts what it holds: the one blob it was
-            // given, or the buffer its pieces were written into. Nothing is
-            // copied at seal.
+            // The block adopts what it holds: the one blob it was given, the
+            // buffer its pieces were written into, or the held pieces.
+            // Nothing is copied at seal.
             let content = match cur.content {
                 Content::Empty => return Ok(()),
-                Content::Adopted(blob) => blob,
-                Content::Building(buf) => buf.freeze(),
+                Content::Adopted(blob) => BlockData::Encoded(blob),
+                Content::Building(buf) => BlockData::Encoded(buf.freeze()),
+                Content::Held(pieces) => BlockData::Held(pieces.into()),
             };
             assert_eq!(
-                content.len() as u64,
+                content.file_len(),
                 cur.written,
                 "{}: block {} holds {} real bytes of {} written",
                 self.path,
                 cur.meta.id,
-                content.len(),
+                content.file_len(),
                 cur.written
             );
             c.contents.borrow_mut().insert(cur.meta.id, content);
@@ -545,6 +570,14 @@ mod tests {
     const PARENT_LENGTHS: [u64; 5] = [70, 50, 100, 120, 10];
     const PARENT_EVENTS_AND_HASH: (u64, u64) = (118, 0x0b58_165e_87f6_81f7);
 
+    /// The encoded bytes a block read returned.
+    fn encoded(data: Option<BlockData>) -> Bytes {
+        match data.expect("content present") {
+            BlockData::Encoded(bytes) => bytes,
+            held => panic!("encoded content expected, got {held:?}"),
+        }
+    }
+
     fn quick_setup(
         seed: u64,
         n_dn: usize,
@@ -591,7 +624,7 @@ mod tests {
             let mut r = h2.open("/data", client).await.unwrap();
             let mut got = Vec::new();
             while let Some(b) = r.next_block().await.unwrap() {
-                got.extend_from_slice(&b.data.expect("content present"));
+                got.extend_from_slice(&encoded(b.data));
             }
             assert_eq!(got, payload);
             ok2.set(true);
@@ -630,7 +663,7 @@ mod tests {
                 assert_eq!(meta.size, 80);
                 assert_eq!(meta.replicas.len(), replication as usize);
                 let read = h2.read_block(meta, client).await.unwrap();
-                let data = read.data.expect("content present");
+                let data = encoded(read.data);
                 assert_eq!(data, *blob);
                 assert_eq!(data.as_ptr(), blob.as_ptr(), "adopted, not copied");
             }
@@ -640,9 +673,9 @@ mod tests {
             let first = r.next_block().await.unwrap().expect("first block");
             assert_eq!(first.size, 70);
             let want = [vec![3u8; 30], vec![4u8; 40]].concat();
-            assert_eq!(first.data.expect("content present").as_ref(), &want[..]);
+            assert_eq!(encoded(first.data).as_ref(), &want[..]);
             let second = r.next_block().await.unwrap().expect("second block");
-            let data = second.data.expect("content present");
+            let data = encoded(second.data);
             assert_eq!(data, shared[2]);
             assert_eq!(data.as_ptr(), shared[2].as_ptr());
             assert!(r.next_block().await.unwrap().is_none());
@@ -695,7 +728,7 @@ mod tests {
             w.close().await.unwrap();
             let mut r = h2.open("/f", client).await.unwrap();
             while let Some(b) = r.next_block().await.unwrap() {
-                let data = b.data.expect("content present");
+                let data = encoded(b.data);
                 assert_eq!(data.len() as u64, b.size);
                 let mut out = out2.borrow_mut();
                 out.0.push(b.size);
@@ -728,6 +761,82 @@ mod tests {
         assert_eq!(piecewise_writes(|_| true), blobs);
         assert_eq!(piecewise_writes(|i| i % 2 == 1), blobs);
         assert_eq!(piecewise_writes(|i| i % 2 == 0), blobs);
+    }
+
+    /// A held piece in these tests: its length, and a byte to tell it by.
+    #[derive(Debug)]
+    struct Piece(u64, u8);
+
+    impl HeldPiece for Piece {
+        fn file_len(&self) -> u64 {
+            self.0
+        }
+    }
+
+    impl HeldPiece for Rc<Piece> {
+        fn file_len(&self) -> u64 {
+            self.0
+        }
+    }
+
+    /// The pieces of `piecewise_writes`, held instead of encoded: the same
+    /// blocks, events and trace hash, and each block holds its pieces as
+    /// they were handed over.
+    #[test]
+    fn held_pieces_cut_the_same_blocks_as_bytes() {
+        let (sim, hdfs) = quick_setup(8, 3, 2, 100);
+        let h2 = hdfs.clone();
+        let out = Rc::new(RefCell::new(Vec::new()));
+        let out2 = Rc::clone(&out);
+        sim.spawn(async move {
+            let client = h2.dn_node(0);
+            let mut w = h2.create("/f", client).await.unwrap();
+            for (i, len) in [30u64, 40, 50, 80, 20, 120, 10].into_iter().enumerate() {
+                let piece: Box<dyn HeldPiece> = Box::new(Piece(len, i as u8 + 1));
+                w.write_held(vec![piece]).await.unwrap();
+            }
+            w.close().await.unwrap();
+            let mut r = h2.open("/f", client).await.unwrap();
+            while let Some(b) = r.next_block().await.unwrap() {
+                let Some(BlockData::Held(pieces)) = b.data else {
+                    panic!("held content expected");
+                };
+                let tags: Vec<u8> = pieces
+                    .iter()
+                    .map(|p| {
+                        (&**p as &dyn std::any::Any)
+                            .downcast_ref::<Piece>()
+                            .unwrap()
+                            .1
+                    })
+                    .collect();
+                out2.borrow_mut().push((b.size, tags));
+            }
+        })
+        .detach();
+        sim.run();
+        let (lengths, tags): (Vec<u64>, Vec<Vec<u8>>) = out.take().into_iter().unzip();
+        assert_eq!(lengths, PARENT_LENGTHS);
+        assert_eq!(tags, [vec![1, 2], vec![3], vec![4, 5], vec![6], vec![7]]);
+        assert_eq!(
+            (sim.events_fired(), sim.trace_hash()),
+            PARENT_EVENTS_AND_HASH
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "a block holds encoded bytes or held pieces, not both")]
+    fn a_block_takes_one_kind_of_content() {
+        let (sim, hdfs) = quick_setup(9, 1, 1, 100);
+        sim.spawn(async move {
+            let mut w = hdfs.create("/f", hdfs.dn_node(0)).await.unwrap();
+            w.write(Blob::real(Bytes::from_static(b"abc")))
+                .await
+                .unwrap();
+            let _ = w.write_held(vec![Box::new(Piece(3, 0))]).await;
+        })
+        .detach();
+        sim.run();
     }
 
     #[test]
@@ -855,6 +964,8 @@ mod tests {
     fn delete_removes_replicas_and_content() {
         let (sim, hdfs) = quick_setup(4, 2, 2, 1000);
         let h2 = hdfs.clone();
+        let piece = Rc::new(Piece(3, 0));
+        let p2 = Rc::clone(&piece);
         sim.spawn(async move {
             let client = h2.dn_node(0);
             let mut w = h2.create("/f", client).await.unwrap();
@@ -862,18 +973,26 @@ mod tests {
                 .await
                 .unwrap();
             w.close().await.unwrap();
-            let blocks = h2.nn.borrow().blocks("/f").unwrap();
-            h2.delete("/f", client).await.unwrap();
-            assert!(!h2.exists("/f"));
-            for b in blocks {
-                assert!(h2.contents.borrow().get(&b.id).is_none());
-                for dn in h2.dns.borrow().iter() {
-                    assert!(!dn.fs.exists(&b.id.to_string()));
+            // Held content goes with its file too.
+            let mut w = h2.create("/g", client).await.unwrap();
+            w.write_held(vec![Box::new(Rc::clone(&p2))]).await.unwrap();
+            w.close().await.unwrap();
+            assert_eq!(Rc::strong_count(&p2), 3);
+            for path in ["/f", "/g"] {
+                let blocks = h2.nn.borrow().blocks(path).unwrap();
+                h2.delete(path, client).await.unwrap();
+                assert!(!h2.exists(path));
+                for b in blocks {
+                    assert!(h2.contents.borrow().get(&b.id).is_none());
+                    for dn in h2.dns.borrow().iter() {
+                        assert!(!dn.fs.exists(&b.id.to_string()));
+                    }
                 }
             }
         })
         .detach();
         sim.run();
+        assert_eq!(Rc::strong_count(&piece), 1, "the held piece was dropped");
     }
 
     #[test]

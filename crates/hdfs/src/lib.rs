@@ -15,4 +15,4 @@ pub mod types;
 
 pub use cluster::{BlockRead, DataNode, HdfsCluster, HdfsReader, HdfsWriter};
 pub use namenode::{BlockMeta, NameNode};
-pub use types::{Blob, BlockId, HdfsConfig, HdfsError};
+pub use types::{Blob, BlockData, BlockId, HdfsConfig, HdfsError, HeldPiece};

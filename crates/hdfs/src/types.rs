@@ -1,4 +1,7 @@
-//! Common HDFS types: ids, configuration, data blobs, errors.
+//! Common HDFS types: ids, configuration, data blobs, block content, errors.
+
+use std::any::Any;
+use std::rc::Rc;
 
 use bytes::Bytes;
 
@@ -68,6 +71,36 @@ impl Blob {
         match &self.data {
             Some(d) => d.len() as u64 == self.len,
             None => true,
+        }
+    }
+}
+
+/// Real content a writer hands a block as it stands — records kept where
+/// they already lie, in a form only the layer that wrote them reads back.
+/// HDFS holds the piece and needs nothing of it but its length.
+pub trait HeldPiece: Any + std::fmt::Debug {
+    /// The bytes the piece counts for in its file.
+    fn file_len(&self) -> u64;
+}
+
+/// The real content of a sealed block: the bytes it was written as, or the
+/// pieces its writer handed over whole.
+#[derive(Debug, Clone)]
+pub enum BlockData {
+    /// Encoded bytes: real blobs ([`Blob::real`]) and in-place fills
+    /// ([`crate::HdfsWriter::write_with`]), one buffer per block.
+    Encoded(Bytes),
+    /// The pieces [`crate::HdfsWriter::write_held`] was given, in write
+    /// order.
+    Held(Rc<[Box<dyn HeldPiece>]>),
+}
+
+impl BlockData {
+    /// The bytes the block's content counts for.
+    pub(crate) fn file_len(&self) -> u64 {
+        match self {
+            BlockData::Encoded(bytes) => bytes.len() as u64,
+            BlockData::Held(pieces) => pieces.iter().map(|p| p.file_len()).sum(),
         }
     }
 }

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 
 use bytes::Bytes;
 use rmr_des::Sim;
-use rmr_hdfs::{Blob, HdfsCluster, HdfsConfig};
+use rmr_hdfs::{Blob, BlockData, HdfsCluster, HdfsConfig};
 use rmr_net::{FabricParams, Network};
 use rmr_store::{DiskParams, LocalFs};
 
@@ -102,7 +102,7 @@ proptest! {
             let mut r = h.open("/blob", reader_node).await.unwrap();
             let mut got = Vec::new();
             while let Some(b) = r.next_block().await.unwrap() {
-                if let Some(d) = b.data {
+                if let Some(BlockData::Encoded(d)) = b.data {
                     got.extend_from_slice(&d);
                 }
             }

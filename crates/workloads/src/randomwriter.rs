@@ -128,15 +128,21 @@ pub async fn validate_sort(
             .open(&path, client)
             .await
             .map_err(|e| e.to_string())?;
-        let mut records: Vec<Record> = Vec::new();
+        // The last key seen in this partition (none yet: empty, which
+        // precedes every key).
+        let (mut prev, mut in_order) = (Vec::new(), true);
         while let Some(block) = reader.next_block().await.map_err(|e| e.to_string())? {
             let data = block.data.ok_or_else(|| format!("{path}: no content"))?;
-            records.extend(rmr_core::decode_records(data));
+            rmr_core::block_records(data).for_each_key(|key| {
+                in_order &= *prev <= *key;
+                prev.clear();
+                prev.extend_from_slice(key);
+                total += 1;
+            });
         }
-        if !records.windows(2).all(|w| w[0].key <= w[1].key) {
+        if !in_order {
             return Err(format!("{path}: out-of-order records"));
         }
-        total += records.len() as u64;
     }
     if total != expected_records {
         return Err(format!(
@@ -182,11 +188,11 @@ mod tests {
                 .unwrap();
             let mut sizes = Vec::new();
             while let Some(b) = r.next_block().await.unwrap() {
-                for rec in rmr_core::decode_records(b.data.unwrap()) {
+                rmr_core::block_records(b.data.unwrap()).for_each(|rec| {
                     assert!(rec.key.len() >= KEY_MIN && rec.key.len() <= KEY_MAX);
                     assert!(rec.value.len() <= VALUE_MAX);
                     sizes.push(rec.size());
-                }
+                });
             }
             assert!(sizes.len() > 20);
             let distinct: std::collections::BTreeSet<_> = sizes.iter().collect();

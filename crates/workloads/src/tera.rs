@@ -12,8 +12,7 @@ use bytes::BufMut;
 use rand::Rng;
 
 use rmr_core::cluster::Cluster;
-use rmr_core::record::walk;
-use rmr_core::JobSpec;
+use rmr_core::{block_records, JobSpec};
 use rmr_hdfs::Blob;
 
 /// Key bytes per record.
@@ -131,15 +130,16 @@ pub async fn teravalidate(
             let data = block
                 .data
                 .ok_or_else(|| format!("{path}: no content (synthetic run?)"))?;
-            for (key, _) in walk(&data) {
-                let key = &data[key];
-                if *prev > *key {
-                    // Within the partition or across the boundary before it.
-                    return Err(format!("{path}: out-of-order records"));
-                }
+            let mut in_order = true;
+            block_records(data).for_each_key(|key| {
+                // Within the partition or across the boundary before it.
+                in_order &= *prev <= *key;
                 prev.clear();
                 prev.extend_from_slice(key);
                 total += 1;
+            });
+            if !in_order {
+                return Err(format!("{path}: out-of-order records"));
             }
         }
     }
@@ -208,10 +208,10 @@ mod tests {
                 .unwrap();
             let mut records = 0;
             while let Some(b) = r.next_block().await.unwrap() {
-                for (key, value) in walk(&b.data.unwrap()) {
-                    assert_eq!((key.len(), value.len()), (KEY_BYTES, VALUE_BYTES));
+                block_records(b.data.unwrap()).for_each(|r| {
+                    assert_eq!((r.key.len(), r.value.len()), (KEY_BYTES, VALUE_BYTES));
                     records += 1;
-                }
+                });
             }
             assert_eq!(records, 100_000 / RECORD_BYTES);
         })

@@ -221,7 +221,7 @@ pub async fn read_counts(
             .map_err(|e| e.to_string())?;
         while let Some(block) = reader.next_block().await.map_err(|e| e.to_string())? {
             let data = block.data.ok_or_else(|| format!("{path}: no content"))?;
-            for rec in rmr_core::decode_records(data) {
+            for rec in rmr_core::block_records(data).to_records() {
                 let word = String::from_utf8_lossy(&rec.key).to_string();
                 let count: u64 = String::from_utf8_lossy(&rec.value)
                     .parse()

@@ -3,8 +3,8 @@
 
 use rmr_core::cluster::{Cluster, NodeSpec};
 use rmr_core::{
-    run_job, run_job_with_faults, CapacityPlan, FaultPlan, JobConf, JobResult, Runtime,
-    SchedulePolicy, ShuffleKind,
+    run_job, run_job_with_faults, CapacityPlan, FaultPlan, JobConf, JobResult, MapSink, Record,
+    Runtime, SchedulePolicy, ShuffleKind,
 };
 use rmr_des::Sim;
 use rmr_hdfs::HdfsConfig;
@@ -105,6 +105,69 @@ fn osu_ib_real_terasort_validates() {
     assert!(
         res.cache_hits > 0,
         "prefetch cache must see hits in an OSU run"
+    );
+}
+
+/// An 8 MB real TeraSort on `kind`, then a second job over its output: an
+/// identity TeraSort, or one whose mapper passes each record through. Both
+/// outputs validate; returns the records the second one holds and the
+/// run's trace hash.
+fn chained_terasort(kind: ShuffleKind, pass_through: bool) -> (u64, u64) {
+    let sim = Sim::new(104);
+    // 1 MB blocks: each 4 MB part file the first job writes is several
+    // blocks, and so several splits of the second job.
+    let mut spec = NodeSpec::westmere_compute();
+    spec.page_cache = 256 << 20;
+    let cluster = Cluster::build(
+        &sim,
+        fabric_for(kind),
+        &vec![spec; 2],
+        HdfsConfig {
+            block_size: 1 << 20,
+            replication: 1,
+            packet_size: 256 << 10,
+        },
+    );
+    let reduces = 2;
+    let conf = small_conf(kind, reduces);
+    let validated = std::rc::Rc::new(std::cell::Cell::new(None));
+    let v2 = std::rc::Rc::clone(&validated);
+    let c2 = cluster.clone();
+    sim.spawn(async move {
+        let records = teragen(&c2, "/in", 8 << 20, true).await;
+        run_job(&c2, conf.clone(), terasort_spec("/in", "/sorted")).await;
+        let mut second = terasort_spec("/sorted", "/again");
+        if pass_through {
+            let pass = |r: &Record, sink: &mut MapSink| sink.emit(&r.key, r.value.clone());
+            second = second.with_mapper(std::rc::Rc::new(pass));
+        }
+        run_job(&c2, conf, second).await;
+        teravalidate(&c2, "/sorted", reduces, records)
+            .await
+            .expect("first output");
+        let report = teravalidate(&c2, "/again", reduces, records)
+            .await
+            .expect("second output");
+        v2.set(Some(report.records));
+    })
+    .detach();
+    sim.run();
+    let records = validated.get().expect("jobs hung");
+    (records, sim.trace_hash())
+}
+
+/// The hashes are the parent commit's, whose reduce output blocks held a
+/// gathered copy of their records: how a block holds them is host-side only.
+#[test]
+fn jobs_read_a_terasort_output_as_their_input() {
+    let records = (8 << 20) / 2 / 100 * 2;
+    assert_eq!(
+        chained_terasort(ShuffleKind::OsuIb, false),
+        (records, 0x76c5_bbef_7893_eed3)
+    );
+    assert_eq!(
+        chained_terasort(ShuffleKind::Vanilla, true),
+        (records, 0x39a3_aa66_cb6b_2da6)
     );
 }
 

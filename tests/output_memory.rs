@@ -1,0 +1,188 @@
+//! What an identity reduce's output holds on the heap.
+//!
+//! A TeraSort's reduce output is its input, sorted: the records already lie
+//! in the input blocks HDFS keeps for the file's life, and the merge hands
+//! the reduce sink windows of an index over them. This binary has its own
+//! counting allocator (as `tests/map_memory.rs`), writes 20 000 100-byte
+//! records as an HDFS file, indexes each block as a map would, and from
+//! there merges the runs and feeds the merged run to an identity
+//! `ReduceSink` in merge-sized batches. Once the merge is dropped, the
+//! output file may hold the merged index (16 B a record) and what HDFS needs
+//! to know of its windows — at most 24 B per record in all — but not the
+//! records again: a gathered copy costs 108 B per record, more with the
+//! block it is reserved in. Once both files are deleted, the heap is back
+//! where it started.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
+
+use bytes::Bytes;
+use rmr_core::cluster::{Cluster, NodeSpec};
+use rmr_core::record::SegmentCursor;
+use rmr_core::reduce::ReduceSink;
+use rmr_core::{encode_records, JobConf, Record, Segment};
+use rmr_des::Sim;
+use rmr_hdfs::{Blob, HdfsConfig};
+use rmr_net::FabricParams;
+use rmr_workloads::terasort_spec;
+
+/// Live heap bytes allocated by this thread, net of frees. The simulation
+/// is single-threaded, so the test thread's count is the run's.
+struct Counting;
+
+thread_local! {
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+}
+
+fn track(bytes: isize) {
+    // `try_with`: the allocator also runs while the thread tears down.
+    let _ = LIVE.try_with(|live| live.set(live.get() + bytes));
+}
+
+// SAFETY: every call is forwarded to `System` unchanged; the wrapper only
+// counts.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let p = System.alloc(layout);
+        if !p.is_null() {
+            track(layout.size() as isize);
+        }
+        p
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        let p = System.alloc_zeroed(layout);
+        if !p.is_null() {
+            track(layout.size() as isize);
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
+        System.dealloc(p, layout);
+        track(-(layout.size() as isize));
+    }
+
+    unsafe fn realloc(&self, p: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let q = System.realloc(p, layout, new_size);
+        if !q.is_null() {
+            track(new_size as isize - layout.size() as isize);
+        }
+        q
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+fn live() -> isize {
+    LIVE.with(Cell::get)
+}
+
+/// Records in the input file.
+const RECORDS: usize = 20_000;
+/// Records per input block.
+const PER_BLOCK: usize = 5_000;
+/// Records per batch the sink is fed (the RDMA merge's batch size).
+const BATCH: u64 = 16 * 1024;
+/// What the output may add per record on top of its input.
+const BUDGET_PER_RECORD: isize = 24;
+
+/// `n` TeraSort-shaped records (10-byte key, 90-byte value) from record
+/// `from` on, encoded as one block; the keys are scattered over the key
+/// space so the merge interleaves the blocks.
+fn input_block(from: usize, n: usize) -> Bytes {
+    let records: Vec<Record> = (from..from + n)
+        .map(|i| {
+            let key = (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15).to_be_bytes();
+            Record::new([&key[..], &[0, 0]].concat(), vec![b'v'; 90])
+        })
+        .collect();
+    encode_records(&records)
+}
+
+/// One round: write and index the input, merge it into the sink, delete
+/// both files. Returns the live heap the merge and the finished output
+/// added while both files existed, and the live heap left over after the
+/// round, both above its start.
+async fn round(cluster: &Cluster, conf: &Rc<JobConf>) -> (isize, isize) {
+    let start = live();
+    let node = cluster.workers[0].clone();
+    let hdfs = &cluster.hdfs;
+    let blocks: Vec<Bytes> = (0..RECORDS / PER_BLOCK)
+        .map(|b| input_block(b * PER_BLOCK, PER_BLOCK))
+        .collect();
+    let mut w = hdfs.create("/in", node.id).await.expect("create input");
+    for block in &blocks {
+        w.write(Blob::real(block.clone()))
+            .await
+            .expect("write input");
+    }
+    w.close().await.expect("close input");
+    let runs: Vec<Segment> = blocks.iter().cloned().map(Segment::from_encoded).collect();
+
+    let before = live();
+    let spec = terasort_spec("/in", "/out");
+    let mut cursor = SegmentCursor::new(Segment::merge(&runs));
+    let mut sink = ReduceSink::open(cluster, conf, &spec, &node, 0).await;
+    while !cursor.exhausted() {
+        sink.consume(cursor.take_records(BATCH)).await;
+    }
+    let (records, _, out_bytes) = sink.finish().await;
+    drop(cursor);
+    let added = live() - before;
+    assert_eq!(records, RECORDS as u64);
+    assert_eq!(hdfs.file_size("/out/part-00000"), Ok(out_bytes));
+
+    drop(runs);
+    hdfs.delete("/out/part-00000", node.id)
+        .await
+        .expect("delete output");
+    hdfs.delete("/in", node.id).await.expect("delete input");
+    drop(blocks);
+    drop(spec);
+    (added, live() - start)
+}
+
+#[test]
+fn identity_output_holds_the_merged_windows_not_a_copy() {
+    let sim = Sim::new(7);
+    let cluster = Cluster::build(
+        &sim,
+        FabricParams::ib_verbs_qdr(),
+        &[NodeSpec::westmere_compute()],
+        HdfsConfig {
+            block_size: 4 << 20,
+            replication: 1,
+            packet_size: 1 << 20,
+        },
+    );
+    let conf = Rc::new(JobConf::default());
+    let rounds = Rc::new(RefCell::new(Vec::new()));
+    let r2 = Rc::clone(&rounds);
+    sim.spawn(async move {
+        // The first round also grows what the simulation keeps for good
+        // (metric names, table capacities); the second is measured.
+        for _ in 0..2 {
+            let got = round(&cluster, &conf).await;
+            r2.borrow_mut().push(got);
+        }
+    })
+    .detach();
+    sim.run();
+    let rounds = rounds.take();
+    let (added, left) = rounds[1];
+    let budget = BUDGET_PER_RECORD * RECORDS as isize;
+    assert!(
+        added <= budget,
+        "the output of {RECORDS} records added {added} B ({} B a record; budget {budget} B)",
+        added / RECORDS as isize
+    );
+    assert_eq!(
+        left, 0,
+        "deleting both files frees everything the round held"
+    );
+    // Last: under the test harness's output capture, printing allocates.
+    eprintln!("output added {added} B for {RECORDS} records; rounds {rounds:?}");
+}

@@ -71,11 +71,11 @@ fn wordcount_matches_sequential_oracle() {
         let mut oracle = std::collections::BTreeMap::<String, u64>::new();
         let mut r = c2.hdfs.open("/w/in", c2.workers[0].id).await.unwrap();
         while let Some(b) = r.next_block().await.unwrap() {
-            for rec in rdma_mapred::core::decode_records(b.data.unwrap()) {
+            rdma_mapred::core::block_records(b.data.unwrap()).for_each(|rec| {
                 for w in String::from_utf8_lossy(&rec.value).split_whitespace() {
                     *oracle.entry(w.to_string()).or_insert(0) += 1;
                 }
-            }
+            });
         }
         let mut conf = JobConf::osu_ib();
         conf.num_reduces = 3;
