@@ -33,7 +33,7 @@ use crate::cluster::Cluster;
 use crate::config::{
     JobConf, CPU_REDUCE_PER_RECORD, CPU_SERDE_PER_BYTE, CPU_SORT_PER_RECORD_LEVEL,
 };
-use crate::mapoutput::MapOutputInfo;
+use crate::mapoutput::{MapOutputInfo, Partitions};
 use crate::record::{GroupTable, Segment};
 use crate::runtime::JobId;
 use crate::spec::{JobSpec, ReduceFn};
@@ -183,7 +183,7 @@ impl NodeCombiner {
         let nparts = buf[0].parts.len();
         let mut parts = Vec::with_capacity(nparts);
         for r in 0..nparts {
-            let srcs: Vec<Segment> = buf.iter().map(|i| i.parts[r].clone()).collect();
+            let srcs: Vec<Segment> = buf.iter().map(|i| i.parts.get(r)).collect();
             let peak = srcs.iter().map(|s| s.records).max().unwrap_or(0);
             let merged = Segment::merge(&srcs);
             parts.push(fold_segment(merged, peak, combine, spec.combine_ratio));
@@ -224,7 +224,7 @@ impl NodeCombiner {
             file: file.clone(),
             total_bytes,
             total_records,
-            parts,
+            parts: Partitions::Held(parts),
         });
         let mut others: Vec<usize> = buf
             .iter()
@@ -241,7 +241,11 @@ impl NodeCombiner {
                 file: file.clone(),
                 total_bytes: 0,
                 total_records: 0,
-                parts: vec![Segment::empty(); nparts],
+                parts: Partitions::Even {
+                    records: 0,
+                    bytes: 0,
+                    n: nparts,
+                },
             });
         }
         out

@@ -14,8 +14,81 @@ use std::rc::Rc;
 
 use rmr_net::NodeId;
 
-use crate::record::Segment;
+use crate::record::{even_share, Partitioner, Segment};
 use crate::runtime::JobId;
+
+/// A map output's reduce partitions. Every (map, reduce) pair of a job has
+/// one, so a synthetic output keeps its even split as three numbers and
+/// cuts a part when asked for it.
+#[derive(Debug, Clone)]
+pub enum Partitions {
+    /// `records` and `bytes` split evenly over `n` parts.
+    Even {
+        /// Records over all parts.
+        records: u64,
+        /// Bytes over all parts.
+        bytes: u64,
+        /// Number of parts.
+        n: usize,
+    },
+    /// One segment per part: real outputs, and synthetic ones a combiner
+    /// folded part by part.
+    Held(Vec<Segment>),
+}
+
+impl Partitions {
+    /// Partitions `seg` into `n` parts with `part` ([`Segment::partition`]),
+    /// keeping a synthetic run's split as its totals.
+    pub fn split(seg: Segment, n: usize, part: &dyn Partitioner) -> Self {
+        assert!(n > 0);
+        if seg.is_real() {
+            Partitions::Held(seg.partition(n, part))
+        } else {
+            Partitions::Even {
+                records: seg.records,
+                bytes: seg.bytes,
+                n,
+            }
+        }
+    }
+
+    /// Number of parts.
+    pub fn len(&self) -> usize {
+        match self {
+            Partitions::Even { n, .. } => *n,
+            Partitions::Held(parts) => parts.len(),
+        }
+    }
+
+    /// True when there are no parts.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Part `r`.
+    pub fn get(&self, r: usize) -> Segment {
+        match self {
+            Partitions::Even { records, bytes, n } => {
+                assert!(r < *n, "part {r} of {n}");
+                even_share(*records, *bytes, *n, r)
+            }
+            Partitions::Held(parts) => parts[r].clone(),
+        }
+    }
+
+    /// Every part, in reduce order.
+    pub fn iter(&self) -> impl Iterator<Item = Segment> + '_ {
+        (0..self.len()).map(|r| self.get(r))
+    }
+
+    /// True when some part carries real records.
+    pub fn is_real(&self) -> bool {
+        match self {
+            Partitions::Even { .. } => false,
+            Partitions::Held(parts) => parts.iter().any(Segment::is_real),
+        }
+    }
+}
 
 /// One completed map's output.
 #[derive(Debug)]
@@ -35,7 +108,7 @@ pub struct MapOutputInfo {
     /// Total records.
     pub total_records: u64,
     /// Per-reduce-partition sorted segments.
-    pub parts: Vec<Segment>,
+    pub parts: Partitions,
 }
 
 type OutputsByJobAndMap = BTreeMap<(JobId, usize), Rc<MapOutputInfo>>;
@@ -96,8 +169,11 @@ impl MapOutputStore {
         let inner = self.inner.borrow();
         let outputs = inner.range((job, 0)..=(job, usize::MAX));
         outputs.fold((0, 0, false), |(maps, bytes, real), (_, info)| {
-            let is_real = info.parts.iter().any(Segment::is_real);
-            (maps + 1, bytes + info.total_bytes, real || is_real)
+            (
+                maps + 1,
+                bytes + info.total_bytes,
+                real || info.parts.is_real(),
+            )
         })
     }
 
@@ -130,7 +206,11 @@ mod tests {
             file: format!("j{job}_map_{idx}.out"),
             total_bytes: bytes,
             total_records: bytes / 10,
-            parts: vec![Segment::synthetic(bytes / 10, bytes)],
+            parts: Partitions::Even {
+                records: bytes / 10,
+                bytes,
+                n: 1,
+            },
         }
     }
 

@@ -33,7 +33,7 @@ use crate::config::{
     CPU_SORT_PER_RECORD_LEVEL,
 };
 use crate::jobtracker::MapTaskDesc;
-use crate::mapoutput::MapOutputInfo;
+use crate::mapoutput::{MapOutputInfo, Partitions};
 use crate::record::{block_records, BlockRecords, GroupTable, MapSink, Record, Segment};
 use crate::runtime::JobId;
 use crate::spec::JobSpec;
@@ -172,9 +172,11 @@ pub async fn run_map(
     }
 
     // 6. Partition the (sorted) output per reducer.
-    let parts = out_real
-        .unwrap_or_else(|| Segment::synthetic(out_records, out_bytes))
-        .partition(conf.num_reduces, spec.partitioner.as_ref());
+    let parts = Partitions::split(
+        out_real.unwrap_or_else(|| Segment::synthetic(out_records, out_bytes)),
+        conf.num_reduces,
+        spec.partitioner.as_ref(),
+    );
 
     sim.metrics().add("map.output_bytes", out_bytes as f64);
     sim.metrics().incr("map.completed");
@@ -266,7 +268,7 @@ mod tests {
         assert_eq!(out.total_records, 50);
         assert_eq!(out.parts.len(), 4);
         assert_eq!(out.parts.iter().map(|p| p.records).sum::<u64>(), 50);
-        for p in &out.parts {
+        for p in out.parts.iter() {
             assert!(p.is_sorted());
         }
         // The map output file exists with the right size.

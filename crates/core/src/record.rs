@@ -703,15 +703,7 @@ impl Segment {
                 buckets.into_iter().map(bucket).collect()
             }
             RunData::Synthetic { records, bytes } => {
-                let mut out = Vec::with_capacity(n);
-                let (rq, rr) = (records / n as u64, records % n as u64);
-                let (bq, br) = (bytes / n as u64, bytes % n as u64);
-                for i in 0..n as u64 {
-                    let r = rq + u64::from(i < rr);
-                    let b = bq + u64::from(i < br);
-                    out.push(Segment::synthetic(r, b));
-                }
-                out
+                (0..n).map(|i| even_share(*records, *bytes, n, i)).collect()
             }
         }
     }
@@ -761,6 +753,16 @@ impl Segment {
             _ => Segment::from_sorted(Vec::new()),
         }
     }
+}
+
+/// Part `i` of an even split of `records` and `bytes` into `n` parts, the
+/// remainders spread over the first parts: what [`Segment::partition`] makes
+/// of a synthetic run, one part at a time.
+pub(crate) fn even_share(records: u64, bytes: u64, n: usize, i: usize) -> Segment {
+    let (n, i) = (n as u64, i as u64);
+    let r = records / n + u64::from(i < records % n);
+    let b = bytes / n + u64::from(i < bytes % n);
+    Segment::synthetic(r, b)
 }
 
 /// An output block may hold a run as it stands: it counts for its records as
@@ -869,11 +871,22 @@ pub struct SegmentCursor {
 impl SegmentCursor {
     /// Starts a cursor at the beginning of `seg`.
     pub fn new(seg: Segment) -> Self {
+        Self::resume(seg, (0, 0))
+    }
+
+    /// Resumes a cursor over `seg` at a [`Self::position`] an earlier cursor
+    /// over the same segment reached.
+    pub fn resume(seg: Segment, (rec_pos, byte_pos): (u64, u64)) -> Self {
         SegmentCursor {
             seg,
-            rec_pos: 0,
-            byte_pos: 0,
+            rec_pos,
+            byte_pos,
         }
+    }
+
+    /// How far the cursor is: (records, bytes) taken.
+    pub fn position(&self) -> (u64, u64) {
+        (self.rec_pos, self.byte_pos)
     }
 
     /// Records not yet taken.

@@ -41,10 +41,10 @@
 //! *incarnation* of a server: what still arrives from a dead one is ignored,
 //! also after the attempt has reconnected to the restarted node.
 //!
-//! Because the server-side `SegmentCursor` for a partially-pulled segment
-//! dies with the node (the re-executed map's server starts from offset
-//! zero), a source that already delivered bytes cannot be resumed: the whole
-//! attempt returns [`ReduceError::SourceLost`] and the runtime re-queues it.
+//! Because the server's cursor position for a partially-pulled segment dies
+//! with the node (the re-executed map's server starts from offset zero), a
+//! source that already delivered bytes cannot be resumed: the whole attempt
+//! returns [`ReduceError::SourceLost`] and the runtime re-queues it.
 //! Sources that were fully delivered before the death, and sources that had
 //! delivered nothing yet (which are transparently re-homed onto the
 //! re-executed map's TaskTracker), survive within the attempt.
@@ -59,7 +59,7 @@
 //! [`NodeLiveness`]: crate::faults::NodeLiveness
 
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::rc::Rc;
 
 use rmr_des::prelude::*;
@@ -81,10 +81,22 @@ const MERGE_BATCH_RECORDS: u64 = 16 * 1024;
 /// DataToReduceQueue depth, in batches.
 const REDUCE_QUEUE_DEPTH: usize = 8;
 
+/// A TaskTracker index as the per-source and per-connection records keep it.
+fn tt_u32(tt_idx: usize) -> u32 {
+    u32::try_from(tt_idx).expect("TaskTracker index fits u32")
+}
+
+/// What a source's totals are before its first response says.
+const UNKNOWN: u64 = u64::MAX;
+
+/// One map's partition, as this attempt pulls it. A reducer keeps one per
+/// map of the job, so the record is kept small: a `u32` home and totals
+/// that are [`UNKNOWN`] until the first response instead of `Option`s.
 struct SourceState {
-    tt_idx: usize,
-    total_records: Option<u64>,
-    total_bytes: Option<u64>,
+    /// The TaskTracker the map's output lives on.
+    tt_idx: u32,
+    total_records: u64,
+    total_bytes: u64,
     /// Bytes sitting in [`ShufState::pending`] for this source.
     buffered_bytes: u64,
     delivered_records: u64,
@@ -103,14 +115,40 @@ struct SourceState {
     homeless: bool,
 }
 
+const _: () = assert!(std::mem::size_of::<SourceState>() <= 56);
+
 impl SourceState {
+    /// A source just discovered on TaskTracker `tt_idx`: nothing asked for,
+    /// below its fill level.
+    fn new(tt_idx: usize) -> Self {
+        SourceState {
+            tt_idx: tt_u32(tt_idx),
+            total_records: UNKNOWN,
+            total_bytes: UNKNOWN,
+            buffered_bytes: 0,
+            delivered_records: 0,
+            delivered_bytes: 0,
+            fully_delivered: false,
+            inflight: false,
+            reserved: 0,
+            below: true,
+            homeless: false,
+        }
+    }
+
+    /// The TaskTracker the map's output lives on.
+    fn tt(&self) -> usize {
+        self.tt_idx as usize
+    }
+
     /// Bytes a request reserves: the engine's per-packet estimate `est`,
     /// refined with what the server already said is left.
     fn request_bytes(&self, est: u64) -> u64 {
-        match self.total_bytes {
-            Some(t) => est.min(t.saturating_sub(self.delivered_bytes)).max(1),
-            None => est,
+        if self.total_bytes == UNKNOWN {
+            return est;
         }
+        est.min(self.total_bytes.saturating_sub(self.delivered_bytes))
+            .max(1)
     }
 }
 
@@ -118,7 +156,7 @@ impl SourceState {
 /// TaskTracker. Indexed by the endpoint's tag in the attempt's
 /// [`EndpointSet`].
 struct Conn {
-    tt_idx: usize,
+    tt_idx: u32,
     /// The server's liveness epoch when the connection was made.
     epoch: u64,
     /// The copier saw that incarnation die; nothing arriving on the
@@ -126,14 +164,19 @@ struct Conn {
     dead: bool,
     /// One of its packets is being written to the local spill file. The
     /// write holds up the connection's later packets (they wait in
-    /// `backlog`, their receive credits unreturned) and nobody else's.
+    /// [`ShufState::backlogs`], their receive credits unreturned) and
+    /// nobody else's.
     spilling: bool,
-    backlog: VecDeque<ShufMsg>,
 }
+
+const _: () = assert!(std::mem::size_of::<Conn>() <= 24);
 
 struct ShufState {
     /// Every connection the attempt has made, by endpoint tag.
     conns: Vec<Conn>,
+    /// By endpoint tag, what arrived on a spilling connection while its
+    /// spill is written. Only a spilling connection has an entry.
+    backlogs: BTreeMap<u32, VecDeque<ShufMsg>>,
     /// By TaskTracker, the endpoint requests to it go out on: the latest
     /// connection made to it. A dead server keeps its entry until a
     /// reconnect replaces it (requests on it go nowhere).
@@ -175,6 +218,7 @@ impl ShufState {
     fn new(servers: usize, total_maps: usize, est_packet_bytes: u64) -> Self {
         ShufState {
             conns: Vec::with_capacity(servers),
+            backlogs: BTreeMap::new(),
             eps: vec![None; servers],
             unreached: servers,
             sources: (0..total_maps).map(|_| None).collect(),
@@ -204,11 +248,10 @@ impl ShufState {
     ) -> Option<EndPoint<ShufMsg>> {
         assert_eq!(ep.tag() as usize, self.conns.len(), "tags count up");
         self.conns.push(Conn {
-            tt_idx,
+            tt_idx: tt_u32(tt_idx),
             epoch,
             dead: false,
             spilling: false,
-            backlog: VecDeque::new(),
         });
         let old = self.eps[tt_idx].replace(ep);
         if old.is_none() {
@@ -293,11 +336,11 @@ fn lost_source(
             return None;
         }
         if poisoned.contains(&m) {
-            return Some(s.tt_idx);
+            return Some(s.tt());
         }
         let pulled = s.delivered_records > 0 || s.delivered_bytes > 0;
-        if pulled && (s.homeless || st.ep_dead(liveness, s.tt_idx)) {
-            return Some(s.tt_idx);
+        if pulled && (s.homeless || st.ep_dead(liveness, s.tt())) {
+            return Some(s.tt());
         }
         None
     })
@@ -402,8 +445,8 @@ impl Copier {
         st.last_arrival_s = self.sim.now().as_secs_f64();
         st.missing.remove(&map_idx);
         let src = st.src(map_idx);
-        src.total_records = Some(total_records);
-        src.total_bytes = Some(total_bytes);
+        src.total_records = total_records;
+        src.total_bytes = total_bytes;
         src.delivered_records += packet.records;
         src.delivered_bytes += packet.bytes;
         src.fully_delivered = remaining_records == 0;
@@ -456,12 +499,12 @@ impl Copier {
     fn on_message(self: &Rc<Self>, ep: EndPoint<ShufMsg>, msg: ShufMsg) {
         {
             let mut st = self.state.borrow_mut();
-            let conn = &mut st.conns[ep.tag() as usize];
+            let conn = &st.conns[ep.tag() as usize];
             if conn.dead {
                 return;
             }
             if conn.spilling {
-                conn.backlog.push_back(msg);
+                st.backlogs.entry(ep.tag()).or_default().push_back(msg);
                 return;
             }
         }
@@ -494,12 +537,14 @@ impl Copier {
             bytes = loop {
                 let next = {
                     let mut st = self.state.borrow_mut();
-                    let conn = &mut st.conns[ep.tag() as usize];
-                    if self.stop.get() || conn.dead {
-                        conn.backlog.clear();
+                    let tag = ep.tag();
+                    let live = !self.stop.get() && !st.conns[tag as usize].dead;
+                    let mut backlog = st.backlogs.remove(&tag).unwrap_or_default();
+                    let next = backlog.pop_front().filter(|_| live);
+                    if next.is_some() && !backlog.is_empty() {
+                        st.backlogs.insert(tag, backlog);
                     }
-                    let next = conn.backlog.pop_front();
-                    conn.spilling = next.is_some();
+                    st.conns[tag as usize].spilling = next.is_some();
                     next
                 };
                 let Some(msg) = next else { return };
@@ -518,7 +563,7 @@ impl Copier {
     fn sweep_deaths(&self, liveness: &[Rc<NodeLiveness>]) {
         let mut died = 0;
         for conn in self.state.borrow_mut().conns.iter_mut() {
-            let l = &liveness[conn.tt_idx];
+            let l = &liveness[conn.tt_idx as usize];
             let gone = !l.alive() || l.epoch() != conn.epoch;
             if gone && !conn.dead {
                 conn.dead = true;
@@ -658,7 +703,7 @@ pub async fn run_reduce_rdma(ctx: ReduceCtx) -> Result<ReduceStats, ReduceError>
             if src.inflight || src.fully_delivered || src.homeless {
                 return false;
             }
-            let Some(ep) = st.eps[src.tt_idx].clone() else {
+            let Some(ep) = st.eps[src.tt()].clone() else {
                 no_ep.set(true);
                 return false;
             };
@@ -673,7 +718,7 @@ pub async fn run_reduce_rdma(ctx: ReduceCtx) -> Result<ReduceStats, ReduceError>
             };
             src.reserved = reserved;
             src.inflight = true;
-            let server = src.tt_idx;
+            let server = src.tt();
             st.relist(map_idx);
             drop(st);
             obs.emit(|| Ev::ShuffleRequest {
@@ -749,19 +794,7 @@ pub async fn run_reduce_rdma(ctx: ReduceCtx) -> Result<ReduceStats, ReduceError>
                 let mut st = state.borrow_mut();
                 match &mut st.sources[map_idx] {
                     slot @ None => {
-                        *slot = Some(SourceState {
-                            tt_idx,
-                            total_records: None,
-                            total_bytes: None,
-                            buffered_bytes: 0,
-                            delivered_records: 0,
-                            delivered_bytes: 0,
-                            fully_delivered: false,
-                            inflight: false,
-                            reserved: 0,
-                            below: true,
-                            homeless: false,
-                        });
+                        *slot = Some(SourceState::new(tt_idx));
                         discovered += 1;
                         st.missing.insert(map_idx);
                         st.relist(map_idx);
@@ -787,7 +820,7 @@ pub async fn run_reduce_rdma(ctx: ReduceCtx) -> Result<ReduceStats, ReduceError>
                                 s.reserved = 0;
                             }
                             (s.inflight, s.homeless) = (false, false);
-                            s.tt_idx = tt_idx;
+                            s.tt_idx = tt_u32(tt_idx);
                             st.relist(map_idx);
                             true
                         }
@@ -825,10 +858,10 @@ pub async fn run_reduce_rdma(ctx: ReduceCtx) -> Result<ReduceStats, ReduceError>
                 st.known()
                     .filter(|(_, s)| {
                         !s.fully_delivered
-                            && st.ep_dead(&liveness, s.tt_idx)
-                            && liveness[s.tt_idx].alive()
+                            && st.ep_dead(&liveness, s.tt())
+                            && liveness[s.tt()].alive()
                     })
-                    .map(|(_, s)| s.tt_idx)
+                    .map(|(_, s)| s.tt())
                     .collect()
             };
             for tt in need {
@@ -879,7 +912,8 @@ pub async fn run_reduce_rdma(ctx: ReduceCtx) -> Result<ReduceStats, ReduceError>
             .map(|s| {
                 let s = s.as_mut().expect("every map discovered");
                 s.below = false;
-                s.total_records.expect("every source has its totals")
+                assert_ne!(s.total_records, UNKNOWN, "every source has its totals");
+                s.total_records
             })
             .collect();
         StreamingMerge::with_watermark(expected, watermark)
@@ -939,7 +973,7 @@ pub async fn run_reduce_rdma(ctx: ReduceCtx) -> Result<ReduceStats, ReduceError>
                 s.buffered_bytes = s.buffered_bytes.saturating_sub(pkt.bytes);
                 if was_spilled {
                     spilled += pkt.bytes;
-                    refetch.push((s.tt_idx, m, pkt.bytes));
+                    refetch.push((s.tt(), m, pkt.bytes));
                 }
                 merge.append(m, pkt);
                 if s.below && !merge.wants_refill(m) {
@@ -1122,17 +1156,9 @@ mod tests {
         });
         let source = |tt_idx, reserved| {
             Some(SourceState {
-                tt_idx,
-                total_records: None,
-                total_bytes: None,
-                buffered_bytes: 0,
-                delivered_records: 0,
-                delivered_bytes: 0,
-                fully_delivered: false,
                 inflight: reserved > 0,
                 reserved,
-                below: true,
-                homeless: false,
+                ..SourceState::new(tt_idx)
             })
         };
         let mut state = ShufState::new(2, 2, conf.osu_packet_bytes);
@@ -1222,7 +1248,7 @@ mod tests {
                             delivered(0),
                             delivered(1),
                             st.conns[0].spilling,
-                            st.conns[0].backlog.len(),
+                            st.backlogs.get(&0).map_or(0, VecDeque::len),
                             copier.node.fs.size(&copier.spill_file).unwrap_or(0),
                         ));
                     }

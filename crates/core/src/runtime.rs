@@ -59,7 +59,8 @@ pub struct StateFootprint {
     pub tt_outputs: usize,
     /// Jobs the PrefetchCaches still track admission stats for.
     pub tt_cache_jobs: usize,
-    /// Open shuffle-serving segment cursors across TaskTrackers.
+    /// Shuffle-serving cursors across TaskTrackers: a slot per reduce
+    /// partition of every map served from.
     pub tt_serve_cursors: usize,
     /// Open shuffle-serving disk readers across TaskTrackers.
     pub tt_serve_readers: usize,

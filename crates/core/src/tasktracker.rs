@@ -59,23 +59,40 @@ pub enum TtServerHandle {
     Rdma(UcrConnector<ShufMsg>),
 }
 
-/// What a TaskTracker keeps per (job, map, reduce) it has served from: one
-/// entry, so a request finds its cursor and its reader in one search.
-struct ServeEntry {
-    /// The reduce attempt being served. A newer attempt rewinds the entry
+/// Where one reduce partition's serving stands: the partition itself stays
+/// in the map-output registry, and each request resumes a cursor over it
+/// from here. A default slot is a partition nobody has asked for yet.
+#[derive(Default)]
+struct ServeSlot {
+    /// The reduce attempt being served. A newer attempt rewinds the slot
     /// (the retried reducer re-fetches from the head); an older attempt's
     /// request is stale.
     attempt: u32,
-    cursor: SegmentCursor,
+    /// The cursor's [`SegmentCursor::position`]: records and bytes served.
+    rec_pos: u64,
+    byte_pos: u64,
     /// The partition's sequential disk reader, once a request missed the
     /// cache. Taken out while a read is in flight (the `RefCell` must not
     /// stay borrowed across the await) and put back after it. Boxed: a
-    /// reader is three times the rest of the entry, and most entries of a
+    /// reader is three times the rest of the slot, and most slots of a
     /// cached or drained map hold none.
     reader: Option<Box<FileReader>>,
 }
 
-type ServeState = BTreeMap<(JobId, usize, usize), ServeEntry>;
+const _: () = assert!(std::mem::size_of::<ServeSlot>() <= 32);
+
+/// What a TaskTracker keeps per (job, map) it has served from: a slot per
+/// reduce partition, all allocated at the map's first request, so a request
+/// finds its state in one search.
+struct MapServe {
+    /// How many of the map's partitions have been fully served; at the
+    /// partition count the cached copy is released (its useful life is
+    /// over).
+    served: usize,
+    slots: Box<[ServeSlot]>,
+}
+
+type ServeState = BTreeMap<(JobId, usize), MapServe>;
 
 /// One TaskTracker.
 pub struct TaskTracker {
@@ -107,12 +124,8 @@ pub struct TaskTracker {
     obs: Recorder,
     /// Whether the serve path consults the PrefetchCache (the design decides).
     cache_enabled: bool,
-    /// Per-(job, map, reduce) serve cursors and disk readers.
+    /// Per-(job, map) serve slots: cursor positions and disk readers.
     serving: RefCell<ServeState>,
-    /// How many reduce partitions of each map have been fully served; at
-    /// the map's partition count the cached copy is released (its useful
-    /// life is over).
-    served_parts: RefCell<BTreeMap<(JobId, usize), usize>>,
     /// `tt.cache_hit_bytes` / `tt.disk_serve_bytes`, shared by every
     /// TaskTracker of the simulation.
     c_cache_hit_bytes: Counter,
@@ -156,7 +169,6 @@ impl TaskTracker {
             obs,
             cache_enabled,
             serving: RefCell::new(BTreeMap::new()),
-            served_parts: RefCell::new(BTreeMap::new()),
             c_cache_hit_bytes: sim.metrics().counter("tt.cache_hit_bytes"),
             c_disk_serve_bytes: sim.metrics().counter("tt.disk_serve_bytes"),
         })
@@ -168,13 +180,14 @@ impl TaskTracker {
         &self.obs
     }
 
-    /// Open serving-side state: `(segment cursors, disk readers)` — exposed
-    /// for `Runtime::dump()` snapshots. A reader out on a read in flight is
-    /// not counted.
+    /// Open serving-side state: `(serve slots of served maps, disk readers)`
+    /// — exposed for `Runtime::dump()` snapshots. A reader out on a read in
+    /// flight is not counted.
     pub fn serve_state_counts(&self) -> (usize, usize) {
         let serving = self.serving.borrow();
-        let readers = serving.values().filter(|e| e.reader.is_some()).count();
-        (serving.len(), readers)
+        let slots = serving.values().flat_map(|m| &m.slots[..]);
+        let readers = slots.clone().filter(|s| s.reader.is_some()).count();
+        (slots.count(), readers)
     }
 
     /// Called when a map completes on this TT: kicks the prefetcher
@@ -210,33 +223,33 @@ impl TaskTracker {
         let Some(info) = (self.outputs.get(job, map_idx)).filter(|i| i.tt_idx == self.idx) else {
             return ShufMsg::Unavailable { map_idx, reduce };
         };
-        let key = (job, map_idx, reduce);
-        let total = info.parts[reduce].clone();
+        let total = info.parts.get(reduce);
         let (total_records, total_bytes) = (total.records, total.bytes);
-        let fresh = || ServeEntry {
-            attempt,
-            cursor: SegmentCursor::new(total.clone()),
-            reader: None,
-        };
         // The one search for this request's state. The reader comes out with
         // the packet; whoever ends up holding it puts it back below.
-        let (packet, remaining_records, mut reader) = {
+        let (packet, remaining_records, mut reader, done) = {
             let mut serving = self.serving.borrow_mut();
-            let ent = serving.entry(key).or_insert_with(fresh);
-            if attempt > ent.attempt {
+            let map = serving.entry((job, map_idx)).or_insert_with(|| MapServe {
+                served: 0,
+                slots: (0..info.parts.len())
+                    .map(|_| ServeSlot::default())
+                    .collect(),
+            });
+            let slot = &mut map.slots[reduce];
+            if attempt > slot.attempt {
                 // A newer reduce attempt re-fetches from the segment head:
                 // rewind the cursor the dead attempt advanced (and drop its
                 // reader, which is mid-file). If the old attempt had fully
-                // drained the partition, undo its served_parts credit so the
+                // drained the partition, undo its `served` credit so the
                 // cache release stays accurate.
-                if ent.cursor.remaining_records() == 0 && total.records > 0 {
-                    let mut served = self.served_parts.borrow_mut();
-                    if let Some(e) = served.get_mut(&(job, map_idx)) {
-                        *e = e.saturating_sub(1);
-                    }
+                if slot.rec_pos == total.records && total.records > 0 {
+                    map.served = map.served.saturating_sub(1);
                 }
-                *ent = fresh();
-            } else if attempt < ent.attempt {
+                *slot = ServeSlot {
+                    attempt,
+                    ..ServeSlot::default()
+                };
+            } else if attempt < slot.attempt {
                 // Stale request from a superseded (dead) attempt: answer
                 // empty-and-complete without touching the live cursor.
                 return ShufMsg::Response {
@@ -249,31 +262,32 @@ impl TaskTracker {
                     from_cache: false,
                 };
             }
+            let mut cursor = SegmentCursor::resume(total, (slot.rec_pos, slot.byte_pos));
             let packet = match budget {
-                PacketBudget::Bytes(b) => ent.cursor.take_bytes(b),
-                PacketBudget::Records(n) => ent.cursor.take_records(n),
+                PacketBudget::Bytes(b) => cursor.take_bytes(b),
+                PacketBudget::Records(n) => cursor.take_records(n),
             };
-            (packet, ent.cursor.remaining_records(), ent.reader.take())
-        };
-        if remaining_records == 0 && packet.records > 0 {
+            (slot.rec_pos, slot.byte_pos) = cursor.position();
+            let remaining_records = cursor.remaining_records();
+            let reader = slot.reader.take();
             // This partition is fully shipped; once every reducer has
             // drained its partition the cached file has no future readers.
-            let done = {
-                let mut served = self.served_parts.borrow_mut();
-                let e = served.entry((job, map_idx)).or_insert(0);
-                *e += 1;
-                *e >= info.parts.len()
+            let done = remaining_records == 0 && packet.records > 0 && {
+                map.served += 1;
+                map.served >= map.slots.len()
             };
             if done {
-                self.cache.remove((job, map_idx));
                 // The map's readers go with it, this request's own included:
                 // a last packet that misses is read through a new reader.
-                reader = None;
-                let parts = (job, map_idx, 0)..=(job, map_idx, usize::MAX);
-                for (_, ent) in self.serving.borrow_mut().range_mut(parts) {
-                    ent.reader = None;
+                for slot in map.slots.iter_mut() {
+                    slot.reader = None;
                 }
             }
+            (packet, remaining_records, reader, done)
+        };
+        if done {
+            self.cache.remove((job, map_idx));
+            reader = None;
         }
 
         // Where do the bytes come from?
@@ -320,10 +334,10 @@ impl TaskTracker {
             }
         }
         if let Some(reader) = reader {
-            // Back into its entry — unless the job's serve state was dropped
+            // Back into its slot — unless the job's serve state was dropped
             // while the read was in flight.
-            if let Some(ent) = self.serving.borrow_mut().get_mut(&key) {
-                ent.reader = Some(reader);
+            if let Some(map) = self.serving.borrow_mut().get_mut(&(job, map_idx)) {
+                map.slots[reduce].reader = Some(reader);
             }
         }
         if packet.bytes > 0 {
@@ -361,8 +375,7 @@ impl TaskTracker {
 
     /// Drops all serve state of a finished job (commit-time cleanup).
     pub fn cleanup_job(&self, job: JobId) {
-        self.serving.borrow_mut().retain(|(j, _, _), _| *j != job);
-        self.served_parts.borrow_mut().retain(|(j, _), _| *j != job);
+        self.serving.borrow_mut().retain(|(j, _), _| *j != job);
         self.cache.remove_job(job);
     }
 
@@ -371,7 +384,6 @@ impl TaskTracker {
     /// survive because `JobResult` reads them at commit.
     pub fn clear_serve_state(&self) {
         self.serving.borrow_mut().clear();
-        self.served_parts.borrow_mut().clear();
         self.cache.clear();
     }
 
@@ -526,8 +538,7 @@ mod tests {
     use super::*;
     use crate::cluster::{Cluster, NodeSpec};
     use crate::config::ShuffleKind;
-    use crate::mapoutput::MapOutputInfo;
-    use crate::record::Segment;
+    use crate::mapoutput::{MapOutputInfo, Partitions};
     use rmr_hdfs::HdfsConfig;
     use rmr_net::FabricParams;
 
@@ -580,11 +591,79 @@ mod tests {
             file,
             total_bytes: bytes_total,
             total_records: bytes_total / 100,
-            parts: vec![
-                Segment::synthetic(part_bytes / 100, part_bytes),
-                Segment::synthetic(part_bytes / 100, part_bytes),
-            ],
+            parts: Partitions::Even {
+                records: 2 * (part_bytes / 100),
+                bytes: bytes_total,
+                n: 2,
+            },
         });
+    }
+
+    /// Serves one request of reduce attempt `attempt` for partition
+    /// `reduce` of map 0, `budget` bytes at most; returns the packet's
+    /// records, the records the answer says are left, and whether the map's
+    /// copy was cached right after the answer (a miss re-stages it later).
+    fn serve_once(
+        sim: &Sim,
+        tt: &Rc<TaskTracker>,
+        reduce: usize,
+        attempt: u32,
+        budget: u64,
+    ) -> (u64, u64, bool) {
+        let got = Rc::new(std::cell::Cell::new(None));
+        let (tt, g) = (Rc::clone(tt), Rc::clone(&got));
+        sim.spawn(async move {
+            let resp = tt
+                .serve(J, 0, reduce, attempt, PacketBudget::Bytes(budget))
+                .await;
+            let ShufMsg::Response {
+                packet,
+                remaining_records,
+                ..
+            } = resp
+            else {
+                panic!("the output is held here")
+            };
+            let cached = tt.cache.contains((J, 0));
+            g.set(Some((packet.records, remaining_records, cached)));
+        })
+        .detach();
+        sim.run();
+        got.get().expect("served")
+    }
+
+    /// The serve rules a retried reducer relies on: a newer attempt rewinds
+    /// a drained partition and takes back its drain credit, a late request
+    /// of the superseded attempt is answered empty and complete without
+    /// moving the live cursor, and the map's cached copy goes exactly once,
+    /// when its last partition drains.
+    #[test]
+    fn retried_reducers_rewind_and_the_cache_copy_goes_once() {
+        let (sim, _cluster, tt, _server) = setup(ShuffleKind::OsuIb, true);
+        register_output(&sim, &tt, 0, 1 << 20);
+        let staged = || tt.cache.insert((J, 0), 2 << 20, Priority::Prefetch);
+        assert!(staged());
+        let part = (1 << 20) / 100;
+        let (all, half) = (u64::MAX, 512 << 10);
+
+        // Attempt 0 drains partition 0: one of two partitions done.
+        assert_eq!(serve_once(&sim, &tt, 0, 0, all), (part, 0, true));
+        // Attempt 1 starts partition 0 over from its head.
+        let (first, left, _) = serve_once(&sim, &tt, 0, 1, half);
+        assert!(first > 0 && left > 0 && first + left == part);
+        // A late request of attempt 0 gets the empty, complete answer ...
+        assert_eq!(serve_once(&sim, &tt, 0, 0, all), (0, 0, true));
+        // ... and attempt 1 goes on where it was. Partition 0 drained twice
+        // counts once: the copy stays until partition 1 drains too.
+        let drained = serve_once(&sim, &tt, 0, 1, all);
+        assert_eq!(drained, (left, 0, true), "released before partition 1");
+        let last = serve_once(&sim, &tt, 1, 0, all);
+        assert_eq!(last, (part, 0, false), "released at the last drain");
+        // Requests after the release release nothing more.
+        assert!(staged());
+        assert_eq!(serve_once(&sim, &tt, 1, 0, all), (0, 0, true));
+        assert_eq!(serve_once(&sim, &tt, 0, 1, all), (0, 0, true));
+        assert_eq!(serve_once(&sim, &tt, 0, 0, all), (0, 0, true));
     }
 
     #[test]
@@ -676,7 +755,11 @@ mod tests {
                 file: "j0_map_1.out".into(),
                 total_bytes: 100,
                 total_records: 1,
-                parts: vec![Segment::synthetic(1, 100)],
+                parts: Partitions::Even {
+                    records: 1,
+                    bytes: 100,
+                    n: 1,
+                },
             });
             let client = cluster.workers[1].id;
             let answers = Rc::new(std::cell::RefCell::new(Vec::new()));

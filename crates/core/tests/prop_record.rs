@@ -14,6 +14,7 @@ use std::rc::Rc;
 use bytes::Bytes;
 use proptest::prelude::*;
 
+use rmr_core::mapoutput::Partitions;
 use rmr_core::record::{GroupTable, SegmentCursor};
 use rmr_core::spec::ReduceFn;
 use rmr_core::{
@@ -199,6 +200,27 @@ proptest! {
         let max = parts.iter().map(|p| p.records).max().unwrap();
         let min = parts.iter().map(|p| p.records).min().unwrap();
         prop_assert!(max - min <= 1);
+    }
+
+    #[test]
+    fn even_split_cuts_what_partition_cuts(
+        records in any::<u64>(),
+        bytes in any::<u64>(),
+        n in 1usize..300,
+        total_order in any::<bool>(),
+    ) {
+        let part: &dyn Partitioner = if total_order { &TotalOrderPartitioner } else { &HashPartitioner };
+        let seg = Segment::synthetic(records, bytes);
+        let want = seg.partition(n, part);
+        let got = Partitions::split(seg, n, part);
+        prop_assert!(matches!(got, Partitions::Even { .. }));
+        prop_assert!(!got.is_real());
+        prop_assert_eq!(got.len(), n);
+        for (r, want) in want.iter().enumerate() {
+            let got = got.get(r);
+            prop_assert!(!got.is_real());
+            prop_assert_eq!((got.records, got.bytes), (want.records, want.bytes));
+        }
     }
 
     #[test]

@@ -281,15 +281,19 @@ enum Content {
 const MIXED: &str = "a block holds encoded bytes or held pieces, not both";
 
 impl Content {
-    /// The block's buffer, reserved once at `reserve` bytes (the block size,
-    /// or the one oversized piece the block will hold), with an adopted blob
-    /// copied in.
-    fn into_building(self, reserve: u64) -> BytesMut {
-        let fresh = || BytesMut::with_capacity(reserve as usize);
+    /// The block's buffer, with room for a `len`-byte piece: a new buffer
+    /// is reserved at exactly what it will hold, with an adopted blob copied
+    /// in, and a buffer already building grows geometrically. A block of one
+    /// piece (TeraGen's) is one exact reservation, and a block built of many
+    /// small pieces (a user reducer's output) holds at most twice its length
+    /// — not its block size, which a short last block would keep for the
+    /// file's life.
+    fn into_building(self, len: u64) -> BytesMut {
+        let fresh = |held: usize| BytesMut::with_capacity(held + len as usize);
         match self {
-            Content::Empty => fresh(),
+            Content::Empty => fresh(0),
             Content::Adopted(blob) => {
-                let mut buf = fresh();
+                let mut buf = fresh(blob.len());
                 buf.put_slice(&blob);
                 buf
             }
@@ -328,11 +332,10 @@ impl HdfsWriter {
         assert!(!self.closed, "write after close");
         let block_size = self.cluster.cfg.block_size;
         if let Some(data) = blob.data {
-            let reserve = block_size.max(blob.len);
             let put = |content| match content {
                 Content::Empty => Content::Adopted(data),
                 held => {
-                    let mut buf = held.into_building(reserve);
+                    let mut buf = held.into_building(blob.len);
                     buf.put_slice(&data);
                     Content::Building(buf)
                 }
@@ -368,10 +371,9 @@ impl HdfsWriter {
         fill: impl FnOnce(&mut BytesMut),
     ) -> Result<(), HdfsError> {
         assert!(!self.closed, "write after close");
-        let reserve = self.cluster.cfg.block_size.max(len);
         let path = self.path.clone();
         let put = move |content: Content| {
-            let mut buf = content.into_building(reserve);
+            let mut buf = content.into_building(len);
             let before = buf.len() as u64;
             fill(&mut buf);
             let filled = buf.len() as u64 - before;

@@ -12,6 +12,10 @@
 //! records again: a gathered copy costs 108 B per record, more with the
 //! block it is reserved in. Once both files are deleted, the heap is back
 //! where it started.
+//!
+//! A user reducer's output is encoded into the block it lives in, and a
+//! short output is a short block: a WordCount writing ~1 KB into a file of
+//! 32 MiB blocks may hold the kilobyte, not a block-sized reservation.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::{Cell, RefCell};
@@ -25,7 +29,7 @@ use rmr_core::{encode_records, JobConf, Record, Segment};
 use rmr_des::Sim;
 use rmr_hdfs::{Blob, HdfsConfig};
 use rmr_net::FabricParams;
-use rmr_workloads::terasort_spec;
+use rmr_workloads::{terasort_spec, wordcount_spec};
 
 /// Live heap bytes allocated by this thread, net of frees. The simulation
 /// is single-threaded, so the test thread's count is the run's.
@@ -185,4 +189,79 @@ fn identity_output_holds_the_merged_windows_not_a_copy() {
     );
     // Last: under the test harness's output capture, printing allocates.
     eprintln!("output added {added} B for {RECORDS} records; rounds {rounds:?}");
+}
+
+/// Words the user reducer counts, each seen three times.
+const WORDS: usize = 64;
+/// What a ~1 KB output may add to the heap.
+const SHORT_OUTPUT_BUDGET: isize = 64 << 10;
+
+/// One round of a WordCount reduce over `WORDS` words into a file of
+/// `cluster`'s blocks; returns the live heap the finished output holds
+/// above the round's start, and what is left once it is deleted.
+async fn count_round(cluster: &Cluster, conf: &Rc<JobConf>) -> (isize, isize) {
+    let start = live();
+    let node = cluster.workers[0].clone();
+    let spec = wordcount_spec("/in", "/counts");
+    let records = (0..WORDS * 3)
+        .map(|i| {
+            Record::new(
+                format!("word{:03}", i % WORDS).into_bytes(),
+                Bytes::from("1"),
+            )
+        })
+        .collect();
+    let mut sink = ReduceSink::open(cluster, conf, &spec, &node, 0).await;
+    sink.consume(Segment::from_records(records)).await;
+    let (_, _, out_bytes) = sink.finish().await;
+    assert!(
+        (1_000..2_000).contains(&out_bytes),
+        "{out_bytes} B of output"
+    );
+    let held = live() - start;
+    let part = "/counts/part-00000";
+    cluster
+        .hdfs
+        .delete(part, node.id)
+        .await
+        .expect("delete output");
+    drop(spec);
+    (held, live() - start)
+}
+
+#[test]
+fn a_short_user_output_holds_its_length_not_a_block() {
+    let sim = Sim::new(7);
+    let cluster = Cluster::build(
+        &sim,
+        FabricParams::ib_verbs_qdr(),
+        &[NodeSpec::westmere_compute()],
+        HdfsConfig {
+            block_size: 32 << 20,
+            replication: 1,
+            packet_size: 1 << 20,
+        },
+    );
+    let conf = Rc::new(JobConf::default());
+    let rounds = Rc::new(RefCell::new(Vec::new()));
+    let r2 = Rc::clone(&rounds);
+    sim.spawn(async move {
+        // The first round grows what the simulation keeps for good; the
+        // second is measured.
+        for _ in 0..2 {
+            let got = count_round(&cluster, &conf).await;
+            r2.borrow_mut().push(got);
+        }
+    })
+    .detach();
+    sim.run();
+    let rounds = rounds.take();
+    let (held, left) = rounds[1];
+    assert!(
+        held < SHORT_OUTPUT_BUDGET,
+        "a ~1 KB output holds {held} B (budget {SHORT_OUTPUT_BUDGET} B)"
+    );
+    assert_eq!(left, 0, "deleting the output frees everything it held");
+    // Last: under the test harness's output capture, printing allocates.
+    eprintln!("short output held {held} B; rounds {rounds:?}");
 }

@@ -1,0 +1,198 @@
+//! What a TaskTracker's shuffle server keeps per (map, reduce) pair.
+//!
+//! Every reducer of a job pulls from every map, so the map-output registry
+//! and the server's serve state are sized by maps × reduces — at the
+//! 256-node scale point, 262 144 pairs. This binary has its own counting
+//! allocator (as `tests/map_memory.rs`), registers 64 synthetic map outputs
+//! on one TaskTracker, stages them in its PrefetchCache, and asks for one
+//! packet of every (map, reduce) pair — each partition half-served, from
+//! the cache, so no disk reader is opened. A synthetic output's even split
+//! is three numbers whatever its partition count (a segment per partition
+//! costs 40 B each), a served pair costs at most 40 B (a B-tree entry with a
+//! segment copy per pair costs over 100), and once the job is cleaned up the
+//! heap is back where it started.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::rc::Rc;
+
+use rmr_core::cluster::{Cluster, NodeSpec};
+use rmr_core::mapoutput::{MapOutputInfo, MapOutputStore, Partitions};
+use rmr_core::prefetch::Priority;
+use rmr_core::proto::{PacketBudget, ShufMsg};
+use rmr_core::tasktracker::TaskTracker;
+use rmr_core::{HashPartitioner, JobConf, JobId, Segment};
+use rmr_des::Sim;
+use rmr_hdfs::HdfsConfig;
+use rmr_net::FabricParams;
+
+/// Live heap bytes allocated by this thread, net of frees. The simulation
+/// is single-threaded, so the test thread's count is the run's.
+struct Counting;
+
+thread_local! {
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+}
+
+fn track(bytes: isize) {
+    // `try_with`: the allocator also runs while the thread tears down.
+    let _ = LIVE.try_with(|live| live.set(live.get() + bytes));
+}
+
+// SAFETY: every call is forwarded to `System` unchanged; the wrapper only
+// counts.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let p = System.alloc(layout);
+        if !p.is_null() {
+            track(layout.size() as isize);
+        }
+        p
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        let p = System.alloc_zeroed(layout);
+        if !p.is_null() {
+            track(layout.size() as isize);
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
+        System.dealloc(p, layout);
+        track(-(layout.size() as isize));
+    }
+
+    unsafe fn realloc(&self, p: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let q = System.realloc(p, layout, new_size);
+        if !q.is_null() {
+            track(new_size as isize - layout.size() as isize);
+        }
+        q
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+fn live() -> isize {
+    LIVE.with(Cell::get)
+}
+
+const J: JobId = JobId(0);
+/// Map outputs registered on the TaskTracker.
+const MAPS: usize = 64;
+/// Partitions of the measured outputs.
+const REDUCES: usize = 64;
+/// Bytes in one partition; 100-byte records.
+const PART_BYTES: u64 = 64 << 10;
+/// What a served pair may cost.
+const BUDGET_PER_PAIR: isize = 40;
+
+/// What one round added, in live heap bytes.
+#[derive(Debug)]
+struct Round {
+    /// Per registered output.
+    registry: isize,
+    /// Per served (map, reduce) pair.
+    serve: isize,
+    /// Left over once the job is cleaned up, above the round's start.
+    left: isize,
+}
+
+/// Stages, registers and half-serves `MAPS` outputs of `parts` partitions
+/// each, then cleans the job up.
+fn round(sim: &Sim, tt: &Rc<TaskTracker>, parts: usize) -> Round {
+    let start = live();
+    let bytes = PART_BYTES * parts as u64;
+    for m in 0..MAPS {
+        assert!(tt.cache.insert((J, m), bytes, Priority::Prefetch));
+    }
+
+    let before = live();
+    for m in 0..MAPS {
+        let output = Segment::synthetic(bytes / 100, bytes);
+        tt.outputs.insert(MapOutputInfo {
+            job: J,
+            map_idx: m,
+            tt_idx: 0,
+            node: tt.node.id,
+            file: format!("{J}_map_{m}.out"),
+            total_bytes: bytes,
+            total_records: bytes / 100,
+            parts: Partitions::split(output, parts, &HashPartitioner),
+        });
+    }
+    let registry = (live() - before) / MAPS as isize;
+
+    let before = live();
+    let server = Rc::clone(tt);
+    sim.spawn(async move {
+        for m in 0..MAPS {
+            for r in 0..parts {
+                let budget = PacketBudget::Bytes(PART_BYTES / 2);
+                let ShufMsg::Response {
+                    packet,
+                    remaining_records,
+                    from_cache,
+                    ..
+                } = server.serve(J, m, r, 0, budget).await
+                else {
+                    panic!("map {m} is held here")
+                };
+                assert!(from_cache && packet.records > 0 && remaining_records > 0);
+            }
+        }
+    })
+    .detach();
+    sim.run();
+    assert_eq!(tt.serve_state_counts(), (MAPS * parts, 0), "no reader");
+    let serve = (live() - before) / (MAPS * parts) as isize;
+
+    tt.cleanup_job(J);
+    tt.outputs.remove_job(J);
+    Round {
+        registry,
+        serve,
+        left: live() - start,
+    }
+}
+
+#[test]
+fn serve_state_is_one_small_slot_per_pair() {
+    let sim = Sim::new(3);
+    let cluster = Cluster::build(
+        &sim,
+        FabricParams::ib_verbs_qdr(),
+        &[NodeSpec::westmere_compute()],
+        HdfsConfig::default(),
+    );
+    let tt = TaskTracker::new(
+        &sim,
+        0,
+        cluster.workers[0].clone(),
+        &JobConf::default(),
+        MapOutputStore::new(),
+        true,
+        rmr_obs::Recorder::off(),
+    );
+    // The first round also grows what the simulation keeps for good (the
+    // event queue, the cache's per-job counters); the others are measured.
+    let warm = round(&sim, &tt, REDUCES);
+    let one = round(&sim, &tt, 1);
+    let wide = round(&sim, &tt, REDUCES);
+    assert!(
+        wide.registry <= one.registry,
+        "an output of {REDUCES} partitions holds {} B, of one {} B",
+        wide.registry,
+        one.registry
+    );
+    assert!(
+        wide.serve <= BUDGET_PER_PAIR,
+        "a served pair holds {} B (budget {BUDGET_PER_PAIR} B)",
+        wide.serve
+    );
+    assert_eq!((one.left, wide.left), (0, 0), "cleanup frees the round");
+    // Last: under the test harness's output capture, printing allocates.
+    eprintln!("rounds: warm {warm:?}, one partition {one:?}, {REDUCES} partitions {wide:?}");
+}
