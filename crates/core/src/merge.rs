@@ -280,6 +280,11 @@ impl StreamingMerge {
         // it), never drop it under.
         s.low = s.low && s.below(self.watermark);
         if is_real || had_head {
+            // Most FIFOs only ever hold one packet: the first use reserves
+            // exactly that, not `VecDeque`'s minimum of four.
+            if cold.packets.capacity() == 0 {
+                cold.packets.reserve_exact(1);
+            }
             cold.packets.push_back(packet);
         } else {
             // The packet becomes the inline head: nothing is allocated.
@@ -680,6 +685,29 @@ mod tests {
         m.append(0, Segment::synthetic(3, 30));
         assert_eq!(m.cold[0].packets.len(), 1);
         assert_eq!((m.hot[0].avail, m.hot[0].head_records), (7, 4));
+    }
+
+    #[test]
+    fn a_fifo_that_held_one_packet_holds_one_slot() {
+        let mut m = StreamingMerge::new(vec![100]);
+        // A head and one packet behind it, consumed, then again.
+        for _ in 0..2 {
+            m.append(0, Segment::synthetic(4, 40));
+            m.append(0, Segment::synthetic(3, 30));
+            assert_eq!(m.cold[0].packets.len(), 1);
+            assert!(matches!(m.emit(7), Emit::Data(seg) if seg.records == 7));
+        }
+        assert_eq!(m.cold[0].packets.capacity(), 1, "one slot, not four");
+        // A second packet queued behind the head grows it as `VecDeque` does.
+        m.append(0, Segment::synthetic(4, 40));
+        m.append(0, Segment::synthetic(3, 30));
+        m.append(0, Segment::synthetic(3, 30));
+        assert_eq!(m.cold[0].packets.len(), 2);
+        assert!(m.cold[0].packets.capacity() >= 2);
+        // Real mode queues every packet, the first one included.
+        let mut r = StreamingMerge::new(vec![2]);
+        r.append(0, real_packet(&[1, 2]));
+        assert_eq!(r.cold[0].packets.capacity(), 1);
     }
 
     #[test]

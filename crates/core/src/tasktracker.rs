@@ -74,7 +74,7 @@ struct ServeSlot {
     /// The partition's sequential disk reader, once a request missed the
     /// cache. Taken out while a read is in flight (the `RefCell` must not
     /// stay borrowed across the await) and put back after it. Boxed: a
-    /// reader is three times the rest of the slot, and most slots of a
+    /// reader (48 B) is twice the rest of the slot, and most slots of a
     /// cached or drained map hold none.
     reader: Option<Box<FileReader>>,
 }

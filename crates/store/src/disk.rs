@@ -106,11 +106,6 @@ impl Disk {
         }
     }
 
-    /// The device's parameters.
-    pub fn params(&self) -> &DiskParams {
-        &self.params
-    }
-
     /// Allocates a fresh stream identity.
     pub fn new_stream(&self) -> StreamId {
         let mut inner = self.inner.borrow_mut();

@@ -9,6 +9,16 @@
 //! Files are striped across disks at *file* granularity, round-robin, which
 //! is what configuring one `mapred.local.dir`/`dfs.data.dir` entry per disk
 //! does in real Hadoop (the paper's multi-HDD experiments, Fig 4).
+//!
+//! A [`LocalFs`] is a handle: one `Rc` of the node's disks, page cache and
+//! file table, so a clone is one reference-count bump. An open file is small
+//! because a Hadoop-A TaskTracker keeps a reader open for every partition a
+//! reducer has half-pulled from disk: a [`FileReader`] is the handle, the
+//! file table's own shared name, the index of the disk it was opened on, its
+//! I/O stream and its position (48 B), and a [`FileWriter`] is the same
+//! without the position (40 B). Opening an existing file allocates nothing.
+//! Every read and append looks the file up by name, so a handle to a
+//! deleted file fails with [`FsError::NotFound`].
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -36,17 +46,23 @@ struct FileMeta {
 }
 
 struct FsInner {
-    files: BTreeMap<String, FileMeta>,
+    /// Keyed by a shared name: an open handle holds the same allocation.
+    files: BTreeMap<Rc<str>, FileMeta>,
     next_id: u64,
     next_disk: usize,
 }
 
-/// A node-local filesystem.
+/// A node-local filesystem: a handle, so a clone is one reference-count
+/// bump. Every open file holds one.
 #[derive(Clone)]
 pub struct LocalFs {
-    disks: Rc<Vec<Disk>>,
+    shared: Rc<Shared>,
+}
+
+struct Shared {
+    disks: Vec<Disk>,
     cache: PageCache,
-    inner: Rc<RefCell<FsInner>>,
+    inner: RefCell<FsInner>,
     /// Host CPU charged for the software I/O path (None in unit tests that
     /// isolate device behaviour).
     cpu: Option<Fluid>,
@@ -57,6 +73,10 @@ pub struct LocalFs {
     c_read: rmr_des::Counter,
     c_read_disk: rmr_des::Counter,
 }
+
+const _: () = assert!(std::mem::size_of::<LocalFs>() == 8);
+const _: () = assert!(std::mem::size_of::<FileReader>() <= 48);
+const _: () = assert!(std::mem::size_of::<FileWriter>() <= 40);
 
 /// Errors from filesystem operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -99,29 +119,34 @@ impl LocalFs {
             .map(|_| Disk::new(sim, params.clone(), ""))
             .collect();
         LocalFs {
-            disks: Rc::new(disks),
-            cache: PageCache::new(cache_budget),
-            inner: Rc::new(RefCell::new(FsInner {
-                files: BTreeMap::new(),
-                next_id: 0,
-                next_disk: 0,
-            })),
-            cpu: None,
-            c_written: sim.metrics().counter("fs.bytes_written"),
-            c_read: sim.metrics().counter("fs.bytes_read"),
-            c_read_disk: sim.metrics().counter("fs.bytes_read_disk"),
+            shared: Rc::new(Shared {
+                disks,
+                cache: PageCache::new(cache_budget),
+                inner: RefCell::new(FsInner {
+                    files: BTreeMap::new(),
+                    next_id: 0,
+                    next_disk: 0,
+                }),
+                cpu: None,
+                c_written: sim.metrics().counter("fs.bytes_written"),
+                c_read: sim.metrics().counter("fs.bytes_read"),
+                c_read_disk: sim.metrics().counter("fs.bytes_read_disk"),
+            }),
         }
     }
 
     /// Attaches the host CPU: every read/write then charges the software
-    /// I/O path ([`IO_CPU_PER_BYTE`], [`IO_CPU_PER_OP`]).
+    /// I/O path ([`IO_CPU_PER_BYTE`], [`IO_CPU_PER_OP`]). A builder step:
+    /// call it before the first clone.
     pub fn with_cpu(mut self, cpu: Fluid) -> Self {
-        self.cpu = Some(cpu);
+        Rc::get_mut(&mut self.shared)
+            .expect("with_cpu runs before the filesystem is cloned")
+            .cpu = Some(cpu);
         self
     }
 
     async fn charge_io_cpu(&self, bytes: u64) {
-        if let Some(cpu) = &self.cpu {
+        if let Some(cpu) = &self.shared.cpu {
             cpu.consume(IO_CPU_PER_OP + IO_CPU_PER_BYTE * bytes as f64)
                 .await;
         }
@@ -129,128 +154,124 @@ impl LocalFs {
 
     /// The underlying page cache (for instrumentation).
     pub fn page_cache(&self) -> &PageCache {
-        &self.cache
+        &self.shared.cache
     }
 
     /// Sum of all file sizes.
     pub fn used_bytes(&self) -> u64 {
-        self.inner.borrow().files.values().map(|m| m.size).sum()
+        let inner = self.shared.inner.borrow();
+        inner.files.values().map(|m| m.size).sum()
     }
 
     /// Aggregate seconds any disk spent busy.
     pub fn disks_busy_seconds(&self) -> f64 {
-        self.disks.iter().map(|d| d.busy_seconds()).sum()
+        self.shared.disks.iter().map(|d| d.busy_seconds()).sum()
     }
 
     /// True if `path` exists.
     pub fn exists(&self, path: &str) -> bool {
-        self.inner.borrow().files.contains_key(path)
+        self.shared.inner.borrow().files.contains_key(path)
     }
 
     /// Size of `path`.
     pub fn size(&self, path: &str) -> Result<u64, FsError> {
-        self.inner
-            .borrow()
-            .files
-            .get(path)
-            .map(|m| m.size)
-            .ok_or_else(|| FsError::NotFound(path.to_string()))
+        self.meta(path).map(|m| m.size)
     }
 
     /// Creates an empty file, assigning it to the next disk round-robin.
     pub fn create(&self, path: &str) -> Result<(), FsError> {
-        let mut inner = self.inner.borrow_mut();
+        self.create_shared(path).map(drop)
+    }
+
+    /// [`Self::create`], returning the file table's name for `path`.
+    fn create_shared(&self, path: &str) -> Result<(Rc<str>, FileMeta), FsError> {
+        let mut inner = self.shared.inner.borrow_mut();
         if inner.files.contains_key(path) {
             return Err(FsError::Exists(path.to_string()));
         }
         let id = inner.next_id;
         inner.next_id += 1;
-        let disk = inner.next_disk % self.disks.len();
+        let disk = inner.next_disk % self.shared.disks.len();
         inner.next_disk += 1;
-        inner
-            .files
-            .insert(path.to_string(), FileMeta { id, size: 0, disk });
-        Ok(())
+        let (name, meta) = (Rc::<str>::from(path), FileMeta { id, size: 0, disk });
+        inner.files.insert(Rc::clone(&name), meta);
+        Ok((name, meta))
     }
 
     /// Deletes a file, releasing its pages.
     pub fn delete(&self, path: &str) -> Result<(), FsError> {
-        let meta = self
-            .inner
-            .borrow_mut()
-            .files
-            .remove(path)
+        let meta = (self.shared.inner.borrow_mut().files.remove(path))
             .ok_or_else(|| FsError::NotFound(path.to_string()))?;
-        self.cache.forget(meta.id);
+        self.shared.cache.forget(meta.id);
         Ok(())
     }
 
     fn meta(&self, path: &str) -> Result<FileMeta, FsError> {
-        self.inner
-            .borrow()
-            .files
-            .get(path)
-            .copied()
+        (self.shared.inner.borrow().files.get(path).copied())
             .ok_or_else(|| FsError::NotFound(path.to_string()))
+    }
+
+    /// The file table's name for `path` and its metadata.
+    fn lookup(&self, path: &str) -> Option<(Rc<str>, FileMeta)> {
+        let inner = self.shared.inner.borrow();
+        let (name, meta) = inner.files.get_key_value(path)?;
+        Some((Rc::clone(name), *meta))
     }
 
     /// Opens a sequential writer, creating the file if needed.
     pub fn writer(&self, path: &str) -> Result<FileWriter, FsError> {
-        if !self.exists(path) {
-            self.create(path)?;
-        }
-        let meta = self.meta(path)?;
-        let disk = self.disks[meta.disk].clone();
-        let stream = disk.new_stream();
+        let (path, meta) = match self.lookup(path) {
+            Some(found) => found,
+            None => self.create_shared(path)?,
+        };
         Ok(FileWriter {
             fs: self.clone(),
-            path: path.to_string(),
-            disk,
-            stream,
+            path,
+            disk: meta.disk,
+            stream: self.shared.disks[meta.disk].new_stream(),
         })
     }
 
     /// Opens a sequential reader positioned at the start.
     pub fn reader(&self, path: &str) -> Result<FileReader, FsError> {
-        let meta = self.meta(path)?;
-        let disk = self.disks[meta.disk].clone();
-        let stream = disk.new_stream();
+        let (path, meta) =
+            (self.lookup(path)).ok_or_else(|| FsError::NotFound(path.to_string()))?;
         Ok(FileReader {
             fs: self.clone(),
-            path: path.to_string(),
-            disk,
-            stream,
+            path,
+            disk: meta.disk,
+            stream: self.shared.disks[meta.disk].new_stream(),
             pos: 0,
         })
     }
 }
 
-/// Sequential append handle; one I/O stream on the owning disk.
+/// Sequential append handle; one I/O stream on the disk the file was opened
+/// on.
 pub struct FileWriter {
     fs: LocalFs,
-    path: String,
-    disk: Disk,
+    path: Rc<str>,
+    disk: usize,
     stream: StreamId,
 }
 
 impl FileWriter {
     /// Appends `bytes`, charging the disk and populating the page cache.
     pub async fn append(&self, bytes: u64) -> Result<(), FsError> {
+        let fs = &self.fs.shared;
         self.fs.charge_io_cpu(bytes).await;
         // Buffered writes hit the page cache and flush to disk; the flush
         // is charged synchronously (steady-state throughput is disk-bound
         // either way, and Hadoop's spill writers block on throttled disks).
-        self.disk.io(self.stream, bytes).await;
-        let mut inner = self.fs.inner.borrow_mut();
-        let meta = inner
-            .files
-            .get_mut(&self.path)
-            .ok_or_else(|| FsError::NotFound(self.path.clone()))?;
+        fs.disks[self.disk].io(self.stream, bytes).await;
+        let mut inner = fs.inner.borrow_mut();
+        let meta = (inner.files.get_mut(&*self.path))
+            .ok_or_else(|| FsError::NotFound(self.path.to_string()))?;
         meta.size += bytes;
         let (id, size) = (meta.id, meta.size);
         drop(inner);
-        self.fs.cache.insert(id, bytes, size);
-        self.fs.c_written.add(bytes as f64);
+        fs.cache.insert(id, bytes, size);
+        fs.c_written.add(bytes as f64);
         Ok(())
     }
 
@@ -260,11 +281,12 @@ impl FileWriter {
     }
 }
 
-/// Sequential read handle; one I/O stream on the owning disk.
+/// Sequential read handle; one I/O stream on the disk the file was opened
+/// on.
 pub struct FileReader {
     fs: LocalFs,
-    path: String,
-    disk: Disk,
+    path: Rc<str>,
+    disk: usize,
     stream: StreamId,
     pos: u64,
 }
@@ -276,19 +298,20 @@ impl FileReader {
         let meta = self.fs.meta(&self.path)?;
         if self.pos + bytes > meta.size {
             return Err(FsError::ShortRead {
-                path: self.path.clone(),
+                path: self.path.to_string(),
                 want: bytes,
                 have: meta.size - self.pos,
             });
         }
+        let fs = &self.fs.shared;
         self.fs.charge_io_cpu(bytes).await;
-        let miss = self.fs.cache.read(meta.id, bytes, meta.size);
+        let miss = fs.cache.read(meta.id, bytes, meta.size);
         if miss > 0 {
-            self.disk.io(self.stream, miss).await;
+            fs.disks[self.disk].io(self.stream, miss).await;
         }
         self.pos += bytes;
-        self.fs.c_read.add(bytes as f64);
-        self.fs.c_read_disk.add(miss as f64);
+        fs.c_read.add(bytes as f64);
+        fs.c_read_disk.add(miss as f64);
         Ok(())
     }
 

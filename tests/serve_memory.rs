@@ -11,6 +11,12 @@
 //! costs 40 B each), a served pair costs at most 40 B (a B-tree entry with a
 //! segment copy per pair costs over 100), and once the job is cleaned up the
 //! heap is back where it started.
+//!
+//! A Hadoop-A TaskTracker has no cache: it reads the disk for every request
+//! and keeps each half-served partition's reader open. The second case
+//! half-serves every pair from the node's local filesystem, and an open
+//! reader may add at most 64 B to the pair (a reader holding its own copy of
+//! the filesystem, the disk and the path costs about 200).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -88,6 +94,8 @@ const REDUCES: usize = 64;
 const PART_BYTES: u64 = 64 << 10;
 /// What a served pair may cost.
 const BUDGET_PER_PAIR: isize = 40;
+/// What an open disk reader may add to a served pair.
+const BUDGET_PER_READER: isize = 64;
 
 /// What one round added, in live heap bytes.
 #[derive(Debug)]
@@ -100,13 +108,34 @@ struct Round {
     left: isize,
 }
 
+/// The output file of map `m`.
+fn file(m: usize) -> String {
+    format!("{J}_map_{m}.out")
+}
+
 /// Stages, registers and half-serves `MAPS` outputs of `parts` partitions
-/// each, then cleans the job up.
-fn round(sim: &Sim, tt: &Rc<TaskTracker>, parts: usize) -> Round {
-    let start = live();
+/// each, then cleans the job up. With `from_disk` the outputs are written
+/// to the node's filesystem (before the round's start, and deleted after
+/// its end) instead of staged in the cache, and every pair is read from
+/// disk.
+fn round(sim: &Sim, tt: &Rc<TaskTracker>, parts: usize, from_disk: bool) -> Round {
     let bytes = PART_BYTES * parts as u64;
-    for m in 0..MAPS {
-        assert!(tt.cache.insert((J, m), bytes, Priority::Prefetch));
+    if from_disk {
+        let fs = tt.node.fs.clone();
+        sim.spawn(async move {
+            for m in 0..MAPS {
+                let w = fs.writer(&file(m)).unwrap();
+                w.append(bytes).await.unwrap();
+            }
+        })
+        .detach();
+        sim.run();
+    }
+    let start = live();
+    if !from_disk {
+        for m in 0..MAPS {
+            assert!(tt.cache.insert((J, m), bytes, Priority::Prefetch));
+        }
     }
 
     let before = live();
@@ -117,7 +146,7 @@ fn round(sim: &Sim, tt: &Rc<TaskTracker>, parts: usize) -> Round {
             map_idx: m,
             tt_idx: 0,
             node: tt.node.id,
-            file: format!("{J}_map_{m}.out"),
+            file: file(m),
             total_bytes: bytes,
             total_records: bytes / 100,
             parts: Partitions::split(output, parts, &HashPartitioner),
@@ -140,47 +169,60 @@ fn round(sim: &Sim, tt: &Rc<TaskTracker>, parts: usize) -> Round {
                 else {
                     panic!("map {m} is held here")
                 };
-                assert!(from_cache && packet.records > 0 && remaining_records > 0);
+                assert_eq!(from_cache, !from_disk);
+                assert!(packet.records > 0 && remaining_records > 0);
             }
         }
     })
     .detach();
     sim.run();
-    assert_eq!(tt.serve_state_counts(), (MAPS * parts, 0), "no reader");
+    let readers = if from_disk { MAPS * parts } else { 0 };
+    assert_eq!(tt.serve_state_counts(), (MAPS * parts, readers));
     let serve = (live() - before) / (MAPS * parts) as isize;
 
     tt.cleanup_job(J);
     tt.outputs.remove_job(J);
+    let left = live() - start;
+    if from_disk {
+        for m in 0..MAPS {
+            tt.node.fs.delete(&file(m)).unwrap();
+        }
+    }
     Round {
         registry,
         serve,
-        left: live() - start,
+        left,
     }
+}
+
+/// One worker's TaskTracker; `cache_enabled` as the design decides.
+fn tracker(sim: &Sim, cache_enabled: bool) -> Rc<TaskTracker> {
+    let cluster = Cluster::build(
+        sim,
+        FabricParams::ib_verbs_qdr(),
+        &[NodeSpec::westmere_compute()],
+        HdfsConfig::default(),
+    );
+    TaskTracker::new(
+        sim,
+        0,
+        cluster.workers[0].clone(),
+        &JobConf::default(),
+        MapOutputStore::new(),
+        cache_enabled,
+        rmr_obs::Recorder::off(),
+    )
 }
 
 #[test]
 fn serve_state_is_one_small_slot_per_pair() {
     let sim = Sim::new(3);
-    let cluster = Cluster::build(
-        &sim,
-        FabricParams::ib_verbs_qdr(),
-        &[NodeSpec::westmere_compute()],
-        HdfsConfig::default(),
-    );
-    let tt = TaskTracker::new(
-        &sim,
-        0,
-        cluster.workers[0].clone(),
-        &JobConf::default(),
-        MapOutputStore::new(),
-        true,
-        rmr_obs::Recorder::off(),
-    );
+    let tt = tracker(&sim, true);
     // The first round also grows what the simulation keeps for good (the
     // event queue, the cache's per-job counters); the others are measured.
-    let warm = round(&sim, &tt, REDUCES);
-    let one = round(&sim, &tt, 1);
-    let wide = round(&sim, &tt, REDUCES);
+    let warm = round(&sim, &tt, REDUCES, false);
+    let one = round(&sim, &tt, 1, false);
+    let wide = round(&sim, &tt, REDUCES, false);
     assert!(
         wide.registry <= one.registry,
         "an output of {REDUCES} partitions holds {} B, of one {} B",
@@ -195,4 +237,23 @@ fn serve_state_is_one_small_slot_per_pair() {
     assert_eq!((one.left, wide.left), (0, 0), "cleanup frees the round");
     // Last: under the test harness's output capture, printing allocates.
     eprintln!("rounds: warm {warm:?}, one partition {one:?}, {REDUCES} partitions {wide:?}");
+}
+
+#[test]
+fn a_disk_served_pair_holds_one_small_reader() {
+    let sim = Sim::new(3);
+    let tt = tracker(&sim, false);
+    // The first round also grows what the simulation keeps for good; the
+    // second is measured.
+    let warm = round(&sim, &tt, REDUCES, true);
+    let disk = round(&sim, &tt, REDUCES, true);
+    assert!(
+        disk.serve <= BUDGET_PER_PAIR + BUDGET_PER_READER,
+        "a pair with an open reader holds {} B (budget {} B)",
+        disk.serve,
+        BUDGET_PER_PAIR + BUDGET_PER_READER
+    );
+    assert_eq!(disk.left, 0, "cleanup frees the round");
+    // Last: under the test harness's output capture, printing allocates.
+    eprintln!("rounds: warm {warm:?}, from disk {disk:?}");
 }
