@@ -8,8 +8,10 @@
 //! drains with jobs outstanding) prints its live tasks, what each blocks
 //! on and the runtime dump, and exits 2.
 
+use std::num::NonZeroUsize;
+
 use rmr_bench::chaos::{combiner_plan, derive_plan, render_plan, storm_plan, TwinTiming};
-use rmr_bench::cli::{parse_bench, usage_error, Args};
+use rmr_bench::cli::{parse_bench, parse_gb, usage_error, Args};
 use rmr_bench::{exit_hung, run_grid_traced, run_or_exit, scenarios, sweep};
 use rmr_cluster::{run_scenario, Bench, Experiment, RunReport, Scenario, System, Testbed};
 use rmr_core::{FaultPlan, JobResult};
@@ -70,9 +72,9 @@ fn require(failed: &mut bool, ok: bool, why: String) {
 /// and becomes a gate: with the combiner stage switched on, each engine's
 /// combiner-less run must replay the run without it exactly.
 fn grid(mut args: Args) {
-    let gb: f64 = args.pos("gb", 30.0);
-    let nodes: usize = args.pos("nodes", 4);
-    let disks: usize = args.pos("disks", 1);
+    let gb = args.pos_with("gb", 30.0, parse_gb);
+    let nodes = args.pos("nodes", NonZeroUsize::new(4).unwrap()).get();
+    let disks = args.pos("disks", NonZeroUsize::MIN).get();
     let bench = args.pos_with("bench", Bench::TeraSort, parse_bench);
     args.done();
     let engines = args.switch("--engines");
@@ -150,9 +152,9 @@ fn scale_point(nodes: usize, jobs: usize, gb_total: f64, seed: u64) -> (RunRepor
 /// non-zero on upward drift over 1.2x, a point over `--budget-s` of wall
 /// time, or a target point under `--min-attempts` (the CI smoke).
 fn scale(mut args: Args) {
-    let nodes: usize = args.pos("nodes", 1024);
-    let jobs: usize = args.pos("jobs", 8);
-    let gb: f64 = args.pos("gb", 100.0);
+    let nodes = args.pos("nodes", NonZeroUsize::new(1024).unwrap()).get();
+    let jobs = args.pos("jobs", NonZeroUsize::new(8).unwrap()).get();
+    let gb = args.pos_with("gb", 100.0, parse_gb);
     let seed: u64 = args.pos("seed", 42);
     args.done();
     let budget_s: Option<f64> = args.flag("--budget-s");
@@ -251,8 +253,8 @@ fn service(mut args: Args) {
     use rmr_bench::service::service_spec;
     use rmr_load::{try_run_service, ServicePolicy};
 
-    let nodes: usize = args.pos("nodes", 64);
-    let jobs: usize = args.pos("jobs", 1000);
+    let nodes = args.pos("nodes", NonZeroUsize::new(64).unwrap()).get();
+    let jobs = args.pos("jobs", NonZeroUsize::new(1000).unwrap()).get();
     let seed: u64 = args.pos("seed", 42);
     args.done();
     let budget_s: Option<f64> = args.flag("--budget-s");
@@ -440,9 +442,9 @@ fn chaos_point(
 /// [`chaos_point`]); any failure, or a point over `--budget-s` of wall
 /// time, exits non-zero after the whole table prints.
 fn chaos(mut args: Args) {
-    let nodes: usize = args.pos("nodes", 16);
-    let jobs: usize = args.pos("jobs", 2);
-    let gb: f64 = args.pos("gb", 1.0);
+    let nodes = args.pos("nodes", NonZeroUsize::new(16).unwrap()).get();
+    let jobs = args.pos("jobs", NonZeroUsize::new(2).unwrap()).get();
+    let gb = args.pos_with("gb", 1.0, parse_gb);
     let seed: u64 = args.pos("seed", 42);
     args.done();
     let plans: usize = args.flag("--plans").unwrap_or(8);
@@ -526,10 +528,10 @@ fn chaos(mut args: Args) {
 /// The `[gb] [system] [nodes] [disks]` prefix `one` and `phases` share.
 fn point_args(args: &mut Args, gb: f64) -> (f64, System, usize, usize) {
     (
-        args.pos("gb", gb),
+        args.pos_with("gb", gb, parse_gb),
         args.pos_with("system", System::OsuIb, System::parse),
-        args.pos("nodes", 4),
-        args.pos("disks", 1),
+        args.pos("nodes", NonZeroUsize::new(4).unwrap()).get(),
+        args.pos("disks", NonZeroUsize::MIN).get(),
     )
 }
 
@@ -669,9 +671,9 @@ fn write_or_exit(path: &str, body: &str) {
 /// Chrome trace — a schema violation exits non-zero (the CI smoke job
 /// relies on that).
 fn obs(mut args: Args) {
-    let jobs: usize = args.pos("jobs", 4);
-    let nodes: usize = args.pos("nodes", 8);
-    let gb: f64 = args.pos("gb_per_job", 0.25);
+    let jobs = args.pos("jobs", NonZeroUsize::new(4).unwrap()).get();
+    let nodes = args.pos("nodes", NonZeroUsize::new(8).unwrap()).get();
+    let gb = args.pos_with("gb_per_job", 0.25, parse_gb);
     let outdir: String = args.pos("outdir", "obs-out".to_string());
     let seed: u64 = args.pos("seed", 91);
     args.done();

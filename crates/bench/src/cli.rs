@@ -100,3 +100,22 @@ pub fn parse_bench(name: &str) -> Option<Bench> {
         _ => None,
     }
 }
+
+/// A data size in GB for [`Args::pos_with`] / [`Args::flag_with`]: finite
+/// and above zero.
+pub fn parse_gb(s: &str) -> Option<f64> {
+    s.parse()
+        .ok()
+        .filter(|gb: &f64| gb.is_finite() && *gb > 0.0)
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn a_size_is_finite_and_positive() {
+        for bad in ["nan", "inf", "-2", "0", "1e400"] {
+            assert_eq!(super::parse_gb(bad), None, "{bad}");
+        }
+        assert_eq!(super::parse_gb("0.25"), Some(0.25));
+    }
+}

@@ -1,6 +1,7 @@
 //! `probe` rejects bad input with a message, the usage text and exit 2 — it
 //! used to run OSU-IB for an unknown system name, 1024 nodes for an
-//! unparsable count, and panic on a malformed flag value.
+//! unparsable count and a zero-byte job for a NaN or negative size, and
+//! panic on a malformed flag value or a zero count.
 
 fn probe(args: &[&str]) -> (Option<i32>, String) {
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_probe"))
@@ -17,6 +18,15 @@ fn probe(args: &[&str]) -> (Option<i32>, String) {
 fn bad_input_is_a_usage_error() {
     for (args, complaint) in [
         (&["one", "4", "hadoopa"][..], "bad system: \"hadoopa\""),
+        (&["one", "nan"][..], "bad gb: \"nan\""),
+        (&["one", "-2"][..], "bad gb: \"-2\""),
+        (&["one", "4", "osu", "0"][..], "bad nodes: \"0\""),
+        (&["one", "4", "osu", "4", "0"][..], "bad disks: \"0\""),
+        (&["grid", "4", "0"][..], "bad nodes: \"0\""),
+        (&["scale", "0"][..], "bad nodes: \"0\""),
+        (&["chaos", "0"][..], "bad nodes: \"0\""),
+        (&["obs", "4", "0"][..], "bad nodes: \"0\""),
+        (&["service", "8", "0"][..], "bad jobs: \"0\""),
         (&["scale", "25x", "8", "75"][..], "bad nodes: \"25x\""),
         (
             &["scale", "16", "2", "1", "--budget-s", "abc"][..],

@@ -20,7 +20,7 @@
 //! pair's (see [`crate::verbs`]), however many holders — a set, a reducer's
 //! table, a responder's request queue — share its ends: an idle one between
 //! two sets is 216 bytes of queue pair plus a 24-byte member entry in each
-//! set (`tests/conn_memory.rs` holds it to 320).
+//! set (`tests/memory/conn.rs` holds it to 320).
 //!
 //! Either side of a connection chooses how it receives: [`UcrListener::accept`]
 //! and [`UcrConnector::connect`] hand out a [`PrivateEndPoint`], an endpoint

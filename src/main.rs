@@ -8,11 +8,12 @@
 //! ```
 
 use std::cell::RefCell;
+use std::num::NonZeroUsize;
 use std::process::exit;
 use std::rc::Rc;
 
 use rdma_mapred::prelude::*;
-use rmr_bench::cli::{parse_bench, usage_error, Args};
+use rmr_bench::cli::{parse_bench, parse_gb, usage_error, Args};
 
 const USAGE: &str = "usage:
   rdma-mapred run [--bench terasort|sort] [--system g1|g10|ipoib|ha|osu|osunc|comb|mr]
@@ -45,9 +46,9 @@ fn cmd_run(args: &[String]) {
     let system = args
         .flag_with("--system", System::parse)
         .unwrap_or(System::OsuIb);
-    let gb: f64 = args.flag("--gb").unwrap_or(10.0);
-    let nodes: usize = args.flag("--nodes").unwrap_or(4);
-    let disks: usize = args.flag("--disks").unwrap_or(1);
+    let gb = args.flag_with("--gb", parse_gb).unwrap_or(10.0);
+    let nodes = args.flag("--nodes").map_or(4, NonZeroUsize::get);
+    let disks = args.flag("--disks").map_or(1, NonZeroUsize::get);
     let seed: u64 = args.flag("--seed").unwrap_or(42);
     let testbed = if args.switch("--ssd") {
         Testbed::ssd(nodes)
@@ -98,7 +99,7 @@ fn cmd_validate(args: &[String]) {
     let args = Args::parse(args, &["--mb", "--nodes", "--system"], &[], USAGE);
     args.done();
     let mb: u64 = args.flag("--mb").unwrap_or(32);
-    let nodes: usize = args.flag("--nodes").unwrap_or(4);
+    let nodes = args.flag("--nodes").map_or(4, NonZeroUsize::get);
     let system = args
         .flag_with("--system", System::parse)
         .unwrap_or(System::OsuIb);

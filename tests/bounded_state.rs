@@ -11,47 +11,19 @@ use std::rc::Rc;
 use rmr_bench::chaos::TwinTiming;
 use rmr_bench::scenarios;
 use rmr_cluster::{run_scenario, RunReport, System};
-use rmr_core::cluster::{Cluster, NodeSpec};
-use rmr_core::{FaultEvent, FaultPlan, JobConf, Runtime, ShuffleKind, StateFootprint};
+use rmr_core::{FaultEvent, FaultPlan, Runtime, ShuffleKind, StateFootprint};
 use rmr_des::{Sim, SimDuration};
-use rmr_hdfs::HdfsConfig;
-use rmr_net::FabricParams;
 use rmr_obs::{AttemptOutcome, Ev, ObsEvent, TaskFlavor};
 use rmr_workloads::{teragen, terasort_spec};
 
-fn tiny_cluster(sim: &Sim, workers: usize) -> Cluster {
-    let mut spec = NodeSpec::westmere_compute();
-    spec.page_cache = 64 << 20;
-    Cluster::build(
-        sim,
-        FabricParams::ib_verbs_qdr(),
-        &vec![spec; workers],
-        HdfsConfig {
-            block_size: 4 << 20,
-            replication: 1,
-            packet_size: 1 << 20,
-        },
-    )
-}
-
-fn tiny_conf() -> JobConf {
-    let mut conf = JobConf::for_kind(ShuffleKind::OsuIb);
-    conf.num_reduces = 2;
-    conf.map_slots = 2;
-    conf.reduce_slots = 2;
-    conf.shuffle_buffer = 16 << 20;
-    conf.io_sort_buffer = 8 << 20;
-    conf.prefetch_cache_bytes = 32 << 20;
-    conf.osu_packet_bytes = 256 << 10;
-    conf
-}
+mod support;
 
 #[test]
 fn hundred_job_sequence_leaves_no_job_keyed_state() {
     const JOBS: usize = 100;
     let sim = Sim::new(0xB0B);
-    let cluster = tiny_cluster(&sim, 2);
-    let conf = tiny_conf();
+    let cluster = support::cluster(&sim, ShuffleKind::OsuIb, 2, false);
+    let conf = support::conf(ShuffleKind::OsuIb, 2, false);
     let peak: Rc<RefCell<Option<StateFootprint>>> = Rc::new(RefCell::new(None));
     let final_fp: Rc<RefCell<Option<StateFootprint>>> = Rc::new(RefCell::new(None));
     let peak2 = Rc::clone(&peak);
@@ -113,8 +85,8 @@ fn kill_restart_complete_drains_to_zero_footprint() {
     // the footprint); after a restart and the job's completion, every piece
     // of job-keyed *and* liveness state must drain back to zero.
     let sim = Sim::new(0xDEAD);
-    let cluster = tiny_cluster(&sim, 3);
-    let conf = tiny_conf();
+    let cluster = support::cluster(&sim, ShuffleKind::OsuIb, 3, false);
+    let conf = support::conf(ShuffleKind::OsuIb, 2, false);
     let final_fp: Rc<RefCell<Option<StateFootprint>>> = Rc::new(RefCell::new(None));
     let final2 = Rc::clone(&final_fp);
     let sim2 = sim.clone();
@@ -170,8 +142,8 @@ fn kill_restart_complete_drains_to_zero_footprint() {
 fn concurrent_batch_drains_to_zero_footprint() {
     // Same gate under concurrent submission: 10 jobs at once, joined after.
     let sim = Sim::new(7);
-    let cluster = tiny_cluster(&sim, 3);
-    let conf = tiny_conf();
+    let cluster = support::cluster(&sim, ShuffleKind::OsuIb, 3, false);
+    let conf = support::conf(ShuffleKind::OsuIb, 2, false);
     let final_fp: Rc<RefCell<Option<StateFootprint>>> = Rc::new(RefCell::new(None));
     let final2 = Rc::clone(&final_fp);
     sim.spawn_named("batch-driver", async move {
@@ -314,8 +286,8 @@ fn connect_all_costs_no_task_per_connection() {
     const NODES: usize = 16;
     const REDUCES: usize = 32;
     let sim = Sim::new(0xC0DE);
-    let cluster = tiny_cluster(&sim, NODES);
-    let mut conf = tiny_conf();
+    let cluster = support::cluster(&sim, ShuffleKind::OsuIb, NODES, false);
+    let mut conf = support::conf(ShuffleKind::OsuIb, 2, false);
     conf.num_reduces = REDUCES;
     let done = Rc::new(RefCell::new(false));
     let done2 = Rc::clone(&done);

@@ -7,45 +7,11 @@ use std::rc::Rc;
 
 use proptest::prelude::*;
 use rmr_bench::chaos::{derive_plan, TwinTiming};
-use rmr_core::cluster::{Cluster, NodeSpec};
-use rmr_core::{run_job_with_faults, FaultEvent, FaultPlan, JobConf, JobResult, ShuffleKind};
+use rmr_core::{run_job_with_faults, FaultEvent, FaultPlan, JobResult, ShuffleKind};
 use rmr_des::{Sim, SimDuration, SimTime};
-use rmr_hdfs::HdfsConfig;
-use rmr_net::FabricParams;
 use rmr_workloads::{read_counts, teragen, terasort_spec, teravalidate, textgen, wordcount_spec};
 
-fn chaos_cluster(sim: &Sim, workers: usize, kind: ShuffleKind) -> Cluster {
-    let fabric = if kind.uses_rdma() {
-        FabricParams::ib_verbs_qdr()
-    } else {
-        FabricParams::ipoib_qdr()
-    };
-    let mut spec = NodeSpec::westmere_compute();
-    spec.page_cache = 256 << 20;
-    Cluster::build(
-        sim,
-        fabric,
-        &vec![spec; workers],
-        HdfsConfig {
-            block_size: 4 << 20,
-            replication: 1,
-            packet_size: 1 << 20,
-        },
-    )
-}
-
-fn chaos_conf(kind: ShuffleKind, reduces: usize) -> JobConf {
-    let mut conf = JobConf::for_kind(kind);
-    conf.num_reduces = reduces;
-    conf.map_slots = 2;
-    conf.reduce_slots = 2;
-    conf.shuffle_buffer = 32 << 20;
-    conf.io_sort_buffer = 16 << 20;
-    conf.prefetch_cache_bytes = 64 << 20;
-    conf.osu_packet_bytes = 256 << 10;
-    conf.hadoop_a_kv_per_packet = 2_000;
-    conf
-}
+mod support;
 
 /// The output facts a fault plan must not be able to change.
 #[derive(Debug, Clone, PartialEq)]
@@ -76,9 +42,9 @@ fn terasort_run(
     plan: &FaultPlan,
 ) -> (JobResult, u64, u64) {
     let sim = Sim::new(seed);
-    let cluster = chaos_cluster(&sim, workers, kind);
+    let cluster = support::cluster(&sim, kind, workers, true);
     let reduces = workers.min(4);
-    let conf = chaos_conf(kind, reduces);
+    let conf = support::conf(kind, reduces, true);
     let out = Rc::new(RefCell::new(None));
     let out2 = Rc::clone(&out);
     let plan = plan.clone();
@@ -140,9 +106,9 @@ fn wordcount_counts_survive_node_kill() {
     let kind = ShuffleKind::HadoopA;
     let run = |plan: &FaultPlan| {
         let sim = Sim::new(0xBEEF);
-        let cluster = chaos_cluster(&sim, 6, kind);
+        let cluster = support::cluster(&sim, kind, 6, true);
         let reduces = 3;
-        let conf = chaos_conf(kind, reduces);
+        let conf = support::conf(kind, reduces, true);
         let out = Rc::new(RefCell::new(None));
         let out2 = Rc::clone(&out);
         let plan = plan.clone();
@@ -184,8 +150,8 @@ fn synthetic_run(
     plan: &FaultPlan,
 ) -> (JobResult, u64) {
     let sim = Sim::new(seed);
-    let cluster = chaos_cluster(&sim, workers, kind);
-    let conf = chaos_conf(kind, workers.min(4));
+    let cluster = support::cluster(&sim, kind, workers, true);
+    let conf = support::conf(kind, workers.min(4), true);
     let out = Rc::new(RefCell::new(None));
     let out2 = Rc::clone(&out);
     let plan = plan.clone();

@@ -6,49 +6,15 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use rmr_core::cluster::{Cluster, NodeSpec};
-use rmr_core::{run_job, JobConf, JobResult, Runtime, ShuffleKind};
+use rmr_core::{run_job, JobResult, Runtime, ShuffleKind};
 use rmr_des::{assert_deterministic, Sim};
-use rmr_hdfs::HdfsConfig;
-use rmr_net::FabricParams;
 use rmr_workloads::{teragen, terasort_spec, textgen, wordcount_spec};
 
-fn tiny_cluster(sim: &Sim, kind: ShuffleKind, workers: usize) -> Cluster {
-    let fabric = if kind.uses_rdma() {
-        FabricParams::ib_verbs_qdr()
-    } else {
-        FabricParams::ipoib_qdr()
-    };
-    let mut spec = NodeSpec::westmere_compute();
-    spec.page_cache = 64 << 20;
-    Cluster::build(
-        sim,
-        fabric,
-        &vec![spec; workers],
-        HdfsConfig {
-            block_size: 4 << 20,
-            replication: 1,
-            packet_size: 1 << 20,
-        },
-    )
-}
-
-fn tiny_conf(kind: ShuffleKind) -> JobConf {
-    let mut conf = JobConf::for_kind(kind);
-    conf.num_reduces = 2;
-    conf.map_slots = 2;
-    conf.reduce_slots = 2;
-    conf.shuffle_buffer = 16 << 20;
-    conf.io_sort_buffer = 8 << 20;
-    conf.prefetch_cache_bytes = 32 << 20;
-    conf.osu_packet_bytes = 256 << 10;
-    conf.hadoop_a_kv_per_packet = 2_000;
-    conf
-}
+mod support;
 
 fn spawn_terasort(sim: &Sim, kind: ShuffleKind, total_bytes: u64) {
-    let cluster = tiny_cluster(sim, kind, 3);
-    let conf = tiny_conf(kind);
+    let cluster = support::cluster(sim, kind, 3, false);
+    let conf = support::conf(kind, 2, false);
     sim.spawn_named("terasort-driver", async move {
         teragen(&cluster, "/in", total_bytes, false).await;
         let res = run_job(&cluster, conf, terasort_spec("/in", "/out")).await;
@@ -60,8 +26,8 @@ fn spawn_terasort(sim: &Sim, kind: ShuffleKind, total_bytes: u64) {
 /// Two jobs — a TeraSort and a WordCount — submitted back-to-back onto one
 /// runtime, shuffling through the same TaskTrackers concurrently.
 fn spawn_two_concurrent_jobs(sim: &Sim) {
-    let cluster = tiny_cluster(sim, ShuffleKind::OsuIb, 3);
-    let conf = tiny_conf(ShuffleKind::OsuIb);
+    let cluster = support::cluster(sim, ShuffleKind::OsuIb, 3, false);
+    let conf = support::conf(ShuffleKind::OsuIb, 2, false);
     sim.spawn_named("multijob-driver", async move {
         teragen(&cluster, "/tera", 12 << 20, false).await;
         textgen(&cluster, "/text", 400, 12).await;
@@ -121,8 +87,8 @@ fn concurrent_terasort_and_wordcount_replay_identically() {
 fn four_concurrent_jobs_on_eight_nodes_are_deterministic() {
     let run = || -> (u64, Vec<JobResult>) {
         let sim = Sim::new(91);
-        let cluster = tiny_cluster(&sim, ShuffleKind::OsuIb, 8);
-        let conf = tiny_conf(ShuffleKind::OsuIb);
+        let cluster = support::cluster(&sim, ShuffleKind::OsuIb, 8, false);
+        let conf = support::conf(ShuffleKind::OsuIb, 2, false);
         let results: Rc<RefCell<Vec<JobResult>>> = Rc::new(RefCell::new(Vec::new()));
         let r2 = Rc::clone(&results);
         sim.spawn_named("multijob-driver", async move {

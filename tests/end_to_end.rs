@@ -3,8 +3,8 @@
 
 use rmr_core::cluster::{Cluster, NodeSpec};
 use rmr_core::{
-    run_job, run_job_with_faults, CapacityPlan, FaultPlan, JobConf, JobResult, MapSink, Record,
-    Runtime, SchedulePolicy, ShuffleKind,
+    run_job, run_job_with_faults, CapacityPlan, FaultPlan, JobResult, MapSink, Record, Runtime,
+    SchedulePolicy, ShuffleKind,
 };
 use rmr_des::Sim;
 use rmr_hdfs::HdfsConfig;
@@ -12,49 +12,15 @@ use rmr_net::FabricParams;
 use rmr_obs::{spans_from_events, AttemptOutcome, Recorder, TaskFlavor};
 use rmr_workloads::{teragen, terasort_spec, teravalidate};
 
-fn small_cluster(sim: &Sim, workers: usize, fabric: FabricParams) -> Cluster {
-    let mut spec = NodeSpec::westmere_compute();
-    spec.page_cache = 256 << 20;
-    Cluster::build(
-        sim,
-        fabric,
-        &vec![spec; workers],
-        HdfsConfig {
-            block_size: 4 << 20,
-            replication: 1,
-            packet_size: 1 << 20,
-        },
-    )
-}
-
-fn small_conf(kind: ShuffleKind, reduces: usize) -> JobConf {
-    let mut conf = JobConf::for_kind(kind);
-    conf.num_reduces = reduces;
-    conf.map_slots = 2;
-    conf.reduce_slots = 2;
-    conf.shuffle_buffer = 32 << 20;
-    conf.io_sort_buffer = 16 << 20;
-    conf.prefetch_cache_bytes = 64 << 20;
-    conf.osu_packet_bytes = 256 << 10;
-    conf.hadoop_a_kv_per_packet = 2_000;
-    conf
-}
-
-fn fabric_for(kind: ShuffleKind) -> FabricParams {
-    if kind.uses_rdma() {
-        FabricParams::ib_verbs_qdr()
-    } else {
-        FabricParams::ipoib_qdr()
-    }
-}
+mod support;
 
 /// One validated 12 MB real TeraSort: the job's result, the records
 /// teravalidate counted, and the obs bus (off unless `record`).
 fn run_real_terasort(kind: ShuffleKind, seed: u64, record: bool) -> (JobResult, u64, Recorder) {
     let sim = Sim::new(seed);
-    let cluster = small_cluster(&sim, 3, fabric_for(kind));
+    let cluster = support::cluster(&sim, kind, 3, true);
     let reduces = 3;
-    let conf = small_conf(kind, reduces);
+    let conf = support::conf(kind, reduces, true);
     let obs = if record {
         Recorder::on(&sim)
     } else {
@@ -118,9 +84,14 @@ fn chained_terasort(kind: ShuffleKind, pass_through: bool) -> (u64, u64) {
     // blocks, and so several splits of the second job.
     let mut spec = NodeSpec::westmere_compute();
     spec.page_cache = 256 << 20;
+    let fabric = if kind.uses_rdma() {
+        FabricParams::ib_verbs_qdr()
+    } else {
+        FabricParams::ipoib_qdr()
+    };
     let cluster = Cluster::build(
         &sim,
-        fabric_for(kind),
+        fabric,
         &vec![spec; 2],
         HdfsConfig {
             block_size: 1 << 20,
@@ -129,7 +100,7 @@ fn chained_terasort(kind: ShuffleKind, pass_through: bool) -> (u64, u64) {
         },
     );
     let reduces = 2;
-    let conf = small_conf(kind, reduces);
+    let conf = support::conf(kind, reduces, true);
     let validated = std::rc::Rc::new(std::cell::Cell::new(None));
     let v2 = std::rc::Rc::clone(&validated);
     let c2 = cluster.clone();
@@ -179,8 +150,8 @@ fn synthetic_terasort_runs_all_engines() {
         ShuffleKind::OsuIb,
     ] {
         let sim = Sim::new(200);
-        let cluster = small_cluster(&sim, 4, fabric_for(kind));
-        let conf = small_conf(kind, 4);
+        let cluster = support::cluster(&sim, kind, 4, true);
+        let conf = support::conf(kind, 4, true);
         let done = std::rc::Rc::new(std::cell::RefCell::new(None));
         let d2 = std::rc::Rc::clone(&done);
         let c2 = cluster.clone();
@@ -216,9 +187,9 @@ fn identical_seeds_are_deterministic() {
 #[test]
 fn failed_map_is_reexecuted_and_job_still_validates() {
     let sim = Sim::new(42);
-    let cluster = small_cluster(&sim, 3, FabricParams::ib_verbs_qdr());
+    let cluster = support::cluster(&sim, ShuffleKind::OsuIb, 3, true);
     let reduces = 3;
-    let conf = small_conf(ShuffleKind::OsuIb, reduces);
+    let conf = support::conf(ShuffleKind::OsuIb, reduces, true);
     let result = std::rc::Rc::new(std::cell::RefCell::new(None));
     let r2 = std::rc::Rc::clone(&result);
     let c2 = cluster.clone();
@@ -265,9 +236,9 @@ fn timeline_records_every_attempt() {
 #[test]
 fn failed_reduce_is_reexecuted_and_job_still_validates() {
     let sim = Sim::new(55);
-    let cluster = small_cluster(&sim, 3, FabricParams::ib_verbs_qdr());
+    let cluster = support::cluster(&sim, ShuffleKind::OsuIb, 3, true);
     let reduces = 3;
-    let conf = small_conf(ShuffleKind::OsuIb, reduces);
+    let conf = support::conf(ShuffleKind::OsuIb, reduces, true);
     let result = std::rc::Rc::new(std::cell::RefCell::new(None));
     let r2 = std::rc::Rc::clone(&result);
     let c2 = cluster.clone();
@@ -334,9 +305,9 @@ struct SpeculativeRun {
 /// one-block files, so even two jobs leave map slots free for duplicates.
 fn speculative_run(policy: &SchedulePolicy, queues: &[u32]) -> SpeculativeRun {
     let sim = Sim::new(66);
-    let cluster = small_cluster(&sim, 4, FabricParams::ib_verbs_qdr());
+    let cluster = support::cluster(&sim, ShuffleKind::OsuIb, 4, true);
     let reduces = 3;
-    let mut conf = small_conf(ShuffleKind::OsuIb, reduces);
+    let mut conf = support::conf(ShuffleKind::OsuIb, reduces, true);
     conf.speculative_maps = true;
     let obs = Recorder::on(&sim);
     let rt_obs = obs.clone();

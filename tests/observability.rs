@@ -7,49 +7,15 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use rmr_core::cluster::{Cluster, NodeSpec};
-use rmr_core::{JobConf, JobResult, Runtime, SchedulePolicy, ShuffleKind};
+use rmr_core::{JobResult, Runtime, SchedulePolicy, ShuffleKind};
 use rmr_des::Sim;
-use rmr_hdfs::HdfsConfig;
-use rmr_net::FabricParams;
 use rmr_obs::{
     AttemptOutcome, CachePoint, Ev, Heatmap, JobSnapshot, JobState, NodeSnapshot, ObsEvent,
     QueuePoint, Recorder, RuntimeSnapshot, TaskFlavor, TenantHeatmap, ThroughputPoint,
 };
 use rmr_workloads::{teragen, terasort_spec, textgen, wordcount_spec};
 
-fn tiny_cluster(sim: &Sim, kind: ShuffleKind, workers: usize) -> Cluster {
-    let fabric = if kind.uses_rdma() {
-        FabricParams::ib_verbs_qdr()
-    } else {
-        FabricParams::ipoib_qdr()
-    };
-    let mut spec = NodeSpec::westmere_compute();
-    spec.page_cache = 64 << 20;
-    Cluster::build(
-        sim,
-        fabric,
-        &vec![spec; workers],
-        HdfsConfig {
-            block_size: 4 << 20,
-            replication: 1,
-            packet_size: 1 << 20,
-        },
-    )
-}
-
-fn tiny_conf(kind: ShuffleKind) -> JobConf {
-    let mut conf = JobConf::for_kind(kind);
-    conf.num_reduces = 2;
-    conf.map_slots = 2;
-    conf.reduce_slots = 2;
-    conf.shuffle_buffer = 16 << 20;
-    conf.io_sort_buffer = 8 << 20;
-    conf.prefetch_cache_bytes = 32 << 20;
-    conf.osu_packet_bytes = 256 << 10;
-    conf.hadoop_a_kv_per_packet = 2_000;
-    conf
-}
+mod support;
 
 /// The two-job concurrent mix from the determinism gates (TeraSort +
 /// WordCount through one runtime), with an explicit recorder. Returns the
@@ -61,8 +27,8 @@ fn run_two_job_mix(seed: u64, record: bool) -> (u64, Vec<JobResult>, Recorder) {
     } else {
         Recorder::off()
     };
-    let cluster = tiny_cluster(&sim, ShuffleKind::OsuIb, 3);
-    let conf = tiny_conf(ShuffleKind::OsuIb);
+    let cluster = support::cluster(&sim, ShuffleKind::OsuIb, 3, false);
+    let conf = support::conf(ShuffleKind::OsuIb, 2, false);
     let results: Rc<RefCell<Vec<JobResult>>> = Rc::new(RefCell::new(Vec::new()));
     let r2 = Rc::clone(&results);
     let obs2 = obs.clone();

@@ -328,6 +328,13 @@ fn bad_cli_input_is_a_usage_error() {
         ),
         (&["run", "--gb", "25x"][..], "bad value for --gb: \"25x\""),
         (&["run", "--threads", "4"][..], "unknown flag --threads"),
+        (&["run", "--gb", "nan"][..], "bad value for --gb: \"nan\""),
+        (&["run", "--nodes", "0"][..], "bad value for --nodes: \"0\""),
+        (&["run", "--disks", "0"][..], "bad value for --disks: \"0\""),
+        (
+            &["validate", "--nodes", "0"][..],
+            "bad value for --nodes: \"0\"",
+        ),
         (&["validate", "--nodes"][..], "--nodes needs a value"),
         (&["figure", "fig9"][..], "unknown figure: fig9"),
         (
