@@ -623,7 +623,6 @@ fn phases(mut args: Args) {
         "rdma.emits",
         "rdma.emit_records",
         "rdma.stalls",
-        "rdma.stall_dry",
     ] {
         println!("  {key:24} {:.2e}", m.get(key));
     }

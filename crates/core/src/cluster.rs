@@ -197,11 +197,9 @@ mod tests {
             HdfsConfig::default(),
         );
         let w = c.workers[0].clone();
-        sim.spawn(async move {
+        sim.block_on(sim.spawn(async move {
             w.compute(2.0).await; // 2 core-seconds on 1 core cap
-        })
-        .detach();
-        let end = sim.run();
-        assert_eq!(end.as_nanos(), 2_000_000_000);
+        }));
+        assert_eq!(sim.now().as_nanos(), 2_000_000_000);
     }
 }

@@ -206,10 +206,6 @@ impl NodeCombiner {
             bytes_in: sum_bytes,
             bytes_out: total_bytes,
         });
-        self.cluster
-            .sim
-            .metrics()
-            .add("combine.bytes_saved", (sum_bytes - total_bytes) as f64);
 
         // The smallest folded map index carries the aggregate; the rest
         // become zero-record placeholders pointing at the same file (never

@@ -178,7 +178,6 @@ pub async fn run_map(
         spec.partitioner.as_ref(),
     );
 
-    sim.metrics().add("map.output_bytes", out_bytes as f64);
     sim.metrics().incr("map.completed");
     Some(MapOutputInfo {
         job,
@@ -240,9 +239,7 @@ mod tests {
         let spec = JobSpec::sort("/in", "/out", 14);
         let tt = mk_tt(&sim, &cluster, &conf);
         let c2 = cluster.clone();
-        let done = Rc::new(std::cell::RefCell::new(None));
-        let d2 = Rc::clone(&done);
-        sim.spawn(async move {
+        let out = sim.block_on(sim.spawn(async move {
             // Write real input: 50 records with descending keys.
             let recs: Vec<Record> = (0..50u32)
                 .rev()
@@ -257,14 +254,10 @@ mod tests {
                 block: locs[0].0.clone(),
                 locations: locs[0].1.clone(),
             };
-            let out = run_map(&c2, &conf, &spec, &tt, JobId(0), &desc, None)
+            run_map(&c2, &conf, &spec, &tt, JobId(0), &desc, None)
                 .await
-                .unwrap();
-            *d2.borrow_mut() = Some(out);
-        })
-        .detach();
-        sim.run();
-        let out = done.borrow_mut().take().unwrap();
+                .unwrap()
+        }));
         assert_eq!(out.total_records, 50);
         assert_eq!(out.parts.len(), 4);
         assert_eq!(out.parts.iter().map(|p| p.records).sum::<u64>(), 50);
@@ -292,9 +285,8 @@ mod tests {
             });
             let spec = JobSpec::sort("/in", "/out", 14);
             let tt = mk_tt(&sim, &cluster, &conf);
-            let held = Rc::new(std::cell::Cell::new(0));
-            let (c2, h2) = (cluster.clone(), Rc::clone(&held));
-            sim.spawn(async move {
+            let c2 = cluster.clone();
+            sim.block_on(sim.spawn(async move {
                 let recs: Vec<Record> = (0..records)
                     .map(|i| Record::new(i.to_be_bytes().to_vec(), Bytes::from_static(b"v")))
                     .collect();
@@ -313,11 +305,8 @@ mod tests {
                     .await
                     .unwrap();
                 assert_eq!(out.total_records, u64::from(records));
-                h2.set(block.strong_count() - before);
-            })
-            .detach();
-            sim.run();
-            held.get()
+                block.strong_count() - before
+            }))
         };
         assert_eq!(windows_held(10), 1);
         assert_eq!(windows_held(1_000), 1);
@@ -334,9 +323,7 @@ mod tests {
         let spec = JobSpec::sort("/in", "/out", 100).with_ratios(0.5, 1.0);
         let tt = mk_tt(&sim, &cluster, &conf);
         let c2 = cluster.clone();
-        let done = Rc::new(std::cell::RefCell::new(None));
-        let d2 = Rc::clone(&done);
-        sim.spawn(async move {
+        let out = sim.block_on(sim.spawn(async move {
             let mut w = c2.hdfs.create("/in", c2.workers[0].id).await.unwrap();
             w.write(Blob::synthetic(1 << 20)).await.unwrap();
             w.close().await.unwrap();
@@ -346,14 +333,10 @@ mod tests {
                 block: locs[0].0.clone(),
                 locations: locs[0].1.clone(),
             };
-            let out = run_map(&c2, &conf, &spec, &tt, JobId(0), &desc, None)
+            run_map(&c2, &conf, &spec, &tt, JobId(0), &desc, None)
                 .await
-                .unwrap();
-            *d2.borrow_mut() = Some(out);
-        })
-        .detach();
-        sim.run();
-        let out = done.borrow_mut().take().unwrap();
+                .unwrap()
+        }));
         assert_eq!(out.total_bytes, 1 << 19, "ratio 0.5 halves output");
         assert_eq!(
             out.parts.iter().map(|p| p.bytes).sum::<u64>(),
@@ -378,9 +361,7 @@ mod tests {
             let tt = mk_tt(&sim, &cluster, &conf);
             let c2 = cluster.clone();
             let sim2 = sim.clone();
-            let t = Rc::new(std::cell::Cell::new(0u64));
-            let t2 = Rc::clone(&t);
-            sim.spawn(async move {
+            let t = sim.block_on(sim.spawn(async move {
                 let mut w = c2.hdfs.create("/in", c2.workers[0].id).await.unwrap();
                 w.write(Blob::synthetic(1 << 20)).await.unwrap();
                 w.close().await.unwrap();
@@ -394,11 +375,9 @@ mod tests {
                 run_map(&c2, &conf, &spec, &tt, JobId(0), &desc, None)
                     .await
                     .unwrap();
-                t2.set((sim2.now() - start).as_nanos());
-            })
-            .detach();
-            sim.run();
-            times.push(t.get());
+                (sim2.now() - start).as_nanos()
+            }));
+            times.push(t);
         }
         assert!(times[1] > times[0], "spilling must cost extra time");
     }
@@ -411,9 +390,7 @@ mod tests {
         let spec = JobSpec::sort("/in", "/out", 100);
         let tt = mk_tt(&sim, &cluster, &conf);
         let c2 = cluster.clone();
-        let got = Rc::new(std::cell::Cell::new(true));
-        let g2 = Rc::clone(&got);
-        sim.spawn(async move {
+        let got = sim.block_on(sim.spawn(async move {
             let mut w = c2.hdfs.create("/in", c2.workers[0].id).await.unwrap();
             w.write(Blob::synthetic(1 << 20)).await.unwrap();
             w.close().await.unwrap();
@@ -423,12 +400,11 @@ mod tests {
                 block: locs[0].0.clone(),
                 locations: locs[0].1.clone(),
             };
-            let out = run_map(&c2, &conf, &spec, &tt, JobId(0), &desc, Some(0.5)).await;
-            g2.set(out.is_some());
-        })
-        .detach();
-        sim.run();
-        assert!(!got.get());
+            run_map(&c2, &conf, &spec, &tt, JobId(0), &desc, Some(0.5))
+                .await
+                .is_some()
+        }));
+        assert!(!got);
         assert_eq!(sim.metrics().get("map.failed_attempts"), 1.0);
     }
 }

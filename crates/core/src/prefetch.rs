@@ -482,7 +482,7 @@ mod tests {
         let pf = Prefetcher::spawn_in(&sim, &sim.group(), &fs, &cache, 1);
         let fs2 = fs.clone();
         let pf2 = pf.clone();
-        sim.spawn(async move {
+        sim.block_on(sim.spawn(async move {
             let w = fs2.writer("f").unwrap();
             w.append(1_000).await.unwrap();
             for _ in 0..10 {
@@ -494,9 +494,7 @@ mod tests {
                     priority: Priority::Demand,
                 });
             }
-        })
-        .detach();
-        sim.run();
+        }));
         assert!(cache.contains(k(0)));
         assert_eq!(sim.metrics().get("prefetch.staged"), 1.0);
     }

@@ -305,7 +305,7 @@ mod tests {
         let conf = Rc::new(JobConf::default());
         let spec = JobSpec::sort("/in", "/out", 10);
         let c2 = cluster.clone();
-        sim.spawn(async move {
+        sim.block_on(sim.spawn(async move {
             let node = c2.workers[0].clone();
             let mut sink = ReduceSink::open(&c2, &conf, &spec, &node, 0).await;
             sink.consume(Segment::from_records(vec![
@@ -341,9 +341,7 @@ mod tests {
             drop(all);
             c2.hdfs.delete("/out/part-00000", node.id).await.unwrap();
             assert_eq!(block.strong_count(), windows);
-        })
-        .detach();
-        sim.run();
+        }));
     }
 
     #[test]
@@ -393,7 +391,7 @@ mod tests {
         let conf = Rc::new(JobConf::default());
         let spec = JobSpec::sort("/in", "/out", 100).with_ratios(1.0, 0.25);
         let c2 = cluster.clone();
-        sim.spawn(async move {
+        sim.block_on(sim.spawn(async move {
             let node = c2.workers[0].clone();
             let mut sink = ReduceSink::open(&c2, &conf, &spec, &node, 1).await;
             sink.consume(Segment::synthetic(100, 10_000)).await;
@@ -401,9 +399,7 @@ mod tests {
             assert_eq!(in_bytes, 10_000);
             assert_eq!(out_bytes, 2_500);
             assert_eq!(c2.hdfs.file_size("/out/part-00001").unwrap(), 2_500);
-        })
-        .detach();
-        sim.run();
+        }));
     }
 
     #[test]
@@ -413,15 +409,13 @@ mod tests {
         jt.borrow_mut().map_completed_raw_for_test();
         let c2 = cluster.clone();
         let jt2 = Rc::clone(&jt);
-        sim.spawn(async move {
+        sim.block_on(sim.spawn(async move {
             let node = c2.workers[0].clone();
             let mut cursor = 0;
             let ev = poll_events(&c2, &jt2, &node, &mut cursor).await;
             assert_eq!(ev.len(), 1);
             let ev = poll_events(&c2, &jt2, &node, &mut cursor).await;
             assert!(ev.is_empty());
-        })
-        .detach();
-        sim.run();
+        }));
     }
 }

@@ -1289,7 +1289,7 @@ mod tests {
         let rig = rig(1 << 20);
         let sim = rig.sim.clone();
         let copier = Rc::clone(&rig.copier);
-        sim.spawn(async move {
+        sim.block_on(sim.spawn(async move {
             let servers = rig.connect().await;
             let delivered = || {
                 let st = rig.copier.state.borrow();
@@ -1327,9 +1327,7 @@ mod tests {
             rig.sim.yield_now().await;
             assert_eq!(rig.copier.deaths_seen.get(), 2);
             rig.copier.stop();
-        })
-        .detach();
-        sim.run();
+        }));
         assert_eq!(
             sim.live_tasks(),
             0,

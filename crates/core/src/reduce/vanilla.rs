@@ -263,7 +263,6 @@ async fn fetch_with_retry(
         if fetch_one(ctx, state, mem, map_idx, tt_idx).await.is_ok() {
             return;
         }
-        sim.metrics().incr("reduce.fetch_failures");
         sim.sleep(backoff).await;
         backoff = (backoff * 2).min(cap);
         // The re-executed map's completion event carries its new location.
@@ -344,10 +343,6 @@ async fn fetch_one(
         st.fetched += 1;
         st.shuffled_bytes += bytes;
     }
-    ctx.cluster
-        .sim
-        .metrics()
-        .add("reduce.shuffled_bytes", bytes as f64);
 
     // Memory or disk?
     let seg_limit = (conf.shuffle_buffer as f64 * INMEM_SEGMENT_LIMIT) as u64;

@@ -577,12 +577,10 @@ mod tests {
         let bytes_total = part_bytes * 2; // two partitions
         let f2 = file.clone();
         let fs2 = fs.clone();
-        sim.spawn(async move {
+        sim.block_on(sim.spawn(async move {
             let w = fs2.writer(&f2).unwrap();
             w.append(bytes_total).await.unwrap();
-        })
-        .detach();
-        sim.run(); // flush the write
+        })); // flush the write
         tt.outputs.insert(MapOutputInfo {
             job: J,
             map_idx,
@@ -610,9 +608,8 @@ mod tests {
         attempt: u32,
         budget: u64,
     ) -> (u64, u64, bool) {
-        let got = Rc::new(std::cell::Cell::new(None));
-        let (tt, g) = (Rc::clone(tt), Rc::clone(&got));
-        sim.spawn(async move {
+        let tt = Rc::clone(tt);
+        sim.block_on(sim.spawn(async move {
             let resp = tt
                 .serve(J, 0, reduce, attempt, PacketBudget::Bytes(budget))
                 .await;
@@ -625,11 +622,8 @@ mod tests {
                 panic!("the output is held here")
             };
             let cached = tt.cache.contains((J, 0));
-            g.set(Some((packet.records, remaining_records, cached)));
-        })
-        .detach();
-        sim.run();
-        got.get().expect("served")
+            (packet.records, remaining_records, cached)
+        }))
     }
 
     /// The serve rules a retried reducer relies on: a newer attempt rewinds
@@ -674,9 +668,7 @@ mod tests {
             panic!("expected http")
         };
         let client_node = cluster.workers[1].id;
-        let got = Rc::new(std::cell::Cell::new((0u64, 0u64)));
-        let got2 = Rc::clone(&got);
-        sim.spawn(async move {
+        let got = sim.block_on(sim.spawn(async move {
             let conn = handle.connect(client_node).await;
             conn.send(ShufMsg::Request {
                 job: J,
@@ -704,11 +696,9 @@ mod tests {
                     break;
                 }
             }
-            got2.set((recs, bytes));
-        })
-        .detach();
-        sim.run();
-        assert_eq!(got.get(), ((4 << 20) / 100, 4 << 20));
+            (recs, bytes)
+        }));
+        assert_eq!(got, ((4 << 20) / 100, 4 << 20));
     }
 
     #[test]
@@ -719,9 +709,7 @@ mod tests {
             panic!("expected rdma")
         };
         let client_node = cluster.workers[1].id;
-        let got = Rc::new(std::cell::Cell::new(0u64));
-        let got2 = Rc::clone(&got);
-        sim.spawn(async move {
+        let got = sim.block_on(sim.spawn(async move {
             let ep = connector.connect(client_node).await;
             ep.send(ShufMsg::Request {
                 job: J,
@@ -734,11 +722,9 @@ mod tests {
             let Some(ShufMsg::Response { packet, .. }) = ep.recv().await else {
                 panic!("no response")
             };
-            got2.set(packet.records);
-        })
-        .detach();
-        sim.run();
-        assert_eq!(got.get(), 1000);
+            packet.records
+        }));
+        assert_eq!(got, 1000);
     }
 
     /// A request for an output this TaskTracker does not hold — no map ran
@@ -762,9 +748,8 @@ mod tests {
                 },
             });
             let client = cluster.workers[1].id;
-            let answers = Rc::new(std::cell::RefCell::new(Vec::new()));
-            let seen = Rc::clone(&answers);
-            sim.spawn(async move {
+            let answers = sim.block_on(sim.spawn(async move {
+                let mut answers = Vec::new();
                 for map_idx in [2, 1] {
                     let req = ShufMsg::Request {
                         job: J,
@@ -786,12 +771,11 @@ mod tests {
                         }
                     };
                     let unavailable = matches!(answer, Some(ShufMsg::Unavailable { map_idx: m, .. }) if m == map_idx);
-                    seen.borrow_mut().push(unavailable);
+                    answers.push(unavailable);
                 }
-            })
-            .detach();
-            sim.run();
-            assert_eq!(*answers.borrow(), [true, true], "{kind:?}");
+                answers
+            }));
+            assert_eq!(answers, [true, true], "{kind:?}");
         }
     }
 
@@ -806,9 +790,7 @@ mod tests {
             panic!("expected rdma")
         };
         let client_node = cluster.workers[1].id;
-        let hit = Rc::new(std::cell::Cell::new(false));
-        let hit2 = Rc::clone(&hit);
-        sim.spawn(async move {
+        let hit = sim.block_on(sim.spawn(async move {
             let ep = connector.connect(client_node).await;
             ep.send(ShufMsg::Request {
                 job: J,
@@ -821,11 +803,9 @@ mod tests {
             let Some(ShufMsg::Response { from_cache, .. }) = ep.recv().await else {
                 panic!("no response")
             };
-            hit2.set(from_cache);
-        })
-        .detach();
-        sim.run();
-        assert!(hit.get(), "served from PrefetchCache");
+            from_cache
+        }));
+        assert!(hit, "served from PrefetchCache");
     }
 
     #[test]
@@ -837,9 +817,7 @@ mod tests {
             panic!("expected rdma")
         };
         let client_node = cluster.workers[1].id;
-        let first_hit = Rc::new(std::cell::Cell::new(true));
-        let fh = Rc::clone(&first_hit);
-        sim.spawn(async move {
+        let first_hit = sim.block_on(sim.spawn(async move {
             let ep = connector.connect(client_node).await;
             ep.send(ShufMsg::Request {
                 job: J,
@@ -852,11 +830,9 @@ mod tests {
             let Some(ShufMsg::Response { from_cache, .. }) = ep.recv().await else {
                 panic!()
             };
-            fh.set(from_cache);
-        })
-        .detach();
-        sim.run();
-        assert!(!first_hit.get(), "cold cache misses");
+            from_cache
+        }));
+        assert!(!first_hit, "cold cache misses");
         // The demand request staged the file for future hits.
         assert!(tt.cache.contains((J, 0)), "demand miss re-cached");
     }

@@ -10,7 +10,6 @@
 //! prefix-index sort, windows into the HDFS block) must produce the same
 //! partitions record for record: key, value and order.
 
-use std::cell::RefCell;
 use std::rc::Rc;
 
 use bytes::Bytes;
@@ -214,9 +213,8 @@ fn engine_map_side(
         rmr_obs::Recorder::off(),
     );
     let block = Blob::real(encode_records(input));
-    let done = Rc::new(RefCell::new(None));
-    let (c, d) = (cluster.clone(), Rc::clone(&done));
-    sim.spawn(async move {
+    let c = cluster.clone();
+    let out = sim.block_on(sim.spawn(async move {
         let mut w = c.hdfs.create("/in", c.workers[0].id).await.unwrap();
         w.write(block).await.unwrap();
         w.close().await.unwrap();
@@ -226,12 +224,8 @@ fn engine_map_side(
             block: locs[0].0.clone(),
             locations: locs[0].1.clone(),
         };
-        let out = run_map(&c, &conf, &spec, &tt, JobId(0), &desc, None).await;
-        *d.borrow_mut() = out;
-    })
-    .detach();
-    sim.run();
-    let out = done.borrow_mut().take();
+        run_map(&c, &conf, &spec, &tt, JobId(0), &desc, None).await
+    }));
     out.expect("map attempt finished")
 }
 

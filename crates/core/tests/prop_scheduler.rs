@@ -7,9 +7,7 @@
 //! may defer a job by at most its skip budget, and a queue with a slot
 //! guarantee must overtake a FIFO backlog whenever it has demand.
 
-use std::cell::RefCell;
 use std::collections::BTreeSet;
-use std::rc::Rc;
 
 use proptest::prelude::*;
 
@@ -261,11 +259,9 @@ fn backlog_run(policy: SchedulePolicy, batch_jobs: usize, seed: u64) -> Vec<JobR
     conf.num_reduces = 1;
     conf.map_slots = 2;
     conf.reduce_slots = 1;
-    let results: Rc<RefCell<Vec<JobResult>>> = Rc::new(RefCell::new(Vec::new()));
-    let r2 = Rc::clone(&results);
     let c2 = cluster.clone();
     let sim2 = sim.clone();
-    sim.spawn_named("backlog-driver", async move {
+    let out = sim.block_on(sim.spawn_named("backlog-driver", async move {
         for (path, blocks) in [("/cap/big", 6u64), ("/cap/small", 1)] {
             for b in 0..blocks {
                 let node = c2.workers[(b % 2) as usize].id;
@@ -289,16 +285,14 @@ fn backlog_run(policy: SchedulePolicy, batch_jobs: usize, seed: u64) -> Vec<JobR
         let mut c = conf.clone();
         c.queue = 0;
         ids.push(rt.submit(c, JobSpec::sort("/cap/small", "/cap/outi", 100)));
+        let mut results = Vec::new();
         for id in ids {
-            let res = rt.join(id).await;
-            r2.borrow_mut().push(res);
+            results.push(rt.join(id).await);
         }
         assert_eq!(rt.state_footprint().total(), 0, "job-keyed state leaked");
-    })
-    .detach();
-    sim.run();
-    let out = results.borrow().clone();
-    assert_eq!(out.len(), batch_jobs + 1, "backlog run hung");
+        results
+    }));
+    assert_eq!(out.len(), batch_jobs + 1);
     out
 }
 

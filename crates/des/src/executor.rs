@@ -553,7 +553,8 @@ impl Sim {
     /// Spawns an anonymous task (named `task-<n>` in spawn order) and
     /// returns a [`JoinHandle`] yielding its output. Prefer
     /// [`Sim::spawn_named`]: names are what the deadlock detector and stall
-    /// reports print.
+    /// reports print. A driver's handle goes to [`Sim::block_on`], which
+    /// runs the sim and hands back the output.
     pub fn spawn<T: 'static>(&self, fut: impl Future<Output = T> + 'static) -> JoinHandle<T> {
         self.spawn_tracked(None, false, fut).0
     }
@@ -604,7 +605,6 @@ impl Sim {
         let state = Rc::new(RefCell::new(JoinState {
             result: None,
             waker: None,
-            detached: false,
         }));
         let state2 = Rc::clone(&state);
         let id = self.spawn_unit(name, daemon, async move {
@@ -802,6 +802,19 @@ impl Sim {
     /// Returns the final virtual time.
     pub fn run(&self) -> SimTime {
         self.run_with_limit(None)
+    }
+
+    /// Runs to quiescence, exactly like [`Sim::run`], and returns `task`'s
+    /// output: the way a driver hands its result back to the caller.
+    ///
+    /// # Panics
+    ///
+    /// If `task` never finished, with [`Sim::live_report`]: every live task
+    /// and what it blocks on.
+    pub fn block_on<T>(&self, task: JoinHandle<T>) -> T {
+        self.run();
+        let out = task.state.borrow_mut().result.take();
+        out.unwrap_or_else(|| panic!("block_on: the task never finished; {}", self.live_report()))
     }
 
     /// [`Sim::run`] with a hard virtual-time limit; events scheduled past the
@@ -1078,7 +1091,6 @@ pub fn assert_deterministic(seed: u64, build: impl Fn(&Sim)) {
 struct JoinState<T> {
     result: Option<T>,
     waker: Option<Waker>,
-    detached: bool,
 }
 
 /// Awaitable completion of a spawned task.
@@ -1087,12 +1099,10 @@ pub struct JoinHandle<T> {
 }
 
 impl<T> JoinHandle<T> {
-    /// Drops the handle without cancelling the task (tasks are never
-    /// cancelled by handle drop in this executor; `detach` just documents
-    /// intent).
-    pub fn detach(self) {
-        self.state.borrow_mut().detached = true;
-    }
+    /// Drops the handle; the task runs on (dropping a handle never cancels
+    /// its task in this executor). A plain drop, kept for call sites that
+    /// state the intent.
+    pub fn detach(self) {}
 
     /// True once the task has finished.
     pub fn is_finished(&self) -> bool {
@@ -1177,16 +1187,12 @@ mod tests {
     fn clock_starts_at_zero_and_advances_with_sleep() {
         let sim = Sim::new(1);
         let sim2 = sim.clone();
-        let done = Rc::new(Cell::new(SimTime::ZERO));
-        let done2 = Rc::clone(&done);
-        sim.spawn(async move {
+        let done = sim.block_on(sim.spawn(async move {
             sim2.sleep(SimDuration::from_millis(5)).await;
-            done2.set(sim2.now());
-        })
-        .detach();
-        let end = sim.run();
-        assert_eq!(done.get(), SimTime::from_nanos(5_000_000));
-        assert_eq!(end, SimTime::from_nanos(5_000_000));
+            sim2.now()
+        }));
+        assert_eq!(done, SimTime::from_nanos(5_000_000));
+        assert_eq!(sim.now(), SimTime::from_nanos(5_000_000));
     }
 
     #[test]
@@ -1227,6 +1233,54 @@ mod tests {
         .detach();
         sim.run();
         assert_eq!(out.get(), 42);
+    }
+
+    /// A named driver summing what an anonymous producer sends it over a
+    /// channel, one number per timer.
+    fn summing_driver(sim: &Sim) -> impl Future<Output = u64> {
+        let (tx, rx) = crate::sync::channel_named::<u64>("numbers");
+        let sim2 = sim.clone();
+        sim.spawn(async move {
+            for i in 1..=3 {
+                sim2.sleep(SimDuration::from_millis(i)).await;
+                tx.send_now(i).unwrap();
+            }
+        })
+        .detach();
+        async move {
+            let mut sum = 0;
+            while let Some(v) = rx.recv().await {
+                sum += v;
+            }
+            sum
+        }
+    }
+
+    #[test]
+    fn block_on_runs_like_a_result_slot_and_run() {
+        let observed = |sim: &Sim, out| (out, sim.trace_hash(), sim.events_fired(), sim.polls());
+        let through_slot = {
+            let sim = Sim::new(3);
+            let driver = summing_driver(&sim);
+            let out = Rc::new(Cell::new(0));
+            let out2 = Rc::clone(&out);
+            sim.spawn_named("driver", async move { out2.set(driver.await) })
+                .detach();
+            sim.run();
+            observed(&sim, out.get())
+        };
+        let sim = Sim::new(3);
+        let out = sim.block_on(sim.spawn_named("driver", summing_driver(&sim)));
+        assert_eq!(observed(&sim, out), through_slot);
+        assert_eq!(out, 6);
+    }
+
+    #[test]
+    #[should_panic(expected = "parked-driver (blocked on notified on never-fired)")]
+    fn block_on_names_the_task_that_never_finished() {
+        let sim = Sim::new(1);
+        let never = crate::sync::Notify::new_named("never-fired");
+        sim.block_on(sim.spawn_named("parked-driver", async move { never.notified().await }));
     }
 
     #[test]
@@ -1671,20 +1725,15 @@ mod tests {
         let sim = Sim::new(1);
         let group = sim.group();
         let sim2 = sim.clone();
-        let resumed = Rc::new(Cell::new(false));
-        let resumed2 = Rc::clone(&resumed);
-        group
-            .spawn_named("long-sleeper", async move {
-                sim2.sleep(SimDuration::from_secs(100)).await;
-                resumed2.set(true);
-            })
-            .detach();
+        let sleeper = group.spawn_named("long-sleeper", async move {
+            sim2.sleep(SimDuration::from_secs(100)).await;
+        });
         let g2 = group.clone();
         sim.schedule_fn(SimTime::from_nanos(1_000_000_000), move |_| g2.abort());
         let end = sim.run();
         // The aborted task's 100 s timer must not hold the clock hostage.
         assert_eq!(end.as_nanos(), 1_000_000_000);
-        assert!(!resumed.get());
+        assert!(!sleeper.is_finished());
         assert_eq!(sim.live_tasks(), 0);
     }
 
@@ -1702,17 +1751,11 @@ mod tests {
                 sim2.sleep(SimDuration::from_secs(100)).await;
             })
             .detach();
-        let saw = Rc::new(Cell::new(Some(0u32)));
-        let saw2 = Rc::clone(&saw);
-        sim.spawn_named("peer", async move {
-            saw2.set(rx.recv().await);
-        })
-        .detach();
+        let peer = sim.spawn_named("peer", async move { rx.recv().await });
         let g2 = group.clone();
         sim.schedule_fn(SimTime::from_nanos(5), move |_| g2.abort());
-        let report = sim.step_until_no_events();
-        report.assert_clean();
-        assert_eq!(saw.get(), None);
+        assert_eq!(sim.block_on(peer), None);
+        sim.live_report().assert_clean();
     }
 
     #[test]
@@ -1743,18 +1786,13 @@ mod tests {
         let group = sim.group();
         let g2 = group.clone();
         let sim2 = sim.clone();
-        let after = Rc::new(Cell::new(false));
-        let after2 = Rc::clone(&after);
-        group
-            .spawn_named("self-slayer", async move {
-                g2.abort();
-                sim2.sleep(SimDuration::from_secs(1)).await;
-                after2.set(true);
-            })
-            .detach();
+        let slayer = group.spawn_named("self-slayer", async move {
+            g2.abort();
+            sim2.sleep(SimDuration::from_secs(1)).await;
+        });
         let end = sim.run();
         assert_eq!(end, SimTime::ZERO);
-        assert!(!after.get());
+        assert!(!slayer.is_finished());
         assert_eq!(sim.live_tasks(), 0);
     }
 
@@ -1771,19 +1809,14 @@ mod tests {
         group.abort();
         assert_eq!(group.spawned(), 0);
         let sim3 = sim.clone();
-        let ran = Rc::new(Cell::new(false));
-        let ran2 = Rc::clone(&ran);
         // Reuses the aborted task's slot; the stale generation must not leak.
-        group
-            .spawn_named("second-gen", async move {
-                sim3.sleep(SimDuration::from_secs(2)).await;
-                ran2.set(true);
-            })
-            .detach();
+        let second = group.spawn_named("second-gen", async move {
+            sim3.sleep(SimDuration::from_secs(2)).await;
+        });
         assert_eq!(group.spawned(), 1);
-        let report = sim.step_until_no_events();
+        sim.block_on(second);
+        let report = sim.live_report();
         report.assert_clean();
-        assert!(ran.get());
         assert_eq!(report.time.as_nanos(), 2_000_000_000);
     }
 
@@ -1800,19 +1833,14 @@ mod tests {
                 sim2.sleep(SimDuration::from_secs(100)).await;
             })
             .detach();
-        let got = Rc::new(Cell::new(false));
-        let got2 = Rc::clone(&got);
         let sem3 = sem.clone();
-        sim.spawn_named("waiter", async move {
+        let waiter = sim.spawn_named("waiter", async move {
             let _permit = sem3.acquire(1).await;
-            got2.set(true);
-        })
-        .detach();
+        });
         let g2 = group.clone();
         sim.schedule_fn(SimTime::from_nanos(10), move |_| g2.abort());
-        let report = sim.step_until_no_events();
-        report.assert_clean();
-        assert!(got.get(), "abort must release the held permit");
+        sim.step_until_no_events().assert_clean();
+        assert!(waiter.is_finished(), "abort must release the held permit");
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! async executor driven by a virtual clock, plus the synchronisation and
 //! resource primitives the higher layers are built from.
 //!
-//! * [`Sim`] — the executor/clock handle: `spawn`, `sleep`, `run`.
+//! * [`Sim`] — the executor/clock handle: `spawn`, `sleep`, `run`, and
+//!   `block_on` for a driver task's output.
 //! * [`sync::channel()`] / [`sync::bounded`] — FIFO channels (Hadoop's internal
 //!   queues map onto these).
 //! * [`sync::Semaphore`] — fair counting semaphore (task slots, memory
@@ -25,11 +26,11 @@
 //! let sim = Sim::new(42);
 //! let link = Fluid::new(&sim, 125_000_000.0); // 1 GigE: 125 MB/s
 //! let s = sim.clone();
-//! sim.spawn(async move {
+//! let shipped_at = sim.block_on(sim.spawn(async move {
 //!     link.consume(125_000_000.0).await;       // ship 125 MB
-//!     assert_eq!(s.now().as_secs_f64(), 1.0);
-//! }).detach();
-//! sim.run();
+//!     s.now()
+//! }));
+//! assert_eq!(shipped_at.as_secs_f64(), 1.0);
 //! ```
 
 pub mod executor;

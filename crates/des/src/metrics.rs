@@ -7,7 +7,7 @@
 //! equal bytes arriving at ReduceTasks).
 //!
 //! Counters are `Rc<Cell<f64>>` slots behind shared `Rc<str>` keys, so
-//! neither updating an existing counter nor snapshotting allocates per key.
+//! updating an existing counter allocates nothing.
 //! Hot paths (per-I/O, per-packet updates) should grab a [`Counter`] handle
 //! once via [`Metrics::counter`] and bump it directly — that skips even the
 //! map lookup.
@@ -15,8 +15,6 @@
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::rc::Rc;
-
-use crate::time::SimDuration;
 
 #[derive(Default)]
 struct Registry {
@@ -96,27 +94,6 @@ impl Metrics {
         self.add(key, 1.0);
     }
 
-    /// Adds a duration (in seconds) to counter `key`; used for busy-time
-    /// accounting.
-    pub fn add_duration(&self, key: &str, d: SimDuration) {
-        self.add(key, d.as_secs_f64());
-    }
-
-    /// Records `v` only if it exceeds the stored maximum.
-    pub fn record_max(&self, key: &str, v: f64) {
-        let slot = {
-            let mut reg = self.inner.borrow_mut();
-            if !reg.counters.contains_key(key) {
-                reg.counters
-                    .insert(Rc::from(key), Rc::new(Cell::new(f64::MIN)));
-            }
-            Rc::clone(reg.counters.get(key).unwrap())
-        };
-        if v > slot.get() {
-            slot.set(v);
-        }
-    }
-
     /// Current value of `key`, or 0 if never written.
     pub fn get(&self, key: &str) -> f64 {
         self.inner
@@ -125,31 +102,6 @@ impl Metrics {
             .get(key)
             .map(|c| c.get())
             .unwrap_or(0.0)
-    }
-
-    /// Snapshot of every counter, sorted by key. Keys are shared (`Rc`), so
-    /// the snapshot does not copy the key strings.
-    pub fn snapshot(&self) -> Vec<(Rc<str>, f64)> {
-        self.inner
-            .borrow()
-            .counters
-            .iter()
-            .map(|(k, v)| (Rc::clone(k), v.get()))
-            .collect()
-    }
-
-    /// Sum of all counters whose key starts with `prefix`.
-    pub fn sum_prefix(&self, prefix: &str) -> f64 {
-        self.inner
-            .borrow()
-            .counters
-            .range::<str, _>((
-                std::ops::Bound::Included(prefix),
-                std::ops::Bound::Unbounded,
-            ))
-            .take_while(|(k, _)| k.starts_with(prefix))
-            .map(|(_, v)| v.get())
-            .sum()
     }
 }
 
@@ -317,42 +269,6 @@ mod tests {
         assert_eq!(m.get("bytes"), 15.0);
         assert_eq!(m.get("ops"), 1.0);
         assert_eq!(m.get("missing"), 0.0);
-    }
-
-    #[test]
-    fn record_max_keeps_peak() {
-        let m = Metrics::new();
-        m.record_max("peak", 3.0);
-        m.record_max("peak", 1.0);
-        m.record_max("peak", 9.0);
-        assert_eq!(m.get("peak"), 9.0);
-    }
-
-    #[test]
-    fn sum_prefix_covers_exactly_the_prefix() {
-        let m = Metrics::new();
-        m.add("disk.n0.busy", 1.0);
-        m.add("disk.n1.busy", 2.0);
-        m.add("diskette", 100.0);
-        m.add("net.n0.tx", 7.0);
-        assert_eq!(m.sum_prefix("disk."), 3.0);
-    }
-
-    #[test]
-    fn snapshot_is_sorted() {
-        let m = Metrics::new();
-        m.add("b", 1.0);
-        m.add("a", 1.0);
-        let snap = m.snapshot();
-        assert_eq!(snap[0].0.as_ref(), "a");
-        assert_eq!(snap[1].0.as_ref(), "b");
-    }
-
-    #[test]
-    fn add_duration_converts_to_seconds() {
-        let m = Metrics::new();
-        m.add_duration("busy", SimDuration::from_millis(1500));
-        assert!((m.get("busy") - 1.5).abs() < 1e-12);
     }
 
     #[test]

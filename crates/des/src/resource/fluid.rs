@@ -466,7 +466,6 @@ impl Drop for ConsumeFuture {
 mod tests {
     use super::*;
     use crate::time::SimTime;
-    use std::cell::Cell;
 
     fn at_secs(ns: u64) -> SimTime {
         SimTime::from_nanos(ns * 1_000_000_000)
@@ -476,66 +475,44 @@ mod tests {
     fn lone_consumer_gets_full_capacity() {
         let sim = Sim::new(1);
         let f = Fluid::new(&sim, 100.0); // 100 units/s
-        let done = Rc::new(Cell::new(SimTime::ZERO));
-        let d2 = Rc::clone(&done);
         let sim2 = sim.clone();
-        sim.spawn(async move {
+        let done = sim.block_on(sim.spawn(async move {
             f.consume(200.0).await;
-            d2.set(sim2.now());
-        })
-        .detach();
-        sim.run();
-        assert_eq!(done.get(), at_secs(2));
+            sim2.now()
+        }));
+        assert_eq!(done, at_secs(2));
     }
 
     #[test]
     fn two_consumers_share_fairly() {
         let sim = Sim::new(1);
         let f = Fluid::new(&sim, 100.0);
-        let t_small = Rc::new(Cell::new(SimTime::ZERO));
-        let t_big = Rc::new(Cell::new(SimTime::ZERO));
-        {
-            let f = f.clone();
-            let t = Rc::clone(&t_small);
-            let sim2 = sim.clone();
+        let consume = |amount| {
+            let (f, sim2) = (f.clone(), sim.clone());
             sim.spawn(async move {
-                f.consume(100.0).await;
-                t.set(sim2.now());
+                f.consume(amount).await;
+                sim2.now()
             })
-            .detach();
-        }
-        {
-            let f = f.clone();
-            let t = Rc::clone(&t_big);
-            let sim2 = sim.clone();
-            sim.spawn(async move {
-                f.consume(300.0).await;
-                t.set(sim2.now());
-            })
-            .detach();
-        }
-        sim.run();
+        };
+        let (small, big) = (consume(100.0), consume(300.0));
         // Shared 50/50 until small (100u) finishes at t=2s; big then has
         // 200u left alone at 100u/s → finishes at t=4s.
-        assert_eq!(t_small.get(), at_secs(2));
-        assert_eq!(t_big.get(), at_secs(4));
+        assert_eq!(sim.block_on(big), at_secs(4));
+        assert_eq!(sim.block_on(small), at_secs(2));
     }
 
     #[test]
     fn late_arrival_slows_first_consumer() {
         let sim = Sim::new(1);
         let f = Fluid::new(&sim, 100.0);
-        let t_first = Rc::new(Cell::new(SimTime::ZERO));
-        {
+        let first = {
             let f = f.clone();
-            let t = Rc::clone(&t_first);
             let sim2 = sim.clone();
             sim.spawn(async move {
                 f.consume(150.0).await;
-                t.set(sim2.now());
+                sim2.now()
             })
-            .detach();
-        }
+        };
         {
             let f = f.clone();
             let sim2 = sim.clone();
@@ -545,10 +522,9 @@ mod tests {
             })
             .detach();
         }
-        sim.run();
         // First mover does 100u in [0,1), then shares: 50u left at 50u/s →
         // finishes at t=2s.
-        assert_eq!(t_first.get(), at_secs(2));
+        assert_eq!(sim.block_on(first), at_secs(2));
     }
 
     #[test]
@@ -556,16 +532,12 @@ mod tests {
         let sim = Sim::new(1);
         // 8 "cores", each consumer capped at 1 core.
         let f = Fluid::with_entry_cap(&sim, 8.0, 1.0);
-        let t = Rc::new(Cell::new(SimTime::ZERO));
-        let t2 = Rc::clone(&t);
         let sim2 = sim.clone();
-        sim.spawn(async move {
+        let t = sim.block_on(sim.spawn(async move {
             f.consume(3.0).await; // 3 core-seconds at 1 core
-            t2.set(sim2.now());
-        })
-        .detach();
-        sim.run();
-        assert_eq!(t.get(), at_secs(3));
+            sim2.now()
+        }));
+        assert_eq!(t, at_secs(3));
     }
 
     #[test]
@@ -594,23 +566,14 @@ mod tests {
     fn zero_amount_completes_immediately() {
         let sim = Sim::new(1);
         let f = Fluid::new(&sim, 10.0);
-        let hit = Rc::new(Cell::new(false));
-        let h2 = Rc::clone(&hit);
-        sim.spawn(async move {
-            f.consume(0.0).await;
-            h2.set(true);
-        })
-        .detach();
-        let end = sim.run();
-        assert!(hit.get());
-        assert_eq!(end, SimTime::ZERO);
+        sim.block_on(sim.spawn(async move { f.consume(0.0).await }));
+        assert_eq!(sim.now(), SimTime::ZERO);
     }
 
     #[test]
     fn cancelled_consumer_frees_bandwidth() {
         let sim = Sim::new(1);
         let f = Fluid::new(&sim, 100.0);
-        let t = Rc::new(Cell::new(SimTime::ZERO));
         // Consumer A: 100u, will race a 0.5s timer and lose, cancelling.
         {
             let f = f.clone();
@@ -629,18 +592,15 @@ mod tests {
         // Consumer B: 100u, should finish at 0.5s(shared)+0.5s... compute:
         // [0,0.5]: both share 50u/s → B has 75u left; A cancels at 0.5s;
         // B alone: 75u at 100u/s → done at 1.25s.
-        {
+        let b = {
             let f = f.clone();
             let sim2 = sim.clone();
-            let t2 = Rc::clone(&t);
             sim.spawn(async move {
                 f.consume(100.0).await;
-                t2.set(sim2.now());
+                sim2.now()
             })
-            .detach();
-        }
-        sim.run();
-        assert_eq!(t.get().as_nanos(), 1_250_000_000);
+        };
+        assert_eq!(sim.block_on(b).as_nanos(), 1_250_000_000);
     }
 
     #[test]
@@ -668,7 +628,6 @@ mod tests {
         // consumer reusing the slot must not be completed by it.
         let sim = Sim::new(1);
         let f = Fluid::new(&sim, 100.0);
-        let t = Rc::new(Cell::new(SimTime::ZERO));
         {
             // Cancels at 0.1s with ~990u left → stale tag far in the future.
             let f = f.clone();
@@ -684,20 +643,17 @@ mod tests {
             })
             .detach();
         }
-        {
-            // Starts after the cancel, reuses the freed slot.
+        // Starts after the cancel, reuses the freed slot.
+        let late = {
             let f = f.clone();
             let sim2 = sim.clone();
-            let t2 = Rc::clone(&t);
             sim.spawn(async move {
                 sim2.sleep(SimDuration::from_millis(200)).await;
                 f.consume(100.0).await;
-                t2.set(sim2.now());
+                sim2.now()
             })
-            .detach();
-        }
-        sim.run();
+        };
         // Sole consumer of 100u at 100u/s from t=0.2 → done at 1.2s.
-        assert_eq!(t.get().as_nanos(), 1_200_000_000);
+        assert_eq!(sim.block_on(late).as_nanos(), 1_200_000_000);
     }
 }

@@ -295,57 +295,52 @@ mod tests {
     fn fifo_order_is_preserved() {
         let sim = Sim::new(1);
         let (tx, rx) = channel::<u32>();
-        let got = Rc::new(StdRefCell::new(Vec::new()));
-        let got2 = Rc::clone(&got);
-        sim.spawn(async move {
+        let got = sim.spawn(async move {
+            let mut got = Vec::new();
             while let Some(v) = rx.recv().await {
-                got2.borrow_mut().push(v);
+                got.push(v);
             }
-        })
-        .detach();
+            got
+        });
         sim.spawn(async move {
             for i in 0..5 {
                 tx.send_now(i).unwrap();
             }
         })
         .detach();
-        sim.run();
-        assert_eq!(*got.borrow(), vec![0, 1, 2, 3, 4]);
+        assert_eq!(sim.block_on(got), vec![0, 1, 2, 3, 4]);
     }
 
     #[test]
     fn recv_returns_none_after_all_senders_drop() {
         let sim = Sim::new(1);
         let (tx, rx) = channel::<u32>();
-        let done = Rc::new(StdRefCell::new(Vec::new()));
-        let done2 = Rc::clone(&done);
-        sim.spawn(async move {
+        let done = sim.spawn(async move {
+            let mut done = Vec::new();
             while let Some(v) = rx.recv().await {
-                done2.borrow_mut().push(v);
+                done.push(v);
             }
-            done2.borrow_mut().push(999);
-        })
-        .detach();
+            done.push(999);
+            done
+        });
         tx.send_now(1).unwrap();
         drop(tx);
-        sim.run();
-        assert_eq!(*done.borrow(), vec![1, 999]);
+        assert_eq!(sim.block_on(done), vec![1, 999]);
     }
 
     #[test]
     fn bounded_channel_applies_backpressure() {
         let sim = Sim::new(1);
         let (tx, rx) = bounded::<u32>(2);
-        let sent_at = Rc::new(StdRefCell::new(Vec::new()));
-        let sa = Rc::clone(&sent_at);
         let sim2 = sim.clone();
-        sim.spawn(async move {
+        let sender = sim.spawn(async move {
+            let mut sent_at = Vec::new();
             for i in 0..4 {
                 tx.send(i).await.unwrap();
-                sa.borrow_mut().push(sim2.now().as_nanos());
+                sent_at.push(sim2.now().as_nanos());
             }
-        })
-        .detach();
+            sent_at
+        });
         let sim3 = sim.clone();
         sim.spawn(async move {
             // Drain one item per second.
@@ -357,8 +352,7 @@ mod tests {
             }
         })
         .detach();
-        sim.run();
-        let sent_at = sent_at.borrow();
+        let sent_at = sim.block_on(sender);
         // First two fit immediately; 3rd waits for drain at t=1s, 4th at 2s.
         assert_eq!(sent_at[0], 0);
         assert_eq!(sent_at[1], 0);

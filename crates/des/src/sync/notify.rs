@@ -172,15 +172,11 @@ mod tests {
     fn notified_wakes_waiter() {
         let sim = Sim::new(1);
         let n = Notify::new();
-        let hit = Rc::new(Cell::new(false));
 
         let n2 = n.clone();
-        let hit2 = Rc::clone(&hit);
-        sim.spawn(async move {
+        let waiter = sim.spawn(async move {
             n2.notified().await;
-            hit2.set(true);
-        })
-        .detach();
+        });
 
         let sim2 = sim.clone();
         sim.spawn(async move {
@@ -189,9 +185,8 @@ mod tests {
         })
         .detach();
 
-        let end = sim.run();
-        assert!(hit.get());
-        assert_eq!(end.as_nanos(), 1_000_000_000);
+        sim.block_on(waiter);
+        assert_eq!(sim.now().as_nanos(), 1_000_000_000);
     }
 
     #[test]
@@ -221,15 +216,7 @@ mod tests {
         let n = Notify::new();
         let fut = n.notified();
         n.notify_all();
-        let hit = Rc::new(Cell::new(false));
-        let hit2 = Rc::clone(&hit);
-        sim.spawn(async move {
-            fut.await;
-            hit2.set(true);
-        })
-        .detach();
-        sim.run();
-        assert!(hit.get());
+        sim.block_on(sim.spawn(fut));
     }
 
     #[test]

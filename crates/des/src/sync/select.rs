@@ -108,60 +108,45 @@ mod tests {
     use super::*;
     use crate::executor::Sim;
     use crate::time::SimDuration;
-    use std::cell::{Cell, RefCell};
+    use std::cell::RefCell;
     use std::rc::Rc;
 
     #[test]
     fn select_picks_earlier_timer() {
         let sim = Sim::new(1);
         let sim2 = sim.clone();
-        let won = Rc::new(Cell::new(' '));
-        let won2 = Rc::clone(&won);
-        sim.spawn(async move {
+        let won = sim.block_on(sim.spawn(async move {
             let r = select2(
                 sim2.sleep(SimDuration::from_secs(2)),
                 sim2.sleep(SimDuration::from_secs(1)),
             )
             .await;
-            won2.set(match r {
+            match r {
                 Either::Left(()) => 'L',
                 Either::Right(()) => 'R',
-            });
-        })
-        .detach();
-        let end = sim.run();
-        assert_eq!(won.get(), 'R');
+            }
+        }));
+        assert_eq!(won, 'R');
         // The losing 2 s timer must have been cancelled: sim ends at 1 s.
-        assert_eq!(end.as_nanos(), 1_000_000_000);
+        assert_eq!(sim.now().as_nanos(), 1_000_000_000);
     }
 
     #[test]
     fn select_tie_breaks_left() {
         let sim = Sim::new(1);
         let sim2 = sim.clone();
-        let won = Rc::new(Cell::new(' '));
-        let won2 = Rc::clone(&won);
-        sim.spawn(async move {
+        let r = sim.block_on(sim.spawn(async move {
             let d = SimDuration::from_secs(1);
-            let r = select2(sim2.sleep(d), sim2.sleep(d)).await;
-            won2.set(if matches!(r, Either::Left(())) {
-                'L'
-            } else {
-                'R'
-            });
-        })
-        .detach();
-        sim.run();
-        assert_eq!(won.get(), 'L');
+            select2(sim2.sleep(d), sim2.sleep(d)).await
+        }));
+        assert!(matches!(r, Either::Left(())));
     }
 
     #[test]
     fn join_all_preserves_order() {
         let sim = Sim::new(1);
         let sim2 = sim.clone();
-        let out = Rc::new(Cell::new(0u64));
-        let out2 = Rc::clone(&out);
-        sim.spawn(async move {
+        let results = sim.block_on(sim.spawn(async move {
             let mut futs = Vec::new();
             for i in [3u64, 1, 2] {
                 let s = sim2.clone();
@@ -170,14 +155,10 @@ mod tests {
                     i * 10
                 });
             }
-            let results = join_all(futs).await;
-            assert_eq!(results, vec![30, 10, 20]);
-            out2.set(1);
-        })
-        .detach();
-        let end = sim.run();
-        assert_eq!(out.get(), 1);
-        assert_eq!(end.as_nanos(), 3_000_000_000);
+            join_all(futs).await
+        }));
+        assert_eq!(results, vec![30, 10, 20]);
+        assert_eq!(sim.now().as_nanos(), 3_000_000_000);
     }
 
     /// Finishes on its `polls_needed`-th poll with `id * 10`; logs every poll
@@ -224,15 +205,8 @@ mod tests {
         let sim = Sim::new(1);
         let log = Rc::new(RefCell::new(Vec::new()));
         let futs = probes(&[2, 1, 3], &log);
-        let out = Rc::new(RefCell::new(Vec::new()));
-        let out2 = Rc::clone(&out);
-        sim.spawn(async move {
-            let outputs = join_all(futs).await;
-            *out2.borrow_mut() = outputs;
-        })
-        .detach();
-        sim.run();
-        assert_eq!(*out.borrow(), vec![0, 10, 20]);
+        let out = sim.block_on(sim.spawn(join_all(futs)));
+        assert_eq!(out, vec![0, 10, 20]);
         // Each round polls the unfinished probes in input order; a probe is
         // dropped the moment it finishes and never seen again.
         let (p, d) = (|id| ('p', id), |id| ('d', id));

@@ -419,16 +419,13 @@ proptest! {
             .detach();
         }
         drop(tx);
-        let got = Rc::new(RefCell::new(Vec::new()));
-        let got2 = Rc::clone(&got);
-        sim.spawn(async move {
+        let got = sim.block_on(sim.spawn(async move {
+            let mut got = Vec::new();
             while let Some(m) = rx.recv().await {
-                got2.borrow_mut().push(m);
+                got.push(m);
             }
-        })
-        .detach();
-        sim.run();
-        let got = got.borrow();
+            got
+        }));
         let total: usize = counts.iter().sum();
         prop_assert_eq!(got.len(), total);
         // Per-sender order preserved.

@@ -610,9 +610,7 @@ mod tests {
     fn write_read_round_trip_with_content() {
         let (sim, hdfs) = quick_setup(1, 3, 2, 100);
         let h2 = hdfs.clone();
-        let ok = Rc::new(std::cell::Cell::new(false));
-        let ok2 = Rc::clone(&ok);
-        sim.spawn(async move {
+        sim.block_on(sim.spawn(async move {
             let client = h2.dn_node(0);
             let mut w = h2.create("/data", client).await.unwrap();
             // 250 bytes across 100-byte blocks → 3 blocks.
@@ -629,11 +627,7 @@ mod tests {
                 got.extend_from_slice(&encoded(b.data));
             }
             assert_eq!(got, payload);
-            ok2.set(true);
-        })
-        .detach();
-        sim.run();
-        assert!(ok.get());
+        }));
     }
 
     /// Real blobs against 100-byte blocks: `/whole` gets 80 + 80 bytes (one
@@ -643,9 +637,7 @@ mod tests {
     fn real_blob_writes(replication: u32) -> (f64, u64, u64) {
         let (sim, hdfs) = quick_setup(6, 3, replication, 100);
         let h2 = hdfs.clone();
-        let checked = Rc::new(std::cell::Cell::new(false));
-        let checked2 = Rc::clone(&checked);
-        sim.spawn(async move {
+        sim.block_on(sim.spawn(async move {
             let client = h2.dn_node(0);
             let blob = |len: usize, fill: u8| Bytes::from(vec![fill; len]);
             let whole = [blob(80, 1), blob(80, 2)];
@@ -681,11 +673,7 @@ mod tests {
             assert_eq!(data, shared[2]);
             assert_eq!(data.as_ptr(), shared[2].as_ptr());
             assert!(r.next_block().await.unwrap().is_none());
-            checked2.set(true);
-        })
-        .detach();
-        sim.run();
-        assert!(checked.get(), "scenario ran to its end");
+        }));
         (
             sim.metrics().get("hdfs.bytes_written"),
             sim.events_fired(),
@@ -712,9 +700,7 @@ mod tests {
     ) -> (Vec<u64>, Vec<u8>, u64, u64) {
         let (sim, hdfs) = quick_setup(8, 3, 2, 100);
         let h2 = hdfs.clone();
-        let out = Rc::new(RefCell::new((Vec::new(), Vec::new())));
-        let out2 = Rc::clone(&out);
-        sim.spawn(async move {
+        let (lengths, bytes) = sim.block_on(sim.spawn(async move {
             let client = h2.dn_node(0);
             let mut w = h2.create("/f", client).await.unwrap();
             for (i, len) in [30usize, 40, 50, 80, 20, 120, 10].into_iter().enumerate() {
@@ -729,17 +715,15 @@ mod tests {
             }
             w.close().await.unwrap();
             let mut r = h2.open("/f", client).await.unwrap();
+            let (mut lengths, mut bytes) = (Vec::new(), Vec::new());
             while let Some(b) = r.next_block().await.unwrap() {
                 let data = encoded(b.data);
                 assert_eq!(data.len() as u64, b.size);
-                let mut out = out2.borrow_mut();
-                out.0.push(b.size);
-                out.1.extend_from_slice(&data);
+                lengths.push(b.size);
+                bytes.extend_from_slice(&data);
             }
-        })
-        .detach();
-        sim.run();
-        let (lengths, bytes) = out.take();
+            (lengths, bytes)
+        }));
         (lengths, bytes, sim.events_fired(), sim.trace_hash())
     }
 
@@ -788,9 +772,7 @@ mod tests {
     fn held_pieces_cut_the_same_blocks_as_bytes() {
         let (sim, hdfs) = quick_setup(8, 3, 2, 100);
         let h2 = hdfs.clone();
-        let out = Rc::new(RefCell::new(Vec::new()));
-        let out2 = Rc::clone(&out);
-        sim.spawn(async move {
+        let out = sim.block_on(sim.spawn(async move {
             let client = h2.dn_node(0);
             let mut w = h2.create("/f", client).await.unwrap();
             for (i, len) in [30u64, 40, 50, 80, 20, 120, 10].into_iter().enumerate() {
@@ -799,6 +781,7 @@ mod tests {
             }
             w.close().await.unwrap();
             let mut r = h2.open("/f", client).await.unwrap();
+            let mut out = Vec::new();
             while let Some(b) = r.next_block().await.unwrap() {
                 let Some(BlockData::Held(pieces)) = b.data else {
                     panic!("held content expected");
@@ -812,12 +795,11 @@ mod tests {
                             .1
                     })
                     .collect();
-                out2.borrow_mut().push((b.size, tags));
+                out.push((b.size, tags));
             }
-        })
-        .detach();
-        sim.run();
-        let (lengths, tags): (Vec<u64>, Vec<Vec<u8>>) = out.take().into_iter().unzip();
+            out
+        }));
+        let (lengths, tags): (Vec<u64>, Vec<Vec<u8>>) = out.into_iter().unzip();
         assert_eq!(lengths, PARENT_LENGTHS);
         assert_eq!(tags, [vec![1, 2], vec![3], vec![4, 5], vec![6], vec![7]]);
         assert_eq!(
@@ -830,34 +812,30 @@ mod tests {
     #[should_panic(expected = "a block holds encoded bytes or held pieces, not both")]
     fn a_block_takes_one_kind_of_content() {
         let (sim, hdfs) = quick_setup(9, 1, 1, 100);
-        sim.spawn(async move {
+        sim.block_on(sim.spawn(async move {
             let mut w = hdfs.create("/f", hdfs.dn_node(0)).await.unwrap();
             w.write(Blob::real(Bytes::from_static(b"abc")))
                 .await
                 .unwrap();
             let _ = w.write_held(vec![Box::new(Piece(3, 0))]).await;
-        })
-        .detach();
-        sim.run();
+        }));
     }
 
     #[test]
     #[should_panic(expected = "/f: a 10-byte piece was filled with 7 bytes")]
     fn a_short_fill_is_caught_where_it_happens() {
         let (sim, hdfs) = quick_setup(9, 1, 1, 100);
-        sim.spawn(async move {
+        sim.block_on(sim.spawn(async move {
             let mut w = hdfs.create("/f", hdfs.dn_node(0)).await.unwrap();
             let _ = w.write_with(10, |buf| buf.put_slice(&[0; 7])).await;
-        })
-        .detach();
-        sim.run();
+        }));
     }
 
     #[test]
     fn replication_places_copies_on_distinct_nodes() {
         let (sim, hdfs) = quick_setup(2, 4, 3, 1000);
         let h2 = hdfs.clone();
-        sim.spawn(async move {
+        sim.block_on(sim.spawn(async move {
             let client = h2.dn_node(1);
             let mut w = h2.create("/f", client).await.unwrap();
             w.write(Blob::synthetic(500)).await.unwrap();
@@ -873,9 +851,7 @@ mod tests {
                 let dn = h2.dns.borrow()[r].clone();
                 assert_eq!(dn.fs.size(&meta.id.to_string()).unwrap(), 500);
             }
-        })
-        .detach();
-        sim.run();
+        }));
     }
 
     /// 16 DataNodes, replication 3: three blocks of up to four 1 MiB packets
@@ -887,21 +863,17 @@ mod tests {
         let (sim, hdfs) = quick_setup(7, 16, 3, 4 << 20);
         let h2 = hdfs.clone();
         let sim2 = sim.clone();
-        let times = Rc::new(std::cell::Cell::new((0u64, 0u64)));
-        let times2 = Rc::clone(&times);
-        sim.spawn(async move {
+        let times = sim.block_on(sim.spawn(async move {
             let mut w = h2.create("/f", h2.dn_node(5)).await.unwrap();
             w.write(Blob::synthetic((9 << 20) + 12_345)).await.unwrap();
             w.close().await.unwrap();
             let written = sim2.now().as_nanos();
             let mut r = h2.open("/f", h2.dn_node(11)).await.unwrap();
             while r.next_block().await.unwrap().is_some() {}
-            times2.set((written, sim2.now().as_nanos()));
-        })
-        .detach();
-        sim.run();
+            (written, sim2.now().as_nanos())
+        }));
         assert_eq!(sim.metrics().get("hdfs.bytes_written"), 9_449_529.0);
-        assert_eq!(times.get(), (23_851_919, 29_115_656));
+        assert_eq!(times, (23_851_919, 29_115_656));
     }
 
     #[test]
@@ -933,9 +905,7 @@ mod tests {
             }
             let h2 = hdfs.clone();
             let sim2 = sim.clone();
-            let t = Rc::new(std::cell::Cell::new(0u64));
-            let t2 = Rc::clone(&t);
-            sim.spawn(async move {
+            let t = sim.block_on(sim.spawn(async move {
                 let writer_node = h2.dn_node(0);
                 let mut w = h2.create("/f", writer_node).await.unwrap();
                 w.write(Blob::synthetic(4 << 20)).await.unwrap();
@@ -948,11 +918,9 @@ mod tests {
                 };
                 let mut r = h2.open("/f", reader).await.unwrap();
                 while let Some(_b) = r.next_block().await.unwrap() {}
-                t2.set((sim2.now() - start).as_nanos());
-            })
-            .detach();
-            sim.run();
-            times.push(t.get());
+                (sim2.now() - start).as_nanos()
+            }));
+            times.push(t);
         }
         assert!(
             times[0] * 3 < times[1],
@@ -968,7 +936,7 @@ mod tests {
         let h2 = hdfs.clone();
         let piece = Rc::new(Piece(3, 0));
         let p2 = Rc::clone(&piece);
-        sim.spawn(async move {
+        sim.block_on(sim.spawn(async move {
             let client = h2.dn_node(0);
             let mut w = h2.create("/f", client).await.unwrap();
             w.write(Blob::real(Bytes::from_static(b"abcdef")))
@@ -991,9 +959,7 @@ mod tests {
                     }
                 }
             }
-        })
-        .detach();
-        sim.run();
+        }));
         assert_eq!(Rc::strong_count(&piece), 1, "the held piece was dropped");
     }
 
@@ -1001,15 +967,13 @@ mod tests {
     fn listing_is_sorted_and_complete() {
         let (sim, hdfs) = quick_setup(5, 2, 1, 1000);
         let h2 = hdfs.clone();
-        sim.spawn(async move {
+        sim.block_on(sim.spawn(async move {
             let c = h2.dn_node(0);
             for p in ["/b", "/a", "/c"] {
                 let w = h2.create(p, c).await.unwrap();
                 w.close().await.unwrap();
             }
             assert_eq!(h2.list(), vec!["/a", "/b", "/c"]);
-        })
-        .detach();
-        sim.run();
+        }));
     }
 }

@@ -48,9 +48,7 @@ proptest! {
         let (sim, hdfs) = build(seed, datanodes, block_kb << 10, replication);
         let total: u64 = writes.iter().sum();
         let h = hdfs.clone();
-        let ok = std::rc::Rc::new(std::cell::Cell::new(false));
-        let ok2 = std::rc::Rc::clone(&ok);
-        sim.spawn(async move {
+        sim.block_on(sim.spawn(async move {
             let client = h.dn_node(0);
             let mut w = h.create("/f", client).await.unwrap();
             for bytes in writes {
@@ -71,11 +69,7 @@ proptest! {
                 sum += meta.size;
             }
             assert_eq!(sum, total, "blocks partition the file");
-            ok2.set(true);
-        })
-        .detach();
-        sim.run();
-        prop_assert!(ok.get(), "simulation quiesced before the writes finished");
+        }));
     }
 
     #[test]
@@ -88,9 +82,7 @@ proptest! {
         let (sim, hdfs) = build(seed, 3, block_kb << 10, 2);
         let expected: Vec<u8> = chunks.iter().flatten().copied().collect();
         let h = hdfs.clone();
-        let ok = std::rc::Rc::new(std::cell::Cell::new(false));
-        let ok2 = std::rc::Rc::clone(&ok);
-        sim.spawn(async move {
+        sim.block_on(sim.spawn(async move {
             let client = h.dn_node(1);
             let mut w = h.create("/blob", client).await.unwrap();
             for c in chunks {
@@ -107,11 +99,7 @@ proptest! {
                 }
             }
             assert_eq!(got, expected, "content survives block boundaries");
-            ok2.set(true);
-        })
-        .detach();
-        sim.run();
-        prop_assert!(ok.get());
+        }));
     }
 
     #[test]
@@ -122,9 +110,7 @@ proptest! {
     ) {
         let (sim, hdfs) = build(seed, 4, 16 << 10, 3);
         let h = hdfs.clone();
-        let ok = std::rc::Rc::new(std::cell::Cell::new(false));
-        let ok2 = std::rc::Rc::clone(&ok);
-        sim.spawn(async move {
+        sim.block_on(sim.spawn(async move {
             let client = h.dn_node(0);
             for i in 0..files {
                 let mut w = h.create(&format!("/f{i}"), client).await.unwrap();
@@ -135,10 +121,6 @@ proptest! {
                 h.delete(&format!("/f{i}"), client).await.unwrap();
             }
             assert!(h.list().is_empty(), "namespace empty after deletes");
-            ok2.set(true);
-        })
-        .detach();
-        sim.run();
-        prop_assert!(ok.get());
+        }));
     }
 }

@@ -182,10 +182,7 @@ impl<M: Wire> ListenerHandle<M> {
 mod tests {
     use super::*;
     use crate::fabric::FabricParams;
-    use rmr_des::SimTime;
     use rmr_des::{Sim, SimDuration};
-    use std::cell::{Cell, RefCell};
-    use std::rc::Rc;
 
     fn quiet_fabric(bw: f64) -> FabricParams {
         let mut f = FabricParams::ib_verbs_qdr();
@@ -215,22 +212,15 @@ mod tests {
         })
         .detach();
 
-        let got = Rc::new(Cell::new(0u64));
-        let got2 = Rc::clone(&got);
-        let done_at = Rc::new(Cell::new(SimTime::ZERO));
-        let done2 = Rc::clone(&done_at);
         let sim2 = sim.clone();
-        sim.spawn(async move {
+        let (got, done_at) = sim.block_on(sim.spawn(async move {
             let conn = handle.connect(client_node).await;
             conn.send(100u64).await.unwrap(); // 1 s at 100 B/s
             let resp = conn.recv().await.unwrap(); // 200 B → 2 s
-            got2.set(resp);
-            done2.set(sim2.now());
-        })
-        .detach();
-        sim.run();
-        assert_eq!(got.get(), 200);
-        assert_eq!(done_at.get().as_nanos(), 3_000_000_000);
+            (resp, sim2.now())
+        }));
+        assert_eq!(got, 200);
+        assert_eq!(done_at.as_nanos(), 3_000_000_000);
     }
 
     #[test]
@@ -240,14 +230,13 @@ mod tests {
         let a = net.add_node(None);
         let b = net.add_node(None);
         let (ca, cb) = pair::<u64>(&net, a, b);
-        let seen = Rc::new(RefCell::new(Vec::new()));
-        let seen2 = Rc::clone(&seen);
-        sim.spawn(async move {
+        let seen = sim.spawn(async move {
+            let mut seen = Vec::new();
             while let Some(m) = cb.recv().await {
-                seen2.borrow_mut().push(m);
+                seen.push(m);
             }
-        })
-        .detach();
+            seen
+        });
         sim.spawn(async move {
             for i in 1..=4u64 {
                 ca.send(i * 10).await.unwrap();
@@ -255,8 +244,7 @@ mod tests {
             drop(ca);
         })
         .detach();
-        sim.run();
-        assert_eq!(*seen.borrow(), vec![10, 20, 30, 40]);
+        assert_eq!(sim.block_on(seen), vec![10, 20, 30, 40]);
     }
 
     #[test]
@@ -267,14 +255,8 @@ mod tests {
         let b = net.add_node(None);
         let (ca, cb) = pair::<u64>(&net, a, b);
         drop(cb);
-        let failed = Rc::new(Cell::new(false));
-        let f2 = Rc::clone(&failed);
-        sim.spawn(async move {
-            f2.set(ca.send(5).await.is_err());
-        })
-        .detach();
-        sim.run();
-        assert!(failed.get());
+        let failed = sim.block_on(sim.spawn(async move { ca.send(5).await.is_err() }));
+        assert!(failed);
     }
 
     #[test]
@@ -288,15 +270,11 @@ mod tests {
         let c = net.add_node(None);
         let listener = listen::<u64>(&net, s);
         let handle = listener.handle();
-        let t = Rc::new(Cell::new(0u64));
-        let t2 = Rc::clone(&t);
         let sim2 = sim.clone();
-        sim.spawn(async move {
+        let t = sim.block_on(sim.spawn(async move {
             let _conn = handle.connect(c).await;
-            t2.set(sim2.now().as_nanos());
-        })
-        .detach();
-        sim.run();
-        assert_eq!(t.get(), 2 * 10_000 + 30_000); // RTT + setup
+            sim2.now().as_nanos()
+        }));
+        assert_eq!(t, 2 * 10_000 + 30_000); // RTT + setup
     }
 }

@@ -439,17 +439,13 @@ mod tests {
         let net = Network::new(&sim, f);
         let a = net.add_node(None);
         let b = net.add_node(None);
-        let done = Rc::new(Cell::new(SimTime::ZERO));
-        let d = Rc::clone(&done);
         let sim2 = sim.clone();
         let net2 = net.clone();
-        sim.spawn(async move {
+        let done = sim.block_on(sim.spawn(async move {
             net2.transfer(a, b, 200).await;
-            d.set(sim2.now());
-        })
-        .detach();
-        sim.run();
-        assert_eq!(done.get(), secs(2.0));
+            sim2.now()
+        }));
+        assert_eq!(done, secs(2.0));
     }
 
     #[test]
@@ -496,17 +492,13 @@ mod tests {
         let cpu_a = Fluid::with_entry_cap(&sim, 1.0, 1.0);
         let a = net.add_node(Some(cpu_a.clone()));
         let b = net.add_node(None);
-        let done = Rc::new(Cell::new(SimTime::ZERO));
-        let d = Rc::clone(&done);
         let sim2 = sim.clone();
         let net2 = net.clone();
-        sim.spawn(async move {
+        let done = sim.block_on(sim.spawn(async move {
             net2.transfer(a, b, 1000).await; // 1000 B * 1 ms/B = 1 s of CPU
-            d.set(sim2.now());
-        })
-        .detach();
-        sim.run();
-        assert_eq!(done.get(), secs(1.0));
+            sim2.now()
+        }));
+        assert_eq!(done, secs(1.0));
         assert!((cpu_a.served() - 1.0).abs() < 1e-6);
     }
 
@@ -521,11 +513,7 @@ mod tests {
         let a = net.add_node(Some(cpu_a.clone()));
         let b = net.add_node(None);
         let net2 = net.clone();
-        sim.spawn(async move {
-            net2.transfer(a, b, 5000).await;
-        })
-        .detach();
-        sim.run();
+        sim.block_on(sim.spawn(async move { net2.transfer(a, b, 5000).await }));
         assert_eq!(cpu_a.served(), 0.0);
     }
 
@@ -542,15 +530,11 @@ mod tests {
         let a = net.add_node(Some(cpu.clone()));
         let net2 = net.clone();
         let sim2 = sim.clone();
-        let done = Rc::new(Cell::new(SimTime::ZERO));
-        let d = Rc::clone(&done);
-        sim.spawn(async move {
+        let done = sim.block_on(sim.spawn(async move {
             net2.transfer(a, a, 1_000_000).await; // only send-side CPU: 1 s
-            d.set(sim2.now());
-        })
-        .detach();
-        sim.run();
-        assert_eq!(done.get(), secs(1.0));
+            sim2.now()
+        }));
+        assert_eq!(done, secs(1.0));
     }
 
     #[test]
@@ -565,18 +549,13 @@ mod tests {
         let b = net.add_node(None);
         let net2 = net.clone();
         let sim2 = sim.clone();
-        let done = Rc::new(Cell::new(0u64));
-        let d = Rc::clone(&done);
-        sim.spawn(async move {
+        let got = sim.block_on(sim.spawn(async move {
             for _ in 0..3 {
                 net2.transfer(a, b, 10).await;
             }
-            d.set(sim2.now().as_nanos());
-        })
-        .detach();
-        sim.run();
+            sim2.now().as_nanos()
+        }));
         // Each fluid leg rounds up to a whole nanosecond, so allow that.
-        let got = done.get();
         assert!((3 * 7_000..3 * 7_000 + 10).contains(&got), "got {got}");
     }
 
@@ -633,17 +612,13 @@ mod tests {
         // Half bandwidth on the receiver for the first 10 s: the 100 B
         // message takes 2 s instead of 1 s.
         net.inject_degradation(b, SimTime::ZERO, secs(10.0), 0.5);
-        let done = Rc::new(Cell::new(SimTime::ZERO));
-        let d = Rc::clone(&done);
         let sim2 = sim.clone();
         let net2 = net.clone();
-        sim.spawn(async move {
+        let done = sim.block_on(sim.spawn(async move {
             net2.transfer(a, b, 100).await;
-            d.set(sim2.now());
-        })
-        .detach();
-        sim.run();
-        assert_eq!(done.get(), secs(2.0));
+            sim2.now()
+        }));
+        assert_eq!(done, secs(2.0));
     }
 
     #[test]
@@ -657,17 +632,13 @@ mod tests {
         let a = net.add_node(None);
         let b = net.add_node(None);
         net.inject_partition(b, SimTime::ZERO, secs(3.0));
-        let done = Rc::new(Cell::new(SimTime::ZERO));
-        let d = Rc::clone(&done);
         let sim2 = sim.clone();
         let net2 = net.clone();
-        sim.spawn(async move {
+        let done = sim.block_on(sim.spawn(async move {
             net2.transfer(a, b, 100).await; // waits to 3 s, then 1 s wire
-            d.set(sim2.now());
-        })
-        .detach();
-        sim.run();
-        assert_eq!(done.get(), secs(4.0));
+            sim2.now()
+        }));
+        assert_eq!(done, secs(4.0));
     }
 
     #[test]
@@ -682,18 +653,14 @@ mod tests {
         let a = net.add_node(None);
         let b = net.add_node(None);
         net.inject_degradation(a, SimTime::ZERO, secs(1.0), 0.1);
-        let done = Rc::new(Cell::new(SimTime::ZERO));
-        let d = Rc::clone(&done);
         let sim2 = sim.clone();
         let net2 = net.clone();
-        sim.spawn(async move {
+        let done = sim.block_on(sim.spawn(async move {
             sim2.sleep(rmr_des::SimDuration::from_secs(5)).await;
             net2.transfer(a, b, 100).await;
-            d.set(sim2.now());
-        })
-        .detach();
-        sim.run();
-        assert_eq!(done.get(), secs(6.0));
+            sim2.now()
+        }));
+        assert_eq!(done, secs(6.0));
     }
 
     /// Two hosts on a flat `rails`-rail verbs fabric at 100 B/s per rail, no

@@ -439,18 +439,14 @@ mod tests {
         })
         .detach();
 
-        let done = Rc::new(Cell::new((0u64, 0u32)));
-        let d2 = Rc::clone(&done);
         let sim2 = sim.clone();
-        sim.spawn(async move {
+        let done = sim.block_on(sim.spawn(async move {
             let ep = connector.connect(client).await;
             ep.send(Msg { size: 100, tag: 7 }).await; // 1 s
             let resp = ep.recv().await.unwrap(); // 200 B → 2 s
-            d2.set((sim2.now().as_nanos(), resp.tag));
-        })
-        .detach();
-        sim.run();
-        assert_eq!(done.get(), (3_000_000_000, 8));
+            (sim2.now().as_nanos(), resp.tag)
+        }));
+        assert_eq!(done, (3_000_000_000, 8));
     }
 
     #[test]
@@ -461,16 +457,14 @@ mod tests {
         let client = net.add_node(None);
         let listener = ucr_listen::<Msg>(&net, server);
         let connector = listener.connector();
-        let tags = Rc::new(std::cell::RefCell::new(Vec::new()));
-        let tags2 = Rc::clone(&tags);
-        sim.spawn(async move {
+        let tags = sim.spawn(async move {
             let ep = listener.accept().await.unwrap();
+            let mut tags = Vec::new();
             for _ in 0..10 {
-                let m = ep.recv().await.unwrap();
-                tags2.borrow_mut().push(m.tag);
+                tags.push(ep.recv().await.unwrap().tag);
             }
-        })
-        .detach();
+            tags
+        });
         sim.spawn(async move {
             let ep = connector.connect(client).await;
             for tag in 0..10 {
@@ -480,8 +474,7 @@ mod tests {
             std::mem::forget(ep);
         })
         .detach();
-        sim.run();
-        assert_eq!(*tags.borrow(), (0..10).collect::<Vec<_>>());
+        assert_eq!(sim.block_on(tags), (0..10).collect::<Vec<_>>());
     }
 
     #[test]
@@ -640,20 +633,18 @@ mod tests {
         let client = net.add_node(None);
         let listener = ucr_listen::<Msg>(&net, server);
         let connector = listener.connector();
-        let got = Rc::new(std::cell::RefCell::new(Vec::new()));
-        let got2 = Rc::clone(&got);
         let sim2 = sim.clone();
-        sim.spawn(async move {
+        let got = sim.spawn(async move {
             let ep = listener.accept().await.unwrap();
+            let mut got = Vec::new();
             while let Some(m) = ep.recv().await {
-                got2.borrow_mut().push(m.tag);
+                got.push(m.tag);
             }
             // `None`: the client closed — after its three messages landed,
             // 1 s of wire each, though it dropped the endpoint at t = 0.
-            got2.borrow_mut()
-                .push(sim2.now().as_nanos() as u32 / 1_000_000_000);
-        })
-        .detach();
+            got.push(sim2.now().as_nanos() as u32 / 1_000_000_000);
+            got
+        });
         sim.spawn(async move {
             let ep = connector.connect(client).await;
             for tag in [7, 8, 9] {
@@ -661,8 +652,7 @@ mod tests {
             }
         })
         .detach();
-        sim.run();
-        assert_eq!(*got.borrow(), [7, 8, 9, 3]);
+        assert_eq!(sim.block_on(got), [7, 8, 9, 3]);
         assert_eq!(sim.live_tasks(), 0, "both tasks ran to their end");
     }
 
@@ -703,16 +693,11 @@ mod tests {
         let net = Network::new(sim, fabric(100.0));
         let listener = ucr_listen::<Msg>(&net, net.add_node(None));
         let client = net.add_node(None);
-        let ends = Rc::new(std::cell::RefCell::new(None));
-        let ends2 = Rc::clone(&ends);
-        sim.spawn(async move {
+        sim.block_on(sim.spawn(async move {
             let c = listener.connector().connect(client).await;
             let s = listener.accept().await.expect("connected");
-            *ends2.borrow_mut() = Some((c, s));
-        })
-        .detach();
-        sim.run();
-        ends.take().expect("connected")
+            (c, s)
+        }))
     }
 
     /// What has reached `ep`'s own receive queue so far: (op, message tag).

@@ -755,13 +755,9 @@ mod tests {
         let net = Network::new(&sim, fabric(100.0));
         let a = net.add_node(None);
         let b = net.add_node(None);
-        let got = Rc::new(Cell::new(0u64));
-        let got2 = Rc::clone(&got);
-        let t = Rc::new(Cell::new(0u64));
-        let t2 = Rc::clone(&t);
         let net2 = net.clone();
         let sim2 = sim.clone();
-        sim.spawn(async move {
+        let (got, t) = sim.block_on(sim.spawn(async move {
             let cq_a = Cq::<u64>::new();
             let cq_b = Cq::<u64>::new();
             let recv_cq_b = Cq::<u64>::new();
@@ -772,16 +768,13 @@ mod tests {
             let c = recv_cq_b.next().await.unwrap();
             assert_eq!(c.wr_id, 7);
             assert_eq!(c.op, Op::Recv);
-            got2.set(c.payload.unwrap());
             let sc = cq_a.next().await.unwrap();
             assert_eq!(sc.op, Op::Send);
             assert_eq!(sc.wr_id, 1);
-            t2.set(sim2.now().as_nanos());
-        })
-        .detach();
-        sim.run();
-        assert_eq!(got.get(), 0xBEEF);
-        assert_eq!(t.get(), 1_000_000_000);
+            (c.payload.unwrap(), sim2.now().as_nanos())
+        }));
+        assert_eq!(got, 0xBEEF);
+        assert_eq!(t, 1_000_000_000);
     }
 
     #[test]
@@ -790,11 +783,9 @@ mod tests {
         let net = Network::new(&sim, fabric(1e9));
         let a = net.add_node(None);
         let b = net.add_node(None);
-        let t = Rc::new(Cell::new(0u64));
-        let t2 = Rc::clone(&t);
         let net2 = net.clone();
         let sim2 = sim.clone();
-        sim.spawn(async move {
+        let t = sim.block_on(sim.spawn(async move {
             let cq_a = Cq::<()>::new();
             let cq_b = Cq::<()>::new();
             let recv_b = Cq::<()>::new();
@@ -804,11 +795,9 @@ mod tests {
             sim2.sleep(SimDuration::from_secs(3)).await;
             qb.post_recv(2);
             recv_b.next().await.unwrap();
-            t2.set(sim2.now().as_nanos());
-        })
-        .detach();
-        sim.run();
-        assert!(t.get() >= 3_000_000_000);
+            sim2.now().as_nanos()
+        }));
+        assert!(t >= 3_000_000_000);
     }
 
     #[test]
@@ -819,11 +808,9 @@ mod tests {
         let net = Network::new(&sim, fabric(100.0));
         let a = net.add_node(None);
         let b = net.add_node(None);
-        let t = Rc::new(Cell::new(0u64));
-        let t2 = Rc::clone(&t);
         let net2 = net.clone();
         let sim2 = sim.clone();
-        sim.spawn(async move {
+        let t = sim.block_on(sim.spawn(async move {
             let cq_a = Cq::<()>::new();
             let cq_b = Cq::<()>::new();
             let (qa, _qb) = connect_qp(&net2, a, b, &cq_a, &cq_b).await;
@@ -831,11 +818,9 @@ mod tests {
             let c = cq_a.next().await.unwrap();
             assert_eq!(c.op, Op::RdmaRead);
             assert_eq!(c.wr_id, 9);
-            t2.set(sim2.now().as_nanos());
-        })
-        .detach();
-        sim.run();
-        assert_eq!(t.get(), 2_000_000_000);
+            sim2.now().as_nanos()
+        }));
+        assert_eq!(t, 2_000_000_000);
     }
 
     #[test]
@@ -846,22 +831,18 @@ mod tests {
         let net = Network::new(&sim, fabric(100.0).with_rails(2));
         let a = net.add_node(None);
         let b = net.add_node(None);
-        let t = Rc::new(Cell::new(0u64));
-        let t2 = Rc::clone(&t);
         let net2 = net.clone();
         let sim2 = sim.clone();
-        sim.spawn(async move {
+        let t = sim.block_on(sim.spawn(async move {
             let cq_a = Cq::<()>::new();
             let cq_b = Cq::<()>::new();
             let (qa, _qb) = connect_qp(&net2, a, b, &cq_a, &cq_b).await;
             qa.post_rdma_read(9, 200);
             let c = cq_a.next().await.unwrap();
             assert_eq!(c.op, Op::RdmaRead);
-            t2.set(sim2.now().as_nanos());
-        })
-        .detach();
-        sim.run();
-        assert_eq!(t.get(), 1_000_000_000);
+            sim2.now().as_nanos()
+        }));
+        assert_eq!(t, 1_000_000_000);
     }
 
     #[test]
@@ -870,10 +851,8 @@ mod tests {
         let net = Network::new(&sim, fabric(1_000.0));
         let a = net.add_node(None);
         let b = net.add_node(None);
-        let order = Rc::new(RefCell::new(Vec::new()));
-        let order2 = Rc::clone(&order);
         let net2 = net.clone();
-        sim.spawn(async move {
+        let order = sim.block_on(sim.spawn(async move {
             let cq_a = Cq::<u32>::new();
             let cq_b = Cq::<u32>::new();
             let recv_b = Cq::<u32>::new();
@@ -887,13 +866,12 @@ mod tests {
             qa.post_send(2, 10, 2);
             qa.post_send(3, 500, 3);
             qa.post_send(4, 10, 4);
+            let mut order = Vec::new();
             for _ in 0..4 {
-                let c = recv_b.next().await.unwrap();
-                order2.borrow_mut().push(c.payload.unwrap());
+                order.push(recv_b.next().await.unwrap().payload.unwrap());
             }
-        })
-        .detach();
-        sim.run();
-        assert_eq!(*order.borrow(), vec![1, 2, 3, 4]);
+            order
+        }));
+        assert_eq!(order, vec![1, 2, 3, 4]);
     }
 }

@@ -332,15 +332,13 @@ mod tests {
         let rec = Recorder::on(&sim);
         let r2 = rec.clone();
         let s2 = sim.clone();
-        sim.spawn(async move {
+        sim.block_on(sim.spawn(async move {
             s2.sleep(SimDuration::from_secs_f64(1.5)).await;
             r2.emit(|| Ev::JobState {
                 job: 3,
                 state: JobState::Finished,
             });
-        })
-        .detach();
-        sim.run();
+        }));
         let evs = rec.events();
         assert_eq!(evs.len(), 1);
         assert_eq!(evs[0].t_ns, 1_500_000_000);

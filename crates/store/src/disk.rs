@@ -156,8 +156,6 @@ impl Disk {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rmr_des::SimTime;
-    use std::cell::Cell;
 
     fn test_params(bw: f64, seek_ms: u64) -> DiskParams {
         DiskParams {
@@ -174,20 +172,16 @@ mod tests {
         let sim = Sim::new(1);
         let disk = Disk::new(&sim, test_params(100.0, 1000), "t");
         let s = disk.new_stream();
-        let done = Rc::new(Cell::new(SimTime::ZERO));
-        let d = Rc::clone(&done);
         let sim2 = sim.clone();
         let disk2 = disk.clone();
-        sim.spawn(async move {
+        let done = sim.block_on(sim.spawn(async move {
             for _ in 0..3 {
                 disk2.io(s, 100).await; // 1 s of transfer each
             }
-            d.set(sim2.now());
-        })
-        .detach();
-        sim.run();
+            sim2.now()
+        }));
         // One 1 s seek + 3 s streaming.
-        assert_eq!(done.get().as_nanos(), 4_000_000_000);
+        assert_eq!(done.as_nanos(), 4_000_000_000);
     }
 
     #[test]
@@ -196,21 +190,17 @@ mod tests {
         let disk = Disk::new(&sim, test_params(1e12, 1000), "t");
         let a = disk.new_stream();
         let b = disk.new_stream();
-        let done = Rc::new(Cell::new(SimTime::ZERO));
-        let d = Rc::clone(&done);
         let sim2 = sim.clone();
         let disk2 = disk.clone();
-        sim.spawn(async move {
+        let done = sim.block_on(sim.spawn(async move {
             for _ in 0..3 {
                 disk2.io(a, 10).await;
                 disk2.io(b, 10).await;
             }
-            d.set(sim2.now());
-        })
-        .detach();
-        sim.run();
+            sim2.now()
+        }));
         // Every request switches streams: 6 seeks of 1 s each.
-        assert!(done.get().as_nanos() >= 6_000_000_000);
+        assert!(done.as_nanos() >= 6_000_000_000);
     }
 
     #[test]
@@ -265,7 +255,6 @@ mod tests {
         let mut p = test_params(1e6, 0); // 1 MB/s
         p.max_request = 1 << 20;
         let disk = Disk::new(&sim, p, "t");
-        let small_done = Rc::new(Cell::new(0u64));
         {
             let disk = disk.clone();
             let s = disk.new_stream();
@@ -274,22 +263,20 @@ mod tests {
             })
             .detach();
         }
-        {
+        let small = {
             let disk = disk.clone();
             let s = disk.new_stream();
             let sim2 = sim.clone();
-            let sd = Rc::clone(&small_done);
             sim.spawn(async move {
                 sim2.sleep(SimDuration::from_millis(100)).await;
                 disk.io(s, 1).await;
-                sd.set(sim2.now().as_nanos());
+                sim2.now().as_nanos()
             })
-            .detach();
-        }
-        sim.run();
+        };
         // The small read slips in after the current 1 MB slice (~1 s), far
         // before the 10 s bulk read finishes.
-        assert!(small_done.get() < 3_000_000_000, "got {}", small_done.get());
+        let small_done = sim.block_on(small);
+        assert!(small_done < 3_000_000_000, "got {small_done}");
     }
 
     #[test]
@@ -298,11 +285,9 @@ mod tests {
         let disk = Disk::new(&sim, test_params(100.0, 0), "t");
         let d2 = disk.clone();
         let s = disk.new_stream();
-        sim.spawn(async move {
+        sim.block_on(sim.spawn(async move {
             d2.io(s, 250).await;
-        })
-        .detach();
-        sim.run();
+        }));
         assert!((disk.bytes_served() - 250.0).abs() < 1e-6);
         assert!((disk.busy_seconds() - 2.5).abs() < 1e-6);
     }

@@ -324,7 +324,6 @@ impl FileReader {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::Cell;
 
     fn fast_disk() -> DiskParams {
         DiskParams {
@@ -341,7 +340,7 @@ mod tests {
         let sim = Sim::new(1);
         let fs = LocalFs::new(&sim, fast_disk(), 1, 0, "t");
         let fs2 = fs.clone();
-        sim.spawn(async move {
+        sim.block_on(sim.spawn(async move {
             let w = fs2.writer("spill0").unwrap();
             w.append(300).await.unwrap();
             w.append(200).await.unwrap();
@@ -349,11 +348,9 @@ mod tests {
             let mut r = fs2.reader("spill0").unwrap();
             r.read_exact(500).await.unwrap();
             assert!(r.read_exact(1).await.is_err());
-        })
-        .detach();
-        let end = sim.run();
+        }));
         // 500 B written + 500 B read at 100 B/s = 10 s (no cache).
-        assert_eq!(end.as_nanos(), 10_000_000_000);
+        assert_eq!(sim.now().as_nanos(), 10_000_000_000);
     }
 
     #[test]
@@ -361,26 +358,22 @@ mod tests {
         let sim = Sim::new(1);
         let fs = LocalFs::new(&sim, fast_disk(), 1, 10_000, "t");
         let fs2 = fs.clone();
-        sim.spawn(async move {
+        sim.block_on(sim.spawn(async move {
             let w = fs2.writer("f").unwrap();
             w.append(500).await.unwrap(); // 5 s
             let mut r = fs2.reader("f").unwrap();
             r.read_exact(500).await.unwrap(); // cached → free
-        })
-        .detach();
-        let end = sim.run();
-        assert_eq!(end.as_nanos(), 5_000_000_000);
+        }));
+        assert_eq!(sim.now().as_nanos(), 5_000_000_000);
     }
 
     #[test]
     fn files_round_robin_across_disks() {
         let sim = Sim::new(1);
         let fs = LocalFs::new(&sim, fast_disk(), 2, 0, "t");
-        let done = Rc::new(Cell::new(0u64));
-        let d = Rc::clone(&done);
         let fs2 = fs.clone();
         let sim2 = sim.clone();
-        sim.spawn(async move {
+        let done = sim.block_on(sim.spawn(async move {
             let wa = fs2.writer("a").unwrap();
             let wb = fs2.writer("b").unwrap();
             // Concurrent writes to different files land on different disks
@@ -396,11 +389,9 @@ mod tests {
                 Box::pin(fb),
             ])
             .await;
-            d.set(sim2.now().as_nanos());
-        })
-        .detach();
-        sim.run();
-        assert_eq!(done.get(), 1_000_000_000); // 1 s, not 2 s
+            sim2.now().as_nanos()
+        }));
+        assert_eq!(done, 1_000_000_000); // 1 s, not 2 s
     }
 
     #[test]
@@ -425,15 +416,13 @@ mod tests {
         let sim = Sim::new(1);
         let fs = LocalFs::new(&sim, fast_disk(), 1, 10_000, "t");
         let fs2 = fs.clone();
-        sim.spawn(async move {
+        sim.block_on(sim.spawn(async move {
             let w = fs2.writer("f").unwrap();
             w.append(100).await.unwrap();
             fs2.delete("f").unwrap();
             assert_eq!(fs2.page_cache().used(), 0);
             assert!(!fs2.exists("f"));
-        })
-        .detach();
-        sim.run();
+        }));
     }
 
     #[test]
@@ -441,12 +430,10 @@ mod tests {
         let sim = Sim::new(1);
         let fs = LocalFs::new(&sim, fast_disk(), 2, 0, "t");
         let fs2 = fs.clone();
-        sim.spawn(async move {
+        sim.block_on(sim.spawn(async move {
             fs2.writer("a").unwrap().append(100).await.unwrap();
             fs2.writer("b").unwrap().append(50).await.unwrap();
             assert_eq!(fs2.used_bytes(), 150);
-        })
-        .detach();
-        sim.run();
+        }));
     }
 }

@@ -30,7 +30,7 @@ proptest! {
         let fs = LocalFs::new(&sim, quick_disk(bw), 1, 0, "t");
         let total: u64 = sizes.iter().sum();
         let fs2 = fs.clone();
-        sim.spawn(async move {
+        sim.block_on(sim.spawn(async move {
             for (i, sz) in sizes.iter().enumerate() {
                 let w = fs2.writer(&format!("f{i}")).unwrap();
                 w.append(*sz).await.unwrap();
@@ -39,14 +39,12 @@ proptest! {
                 let mut r = fs2.reader(&format!("f{i}")).unwrap();
                 r.read_exact(*sz).await.unwrap();
             }
-        })
-        .detach();
-        let end = sim.run();
+        }));
         let min_secs = 2.0 * total as f64 / bw;
         prop_assert!(
-            end.as_secs_f64() + 1e-6 >= min_secs,
+            sim.now().as_secs_f64() + 1e-6 >= min_secs,
             "elapsed {} < device floor {}",
-            end.as_secs_f64(),
+            sim.now().as_secs_f64(),
             min_secs
         );
     }
@@ -106,14 +104,12 @@ proptest! {
         }
         let appends2 = appends.clone();
         let fs2 = fs.clone();
-        sim.spawn(async move {
+        sim.block_on(sim.spawn(async move {
             for (f, b) in appends2 {
                 let w = fs2.writer(&format!("f{f}")).unwrap();
                 w.append(b).await.unwrap();
             }
-        })
-        .detach();
-        sim.run();
+        }));
         let total: u64 = expect.values().sum();
         prop_assert_eq!(fs.used_bytes(), total);
         for (f, b) in expect {

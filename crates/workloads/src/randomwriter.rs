@@ -179,7 +179,7 @@ mod tests {
             },
         );
         let c2 = cluster.clone();
-        sim.spawn(async move {
+        sim.block_on(sim.spawn(async move {
             randomwriter(&c2, "/rw", 1 << 20, true).await;
             let mut r = c2
                 .hdfs
@@ -197,9 +197,7 @@ mod tests {
             assert!(sizes.len() > 20);
             let distinct: std::collections::BTreeSet<_> = sizes.iter().collect();
             assert!(distinct.len() > 5, "sizes should vary");
-        })
-        .detach();
-        sim.run();
+        }));
     }
 
     #[test]

@@ -180,7 +180,7 @@ mod tests {
         let sim = Sim::new(11);
         let cluster = mk_cluster(&sim, 4, 8 << 20);
         let c2 = cluster.clone();
-        sim.spawn(async move {
+        sim.block_on(sim.spawn(async move {
             let records = teragen(&c2, "/teragen", 40 << 20, false).await;
             assert_eq!(records, 4 * ((10 << 20) / RECORD_BYTES));
             let mut total = 0;
@@ -189,9 +189,7 @@ mod tests {
             }
             // Rounded down to whole records per worker.
             assert_eq!(total, 4 * ((10 << 20) / RECORD_BYTES * RECORD_BYTES));
-        })
-        .detach();
-        sim.run();
+        }));
     }
 
     #[test]
@@ -199,7 +197,7 @@ mod tests {
         let sim = Sim::new(12);
         let cluster = mk_cluster(&sim, 2, 1 << 20);
         let c2 = cluster.clone();
-        sim.spawn(async move {
+        sim.block_on(sim.spawn(async move {
             teragen(&c2, "/in", 200_000, true).await;
             let mut r = c2
                 .hdfs
@@ -214,9 +212,7 @@ mod tests {
                 });
             }
             assert_eq!(records, 100_000 / RECORD_BYTES);
-        })
-        .detach();
-        sim.run();
+        }));
     }
 
     #[test]

@@ -6,9 +6,6 @@
 //! cargo run --release --example fault_tolerance
 //! ```
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use rdma_mapred::prelude::*;
 
 fn main() {
@@ -24,10 +21,8 @@ fn main() {
                 packet_size: 1 << 20,
             },
         );
-        let done = Rc::new(RefCell::new(None));
-        let d = Rc::clone(&done);
         let c = cluster.clone();
-        sim.spawn(async move {
+        let (res, records) = sim.block_on(sim.spawn(async move {
             let records = teragen(&c, "/in", 24 << 20, true).await;
             let mut conf = JobConf::osu_ib();
             conf.num_reduces = 3;
@@ -39,11 +34,8 @@ fn main() {
             let report = teravalidate(&c, "/out", 3, records)
                 .await
                 .expect("output still globally sorted after the failure");
-            *d.borrow_mut() = Some((res, report.records));
-        })
-        .detach();
-        sim.run();
-        let (res, records) = done.borrow_mut().take().expect("job hung");
+            (res, report.records)
+        }));
         match fail {
             None => println!(
                 "baseline   : {:>6.1}s, {} records validated, {} failed attempts",

@@ -5,9 +5,6 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use rdma_mapred::prelude::*;
 
 fn main() {
@@ -28,10 +25,8 @@ fn main() {
         },
     );
 
-    let result: Rc<RefCell<Option<JobResult>>> = Rc::new(RefCell::new(None));
-    let out = Rc::clone(&result);
     let c = cluster.clone();
-    sim.spawn(async move {
+    let res = sim.block_on(sim.spawn(async move {
         // TeraGen: 64 MB of real 100-byte records (10 B key + 90 B value).
         let records = teragen(&c, "/tera/in", 64 << 20, true).await;
         println!("generated {records} records");
@@ -49,12 +44,9 @@ fn main() {
             "validated {} records across {} partitions",
             report.records, report.partitions
         );
-        *out.borrow_mut() = Some(res);
-    })
-    .detach();
-    sim.run();
+        res
+    }));
 
-    let res = result.borrow_mut().take().expect("job did not finish");
     println!();
     println!("job            {}", res.name);
     println!("engine         {}", res.shuffle.label());

@@ -6,9 +6,6 @@
 //! cargo run --release --example wordcount
 //! ```
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use rdma_mapred::prelude::*;
 use rdma_mapred::workloads::{read_counts, textgen, wordcount_spec};
 
@@ -25,21 +22,16 @@ fn main() {
         },
     );
 
-    let done = Rc::new(RefCell::new(None));
-    let d = Rc::clone(&done);
     let c = cluster.clone();
-    sim.spawn(async move {
+    let (res, counts) = sim.block_on(sim.spawn(async move {
         textgen(&c, "/wc/in", 20_000, 12).await;
         let mut conf = JobConf::osu_ib();
         conf.num_reduces = 4;
         let res = run_job(&c, conf, wordcount_spec("/wc/in", "/wc/out")).await;
         let counts = read_counts(&c, "/wc/out", 4).await.expect("read counts");
-        *d.borrow_mut() = Some((res, counts));
-    })
-    .detach();
-    sim.run();
+        (res, counts)
+    }));
 
-    let (res, counts) = done.borrow_mut().take().expect("job did not finish");
     let total: u64 = counts.values().sum();
     println!("WordCount over 20,000 lines × 12 words:");
     for (word, count) in counts.iter().take(6) {

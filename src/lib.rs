@@ -34,9 +34,9 @@
 //!     HdfsConfig { block_size: 4 << 20, replication: 1, packet_size: 1 << 20 },
 //! );
 //! let c = cluster.clone();
-//! let result = std::rc::Rc::new(std::cell::RefCell::new(None));
-//! let r = std::rc::Rc::clone(&result);
-//! sim.spawn(async move {
+//! // The driver's output comes back from `block_on`, which runs the
+//! // simulation to quiescence (or names the stuck tasks if it hangs).
+//! let res = sim.block_on(sim.spawn(async move {
 //!     // Generate real records, sort them with the paper's RDMA engine,
 //!     // and validate global order.
 //!     let records = teragen(&c, "/in", 4 << 20, true).await;
@@ -44,10 +44,9 @@
 //!     conf.num_reduces = 3;
 //!     let res = run_job(&c, conf, terasort_spec("/in", "/out")).await;
 //!     teravalidate(&c, "/out", 3, records).await.expect("sorted");
-//!     *r.borrow_mut() = Some(res);
-//! }).detach();
-//! sim.run();
-//! assert!(result.borrow().as_ref().unwrap().duration_s > 0.0);
+//!     res
+//! }));
+//! assert!(res.duration_s > 0.0);
 //! ```
 
 pub use rmr_cluster as cluster;

@@ -7,10 +7,8 @@
 //! rdma-mapred systems
 //! ```
 
-use std::cell::RefCell;
-use std::num::NonZeroUsize;
+use std::num::{NonZeroU64, NonZeroUsize};
 use std::process::exit;
-use std::rc::Rc;
 
 use rdma_mapred::prelude::*;
 use rmr_bench::cli::{parse_bench, parse_gb, usage_error, Args};
@@ -58,8 +56,10 @@ fn cmd_run(args: &[String]) {
         Testbed::compute(nodes, disks)
     };
     let mut exp = Experiment::new("cli", bench, system, testbed, gb, seed);
-    exp.block_size_override = args.flag::<u64>("--block-mb").map(|mb| mb << 20);
-    exp.osu_packet_override = args.flag::<u64>("--packet-kb").map(|kb| kb << 10);
+    exp.block_size_override = args.flag("--block-mb").map(|mb: NonZeroU64| mb.get() << 20);
+    exp.osu_packet_override = args
+        .flag("--packet-kb")
+        .map(|kb: NonZeroU64| kb.get() << 10);
     let rec = run_experiment(&exp);
     println!(
         "{} {} {:.0}GB on {} nodes ({} disk{}{}):",
@@ -98,7 +98,7 @@ fn cmd_figure(args: &[String]) {
 fn cmd_validate(args: &[String]) {
     let args = Args::parse(args, &["--mb", "--nodes", "--system"], &[], USAGE);
     args.done();
-    let mb: u64 = args.flag("--mb").unwrap_or(32);
+    let mb = args.flag("--mb").map_or(32, NonZeroU64::get);
     let nodes = args.flag("--nodes").map_or(4, NonZeroUsize::get);
     let system = args
         .flag_with("--system", System::parse)
@@ -120,18 +120,13 @@ fn cmd_validate(args: &[String]) {
     let mut conf = rmr_cluster::tuned_conf(system, Bench::TeraSort, &Testbed::compute(nodes, 1));
     conf.num_reduces = reduces;
     conf.io_sort_buffer = 64 << 20;
-    let done = Rc::new(RefCell::new(None));
-    let d = Rc::clone(&done);
     let c = cluster.clone();
-    sim.spawn(async move {
+    let (res, report) = sim.block_on(sim.spawn(async move {
         let records = teragen(&c, "/v/in", mb << 20, true).await;
         let res = run_job(&c, conf, terasort_spec("/v/in", "/v/out")).await;
         let report = teravalidate(&c, "/v/out", reduces, records).await;
-        *d.borrow_mut() = Some((res, report));
-    })
-    .detach();
-    sim.run();
-    let (res, report) = done.borrow_mut().take().expect("job did not finish");
+        (res, report)
+    }));
     match report {
         Ok(r) => println!(
             "VALID: {} records globally sorted across {} partitions \

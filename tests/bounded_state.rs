@@ -4,9 +4,7 @@
 //! kept per-job admission stats for every job ever run — both scale-out
 //! killers for a sweep that pushes hundreds of jobs through one runtime.
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::rc::Rc;
 
 use rmr_bench::chaos::TwinTiming;
 use rmr_bench::scenarios;
@@ -24,15 +22,12 @@ fn hundred_job_sequence_leaves_no_job_keyed_state() {
     let sim = Sim::new(0xB0B);
     let cluster = support::cluster(&sim, ShuffleKind::OsuIb, 2, false);
     let conf = support::conf(ShuffleKind::OsuIb, 2, false);
-    let peak: Rc<RefCell<Option<StateFootprint>>> = Rc::new(RefCell::new(None));
-    let final_fp: Rc<RefCell<Option<StateFootprint>>> = Rc::new(RefCell::new(None));
-    let peak2 = Rc::clone(&peak);
-    let final2 = Rc::clone(&final_fp);
     let sim2 = sim.clone();
-    sim.spawn_named("bounded-driver", async move {
+    let (peak, fp) = sim.block_on(sim.spawn_named("bounded-driver", async move {
         teragen(&cluster, "/in", 8 << 20, false).await;
         let rt = Runtime::start(&cluster, conf.clone());
         let mut slots_at_10 = 0;
+        let mut peak: Option<StateFootprint> = None;
         for i in 0..JOBS {
             let id = rt.submit(conf.clone(), terasort_spec("/in", &format!("/out{i}")));
             let res = rt.join(id).await;
@@ -41,9 +36,8 @@ fn hundred_job_sequence_leaves_no_job_keyed_state() {
             // Between jobs everything is joined: the footprint must be a
             // small per-cluster constant, never a function of `i`.
             assert!(fp.total() <= 4, "job-keyed state grew by job {i}: {fp:?}");
-            let mut p = peak2.borrow_mut();
-            if p.is_none_or(|prev| fp.total() > prev.total()) {
-                *p = Some(fp);
+            if peak.is_none_or(|prev| fp.total() > prev.total()) {
+                peak = Some(fp);
             }
             // The kernel's event slab is the high-water mark of events
             // pending at once — a property of one job's concurrency, which
@@ -59,11 +53,8 @@ fn hundred_job_sequence_leaves_no_job_keyed_state() {
             slots_at_10,
             "event slab grew between job 10 and job {JOBS}"
         );
-        *final2.borrow_mut() = Some(rt.state_footprint());
-    })
-    .detach();
-    sim.run();
-    let fp = final_fp.borrow().expect("driver hung");
+        (peak, rt.state_footprint())
+    }));
     assert_eq!(
         fp,
         StateFootprint::default(),
@@ -75,7 +66,7 @@ fn hundred_job_sequence_leaves_no_job_keyed_state() {
     let slots = sim.event_slots();
     assert!((1..=64).contains(&slots), "{slots} event slots");
     // The assertions above are the gate; the peak is diagnostic context.
-    eprintln!("peak between-job footprint: {:?}", peak.borrow());
+    eprintln!("peak between-job footprint: {peak:?}");
 }
 
 #[test]
@@ -87,10 +78,8 @@ fn kill_restart_complete_drains_to_zero_footprint() {
     let sim = Sim::new(0xDEAD);
     let cluster = support::cluster(&sim, ShuffleKind::OsuIb, 3, false);
     let conf = support::conf(ShuffleKind::OsuIb, 2, false);
-    let final_fp: Rc<RefCell<Option<StateFootprint>>> = Rc::new(RefCell::new(None));
-    let final2 = Rc::clone(&final_fp);
     let sim2 = sim.clone();
-    sim.spawn_named("kill-restart-driver", async move {
+    let fp = sim.block_on(sim.spawn_named("kill-restart-driver", async move {
         teragen(&cluster, "/in", 32 << 20, false).await;
         let rt = Runtime::start(&cluster, conf.clone());
         let id = rt.submit(conf.clone(), terasort_spec("/in", "/out"));
@@ -126,11 +115,8 @@ fn kill_restart_complete_drains_to_zero_footprint() {
         assert!(done, "job hung after kill/restart:\n{}", rt.dump().render());
         let res = rt.join(id).await;
         assert!(res.duration_s > 0.0, "job died with the node");
-        *final2.borrow_mut() = Some(rt.state_footprint());
-    })
-    .detach();
-    sim.run();
-    let fp = final_fp.borrow().expect("driver hung");
+        rt.state_footprint()
+    }));
     assert_eq!(
         fp,
         StateFootprint::default(),
@@ -144,9 +130,7 @@ fn concurrent_batch_drains_to_zero_footprint() {
     let sim = Sim::new(7);
     let cluster = support::cluster(&sim, ShuffleKind::OsuIb, 3, false);
     let conf = support::conf(ShuffleKind::OsuIb, 2, false);
-    let final_fp: Rc<RefCell<Option<StateFootprint>>> = Rc::new(RefCell::new(None));
-    let final2 = Rc::clone(&final_fp);
-    sim.spawn_named("batch-driver", async move {
+    let fp = sim.block_on(sim.spawn_named("batch-driver", async move {
         teragen(&cluster, "/in", 8 << 20, false).await;
         let rt = Runtime::start(&cluster, conf.clone());
         let ids: Vec<_> = (0..10)
@@ -157,11 +141,8 @@ fn concurrent_batch_drains_to_zero_footprint() {
         for id in ids {
             rt.join(id).await;
         }
-        *final2.borrow_mut() = Some(rt.state_footprint());
-    })
-    .detach();
-    sim.run();
-    let fp = final_fp.borrow().expect("driver hung");
+        rt.state_footprint()
+    }));
     assert_eq!(fp, StateFootprint::default(), "batch left state: {fp:?}");
 }
 
@@ -289,21 +270,17 @@ fn connect_all_costs_no_task_per_connection() {
     let cluster = support::cluster(&sim, ShuffleKind::OsuIb, NODES, false);
     let mut conf = support::conf(ShuffleKind::OsuIb, 2, false);
     conf.num_reduces = REDUCES;
-    let done = Rc::new(RefCell::new(false));
-    let done2 = Rc::clone(&done);
-    sim.spawn_named("bounded-driver", async move {
+    let driver = sim.spawn_named("bounded-driver", async move {
         teragen(&cluster, "/in", 256 << 20, false).await;
         let rt = Runtime::start(&cluster, conf.clone());
         let id = rt.submit(conf, terasort_spec("/in", "/out"));
         rt.join(id).await;
         assert_eq!(rt.state_footprint().total(), 0);
-        *done2.borrow_mut() = true;
-    })
-    .detach();
+    });
     // All 32 reducers fit the 16 × 2 reduce slots at once, so at the peak all
     // 512 connections are up.
     let mut peak = 0;
-    while !*done.borrow() {
+    while !driver.is_finished() {
         sim.run_until(sim.now() + SimDuration::from_millis(20));
         peak = peak.max(sim.live_tasks());
     }

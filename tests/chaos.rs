@@ -2,9 +2,6 @@
 //! runtime, but it must never change what the job computes, and a faulted
 //! run must stay bit-deterministic (same seed + same plan ⇒ same trace).
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use proptest::prelude::*;
 use rmr_bench::chaos::{derive_plan, TwinTiming};
 use rmr_core::{run_job_with_faults, FaultEvent, FaultPlan, JobResult, ShuffleKind};
@@ -45,20 +42,15 @@ fn terasort_run(
     let cluster = support::cluster(&sim, kind, workers, true);
     let reduces = workers.min(4);
     let conf = support::conf(kind, reduces, true);
-    let out = Rc::new(RefCell::new(None));
-    let out2 = Rc::clone(&out);
     let plan = plan.clone();
-    sim.spawn(async move {
+    let (res, records) = sim.block_on(sim.spawn(async move {
         let expected = teragen(&cluster, "/in", 12 << 20, true).await;
         let res = run_job_with_faults(&cluster, conf, terasort_spec("/in", "/out"), &plan).await;
         let report = teravalidate(&cluster, "/out", reduces, expected)
             .await
             .expect("faulted TeraSort output failed validation");
-        *out2.borrow_mut() = Some((res, report.records));
-    })
-    .detach();
-    sim.run();
-    let (res, records) = out.borrow_mut().take().expect("job hung under faults");
+        (res, report.records)
+    }));
     (res, records, sim.trace_hash())
 }
 
@@ -109,22 +101,16 @@ fn wordcount_counts_survive_node_kill() {
         let cluster = support::cluster(&sim, kind, 6, true);
         let reduces = 3;
         let conf = support::conf(kind, reduces, true);
-        let out = Rc::new(RefCell::new(None));
-        let out2 = Rc::clone(&out);
         let plan = plan.clone();
-        sim.spawn(async move {
+        sim.block_on(sim.spawn(async move {
             textgen(&cluster, "/text", 60_000, 12).await;
             let res =
                 run_job_with_faults(&cluster, conf, wordcount_spec("/text", "/wc"), &plan).await;
             let counts = read_counts(&cluster, "/wc", reduces)
                 .await
                 .expect("unreadable WordCount output");
-            *out2.borrow_mut() = Some((res, counts));
-        })
-        .detach();
-        sim.run();
-        let got = out.borrow_mut().take();
-        got.expect("job hung")
+            (res, counts)
+        }))
     };
 
     let (twin, clean_counts) = run(&FaultPlan::none());
@@ -152,20 +138,11 @@ fn synthetic_run(
     let sim = Sim::new(seed);
     let cluster = support::cluster(&sim, kind, workers, true);
     let conf = support::conf(kind, workers.min(4), true);
-    let out = Rc::new(RefCell::new(None));
-    let out2 = Rc::clone(&out);
     let plan = plan.clone();
-    sim.spawn(async move {
+    let res = sim.block_on(sim.spawn(async move {
         teragen(&cluster, "/in", 32 << 20, false).await;
-        let res = run_job_with_faults(&cluster, conf, terasort_spec("/in", "/out"), &plan).await;
-        *out2.borrow_mut() = Some(res);
-    })
-    .detach();
-    sim.run();
-    let res = out
-        .borrow_mut()
-        .take()
-        .expect("synthetic job hung under faults");
+        run_job_with_faults(&cluster, conf, terasort_spec("/in", "/out"), &plan).await
+    }));
     (res, sim.trace_hash())
 }
 

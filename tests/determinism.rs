@@ -3,9 +3,6 @@
 //! leave no live-but-unrunnable task behind. The multi-job tests drive the
 //! persistent cluster runtime with concurrent submissions.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use rmr_core::{run_job, JobResult, Runtime, ShuffleKind};
 use rmr_des::{assert_deterministic, Sim};
 use rmr_workloads::{teragen, terasort_spec, textgen, wordcount_spec};
@@ -89,9 +86,7 @@ fn four_concurrent_jobs_on_eight_nodes_are_deterministic() {
         let sim = Sim::new(91);
         let cluster = support::cluster(&sim, ShuffleKind::OsuIb, 8, false);
         let conf = support::conf(ShuffleKind::OsuIb, 2, false);
-        let results: Rc<RefCell<Vec<JobResult>>> = Rc::new(RefCell::new(Vec::new()));
-        let r2 = Rc::clone(&results);
-        sim.spawn_named("multijob-driver", async move {
+        let results = sim.block_on(sim.spawn_named("multijob-driver", async move {
             for i in 0..4 {
                 teragen(&cluster, &format!("/in{i}"), 8 << 20, false).await;
             }
@@ -104,16 +99,13 @@ fn four_concurrent_jobs_on_eight_nodes_are_deterministic() {
                     )
                 })
                 .collect();
+            let mut results = Vec::new();
             for id in ids {
-                let res = rt.join(id).await;
-                r2.borrow_mut().push(res);
+                results.push(rt.join(id).await);
             }
-        })
-        .detach();
-        sim.run();
-        let hash = sim.trace_hash();
-        let results = results.borrow().clone();
-        (hash, results)
+            results
+        }));
+        (sim.trace_hash(), results)
     };
     let (h1, res1) = run();
     let (h2, res2) = run();

@@ -26,11 +26,9 @@ fn run_real_terasort(kind: ShuffleKind, seed: u64, record: bool) -> (JobResult, 
     } else {
         Recorder::off()
     };
-    let result = std::rc::Rc::new(std::cell::RefCell::new(None));
-    let r2 = std::rc::Rc::clone(&result);
     let c2 = cluster.clone();
     let obs2 = obs.clone();
-    sim.spawn(async move {
+    let (res, records) = sim.block_on(sim.spawn(async move {
         let total: u64 = 12 << 20; // 12 MB real data
         let expected_records = teragen(&c2, "/tin", total, true).await;
         let rt = Runtime::with_obs(&c2, conf.clone(), SchedulePolicy::Fifo, obs2);
@@ -39,11 +37,8 @@ fn run_real_terasort(kind: ShuffleKind, seed: u64, record: bool) -> (JobResult, 
         let report = teravalidate(&c2, "/tout", reduces, expected_records)
             .await
             .expect("teravalidate");
-        *r2.borrow_mut() = Some((res, report.records));
-    })
-    .detach();
-    sim.run();
-    let (res, records) = result.borrow_mut().take().expect("job did not finish");
+        (res, report.records)
+    }));
     (res, records, obs)
 }
 
@@ -101,10 +96,8 @@ fn chained_terasort(kind: ShuffleKind, pass_through: bool) -> (u64, u64) {
     );
     let reduces = 2;
     let conf = support::conf(kind, reduces, true);
-    let validated = std::rc::Rc::new(std::cell::Cell::new(None));
-    let v2 = std::rc::Rc::clone(&validated);
     let c2 = cluster.clone();
-    sim.spawn(async move {
+    let records = sim.block_on(sim.spawn(async move {
         let records = teragen(&c2, "/in", 8 << 20, true).await;
         run_job(&c2, conf.clone(), terasort_spec("/in", "/sorted")).await;
         let mut second = terasort_spec("/sorted", "/again");
@@ -119,11 +112,8 @@ fn chained_terasort(kind: ShuffleKind, pass_through: bool) -> (u64, u64) {
         let report = teravalidate(&c2, "/again", reduces, records)
             .await
             .expect("second output");
-        v2.set(Some(report.records));
-    })
-    .detach();
-    sim.run();
-    let records = validated.get().expect("jobs hung");
+        report.records
+    }));
     (records, sim.trace_hash())
 }
 
@@ -152,19 +142,11 @@ fn synthetic_terasort_runs_all_engines() {
         let sim = Sim::new(200);
         let cluster = support::cluster(&sim, kind, 4, true);
         let conf = support::conf(kind, 4, true);
-        let done = std::rc::Rc::new(std::cell::RefCell::new(None));
-        let d2 = std::rc::Rc::clone(&done);
         let c2 = cluster.clone();
-        sim.spawn(async move {
+        let res = sim.block_on(sim.spawn(async move {
             teragen(&c2, "/in", 64 << 20, false).await;
-            let res = run_job(&c2, conf, terasort_spec("/in", "/out")).await;
-            *d2.borrow_mut() = Some(res);
-        })
-        .detach();
-        sim.run();
-        let res = done.borrow_mut().take().unwrap_or_else(|| {
-            panic!("{kind:?}: job hung (simulation quiesced before completion)")
-        });
+            run_job(&c2, conf, terasort_spec("/in", "/out")).await
+        }));
         // Conservation: all intermediate bytes reach the reducers.
         assert_eq!(
             res.shuffled_bytes, res.input_bytes,
@@ -190,19 +172,14 @@ fn failed_map_is_reexecuted_and_job_still_validates() {
     let cluster = support::cluster(&sim, ShuffleKind::OsuIb, 3, true);
     let reduces = 3;
     let conf = support::conf(ShuffleKind::OsuIb, reduces, true);
-    let result = std::rc::Rc::new(std::cell::RefCell::new(None));
-    let r2 = std::rc::Rc::clone(&result);
     let c2 = cluster.clone();
-    sim.spawn(async move {
+    let (res, _report) = sim.block_on(sim.spawn(async move {
         let expected = teragen(&c2, "/in", 12 << 20, true).await;
         let plan = FaultPlan::fail_map_once(0, 1);
         let res = run_job_with_faults(&c2, conf, terasort_spec("/in", "/out"), &plan).await;
         let report = teravalidate(&c2, "/out", reduces, expected).await.unwrap();
-        *r2.borrow_mut() = Some((res, report));
-    })
-    .detach();
-    sim.run();
-    let (res, _report) = result.borrow_mut().take().expect("job hung");
+        (res, report)
+    }));
     assert_eq!(res.failed_map_attempts, 1);
     assert_eq!(res.failed_reduce_attempts, 0);
 }
@@ -239,19 +216,14 @@ fn failed_reduce_is_reexecuted_and_job_still_validates() {
     let cluster = support::cluster(&sim, ShuffleKind::OsuIb, 3, true);
     let reduces = 3;
     let conf = support::conf(ShuffleKind::OsuIb, reduces, true);
-    let result = std::rc::Rc::new(std::cell::RefCell::new(None));
-    let r2 = std::rc::Rc::clone(&result);
     let c2 = cluster.clone();
-    sim.spawn(async move {
+    let (res, _report) = sim.block_on(sim.spawn(async move {
         let expected = teragen(&c2, "/in", 12 << 20, true).await;
         let plan = FaultPlan::fail_reduce_once(0, 2);
         let res = run_job_with_faults(&c2, conf, terasort_spec("/in", "/out"), &plan).await;
         let report = teravalidate(&c2, "/out", reduces, expected).await.unwrap();
-        *r2.borrow_mut() = Some((res, report));
-    })
-    .detach();
-    sim.run();
-    let (res, _report) = result.borrow_mut().take().expect("job hung");
+        (res, report)
+    }));
     assert_eq!(
         res.failed_reduce_attempts, 1,
         "the reduce failure counts once, as a reduce failure"
@@ -312,10 +284,8 @@ fn speculative_run(policy: &SchedulePolicy, queues: &[u32]) -> SpeculativeRun {
     let obs = Recorder::on(&sim);
     let rt_obs = obs.clone();
     let (policy, queues) = (policy.clone(), queues.to_vec());
-    let result = std::rc::Rc::new(std::cell::RefCell::new(None));
-    let r2 = std::rc::Rc::clone(&result);
     let c2 = cluster.clone();
-    sim.spawn(async move {
+    let (records, maps, footprint) = sim.block_on(sim.spawn(async move {
         let expected = teragen(&c2, "/in", 12 << 20, true).await;
         let rt = Runtime::with_obs(&c2, conf.clone(), policy, rt_obs);
         let ids: Vec<_> = queues
@@ -333,11 +303,8 @@ fn speculative_run(policy: &SchedulePolicy, queues: &[u32]) -> SpeculativeRun {
             let report = teravalidate(&c2, &out, reduces, expected).await.unwrap();
             records.push(report.records);
         }
-        *r2.borrow_mut() = Some((records, maps, rt.state_footprint().total()));
-    })
-    .detach();
-    sim.run();
-    let (records, maps, footprint) = result.borrow_mut().take().expect("jobs hung");
+        (records, maps, rt.state_footprint().total())
+    }));
     let map_attempts = spans_from_events(&obs.events())
         .iter()
         .filter(|s| s.kind == TaskFlavor::Map)

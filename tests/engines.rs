@@ -10,9 +10,6 @@
 //! * Replay: both presets (stage on, two rails) pass the double-run
 //!   trace-hash gate.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use rmr_core::cluster::{Cluster, NodeSpec};
 use rmr_core::{run_job, JobConf, ShuffleKind};
 use rmr_des::{assert_deterministic, Sim};
@@ -75,19 +72,13 @@ fn wordcount_on(
     // stage only folds when co-located maps share a wave.
     let c = cluster(&sim, 3, fabric_for(kind), 256 << 10);
     let conf = conf_for(kind, node_combine, 2);
-    let done = Rc::new(RefCell::new(None));
-    let d = Rc::clone(&done);
     let c2 = c.clone();
-    sim.spawn_named("wc-driver", async move {
+    sim.block_on(sim.spawn_named("wc-driver", async move {
         textgen_blocks(&c2, "/wc/in", 20_000, 10, 2_500).await;
         let res = run_job(&c2, conf, wordcount_spec("/wc/in", "/wc/out")).await;
         let counts = read_counts(&c2, "/wc/out", 2).await.unwrap();
-        *d.borrow_mut() = Some((counts, res.shuffled_bytes));
-    })
-    .detach();
-    sim.run();
-    let out = done.borrow_mut().take();
-    out.unwrap_or_else(|| panic!("{kind:?}: WordCount hung"))
+        (counts, res.shuffled_bytes)
+    }))
 }
 
 #[test]
@@ -127,20 +118,14 @@ fn terasort_on_fabric(
     let sim = Sim::new(62);
     let c = cluster(&sim, 3, fabric, 2 << 20);
     let conf = conf_for(kind, node_combine, 3);
-    let done = Rc::new(RefCell::new(None));
-    let d = Rc::clone(&done);
     let c2 = c.clone();
-    sim.spawn_named("ts-driver", async move {
+    let (secs, bytes) = sim.block_on(sim.spawn_named("ts-driver", async move {
         let records = teragen(&c2, "/ts/in", 12 << 20, true).await;
         let res = run_job(&c2, conf, terasort_spec("/ts/in", "/ts/out")).await;
         let rep = teravalidate(&c2, "/ts/out", 3, records).await.unwrap();
         assert!(rep.records > 10_000);
-        *d.borrow_mut() = Some((res.duration_s, res.shuffled_bytes));
-    })
-    .detach();
-    sim.run();
-    let out = done.borrow_mut().take();
-    let (secs, bytes) = out.unwrap_or_else(|| panic!("{kind:?}: TeraSort hung"));
+        (res.duration_s, res.shuffled_bytes)
+    }));
     (secs, bytes, sim.trace_hash())
 }
 
@@ -199,12 +184,10 @@ fn new_engine_trace_hashes_are_stable_across_runs() {
         let sim = Sim::new(64);
         let c = cluster(&sim, 3, fabric, 2 << 20);
         let conf = conf_for(ShuffleKind::OsuIb, node_combine, 2);
-        sim.spawn_named("hash-driver", async move {
+        sim.block_on(sim.spawn_named("hash-driver", async move {
             teragen(&c, "/h/in", 8 << 20, false).await;
             run_job(&c, conf, terasort_spec("/h/in", "/h/out")).await;
-        })
-        .detach();
-        sim.run();
+        }));
         sim.trace_hash()
     };
     for (node_combine, fabric) in presets() {

@@ -4,9 +4,6 @@
 //! the same seed. The exported Chrome trace must pass schema validation on
 //! a real multi-job run.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use rmr_core::{JobResult, Runtime, SchedulePolicy, ShuffleKind};
 use rmr_des::Sim;
 use rmr_obs::{
@@ -29,10 +26,8 @@ fn run_two_job_mix(seed: u64, record: bool) -> (u64, Vec<JobResult>, Recorder) {
     };
     let cluster = support::cluster(&sim, ShuffleKind::OsuIb, 3, false);
     let conf = support::conf(ShuffleKind::OsuIb, 2, false);
-    let results: Rc<RefCell<Vec<JobResult>>> = Rc::new(RefCell::new(Vec::new()));
-    let r2 = Rc::clone(&results);
     let obs2 = obs.clone();
-    sim.spawn_named("multijob-driver", async move {
+    let results = sim.block_on(sim.spawn_named("multijob-driver", async move {
         teragen(&cluster, "/tera", 12 << 20, false).await;
         textgen(&cluster, "/text", 400, 12).await;
         let rt = Runtime::with_obs(&cluster, conf.clone(), SchedulePolicy::Fifo, obs2);
@@ -40,15 +35,8 @@ fn run_two_job_mix(seed: u64, record: bool) -> (u64, Vec<JobResult>, Recorder) {
         let b = rt.submit(conf.clone(), wordcount_spec("/text", "/out-b"));
         let ra = rt.join(a).await;
         let rb = rt.join(b).await;
-        r2.borrow_mut().push(ra);
-        r2.borrow_mut().push(rb);
-    })
-    .detach();
-    sim.run();
-    let results = Rc::try_unwrap(results)
-        .map(RefCell::into_inner)
-        .unwrap_or_else(|rc| rc.borrow().clone());
-    assert_eq!(results.len(), 2, "mix hung");
+        vec![ra, rb]
+    }));
     (sim.trace_hash(), results, obs)
 }
 

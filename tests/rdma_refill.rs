@@ -19,9 +19,7 @@
 //! through restarts that leave reducers holding stale completion events: no
 //! run may panic, hang or lose output.
 
-use std::cell::RefCell;
 use std::panic::AssertUnwindSafe;
-use std::rc::Rc;
 
 use rmr_bench::chaos::{derive_plan, TwinTiming};
 use rmr_core::cluster::{Cluster, NodeSpec};
@@ -85,20 +83,14 @@ fn tight_run_with(
     conf.osu_packet_bytes = 64 << 10;
     conf.hadoop_a_kv_per_packet = kv_per_packet;
 
-    let out: Rc<RefCell<Option<JobResult>>> = Rc::new(RefCell::new(None));
-    let out2 = Rc::clone(&out);
     let (obs2, plan) = (obs.clone(), plan.clone());
-    sim.spawn_named("refill-driver", async move {
+    let res = sim.block_on(sim.spawn_named("refill-driver", async move {
         teragen(&cluster, "/in", 48 << 20, false).await;
         let rt = Runtime::with_obs(&cluster, conf.clone(), SchedulePolicy::Fifo, obs2);
         rt.apply_fault_plan(&plan);
         let id = rt.submit(conf, terasort_spec("/in", "/out"));
-        let res = rt.join(id).await;
-        *out2.borrow_mut() = Some(res);
-    })
-    .detach();
-    sim.run();
-    let res = out.borrow_mut().take().expect("tight-buffer job hung");
+        rt.join(id).await
+    }));
     assert_eq!(res.shuffled_bytes, res.input_bytes, "shuffle conservation");
 
     let (mut requests, mut stream) = (0u64, 0xcbf2_9ce4_8422_2325u64);

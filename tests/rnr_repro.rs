@@ -26,16 +26,12 @@ fn hadoop_a_many_sources_completes() {
     let mut conf = JobConf::for_kind(ShuffleKind::HadoopA);
     conf.num_reduces = 4;
     conf.shuffle_buffer = 8 << 20;
-    let done = std::rc::Rc::new(std::cell::Cell::new(false));
-    let d2 = std::rc::Rc::clone(&done);
     let c2 = cluster.clone();
-    sim.spawn(async move {
+    let job = sim.spawn(async move {
         // 256 MB over 1 MB blocks → 256 maps → 128 sources per endpoint.
         randomwriter(&c2, "/in", 256 << 20, false).await;
         let _ = run_job(&c2, conf, sort_spec("/in", "/out")).await;
-        d2.set(true);
-    })
-    .detach();
+    });
     sim.run_until(SimTime::from_nanos(3_600_000_000_000)); // 1h sim cap
-    assert!(done.get(), "job deadlocked");
+    assert!(job.is_finished(), "job deadlocked");
 }

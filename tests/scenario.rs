@@ -309,10 +309,26 @@ fn schema_less_tuning_rows_parse_as_schema_1_with_every_field() {
 
 /// Runs `rdma-mapred` with `args`; returns (exit code, stderr).
 fn rdma_mapred(args: &[&str]) -> (Option<i32>, String) {
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_rdma-mapred"))
+    use std::process::{Command, Stdio};
+    use std::time::Duration;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_rdma-mapred"))
         .args(args)
-        .output()
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
         .expect("spawn rdma-mapred");
+    // A value that makes the program spin fails its row after 60 s (3 000
+    // polls 20 ms apart) instead of hanging the suite.
+    let mut polls = 0;
+    while child.try_wait().expect("poll rdma-mapred").is_none() {
+        polls += 1;
+        if polls > 3_000 {
+            child.kill().expect("kill rdma-mapred");
+            panic!("{args:?}: still running after 60 s");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let out = child.wait_with_output().expect("collect rdma-mapred");
     (
         out.status.code(),
         String::from_utf8_lossy(&out.stderr).into_owned(),
@@ -336,6 +352,15 @@ fn bad_cli_input_is_a_usage_error() {
             "bad value for --nodes: \"0\"",
         ),
         (&["validate", "--nodes"][..], "--nodes needs a value"),
+        (&["validate", "--mb", "0"][..], "bad value for --mb: \"0\""),
+        (
+            &["run", "--gb", "1", "--block-mb", "0"][..],
+            "bad value for --block-mb: \"0\"",
+        ),
+        (
+            &["run", "--gb", "1", "--packet-kb", "0"][..],
+            "bad value for --packet-kb: \"0\"",
+        ),
         (&["figure", "fig9"][..], "unknown figure: fig9"),
         (
             &["figure", "fig4a", "fig4b"][..],

@@ -2,9 +2,6 @@
 //! real variable-size records, WordCount correctness against a sequential
 //! oracle, and HDFS behaviour under job load.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use rdma_mapred::prelude::*;
 use rdma_mapred::workloads::{read_counts, textgen, wordcount_spec, wordcount_spec_no_combiner};
 
@@ -37,23 +34,15 @@ fn sort_with_variable_records_validates_on_all_engines() {
         conf.num_reduces = reduces;
         conf.shuffle_buffer = 8 << 20;
         conf.io_sort_buffer = 8 << 20;
-        let done = Rc::new(RefCell::new(None));
-        let d = Rc::clone(&done);
         let c2 = c.clone();
-        sim.spawn(async move {
+        let validated = sim.block_on(sim.spawn(async move {
             // Variable-size records up to 20 kB — the §IV-C stressor.
             let records = randomwriter(&c2, "/s/in", 8 << 20, true).await;
             let _res = run_job(&c2, conf, sort_spec("/s/in", "/s/out")).await;
-            let validated = validate_sort(&c2, "/s/out", reduces, records)
+            validate_sort(&c2, "/s/out", reduces, records)
                 .await
-                .expect("per-partition order + conservation");
-            *d.borrow_mut() = Some(validated);
-        })
-        .detach();
-        sim.run();
-        let validated = done.borrow_mut().take().unwrap_or_else(|| {
-            panic!("{kind:?}: sort job hung");
-        });
+                .expect("per-partition order + conservation")
+        }));
         assert!(validated > 100, "{kind:?}: too few records ({validated})");
     }
 }
@@ -62,10 +51,8 @@ fn sort_with_variable_records_validates_on_all_engines() {
 fn wordcount_matches_sequential_oracle() {
     let sim = Sim::new(32);
     let c = cluster(&sim, 2, FabricParams::ib_verbs_qdr(), 2 << 20);
-    let done = Rc::new(RefCell::new(None));
-    let d = Rc::clone(&done);
     let c2 = c.clone();
-    sim.spawn(async move {
+    let (oracle, counts) = sim.block_on(sim.spawn(async move {
         textgen(&c2, "/w/in", 5_000, 8).await;
         // Sequential oracle: decode the input and count by hand.
         let mut oracle = std::collections::BTreeMap::<String, u64>::new();
@@ -81,11 +68,8 @@ fn wordcount_matches_sequential_oracle() {
         conf.num_reduces = 3;
         let _res = run_job(&c2, conf, wordcount_spec("/w/in", "/w/out")).await;
         let counts = read_counts(&c2, "/w/out", 3).await.unwrap();
-        *d.borrow_mut() = Some((oracle, counts));
-    })
-    .detach();
-    sim.run();
-    let (oracle, counts) = done.borrow_mut().take().expect("job hung");
+        (oracle, counts)
+    }));
     assert_eq!(counts, oracle, "MapReduce counts must equal the oracle");
 }
 
@@ -95,10 +79,8 @@ fn hdfs_replication_survives_job_load() {
     // DataNodes even while the job hammers the same disks.
     let sim = Sim::new(33);
     let c = cluster(&sim, 4, FabricParams::ib_verbs_qdr(), 2 << 20);
-    let done = Rc::new(RefCell::new(false));
-    let d = Rc::clone(&done);
     let c2 = c.clone();
-    sim.spawn(async move {
+    sim.block_on(sim.spawn(async move {
         teragen(&c2, "/r/in", 8 << 20, false).await;
         let mut conf = JobConf::osu_ib();
         conf.num_reduces = 4;
@@ -116,11 +98,7 @@ fn hdfs_replication_survives_job_load() {
                 assert_eq!(distinct.len(), 3, "replicas on distinct nodes");
             }
         }
-        *d.borrow_mut() = true;
-    })
-    .detach();
-    sim.run();
-    assert!(*done.borrow(), "job hung");
+    }));
 }
 
 #[test]
@@ -130,21 +108,16 @@ fn back_to_back_jobs_on_one_cluster() {
     // second must still validate.
     let sim = Sim::new(34);
     let c = cluster(&sim, 3, FabricParams::ib_verbs_qdr(), 2 << 20);
-    let done = Rc::new(RefCell::new(None));
-    let d = Rc::clone(&done);
     let c2 = c.clone();
-    sim.spawn(async move {
+    let (dur, records) = sim.block_on(sim.spawn(async move {
         let records = teragen(&c2, "/j/in", 6 << 20, true).await;
         let mut conf = JobConf::osu_ib();
         conf.num_reduces = 3;
         let _first = run_job(&c2, conf.clone(), terasort_spec("/j/in", "/j/out1")).await;
         let second = run_job(&c2, conf, terasort_spec("/j/in", "/j/out2")).await;
         let rep = teravalidate(&c2, "/j/out2", 3, records).await.unwrap();
-        *d.borrow_mut() = Some((second.duration_s, rep.records));
-    })
-    .detach();
-    sim.run();
-    let (dur, records) = done.borrow_mut().take().expect("jobs hung");
+        (second.duration_s, rep.records)
+    }));
     assert!(dur > 0.0);
     assert!(records > 10_000);
 }
@@ -156,10 +129,8 @@ fn combiner_shrinks_shuffle_and_preserves_counts() {
     for with_combiner in [false, true] {
         let sim = Sim::new(35);
         let c = cluster(&sim, 2, FabricParams::ib_verbs_qdr(), 2 << 20);
-        let done = Rc::new(RefCell::new(None));
-        let d = Rc::clone(&done);
         let c2 = c.clone();
-        sim.spawn(async move {
+        let (bytes, counts) = sim.block_on(sim.spawn(async move {
             textgen(&c2, "/cb/in", 4_000, 10).await;
             let spec = if with_combiner {
                 wordcount_spec("/cb/in", "/cb/out")
@@ -170,11 +141,8 @@ fn combiner_shrinks_shuffle_and_preserves_counts() {
             conf.num_reduces = 2;
             let res = run_job(&c2, conf, spec).await;
             let counts = read_counts(&c2, "/cb/out", 2).await.unwrap();
-            *d.borrow_mut() = Some((res.shuffled_bytes, counts));
-        })
-        .detach();
-        sim.run();
-        let (bytes, counts) = done.borrow_mut().take().expect("job hung");
+            (res.shuffled_bytes, counts)
+        }));
         let total: u64 = counts.values().sum();
         assert_eq!(total, 4_000 * 10, "counts exact with and without combiner");
         shuffled.push(bytes);
