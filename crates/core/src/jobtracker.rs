@@ -90,7 +90,6 @@ pub struct JobTracker {
     /// Next key for a front re-queue (monotonically decreasing).
     front_key: i64,
     maps_running: usize,
-    maps_completed: usize,
     total_maps: usize,
     events: Vec<CompletionEvent>,
     reduces_pending: VecDeque<usize>,
@@ -108,10 +107,9 @@ pub struct JobTracker {
     /// Maps currently running, by task index.
     running: BTreeMap<usize, RunningMap>,
     launch_seq: u64,
-    /// Maps already completed (deduplicates speculative double-finishes).
-    completed_set: BTreeSet<usize>,
-    /// Which TaskTracker holds each completed map's output (the winning
-    /// attempt); consulted when a node dies.
+    /// The completed maps, with the TaskTracker that holds each one's
+    /// output (the winning attempt): deduplicates speculative
+    /// double-finishes, and is consulted when a node dies.
     completed_on: BTreeMap<usize, usize>,
     /// Attempts still in flight for tasks that already completed (losing
     /// speculative duplicates). Their eventual result is discarded, but the
@@ -119,8 +117,6 @@ pub struct JobTracker {
     orphans: BTreeMap<usize, Vec<usize>>,
     /// Which TaskTracker each running reduce attempt sits on.
     running_reduces: BTreeMap<usize, usize>,
-    speculative_launched: usize,
-    speculative_wasted: usize,
     /// Delay scheduling: non-local scheduling opportunities to skip before
     /// a pending map accepts a non-local slot (0 = off).
     locality_delay: u32,
@@ -150,7 +146,6 @@ impl JobTracker {
             local,
             front_key: -1,
             maps_running: 0,
-            maps_completed: 0,
             total_maps,
             events: Vec::new(),
             reduces_pending: (0..reduces).collect(),
@@ -164,12 +159,9 @@ impl JobTracker {
             speculative: false,
             running: BTreeMap::new(),
             launch_seq: 0,
-            completed_set: BTreeSet::new(),
             completed_on: BTreeMap::new(),
             orphans: BTreeMap::new(),
             running_reduces: BTreeMap::new(),
-            speculative_launched: 0,
-            speculative_wasted: 0,
             locality_delay: 0,
             nonlocal_skips: 0,
         }
@@ -195,17 +187,6 @@ impl JobTracker {
         self.fail_reduces.insert(reduce_idx);
     }
 
-    /// Attempts launched purely speculatively.
-    pub fn speculative_launched(&self) -> usize {
-        self.speculative_launched
-    }
-
-    /// Speculative attempts whose work was discarded (the original won, or
-    /// the duplicate finished second).
-    pub fn speculative_wasted(&self) -> usize {
-        self.speculative_wasted
-    }
-
     /// Total map tasks.
     pub fn total_maps(&self) -> usize {
         self.total_maps
@@ -218,7 +199,7 @@ impl JobTracker {
 
     /// Completed map count.
     pub fn maps_completed(&self) -> usize {
-        self.maps_completed
+        self.completed_on.len()
     }
 
     /// Map tasks waiting to be assigned.
@@ -321,7 +302,7 @@ impl JobTracker {
                 .iter()
                 .filter(|(idx, rm)| {
                     rm.attempt_tts.len() == 1
-                        && !self.completed_set.contains(*idx)
+                        && !self.completed_on.contains_key(*idx)
                         && !maps.iter().any(|m| m.idx == **idx)
                 })
                 .map(|(idx, rm)| (rm.seq, *idx))
@@ -333,7 +314,6 @@ impl JobTracker {
                 }
                 let entry = self.running.get_mut(&idx).unwrap();
                 entry.attempt_tts.push(tt_idx);
-                self.speculative_launched += 1;
                 maps.push(entry.desc.clone());
             }
         }
@@ -358,7 +338,7 @@ impl JobTracker {
         if self.total_maps == 0 {
             return true;
         }
-        self.maps_completed as f64 >= self.slowstart * self.total_maps as f64
+        self.completed_on.len() as f64 >= self.slowstart * self.total_maps as f64
     }
 
     /// Should this attempt of `map_idx` fail? (Consumes the injection.)
@@ -385,10 +365,9 @@ impl JobTracker {
     /// this is the *first* completion of the task (its output counts);
     /// `false` for a speculative loser, whose output is discarded.
     pub fn map_completed(&mut self, map_idx: usize, tt_idx: usize) -> bool {
-        if !self.completed_set.insert(map_idx) {
+        if self.completed_on.contains_key(&map_idx) {
             // A duplicate attempt finishing after the task is already done.
             self.maps_running -= 1;
-            self.speculative_wasted += 1;
             self.drop_orphan(map_idx, tt_idx);
             return false;
         }
@@ -411,7 +390,6 @@ impl JobTracker {
             self.drop_orphan(map_idx, tt_idx);
         }
         self.maps_running -= 1;
-        self.maps_completed += 1;
         self.completed_on.insert(map_idx, tt_idx);
         self.events.push((map_idx, tt_idx));
         true
@@ -432,10 +410,9 @@ impl JobTracker {
     /// re-execute soon) once its last attempt is gone.
     pub fn map_failed(&mut self, desc: MapTaskDesc, tt_idx: usize) {
         self.maps_running -= 1;
-        if self.completed_set.contains(&desc.idx) {
+        if self.completed_on.contains_key(&desc.idx) {
             // A speculative sibling already won; this late failure is just
             // a wasted duplicate, not a reschedule.
-            self.speculative_wasted += 1;
             self.drop_orphan(desc.idx, tt_idx);
             return;
         }
@@ -518,9 +495,7 @@ impl JobTracker {
         for tts in self.orphans.values_mut() {
             let before = tts.len();
             tts.retain(|t| *t != tt_idx);
-            let lost = before - tts.len();
-            self.maps_running -= lost;
-            self.speculative_wasted += lost;
+            self.maps_running -= before - tts.len();
         }
         self.orphans.retain(|_, v| !v.is_empty());
         // Completed maps whose output lived on the dead node: unreachable
@@ -538,8 +513,6 @@ impl JobTracker {
                 .collect();
             for idx in lost_completed {
                 self.completed_on.remove(&idx);
-                self.completed_set.remove(&idx);
-                self.maps_completed -= 1;
                 self.requeue_map(self.descs[&idx].clone());
                 report.lost_completed_maps.push(idx);
             }
@@ -560,7 +533,7 @@ impl JobTracker {
 
     /// All maps completed?
     pub fn maps_done(&self) -> bool {
-        self.maps_completed == self.total_maps
+        self.completed_on.len() == self.total_maps
     }
 
     /// Completion events after `cursor`; returns the new cursor.
@@ -669,11 +642,9 @@ mod tests {
         let (m2, _) = jt.heartbeat(NodeId(1), 1, 1, 0);
         assert_eq!(m2.len(), 1);
         assert_eq!(m2[0].idx, 0, "oldest straggler first");
-        assert_eq!(jt.speculative_launched(), 1);
         // First finisher wins; the loser's completion is discarded.
         assert!(jt.map_completed(0, 1));
         assert!(!jt.map_completed(0, 0));
-        assert_eq!(jt.speculative_wasted(), 1);
         assert!(jt.map_completed(1, 0));
         assert!(jt.maps_done());
         // A completed task is never speculated again.
@@ -798,6 +769,5 @@ mod tests {
         assert!(report.lost_completed_maps.is_empty());
         assert_eq!(jt.running_maps(), 0);
         assert!(jt.maps_done());
-        assert_eq!(jt.speculative_wasted(), 1);
     }
 }

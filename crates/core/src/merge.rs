@@ -169,8 +169,6 @@ pub struct StreamingMerge {
     hot: Vec<Hot>,
     cold: Vec<Cold>,
     real: Option<bool>,
-    emitted_records: u64,
-    emitted_bytes: u64,
     /// Records not yet consumed, summed over all sources.
     remaining: u64,
     /// The sources that are dry (not exhausted, nothing buffered).
@@ -217,8 +215,6 @@ impl StreamingMerge {
         let live: Vec<usize> = (0..hot.len()).filter(|&i| hot[i].rem > 0).collect();
         StreamingMerge {
             real: None,
-            emitted_records: 0,
-            emitted_bytes: 0,
             remaining: expected_records.iter().sum(),
             dry: live.iter().copied().collect(),
             heads: Vec::with_capacity(hot.len()),
@@ -242,16 +238,6 @@ impl StreamingMerge {
     /// Number of sources.
     pub fn source_count(&self) -> usize {
         self.hot.len()
-    }
-
-    /// Records emitted so far.
-    pub fn emitted_records(&self) -> u64 {
-        self.emitted_records
-    }
-
-    /// Bytes emitted so far.
-    pub fn emitted_bytes(&self) -> u64 {
-        self.emitted_bytes
     }
 
     /// Delivers a shuffle packet for `source`.
@@ -363,8 +349,6 @@ impl StreamingMerge {
             // Only a zero `max_records` gets here: nothing is dry.
             return Emit::Stalled(self.dry_sources());
         }
-        self.emitted_records += seg.records;
-        self.emitted_bytes += seg.bytes;
         Emit::Data(seg)
     }
 
@@ -543,7 +527,6 @@ mod tests {
             }
         }
         assert_eq!(rest, vec![4, 5, 7, 8, 9]);
-        assert_eq!(m.emitted_records(), 8);
     }
 
     #[test]

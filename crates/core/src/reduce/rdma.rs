@@ -10,6 +10,12 @@
 //! concurrently running reduce consumer drains — reduce is pipelined with
 //! merge and shuffle (§III-B-4), unlike vanilla's barrier.
 //!
+//! The copier is the attempt's one shared object: it owns the shuffle state
+//! and buffer budget, and its methods are the receive side (what the copier
+//! task and its spill writers do) and the request side with the refill
+//! policy (what the merge loop drives). The merge itself stays local to
+//! [`run_reduce_rdma`].
+//!
 //! Engine differences (§III-C):
 //! * **OSU-IB** — starts pulling data as soon as each map completes
 //!   (overlapping the map wave), uses byte-budgeted packets
@@ -186,8 +192,12 @@ struct ShufState {
     /// Indexed by `map_idx` (maps are `0..total_maps`); `None` until the
     /// map's completion event is seen.
     sources: Vec<Option<SourceState>>,
+    /// Maps whose completion event has been seen.
+    discovered: usize,
     /// Sources still waiting for their first response (no totals yet).
     missing: BTreeSet<usize>,
+    /// Maps whose partial deliveries came from a since-lost incarnation.
+    poisoned: BTreeSet<usize>,
     /// Refill candidates in map order: sources `below` their fill level that
     /// are neither in flight nor fully delivered. Kept current by
     /// [`Self::relist`] wherever one of those facts changes, so a refill step
@@ -222,7 +232,9 @@ impl ShufState {
             eps: vec![None; servers],
             unreached: servers,
             sources: (0..total_maps).map(|_| None).collect(),
+            discovered: 0,
             missing: BTreeSet::new(),
+            poisoned: BTreeSet::new(),
             cands: BTreeSet::new(),
             tails: BTreeSet::new(),
             est_packet_bytes,
@@ -321,29 +333,32 @@ impl MemBudget {
     }
 }
 
-/// Finds an unrecoverable source: one that is not fully delivered and whose
-/// partial bytes came from an endpoint that no longer serves them (the node
-/// died, or it restarted and lost its MapOutputStore — which it may also have
-/// answered — or the map has already been re-homed away from a lost
-/// incarnation — `poisoned`).
-fn lost_source(
-    st: &ShufState,
-    poisoned: &BTreeSet<usize>,
-    liveness: &[Rc<NodeLiveness>],
-) -> Option<usize> {
-    st.known().find_map(|(m, s)| {
-        if s.fully_delivered {
-            return None;
-        }
-        if poisoned.contains(&m) {
-            return Some(s.tt());
-        }
-        let pulled = s.delivered_records > 0 || s.delivered_bytes > 0;
-        if pulled && (s.homeless || st.ep_dead(liveness, s.tt())) {
-            return Some(s.tt());
-        }
-        None
-    })
+/// The engine's data packet, decided once per attempt: what a request asks
+/// its server for, the bytes one is expected to hold, and the merge
+/// watermark (the records per source below which the merge wants more).
+fn data_packets(conf: &JobConf, avg_record_bytes: u64) -> (PacketBudget, u64, u64) {
+    let avg = avg_record_bytes.max(1);
+    if conf.shuffle.byte_packets() {
+        let bytes = conf.osu_packet_bytes;
+        (PacketBudget::Bytes(bytes), bytes, (bytes / avg).max(16))
+    } else {
+        let kv = conf.hadoop_a_kv_per_packet;
+        (PacketBudget::Records(kv), kv * avg, kv.max(16))
+    }
+}
+
+/// What a request asks a source's server for.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Ask {
+    /// The next data packet, if the shuffle buffer has room for it.
+    Packet,
+    /// The next data packet, overdrawing the buffer if it has none: a stalled
+    /// merge, or a source still without totals, must not wait on space other
+    /// sources hold (the packet spills on arrival if need be).
+    Forced,
+    /// Hadoop-A's header, also overdrawing: the first kv pair and the
+    /// segment's totals.
+    Header,
 }
 
 /// What became of one arrived message.
@@ -357,13 +372,15 @@ enum Arrival {
     Spill(u64),
 }
 
-/// The attempt's `RDMACopier`: everything the receive side shares between
-/// the copier task and the spill writers it starts.
+/// The attempt's `RDMACopier` and the one home of its shared state: the
+/// shuffle state and buffer budget, the receive side that books what arrives
+/// (spill writers included), and the request side with the refill policy
+/// the merge loop drives.
 struct Copier {
     /// The attempt's connections: one receive queue for all of them.
     endpoints: Rc<EndpointSet<ShufMsg>>,
-    state: Rc<RefCell<ShufState>>,
-    mem: Rc<MemBudget>,
+    state: RefCell<ShufState>,
+    mem: MemBudget,
     /// Fired on every booked packet and every observed death.
     arrived: Notify,
     /// Set, then `stopped` fired, when the attempt is over.
@@ -372,6 +389,18 @@ struct Copier {
     /// Server deaths seen under a connection of this attempt (a server
     /// answering that it lost an output this attempt pulled from counts).
     deaths_seen: Cell<u64>,
+    /// Set when a request found its source's TaskTracker without an
+    /// endpoint — e.g. a map re-executed on a node that was down when this
+    /// attempt connected up front (so no death was ever *seen* here). Arms
+    /// the same reconnect sweep a death does.
+    no_ep: Cell<bool>,
+    /// Every TaskTracker's liveness, which a connection's incarnation is
+    /// checked against.
+    liveness: Rc<Vec<Rc<NodeLiveness>>>,
+    /// What a data request asks for ([`data_packets`]).
+    budget: PacketBudget,
+    /// What a header request reserves: one average record.
+    header_bytes: u64,
     sim: Sim,
     node: NodeHandle,
     conf: Rc<JobConf>,
@@ -381,10 +410,13 @@ struct Copier {
     my_idx: usize,
     job: JobId,
     reduce_idx: usize,
+    /// This attempt's launch number, stamped into every request.
+    attempt: u32,
     spill_file: String,
     spill_task: Rc<str>,
 }
 
+/// The receive side.
 impl Copier {
     /// Ends the receive side (idempotent).
     fn stop(&self) {
@@ -404,6 +436,17 @@ impl Copier {
             self.endpoints.remove(old.tag());
         }
         true
+    }
+
+    /// [`Self::connect`]s to `ctx`'s server on TaskTracker `tt_idx` under
+    /// its current liveness epoch.
+    async fn reach(&self, ctx: &ReduceCtx, tt_idx: usize) -> bool {
+        let server = match &ctx.servers.borrow()[tt_idx] {
+            TtServerHandle::Rdma(c) => c.clone(),
+            _ => panic!("RDMA reducer needs RDMA servers"),
+        };
+        self.connect(tt_idx, self.liveness[tt_idx].epoch(), server)
+            .await
     }
 
     /// Books one message that arrived on connection `tag` into the shuffle
@@ -560,10 +603,10 @@ impl Copier {
 
     /// The runtime signalled a liveness change: finds the connections whose
     /// server incarnation is gone and tells the merge loop.
-    fn sweep_deaths(&self, liveness: &[Rc<NodeLiveness>]) {
+    fn sweep_deaths(&self) {
         let mut died = 0;
         for conn in self.state.borrow_mut().conns.iter_mut() {
-            let l = &liveness[conn.tt_idx as usize];
+            let l = &self.liveness[conn.tt_idx as usize];
             let gone = !l.alive() || l.epoch() != conn.epoch;
             if gone && !conn.dead {
                 conn.dead = true;
@@ -578,7 +621,7 @@ impl Copier {
 
     /// The copier task: receives for every connection of the attempt until
     /// stopped. The CQ never closes, so death is out of band.
-    async fn run(self: Rc<Self>, liveness: Rc<Vec<Rc<NodeLiveness>>>, liveness_changed: Notify) {
+    async fn run(self: Rc<Self>, liveness_changed: Notify) {
         let mut stopped = self.stopped.notified();
         let mut changed = liveness_changed.notified();
         while !self.stop.get() {
@@ -587,7 +630,7 @@ impl Copier {
                 Either::Left((ep, msg)) => self.on_message(ep, msg),
                 Either::Right(Either::Left(())) => {
                     changed = liveness_changed.notified();
-                    self.sweep_deaths(&liveness);
+                    self.sweep_deaths();
                 }
                 Either::Right(Either::Right(())) => break,
             }
@@ -595,169 +638,109 @@ impl Copier {
     }
 }
 
-/// Runs one Hadoop-A or OSU-IB ReduceTask to completion, branching on the
-/// job's [`ShuffleKind`](crate::ShuffleKind) capabilities. `Err` means a
-/// shuffle source with partial deliveries died under the attempt; the
-/// caller re-queues the whole task.
-pub async fn run_reduce_rdma(ctx: ReduceCtx) -> Result<ReduceStats, ReduceError> {
-    let sim = ctx.cluster.sim.clone();
-    let conf = Rc::clone(&ctx.conf);
-    let kind = conf.shuffle;
-    let node = ctx.tt.node.clone();
-    let obs = ctx.tt.obs().clone();
-    let my_idx = ctx.tt.idx;
-    let liveness = Rc::clone(&ctx.liveness);
-
-    let packet_budget = || {
-        if kind.byte_packets() {
-            PacketBudget::Bytes(conf.osu_packet_bytes)
-        } else {
-            PacketBudget::Records(conf.hadoop_a_kv_per_packet)
-        }
-    };
-    let est_packet_bytes = if kind.byte_packets() {
-        conf.osu_packet_bytes
-    } else {
-        conf.hadoop_a_kv_per_packet * ctx.spec.avg_record_bytes.max(1)
-    };
-
-    let n_servers = ctx.servers.borrow().len();
-    let state = Rc::new(RefCell::new(ShufState::new(
-        n_servers,
-        ctx.total_maps,
-        est_packet_bytes,
-    )));
-    let arrived = Notify::new_named(&format!("r{}-packet-arrived", ctx.reduce_idx));
-    let mem = Rc::new(MemBudget {
-        capacity: conf.shuffle_buffer,
-        outstanding: Cell::new(0),
-    });
-    // Set when a request could not be sent because the source's TaskTracker
-    // has no endpoint — e.g. a map re-executed on a node that was down when
-    // this attempt connected up front (so no death was ever *seen* here).
-    // Arms the same reconnect sweep a death does.
-    let no_ep = Rc::new(Cell::new(false));
-
-    // The receive side. Attempt-scoped: it lives in the TaskTracker's task
-    // group (so the node's death also reaps it) and is stopped when the
-    // attempt ends.
-    let copier = Rc::new(Copier {
-        endpoints: EndpointSet::new(),
-        state: Rc::clone(&state),
-        mem: Rc::clone(&mem),
-        arrived: arrived.clone(),
-        stop: Cell::new(false),
-        stopped: Notify::new_named(&format!("r{}-attempt-shutdown", ctx.reduce_idx)),
-        deaths_seen: Cell::new(0),
-        sim: sim.clone(),
-        node: node.clone(),
-        conf: Rc::clone(&conf),
-        obs: obs.clone(),
-        group: ctx.tt.group.clone(),
-        my_idx,
-        job: ctx.job,
-        reduce_idx: ctx.reduce_idx,
-        spill_file: format!("{}_r{}_shufspill", ctx.job, ctx.reduce_idx),
-        spill_task: format!("r{}-shuffle-spill", ctx.reduce_idx).into(),
-    });
-    let connect = |tt_i: usize| {
-        let server = match &ctx.servers.borrow()[tt_i] {
-            TtServerHandle::Rdma(c) => c.clone(),
-            _ => panic!("RDMA reducer needs RDMA servers"),
-        };
-        copier.connect(tt_i, liveness[tt_i].epoch(), server)
-    };
-
-    // Connect an endpoint to every live TaskTracker up front (§III-B-1: "one
-    // RDMACopier sends such information to all available TaskTrackers").
-    // Dead servers are skipped; if a source later lands on one (restart or
-    // re-execution), the Phase A reconnect pass picks it up.
-    for tt_i in 0..n_servers {
-        if liveness[tt_i].alive() {
-            connect(tt_i).await;
+/// The request side and its refill policy.
+impl Copier {
+    /// Books map `map_idx`'s completion event on TaskTracker `tt_idx`: a new
+    /// source, or a re-execution after a node loss (the log repeats the
+    /// map). Returns whether to ask the source's home for data.
+    fn discover(&self, map_idx: usize, tt_idx: usize) -> bool {
+        let mut st = self.state.borrow_mut();
+        match &mut st.sources[map_idx] {
+            slot @ None => {
+                *slot = Some(SourceState::new(tt_idx));
+                st.discovered += 1;
+                st.missing.insert(map_idx);
+                st.relist(map_idx);
+                true
+            }
+            // Already fully pulled from the old incarnation; the re-execution
+            // serves other reducers.
+            Some(s) if s.fully_delivered => false,
+            // Partial data from a lost incarnation cannot be resumed (the new
+            // server's cursor starts over): the attempt must restart.
+            Some(s) if s.delivered_records > 0 || s.delivered_bytes > 0 => {
+                st.poisoned.insert(map_idx);
+                false
+            }
+            // Nothing delivered yet: re-home cleanly, dropping any request
+            // that was in flight to the old home (`book` ignores its answer).
+            Some(s) => {
+                self.mem.release(s.reserved);
+                (s.reserved, s.inflight, s.homeless) = (0, false, false);
+                s.tt_idx = tt_u32(tt_idx);
+                st.relist(map_idx);
+                true
+            }
         }
     }
-    ctx.tt
-        .group
-        .spawn_daemon(
-            format!("r{}-rdma-copier", ctx.reduce_idx),
-            Rc::clone(&copier).run(Rc::clone(&liveness), ctx.liveness_changed.clone()),
-        )
-        .detach();
 
-    // Sends the next packet request for `map_idx`. `forced` bypasses the
-    // memory budget (stall recovery); otherwise the request is skipped when
-    // the buffer has no room. Returns false (no request) when the source's
-    // TaskTracker has no live endpoint.
-    let send_request = {
-        let state = Rc::clone(&state);
-        let mem = Rc::clone(&mem);
-        let obs = obs.clone();
-        let no_ep = Rc::clone(&no_ep);
-        let job = ctx.job;
-        let reduce_idx = ctx.reduce_idx;
-        let attempt = ctx.attempt;
-        move |map_idx: usize, budget: PacketBudget, est: u64, forced: bool| -> bool {
-            let mut st = state.borrow_mut();
-            let src = st.sources[map_idx].as_ref().expect("unknown source");
-            if src.inflight || src.fully_delivered || src.homeless {
-                return false;
-            }
-            let Some(ep) = st.eps[src.tt()].clone() else {
-                no_ep.set(true);
-                return false;
-            };
-            let src = st.src(map_idx);
-            let est = src.request_bytes(est);
-            let reserved = if mem.try_reserve(est) {
-                est
-            } else if forced {
-                0 // overdraft: the packet will spill on arrival if needed
-            } else {
-                return false;
-            };
-            src.reserved = reserved;
-            src.inflight = true;
-            let server = src.tt();
-            st.relist(map_idx);
-            drop(st);
-            obs.emit(|| Ev::ShuffleRequest {
-                node: my_idx,
-                server,
-                job: job.0,
-                map_idx,
-                reduce: reduce_idx,
-            });
-            ep.send_nowait(ShufMsg::Request {
-                job,
-                map_idx,
-                reduce: reduce_idx,
-                attempt,
-                budget,
-            });
-            true
+    /// Sends `map_idx`'s server a request for what `ask` names, unless the
+    /// source is in flight, fully delivered or homeless, its TaskTracker has
+    /// no endpoint (which sets `no_ep`), or an [`Ask::Packet`] finds no room
+    /// in the shuffle buffer.
+    fn request(&self, map_idx: usize, ask: Ask) {
+        let mut st = self.state.borrow_mut();
+        let src = st.sources[map_idx].as_ref().expect("unknown source");
+        if src.inflight || src.fully_delivered || src.homeless {
+            return;
         }
-    };
+        let Some(ep) = st.eps[src.tt()].clone() else {
+            self.no_ep.set(true);
+            return;
+        };
+        let (budget, est) = match ask {
+            Ask::Header => (PacketBudget::Records(1), self.header_bytes),
+            Ask::Packet | Ask::Forced => (self.budget, st.est_packet_bytes),
+        };
+        let src = st.src(map_idx);
+        let est = src.request_bytes(est);
+        let reserved = if self.mem.try_reserve(est) {
+            est
+        } else if ask != Ask::Packet {
+            0 // overdraft: the packet will spill on arrival if needed
+        } else {
+            return;
+        };
+        src.reserved = reserved;
+        src.inflight = true;
+        let server = src.tt();
+        st.relist(map_idx);
+        drop(st);
+        self.obs.emit(|| Ev::ShuffleRequest {
+            node: self.my_idx,
+            server,
+            job: self.job.0,
+            map_idx,
+            reduce: self.reduce_idx,
+        });
+        ep.send_nowait(ShufMsg::Request {
+            job: self.job,
+            map_idx,
+            reduce: self.reduce_idx,
+            attempt: self.attempt,
+            budget,
+        });
+    }
 
-    // One refill step: requests the next packet from each candidate, in map
-    // order, for as long as the shuffle-buffer budget covers the request.
-    // With at least one full estimate free every candidate fits; below that
-    // only segment tails can, so the walk narrows to them and ends when
-    // nothing is free — its cost follows the requests sent, not the number
-    // of maps. `fair_share` (Phase A) retires candidates that already hold
-    // their share of the buffer.
-    let refill = |fair_share: Option<u64>| {
+    /// One refill step: requests the next packet from each candidate, in map
+    /// order, for as long as the shuffle-buffer budget covers the request.
+    /// With at least one full estimate free every candidate fits; below that
+    /// only segment tails can, so the walk narrows to them and ends when
+    /// nothing is free — its cost follows the requests sent, not the number
+    /// of maps. `fair_share` (Phase A) retires candidates that already hold
+    /// their share of the buffer.
+    fn refill(&self, fair_share: Option<u64>) {
         // Phase A's fault sweep is re-armed (`no_ep`) by a request that finds
         // its source's TaskTracker without an endpoint, whether or not the
         // budget would have covered it. While some TaskTracker has none, walk
         // every candidate so that request is attempted.
-        let walk_all = fair_share.is_some() && state.borrow().unreached > 0;
+        let walk_all = fair_share.is_some() && self.state.borrow().unreached > 0;
         let mut from = 0usize;
         loop {
             let map_idx = {
-                let mut st = state.borrow_mut();
-                let free = mem.available();
-                let set = if free >= est_packet_bytes || walk_all {
+                let mut st = self.state.borrow_mut();
+                let free = self.mem.available();
+                let set = if free >= st.est_packet_bytes || walk_all {
                     &st.cands
                 } else if free > 0 {
                     &st.tails
@@ -775,199 +758,95 @@ pub async fn run_reduce_rdma(ctx: ReduceCtx) -> Result<ReduceStats, ReduceError>
                 }
                 m
             };
-            send_request(map_idx, packet_budget(), est_packet_bytes, false);
+            self.request(map_idx, Ask::Packet);
         }
-    };
-
-    // ---- Phase A: discover map completions; OSU overlaps data shuffle
-    // with the map wave, Hadoop-A only pulls headers. ----
-    let mut cursor = 0usize;
-    let mut discovered = 0usize;
-    // Maps whose partial deliveries came from a since-lost incarnation.
-    let mut poisoned: BTreeSet<usize> = BTreeSet::new();
-    loop {
-        for (map_idx, tt_idx) in poll_events(&ctx.cluster, &ctx.jt, &node, &mut cursor).await {
-            // A repeated completion event for the same map means it was
-            // re-executed after a node loss: dedup so `discovered` counts
-            // unique maps.
-            let want_request = {
-                let mut st = state.borrow_mut();
-                match &mut st.sources[map_idx] {
-                    slot @ None => {
-                        *slot = Some(SourceState::new(tt_idx));
-                        discovered += 1;
-                        st.missing.insert(map_idx);
-                        st.relist(map_idx);
-                        true
-                    }
-                    Some(s) => {
-                        if s.fully_delivered {
-                            // Already fully pulled from the old incarnation;
-                            // the re-execution serves other reducers.
-                            false
-                        } else if s.delivered_records > 0 || s.delivered_bytes > 0 {
-                            // Partial data from a lost incarnation cannot be
-                            // resumed (the new server's cursor starts over):
-                            // the attempt must restart.
-                            poisoned.insert(map_idx);
-                            false
-                        } else {
-                            // Nothing delivered yet: re-home cleanly, dropping
-                            // any request that was in flight to the old home
-                            // (`Copier::book` ignores its answer).
-                            if s.reserved > 0 {
-                                mem.release(s.reserved);
-                                s.reserved = 0;
-                            }
-                            (s.inflight, s.homeless) = (false, false);
-                            s.tt_idx = tt_u32(tt_idx);
-                            st.relist(map_idx);
-                            true
-                        }
-                    }
-                }
-            };
-            if want_request {
-                if kind.eager_fetch() {
-                    send_request(map_idx, packet_budget(), est_packet_bytes, false);
-                } else {
-                    // Header only: first kv pair + segment metadata.
-                    send_request(
-                        map_idx,
-                        PacketBudget::Records(1),
-                        ctx.spec.avg_record_bytes,
-                        true,
-                    );
-                }
-            }
-        }
-        // Fault sweep — skipped entirely on the fault-free path. `no_ep`
-        // also arms it: a source can live on a TaskTracker this attempt has
-        // no endpoint for without ever witnessing a death (the node was down
-        // at connect time and a re-executed map landed on it post-restart).
-        if copier.deaths_seen.get() > 0 || !poisoned.is_empty() || no_ep.replace(false) {
-            if let Some(tt_idx) = lost_source(&state.borrow(), &poisoned, &liveness) {
-                copier.stop();
-                return Err(ReduceError::SourceLost { tt_idx });
-            }
-            // Reconnect to the (live) homes of still-pending sources whose
-            // endpoint died — a restarted node, or a re-execution landing on
-            // a TaskTracker that was down when we connected up front.
-            let need: BTreeSet<usize> = {
-                let st = state.borrow();
-                st.known()
-                    .filter(|(_, s)| {
-                        !s.fully_delivered
-                            && st.ep_dead(&liveness, s.tt())
-                            && liveness[s.tt()].alive()
-                    })
-                    .map(|(_, s)| s.tt())
-                    .collect()
-            };
-            for tt in need {
-                connect(tt).await;
-            }
-        }
-        // Keep the pipeline fed while maps are still finishing (OSU): pull
-        // each discovered source up to its fair share of the shuffle buffer,
-        // overlapping the data movement with the map wave (§III-B-4).
-        if kind.eager_fetch() {
-            refill(Some(conf.shuffle_buffer / discovered.max(8) as u64));
-        }
-        // Done discovering once every map reported and every source has its
-        // totals (needed to build the merge).
-        if discovered == ctx.total_maps {
-            let missing: Vec<usize> = state.borrow().missing.iter().copied().collect();
-            if missing.is_empty() {
-                break;
-            }
-            for m in missing {
-                send_request(m, packet_budget(), est_packet_bytes, true);
-            }
-        }
-        // Wake on the next poll tick or on any packet arrival (the copier also
-        // fires the arrival notify when it observes a server death).
-        let n = arrived.notified();
-        rmr_des::sync::select2(sim.sleep(EVENT_POLL), n).await;
     }
 
-    // ---- Phase B: priority-queue merge pipelined with reduce. ----
-    // No new sources appear past this point, and every non-fully-delivered
-    // source has delivered at least a header — so a server death in Phase B
-    // either touches only fully-delivered sources (harmless) or fails the
-    // attempt; there is no Phase B re-home/reconnect path.
-    let watermark = if kind.byte_packets() {
-        (conf.osu_packet_bytes / ctx.spec.avg_record_bytes.max(1)).max(16)
-    } else {
-        conf.hadoop_a_kv_per_packet.max(16)
-    };
-    let mut merge = {
-        let mut st = state.borrow_mut();
-        // The fill level is the merge's watermark from here on.
-        st.cands.clear();
-        st.tails.clear();
-        let expected = st
-            .sources
-            .iter_mut()
-            .map(|s| {
-                let s = s.as_mut().expect("every map discovered");
-                s.below = false;
-                assert_ne!(s.total_records, UNKNOWN, "every source has its totals");
-                s.total_records
-            })
-            .collect();
-        StreamingMerge::with_watermark(expected, watermark)
-    };
-    // Mirrors the merge's newly-low sources into the candidate set. Runs
-    // right after the merge state changes them, before any await.
-    let note_low = {
-        let state = Rc::clone(&state);
-        move |merge: &mut StreamingMerge| {
-            let mut st = state.borrow_mut();
-            for m in merge.newly_low() {
-                st.src(m).below = true;
-                st.relist(m);
-            }
+    /// The fatal-source check, made once a fault touched the attempt (a
+    /// death seen, a map poisoned) or `armed()` holds. `Err` names the
+    /// TaskTracker of a source that cannot be resumed: not fully delivered,
+    /// and its partial bytes came from an endpoint that no longer serves
+    /// them (the node died, or it restarted and lost its MapOutputStore —
+    /// which it may also have answered — or the map has already been
+    /// re-homed away from a lost incarnation). `Ok(true)`: checked, none.
+    fn check_sources(&self, armed: impl FnOnce() -> bool) -> Result<bool, usize> {
+        let st = self.state.borrow();
+        if self.deaths_seen.get() == 0 && st.poisoned.is_empty() && !armed() {
+            return Ok(false);
         }
-    };
-    note_low(&mut merge);
+        let mut pending = st.known().filter(|(_, s)| !s.fully_delivered);
+        let lost = pending.find_map(|(m, s)| {
+            let pulled = s.delivered_records > 0 || s.delivered_bytes > 0;
+            let gone = st.poisoned.contains(&m)
+                || (pulled && (s.homeless || st.ep_dead(&self.liveness, s.tt())));
+            gone.then(|| s.tt())
+        });
+        lost.map_or(Ok(true), Err)
+    }
 
-    // DataToReduceQueue + reduce consumer (overlap of merge and reduce).
-    // The consumer lives in the TaskTracker's group so the node's own death
-    // tears it down with the attempt.
-    let (out_tx, out_rx) = bounded_named::<Segment>(
-        &format!("r{}-data-to-reduce-queue", ctx.reduce_idx),
-        REDUCE_QUEUE_DEPTH,
-    );
-    let consumer = {
-        let ctx2 = ctx.clone();
-        let node2 = node.clone();
-        let conf2 = Rc::clone(&conf);
-        ctx.tt.group.clone().spawn_named(
-            format!("r{}-reduce-consumer", ctx.reduce_idx),
-            async move {
-                let mut sink =
-                    ReduceSink::open(&ctx2.cluster, &conf2, &ctx2.spec, &node2, ctx2.reduce_idx)
-                        .await;
-                while let Some(seg) = out_rx.recv().await {
-                    sink.consume(seg).await;
-                }
-                sink.finish().await
-            },
-        )
-    };
+    /// Reconnects to the (live) homes of still-pending sources whose
+    /// endpoint died — a restarted node, or a re-execution landing on a
+    /// TaskTracker that was down when the attempt connected up front.
+    async fn reconnect(&self, ctx: &ReduceCtx) {
+        let need: BTreeSet<usize> = {
+            let st = self.state.borrow();
+            st.known()
+                .filter(|(_, s)| {
+                    !s.fully_delivered
+                        && st.ep_dead(&self.liveness, s.tt())
+                        && self.liveness[s.tt()].alive()
+                })
+                .map(|(_, s)| s.tt())
+                .collect()
+        };
+        for tt in need {
+            self.reach(ctx, tt).await;
+        }
+    }
 
-    // Moves pending packets into the merge in arrival order (per-source
-    // FIFO order is preserved, and cross-source append order does not affect
-    // the merge result). Returns the total spilled bytes drained plus, for
-    // Hadoop-A, the refetch charge list: (tt_idx, map_idx, bytes) per
-    // spilled packet.
-    let spill_readback = {
-        let state = Rc::clone(&state);
-        move |merge: &mut StreamingMerge| -> (u64, Vec<(usize, usize, u64)>) {
-            let mut st = state.borrow_mut();
-            let mut spilled = 0u64;
-            let mut refetch = Vec::new();
+    /// Ends discovery: builds the merge over every source's totals, and from
+    /// here on a source's fill level is the merge's `watermark`.
+    fn start_merge(&self, watermark: u64) -> StreamingMerge {
+        let mut merge = {
+            let mut st = self.state.borrow_mut();
+            st.cands.clear();
+            st.tails.clear();
+            let expected = st
+                .sources
+                .iter_mut()
+                .map(|s| {
+                    let s = s.as_mut().expect("every map discovered");
+                    s.below = false;
+                    assert_ne!(s.total_records, UNKNOWN, "every source has its totals");
+                    s.total_records
+                })
+                .collect();
+            StreamingMerge::with_watermark(expected, watermark)
+        };
+        self.note_low(&mut merge);
+        merge
+    }
+
+    /// Mirrors the merge's newly-low sources into the candidate set. Runs
+    /// right after the merge state changes them, before any await.
+    fn note_low(&self, merge: &mut StreamingMerge) {
+        let mut st = self.state.borrow_mut();
+        for m in merge.newly_low() {
+            st.src(m).below = true;
+            st.relist(m);
+        }
+    }
+
+    /// Moves the arrived packets into the merge in arrival order (per-source
+    /// FIFO order is preserved, and cross-source append order does not
+    /// affect the merge result), then pays for those that overflowed the
+    /// buffer: OSU-IB reads them back from its local spill file, Hadoop-A
+    /// refetches each from its TaskTracker.
+    async fn drain(&self, ctx: &ReduceCtx, merge: &mut StreamingMerge) {
+        let mut spilled = 0u64;
+        let mut refetch = Vec::new();
+        {
+            let mut st = self.state.borrow_mut();
             while let Some((m, pkt, was_spilled)) = st.pending.pop_front() {
                 let s = st.src(m);
                 s.buffered_bytes = s.buffered_bytes.saturating_sub(pkt.bytes);
@@ -981,14 +860,193 @@ pub async fn run_reduce_rdma(ctx: ReduceCtx) -> Result<ReduceStats, ReduceError>
                     st.relist(m);
                 }
             }
-            (spilled, refetch)
         }
+        if spilled == 0 {
+            return;
+        }
+        let fs = &self.node.fs;
+        if self.conf.shuffle.local_spill() {
+            if fs.exists(&self.spill_file) {
+                let mut r = fs.reader(&self.spill_file).expect("spill file");
+                let want = spilled.min(r.remaining().unwrap_or(0));
+                if want > 0 {
+                    r.read_exact(want).await.expect("spill readback");
+                }
+            }
+            return;
+        }
+        // The DataEngine reads the map output from disk again and the bytes
+        // cross the wire again. A packet whose working set exceeds the merge
+        // memory returns multiple times before it is fully consumed (evict →
+        // refetch thrash): the amplification is the ratio of the resident set
+        // the priority queue needs (one packet per live source) to the memory
+        // that can hold it. (Map output files persist on the simulated disk
+        // across a kill, so this stays a pure timing charge even when the
+        // source node has since died.)
+        let est = self.state.borrow().est_packet_bytes;
+        let live = merge.source_count() as u64;
+        let amp = ((live * est.min(4 << 20)) / self.conf.shuffle_buffer.max(1)).clamp(1, 5);
+        for (tt_idx, map_idx, bytes) in refetch {
+            let bytes = bytes * amp;
+            let tt_node = &ctx.cluster.workers[tt_idx];
+            let file = format!("{}_map_{map_idx}.out", self.job);
+            if tt_node.fs.exists(&file) {
+                let mut r = tt_node.fs.reader(&file).expect("map output");
+                let want = bytes.min(r.remaining().unwrap_or(0));
+                if want > 0 {
+                    r.read_exact(want).await.expect("refetch read");
+                }
+            }
+            ctx.cluster
+                .net
+                .transfer(tt_node.id, self.node.id, bytes)
+                .await;
+            self.sim.metrics().add("rdma.refetch_bytes", bytes as f64);
+        }
+    }
+}
+
+/// Runs one Hadoop-A or OSU-IB ReduceTask to completion, branching on the
+/// job's [`ShuffleKind`](crate::ShuffleKind) capabilities. `Err` means a
+/// shuffle source with partial deliveries died under the attempt; the
+/// caller re-queues the whole task.
+pub async fn run_reduce_rdma(ctx: ReduceCtx) -> Result<ReduceStats, ReduceError> {
+    let sim = ctx.cluster.sim.clone();
+    let conf = Rc::clone(&ctx.conf);
+    let kind = conf.shuffle;
+    let (budget, est_packet_bytes, watermark) = data_packets(&conf, ctx.spec.avg_record_bytes);
+    let n_servers = ctx.servers.borrow().len();
+    // The receive side lives in the TaskTracker's task group (so the node's
+    // death also reaps it) and is stopped when the attempt ends.
+    let copier = Rc::new(Copier {
+        arrived: Notify::new_named(&format!("r{}-packet-arrived", ctx.reduce_idx)),
+        endpoints: EndpointSet::new(),
+        state: RefCell::new(ShufState::new(n_servers, ctx.total_maps, est_packet_bytes)),
+        mem: MemBudget {
+            capacity: conf.shuffle_buffer,
+            outstanding: Cell::new(0),
+        },
+        stop: Cell::new(false),
+        stopped: Notify::new_named(&format!("r{}-attempt-shutdown", ctx.reduce_idx)),
+        deaths_seen: Cell::new(0),
+        no_ep: Cell::new(false),
+        liveness: Rc::clone(&ctx.liveness),
+        budget,
+        header_bytes: ctx.spec.avg_record_bytes,
+        sim: sim.clone(),
+        node: ctx.tt.node.clone(),
+        conf: Rc::clone(&conf),
+        obs: ctx.tt.obs().clone(),
+        group: ctx.tt.group.clone(),
+        my_idx: ctx.tt.idx,
+        job: ctx.job,
+        reduce_idx: ctx.reduce_idx,
+        attempt: ctx.attempt,
+        spill_file: format!("{}_r{}_shufspill", ctx.job, ctx.reduce_idx),
+        spill_task: format!("r{}-shuffle-spill", ctx.reduce_idx).into(),
+    });
+
+    // Connect an endpoint to every live TaskTracker up front (§III-B-1: "one
+    // RDMACopier sends such information to all available TaskTrackers").
+    // Dead servers are skipped; if a source later lands on one (restart or
+    // re-execution), the Phase A reconnect pass picks it up.
+    for tt_i in 0..n_servers {
+        if ctx.liveness[tt_i].alive() {
+            copier.reach(&ctx, tt_i).await;
+        }
+    }
+    ctx.tt
+        .group
+        .spawn_daemon(
+            format!("r{}-rdma-copier", ctx.reduce_idx),
+            Rc::clone(&copier).run(ctx.liveness_changed.clone()),
+        )
+        .detach();
+
+    // ---- Phase A: discover map completions; OSU overlaps data shuffle
+    // with the map wave, Hadoop-A only pulls headers. ----
+    let mut cursor = 0usize;
+    loop {
+        for (map_idx, tt_idx) in poll_events(&ctx.cluster, &ctx.jt, &copier.node, &mut cursor).await
+        {
+            if copier.discover(map_idx, tt_idx) {
+                let ask = if kind.eager_fetch() {
+                    Ask::Packet
+                } else {
+                    Ask::Header
+                };
+                copier.request(map_idx, ask);
+            }
+        }
+        // Fault sweep — skipped entirely on the fault-free path. `no_ep`
+        // also arms it: a source can live on a TaskTracker this attempt has
+        // no endpoint for without ever witnessing a death (the node was down
+        // at connect time and a re-executed map landed on it post-restart).
+        match copier.check_sources(|| copier.no_ep.replace(false)) {
+            Err(tt_idx) => {
+                copier.stop();
+                return Err(ReduceError::SourceLost { tt_idx });
+            }
+            Ok(true) => copier.reconnect(&ctx).await,
+            Ok(false) => {}
+        }
+        let discovered = copier.state.borrow().discovered;
+        // Keep the pipeline fed while maps are still finishing (OSU): pull
+        // each discovered source up to its fair share of the shuffle buffer,
+        // overlapping the data movement with the map wave (§III-B-4).
+        if kind.eager_fetch() {
+            copier.refill(Some(conf.shuffle_buffer / discovered.max(8) as u64));
+        }
+        // Done discovering once every map reported and every source has its
+        // totals (needed to build the merge).
+        if discovered == ctx.total_maps {
+            let missing: Vec<usize> = copier.state.borrow().missing.iter().copied().collect();
+            if missing.is_empty() {
+                break;
+            }
+            for m in missing {
+                copier.request(m, Ask::Forced);
+            }
+        }
+        // Wake on the next poll tick or on any packet arrival (the copier also
+        // fires the arrival notify when it observes a server death).
+        let n = copier.arrived.notified();
+        rmr_des::sync::select2(sim.sleep(EVENT_POLL), n).await;
+    }
+
+    // ---- Phase B: priority-queue merge pipelined with reduce. ----
+    // No new sources appear past this point, and every non-fully-delivered
+    // source has delivered at least a header — so a server death in Phase B
+    // either touches only fully-delivered sources (harmless) or fails the
+    // attempt; there is no Phase B re-home/reconnect path.
+    let mut merge = copier.start_merge(watermark);
+
+    // DataToReduceQueue + reduce consumer (overlap of merge and reduce).
+    // The consumer lives in the TaskTracker's group so the node's own death
+    // tears it down with the attempt.
+    let (out_tx, out_rx) = bounded_named::<Segment>(
+        &format!("r{}-data-to-reduce-queue", ctx.reduce_idx),
+        REDUCE_QUEUE_DEPTH,
+    );
+    let consumer = {
+        let ctx2 = ctx.clone();
+        ctx.tt.group.clone().spawn_named(
+            format!("r{}-reduce-consumer", ctx.reduce_idx),
+            async move {
+                let (cluster, node) = (&ctx2.cluster, &ctx2.tt.node);
+                let mut sink =
+                    ReduceSink::open(cluster, &ctx2.conf, &ctx2.spec, node, ctx2.reduce_idx).await;
+                while let Some(seg) = out_rx.recv().await {
+                    sink.consume(seg).await;
+                }
+                sink.finish().await
+            },
+        )
     };
 
-    let spill_file = &copier.spill_file;
-    let metrics = sim.metrics().clone();
     // Cached counter handles: the loop body runs per batch/stall, and a
     // handle bump skips the registry lookup entirely.
+    let metrics = sim.metrics();
     let c_loop_iters = metrics.counter("rdma.loop_iters");
     let c_emits = metrics.counter("rdma.emits");
     let c_emit_records = metrics.counter("rdma.emit_records");
@@ -996,74 +1054,34 @@ pub async fn run_reduce_rdma(ctx: ReduceCtx) -> Result<ReduceStats, ReduceError>
     let mut lost_tt: Option<usize> = None;
     loop {
         c_loop_iters.incr();
-        if copier.deaths_seen.get() > 0 || !poisoned.is_empty() {
-            if let Some(tt) = lost_source(&state.borrow(), &poisoned, &liveness) {
-                lost_tt = Some(tt);
-                break;
-            }
+        if let Err(tt) = copier.check_sources(|| false) {
+            lost_tt = Some(tt);
+            break;
         }
-        let (spilled, refetch) = spill_readback(&mut merge);
-        if spilled > 0 {
-            if kind.local_spill() {
-                // Read the spilled packets back from local disk.
-                if node.fs.exists(spill_file) {
-                    let mut r = node.fs.reader(spill_file).expect("spill file");
-                    let want = spilled.min(r.remaining().unwrap_or(0));
-                    if want > 0 {
-                        r.read_exact(want).await.expect("spill readback");
-                    }
-                }
-            } else {
-                // Refetch each dropped packet from its TaskTracker: the
-                // DataEngine reads the map output from disk again and the
-                // bytes cross the wire again. A packet whose working set
-                // exceeds the merge memory returns multiple times before
-                // it is fully consumed (evict → refetch thrash): the
-                // amplification is the ratio of the resident set the
-                // priority queue needs (one packet per live source) to
-                // the memory that can hold it. (Map output files persist on
-                // the simulated disk across a kill, so this stays a pure
-                // timing charge even when the source node has since died.)
-                let live = merge.source_count() as u64;
-                let amp = ((live * est_packet_bytes.min(4 << 20)) / conf.shuffle_buffer.max(1))
-                    .clamp(1, 5);
-                for (tt_idx, map_idx, bytes) in refetch {
-                    let bytes = bytes * amp;
-                    let tt_node = &ctx.cluster.workers[tt_idx];
-                    let file = format!("{}_map_{map_idx}.out", ctx.job);
-                    if tt_node.fs.exists(&file) {
-                        let mut r = tt_node.fs.reader(&file).expect("map output");
-                        let want = bytes.min(r.remaining().unwrap_or(0));
-                        if want > 0 {
-                            r.read_exact(want).await.expect("refetch read");
-                        }
-                    }
-                    ctx.cluster.net.transfer(tt_node.id, node.id, bytes).await;
-                    metrics.add("rdma.refetch_bytes", bytes as f64);
-                }
-            }
-        }
+        copier.drain(&ctx, &mut merge).await;
         // Refill ahead of need.
-        refill(None);
+        copier.refill(None);
         match merge.emit(MERGE_BATCH_RECORDS) {
             Emit::Data(seg) => {
-                note_low(&mut merge);
+                copier.note_low(&mut merge);
                 c_emits.incr();
                 c_emit_records.add(seg.records as f64);
-                obs.emit(|| Ev::MergeBatch {
-                    node: my_idx,
+                copier.obs.emit(|| Ev::MergeBatch {
+                    node: copier.my_idx,
                     job: ctx.job.0,
                     reduce: ctx.reduce_idx,
                     records: seg.records,
                     bytes: seg.bytes,
                 });
-                mem.release(seg.bytes);
+                copier.mem.release(seg.bytes);
                 {
-                    let mut st = state.borrow_mut();
+                    let mut st = copier.state.borrow_mut();
                     st.resident_bytes = st.resident_bytes.saturating_sub(seg.bytes);
                 }
                 let k = (merge.source_count().max(2)) as f64;
-                node.compute(seg.records as f64 * k.log2() * CPU_SORT_PER_RECORD_LEVEL)
+                copier
+                    .node
+                    .compute(seg.records as f64 * k.log2() * CPU_SORT_PER_RECORD_LEVEL)
                     .await;
                 out_tx.send(seg).await.expect("reduce consumer died");
             }
@@ -1073,24 +1091,21 @@ pub async fn run_reduce_rdma(ctx: ReduceCtx) -> Result<ReduceStats, ReduceError>
                 // the awaits above (spill readback, CPU charges), and an
                 // edge-triggered notification created after the arrival
                 // would never fire (lost wakeup ⇒ deadlock).
-                let waiter = arrived.notified();
+                let waiter = copier.arrived.notified();
                 // Same ordering for deaths: the fatal sweep must run after
                 // arming so a death signalled during the awaits above either
                 // shows up here or wakes the waiter.
-                if copier.deaths_seen.get() > 0 || !poisoned.is_empty() {
-                    if let Some(tt) = lost_source(&state.borrow(), &poisoned, &liveness) {
-                        lost_tt = Some(tt);
-                        break;
-                    }
+                if let Err(tt) = copier.check_sources(|| false) {
+                    lost_tt = Some(tt);
+                    break;
                 }
-                let has_undrained = !state.borrow().pending.is_empty();
-                if has_undrained {
+                if !copier.state.borrow().pending.is_empty() {
                     continue; // drain them and retry
                 }
                 for m in dry {
                     // Forced: a stalled merge must not deadlock on buffer
                     // space held by other sources.
-                    send_request(m, packet_budget(), est_packet_bytes, true);
+                    copier.request(m, Ask::Forced);
                 }
                 waiter.await;
             }
@@ -1107,7 +1122,7 @@ pub async fn run_reduce_rdma(ctx: ReduceCtx) -> Result<ReduceStats, ReduceError>
         return Err(ReduceError::SourceLost { tt_idx });
     }
 
-    let st = state.borrow();
+    let st = copier.state.borrow();
     Ok(ReduceStats {
         shuffle_end_s: st.last_arrival_s,
         merge_end_s,
@@ -1118,7 +1133,6 @@ pub async fn run_reduce_rdma(ctx: ReduceCtx) -> Result<ReduceStats, ReduceError>
         output_bytes: out_bytes,
     })
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1163,18 +1177,22 @@ mod tests {
         };
         let mut state = ShufState::new(2, 2, conf.osu_packet_bytes);
         state.sources = vec![source(0, 0), source(1, RESERVED)];
-        let state = Rc::new(RefCell::new(state));
+        let liveness = Rc::new(vec![NodeLiveness::new(), NodeLiveness::new()]);
         let copier = Rc::new(Copier {
             endpoints: EndpointSet::new(),
-            state,
-            mem: Rc::new(MemBudget {
+            state: RefCell::new(state),
+            mem: MemBudget {
                 capacity: shuffle_buffer,
                 outstanding: Cell::new(RESERVED),
-            }),
+            },
             arrived: Notify::new(),
             stop: Cell::new(false),
             stopped: Notify::new(),
             deaths_seen: Cell::new(0),
+            no_ep: Cell::new(false),
+            liveness: Rc::clone(&liveness),
+            budget: PacketBudget::Bytes(conf.osu_packet_bytes),
+            header_bytes: 100,
             sim: sim.clone(),
             node: cluster.workers[2].clone(),
             conf,
@@ -1183,6 +1201,7 @@ mod tests {
             my_idx: 2,
             job: JobId(0),
             reduce_idx: 0,
+            attempt: 0,
             spill_file: "j0_r0_shufspill".into(),
             spill_task: "r0-shuffle-spill".into(),
         });
@@ -1193,7 +1212,7 @@ mod tests {
             sim,
             copier,
             servers,
-            liveness: Rc::new(vec![NodeLiveness::new(), NodeLiveness::new()]),
+            liveness,
             changed: Notify::new(),
             cluster,
         }
@@ -1208,7 +1227,7 @@ mod tests {
                 assert!(self.copier.connect(tt, 0, server.connector()).await);
                 server_ends.push(server.accept().await.expect("connected"));
             }
-            let run = Rc::clone(&self.copier).run(Rc::clone(&self.liveness), self.changed.clone());
+            let run = Rc::clone(&self.copier).run(self.changed.clone());
             self.sim.spawn_daemon("copier", run).detach();
             self.sim.yield_now().await; // it is up and watching
             server_ends

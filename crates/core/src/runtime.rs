@@ -199,7 +199,7 @@ pub struct JobResult {
     pub reduce_stats: Vec<ReduceStats>,
 }
 
-/// One job in the system: its scheduler, progress counters, and result slot.
+/// One unfinished job in the system: its scheduler and progress counters.
 struct ActiveJob {
     id: JobId,
     conf: Rc<JobConf>,
@@ -220,8 +220,8 @@ struct ActiveJob {
     /// counts relaunches after node death, so it is the attempt number the
     /// shuffle servers key their serve cursors by.
     reduce_launches: RefCell<BTreeMap<usize, u32>>,
+    /// Fired when the job's result lands in [`RtInner::finished`].
     done: Notify,
-    result: RefCell<Option<JobResult>>,
 }
 
 struct RtInner {
@@ -431,7 +431,6 @@ impl Runtime {
             reduce_retries: RefCell::new(BTreeMap::new()),
             reduce_launches: RefCell::new(BTreeMap::new()),
             done: Notify::new(),
-            result: RefCell::new(None),
         });
         inner.jobs.borrow_mut().insert(id.0, Rc::clone(&job));
         inner.active.borrow_mut().push_back(id.0);
@@ -454,8 +453,8 @@ impl Runtime {
 
     /// Returns `id`'s result if the job has finished (non-consuming peek).
     pub fn poll(&self, id: JobId) -> Option<JobResult> {
-        if let Some(job) = self.inner.jobs.borrow().get(&id.0) {
-            return job.result.borrow().clone();
+        if self.inner.jobs.borrow().contains_key(&id.0) {
+            return None;
         }
         Some(
             self.inner
@@ -471,28 +470,18 @@ impl Runtime {
     /// runtime's stored copy — each job is joined once, and the runtime
     /// holds no per-job state afterwards.
     pub async fn join(&self, id: JobId) -> JobResult {
-        let job = {
-            if let Some(res) = self.inner.finished.borrow_mut().remove(&id.0) {
-                return res;
-            }
-            let jobs = self.inner.jobs.borrow();
-            Rc::clone(jobs.get(&id.0).expect("unknown or already-joined job id"))
-        };
         loop {
-            // Arm before checking: `Notify` is edge-triggered.
-            let waiter = job.done.notified();
-            if job.result.borrow().is_some() {
-                break;
-            }
-            waiter.await;
+            let done = match self.inner.jobs.borrow().get(&id.0) {
+                Some(job) => job.done.notified(),
+                None => break,
+            };
+            done.await;
         }
-        // A concurrent joiner may have consumed the stored copy already;
-        // the `ActiveJob` we hold keeps a fallback.
         self.inner
             .finished
             .borrow_mut()
             .remove(&id.0)
-            .unwrap_or_else(|| job.result.borrow().clone().expect("done without result"))
+            .expect("unknown or already-joined job id")
     }
 
     /// Jobs submitted but not yet finished.
@@ -582,9 +571,10 @@ impl Runtime {
 
     /// Arms a [`FaultPlan`]: network windows are installed immediately,
     /// crashes get a chaos timer task each, and task-failure injections
-    /// apply to their job ordinal at submission. An empty plan performs no
-    /// simulation operations at all (the determinism contract: fault-free
-    /// runs stay bit-identical).
+    /// apply to their job ordinal at submission — arming one for a job
+    /// already submitted panics. An empty plan performs no simulation
+    /// operations at all (the determinism contract: fault-free runs stay
+    /// bit-identical).
     pub fn apply_fault_plan(&self, plan: &FaultPlan) {
         for ev in &plan.events {
             match ev.clone() {
@@ -624,32 +614,14 @@ impl Runtime {
                     let node = self.inner.tts[tt_idx].node.id;
                     self.inner.cluster.net.inject_partition(node, start, end);
                 }
-                FaultEvent::FailMapOnce { job_ord, map_idx } => {
-                    if let Some(job) = self.inner.jobs.borrow().get(&job_ord) {
-                        job.jt.borrow_mut().inject_map_failure(map_idx);
-                    } else {
-                        self.inner
-                            .injected
-                            .borrow_mut()
-                            .entry(job_ord)
-                            .or_default()
-                            .push(ev.clone());
-                    }
-                }
-                FaultEvent::FailReduceOnce {
-                    job_ord,
-                    reduce_idx,
-                } => {
-                    if let Some(job) = self.inner.jobs.borrow().get(&job_ord) {
-                        job.jt.borrow_mut().inject_reduce_failure(reduce_idx);
-                    } else {
-                        self.inner
-                            .injected
-                            .borrow_mut()
-                            .entry(job_ord)
-                            .or_default()
-                            .push(ev.clone());
-                    }
+                FaultEvent::FailMapOnce { job_ord, .. }
+                | FaultEvent::FailReduceOnce { job_ord, .. } => {
+                    assert!(
+                        job_ord >= self.inner.next_id.get(),
+                        "job {job_ord} was already submitted: arm its task failures before"
+                    );
+                    let mut injected = self.inner.injected.borrow_mut();
+                    injected.entry(job_ord).or_default().push(ev.clone());
                 }
             }
         }
@@ -701,9 +673,7 @@ impl Runtime {
             .values()
             .map(|job| {
                 let jtb = job.jt.borrow();
-                let state = if job.result.borrow().is_some() {
-                    JobState::Finished
-                } else if jtb.maps_done() {
+                let state = if jtb.maps_done() {
                     JobState::MapsDone
                 } else if job.first_launch_s.get().is_some() {
                     JobState::FirstLaunch
@@ -999,7 +969,6 @@ impl RtInner {
             queue: job.conf.queue,
             reduce_stats,
         };
-        *job.result.borrow_mut() = Some(result.clone());
         // Drop the job's scheduling state (its `ActiveJob` — JobTracker
         // event log, locality index) from the runtime; the bare
         // result parks in `finished` until joined. In-flight speculative

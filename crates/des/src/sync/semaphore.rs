@@ -103,8 +103,7 @@ impl Semaphore {
     }
 
     /// Acquires `n` permits, suspending until they are available. The permits
-    /// are returned when the [`Permit`] guard drops (or leak with
-    /// [`Permit::forget`]).
+    /// are returned when the [`Permit`] guard drops.
     pub fn acquire(&self, n: u64) -> AcquireFuture {
         AcquireFuture {
             sem: self.clone(),
@@ -147,19 +146,6 @@ impl Permit {
     /// Number of permits held.
     pub fn count(&self) -> u64 {
         self.n
-    }
-
-    /// Releases part of the permits early, keeping the rest.
-    pub fn release_partial(&mut self, n: u64) {
-        let n = n.min(self.n);
-        self.n -= n;
-        self.sem.release_raw(n);
-    }
-
-    /// Leaks the permits: they are never returned. Models permanently
-    /// consumed budget.
-    pub fn forget(mut self) {
-        self.n = 0;
     }
 }
 
@@ -372,16 +358,6 @@ mod tests {
         drop(p);
         sim.run();
         assert_eq!(sem.available(), 1);
-    }
-
-    #[test]
-    fn release_partial_and_forget() {
-        let sem = Semaphore::new(10);
-        let mut p = sem.try_acquire(8).unwrap();
-        p.release_partial(3);
-        assert_eq!(sem.available(), 5);
-        p.forget();
-        assert_eq!(sem.available(), 5); // 5 permits leaked
     }
 
     #[test]

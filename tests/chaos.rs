@@ -91,6 +91,27 @@ fn terasort_survives_double_kill_mid_map_wave() {
     );
 }
 
+/// One kill that makes the copiers retry: TaskTracker 4 dies at 1.38 s,
+/// mid-shuffle, and restarts 12 s later. Vanilla's socket copiers refetch
+/// in-band, Hadoop-A and OSU-IB re-home or restart their attempts; each
+/// engine's faulted schedule is pinned by its trace hash.
+#[test]
+fn a_mid_shuffle_kill_replays_on_every_engine() {
+    let plan = FaultPlan::none().with(FaultEvent::Crash {
+        tt_idx: 4,
+        at: SimTime::from_nanos(1_380_000_000),
+        restart_after: Some(SimDuration::from_secs(12)),
+    });
+    for (kind, pinned) in [
+        (ShuffleKind::Vanilla, 0x1661_bc5a_be1d_fbb0),
+        (ShuffleKind::HadoopA, 0xfa4a_3ce9_e365_c928),
+        (ShuffleKind::OsuIb, 0x7517_65cb_454d_2f3c),
+    ] {
+        let (_, _, trace) = terasort_run(0xC0FFEE, 8, kind, &plan);
+        assert_eq!(trace, pinned, "{kind:?}: faulted schedule moved");
+    }
+}
+
 /// WordCount under a kill+restart: every (word, count) pair must match the
 /// fault-free run exactly.
 #[test]

@@ -184,6 +184,21 @@ fn failed_map_is_reexecuted_and_job_still_validates() {
     assert_eq!(res.failed_reduce_attempts, 0);
 }
 
+/// A task failure is armed before its job is submitted; arming one after
+/// is the caller's mistake, not a fault the running job could still meet.
+#[test]
+#[should_panic(expected = "already submitted")]
+fn arming_a_task_failure_after_submission_panics() {
+    let sim = Sim::new(42);
+    let cluster = support::cluster(&sim, ShuffleKind::OsuIb, 3, true);
+    let conf = support::conf(ShuffleKind::OsuIb, 3, true);
+    let c2 = cluster.clone();
+    sim.block_on(sim.spawn(async move { teragen(&c2, "/in", 4 << 20, false).await }));
+    let rt = Runtime::start(&cluster, conf.clone());
+    rt.submit(conf, terasort_spec("/in", "/out"));
+    rt.apply_fault_plan(&FaultPlan::fail_map_once(0, 1));
+}
+
 #[test]
 fn timeline_records_every_attempt() {
     let (res, _, obs) = run_real_terasort(ShuffleKind::OsuIb, 404, true);
