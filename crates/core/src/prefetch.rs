@@ -350,7 +350,7 @@ impl Prefetcher {
                 }
             };
             group
-                .spawn_daemon(format!("prefetch-daemon-{i}"), body)
+                .spawn_named(Component::PrefetchDaemon { thread: i as u32 }, body)
                 .detach();
         }
         Prefetcher {

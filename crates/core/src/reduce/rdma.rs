@@ -413,7 +413,6 @@ struct Copier {
     /// This attempt's launch number, stamped into every request.
     attempt: u32,
     spill_file: String,
-    spill_task: Rc<str>,
 }
 
 /// The receive side.
@@ -558,8 +557,11 @@ impl Copier {
             Arrival::Spill(bytes) => {
                 self.state.borrow_mut().conns[ep.tag() as usize].spilling = true;
                 let copier = Rc::clone(self);
+                let tag = Component::ShuffleSpill {
+                    reduce: self.reduce_idx as u32,
+                };
                 self.group
-                    .spawn_daemon(Rc::clone(&self.spill_task), copier.spill(ep, bytes))
+                    .spawn_named(tag, copier.spill(ep, bytes))
                     .detach();
             }
         }
@@ -943,7 +945,6 @@ pub async fn run_reduce_rdma(ctx: ReduceCtx) -> Result<ReduceStats, ReduceError>
         reduce_idx: ctx.reduce_idx,
         attempt: ctx.attempt,
         spill_file: format!("{}_r{}_shufspill", ctx.job, ctx.reduce_idx),
-        spill_task: format!("r{}-shuffle-spill", ctx.reduce_idx).into(),
     });
 
     // Connect an endpoint to every live TaskTracker up front (§III-B-1: "one
@@ -957,8 +958,10 @@ pub async fn run_reduce_rdma(ctx: ReduceCtx) -> Result<ReduceStats, ReduceError>
     }
     ctx.tt
         .group
-        .spawn_daemon(
-            format!("r{}-rdma-copier", ctx.reduce_idx),
+        .spawn_named(
+            Component::RdmaCopier {
+                reduce: ctx.reduce_idx as u32,
+            },
             Rc::clone(&copier).run(ctx.liveness_changed.clone()),
         )
         .detach();
@@ -1031,7 +1034,9 @@ pub async fn run_reduce_rdma(ctx: ReduceCtx) -> Result<ReduceStats, ReduceError>
     let consumer = {
         let ctx2 = ctx.clone();
         ctx.tt.group.clone().spawn_named(
-            format!("r{}-reduce-consumer", ctx.reduce_idx),
+            Component::ReduceConsumer {
+                reduce: ctx.reduce_idx as u32,
+            },
             async move {
                 let (cluster, node) = (&ctx2.cluster, &ctx2.tt.node);
                 let mut sink =
@@ -1203,7 +1208,6 @@ mod tests {
             reduce_idx: 0,
             attempt: 0,
             spill_file: "j0_r0_shufspill".into(),
-            spill_task: "r0-shuffle-spill".into(),
         });
         let servers = (0..2)
             .map(|tt| ucr_listen(&cluster.net, cluster.workers[tt].id))
@@ -1228,7 +1232,8 @@ mod tests {
                 server_ends.push(server.accept().await.expect("connected"));
             }
             let run = Rc::clone(&self.copier).run(self.changed.clone());
-            self.sim.spawn_daemon("copier", run).detach();
+            let tag = Component::RdmaCopier { reduce: 0 };
+            self.sim.spawn_named(tag, run).detach();
             self.sim.yield_now().await; // it is up and watching
             server_ends
         }
@@ -1258,7 +1263,7 @@ mod tests {
         {
             let (copier, seen) = (Rc::clone(&rig.copier), Rc::clone(&seen));
             rig.sim
-                .spawn_daemon("merge-loop", async move {
+                .spawn_named("merge-loop", async move {
                     loop {
                         copier.arrived.notified().await;
                         let st = copier.state.borrow();

@@ -87,7 +87,10 @@ pub async fn run_reduce_vanilla(ctx: ReduceCtx) -> Result<ReduceStats, ReduceErr
     // re-execution event only refreshes the serving location.
     let (map_tx, map_rx) = channel_named::<usize>(&format!("r{r_idx}-map-events"));
     let fetcher = Rc::clone(&attempt);
-    sim.spawn_named(format!("r{r_idx}-event-fetcher"), async move {
+    let tag = Component::EventFetcher {
+        reduce: r_idx as u32,
+    };
+    sim.spawn_named(tag, async move {
         let mut seen: BTreeSet<usize> = BTreeSet::new();
         while seen.len() < fetcher.ctx.total_maps {
             for (m, _) in fetcher.poll().await {
@@ -104,7 +107,11 @@ pub async fn run_reduce_vanilla(ctx: ReduceCtx) -> Result<ReduceStats, ReduceErr
     let mut copiers = Vec::new();
     for i in 0..PARALLEL_COPIES {
         let (copier, map_rx) = (Rc::clone(&attempt), map_rx.clone());
-        copiers.push(sim.spawn_named(format!("r{r_idx}-copier-{i}"), async move {
+        let tag = Component::VanillaCopier {
+            reduce: r_idx as u32,
+            thread: i as u32,
+        };
+        copiers.push(sim.spawn_named(tag, async move {
             while let Some(map_idx) = map_rx.recv().await {
                 copier.fetch_with_retry(map_idx).await;
             }

@@ -588,7 +588,7 @@ impl Runtime {
                     self.inner
                         .sim
                         .clone()
-                        .spawn_named(format!("chaos-crash-tt{tt_idx}"), async move {
+                        .spawn_named(Component::ChaosCrash { tt: tt_idx as u32 }, async move {
                             sim.sleep(at.saturating_since(sim.now())).await;
                             rt.kill_node(tt_idx);
                             if let Some(after) = restart_after {
@@ -995,7 +995,7 @@ fn spawn_heartbeat(inner: &Rc<RtInner>, tt: &Rc<TaskTracker>) {
     let sim = inner.sim.clone();
     tt.group
         .clone()
-        .spawn_daemon(format!("tt{}-heartbeat", tt.idx), async move {
+        .spawn_named(Component::Heartbeat { tt: tt.idx as u32 }, async move {
             loop {
                 // Park until a job is in the system. Arm the waiter before
                 // re-checking (edge-triggered Notify; single-threaded, so
@@ -1190,9 +1190,13 @@ fn spawn_map_attempt(
     let sim = inner.sim.clone();
     // The attempt runs in the TaskTracker's task group: a node kill aborts
     // it mid-flight (the JobTracker re-queues the task via `node_lost`).
+    let tag = Component::Map {
+        job: job.id.0,
+        map: desc.idx as u32,
+    };
     tt.group
         .clone()
-        .spawn_named(format!("{}-map-{}", job.id, desc.idx), async move {
+        .spawn_named(tag, async move {
             attempt.start();
             // JVM spawn + task localisation.
             sim.sleep(TASK_LAUNCH_OVERHEAD).await;
@@ -1316,9 +1320,13 @@ fn spawn_reduce_attempt(
         total_maps: job.total_maps,
     };
     // Like maps, the attempt dies with its node (TaskTracker group).
+    let tag = Component::Reduce {
+        job: job.id.0,
+        reduce: reduce_idx as u32,
+    };
     tt.group
         .clone()
-        .spawn_named(format!("{}-reduce-{reduce_idx}", job.id), async move {
+        .spawn_named(tag, async move {
             attempt.start();
             sim.sleep(TASK_LAUNCH_OVERHEAD).await;
             // Fault injection: this attempt dies before shuffling and the

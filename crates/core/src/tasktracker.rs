@@ -414,12 +414,12 @@ pub(crate) fn start_http_server(tt: &Rc<TaskTracker>, net: &Network) -> TtServer
     let group = tt.group.clone();
     group
         .clone()
-        .spawn_daemon(format!("tt{tt_id}-http-listener"), async move {
+        .spawn_named(Component::HttpListener { tt: tt_id }, async move {
             while let Some(conn) = listener.accept().await {
                 let tt = Rc::clone(&tt);
                 let servlets = servlets.clone();
                 group
-                    .spawn_daemon(format!("tt{tt_id}-http-conn"), async move {
+                    .spawn_named(Component::HttpConn { tt: tt_id }, async move {
                         while let Some(msg) = conn.recv().await {
                             let ShufMsg::Request {
                                 job,
@@ -489,9 +489,13 @@ pub(crate) fn start_rdma_server(tt: &Rc<TaskTracker>, net: &Network) -> TtServer
     for i in 0..RESPONDER_THREADS {
         let rx = req_rx.clone();
         let tt = Rc::clone(tt);
+        let tag = Component::RdmaResponder {
+            tt: tt_id,
+            thread: i as u32,
+        };
         tt.group
             .clone()
-            .spawn_daemon(format!("tt{tt_id}-rdma-responder-{i}"), async move {
+            .spawn_named(tag, async move {
                 while let Some(req) = rx.recv().await {
                     let (map_idx, reduce) = (req.map_idx as usize, req.reduce as usize);
                     let resp = tt
@@ -506,7 +510,7 @@ pub(crate) fn start_rdma_server(tt: &Rc<TaskTracker>, net: &Network) -> TtServer
     // RDMAReceiver: one task for the whole list. It owns the list, so the
     // node's death (the group's abort) closes every endpoint with it.
     tt.group
-        .spawn_daemon(format!("tt{tt_id}-rdma-receiver"), async move {
+        .spawn_named(Component::RdmaReceiver { tt: tt_id }, async move {
             loop {
                 let (ep, msg) = endpoints.recv().await;
                 ep.replenish();

@@ -28,7 +28,8 @@
 //! time or OS entropy (randomness comes from the seeded [`rand`] generator on
 //! the [`Sim`] handle).
 //!
-//! Runtime checkers: every task carries a name ([`Sim::spawn_named`]); sync
+//! Runtime checkers: every task carries a [`Component`] tag
+//! ([`Sim::spawn_named`]), which also decides whether it is a daemon; sync
 //! primitives record what a pending task is blocked on
 //! ([`note_current_blocked`]); the executor folds every event firing and task
 //! poll into a running trace hash ([`Sim::trace_hash`]), which
@@ -38,6 +39,7 @@
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
+use std::fmt::Write as _;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
@@ -48,6 +50,7 @@ use std::task::{Context, Poll, Wake, Waker};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
+use crate::component::Component;
 use crate::metrics::Metrics;
 use crate::time::{SimDuration, SimTime};
 
@@ -100,14 +103,12 @@ struct TaskSlot {
     /// Taken out of the slot while the future is being polled.
     future: Option<LocalFuture>,
     live: bool,
-    /// Diagnostic name; defaults to `task-<n>` in spawn order.
-    name: Rc<str>,
+    /// What the task is; [`Component::Anon`] in spawn order by default.
+    /// Daemons ([`Component::is_daemon`]) are left out of stall reports.
+    tag: Component,
     /// What the task reported waiting on at its last `Pending` poll
     /// (set by sync primitives via [`note_current_blocked`]).
     blocked_on: Option<BlockedLabel>,
-    /// Daemon tasks (server loops that live as long as the sim) are
-    /// excluded from quiescence stall reports, like Java daemon threads.
-    daemon: bool,
     /// Wake entry for this (slot, generation), built once at spawn; every
     /// poll makes its `Waker` from a clone (an `Arc` bump) instead of
     /// allocating a fresh entry.
@@ -189,6 +190,18 @@ fn fold_hash(hash: &mut u64, bytes: &[u8]) {
     for &b in bytes {
         *hash ^= b as u64;
         *hash = hash.wrapping_mul(0x100_0000_01b3);
+    }
+}
+
+/// Folds whatever is written into it into a trace hash. FNV-1a is
+/// byte-sequential, so writing a value's [`std::fmt::Display`] output piece
+/// by piece folds exactly what hashing the whole rendered string would.
+struct HashWriter<'a>(&'a mut u64);
+
+impl std::fmt::Write for HashWriter<'_> {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        fold_hash(self.0, s.as_bytes());
+        Ok(())
     }
 }
 
@@ -550,56 +563,44 @@ impl Sim {
         }
     }
 
-    /// Spawns an anonymous task (named `task-<n>` in spawn order) and
-    /// returns a [`JoinHandle`] yielding its output. Prefer
-    /// [`Sim::spawn_named`]: names are what the deadlock detector and stall
+    /// Spawns an anonymous task ([`Component::Anon`], `task-<n>` in spawn
+    /// order) and returns a [`JoinHandle`] yielding its output. Prefer
+    /// [`Sim::spawn_named`]: tags are what the deadlock detector and stall
     /// reports print. A driver's handle goes to [`Sim::block_on`], which
     /// runs the sim and hands back the output.
     pub fn spawn<T: 'static>(&self, fut: impl Future<Output = T> + 'static) -> JoinHandle<T> {
-        self.spawn_tracked(None, false, fut).0
+        self.spawn_tracked(None, fut).0
     }
 
-    /// Spawns a task under a diagnostic name. The name surfaces in
+    /// Spawns a task under a [`Component`] tag, or under a string name
+    /// ([`Component::Named`]). The tag surfaces in
     /// [`Sim::step_until_no_events`]'s stall report when the task is still
-    /// live after the event heap drains.
+    /// live after the event heap drains — unless the component is a daemon
+    /// ([`Component::is_daemon`]): a server loop meant to stay alive (and
+    /// blocked) as long as its node.
     pub fn spawn_named<T: 'static>(
         &self,
-        name: impl Into<Rc<str>>,
+        tag: impl Into<Component>,
         fut: impl Future<Output = T> + 'static,
     ) -> JoinHandle<T> {
-        self.spawn_tracked(Some(name.into()), false, fut).0
+        self.spawn_tracked(Some(tag.into()), fut).0
     }
 
-    /// Spawns a named daemon task: a server loop meant to stay alive (and
-    /// blocked) for the whole simulation — accept loops, responder pools,
-    /// prefetcher threads. Daemons are excluded from
-    /// [`Sim::step_until_no_events`] stall reports, exactly like Java's
-    /// daemon threads don't block JVM exit.
-    pub fn spawn_daemon<T: 'static>(
+    /// [`Sim::spawn_named`] for a task nobody joins: no [`JoinHandle`] state
+    /// and no wrapper future — two allocations a spawn (the boxed future and
+    /// its wake entry). For tasks that come and go by the million, such as a
+    /// queue pair's engine.
+    pub fn spawn_detached(
         &self,
-        name: impl Into<Rc<str>>,
-        fut: impl Future<Output = T> + 'static,
-    ) -> JoinHandle<T> {
-        self.spawn_tracked(Some(name.into()), true, fut).0
-    }
-
-    /// [`Sim::spawn_daemon`] for a daemon nobody joins: no [`JoinHandle`]
-    /// state and no wrapper future, and a `name` that is already an
-    /// `Rc<str>` is shared rather than copied — two allocations a spawn (the
-    /// boxed future and its wake entry). For daemons that come and go by the
-    /// million, such as a queue pair's engine.
-    pub fn spawn_detached_daemon(
-        &self,
-        name: impl Into<Rc<str>>,
+        tag: impl Into<Component>,
         fut: impl Future<Output = ()> + 'static,
     ) {
-        self.spawn_unit(Some(name.into()), true, fut);
+        self.spawn_unit(Some(tag.into()), fut);
     }
 
     fn spawn_tracked<T: 'static>(
         &self,
-        name: Option<Rc<str>>,
-        daemon: bool,
+        tag: Option<Component>,
         fut: impl Future<Output = T> + 'static,
     ) -> (JoinHandle<T>, TaskId) {
         let state = Rc::new(RefCell::new(JoinState {
@@ -607,7 +608,7 @@ impl Sim {
             waker: None,
         }));
         let state2 = Rc::clone(&state);
-        let id = self.spawn_unit(name, daemon, async move {
+        let id = self.spawn_unit(tag, async move {
             let out = fut.await;
             let mut st = state2.borrow_mut();
             st.result = Some(out);
@@ -620,17 +621,17 @@ impl Sim {
 
     fn spawn_unit(
         &self,
-        name: Option<Rc<str>>,
-        daemon: bool,
+        tag: Option<Component>,
         fut: impl Future<Output = ()> + 'static,
     ) -> TaskId {
         let mut core = self.core.borrow_mut();
-        let name = name.unwrap_or_else(|| Rc::from(format!("task-{}", core.spawns)));
+        let tag = tag.unwrap_or(Component::Anon(core.spawns));
         core.spawns += 1;
         // Spawn order and names are part of the program shape: fold them so
-        // a renamed or reordered task set changes the trace hash.
+        // a renamed or reordered task set changes the trace hash. The tag is
+        // rendered straight into the hash, never into a string.
         let mut h = core.trace_hash;
-        fold_hash(&mut h, name.as_bytes());
+        write!(HashWriter(&mut h), "{tag}").expect("hashing cannot fail");
         core.trace_hash = h;
         let future: LocalFuture = Box::pin(fut);
         let ready = Arc::clone(&core.ready);
@@ -651,9 +652,8 @@ impl Sim {
             };
             slot.future = Some(future);
             slot.live = true;
-            slot.name = name;
+            slot.tag = tag;
             slot.blocked_on = None;
-            slot.daemon = daemon;
             // The slot's generation changed since it was last occupied, so
             // the wake entry must be rebuilt for the new id.
             slot.wake = wake(id);
@@ -665,9 +665,8 @@ impl Sim {
                 gen: 0,
                 future: Some(future),
                 live: true,
-                name,
+                tag,
                 blocked_on: None,
-                daemon,
                 wake: wake(id),
             });
             id
@@ -929,16 +928,20 @@ impl Sim {
         let stalled = core
             .tasks
             .iter()
-            .filter(|t| t.live && !t.daemon)
+            .filter(|t| t.live && !t.tag.is_daemon())
             .map(|t| StalledTask {
-                name: t.name.to_string(),
+                name: t.tag.to_string(),
                 blocked_on: t.blocked_on.as_ref().map(|b| b.to_string()),
             })
             .collect();
         QuiescenceReport {
             time,
             stalled,
-            daemons: core.tasks.iter().filter(|t| t.live && t.daemon).count(),
+            daemons: core
+                .tasks
+                .iter()
+                .filter(|t| t.live && t.tag.is_daemon())
+                .count(),
             trace_hash: core.trace_hash,
         }
     }
@@ -948,8 +951,8 @@ impl Sim {
 /// for everything a simulated node owns (server loops, responder pools,
 /// heartbeat daemons, running attempts).
 ///
-/// Tasks spawned through the group behave exactly like [`Sim::spawn_named`] /
-/// [`Sim::spawn_daemon`] until [`TaskGroup::abort`] is called, which drops
+/// Tasks spawned through the group behave exactly like [`Sim::spawn_named`]
+/// until [`TaskGroup::abort`] is called, which drops
 /// every member's future in place: pending timers are cancelled, channel
 /// endpoints close (peers observe `None` / send errors rather than hanging),
 /// and held semaphore permits are released. Aborted tasks leave the live set,
@@ -968,21 +971,10 @@ impl TaskGroup {
     /// [`Sim::spawn_named`], scoped to this group.
     pub fn spawn_named<T: 'static>(
         &self,
-        name: impl Into<Rc<str>>,
+        tag: impl Into<Component>,
         fut: impl Future<Output = T> + 'static,
     ) -> JoinHandle<T> {
-        let (handle, id) = self.sim.spawn_tracked(Some(name.into()), false, fut);
-        self.members.borrow_mut().push(id);
-        handle
-    }
-
-    /// [`Sim::spawn_daemon`], scoped to this group.
-    pub fn spawn_daemon<T: 'static>(
-        &self,
-        name: impl Into<Rc<str>>,
-        fut: impl Future<Output = T> + 'static,
-    ) -> JoinHandle<T> {
-        let (handle, id) = self.sim.spawn_tracked(Some(name.into()), true, fut);
+        let (handle, id) = self.sim.spawn_tracked(Some(tag.into()), fut);
         self.members.borrow_mut().push(id);
         handle
     }
@@ -1011,7 +1003,7 @@ impl TaskGroup {
 /// wake it again.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StalledTask {
-    /// The task's spawn name.
+    /// The task's tag, rendered.
     pub name: String,
     /// What the task last reported blocking on, if a sync primitive told us.
     pub blocked_on: Option<String>,
@@ -1023,7 +1015,7 @@ pub struct QuiescenceReport {
     /// Virtual time at quiescence.
     pub time: SimTime,
     /// Live-but-unrunnable tasks (deadlocked or lost their waker).
-    /// Daemons ([`Sim::spawn_daemon`]) are not counted here.
+    /// Daemons ([`Component::is_daemon`]) are not counted here.
     pub stalled: Vec<StalledTask>,
     /// Daemon tasks still parked at quiescence (expected for server loops).
     pub daemons: usize,

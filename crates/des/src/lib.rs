@@ -33,12 +33,14 @@
 //! assert_eq!(shipped_at.as_secs_f64(), 1.0);
 //! ```
 
+pub mod component;
 pub mod executor;
 pub mod metrics;
 pub mod resource;
 pub mod sync;
 pub mod time;
 
+pub use component::Component;
 pub use executor::{
     assert_deterministic, note_current_blocked, BlockedLabel, EventId, JoinHandle,
     QuiescenceReport, Sim, StalledTask, TaskGroup, TaskId, Timer,
@@ -48,6 +50,7 @@ pub use time::{SimDuration, SimTime};
 
 /// One-stop imports for simulation code.
 pub mod prelude {
+    pub use crate::component::Component;
     pub use crate::executor::{assert_deterministic, JoinHandle, QuiescenceReport, Sim, TaskGroup};
     pub use crate::metrics::{Histogram, Metrics};
     pub use crate::resource::Fluid;

@@ -238,7 +238,7 @@ pub fn try_run_service(spec: &ServiceSpec) -> Result<ServiceReport, Hung> {
         let mut tenants = Vec::new();
         for plan in plans {
             tenants.push(d.cluster.sim.spawn_named(
-                format!("tenant-{}", plan.queue),
+                Component::Tenant { queue: plan.queue },
                 tenant(plan, rt.clone(), d.clone(), locality_delay),
             ));
         }

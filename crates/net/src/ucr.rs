@@ -524,7 +524,7 @@ mod tests {
     ) -> Rc<std::cell::RefCell<Vec<(u32, u32)>>> {
         let log = Rc::new(std::cell::RefCell::new(Vec::new()));
         let log2 = Rc::clone(&log);
-        sim.spawn_daemon("set-server", async move {
+        sim.spawn_named("set-server", async move {
             loop {
                 let (ep, m) = set.recv().await;
                 if replenish {

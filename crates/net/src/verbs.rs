@@ -48,8 +48,8 @@ use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
-use rmr_des::note_current_blocked;
 use rmr_des::sync::{channel, Receiver, Sender};
+use rmr_des::{note_current_blocked, Component};
 
 use crate::network::{Network, NodeId};
 
@@ -398,12 +398,6 @@ impl<P: 'static> Pair<P> {
     }
 }
 
-thread_local! {
-    /// Every engine runs under this one name; a shared `Rc<str>` spares the
-    /// spawn a copy.
-    static ENGINE_NAME: Rc<str> = Rc::from("qp-engine");
-}
-
 /// The HCA working through `side`'s send queue, strictly in order, starting
 /// with `wr`. Lives until the queue is empty.
 async fn engine<P: 'static>(pair: Rc<Pair<P>>, side: usize, mut wr: WorkRequest<P>) {
@@ -544,8 +538,8 @@ impl<P: 'static> Qp<P> {
         if end.engine.replace(true) {
             end.busy().wq.push_back(wr);
         } else {
-            self.pair.net.sim().spawn_detached_daemon(
-                ENGINE_NAME.with(Rc::clone),
+            self.pair.net.sim().spawn_detached(
+                Component::QpEngine,
                 engine(Rc::clone(&self.pair), self.side, wr),
             );
         }

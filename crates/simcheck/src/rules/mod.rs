@@ -174,7 +174,7 @@ impl Rule {
             }
             Rule::OsEntropy => "thread all randomness from the Sim's seeded SmallRng",
             Rule::ThreadSpawn => {
-                "use sim.spawn_named/spawn_daemon inside sims; host-side parallelism over whole \
+                "use sim.spawn_named/spawn_detached inside sims; host-side parallelism over whole \
                  sims is justified with an inline allow"
             }
             Rule::UnorderedMap => "switch to BTreeMap/BTreeSet, or justify why order never leaks",

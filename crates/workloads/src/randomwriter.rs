@@ -11,6 +11,7 @@ use rand::Rng;
 
 use rmr_core::cluster::Cluster;
 use rmr_core::{encode_records, HashPartitioner, JobSpec, Record};
+use rmr_des::Component;
 use rmr_hdfs::Blob;
 
 /// Minimum key size.
@@ -39,51 +40,50 @@ pub async fn randomwriter(cluster: &Cluster, path: &str, total_bytes: u64, real:
         let path = format!("{path}/part-{i:05}");
         let node = cluster.workers[i].id;
         let sim = cluster.sim.clone();
-        writers.push(
-            cluster
-                .sim
-                .spawn_named(format!("randomwriter-{i}"), async move {
-                    let mut w = cluster
-                        .hdfs
-                        .create(&path, node)
-                        .await
-                        .expect("randomwriter create");
-                    let mut written = 0u64;
-                    let mut n_records = 0u64;
-                    // Real blobs must fit one HDFS block (blocks never tear
-                    // records); leave headroom for the largest record + framing.
-                    let stride = if real {
-                        block_size
-                            .saturating_sub((KEY_MAX + VALUE_MAX + 16) as u64)
-                            .max(1 << 16)
+        writers.push(cluster.sim.spawn_named(
+            Component::RandomWriter { writer: i as u32 },
+            async move {
+                let mut w = cluster
+                    .hdfs
+                    .create(&path, node)
+                    .await
+                    .expect("randomwriter create");
+                let mut written = 0u64;
+                let mut n_records = 0u64;
+                // Real blobs must fit one HDFS block (blocks never tear
+                // records); leave headroom for the largest record + framing.
+                let stride = if real {
+                    block_size
+                        .saturating_sub((KEY_MAX + VALUE_MAX + 16) as u64)
+                        .max(1 << 16)
+                } else {
+                    16 << 20
+                };
+                while written < per_worker {
+                    let chunk = stride.min(per_worker - written);
+                    let blob = if real {
+                        let mut records = Vec::new();
+                        let mut bytes = 0u64;
+                        sim.with_rng(|rng| {
+                            while bytes < chunk {
+                                let r = random_record(rng);
+                                bytes += r.size();
+                                records.push(r);
+                            }
+                        });
+                        n_records += records.len() as u64;
+                        Blob::real(encode_records(&records))
                     } else {
-                        16 << 20
+                        n_records += chunk / AVG_RECORD_BYTES;
+                        Blob::synthetic(chunk)
                     };
-                    while written < per_worker {
-                        let chunk = stride.min(per_worker - written);
-                        let blob = if real {
-                            let mut records = Vec::new();
-                            let mut bytes = 0u64;
-                            sim.with_rng(|rng| {
-                                while bytes < chunk {
-                                    let r = random_record(rng);
-                                    bytes += r.size();
-                                    records.push(r);
-                                }
-                            });
-                            n_records += records.len() as u64;
-                            Blob::real(encode_records(&records))
-                        } else {
-                            n_records += chunk / AVG_RECORD_BYTES;
-                            Blob::synthetic(chunk)
-                        };
-                        written += blob.len.max(chunk);
-                        w.write(blob).await.expect("randomwriter write");
-                    }
-                    w.close().await.expect("randomwriter close");
-                    n_records
-                }),
-        );
+                    written += blob.len.max(chunk);
+                    w.write(blob).await.expect("randomwriter write");
+                }
+                w.close().await.expect("randomwriter close");
+                n_records
+            },
+        ));
     }
     let mut total = 0;
     for w in writers {

@@ -13,6 +13,7 @@ use rand::Rng;
 
 use rmr_core::cluster::Cluster;
 use rmr_core::{block_records, JobSpec};
+use rmr_des::Component;
 use rmr_hdfs::Blob;
 
 /// Key bytes per record.
@@ -42,7 +43,8 @@ pub async fn teragen(cluster: &Cluster, path: &str, total_bytes: u64, real: bool
         let path = format!("{path}/part-{i:05}");
         let node = cluster.workers[i].id;
         let sim = cluster.sim.clone();
-        writers.push(cluster.sim.spawn_named(format!("teragen-{i}"), async move {
+        let tag = Component::TeragenWriter { writer: i as u32 };
+        writers.push(cluster.sim.spawn_named(tag, async move {
             let mut w = cluster
                 .hdfs
                 .create(&path, node)

@@ -4,7 +4,7 @@
 //! persistent cluster runtime with concurrent submissions.
 
 use rmr_core::{run_job, JobResult, Runtime, ShuffleKind};
-use rmr_des::{assert_deterministic, Sim};
+use rmr_des::{assert_deterministic, Component, Sim};
 use rmr_workloads::{teragen, terasort_spec, textgen, wordcount_spec};
 
 mod support;
@@ -160,4 +160,61 @@ fn multijob_quiesces_with_no_stalled_tasks() {
     spawn_two_concurrent_jobs(&sim);
     let report = sim.step_until_no_events();
     report.assert_clean();
+}
+
+/// Every spawn folds its tag's rendering into the trace hash, and the hash
+/// pins above cover only the components a pinned run spawns: a tenant, a
+/// chaos crash or a RandomWriter writer renamed by one byte would pass every
+/// replay gate and still move the benchmark's trace hash. So each production
+/// tag is held to the name its task has always had, and a daemon is exactly
+/// a server loop.
+#[test]
+fn every_component_renders_its_historic_name() {
+    use Component::*;
+    let table = [
+        (Map { job: 3, map: 7 }, "j3-map-7", false),
+        (Reduce { job: 0, reduce: 2 }, "j0-reduce-2", false),
+        (Heartbeat { tt: 4 }, "tt4-heartbeat", true),
+        (HttpListener { tt: 5 }, "tt5-http-listener", true),
+        (HttpConn { tt: 5 }, "tt5-http-conn", true),
+        (
+            RdmaResponder { tt: 2, thread: 1 },
+            "tt2-rdma-responder-1",
+            true,
+        ),
+        (RdmaReceiver { tt: 12 }, "tt12-rdma-receiver", true),
+        (PrefetchDaemon { thread: 0 }, "prefetch-daemon-0", true),
+        (QpEngine, "qp-engine", true),
+        (EventFetcher { reduce: 9 }, "r9-event-fetcher", false),
+        (
+            VanillaCopier {
+                reduce: 1,
+                thread: 3,
+            },
+            "r1-copier-3",
+            false,
+        ),
+        (RdmaCopier { reduce: 0 }, "r0-rdma-copier", true),
+        (ReduceConsumer { reduce: 11 }, "r11-reduce-consumer", false),
+        (ShuffleSpill { reduce: 4 }, "r4-shuffle-spill", true),
+        (ChaosCrash { tt: 6 }, "chaos-crash-tt6", false),
+        (TeragenWriter { writer: 2 }, "teragen-2", false),
+        (RandomWriter { writer: 0 }, "randomwriter-0", false),
+        (Tenant { queue: 1 }, "tenant-1", false),
+        (Anon(5), "task-5", false),
+        (Component::from("bench-driver"), "bench-driver", false),
+        (Component::from("tenant-1".to_string()), "tenant-1", false),
+    ];
+    // What a spawn folds into the trace hash: the tag's rendering, written
+    // piece by piece, must fold exactly like the whole name.
+    let hash = |tag: Component| {
+        let sim = Sim::new(1);
+        sim.spawn_named(tag, async {}).detach();
+        sim.trace_hash()
+    };
+    for (tag, name, daemon) in table {
+        assert_eq!(tag.to_string(), name);
+        assert_eq!(tag.is_daemon(), daemon, "{name}");
+        assert_eq!(hash(tag), hash(Component::from(name)), "{name}");
+    }
 }

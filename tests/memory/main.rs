@@ -1,14 +1,15 @@
 //! Heap budgets for the state the engines keep per connection, per
-//! (map, reduce) pair, per parked attempt, per output record and per open
-//! file. Every case measures through the one counting allocator below;
-//! `the_allocator_counts` checks that it is installed and counting, so no
-//! budget can pass because nothing was measured.
+//! (map, reduce) pair, per parked attempt, per output record, per open file
+//! and per spawned task. Every case measures through the one counting
+//! allocator below; `the_allocator_counts` checks that it is installed and
+//! counting, so no budget can pass because nothing was measured.
 
 mod conn;
 mod map;
 mod open;
 mod output;
 mod serve;
+mod spawn;
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
