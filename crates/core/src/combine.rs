@@ -278,13 +278,14 @@ mod tests {
     use std::rc::Rc;
 
     fn sum_combiner() -> ReduceFn {
-        Rc::new(|k: &Bytes, vs: &[Bytes], out: &mut Vec<Record>| {
-            let total: u64 = vs
-                .iter()
-                .map(|v| String::from_utf8_lossy(v).parse::<u64>().unwrap_or(0))
-                .sum();
-            out.push(Record::new(k.clone(), Bytes::from(total.to_string())));
-        })
+        Rc::new(
+            |k: &Bytes, vs: &mut dyn Iterator<Item = &Bytes>, out: &mut Vec<Record>| {
+                let total: u64 = vs
+                    .map(|v| String::from_utf8_lossy(v).parse::<u64>().unwrap_or(0))
+                    .sum();
+                out.push(Record::new(k.clone(), Bytes::from(total.to_string())));
+            },
+        )
     }
 
     #[test]

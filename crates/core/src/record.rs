@@ -207,20 +207,21 @@ pub(crate) fn count_records(buf: &[u8]) -> usize {
 }
 
 /// Calls `f(key, values)` once per run of consecutive records with equal
-/// keys, in order; `values` are the run's values in record order. On sorted
-/// input that is one call per distinct key — the grouping contract of a
-/// reduce or combine function.
-pub fn for_each_group(records: &[Record], mut f: impl FnMut(&Bytes, &[Bytes])) {
-    let mut values: Vec<Bytes> = Vec::new();
+/// keys, in order; `values` yields the run's values in record order and
+/// nothing past it, however much of it `f` reads. On sorted input that is
+/// one call per distinct key — the grouping contract of a reduce or combine
+/// function.
+pub fn for_each_group(
+    records: &[Record],
+    mut f: impl FnMut(&Bytes, &mut dyn Iterator<Item = &Bytes>),
+) {
     let mut rest = records;
     while let Some(first) = rest.first() {
         let run = rest
             .iter()
             .position(|r| r.key != first.key)
             .unwrap_or(rest.len());
-        values.clear();
-        values.extend(rest[..run].iter().map(|r| r.value.clone()));
-        f(&first.key, &values);
+        f(&first.key, &mut rest[..run].iter().map(|r| &r.value));
         rest = &rest[run..];
     }
 }
@@ -260,40 +261,64 @@ impl MapSink<'_> {
     }
 }
 
-/// A combiner's group table: key → values in arrival order. Pushing records
-/// in any order and combining each group in key order yields, record for
-/// record, what stably sorting the records and scanning them for equal keys
-/// would — without ever holding the uncombined records. A push is one hash
-/// lookup by the borrowed key, which is copied only the first time it
-/// arrives; the groups are put in key order once, by (key prefix, key), when
+/// A combiner's group table: key → values in arrival order, kept as runs of
+/// equal values. Pushing records in any order and combining each group in
+/// key order yields, record for record, what stably sorting the records and
+/// scanning them for equal keys would — without ever holding the uncombined
+/// records. A push is one hash lookup by the borrowed key, which is copied
+/// only the first time it arrives; a value equal to its group's last one
+/// only counts, so a WordCount map holds a run per word, not a value per
+/// token. The groups are put in key order once, by (key prefix, key), when
 /// they are combined.
 #[derive(Default)]
 pub struct GroupTable {
     /// Where each key's group is in `groups`.
     // simcheck: allow(unordered-map) -- looked up by key, never iterated: groups combine in `groups`' sorted order
     index: std::collections::HashMap<Bytes, usize, BuildHasherDefault<WordHasher>>,
-    /// `(key prefix, key, values)` per group, in order of first arrival.
-    groups: Vec<(u64, Bytes, Vec<Bytes>)>,
+    /// `(key prefix, key, first run, last run)` per group, in order of first
+    /// arrival; the runs are indices into `runs`.
+    groups: Vec<(u64, Bytes, u32, u32)>,
+    /// Every group's runs, each group's chained through [`Run::next`].
+    runs: Vec<Run>,
     records: usize,
+}
+
+/// `count` consecutive values of one group, each equal to `value`.
+struct Run {
+    value: Bytes,
+    count: u32,
+    /// The group's next run, or 0 for none: a group's first run is never
+    /// another's next, and run 0 is a first run.
+    next: u32,
 }
 
 impl GroupTable {
     /// Adds one record to its key's group.
     pub fn push(&mut self, key: &[u8], value: Bytes) {
         self.records += 1;
-        let group = match self.index.get(key) {
-            Some(&group) => group,
+        let run = u32::try_from(self.runs.len()).expect("fewer than 2^32 runs");
+        match self.index.get(key) {
+            Some(&group) => {
+                let last = &mut self.groups[group].3;
+                let tail = &mut self.runs[*last as usize];
+                if tail.value == value && tail.count < u32::MAX {
+                    tail.count += 1;
+                    return;
+                }
+                tail.next = run;
+                *last = run;
+            }
             None => {
                 let key = Bytes::copy_from_slice(key);
                 self.index.insert(key.clone(), self.groups.len());
-                // A group starts empty, so its first push makes room for
-                // four: `vec![value]` allocates one and reallocates on the
-                // next push, which left `service_cap` peaking 0.8 MB higher.
-                self.groups.push((key_prefix(&key), key, Vec::new()));
-                self.groups.len() - 1
+                self.groups.push((key_prefix(&key), key, run, run));
             }
-        };
-        self.groups[group].2.push(value);
+        }
+        self.runs.push(Run {
+            value,
+            count: 1,
+            next: 0,
+        });
     }
 
     /// Records pushed so far.
@@ -306,9 +331,15 @@ impl GroupTable {
         // Keys are distinct, so the unstable sort is deterministic.
         self.groups
             .sort_unstable_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
+        let runs = &self.runs;
         let mut combined = Vec::new();
-        for (_, key, values) in &self.groups {
-            combine(key, values, &mut combined);
+        for (_, key, first, _) in &self.groups {
+            let chain = std::iter::successors(Some(&runs[*first as usize]), |run| {
+                (run.next != 0).then(|| &runs[run.next as usize])
+            });
+            let mut values =
+                chain.flat_map(|run| std::iter::repeat_n(&run.value, run.count as usize));
+            combine(key, &mut values, &mut combined);
         }
         Segment::from_records(combined)
     }
@@ -1118,10 +1149,7 @@ mod tests {
         ];
         let mut seen = Vec::new();
         for_each_group(&records, |k, vs| {
-            seen.push((
-                k.to_vec(),
-                vs.iter().map(|v| v.to_vec()).collect::<Vec<_>>(),
-            ));
+            seen.push((k.to_vec(), vs.map(|v| v.to_vec()).collect::<Vec<_>>()));
         });
         assert_eq!(
             seen,
@@ -1132,6 +1160,58 @@ mod tests {
             ]
         );
         for_each_group(&[], |_, _| panic!("no groups in no records"));
+    }
+
+    /// A function that reads none of a group's values, or only some, leaves
+    /// the rest behind: from either producer, every later group still comes
+    /// once, with its own values.
+    #[test]
+    fn a_partly_read_group_never_spills_into_the_next() {
+        let groups: [(&[u8], &[&[u8]]); 4] = [
+            (b"a", &[b"1", b"1", b"2"]),
+            (b"b", &[b"3", b"3"]),
+            (b"c", &[b"4", b"5", b"4"]),
+            (b"d", &[b"6"]),
+        ];
+        let records: Vec<Record> = groups
+            .iter()
+            .flat_map(|&(k, vs)| vs.iter().map(move |v| rec(k, v)))
+            .collect();
+        // The same records in another arrival order, each key's values in
+        // theirs: what a group table is pushed.
+        let arrivals = [5, 0, 3, 1, 6, 8, 2, 4, 7].map(|i| records[i].clone());
+        type Seen = Vec<(Vec<u8>, Vec<Vec<u8>>)>;
+        for shift in 0..3 {
+            // Group `a` reads none, `b` one, `c` all, `d` none; then rotated.
+            let limit = move |key: &[u8]| [0, 1, usize::MAX][(key[0] as usize + shift) % 3];
+            let read = move |seen: &mut Seen, k: &Bytes, vs: &mut dyn Iterator<Item = &Bytes>| {
+                let values = vs.take(limit(k)).map(|v| v.to_vec()).collect();
+                seen.push((k.to_vec(), values));
+            };
+            let want: Seen = groups
+                .iter()
+                .map(|&(k, vs)| {
+                    (
+                        k.to_vec(),
+                        vs.iter().take(limit(k)).map(|v| v.to_vec()).collect(),
+                    )
+                })
+                .collect();
+
+            let mut seen = Vec::new();
+            for_each_group(&records, |k, vs| read(&mut seen, k, vs));
+            assert_eq!(seen, want, "for_each_group, shift {shift}");
+
+            let mut table = GroupTable::default();
+            arrivals
+                .iter()
+                .for_each(|r| table.push(&r.key, r.value.clone()));
+            let seen = Rc::new(std::cell::RefCell::new(Vec::new()));
+            let into = Rc::clone(&seen);
+            let f: ReduceFn = Rc::new(move |k, vs, _| read(&mut into.borrow_mut(), k, vs));
+            table.combine(&f);
+            assert_eq!(*seen.borrow(), want, "GroupTable::combine, shift {shift}");
+        }
     }
 
     #[test]

@@ -351,9 +351,10 @@ mod tests {
         let seen = Rc::new(RefCell::new(Vec::<(Vec<u8>, usize)>::new()));
         let seen2 = Rc::clone(&seen);
         let spec = JobSpec::sort("/in", "/out", 10).with_reducer(Rc::new(
-            move |k: &Bytes, vs: &[Bytes], out: &mut Vec<Record>| {
-                seen2.borrow_mut().push((k.to_vec(), vs.len()));
-                out.push(Record::new(k.clone(), Bytes::from(vs.len().to_string())));
+            move |k: &Bytes, vs: &mut dyn Iterator<Item = &Bytes>, out: &mut Vec<Record>| {
+                let n = vs.count();
+                seen2.borrow_mut().push((k.to_vec(), n));
+                out.push(Record::new(k.clone(), Bytes::from(n.to_string())));
             },
         ));
         let c2 = cluster.clone();

@@ -16,9 +16,32 @@ use crate::record::{MapSink, Partitioner, Record, TotalOrderPartitioner};
 /// input record into the sink (which may already hold earlier output).
 pub type MapFn = Rc<dyn Fn(&Record, &mut MapSink)>;
 
-/// Real-mode reduce function: pushes the output records for one key and its
-/// values onto the sink (which may already hold earlier groups' output).
-pub type ReduceFn = Rc<dyn Fn(&Bytes, &[Bytes], &mut Vec<Record>)>;
+/// Real-mode reduce (or combine) function: reads one key's values from the
+/// iterator, in arrival order, and pushes its output records onto the sink
+/// (which may already hold earlier groups' output) — Hadoop's
+/// `Reducer.reduce(K, Iterator<V>)`, which never hands a key's values over
+/// as one array. A function may stop reading early; the next call gets the
+/// next key's values either way.
+///
+/// The README shows this example; it compiles only while its two aliases are
+/// the crate's.
+///
+/// ```
+/// # use std::rc::Rc;
+/// # use bytes::Bytes;
+/// # use rmr_core::{JobSpec, MapSink, Record};
+/// type MapFn = Rc<dyn Fn(&Record, &mut MapSink)>; // one input record
+/// type ReduceFn = Rc<dyn Fn(&Bytes, &mut dyn Iterator<Item = &Bytes>, &mut Vec<Record>)>;
+///
+/// let map: MapFn = Rc::new(|r: &Record, out: &mut MapSink| out.emit(&r.key, r.value.clone()));
+/// let first: ReduceFn = Rc::new(
+///     |k: &Bytes, vs: &mut dyn Iterator<Item = &Bytes>, out: &mut Vec<Record>| {
+///         out.extend(vs.next().map(|v| Record::new(k.clone(), v.clone())))
+///     },
+/// );
+/// let spec = JobSpec::sort("/in", "/out", 8).with_mapper(map).with_combiner(first, 0.2);
+/// ```
+pub type ReduceFn = Rc<dyn Fn(&Bytes, &mut dyn Iterator<Item = &Bytes>, &mut Vec<Record>)>;
 
 /// A MapReduce job description.
 #[derive(Clone)]
@@ -131,9 +154,11 @@ mod tests {
     #[test]
     fn combiner_builder_applies() {
         let s = JobSpec::sort("/in", "/out", 8).with_combiner(
-            Rc::new(|k: &Bytes, vs: &[Bytes], out: &mut Vec<Record>| {
-                out.push(Record::new(k.clone(), vs[0].clone()))
-            }),
+            Rc::new(
+                |k: &Bytes, vs: &mut dyn Iterator<Item = &Bytes>, out: &mut Vec<Record>| {
+                    out.extend(vs.next().map(|v| Record::new(k.clone(), v.clone())))
+                },
+            ),
             0.2,
         );
         assert!(s.combiner.is_some());

@@ -170,9 +170,11 @@ fn combiner_pair(on: bool) -> (Option<oracle::ReduceFn>, Option<ReduceFn>) {
     }
     (
         Some(Rc::new(join_group)),
-        Some(Rc::new(|k: &Bytes, vs: &[Bytes], out: &mut Vec<Record>| {
-            out.extend(join_group(k, vs))
-        })),
+        Some(Rc::new(
+            |k: &Bytes, vs: &mut dyn Iterator<Item = &Bytes>, out: &mut Vec<Record>| {
+                out.extend(join_group(k, &vs.cloned().collect::<Vec<_>>()))
+            },
+        )),
     )
 }
 

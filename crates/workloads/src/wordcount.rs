@@ -179,10 +179,12 @@ fn parse_count(value: &[u8]) -> u64 {
 pub fn wordcount_spec(input: &str, output: &str) -> JobSpec {
     let one = Bytes::from_static(b"1");
     let mapper = Rc::new(move |r: &Record, out: &mut MapSink| tokenize(&r.value, &one, out));
-    let reducer = Rc::new(|key: &Bytes, values: &[Bytes], out: &mut Vec<Record>| {
-        let sum: u64 = values.iter().map(|v| parse_count(v)).sum();
-        out.push(Record::new(key.clone(), Bytes::from(sum.to_string())));
-    });
+    let reducer = Rc::new(
+        |key: &Bytes, values: &mut dyn Iterator<Item = &Bytes>, out: &mut Vec<Record>| {
+            let sum: u64 = values.map(|v| parse_count(v)).sum();
+            out.push(Record::new(key.clone(), Bytes::from(sum.to_string())));
+        },
+    );
     let mut spec = JobSpec::sort(input, output, 8)
         .with_partitioner(Rc::new(HashPartitioner))
         .with_mapper(mapper)
@@ -387,11 +389,7 @@ mod tests {
         let mut out = Vec::new();
         reducer(
             &Bytes::from_static(b"rdma"),
-            &[
-                Bytes::from_static(b"1"),
-                Bytes::from_static(b"1"),
-                Bytes::from_static(b"3"),
-            ],
+            &mut ["1", "1", "3"].map(Bytes::from).iter(),
             &mut out,
         );
         assert_eq!(out.len(), 1);

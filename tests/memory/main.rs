@@ -20,13 +20,14 @@ use rmr_hdfs::HdfsConfig;
 use rmr_net::FabricParams;
 
 /// What this thread has on the heap: live bytes and blocks, net of frees,
-/// and the allocation calls (`alloc`, `alloc_zeroed`, `realloc`) it made.
-/// The simulation is single-threaded, so the test thread's count is the
-/// run's.
+/// the most live bytes since the last [`reset_peak`], and the allocation
+/// calls (`alloc`, `alloc_zeroed`, `realloc`) it made. The simulation is
+/// single-threaded, so the test thread's count is the run's.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Heap {
     bytes: isize,
     blocks: isize,
+    peak: isize,
     calls: usize,
 }
 
@@ -35,6 +36,7 @@ thread_local! {
         Cell::new(Heap {
             bytes: 0,
             blocks: 0,
+            peak: 0,
             calls: 0,
         })
     };
@@ -47,8 +49,17 @@ fn track(bytes: isize, blocks: isize, calls: usize) {
         heap.set(Heap {
             bytes: h.bytes + bytes,
             blocks: h.blocks + blocks,
+            peak: h.peak.max(h.bytes + bytes),
             calls: h.calls + calls,
         });
+    });
+}
+
+/// Starts a new high-water mark at what is live now.
+fn reset_peak() {
+    HEAP.with(|heap| {
+        let h = heap.get();
+        heap.set(Heap { peak: h.bytes, ..h });
     });
 }
 
@@ -106,6 +117,7 @@ fn one_worker(sim: &Sim, hdfs: HdfsConfig) -> Cluster {
 
 #[test]
 fn the_allocator_counts() {
+    reset_peak();
     let start = heap();
     let v = std::hint::black_box(Vec::<u8>::with_capacity(1000));
     let held = heap();
@@ -115,17 +127,21 @@ fn the_allocator_counts() {
         (
             held.bytes - start.bytes,
             held.blocks - start.blocks,
+            held.peak - start.peak,
             held.calls - start.calls
         ),
-        (1000, 1, 1),
+        (1000, 1, 1000, 1),
         "a 1 000-byte vector"
     );
     assert_eq!(
         end,
         Heap {
+            peak: held.peak,
             calls: held.calls,
             ..start
         },
-        "the vector dropped"
+        "the vector dropped, its bytes kept in the high-water mark"
     );
+    reset_peak();
+    assert_eq!(heap().peak, end.bytes, "a reset peak is what is live");
 }
