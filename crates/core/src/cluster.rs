@@ -143,15 +143,6 @@ impl Cluster {
     pub fn worker_count(&self) -> usize {
         self.workers.len()
     }
-
-    /// The worker index hosting `node`, if any. O(1): the master is added
-    /// first (NodeId 0), so worker `i` always has NodeId `i + 1`.
-    pub fn worker_of(&self, node: NodeId) -> Option<usize> {
-        let idx = (node.0 as usize).checked_sub(1)?;
-        let w = self.workers.get(idx)?;
-        debug_assert_eq!(w.id, node, "workers must be dense after the master");
-        Some(idx)
-    }
 }
 
 #[cfg(test)]
@@ -172,9 +163,7 @@ mod tests {
         assert_eq!(c.hdfs.datanode_count(), 4);
         for (i, w) in c.workers.iter().enumerate() {
             assert_eq!(c.hdfs.dn_node(i), w.id);
-            assert_eq!(c.worker_of(w.id), Some(i));
         }
-        assert_eq!(c.worker_of(c.master), None);
     }
 
     #[test]

@@ -41,9 +41,8 @@ use crate::spec::{JobSpec, ReduceFn};
 /// Per-job staging state.
 #[derive(Default)]
 struct JobStage {
-    /// Which node first staged each map (`map_idx` → `tt_idx`). Duplicate
-    /// stages (speculative losers) are discarded; `node_lost` removes a dead
-    /// node's entries so re-executed maps re-stage.
+    /// Which node staged each map (`map_idx` → `tt_idx`); `node_lost`
+    /// removes a dead node's entries so re-executed maps re-stage.
     owner: BTreeMap<usize, usize>,
     /// Buffered, not-yet-folded outputs per node.
     pending: BTreeMap<usize, Vec<MapOutputInfo>>,
@@ -84,27 +83,23 @@ impl NodeCombiner {
 
     /// Buffers one map output of a job with a combiner; flushes (folds) its
     /// node's wave when full, or every node's remainder when the job's last
-    /// map stages. `None` when the output was a duplicate (speculative
-    /// loser) and discarded; otherwise every output — possibly aggregated,
-    /// possibly from *other* nodes whose buffers this call flushed — that is
-    /// now final and must be registered, in deterministic order.
+    /// map stages. Returns every output — possibly aggregated, possibly
+    /// from *other* nodes whose buffers this call flushed — that is now
+    /// final and must be registered, in deterministic order.
     pub(crate) async fn stage(
         &self,
         conf: &JobConf,
         spec: &JobSpec,
         total_maps: usize,
         info: MapOutputInfo,
-    ) -> Option<Vec<MapOutputInfo>> {
+    ) -> Vec<MapOutputInfo> {
         let (job, t) = (info.job, info.tt_idx);
         // Bookkeeping is synchronous (no await while the state is borrowed).
         let flush_groups: Vec<(usize, u32, Vec<MapOutputInfo>)> = {
             let mut jobs = self.jobs.borrow_mut();
             let st = jobs.entry(job).or_default();
-            if st.owner.contains_key(&info.map_idx) {
-                // A speculative duplicate of an already-staged map: discard.
-                return None;
-            }
-            st.owner.insert(info.map_idx, t);
+            let restaged = st.owner.insert(info.map_idx, t);
+            debug_assert!(restaged.is_none(), "map {} staged twice", info.map_idx);
             st.pending.entry(t).or_default().push(info);
             let mut groups = Vec::new();
             if st.owner.len() == total_maps {
@@ -144,7 +139,7 @@ impl NodeCombiner {
                 ready.extend(folded.unwrap_or(buf));
             }
         }
-        Some(ready)
+        ready
     }
 
     /// Folds one node's buffered outputs (two or more) into a single

@@ -167,14 +167,6 @@ pub struct JobConf {
     /// regardless of their size (the inefficiency §IV-C exposes on Sort).
     pub hadoop_a_kv_per_packet: u64,
 
-    /// Replication factor for job output files.
-    pub output_replication: u32,
-
-    /// `mapred.map.tasks.speculative.execution`: when the pending queue is
-    /// empty, idle slots re-run the oldest still-running map; the first
-    /// attempt to finish wins, the loser is discarded.
-    pub speculative_maps: bool,
-
     /// `mapred.job.queue.name` analog: the capacity-scheduler queue (tenant)
     /// this job is submitted to. Only meaningful under
     /// `SchedulePolicy::Capacity`; other policies ignore it.
@@ -206,8 +198,6 @@ impl Default for JobConf {
             prefetch_cache_bytes: 1 << 30,
             osu_packet_bytes: 512 << 10,
             hadoop_a_kv_per_packet: 3_000,
-            output_replication: 1,
-            speculative_maps: false,
             queue: 0,
             locality_delay: 0,
             node_combine: false,

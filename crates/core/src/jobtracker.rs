@@ -40,8 +40,7 @@ pub type CompletionEvent = (usize, usize);
 /// What one node's death cost a job (for re-queueing and observability).
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct NodeLossReport {
-    /// One entry per running map attempt that died (task re-queued when it
-    /// was the last attempt).
+    /// Running maps whose attempt died; re-queued.
     pub lost_running_maps: Vec<usize>,
     /// Completed maps whose output became unreachable; re-queued.
     pub lost_completed_maps: Vec<usize>,
@@ -58,15 +57,6 @@ impl NodeLossReport {
     }
 }
 
-/// A map task's in-flight attempts.
-struct RunningMap {
-    /// TaskTracker index of each attempt (duplicates = speculation).
-    attempt_tts: Vec<usize>,
-    desc: MapTaskDesc,
-    /// Launch sequence for oldest-first speculation.
-    seq: u64,
-}
-
 /// The job's scheduling state.
 ///
 /// Pending maps live in a key-ordered map (`pending`) whose ascending key
@@ -80,7 +70,7 @@ struct RunningMap {
 /// instead of O(pending) — the difference between flat and quadratic
 /// heartbeat cost at 1k nodes.
 pub struct JobTracker {
-    /// Every map descriptor, kept for re-queueing completed maps whose
+    /// Every map descriptor, kept for re-queueing maps whose attempt or
     /// output died with a node.
     descs: BTreeMap<usize, MapTaskDesc>,
     /// Pending maps in scheduling order (ascending key).
@@ -89,7 +79,6 @@ pub struct JobTracker {
     local: BTreeMap<NodeId, VecDeque<i64>>,
     /// Next key for a front re-queue (monotonically decreasing).
     front_key: i64,
-    maps_running: usize,
     total_maps: usize,
     events: Vec<CompletionEvent>,
     reduces_pending: VecDeque<usize>,
@@ -102,19 +91,11 @@ pub struct JobTracker {
     fail_reduces: BTreeSet<usize>,
     map_failures: usize,
     reduce_failures: usize,
-    /// Speculative execution enabled?
-    speculative: bool,
-    /// Maps currently running, by task index.
-    running: BTreeMap<usize, RunningMap>,
-    launch_seq: u64,
+    /// Which TaskTracker each running map's one attempt sits on.
+    running: BTreeMap<usize, usize>,
     /// The completed maps, with the TaskTracker that holds each one's
-    /// output (the winning attempt): deduplicates speculative
-    /// double-finishes, and is consulted when a node dies.
+    /// output: consulted when a node dies.
     completed_on: BTreeMap<usize, usize>,
-    /// Attempts still in flight for tasks that already completed (losing
-    /// speculative duplicates). Their eventual result is discarded, but the
-    /// attempt accounting must survive a node death.
-    orphans: BTreeMap<usize, Vec<usize>>,
     /// Which TaskTracker each running reduce attempt sits on.
     running_reduces: BTreeMap<usize, usize>,
     /// Delay scheduling: non-local scheduling opportunities to skip before
@@ -145,7 +126,6 @@ impl JobTracker {
             pending,
             local,
             front_key: -1,
-            maps_running: 0,
             total_maps,
             events: Vec::new(),
             reduces_pending: (0..reduces).collect(),
@@ -156,20 +136,12 @@ impl JobTracker {
             fail_reduces: BTreeSet::new(),
             map_failures: 0,
             reduce_failures: 0,
-            speculative: false,
             running: BTreeMap::new(),
-            launch_seq: 0,
             completed_on: BTreeMap::new(),
-            orphans: BTreeMap::new(),
             running_reduces: BTreeMap::new(),
             locality_delay: 0,
             nonlocal_skips: 0,
         }
-    }
-
-    /// Enables speculative map execution.
-    pub fn set_speculative(&mut self, on: bool) {
-        self.speculative = on;
     }
 
     /// Sets the delay-scheduling skip budget (see `JobConf::locality_delay`).
@@ -210,20 +182,13 @@ impl JobTracker {
     /// Would a heartbeat advertising free slots get *any* assignment right
     /// now? O(1); lets the runtime skip whole jobs during its per-node
     /// walk instead of paying a full (no-op) heartbeat per idle job.
-    /// Conservative on speculation: running tasks *may* have stragglers.
     pub fn has_assignable_work(&self) -> bool {
-        if !self.pending.is_empty() {
-            return true;
-        }
-        if !self.reduces_pending.is_empty() && self.reduce_phase_open() {
-            return true;
-        }
-        self.speculative && !self.running.is_empty()
+        !self.pending.is_empty() || (!self.reduces_pending.is_empty() && self.reduce_phase_open())
     }
 
-    /// Map attempts currently running (speculative duplicates included).
+    /// Map attempts currently running (at most one per task).
     pub fn running_maps(&self) -> usize {
-        self.maps_running
+        self.running.len()
     }
 
     /// Reduce tasks waiting to be assigned.
@@ -237,8 +202,8 @@ impl JobTracker {
     }
 
     /// Heartbeat from TaskTracker `tt_idx` on `node` advertising free
-    /// slots; returns the `(maps, reduces)` to launch there, speculative
-    /// duplicates last. Data-local maps are preferred; remaining slots take arbitrary pending maps
+    /// slots; returns the `(maps, reduces)` to launch there. Data-local maps
+    /// are preferred; remaining slots take arbitrary pending maps
     /// (single-rack cluster: everything else is equally remote), unless
     /// delay scheduling is holding them back for a local slot.
     pub fn heartbeat(
@@ -284,40 +249,8 @@ impl JobTracker {
             }
         }
         for m in &maps {
-            self.launch_seq += 1;
-            self.running.insert(
-                m.idx,
-                RunningMap {
-                    attempt_tts: vec![tt_idx],
-                    desc: m.clone(),
-                    seq: self.launch_seq,
-                },
-            );
+            self.running.insert(m.idx, tt_idx);
         }
-        // Pass 3: speculation — pending queue drained, idle slots re-run the
-        // oldest single-attempt stragglers.
-        if self.speculative && self.pending.is_empty() {
-            let mut stragglers: Vec<(u64, usize)> = self
-                .running
-                .iter()
-                .filter(|(idx, rm)| {
-                    rm.attempt_tts.len() == 1
-                        && !self.completed_on.contains_key(*idx)
-                        && !maps.iter().any(|m| m.idx == **idx)
-                })
-                .map(|(idx, rm)| (rm.seq, *idx))
-                .collect();
-            stragglers.sort();
-            for (_, idx) in stragglers {
-                if maps.len() >= free_map_slots {
-                    break;
-                }
-                let entry = self.running.get_mut(&idx).unwrap();
-                entry.attempt_tts.push(tt_idx);
-                maps.push(entry.desc.clone());
-            }
-        }
-        self.maps_running += maps.len();
 
         let mut reduces = Vec::new();
         if self.reduce_phase_open() {
@@ -361,70 +294,26 @@ impl JobTracker {
         self.reduce_failures
     }
 
-    /// A map attempt finished on TaskTracker `tt_idx`. Returns `true` when
-    /// this is the *first* completion of the task (its output counts);
-    /// `false` for a speculative loser, whose output is discarded.
+    /// The map output of `map_idx`, held by TaskTracker `tt_idx`, is
+    /// registered. Returns `true` when this is the task's *first*
+    /// completion (its output counts); `false` when the task is already
+    /// complete — an in-node fold that straddled its node's restart can
+    /// register a re-executed map a second time — and the output is
+    /// discarded.
     pub fn map_completed(&mut self, map_idx: usize, tt_idx: usize) -> bool {
         if self.completed_on.contains_key(&map_idx) {
-            // A duplicate attempt finishing after the task is already done.
-            self.maps_running -= 1;
-            self.drop_orphan(map_idx, tt_idx);
             return false;
         }
-        if let Some(mut rm) = self.running.remove(&map_idx) {
-            // The winner leaves the attempt table; in-flight duplicates are
-            // orphaned (their results will be discarded, but the attempts
-            // still occupy slots and must survive node-death accounting).
-            if let Some(p) = rm.attempt_tts.iter().position(|t| *t == tt_idx) {
-                rm.attempt_tts.remove(p);
-            }
-            if !rm.attempt_tts.is_empty() {
-                self.orphans
-                    .entry(map_idx)
-                    .or_default()
-                    .extend(rm.attempt_tts);
-            }
-        } else {
-            // Re-completion by an orphaned duplicate after node loss
-            // un-completed the task.
-            self.drop_orphan(map_idx, tt_idx);
-        }
-        self.maps_running -= 1;
+        self.running.remove(&map_idx);
         self.completed_on.insert(map_idx, tt_idx);
         self.events.push((map_idx, tt_idx));
         true
     }
 
-    fn drop_orphan(&mut self, map_idx: usize, tt_idx: usize) {
-        if let Some(v) = self.orphans.get_mut(&map_idx) {
-            if let Some(p) = v.iter().position(|t| *t == tt_idx) {
-                v.remove(p);
-            }
-            if v.is_empty() {
-                self.orphans.remove(&map_idx);
-            }
-        }
-    }
-
-    /// A map attempt on `tt_idx` failed; the task is re-queued (front:
-    /// re-execute soon) once its last attempt is gone.
-    pub fn map_failed(&mut self, desc: MapTaskDesc, tt_idx: usize) {
-        self.maps_running -= 1;
-        if self.completed_on.contains_key(&desc.idx) {
-            // A speculative sibling already won; this late failure is just
-            // a wasted duplicate, not a reschedule.
-            self.drop_orphan(desc.idx, tt_idx);
-            return;
-        }
-        if let Some(rm) = self.running.get_mut(&desc.idx) {
-            if let Some(p) = rm.attempt_tts.iter().position(|t| *t == tt_idx) {
-                rm.attempt_tts.remove(p);
-            }
-            if !rm.attempt_tts.is_empty() {
-                return; // another attempt is still running
-            }
-            self.running.remove(&desc.idx);
-        }
+    /// A map attempt failed; the task is re-queued (front: re-execute
+    /// soon).
+    pub fn map_failed(&mut self, desc: MapTaskDesc) {
+        self.running.remove(&desc.idx);
         self.requeue_map(desc);
     }
 
@@ -469,35 +358,20 @@ impl JobTracker {
     /// the runtime can invalidate stores and emit events.
     pub fn node_lost(&mut self, tt_idx: usize) -> NodeLossReport {
         let mut report = NodeLossReport::default();
-        // Running map attempts on the dead node: each lost attempt is a
-        // failure; the task re-queues once no attempt survives.
-        let idxs: Vec<usize> = self.running.keys().copied().collect();
-        for idx in idxs {
-            let rm = self.running.get_mut(&idx).unwrap();
-            let before = rm.attempt_tts.len();
-            rm.attempt_tts.retain(|t| *t != tt_idx);
-            let lost = before - rm.attempt_tts.len();
-            if lost == 0 {
-                continue;
-            }
-            self.maps_running -= lost;
-            self.map_failures += lost;
-            report
-                .lost_running_maps
-                .extend(std::iter::repeat_n(idx, lost));
-            if rm.attempt_tts.is_empty() {
-                let desc = self.running.remove(&idx).unwrap().desc;
-                self.requeue_map(desc);
-            }
+        // Running maps on the dead node: each lost attempt is a failure,
+        // and its task re-queues.
+        let lost_running: Vec<usize> = self
+            .running
+            .iter()
+            .filter(|(_, t)| **t == tt_idx)
+            .map(|(m, _)| *m)
+            .collect();
+        for idx in lost_running {
+            self.running.remove(&idx);
+            self.map_failures += 1;
+            self.requeue_map(self.descs[&idx].clone());
+            report.lost_running_maps.push(idx);
         }
-        // Orphaned duplicates on the dead node vanish silently (their
-        // results were going to be discarded anyway).
-        for tts in self.orphans.values_mut() {
-            let before = tts.len();
-            tts.retain(|t| *t != tt_idx);
-            self.maps_running -= before - tts.len();
-        }
-        self.orphans.retain(|_, v| !v.is_empty());
         // Completed maps whose output lived on the dead node: unreachable
         // intermediate data, so the map re-executes (not counted as a
         // failure — the attempt itself succeeded). Once every reduce has
@@ -623,41 +497,13 @@ mod tests {
         let (maps, _) = jt.heartbeat(NodeId(0), 0, 1, 0);
         assert!(jt.should_fail(0));
         assert!(!jt.should_fail(0), "only fails once");
-        jt.map_failed(maps.into_iter().next().unwrap(), 0);
+        jt.map_failed(maps.into_iter().next().unwrap());
         let (maps, _) = jt.heartbeat(NodeId(5), 4, 1, 0);
         assert_eq!(maps.len(), 1);
         jt.map_completed(0, 4);
         assert!(jt.maps_done());
         assert_eq!(jt.map_failures_seen(), 1);
         assert_eq!(jt.reduce_failures_seen(), 0);
-    }
-
-    #[test]
-    fn speculation_duplicates_stragglers_when_queue_drains() {
-        let mut jt = JobTracker::new(vec![desc(0, 0), desc(1, 0)], 0, 0.0);
-        jt.set_speculative(true);
-        let (m, _) = jt.heartbeat(NodeId(0), 0, 2, 0);
-        assert_eq!(m.len(), 2);
-        // Queue empty; a second TT's free slots re-run the oldest straggler.
-        let (m2, _) = jt.heartbeat(NodeId(1), 1, 1, 0);
-        assert_eq!(m2.len(), 1);
-        assert_eq!(m2[0].idx, 0, "oldest straggler first");
-        // First finisher wins; the loser's completion is discarded.
-        assert!(jt.map_completed(0, 1));
-        assert!(!jt.map_completed(0, 0));
-        assert!(jt.map_completed(1, 0));
-        assert!(jt.maps_done());
-        // A completed task is never speculated again.
-        let (m3, _) = jt.heartbeat(NodeId(2), 2, 4, 0);
-        assert!(m3.is_empty());
-    }
-
-    #[test]
-    fn speculation_disabled_by_default() {
-        let mut jt = JobTracker::new(vec![desc(0, 0)], 0, 0.0);
-        let _ = jt.heartbeat(NodeId(0), 0, 1, 0);
-        let (m, _) = jt.heartbeat(NodeId(1), 1, 4, 0);
-        assert!(m.is_empty(), "no duplicates without speculation");
     }
 
     #[test]
@@ -734,40 +580,5 @@ mod tests {
         assert_eq!(ev.iter().filter(|(m, _)| *m == 0).count(), 2);
         jt.reduce_completed(0);
         assert!(jt.job_done());
-    }
-
-    #[test]
-    fn node_loss_with_speculative_duplicate_keeps_counts_sane() {
-        let mut jt = JobTracker::new(vec![desc(0, 1)], 0, 0.0);
-        jt.set_speculative(true);
-        let _ = jt.heartbeat(NodeId(1), 0, 1, 0);
-        let (dup, _) = jt.heartbeat(NodeId(2), 1, 1, 0);
-        assert_eq!(dup.len(), 1, "speculative duplicate launched");
-        assert_eq!(jt.running_maps(), 2);
-        // tt0 dies: one attempt lost, the duplicate on tt1 survives and the
-        // task is NOT re-queued.
-        let report = jt.node_lost(0);
-        assert_eq!(report.lost_running_maps, vec![0]);
-        assert_eq!(jt.running_maps(), 1);
-        assert_eq!(jt.pending_maps(), 0);
-        assert!(jt.map_completed(0, 1));
-        assert!(jt.maps_done());
-    }
-
-    #[test]
-    fn node_loss_drops_orphaned_duplicates() {
-        let mut jt = JobTracker::new(vec![desc(0, 1)], 0, 0.0);
-        jt.set_speculative(true);
-        let _ = jt.heartbeat(NodeId(1), 0, 1, 0);
-        let _ = jt.heartbeat(NodeId(2), 1, 1, 0);
-        // tt1's duplicate wins; tt0's original is now an orphan in flight.
-        assert!(jt.map_completed(0, 1));
-        assert_eq!(jt.running_maps(), 1);
-        // tt0 dies; the orphan vanishes without un-completing the task.
-        let report = jt.node_lost(0);
-        assert!(report.lost_running_maps.is_empty());
-        assert!(report.lost_completed_maps.is_empty());
-        assert_eq!(jt.running_maps(), 0);
-        assert!(jt.maps_done());
     }
 }

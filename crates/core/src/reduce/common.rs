@@ -129,7 +129,6 @@ impl ReduceSink {
     /// Opens the part file for `reduce_idx` under the job's output path.
     pub async fn open(
         cluster: &Cluster,
-        conf: &Rc<JobConf>,
         spec: &JobSpec,
         node: &NodeHandle,
         reduce_idx: usize,
@@ -146,9 +145,12 @@ impl ReduceSink {
                 .await
                 .expect("stale output delete");
         }
+        // Job output is written at replication 1, as Hadoop's TeraSort
+        // writes it: one copy, no replication pipeline.
+        const OUTPUT_REPLICATION: u32 = 1;
         let writer = cluster
             .hdfs
-            .create_with_replication(&path, node.id, conf.output_replication)
+            .create_with_replication(&path, node.id, OUTPUT_REPLICATION)
             .await
             .expect("output create");
         ReduceSink {
@@ -302,12 +304,11 @@ mod tests {
     #[test]
     fn identity_sink_round_trips_records() {
         let (sim, cluster) = mk();
-        let conf = Rc::new(JobConf::default());
         let spec = JobSpec::sort("/in", "/out", 10);
         let c2 = cluster.clone();
         sim.block_on(sim.spawn(async move {
             let node = c2.workers[0].clone();
-            let mut sink = ReduceSink::open(&c2, &conf, &spec, &node, 0).await;
+            let mut sink = ReduceSink::open(&c2, &spec, &node, 0).await;
             sink.consume(Segment::from_records(vec![
                 rec(b"a", b"1"),
                 rec(b"b", b"2"),
@@ -347,7 +348,6 @@ mod tests {
     #[test]
     fn grouping_reducer_sees_whole_groups_across_batches() {
         let (sim, cluster) = mk();
-        let conf = Rc::new(JobConf::default());
         let seen = Rc::new(RefCell::new(Vec::<(Vec<u8>, usize)>::new()));
         let seen2 = Rc::clone(&seen);
         let spec = JobSpec::sort("/in", "/out", 10).with_reducer(Rc::new(
@@ -360,7 +360,7 @@ mod tests {
         let c2 = cluster.clone();
         sim.spawn(async move {
             let node = c2.workers[0].clone();
-            let mut sink = ReduceSink::open(&c2, &conf, &spec, &node, 0).await;
+            let mut sink = ReduceSink::open(&c2, &spec, &node, 0).await;
             // Group "b" straddles the batch boundary: must be seen ONCE with
             // 3 values.
             sink.consume(Segment::from_records(vec![
@@ -389,12 +389,11 @@ mod tests {
     #[test]
     fn synthetic_sink_applies_output_ratio() {
         let (sim, cluster) = mk();
-        let conf = Rc::new(JobConf::default());
         let spec = JobSpec::sort("/in", "/out", 100).with_ratios(1.0, 0.25);
         let c2 = cluster.clone();
         sim.block_on(sim.spawn(async move {
             let node = c2.workers[0].clone();
-            let mut sink = ReduceSink::open(&c2, &conf, &spec, &node, 1).await;
+            let mut sink = ReduceSink::open(&c2, &spec, &node, 1).await;
             sink.consume(Segment::synthetic(100, 10_000)).await;
             let (_, in_bytes, out_bytes) = sink.finish().await;
             assert_eq!(in_bytes, 10_000);

@@ -1039,8 +1039,7 @@ pub async fn run_reduce_rdma(ctx: ReduceCtx) -> Result<ReduceStats, ReduceError>
             },
             async move {
                 let (cluster, node) = (&ctx2.cluster, &ctx2.tt.node);
-                let mut sink =
-                    ReduceSink::open(cluster, &ctx2.conf, &ctx2.spec, node, ctx2.reduce_idx).await;
+                let mut sink = ReduceSink::open(cluster, &ctx2.spec, node, ctx2.reduce_idx).await;
                 while let Some(seg) = out_rx.recv().await {
                     sink.consume(seg).await;
                 }

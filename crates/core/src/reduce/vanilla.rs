@@ -157,7 +157,7 @@ pub async fn run_reduce_vanilla(ctx: ReduceCtx) -> Result<ReduceStats, ReduceErr
     let total_bytes: u64 = all_segs.iter().map(|s| s.bytes).sum();
     let k = all_segs.len().max(2) as f64;
 
-    let mut sink = ReduceSink::open(&ctx.cluster, &ctx.conf, &ctx.spec, node, r_idx).await;
+    let mut sink = ReduceSink::open(&ctx.cluster, &ctx.spec, node, r_idx).await;
     if total_records > 0 {
         let merged = Segment::merge(&all_segs);
         let mut readers: Vec<_> = disk_files

@@ -210,8 +210,7 @@ struct ActiveJob {
     submit_s: f64,
     first_launch_s: Cell<Option<f64>>,
     map_phase_end_s: Cell<f64>,
-    /// Slot-seconds consumed by every attempt (including failed and
-    /// speculative ones).
+    /// Slot-seconds consumed by every attempt (failed ones included).
     slot_secs: Cell<f64>,
     reduce_stats: RefCell<Vec<Option<ReduceStats>>>,
     /// Failed-attempt count per reduce index (drives retry backoff).
@@ -400,7 +399,6 @@ impl Runtime {
             conf.num_reduces,
             REDUCE_SLOWSTART,
         )));
-        jt.borrow_mut().set_speculative(conf.speculative_maps);
         jt.borrow_mut().set_locality_delay(conf.locality_delay);
         // Task failures a FaultPlan queued for this submission ordinal.
         if let Some(evs) = inner.injected.borrow_mut().remove(&id.0) {
@@ -971,8 +969,7 @@ impl RtInner {
         };
         // Drop the job's scheduling state (its `ActiveJob` — JobTracker
         // event log, locality index) from the runtime; the bare
-        // result parks in `finished` until joined. In-flight speculative
-        // losers still hold their own `Rc<ActiveJob>` and report in safely.
+        // result parks in `finished` until joined.
         self.finished.borrow_mut().insert(job.id.0, result);
         self.jobs.borrow_mut().remove(&job.id.0);
         self.obs.emit(|| Ev::JobState {
@@ -1222,10 +1219,9 @@ fn spawn_map_attempt(
             match outcome {
                 Some(info) => {
                     // Registers a final map output for serving, on behalf
-                    // of the node that holds it. Only the winning attempt's
-                    // output is committed; speculative losers are discarded
-                    // (their file stays on disk until job cleanup, as in
-                    // Hadoop).
+                    // of the node that holds it. Only a map's first
+                    // registration is committed (see
+                    // `JobTracker::map_completed`).
                     let register = |out: MapOutputInfo| {
                         let (map_idx, tt_idx) = (out.map_idx, out.tt_idx);
                         let first = job.jt.borrow_mut().map_completed(map_idx, tt_idx);
@@ -1241,11 +1237,11 @@ fn spawn_map_attempt(
                     // waves — once the wave is full.
                     let (committed, flushed) =
                         if job.conf.node_combine && job.spec.combiner.is_some() {
-                            let staged = inner
+                            let flushed = inner
                                 .combiner
                                 .stage(&job.conf, &job.spec, job.total_maps, info)
                                 .await;
-                            (staged.is_some(), staged.unwrap_or_default())
+                            (true, flushed)
                         } else {
                             (register(info), Vec::new())
                         };
@@ -1281,7 +1277,7 @@ fn spawn_map_attempt(
                 }
                 None => {
                     attempt.finish(AttemptOutcome::Failed);
-                    job.jt.borrow_mut().map_failed(desc, tt.idx);
+                    job.jt.borrow_mut().map_failed(desc);
                 }
             }
             attempt.release();

@@ -1,13 +1,14 @@
 //! Property-based tests on the JobTracker scheduler: locality preference,
-//! slowstart gating, and no-double-completion must hold under arbitrary
-//! interleavings of heartbeats, completions, and failures — the interleaving
-//! a multi-job runtime produces when several jobs share the same trackers.
+//! slowstart gating, no-double-completion and node-loss re-queueing must
+//! hold under arbitrary interleavings of heartbeats, completions, failures
+//! and node deaths — the interleaving a multi-job runtime produces when
+//! several jobs share the same trackers.
 //!
 //! The capacity-queue invariants ride the same harness: delay scheduling
 //! may defer a job by at most its skip budget, and a queue with a slot
 //! guarantee must overtake a FIFO backlog whenever it has demand.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 
@@ -31,8 +32,9 @@ fn desc(idx: usize, loc: u32) -> MapTaskDesc {
 }
 
 /// One step of the random schedule: a heartbeat from some node with some
-/// free slots, or completing / failing one of the currently running
-/// attempts (picked by the `u8` selector modulo the running count).
+/// free slots, completing / failing one of the currently running map
+/// attempts or completing a running reduce (picked by the `u8` selector
+/// modulo the running count), or the death of the node's TaskTracker.
 fn arb_step() -> impl Strategy<Value = (u32, usize, usize, u8, u8)> {
     (0u32..4, 0usize..4, 0usize..3, any::<u8>(), any::<u8>())
 }
@@ -40,9 +42,10 @@ fn arb_step() -> impl Strategy<Value = (u32, usize, usize, u8, u8)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Without speculation every launched attempt is unique, locality is
-    /// honoured within each heartbeat batch, unfilled slots imply an empty
-    /// pending queue, and the slowstart threshold gates every reduce launch.
+    /// Every launched attempt is unique, locality is honoured within each
+    /// heartbeat batch, unfilled slots imply an empty pending queue, the
+    /// slowstart threshold gates every reduce launch, and a node's death
+    /// re-queues exactly the work the shadow model places on it.
     #[test]
     fn scheduler_invariants_under_random_interleavings(
         total_maps in 1usize..12,
@@ -56,20 +59,21 @@ proptest! {
         let mut jt = JobTracker::new(descs, total_reduces, slowstart);
 
         // Shadow model of the scheduler's visible state. Each running
-        // attempt remembers the tracker it launched on — failure reporting
-        // is per-tracker now.
+        // attempt and each completed map remembers its tracker, so a node
+        // loss knows what it takes down.
         let mut pending: BTreeSet<usize> = (0..total_maps).collect();
         let mut running: Vec<(MapTaskDesc, usize)> = Vec::new();
-        let mut completed: BTreeSet<usize> = BTreeSet::new();
-        let mut reduces_launched: BTreeSet<usize> = BTreeSet::new();
+        let mut completed: BTreeMap<usize, usize> = BTreeMap::new();
+        let mut reduces_running: Vec<(usize, usize)> = Vec::new();
+        let mut reduces_done: BTreeSet<usize> = BTreeSet::new();
 
         for (node, mslots, rslots, action, pick) in steps {
-            match action % 3 {
+            let tt = node as usize;
+            match action % 5 {
                 0 => {
                     let gate_open = jt.maps_completed() as f64
                         >= slowstart * total_maps as f64;
-                    let (maps, reduces) =
-                        jt.heartbeat(NodeId(node), node as usize, mslots, rslots);
+                    let (maps, reduces) = jt.heartbeat(NodeId(node), tt, mslots, rslots);
                     prop_assert!(maps.len() <= mslots, "over-assignment");
                     prop_assert!(reduces.len() <= rslots, "over-assignment");
                     // Pass 1 drains data-local maps before pass 2 touches the
@@ -90,7 +94,7 @@ proptest! {
                             pending.remove(&m.idx),
                             "map {} launched while not pending", m.idx
                         );
-                        running.push((m.clone(), node as usize));
+                        running.push((m.clone(), tt));
                     }
                     if maps.len() < mslots {
                         prop_assert!(
@@ -109,9 +113,11 @@ proptest! {
                     for r in reduces {
                         prop_assert!(r < total_reduces);
                         prop_assert!(
-                            reduces_launched.insert(r),
-                            "reduce {r} launched twice without failing"
+                            !reduces_done.contains(&r)
+                                && reduces_running.iter().all(|&(q, _)| q != r),
+                            "reduce {r} launched while running or done"
                         );
+                        reduces_running.push((r, tt));
                     }
                 }
                 1 => {
@@ -122,81 +128,88 @@ proptest! {
                     let before = jt.maps_completed();
                     prop_assert!(
                         jt.map_completed(d.idx, tt),
-                        "without speculation every completion is the first"
+                        "one attempt per task: every completion is the first"
                     );
-                    prop_assert!(completed.insert(d.idx), "double completion");
+                    prop_assert!(completed.insert(d.idx, tt).is_none(), "double completion");
                     prop_assert_eq!(jt.maps_completed(), before + 1);
                 }
-                _ => {
+                2 => {
                     if running.is_empty() {
                         continue;
                     }
-                    let (d, tt) = running.remove(pick as usize % running.len());
+                    let (d, _) = running.remove(pick as usize % running.len());
                     pending.insert(d.idx);
-                    jt.map_failed(d, tt);
+                    jt.map_failed(d);
                 }
-            }
-            prop_assert!(jt.maps_completed() <= total_maps);
-            prop_assert_eq!(jt.maps_completed(), completed.len());
-        }
-    }
+                3 => {
+                    if reduces_running.is_empty() {
+                        continue;
+                    }
+                    let (r, _) = reduces_running.remove(pick as usize % reduces_running.len());
+                    jt.reduce_completed(r);
+                    reduces_done.insert(r);
+                }
+                _ => {
+                    let shuffle_live =
+                        total_reduces == 0 || reduces_done.len() < total_reduces;
+                    let (map_failures, reduce_failures) =
+                        (jt.map_failures_seen(), jt.reduce_failures_seen());
+                    // The report lists each kind in ascending task index.
+                    let report = jt.node_lost(tt);
 
-    /// With speculation on, duplicate attempts exist but `map_completed`
-    /// returns `true` exactly once per task, and the completed count stays
-    /// monotonic and bounded by the task count.
-    #[test]
-    fn speculative_completions_count_once(
-        total_maps in 1usize..10,
-        steps in proptest::collection::vec(arb_step(), 1..100),
-    ) {
-        let descs: Vec<MapTaskDesc> =
-            (0..total_maps).map(|i| desc(i, (i % 4) as u32)).collect();
-        let mut jt = JobTracker::new(descs, 0, 0.05);
-        jt.set_speculative(true);
-
-        let mut attempts: Vec<(usize, usize)> = Vec::new();
-        let mut completed: BTreeSet<usize> = BTreeSet::new();
-
-        for (node, mslots, _, action, pick) in steps {
-            if action % 2 == 0 {
-                let (maps, _) = jt.heartbeat(NodeId(node), node as usize, mslots, 0);
-                prop_assert!(maps.len() <= mslots);
-                for m in maps {
-                    prop_assert!(
-                        !completed.contains(&m.idx),
-                        "completed map {} speculated again", m.idx
+                    let mut lost_running: Vec<usize> = running
+                        .iter()
+                        .filter(|(_, t)| *t == tt)
+                        .map(|(d, _)| d.idx)
+                        .collect();
+                    lost_running.sort_unstable();
+                    running.retain(|(_, t)| *t != tt);
+                    prop_assert_eq!(
+                        &report.lost_running_maps, &lost_running, "lost running maps"
                     );
-                    attempts.push((m.idx, node as usize));
+
+                    let lost_completed: Vec<usize> = if shuffle_live {
+                        completed
+                            .iter()
+                            .filter(|(_, t)| **t == tt)
+                            .map(|(m, _)| *m)
+                            .collect()
+                    } else {
+                        Vec::new()
+                    };
+                    for m in &lost_completed {
+                        completed.remove(m);
+                    }
+                    prop_assert_eq!(
+                        &report.lost_completed_maps, &lost_completed, "lost completed maps"
+                    );
+
+                    let mut lost_reduces: Vec<usize> = reduces_running
+                        .iter()
+                        .filter(|(_, t)| *t == tt)
+                        .map(|(r, _)| *r)
+                        .collect();
+                    lost_reduces.sort_unstable();
+                    reduces_running.retain(|(_, t)| *t != tt);
+                    prop_assert_eq!(&report.lost_reduces, &lost_reduces, "lost reduces");
+
+                    pending.extend(lost_running.iter().chain(&lost_completed));
+                    prop_assert_eq!(
+                        jt.map_failures_seen(),
+                        map_failures + lost_running.len(),
+                        "each lost running map counts one failure, lost output none"
+                    );
+                    prop_assert_eq!(
+                        jt.reduce_failures_seen(),
+                        reduce_failures + lost_reduces.len()
+                    );
                 }
-            } else {
-                if attempts.is_empty() {
-                    continue;
-                }
-                let (idx, tt) = attempts.remove(pick as usize % attempts.len());
-                let before = jt.maps_completed();
-                let first = jt.map_completed(idx, tt);
-                prop_assert_eq!(
-                    first,
-                    completed.insert(idx),
-                    "map_completed must return true exactly once per task"
-                );
-                prop_assert_eq!(
-                    jt.maps_completed(),
-                    before + usize::from(first),
-                    "only first completions advance the counter"
-                );
             }
             prop_assert!(jt.maps_completed() <= total_maps);
             prop_assert_eq!(jt.maps_completed(), completed.len());
+            prop_assert_eq!(jt.running_maps(), running.len(), "running maps");
+            prop_assert_eq!(jt.pending_maps(), pending.len(), "pending maps");
         }
-
-        // Drain: finish every remaining attempt; the tracker must converge
-        // to exactly one counted completion per task regardless of losers.
-        while let Some((idx, tt)) = attempts.pop() {
-            let first = jt.map_completed(idx, tt);
-            prop_assert_eq!(first, completed.insert(idx));
-        }
-        prop_assert_eq!(jt.maps_completed(), completed.len());
     }
 
     /// Delay scheduling bounds the wait: a job may decline at most

@@ -127,9 +127,8 @@ impl Semaphore {
         }
     }
 
-    /// Adds `n` permits (used to model releasing budget acquired elsewhere,
-    /// e.g. when a cached buffer is evicted by a different component).
-    pub fn release_raw(&self, n: u64) {
+    /// Returns `n` permits and wakes the waiters they now satisfy.
+    fn release_raw(&self, n: u64) {
         let mut inner = self.inner.borrow_mut();
         inner.permits += n;
         inner.grant();

@@ -92,7 +92,7 @@ impl HdfsCluster {
     }
 
     /// The DataNode index running on `node`, if any.
-    pub fn dn_index_of(&self, node: NodeId) -> Option<usize> {
+    fn dn_index_of(&self, node: NodeId) -> Option<usize> {
         self.dns.borrow().iter().position(|d| d.node == node)
     }
 

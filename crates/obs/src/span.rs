@@ -19,9 +19,9 @@ pub struct Span {
 
 /// Pair `AttemptStart`/`AttemptFinish` events into spans.
 ///
-/// Attempts are matched FIFO per `(node, job, kind, idx)` key (speculative
-/// re-execution can start a second attempt with the same key before the
-/// first finishes). Unfinished attempts are dropped — callers working from a
+/// Attempts are matched FIFO per `(node, job, kind, idx)` key: one key can
+/// see two attempts, because a failed map re-runs and may land on the same
+/// node. Unfinished attempts are dropped — callers working from a
 /// completed run never see any.
 pub fn spans_from_events(events: &[ObsEvent]) -> Vec<Span> {
     let mut open: BTreeMap<(usize, u32, TaskFlavor, usize), VecDeque<f64>> = BTreeMap::new();
@@ -141,7 +141,7 @@ mod tests {
     fn pairs_starts_and_finishes_fifo() {
         let events = vec![
             start(0.0, 0, 0, TaskFlavor::Map),
-            start(1.0, 0, 0, TaskFlavor::Map), // speculative second attempt, same key
+            start(1.0, 0, 0, TaskFlavor::Map), // second attempt, same key
             finish(2.0, 0, 0, TaskFlavor::Map),
             finish(5.0, 0, 0, TaskFlavor::Map),
             start(9.0, 1, 1, TaskFlavor::Map), // never finishes → dropped

@@ -3,7 +3,7 @@
 //! ```text
 //! rdma-mapred run      --bench terasort --system osu --gb 30 --nodes 4 --disks 1
 //! rdma-mapred figure   fig4a | … | fig8 | tuning | multijob | engines | all
-//! rdma-mapred validate --gb-mb 64 --nodes 4
+//! rdma-mapred validate --mb 64 --nodes 4
 //! rdma-mapred systems
 //! ```
 

@@ -23,7 +23,7 @@ use bytes::Bytes;
 use rmr_core::cluster::Cluster;
 use rmr_core::record::SegmentCursor;
 use rmr_core::reduce::ReduceSink;
-use rmr_core::{encode_records, JobConf, Record, Segment};
+use rmr_core::{encode_records, Record, Segment};
 use rmr_des::Sim;
 use rmr_hdfs::{Blob, HdfsConfig};
 use rmr_workloads::{terasort_spec, wordcount_spec};
@@ -56,7 +56,7 @@ fn input_block(from: usize, n: usize) -> Bytes {
 /// both files. Returns the live heap the merge and the finished output
 /// added while both files existed, and the live heap left over after the
 /// round, both above its start.
-async fn round(cluster: &Cluster, conf: &Rc<JobConf>) -> (isize, isize) {
+async fn round(cluster: &Cluster) -> (isize, isize) {
     let start = heap().bytes;
     let node = cluster.workers[0].clone();
     let hdfs = &cluster.hdfs;
@@ -75,7 +75,7 @@ async fn round(cluster: &Cluster, conf: &Rc<JobConf>) -> (isize, isize) {
     let before = heap().bytes;
     let spec = terasort_spec("/in", "/out");
     let mut cursor = SegmentCursor::new(Segment::merge(&runs));
-    let mut sink = ReduceSink::open(cluster, conf, &spec, &node, 0).await;
+    let mut sink = ReduceSink::open(cluster, &spec, &node, 0).await;
     while !cursor.exhausted() {
         sink.consume(cursor.take_records(BATCH)).await;
     }
@@ -101,7 +101,7 @@ async fn round(cluster: &Cluster, conf: &Rc<JobConf>) -> (isize, isize) {
 /// second is the one measured.
 fn two_rounds(
     block_size: u64,
-    round: impl AsyncFn(&Cluster, &Rc<JobConf>) -> (isize, isize) + 'static,
+    round: impl AsyncFn(&Cluster) -> (isize, isize) + 'static,
 ) -> Vec<(isize, isize)> {
     let sim = Sim::new(7);
     let cluster = one_worker(
@@ -112,12 +112,11 @@ fn two_rounds(
             packet_size: 1 << 20,
         },
     );
-    let conf = Rc::new(JobConf::default());
     let rounds = Rc::new(RefCell::new(Vec::new()));
     let r2 = Rc::clone(&rounds);
     sim.spawn(async move {
         for _ in 0..2 {
-            let got = round(&cluster, &conf).await;
+            let got = round(&cluster).await;
             r2.borrow_mut().push(got);
         }
     })
@@ -152,7 +151,7 @@ const SHORT_OUTPUT_BUDGET: isize = 64 << 10;
 /// One round of a WordCount reduce over `WORDS` words into a file of
 /// `cluster`'s blocks; returns the live heap the finished output holds
 /// above the round's start, and what is left once it is deleted.
-async fn count_round(cluster: &Cluster, conf: &Rc<JobConf>) -> (isize, isize) {
+async fn count_round(cluster: &Cluster) -> (isize, isize) {
     let start = heap().bytes;
     let node = cluster.workers[0].clone();
     let spec = wordcount_spec("/in", "/counts");
@@ -164,7 +163,7 @@ async fn count_round(cluster: &Cluster, conf: &Rc<JobConf>) -> (isize, isize) {
             )
         })
         .collect();
-    let mut sink = ReduceSink::open(cluster, conf, &spec, &node, 0).await;
+    let mut sink = ReduceSink::open(cluster, &spec, &node, 0).await;
     sink.consume(Segment::from_records(records)).await;
     let (_, _, out_bytes) = sink.finish().await;
     assert!(

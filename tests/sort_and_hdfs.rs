@@ -75,28 +75,41 @@ fn wordcount_matches_sequential_oracle() {
 
 #[test]
 fn hdfs_replication_survives_job_load() {
-    // Replication 3 output: every part file's blocks land on 3 distinct
-    // DataNodes even while the job hammers the same disks.
+    // A replication-3 file written while a TeraSort hammers the same disks:
+    // every one of its blocks lands on 3 distinct DataNodes.
     let sim = Sim::new(33);
     let c = cluster(&sim, 4, FabricParams::ib_verbs_qdr(), 2 << 20);
     let c2 = c.clone();
+    let sim2 = sim.clone();
     sim.block_on(sim.spawn(async move {
         teragen(&c2, "/r/in", 8 << 20, false).await;
+        let c3 = c2.clone();
+        let sim3 = sim2.clone();
+        let side = sim2.spawn(async move {
+            let mut w = c3
+                .hdfs
+                .create_with_replication("/r/side", c3.workers[0].id, 3)
+                .await
+                .unwrap();
+            w.write(Blob::synthetic(8 << 20)).await.unwrap();
+            w.close().await.unwrap();
+            sim3.now().as_secs_f64()
+        });
         let mut conf = JobConf::osu_ib();
         conf.num_reduces = 4;
-        conf.output_replication = 3;
-        let _ = run_job(&c2, conf, terasort_spec("/r/in", "/r/out")).await;
-        for ridx in 0..4 {
-            let locs = c2
-                .hdfs
-                .split_locations(&format!("/r/out/part-{ridx:05}"))
-                .unwrap();
-            for (meta, nodes) in locs {
-                assert_eq!(meta.replicas.len(), 3, "replication honoured");
-                // simcheck: allow(unordered-map) -- only len() is used, never iterated
-                let distinct: std::collections::HashSet<_> = nodes.iter().collect();
-                assert_eq!(distinct.len(), 3, "replicas on distinct nodes");
-            }
+        let res = run_job(&c2, conf, terasort_spec("/r/in", "/r/out")).await;
+        let written_s = side.await;
+        assert!(
+            written_s < res.end_s,
+            "the side file was written under load"
+        );
+        let locs = c2.hdfs.split_locations("/r/side").unwrap();
+        assert_eq!(locs.len(), 4, "four 2 MiB blocks");
+        for (meta, nodes) in locs {
+            assert_eq!(meta.replicas.len(), 3, "replication honoured");
+            // simcheck: allow(unordered-map) -- only len() is used, never iterated
+            let distinct: std::collections::HashSet<_> = nodes.iter().collect();
+            assert_eq!(distinct.len(), 3, "replicas on distinct nodes");
         }
     }));
 }
