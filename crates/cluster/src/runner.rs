@@ -82,15 +82,14 @@ impl Experiment {
 }
 
 /// Current [`RunRecord`] wire-format version, emitted as the `schema`
-/// field. Records without the field (pre-versioning) parse as schema 1.
+/// field. A record of any other version, or without the field, does not
+/// parse.
 /// The full field catalogue lives in DESIGN.md §"RunRecord schema".
 pub const RUN_RECORD_SCHEMA: u32 = 2;
 
 /// One row of results, serialisable for EXPERIMENTS.md regeneration.
 #[derive(Debug, Clone)]
 pub struct RunRecord {
-    /// Wire-format version of this record (see [`RUN_RECORD_SCHEMA`]).
-    pub schema: u32,
     /// Experiment id.
     pub id: String,
     /// Benchmark label.
@@ -128,10 +127,11 @@ pub struct RunRecord {
 }
 
 impl RunRecord {
-    /// One JSON object; floats print in their `Display` form.
+    /// One JSON object, tagged with [`RUN_RECORD_SCHEMA`]; floats print in
+    /// their `Display` form.
     pub fn to_json(&self) -> String {
         Obj::new()
-            .val("schema", self.schema)
+            .val("schema", RUN_RECORD_SCHEMA)
             .str("id", &self.id)
             .str("bench", &self.bench)
             .str("system", &self.system)
@@ -153,45 +153,50 @@ impl RunRecord {
     }
 
     /// Parses a record produced by [`RunRecord::to_json`]. Field order is
-    /// free; unknown keys are ignored; missing keys fall back to defaults
-    /// (`schema` to 1: pre-versioning records carry no field).
+    /// free and unknown keys are ignored; a missing field, or a `schema`
+    /// other than [`RUN_RECORD_SCHEMA`], is an error.
     pub fn from_json(json: &str) -> Result<RunRecord, String> {
         let doc = rmr_obs::json::parse(json)?;
         let obj = doc.as_obj().ok_or("expected a JSON object")?;
-        let num = |key: &str, default: f64| match obj.get(key) {
-            None => Ok(default),
-            Some(v) => v.as_num().ok_or(format!("{key}: expected number")),
+        let field = |key: &str| obj.get(key).ok_or(format!("{key}: missing"));
+        let num = |key: &str| -> Result<f64, String> {
+            field(key)?
+                .as_num()
+                .ok_or(format!("{key}: expected number"))
         };
-        let text = |key: &str| match obj.get(key) {
-            None => Ok(String::new()),
-            Some(v) => v
+        let text = |key: &str| -> Result<String, String> {
+            field(key)?
                 .as_str()
                 .map(str::to_string)
-                .ok_or(format!("{key}: expected string")),
+                .ok_or(format!("{key}: expected string"))
         };
+        let schema = num("schema")?;
+        if schema != RUN_RECORD_SCHEMA as f64 {
+            return Err(format!(
+                "schema: expected {RUN_RECORD_SCHEMA}, got {schema}"
+            ));
+        }
         Ok(RunRecord {
-            schema: num("schema", 1.0)? as u32,
             id: text("id")?,
             bench: text("bench")?,
             system: text("system")?,
-            nodes: num("nodes", 0.0)? as usize,
-            disks: num("disks", 0.0)? as usize,
-            ssd: match obj.get("ssd") {
-                None => false,
-                Some(rmr_obs::json::Json::Bool(b)) => *b,
-                Some(_) => return Err("ssd: expected bool".into()),
+            nodes: num("nodes")? as usize,
+            disks: num("disks")? as usize,
+            ssd: match field("ssd")? {
+                rmr_obs::json::Json::Bool(b) => *b,
+                _ => return Err("ssd: expected bool".into()),
             },
-            data_gb: num("data_gb", 0.0)?,
-            duration_s: num("duration_s", 0.0)?,
-            map_phase_end_s: num("map_phase_end_s", 0.0)?,
-            maps: num("maps", 0.0)? as usize,
-            reduces: num("reduces", 0.0)? as usize,
-            shuffled_bytes: num("shuffled_bytes", 0.0)? as u64,
-            cache_hit_rate: num("cache_hit_rate", 0.0)?,
-            failed_maps: num("failed_maps", 0.0)? as usize,
-            failed_reduces: num("failed_reduces", 0.0)? as usize,
-            queue_wait_s: num("queue_wait_s", 0.0)?,
-            slot_occupancy: num("slot_occupancy", 0.0)?,
+            data_gb: num("data_gb")?,
+            duration_s: num("duration_s")?,
+            map_phase_end_s: num("map_phase_end_s")?,
+            maps: num("maps")? as usize,
+            reduces: num("reduces")? as usize,
+            shuffled_bytes: num("shuffled_bytes")? as u64,
+            cache_hit_rate: num("cache_hit_rate")?,
+            failed_maps: num("failed_maps")? as usize,
+            failed_reduces: num("failed_reduces")? as usize,
+            queue_wait_s: num("queue_wait_s")?,
+            slot_occupancy: num("slot_occupancy")?,
         })
     }
 
@@ -207,7 +212,6 @@ impl RunRecord {
     ) -> RunRecord {
         let lookups = res.cache_hits + res.cache_misses;
         RunRecord {
-            schema: RUN_RECORD_SCHEMA,
             id,
             bench: bench.to_string(),
             system: system.label().to_string(),
@@ -322,7 +326,6 @@ mod tests {
     #[test]
     fn json_round_trips_escapes_and_fields() {
         let rec = RunRecord {
-            schema: RUN_RECORD_SCHEMA,
             id: "fig\"4a\"\n".to_string(),
             bench: "TeraSort".to_string(),
             system: "OSU-IB".to_string(),
@@ -342,7 +345,6 @@ mod tests {
             slot_occupancy: 0.625,
         };
         let back = RunRecord::from_json(&rec.to_json()).unwrap();
-        assert_eq!(back.schema, RUN_RECORD_SCHEMA);
         assert_eq!(back.id, rec.id);
         assert_eq!(back.ssd, rec.ssd);
         assert_eq!(back.shuffled_bytes, rec.shuffled_bytes);

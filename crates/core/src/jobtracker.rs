@@ -59,27 +59,26 @@ impl NodeLossReport {
 
 /// The job's scheduling state.
 ///
-/// Pending maps live in a key-ordered map (`pending`) whose ascending key
-/// order *is* the old scheduling deque's front-to-back order: initial tasks
-/// get keys `0..n`, re-queued failures take ever-smaller keys (push-front),
-/// so "first pending task" = "smallest key". A per-node locality index
-/// (`local`) holds, for each replica host, the pending keys of its local
-/// splits in the same ascending order, with lazy deletion: a task assigned
-/// elsewhere leaves stale keys behind that are skipped (and dropped) when
-/// popped. This makes a heartbeat's locality pass amortized O(assigned)
-/// instead of O(pending) — the difference between flat and quadratic
-/// heartbeat cost at 1k nodes.
+/// Every map descriptor is stored once, in `descs` at its map index; the
+/// rest of the state names maps by index. Pending maps live in a key-ordered
+/// map (`pending`) whose ascending key order is the scheduling order:
+/// initial tasks get keys `0..n`, re-queued failures take ever-smaller keys
+/// (push-front), so "first pending task" = "smallest key". A per-node
+/// locality index (`local`) holds, for each replica host, the pending keys
+/// of its local splits in the same ascending order, with lazy deletion: a
+/// task assigned elsewhere leaves stale keys behind that are skipped (and
+/// dropped) when popped. This makes a heartbeat's locality pass amortized
+/// O(assigned) instead of O(pending) — the difference between flat and
+/// quadratic heartbeat cost at 1k nodes.
 pub struct JobTracker {
-    /// Every map descriptor, kept for re-queueing maps whose attempt or
-    /// output died with a node.
-    descs: BTreeMap<usize, MapTaskDesc>,
-    /// Pending maps in scheduling order (ascending key).
-    pending: BTreeMap<i64, MapTaskDesc>,
+    /// Every map descriptor, indexed by map index.
+    descs: Vec<MapTaskDesc>,
+    /// Indices of the pending maps in scheduling order (ascending key).
+    pending: BTreeMap<i64, usize>,
     /// Per-node queues of pending keys local to that node (lazy-deleted).
     local: BTreeMap<NodeId, VecDeque<i64>>,
     /// Next key for a front re-queue (monotonically decreasing).
     front_key: i64,
-    total_maps: usize,
     events: Vec<CompletionEvent>,
     reduces_pending: VecDeque<usize>,
     reduces_done: usize,
@@ -106,27 +105,21 @@ pub struct JobTracker {
 }
 
 impl JobTracker {
-    /// Creates a tracker for `maps` and `reduces` tasks.
+    /// Creates a tracker for `maps` and `reduces` tasks; `maps[i].idx`
+    /// must be `i`.
     pub fn new(maps: Vec<MapTaskDesc>, reduces: usize, slowstart: f64) -> Self {
-        let total_maps = maps.len();
         let mut local: BTreeMap<NodeId, VecDeque<i64>> = BTreeMap::new();
-        let pending: BTreeMap<i64, MapTaskDesc> = maps
-            .into_iter()
-            .enumerate()
-            .map(|(i, m)| (i as i64, m))
-            .collect();
-        for (key, m) in &pending {
+        for (i, m) in maps.iter().enumerate() {
+            assert_eq!(m.idx, i, "map descriptors must come in index order");
             for loc in &m.locations {
-                local.entry(*loc).or_default().push_back(*key);
+                local.entry(*loc).or_default().push_back(i as i64);
             }
         }
-        let descs = pending.values().map(|m| (m.idx, m.clone())).collect();
         JobTracker {
-            descs,
-            pending,
+            pending: (0..maps.len()).map(|i| (i as i64, i)).collect(),
+            descs: maps,
             local,
             front_key: -1,
-            total_maps,
             events: Vec::new(),
             reduces_pending: (0..reduces).collect(),
             reduces_done: 0,
@@ -161,7 +154,7 @@ impl JobTracker {
 
     /// Total map tasks.
     pub fn total_maps(&self) -> usize {
-        self.total_maps
+        self.descs.len()
     }
 
     /// Total reduce tasks.
@@ -220,8 +213,8 @@ impl JobTracker {
             while maps.len() < free_map_slots {
                 match queue.pop_front() {
                     Some(key) => {
-                        if let Some(m) = self.pending.remove(&key) {
-                            maps.push(m);
+                        if let Some(idx) = self.pending.remove(&key) {
+                            maps.push(self.descs[idx].clone());
                         }
                     }
                     None => break,
@@ -239,7 +232,7 @@ impl JobTracker {
             if self.nonlocal_skips >= self.locality_delay {
                 while maps.len() < free_map_slots {
                     match self.pending.pop_first() {
-                        Some((_, m)) => maps.push(m),
+                        Some((_, idx)) => maps.push(self.descs[idx].clone()),
                         None => break,
                     }
                 }
@@ -268,10 +261,10 @@ impl JobTracker {
     }
 
     fn reduce_phase_open(&self) -> bool {
-        if self.total_maps == 0 {
+        if self.descs.is_empty() {
             return true;
         }
-        self.completed_on.len() as f64 >= self.slowstart * self.total_maps as f64
+        self.completed_on.len() as f64 >= self.slowstart * self.descs.len() as f64
     }
 
     /// Should this attempt of `map_idx` fail? (Consumes the injection.)
@@ -310,23 +303,23 @@ impl JobTracker {
         true
     }
 
-    /// A map attempt failed; the task is re-queued (front: re-execute
-    /// soon).
-    pub fn map_failed(&mut self, desc: MapTaskDesc) {
-        self.running.remove(&desc.idx);
-        self.requeue_map(desc);
+    /// A map attempt of `map_idx` failed; the task is re-queued (front:
+    /// re-execute soon).
+    pub fn map_failed(&mut self, map_idx: usize) {
+        self.running.remove(&map_idx);
+        self.requeue_map(map_idx);
     }
 
     /// Re-queue at the front (re-execute soon): an ever-smaller key sorts
     /// before everything pending, and front-pushing the locality queues
     /// keeps them ascending (every new front key is the global minimum).
-    fn requeue_map(&mut self, desc: MapTaskDesc) {
+    fn requeue_map(&mut self, map_idx: usize) {
         let key = self.front_key;
         self.front_key -= 1;
-        for loc in &desc.locations {
+        for loc in &self.descs[map_idx].locations {
             self.local.entry(*loc).or_default().push_front(key);
         }
-        self.pending.insert(key, desc);
+        self.pending.insert(key, map_idx);
     }
 
     /// Should this reduce attempt fail? (Consumes the injection.)
@@ -369,7 +362,7 @@ impl JobTracker {
         for idx in lost_running {
             self.running.remove(&idx);
             self.map_failures += 1;
-            self.requeue_map(self.descs[&idx].clone());
+            self.requeue_map(idx);
             report.lost_running_maps.push(idx);
         }
         // Completed maps whose output lived on the dead node: unreachable
@@ -387,7 +380,7 @@ impl JobTracker {
                 .collect();
             for idx in lost_completed {
                 self.completed_on.remove(&idx);
-                self.requeue_map(self.descs[&idx].clone());
+                self.requeue_map(idx);
                 report.lost_completed_maps.push(idx);
             }
         }
@@ -407,7 +400,7 @@ impl JobTracker {
 
     /// All maps completed?
     pub fn maps_done(&self) -> bool {
-        self.completed_on.len() == self.total_maps
+        self.completed_on.len() == self.descs.len()
     }
 
     /// Completion events after `cursor`; returns the new cursor.
@@ -497,7 +490,7 @@ mod tests {
         let (maps, _) = jt.heartbeat(NodeId(0), 0, 1, 0);
         assert!(jt.should_fail(0));
         assert!(!jt.should_fail(0), "only fails once");
-        jt.map_failed(maps.into_iter().next().unwrap());
+        jt.map_failed(maps[0].idx);
         let (maps, _) = jt.heartbeat(NodeId(5), 4, 1, 0);
         assert_eq!(maps.len(), 1);
         jt.map_completed(0, 4);

@@ -6,13 +6,14 @@
 //! and its shuffle server on every worker, a heartbeat daemon per
 //! TaskTracker — and they then serve every job submitted over the runtime's
 //! lifetime. [`Runtime::submit`] enqueues a job (splits computed, a
-//! per-job `JobTracker` created); each heartbeat walks the active-job queue
-//! in [`SchedulePolicy`] order, handing the node's free slots to jobs until
-//! slots or work run out. [`crate::job::run_job`] survives as a thin
-//! single-job wrapper over this module.
+//! per-job `JobTracker` created); each heartbeat walks the unfinished jobs
+//! in submission order, ranked by queue under [`SchedulePolicy::Capacity`],
+//! handing the node's free slots to jobs until slots or work run out.
+//! [`crate::job::run_job`] survives as a thin single-job wrapper over this
+//! module.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
 
@@ -243,15 +244,14 @@ struct RtInner {
     /// [`ReduceCtx::liveness_changed`]).
     liveness_changed: Notify,
     outputs: MapOutputStore,
-    /// Jobs still in the system. A finished job's scheduling state is
+    /// Jobs still in the system, by id: ids count up at submission, so key
+    /// order is submission order. A finished job's scheduling state is
     /// dropped at completion: the entry moves to [`RtInner::finished`] as a
     /// bare result, so map sizes stay bounded across long job sequences.
     jobs: RefCell<BTreeMap<u32, Rc<ActiveJob>>>,
     /// Results of finished jobs, awaiting pickup. [`Runtime::join`]
     /// *consumes* the entry; [`Runtime::poll`] peeks.
     finished: RefCell<BTreeMap<u32, JobResult>>,
-    /// Submission-ordered queue of unfinished jobs.
-    active: RefCell<VecDeque<u32>>,
     next_id: Cell<u32>,
     /// Injected task failures from a [`FaultPlan`] whose job ordinal has not
     /// been submitted yet; consumed by [`Runtime::submit`].
@@ -329,7 +329,6 @@ impl Runtime {
             outputs,
             jobs: RefCell::new(BTreeMap::new()),
             finished: RefCell::new(BTreeMap::new()),
-            active: RefCell::new(VecDeque::new()),
             next_id: Cell::new(0),
             injected: RefCell::new(BTreeMap::new()),
             queue_used: RefCell::new(BTreeMap::new()),
@@ -431,7 +430,6 @@ impl Runtime {
             done: Notify::new(),
         });
         inner.jobs.borrow_mut().insert(id.0, Rc::clone(&job));
-        inner.active.borrow_mut().push_back(id.0);
         inner.obs.emit(|| Ev::JobQueued {
             job: id.0,
             queue: job.conf.queue,
@@ -484,7 +482,7 @@ impl Runtime {
 
     /// Jobs submitted but not yet finished.
     pub fn active_jobs(&self) -> usize {
-        self.inner.active.borrow().len()
+        self.inner.jobs.borrow().len()
     }
 
     /// Kills TaskTracker `tt_idx`: every task on the node (heartbeat daemon,
@@ -734,151 +732,90 @@ struct Assignment {
 }
 
 impl RtInner {
-    /// One heartbeat's slot assignment: walks the active-job queue in
-    /// policy order, offering each job the node's still-free slots.
+    /// One heartbeat's slot assignment: offers the node's free slots to
+    /// the jobs with assignable work, in submission order. Under
+    /// [`SchedulePolicy::Capacity`] the jobs are stable-sorted most-starved
+    /// queue first (running map slots over guarantee, cross-multiplied in
+    /// integers: no float ordering), so a queue's jobs stay together and in
+    /// submission order, and the walk makes two passes:
+    ///
+    /// 1. **Guaranteed**: each job is offered at most its queue's unmet
+    ///    guarantee — the guarantee less the queue's running attempts and
+    ///    what this pass already gave the queue.
+    /// 2. **Spillover**: each job is offered every slot still free —
+    ///    capacity is work-conserving, a guarantee is a floor, not a cage.
+    ///
+    /// FIFO is one queue with the spillover pass only: the oldest job takes
+    /// every slot it can use before the next job sees any.
     fn schedule(
         &self,
         node: NodeId,
         tt_idx: usize,
-        free_m: &mut usize,
-        free_r: &mut usize,
+        mut free_m: usize,
+        mut free_r: usize,
     ) -> Vec<Assignment> {
-        let order: Vec<u32> = match &self.policy {
-            SchedulePolicy::Capacity(plan) => {
-                return self.schedule_capacity(plan, node, tt_idx, free_m, free_r)
-            }
-            SchedulePolicy::Fifo => self.active.borrow().iter().copied().collect(),
-        };
+        // A job with nothing assignable (all maps running, reducers gated
+        // or launched) would get nothing from its heartbeat: leaving it out
+        // (an O(1) check) means only jobs with work pay for one.
+        let mut order: Vec<Rc<ActiveJob>> = self
+            .jobs
+            .borrow()
+            .values()
+            .filter(|job| job.jt.borrow().has_assignable_work())
+            .cloned()
+            .collect();
         let mut out = Vec::new();
-        for id in order {
-            if *free_m == 0 && *free_r == 0 {
-                break;
-            }
-            let job = {
-                let jobs = self.jobs.borrow();
-                match jobs.get(&id) {
-                    Some(j) => Rc::clone(j),
-                    None => continue,
-                }
-            };
-            // O(1) skip for jobs with nothing assignable (all maps running,
-            // reducers gated or launched): a full heartbeat would mutate
-            // nothing and return empty, so eliding it is behavior-identical
-            // and keeps the walk O(jobs-with-work) instead of O(jobs).
-            if !job.jt.borrow().has_assignable_work() {
-                continue;
-            }
-            let (maps, reduces) = job
-                .jt
-                .borrow_mut()
-                .heartbeat(node, tt_idx, *free_m, *free_r);
-            *free_m = free_m.saturating_sub(maps.len());
-            *free_r = free_r.saturating_sub(reduces.len());
-            if !maps.is_empty() || !reduces.is_empty() {
+        // Offers `job` up to `(m, r)` slots; returns how many it took.
+        let mut offer = |job: &Rc<ActiveJob>, m: usize, r: usize| {
+            let (maps, reduces) = job.jt.borrow_mut().heartbeat(node, tt_idx, m, r);
+            let taken = (maps.len(), reduces.len());
+            if taken != (0, 0) {
+                let job = Rc::clone(job);
                 out.push(Assignment { job, maps, reduces });
             }
-        }
-        out
-    }
-
-    /// Capacity-scheduler heartbeat walk, two phases over the queues:
-    ///
-    /// 1. **Guaranteed**: queues are visited most-starved first (running
-    ///    slots over guarantee, integer cross-multiplied compare — no float
-    ///    ordering), each offered at most its unmet guarantee.
-    /// 2. **Spillover**: remaining free slots go to any queue with demand,
-    ///    same order — capacity is work-conserving, a guarantee is a floor,
-    ///    not a cage.
-    ///
-    /// Within a queue, jobs run FIFO in submission order. The walk tracks
-    /// slots it just assigned (`local_m`/`local_r`) on top of the shared
-    /// ledger so one heartbeat's two phases agree on usage.
-    fn schedule_capacity(
-        &self,
-        plan: &CapacityPlan,
-        node: NodeId,
-        tt_idx: usize,
-        free_m: &mut usize,
-        free_r: &mut usize,
-    ) -> Vec<Assignment> {
-        // Queue id → that queue's active jobs, submission-ordered.
-        let mut queues: BTreeMap<u32, Vec<Rc<ActiveJob>>> = BTreeMap::new();
-        {
-            let active = self.active.borrow();
-            let jobs = self.jobs.borrow();
-            for id in active.iter() {
-                if let Some(j) = jobs.get(id) {
-                    if j.jt.borrow().has_assignable_work() {
-                        queues.entry(j.conf.queue).or_default().push(Rc::clone(j));
-                    }
+            taken
+        };
+        if let SchedulePolicy::Capacity(plan) = &self.policy {
+            let workers = self.cluster.workers.len();
+            let pool_m = workers * self.conf.map_slots;
+            let pool_r = workers * self.conf.reduce_slots;
+            let used = self.queue_used.borrow();
+            let used_of = |q: u32| used.get(&q).copied().unwrap_or((0, 0));
+            order.sort_by(|a, b| {
+                let (qa, qb) = (a.conf.queue, b.conf.queue);
+                let ga = plan.guaranteed(qa, pool_m).max(1);
+                let gb = plan.guaranteed(qb, pool_m).max(1);
+                (used_of(qa).0 * gb)
+                    .cmp(&(used_of(qb).0 * ga))
+                    .then(qa.cmp(&qb))
+            });
+            // The unmet guarantee of the queue whose jobs are being walked.
+            let mut queue = None;
+            let (mut cap_m, mut cap_r) = (0, 0);
+            for job in &order {
+                let q = job.conf.queue;
+                if queue != Some(q) {
+                    queue = Some(q);
+                    let (um, ur) = used_of(q);
+                    cap_m = plan.guaranteed(q, pool_m).saturating_sub(um);
+                    cap_r = plan.guaranteed(q, pool_r).saturating_sub(ur);
                 }
+                let (m, r) = (free_m.min(cap_m), free_r.min(cap_r));
+                if (m, r) == (0, 0) || !job.jt.borrow().has_assignable_work() {
+                    continue;
+                }
+                let (m, r) = offer(job, m, r);
+                (free_m, free_r, cap_m, cap_r) = (free_m - m, free_r - r, cap_m - m, cap_r - r);
             }
         }
-        if queues.is_empty() {
-            return Vec::new();
-        }
-        let workers = self.cluster.workers.len();
-        let pool_m = workers * self.conf.map_slots;
-        let pool_r = workers * self.conf.reduce_slots;
-        let used = self.queue_used.borrow().clone();
-        let mut qorder: Vec<u32> = queues.keys().copied().collect();
-        qorder.sort_by(|a, b| {
-            let ua = used.get(a).map(|u| u.0).unwrap_or(0);
-            let ub = used.get(b).map(|u| u.0).unwrap_or(0);
-            let ga = plan.guaranteed(*a, pool_m).max(1);
-            let gb = plan.guaranteed(*b, pool_m).max(1);
-            (ua * gb).cmp(&(ub * ga)).then(a.cmp(b))
-        });
-        let mut local_m: BTreeMap<u32, usize> = BTreeMap::new();
-        let mut local_r: BTreeMap<u32, usize> = BTreeMap::new();
-        let mut out = Vec::new();
-        'phases: for phase in 0..2 {
-            for &q in &qorder {
-                if *free_m == 0 && *free_r == 0 {
-                    break 'phases;
-                }
-                let (cap_m, cap_r) = if phase == 0 {
-                    let um = used.get(&q).map(|u| u.0).unwrap_or(0)
-                        + local_m.get(&q).copied().unwrap_or(0);
-                    let ur = used.get(&q).map(|u| u.1).unwrap_or(0)
-                        + local_r.get(&q).copied().unwrap_or(0);
-                    (
-                        plan.guaranteed(q, pool_m).saturating_sub(um),
-                        plan.guaranteed(q, pool_r).saturating_sub(ur),
-                    )
-                } else {
-                    (usize::MAX, usize::MAX)
-                };
-                let mut cap_m = cap_m;
-                let mut cap_r = cap_r;
-                for job in &queues[&q] {
-                    let offer_m = (*free_m).min(cap_m);
-                    let offer_r = (*free_r).min(cap_r);
-                    if offer_m == 0 && offer_r == 0 {
-                        break;
-                    }
-                    // Re-check: phase 0 may have drained this job already.
-                    if !job.jt.borrow().has_assignable_work() {
-                        continue;
-                    }
-                    let (maps, reduces) = job
-                        .jt
-                        .borrow_mut()
-                        .heartbeat(node, tt_idx, offer_m, offer_r);
-                    *free_m = free_m.saturating_sub(maps.len());
-                    *free_r = free_r.saturating_sub(reduces.len());
-                    cap_m = cap_m.saturating_sub(maps.len());
-                    cap_r = cap_r.saturating_sub(reduces.len());
-                    *local_m.entry(q).or_default() += maps.len();
-                    *local_r.entry(q).or_default() += reduces.len();
-                    if !maps.is_empty() || !reduces.is_empty() {
-                        out.push(Assignment {
-                            job: Rc::clone(job),
-                            maps,
-                            reduces,
-                        });
-                    }
-                }
+        for job in &order {
+            if (free_m, free_r) == (0, 0) {
+                break;
+            }
+            // The guaranteed pass may have drained this job already.
+            if job.jt.borrow().has_assignable_work() {
+                let (m, r) = offer(job, free_m, free_r);
+                (free_m, free_r) = (free_m - m, free_r - r);
             }
         }
         out
@@ -899,7 +836,6 @@ impl RtInner {
         let (maps_registered, map_output_bytes, real) = self.outputs.job_totals(job.id);
         self.outputs.remove_job(job.id);
         self.combiner.job_finalized(job.id);
-        self.active.borrow_mut().retain(|&j| j != job.id.0);
 
         let (failed_map_attempts, failed_reduce_attempts) = {
             let jtb = job.jt.borrow();
@@ -998,7 +934,7 @@ fn spawn_heartbeat(inner: &Rc<RtInner>, tt: &Rc<TaskTracker>) {
                 // re-checking (edge-triggered Notify; single-threaded, so
                 // check-then-await without an intervening await is safe).
                 let waiter = inner.work.notified();
-                if inner.active.borrow().is_empty() {
+                if inner.jobs.borrow().is_empty() {
                     waiter.await;
                     continue;
                 }
@@ -1010,9 +946,12 @@ fn spawn_heartbeat(inner: &Rc<RtInner>, tt: &Rc<TaskTracker>) {
                     .net
                     .transfer(tt.node.id, inner.cluster.master, HEARTBEAT_BYTES)
                     .await;
-                let mut free_m = tt.map_slots.available() as usize;
-                let mut free_r = tt.reduce_slots.available() as usize;
-                let assignments = inner.schedule(tt.node.id, tt.idx, &mut free_m, &mut free_r);
+                let assignments = inner.schedule(
+                    tt.node.id,
+                    tt.idx,
+                    tt.map_slots.available() as usize,
+                    tt.reduce_slots.available() as usize,
+                );
                 inner
                     .cluster
                     .net
@@ -1032,17 +971,14 @@ fn spawn_heartbeat(inner: &Rc<RtInner>, tt: &Rc<TaskTracker>) {
                 inner.obs.emit(|| {
                     let jobs = inner.jobs.borrow();
                     let (mut pm, mut pr) = (0u64, 0u64);
-                    let active = inner.active.borrow();
-                    for id in active.iter() {
-                        if let Some(job) = jobs.get(id) {
-                            let jtb = job.jt.borrow();
-                            pm += jtb.pending_maps() as u64;
-                            pr += jtb.pending_reduces() as u64;
-                        }
+                    for job in jobs.values() {
+                        let jtb = job.jt.borrow();
+                        pm += jtb.pending_maps() as u64;
+                        pr += jtb.pending_reduces() as u64;
                     }
                     Ev::Heartbeat {
                         node: tt.idx,
-                        active_jobs: active.len(),
+                        active_jobs: jobs.len(),
                         pending_maps: pm,
                         pending_reduces: pr,
                         free_map_slots: tt.map_slots.available(),
@@ -1277,7 +1213,7 @@ fn spawn_map_attempt(
                 }
                 None => {
                     attempt.finish(AttemptOutcome::Failed);
-                    job.jt.borrow_mut().map_failed(desc);
+                    job.jt.borrow_mut().map_failed(desc.idx);
                 }
             }
             attempt.release();

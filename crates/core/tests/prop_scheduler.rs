@@ -139,7 +139,7 @@ proptest! {
                     }
                     let (d, _) = running.remove(pick as usize % running.len());
                     pending.insert(d.idx);
-                    jt.map_failed(d);
+                    jt.map_failed(d.idx);
                 }
                 3 => {
                     if reduces_running.is_empty() {

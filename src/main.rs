@@ -15,8 +15,9 @@ use rmr_bench::cli::{parse_bench, parse_gb, usage_error, Args};
 
 const USAGE: &str = "usage:
   rdma-mapred run [--bench terasort|sort] [--system g1|g10|ipoib|ha|osu|osunc|comb|mr]
-              [--gb N] [--nodes N] [--disks N] [--ssd] [--storage] [--seed N]
+              [--gb N] [--nodes N] [--disks N] [--storage] [--ssd] [--seed N]
               [--block-mb N] [--packet-kb N]
+              (--ssd is compute nodes with one SSD each: not with --disks or --storage)
   rdma-mapred figure <fig4a|fig4b|fig5|fig6a|fig6b|fig7|fig8|tuning|multijob|engines|all>
   rdma-mapred validate [--mb N] [--nodes N] [--system osu|ha|ipoib|...]
   rdma-mapred systems";
@@ -38,6 +39,12 @@ fn cmd_run(args: &[String]) {
         USAGE,
     );
     args.done();
+    let ssd = args.switch("--ssd");
+    for other in ["--disks", "--storage"] {
+        if ssd && args.switch(other) {
+            args.fail(&format!("--ssd cannot be combined with {other}"));
+        }
+    }
     let bench = args
         .flag_with("--bench", parse_bench)
         .unwrap_or(Bench::TeraSort);
@@ -48,7 +55,7 @@ fn cmd_run(args: &[String]) {
     let nodes = args.flag("--nodes").map_or(4, NonZeroUsize::get);
     let disks = args.flag("--disks").map_or(1, NonZeroUsize::get);
     let seed: u64 = args.flag("--seed").unwrap_or(42);
-    let testbed = if args.switch("--ssd") {
+    let testbed = if ssd {
         Testbed::ssd(nodes)
     } else if args.switch("--storage") {
         Testbed::storage(nodes, disks)

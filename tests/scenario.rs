@@ -136,10 +136,17 @@ const FIFO_TENANTS: &str = concat!(
     "\n",
 );
 
+/// The 8-node capacity point is big enough that the queues' rank changes
+/// between heartbeats: ranking the queues by id instead of by running map
+/// slots over guarantee moves it (the 4-node one does not notice), as do
+/// reversing a queue's jobs and skipping the guaranteed pass.
 #[test]
 fn service_runs_replay_the_parent_commit() {
-    for (policy, hash, makespan_s, events, polls) in [
+    let capacity = ServicePolicy::Capacity { preempt: true };
+    for (nodes, jobs, policy, hash, makespan_s, events, polls) in [
         (
+            4,
+            14,
             ServicePolicy::Fifo,
             0x6204ca9b83d5a2b1,
             42.082738062,
@@ -147,18 +154,29 @@ fn service_runs_replay_the_parent_commit() {
             36001,
         ),
         (
-            ServicePolicy::Capacity { preempt: true },
+            4,
+            14,
+            capacity,
             0x84b5268c6d9d25fb,
             42.082931898,
             16961,
             33262,
         ),
+        (
+            8,
+            40,
+            capacity,
+            0x893e4bb1de30f8f6,
+            52.882195838,
+            48198,
+            86508,
+        ),
     ] {
-        let rep = run_service(&service_spec(4, 14, 42, policy, false));
-        assert_eq!(rep.trace_hash, hash, "{policy:?}");
+        let rep = run_service(&service_spec(nodes, jobs, 42, policy, false));
+        assert_eq!(rep.trace_hash, hash, "{nodes} nodes, {policy:?}");
         assert_eq!(rep.makespan_s, makespan_s);
         assert_eq!((rep.events_fired, rep.polls), (events, polls));
-        assert_eq!((rep.jobs, rep.footprint_total), (14, 0));
+        assert_eq!((rep.jobs, rep.footprint_total), (jobs, 0));
     }
     // The per-tenant rollup (the `--hist-dir` rows), byte for byte.
     let rep = run_service(&service_spec(4, 14, 42, ServicePolicy::Fifo, false));
@@ -278,33 +296,24 @@ fn every_other_results_file_round_trips_too() {
 }
 
 #[test]
-fn schema_less_tuning_rows_parse_as_schema_1_with_every_field() {
-    // Verbatim from `results/tuning-ablation.jsonl` as committed before
-    // rows carried a `schema` field.
-    let line = r#"{"id":"tuning-ablation","bench":"TeraSort","system":"HadoopA-IB (32Gbps)","nodes":4,"disks":2,"ssd":false,"data_gb":30,"duration_s":453.352658234,"map_phase_end_s":446.50167451,"maps":240,"reduces":16,"shuffled_bytes":32212254400,"cache_hit_rate":0}"#;
-    let rec = RunRecord::from_json(line).unwrap();
-    assert_eq!(rec.schema, 1);
-    assert_eq!(
-        (rec.id.as_str(), rec.bench.as_str()),
-        ("tuning-ablation", "TeraSort")
-    );
-    assert_eq!(rec.system, System::HadoopA.label());
-    assert_eq!(
-        (rec.nodes, rec.disks, rec.ssd, rec.data_gb),
-        (4, 2, false, 30.0)
-    );
-    assert_eq!(
-        (rec.duration_s, rec.map_phase_end_s),
-        (453.352658234, 446.50167451)
-    );
-    assert_eq!((rec.maps, rec.reduces), (240, 16));
-    assert_eq!((rec.shuffled_bytes, rec.cache_hit_rate), (32212254400, 0.0));
-    // Fields the old writer did not know default to zero.
-    assert_eq!((rec.failed_maps, rec.failed_reduces), (0, 0));
-    assert_eq!((rec.queue_wait_s, rec.slot_occupancy), (0.0, 0.0));
-    // Re-serialised, it is the same row plus the schema tag and the new fields.
-    let again = RunRecord::from_json(&rec.to_json()).unwrap();
-    assert_eq!(again.to_json(), rec.to_json());
+fn rows_missing_a_field_or_of_another_schema_are_rejected() {
+    let path = result_files("fig4a").remove(0);
+    let text = std::fs::read_to_string(path).unwrap();
+    let row = text.lines().next().unwrap();
+    assert!(RunRecord::from_json(row).is_ok());
+    // The row's values hold no commas, so this splits it into its fields.
+    let fields: Vec<&str> = row[1..row.len() - 1].split(',').collect();
+    assert_eq!(fields.len(), 18, "{row}");
+    for i in 0..fields.len() {
+        let mut rest = fields.clone();
+        let key = rest.remove(i).split(':').next().unwrap().trim_matches('"');
+        let line = format!("{{{}}}", rest.join(","));
+        let err = RunRecord::from_json(&line).expect_err(key);
+        assert!(err.contains(key), "{key}: {err}");
+    }
+    let older = row.replacen("\"schema\":2,", "\"schema\":1,", 1);
+    assert_ne!(older, row);
+    assert!(RunRecord::from_json(&older).is_err());
 }
 
 /// Runs `rdma-mapred` with `args`; returns (exit code, stderr).
@@ -347,6 +356,14 @@ fn bad_cli_input_is_a_usage_error() {
         (&["run", "--gb", "nan"][..], "bad value for --gb: \"nan\""),
         (&["run", "--nodes", "0"][..], "bad value for --nodes: \"0\""),
         (&["run", "--disks", "0"][..], "bad value for --disks: \"0\""),
+        (
+            &["run", "--ssd", "--disks", "3"][..],
+            "--ssd cannot be combined with --disks",
+        ),
+        (
+            &["run", "--storage", "--ssd"][..],
+            "--ssd cannot be combined with --storage",
+        ),
         (
             &["validate", "--nodes", "0"][..],
             "bad value for --nodes: \"0\"",
