@@ -22,6 +22,10 @@
 //! 64-byte record (`Hot`); the packets queued behind the head, and what only
 //! real mode uses, sit apart (`Cold`) and are reached once per packet.
 //!
+//! A merge holds what it buffers now, not its peak: a source's packet FIFO
+//! gives back its burst once drained, down to the one slot most sources
+//! ever use, and only a real merge reserves its heap of heads.
+//!
 //! A real batch moves 16-byte index entries, not records: the heap orders
 //! sources by the key prefix their head entry carries and goes to the key
 //! bytes only when two prefixes tie, and the emitted segment is a fresh index
@@ -95,23 +99,32 @@ impl Hot {
 }
 
 /// What a pop touches once per packet, never per batch.
+#[derive(Default)]
 struct Cold {
-    /// Records the source delivers in total (for the over-delivery message).
-    expected: u64,
     /// Delivered, not-yet-consumed packets in order: in synthetic mode those
     /// queued *behind* the inline head, in real mode all of them.
     packets: VecDeque<Segment>,
     /// Index into the front packet (real mode).
-    head_idx: usize,
+    head_idx: u32,
 }
 
-const _: () = assert!(std::mem::size_of::<Cold>() == 48);
+const _: () = assert!(std::mem::size_of::<Cold>() == 40);
 
 impl Cold {
     /// The front packet's run and its head entry (real mode; None if dry).
     fn head(&self) -> Option<(&RealRun, &Entry)> {
         let run = self.packets.front()?.real()?;
-        Some((run, run.entries().get(self.head_idx)?))
+        Some((run, run.entries().get(self.head_idx as usize)?))
+    }
+
+    /// Takes the front packet off the FIFO. One that drains gives back what
+    /// a burst grew it to and keeps the one slot most sources ever need.
+    fn pop(&mut self) -> Option<Segment> {
+        let p = self.packets.pop_front();
+        if self.packets.is_empty() {
+            self.packets.shrink_to(1);
+        }
+        p
     }
 }
 
@@ -217,21 +230,14 @@ impl StreamingMerge {
             real: None,
             remaining: expected_records.iter().sum(),
             dry: live.iter().copied().collect(),
-            heads: Vec::with_capacity(hot.len()),
+            heads: Vec::new(),
             joined: Vec::new(),
             batches: 0,
             newly_low: live.iter().copied().filter(|&i| hot[i].low).collect(),
             live,
             watermark,
+            cold: hot.iter().map(|_| Cold::default()).collect(),
             hot,
-            cold: expected_records
-                .into_iter()
-                .map(|expected| Cold {
-                    expected,
-                    packets: VecDeque::new(),
-                    head_idx: 0,
-                })
-                .collect(),
         }
     }
 
@@ -247,15 +253,21 @@ impl StreamingMerge {
         }
         let is_real = packet.is_real();
         match self.real {
-            None => self.real = Some(is_real),
+            None => {
+                self.real = Some(is_real);
+                // Only real runs keep a heap of heads.
+                if is_real {
+                    self.heads.reserve_exact(self.hot.len());
+                }
+            }
             Some(r) => assert_eq!(r, is_real, "mixed real/synthetic packets"),
         }
         let (s, cold) = (&mut self.hot[source], &mut self.cold[source]);
         assert!(
             packet.records <= s.rem - s.avail,
-            "source {source} over-delivered: {} > {}",
-            cold.expected - (s.rem - s.avail) + packet.records,
-            cold.expected
+            "source {source} over-delivered: a packet of {} records, {} still to come",
+            packet.records,
+            s.rem - s.avail
         );
         let had_head = s.avail > 0;
         if !had_head {
@@ -368,8 +380,9 @@ impl StreamingMerge {
             let cold = &mut self.cold[src as usize];
             let run = (cold.packets.front().and_then(Segment::real))
                 .expect("a source in the heap has a head");
-            let (in_run, mut entry) = (run.entries().len(), run.entries()[cold.head_idx]);
-            run.prefetch(cold.head_idx + MERGE_PREFETCH_AHEAD);
+            let at = cold.head_idx as usize;
+            let (in_run, mut entry) = (run.entries().len(), run.entries()[at]);
+            run.prefetch(at + MERGE_PREFETCH_AHEAD);
             bytes += run.size(&entry);
             let joined = &mut self.joined[src as usize];
             if joined.0 != self.batches {
@@ -381,8 +394,8 @@ impl StreamingMerge {
             entry.buf += joined.1;
             index.push(entry);
             cold.head_idx += 1;
-            if cold.head_idx == in_run {
-                cold.packets.pop_front();
+            if cold.head_idx as usize == in_run {
+                cold.pop();
                 (cold.head_idx, joined.0) = (0, 0);
             }
             // Re-key the top entry in place (one sift-down) instead of a pop
@@ -419,7 +432,7 @@ impl StreamingMerge {
                 // (`avail` counts it) — the pop's one touch of `cold`.
                 (s.head_records, s.head_bytes) = match s.avail {
                     0 => (0, 0),
-                    _ => (self.cold[source].packets.pop_front())
+                    _ => (self.cold[source].pop())
                         .map(|p| (p.records, p.bytes))
                         .expect("avail counts a queued packet"),
                 };
@@ -694,7 +707,27 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "source 1 over-delivered: 7 > 5")]
+    fn a_drained_fifo_gives_back_its_burst() {
+        // Synthetic: a head and three packets behind it, then all consumed.
+        let mut m = StreamingMerge::new(vec![100]);
+        for _ in 0..4 {
+            m.append(0, Segment::synthetic(5, 50));
+        }
+        assert!(m.cold[0].packets.capacity() >= 3);
+        assert!(matches!(m.emit(20), Emit::Data(seg) if seg.records == 20));
+        assert!(m.cold[0].packets.capacity() <= 1, "back to one slot");
+        // Real: three packets queued, each popped at its last entry.
+        let mut r = StreamingMerge::new(vec![6]);
+        for keys in [[1, 2], [3, 4], [5, 6]] {
+            r.append(0, real_packet(&keys));
+        }
+        assert!(r.cold[0].packets.capacity() >= 3);
+        assert!(matches!(r.emit(6), Emit::Data(seg) if seg.records == 6));
+        assert!(r.cold[0].packets.capacity() <= 1, "back to one slot");
+    }
+
+    #[test]
+    #[should_panic(expected = "source 1 over-delivered: a packet of 4 records, 2 still to come")]
     fn over_delivery_is_rejected() {
         let mut m = StreamingMerge::new(vec![2, 5]);
         m.append(0, Segment::synthetic(2, 20));

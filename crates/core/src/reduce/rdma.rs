@@ -16,6 +16,13 @@
 //! policy (what the merge loop drives). The merge itself stays local to
 //! [`run_reduce_rdma`].
 //!
+//! The shuffle buffer's budget bounds the bytes an attempt holds; the queues
+//! that hold them are bounded by the rule that a queue gives back its burst
+//! once drained. The arrival-order queue frees its buffer whenever a drain
+//! empties it, and each merge source's packet FIFO shrinks back to one slot
+//! (see [`crate::merge`]), so an attempt in Phase B no longer holds what
+//! its Phase A pulled ahead of the merge.
+//!
 //! Engine differences (§III-C):
 //! * **OSU-IB** — starts pulling data as soon as each map completes
 //!   (overlapping the map wave), uses byte-budgeted packets
@@ -72,7 +79,7 @@ use rmr_des::prelude::*;
 use rmr_net::{EndPoint, EndpointSet, UcrConnector};
 use rmr_obs::{Ev, Recorder};
 
-use crate::cluster::NodeHandle;
+use crate::cluster::{Cluster, NodeHandle};
 use crate::config::{JobConf, CPU_SORT_PER_RECORD_LEVEL, EVENT_POLL};
 use crate::faults::NodeLiveness;
 use crate::merge::{Emit, StreamingMerge};
@@ -95,33 +102,40 @@ fn tt_u32(tt_idx: usize) -> u32 {
 /// What a source's totals are before its first response says.
 const UNKNOWN: u64 = u64::MAX;
 
+/// A [`SourceState::flags`] bit: the segment's last packet has arrived.
+const FULLY_DELIVERED: u8 = 1;
+/// A request is out.
+const INFLIGHT: u8 = 1 << 1;
+/// Holds less than the current phase's fill level: its fair share of the
+/// shuffle buffer in Phase A (cleared by the refill step that finds it full —
+/// buffers only grow and shares only shrink there), the merge's refill
+/// watermark in Phase B ([`StreamingMerge::wants_refill`]).
+const BELOW: u8 = 1 << 2;
+/// Its home answered [`ShufMsg::Unavailable`]: nothing is requested until the
+/// map's next completion event re-homes it.
+const HOMELESS: u8 = 1 << 3;
+/// Some of the segment, records or bytes, has arrived: the source can no
+/// longer be re-homed.
+const PULLED: u8 = 1 << 4;
+
 /// One map's partition, as this attempt pulls it. A reducer keeps one per
-/// map of the job, so the record is kept small: a `u32` home and totals
-/// that are [`UNKNOWN`] until the first response instead of `Option`s.
+/// map of the job, so the record is kept small: a `u32` home, totals that
+/// are [`UNKNOWN`] until the first response instead of `Option`s, and its
+/// yes/no facts as bits of one byte.
 struct SourceState {
     /// The TaskTracker the map's output lives on.
     tt_idx: u32,
+    flags: u8,
     total_records: u64,
     total_bytes: u64,
     /// Bytes sitting in [`ShufState::pending`] for this source.
     buffered_bytes: u64,
-    delivered_records: u64,
     delivered_bytes: u64,
-    fully_delivered: bool,
-    inflight: bool,
     /// Shuffle-buffer bytes reserved for the in-flight request.
     reserved: u64,
-    /// Holds less than the current phase's fill level: its fair share of the
-    /// shuffle buffer in Phase A (cleared by the refill step that finds it
-    /// full — buffers only grow and shares only shrink there), the merge's
-    /// refill watermark in Phase B ([`StreamingMerge::wants_refill`]).
-    below: bool,
-    /// Its home answered [`ShufMsg::Unavailable`]: nothing is requested until
-    /// the map's next completion event re-homes it.
-    homeless: bool,
 }
 
-const _: () = assert!(std::mem::size_of::<SourceState>() <= 56);
+const _: () = assert!(std::mem::size_of::<SourceState>() <= 48);
 
 impl SourceState {
     /// A source just discovered on TaskTracker `tt_idx`: nothing asked for,
@@ -129,16 +143,26 @@ impl SourceState {
     fn new(tt_idx: usize) -> Self {
         SourceState {
             tt_idx: tt_u32(tt_idx),
+            flags: BELOW,
             total_records: UNKNOWN,
             total_bytes: UNKNOWN,
             buffered_bytes: 0,
-            delivered_records: 0,
             delivered_bytes: 0,
-            fully_delivered: false,
-            inflight: false,
             reserved: 0,
-            below: true,
-            homeless: false,
+        }
+    }
+
+    /// Whether any of the `flags` bits is set.
+    fn has(&self, flags: u8) -> bool {
+        self.flags & flags != 0
+    }
+
+    /// Sets or clears the `flags` bits.
+    fn set(&mut self, flags: u8, on: bool) {
+        if on {
+            self.flags |= flags;
+        } else {
+            self.flags &= !flags;
         }
     }
 
@@ -212,8 +236,8 @@ struct ShufState {
     /// Arrived-but-not-yet-merged packets in arrival order:
     /// (map_idx, packet, spilled-to-disk flag). Draining pops from the
     /// front, so the merge feed is O(packets) instead of a scan over every
-    /// source per drain.
-    pending: VecDeque<(usize, Segment, bool)>,
+    /// source per drain; a drain that empties it frees its buffer.
+    pending: VecDeque<(u32, Segment, bool)>,
     shuffled_bytes: u64,
     last_arrival_s: f64,
     /// Unconsumed fetched bytes (buffered + inside the merge).
@@ -221,6 +245,8 @@ struct ShufState {
     /// Bytes spilled to local disk because the buffer overflowed.
     spilled_bytes: u64,
 }
+
+const _: () = assert!(std::mem::size_of::<(u32, Segment, bool)>() == 48);
 
 impl ShufState {
     /// Nothing connected (room for a connection per server), no map
@@ -294,7 +320,7 @@ impl ShufState {
     /// changing any field of the source.
     fn relist(&mut self, map_idx: usize) {
         let s = self.sources[map_idx].as_ref().expect("unknown source");
-        let cand = s.below && !s.inflight && !s.fully_delivered && !s.homeless;
+        let cand = s.has(BELOW) && !s.has(INFLIGHT | FULLY_DELIVERED | HOMELESS);
         let tail = cand && s.request_bytes(self.est_packet_bytes) < self.est_packet_bytes;
         for (set, member) in [(&mut self.cands, cand), (&mut self.tails, tail)] {
             if member {
@@ -475,8 +501,10 @@ impl Copier {
             // The home does not hold the output (any more).
             let src = st.src(map_idx);
             self.mem.release(src.reserved);
-            (src.reserved, src.inflight, src.homeless) = (0, false, true);
-            let pulled = src.delivered_records > 0 || src.delivered_bytes > 0;
+            src.reserved = 0;
+            src.set(INFLIGHT, false);
+            src.set(HOMELESS, true);
+            let pulled = src.has(PULLED);
             st.relist(map_idx);
             if pulled {
                 self.deaths_seen.set(self.deaths_seen.get() + 1);
@@ -489,9 +517,11 @@ impl Copier {
         let src = st.src(map_idx);
         src.total_records = total_records;
         src.total_bytes = total_bytes;
-        src.delivered_records += packet.records;
         src.delivered_bytes += packet.bytes;
-        src.fully_delivered = remaining_records == 0;
+        if packet.records > 0 || packet.bytes > 0 {
+            src.set(PULLED, true);
+        }
+        src.set(FULLY_DELIVERED, remaining_records == 0);
         // Reserved packets always fit (the budget was held for them); only
         // overdraft packets can overflow and spill.
         let covered = src.reserved >= packet.bytes;
@@ -500,8 +530,7 @@ impl Copier {
             self.mem.release(src.reserved - packet.bytes);
         }
         src.reserved = 0;
-        src.inflight = false;
-        src.homeless = false;
+        src.set(INFLIGHT | HOMELESS, false);
         st.relist(map_idx);
         if packet.records == 0 {
             return Arrival::Ready;
@@ -510,7 +539,8 @@ impl Copier {
         let bytes = packet.bytes;
         st.src(map_idx).buffered_bytes += bytes;
         st.resident_bytes += bytes;
-        st.pending.push_back((map_idx, packet, over));
+        let m = u32::try_from(map_idx).expect("map index fits u32");
+        st.pending.push_back((m, packet, over));
         if !over {
             return Arrival::Ready;
         }
@@ -657,10 +687,10 @@ impl Copier {
             }
             // Already fully pulled from the old incarnation; the re-execution
             // serves other reducers.
-            Some(s) if s.fully_delivered => false,
+            Some(s) if s.has(FULLY_DELIVERED) => false,
             // Partial data from a lost incarnation cannot be resumed (the new
             // server's cursor starts over): the attempt must restart.
-            Some(s) if s.delivered_records > 0 || s.delivered_bytes > 0 => {
+            Some(s) if s.has(PULLED) => {
                 st.poisoned.insert(map_idx);
                 false
             }
@@ -668,7 +698,8 @@ impl Copier {
             // that was in flight to the old home (`book` ignores its answer).
             Some(s) => {
                 self.mem.release(s.reserved);
-                (s.reserved, s.inflight, s.homeless) = (0, false, false);
+                s.reserved = 0;
+                s.set(INFLIGHT | HOMELESS, false);
                 s.tt_idx = tt_u32(tt_idx);
                 st.relist(map_idx);
                 true
@@ -683,7 +714,7 @@ impl Copier {
     fn request(&self, map_idx: usize, ask: Ask) {
         let mut st = self.state.borrow_mut();
         let src = st.sources[map_idx].as_ref().expect("unknown source");
-        if src.inflight || src.fully_delivered || src.homeless {
+        if src.has(INFLIGHT | FULLY_DELIVERED | HOMELESS) {
             return;
         }
         let Some(ep) = st.eps[src.tt()].clone() else {
@@ -704,7 +735,7 @@ impl Copier {
             return;
         };
         src.reserved = reserved;
-        src.inflight = true;
+        src.set(INFLIGHT, true);
         let server = src.tt();
         st.relist(map_idx);
         drop(st);
@@ -754,7 +785,7 @@ impl Copier {
                 };
                 from = m + 1;
                 if fair_share.is_some_and(|share| st.src(m).buffered_bytes >= share) {
-                    st.src(m).below = false;
+                    st.src(m).set(BELOW, false);
                     st.relist(m);
                     continue;
                 }
@@ -776,11 +807,10 @@ impl Copier {
         if self.deaths_seen.get() == 0 && st.poisoned.is_empty() && !armed() {
             return Ok(false);
         }
-        let mut pending = st.known().filter(|(_, s)| !s.fully_delivered);
+        let mut pending = st.known().filter(|(_, s)| !s.has(FULLY_DELIVERED));
         let lost = pending.find_map(|(m, s)| {
-            let pulled = s.delivered_records > 0 || s.delivered_bytes > 0;
             let gone = st.poisoned.contains(&m)
-                || (pulled && (s.homeless || st.ep_dead(&self.liveness, s.tt())));
+                || (s.has(PULLED) && (s.has(HOMELESS) || st.ep_dead(&self.liveness, s.tt())));
             gone.then(|| s.tt())
         });
         lost.map_or(Ok(true), Err)
@@ -794,7 +824,7 @@ impl Copier {
             let st = self.state.borrow();
             st.known()
                 .filter(|(_, s)| {
-                    !s.fully_delivered
+                    !s.has(FULLY_DELIVERED)
                         && st.ep_dead(&self.liveness, s.tt())
                         && self.liveness[s.tt()].alive()
                 })
@@ -818,7 +848,7 @@ impl Copier {
                 .iter_mut()
                 .map(|s| {
                     let s = s.as_mut().expect("every map discovered");
-                    s.below = false;
+                    s.set(BELOW, false);
                     assert_ne!(s.total_records, UNKNOWN, "every source has its totals");
                     s.total_records
                 })
@@ -834,7 +864,7 @@ impl Copier {
     fn note_low(&self, merge: &mut StreamingMerge) {
         let mut st = self.state.borrow_mut();
         for m in merge.newly_low() {
-            st.src(m).below = true;
+            st.src(m).set(BELOW, true);
             st.relist(m);
         }
     }
@@ -843,13 +873,15 @@ impl Copier {
     /// FIFO order is preserved, and cross-source append order does not
     /// affect the merge result), then pays for those that overflowed the
     /// buffer: OSU-IB reads them back from its local spill file, Hadoop-A
-    /// refetches each from its TaskTracker.
-    async fn drain(&self, ctx: &ReduceCtx, merge: &mut StreamingMerge) {
+    /// refetches each from its TaskTracker. The emptied queue gives its
+    /// buffer back.
+    async fn drain(&self, cluster: &Cluster, merge: &mut StreamingMerge) {
         let mut spilled = 0u64;
         let mut refetch = Vec::new();
         {
             let mut st = self.state.borrow_mut();
             while let Some((m, pkt, was_spilled)) = st.pending.pop_front() {
+                let m = m as usize;
                 let s = st.src(m);
                 s.buffered_bytes = s.buffered_bytes.saturating_sub(pkt.bytes);
                 if was_spilled {
@@ -857,11 +889,12 @@ impl Copier {
                     refetch.push((s.tt(), m, pkt.bytes));
                 }
                 merge.append(m, pkt);
-                if s.below && !merge.wants_refill(m) {
-                    s.below = false;
+                if s.has(BELOW) && !merge.wants_refill(m) {
+                    s.set(BELOW, false);
                     st.relist(m);
                 }
             }
+            st.pending.shrink_to_fit();
         }
         if spilled == 0 {
             return;
@@ -890,7 +923,7 @@ impl Copier {
         let amp = ((live * est.min(4 << 20)) / self.conf.shuffle_buffer.max(1)).clamp(1, 5);
         for (tt_idx, map_idx, bytes) in refetch {
             let bytes = bytes * amp;
-            let tt_node = &ctx.cluster.workers[tt_idx];
+            let tt_node = &cluster.workers[tt_idx];
             let file = format!("{}_map_{map_idx}.out", self.job);
             if tt_node.fs.exists(&file) {
                 let mut r = tt_node.fs.reader(&file).expect("map output");
@@ -899,10 +932,7 @@ impl Copier {
                     r.read_exact(want).await.expect("refetch read");
                 }
             }
-            ctx.cluster
-                .net
-                .transfer(tt_node.id, self.node.id, bytes)
-                .await;
+            cluster.net.transfer(tt_node.id, self.node.id, bytes).await;
             self.sim.metrics().add("rdma.refetch_bytes", bytes as f64);
         }
     }
@@ -1062,7 +1092,7 @@ pub async fn run_reduce_rdma(ctx: ReduceCtx) -> Result<ReduceStats, ReduceError>
             lost_tt = Some(tt);
             break;
         }
-        copier.drain(&ctx, &mut merge).await;
+        copier.drain(&ctx.cluster, &mut merge).await;
         // Refill ahead of need.
         copier.refill(None);
         match merge.emit(MERGE_BATCH_RECORDS) {
@@ -1140,7 +1170,7 @@ pub async fn run_reduce_rdma(ctx: ReduceCtx) -> Result<ReduceStats, ReduceError>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::{Cluster, NodeSpec};
+    use crate::cluster::NodeSpec;
     use rmr_hdfs::HdfsConfig;
     use rmr_net::{ucr_listen, FabricParams, PrivateEndPoint, UcrListener};
 
@@ -1173,11 +1203,12 @@ mod tests {
             ..JobConf::osu_ib()
         });
         let source = |tt_idx, reserved| {
-            Some(SourceState {
-                inflight: reserved > 0,
+            let mut s = SourceState {
                 reserved,
                 ..SourceState::new(tt_idx)
-            })
+            };
+            s.set(INFLIGHT, reserved > 0);
+            Some(s)
         };
         let mut state = ShufState::new(2, 2, conf.osu_packet_bytes);
         state.sources = vec![source(0, 0), source(1, RESERVED)];
@@ -1305,6 +1336,29 @@ mod tests {
                 (BIG + 100, RESERVED, false, 0, BIG + 100),
             ]
         );
+    }
+
+    #[test]
+    fn a_drain_that_empties_the_arrival_queue_frees_it() {
+        let rig = rig(1 << 20);
+        let sim = rig.sim.clone();
+        sim.block_on(sim.spawn(async move {
+            let servers = rig.connect().await;
+            for bytes in [100, 200, 300] {
+                servers[0].send(packet(0, bytes, false)).await;
+            }
+            servers[1].send(packet(1, 100, false)).await;
+            rig.sim.yield_now().await;
+            let queued = || {
+                let st = rig.copier.state.borrow();
+                (st.pending.len(), st.pending.capacity())
+            };
+            assert!(matches!(queued(), (4, cap) if cap >= 4));
+            let mut merge = StreamingMerge::new(vec![1 << 20, 1 << 20]);
+            rig.copier.drain(&rig.cluster, &mut merge).await;
+            assert_eq!(queued(), (0, 0), "no buffer held once drained");
+            rig.copier.stop();
+        }));
     }
 
     #[test]

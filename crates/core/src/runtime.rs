@@ -206,7 +206,6 @@ struct ActiveJob {
     conf: Rc<JobConf>,
     spec: JobSpec,
     jt: Rc<RefCell<JobTracker>>,
-    total_maps: usize,
     input_bytes: u64,
     submit_s: f64,
     first_launch_s: Cell<Option<f64>>,
@@ -391,7 +390,6 @@ impl Runtime {
                 locations,
             })
             .collect();
-        let total_maps = descs.len();
 
         let jt = Rc::new(RefCell::new(JobTracker::new(
             descs,
@@ -418,7 +416,6 @@ impl Runtime {
             conf: Rc::clone(&conf),
             spec,
             jt,
-            total_maps,
             input_bytes,
             submit_s: inner.sim.now().as_secs_f64(),
             first_launch_s: Cell::new(None),
@@ -837,9 +834,10 @@ impl RtInner {
         self.outputs.remove_job(job.id);
         self.combiner.job_finalized(job.id);
 
-        let (failed_map_attempts, failed_reduce_attempts) = {
+        let (total_maps, failed_map_attempts, failed_reduce_attempts) = {
             let jtb = job.jt.borrow();
-            (jtb.map_failures_seen(), jtb.reduce_failures_seen())
+            let maps = jtb.total_maps();
+            (maps, jtb.map_failures_seen(), jtb.reduce_failures_seen())
         };
         let reduce_stats: Vec<ReduceStats> = job
             .reduce_stats
@@ -861,10 +859,10 @@ impl RtInner {
                 );
             }
             assert!(
-                maps_registered < job.total_maps || map_output_bytes == shuffled_bytes,
+                maps_registered < total_maps || map_output_bytes == shuffled_bytes,
                 "{}: {} maps produced {map_output_bytes} bytes, the reducers pulled {shuffled_bytes}",
                 job.id,
-                job.total_maps
+                total_maps
             );
         }
         let output_bytes = reduce_stats.iter().map(|s| s.output_bytes).sum();
@@ -888,7 +886,7 @@ impl RtInner {
             start_s: job.submit_s,
             map_phase_end_s: job.map_phase_end_s.get(),
             end_s: end,
-            maps: job.total_maps,
+            maps: total_maps,
             reduces: job.conf.num_reduces,
             input_bytes: job.input_bytes,
             shuffled_bytes,
@@ -1173,9 +1171,10 @@ fn spawn_map_attempt(
                     // waves — once the wave is full.
                     let (committed, flushed) =
                         if job.conf.node_combine && job.spec.combiner.is_some() {
+                            let total_maps = job.jt.borrow().total_maps();
                             let flushed = inner
                                 .combiner
-                                .stage(&job.conf, &job.spec, job.total_maps, info)
+                                .stage(&job.conf, &job.spec, total_maps, info)
                                 .await;
                             (true, flushed)
                         } else {
@@ -1249,7 +1248,7 @@ fn spawn_reduce_attempt(
         job: job.id,
         reduce_idx,
         attempt: launch,
-        total_maps: job.total_maps,
+        total_maps: job.jt.borrow().total_maps(),
     };
     // Like maps, the attempt dies with its node (TaskTracker group).
     let tag = Component::Reduce {

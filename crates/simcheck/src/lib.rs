@@ -301,7 +301,7 @@ pub fn scan_paths(roots: &[PathBuf]) -> std::io::Result<Vec<Finding>> {
 
 /// Sim-visible source roots: findings here are `deny` severity — they can
 /// put nondeterminism directly into an event schedule or a result record.
-pub const DENY_ROOTS: [&str; 7] = [
+pub const DENY_ROOTS: [&str; 8] = [
     "crates/des/src",
     "crates/net/src",
     "crates/store/src",
@@ -309,6 +309,7 @@ pub const DENY_ROOTS: [&str; 7] = [
     "crates/core/src",
     "crates/obs/src",
     "crates/workloads/src",
+    "crates/load/src",
 ];
 
 /// Host-side and test roots: scanned, but findings are `warn` severity.
