@@ -47,7 +47,10 @@ fn main() {
 
 /// Runs `f`; returns its result and the host seconds it took.
 fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
-    // simcheck: allow(wall-clock) -- host-side timing of the sims themselves
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "host-side timing of the sims themselves"
+    )]
     let t0 = std::time::Instant::now();
     let out = f();
     (out, t0.elapsed().as_secs_f64())

@@ -34,7 +34,10 @@ where
     // Sim, workers share nothing but the claim counter, and results are
     // written to per-item slots, so output order (and every byte derived
     // from it) is identical at any thread count.
-    // simcheck: allow(thread-spawn)
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "host-side pool: each worker runs whole single-threaded sims"
+    )]
     std::thread::scope(|scope| {
         for _ in 0..threads {
             scope.spawn(|| loop {

@@ -273,7 +273,10 @@ impl MapSink<'_> {
 #[derive(Default)]
 pub struct GroupTable {
     /// Where each key's group is in `groups`.
-    // simcheck: allow(unordered-map) -- looked up by key, never iterated: groups combine in `groups`' sorted order
+    #[expect(
+        clippy::disallowed_types,
+        reason = "looked up by key, never iterated: groups combine in `groups`' sorted order"
+    )]
     index: std::collections::HashMap<Bytes, usize, BuildHasherDefault<WordHasher>>,
     /// `(key prefix, key, first run, last run)` per group, in order of first
     /// arrival; the runs are indices into `runs`.

@@ -64,8 +64,6 @@ pub struct ReduceCtx {
     /// deaths as well as fetch-failure retries). Stamped into every shuffle
     /// request so servers rewind their per-attempt serve cursors.
     pub attempt: u32,
-    /// Total maps in the job.
-    pub total_maps: usize,
 }
 
 /// Timing and volume results of one ReduceTask.

@@ -948,12 +948,13 @@ pub async fn run_reduce_rdma(ctx: ReduceCtx) -> Result<ReduceStats, ReduceError>
     let kind = conf.shuffle;
     let (budget, est_packet_bytes, watermark) = data_packets(&conf, ctx.spec.avg_record_bytes);
     let n_servers = ctx.servers.borrow().len();
+    let total_maps = ctx.jt.borrow().total_maps();
     // The receive side lives in the TaskTracker's task group (so the node's
     // death also reaps it) and is stopped when the attempt ends.
     let copier = Rc::new(Copier {
         arrived: Notify::new_named(&format!("r{}-packet-arrived", ctx.reduce_idx)),
         endpoints: EndpointSet::new(),
-        state: RefCell::new(ShufState::new(n_servers, ctx.total_maps, est_packet_bytes)),
+        state: RefCell::new(ShufState::new(n_servers, total_maps, est_packet_bytes)),
         mem: MemBudget {
             capacity: conf.shuffle_buffer,
             outstanding: Cell::new(0),
@@ -1032,7 +1033,7 @@ pub async fn run_reduce_rdma(ctx: ReduceCtx) -> Result<ReduceStats, ReduceError>
         }
         // Done discovering once every map reported and every source has its
         // totals (needed to build the merge).
-        if discovered == ctx.total_maps {
+        if discovered == total_maps {
             let missing: Vec<usize> = copier.state.borrow().missing.iter().copied().collect();
             if missing.is_empty() {
                 break;

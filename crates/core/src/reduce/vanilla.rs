@@ -75,6 +75,7 @@ struct Vanilla {
 pub async fn run_reduce_vanilla(ctx: ReduceCtx) -> Result<ReduceStats, ReduceError> {
     let sim = ctx.cluster.sim.clone();
     let r_idx = ctx.reduce_idx;
+    let total_maps = ctx.jt.borrow().total_maps();
     let attempt = Rc::new(Vanilla {
         mem: Semaphore::new_named(&format!("r{r_idx}-shuffle-buffer"), ctx.conf.shuffle_buffer),
         state: RefCell::default(),
@@ -92,7 +93,7 @@ pub async fn run_reduce_vanilla(ctx: ReduceCtx) -> Result<ReduceStats, ReduceErr
     };
     sim.spawn_named(tag, async move {
         let mut seen: BTreeSet<usize> = BTreeSet::new();
-        while seen.len() < fetcher.ctx.total_maps {
+        while seen.len() < total_maps {
             for (m, _) in fetcher.poll().await {
                 if seen.insert(m) {
                     let _ = map_tx.send_now(m);

@@ -1248,7 +1248,6 @@ fn spawn_reduce_attempt(
         job: job.id,
         reduce_idx,
         attempt: launch,
-        total_maps: job.jt.borrow().total_maps(),
     };
     // Like maps, the attempt dies with its node (TaskTracker group).
     let tag = Component::Reduce {

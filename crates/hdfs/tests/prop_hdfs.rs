@@ -61,8 +61,7 @@ proptest! {
             let mut sum = 0;
             for (meta, nodes) in &locs {
                 assert_eq!(meta.replicas.len() as u64, eff, "replica count");
-                // simcheck: allow(unordered-map) -- only len() is used, never iterated
-                let distinct: std::collections::HashSet<_> = meta.replicas.iter().collect();
+                let distinct: std::collections::BTreeSet<_> = meta.replicas.iter().collect();
                 assert_eq!(distinct.len(), meta.replicas.len(), "replicas distinct");
                 assert_eq!(nodes[0], client, "writer-local first replica");
                 assert!(meta.size <= (block_kb << 10).max(1), "block within bound");

@@ -97,8 +97,7 @@ proptest! {
     ) {
         let sim = Sim::new(3);
         let fs = LocalFs::new(&sim, quick_disk(1e9), 2, 1 << 20, "t");
-        // simcheck: allow(unordered-map) -- model checked by keyed lookup, not iteration
-        let mut expect = std::collections::HashMap::<usize, u64>::new();
+        let mut expect = std::collections::BTreeMap::<usize, u64>::new();
         for (f, b) in &appends {
             *expect.entry(*f).or_default() += *b;
         }

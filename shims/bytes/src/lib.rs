@@ -456,6 +456,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "checks that `Bytes` is `Send`, which needs a second OS thread"
+    )]
     fn bytes_cross_threads() {
         let b = Bytes::from(vec![5u8; 64]).slice(8..16);
         let sum: u32 = std::thread::scope(|s| {

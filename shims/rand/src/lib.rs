@@ -5,8 +5,8 @@
 //! `Rng` extension methods — over a hand-rolled xoshiro256** generator.
 //! Determinism is the whole point of this workspace, so the implementation
 //! is fully seeded and has no `thread_rng`/`OsRng` entry points at all:
-//! code that tries to reach OS entropy simply does not compile, which is a
-//! stronger guarantee than the simcheck lint that also polices it.
+//! code that tries to reach OS entropy simply does not compile, so no lint
+//! is needed to police it.
 
 /// A source of random 64-bit words.
 pub trait RngCore {

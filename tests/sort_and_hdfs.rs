@@ -107,8 +107,7 @@ fn hdfs_replication_survives_job_load() {
         assert_eq!(locs.len(), 4, "four 2 MiB blocks");
         for (meta, nodes) in locs {
             assert_eq!(meta.replicas.len(), 3, "replication honoured");
-            // simcheck: allow(unordered-map) -- only len() is used, never iterated
-            let distinct: std::collections::HashSet<_> = nodes.iter().collect();
+            let distinct: std::collections::BTreeSet<_> = nodes.iter().collect();
             assert_eq!(distinct.len(), 3, "replicas on distinct nodes");
         }
     }));
