@@ -14,7 +14,7 @@
 //! are re-executed (their intermediate data is unreachable), and running
 //! reducers restart from scratch (partial shuffles are not checkpointed).
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use rmr_hdfs::BlockMeta;
 use rmr_net::NodeId;
@@ -48,15 +48,6 @@ pub struct NodeLossReport {
     pub lost_reduces: Vec<usize>,
 }
 
-impl NodeLossReport {
-    /// Nothing lost?
-    pub fn is_empty(&self) -> bool {
-        self.lost_running_maps.is_empty()
-            && self.lost_completed_maps.is_empty()
-            && self.lost_reduces.is_empty()
-    }
-}
-
 /// The job's scheduling state.
 ///
 /// Every map descriptor is stored once, in `descs` at its map index; the
@@ -84,12 +75,14 @@ pub struct JobTracker {
     reduces_done: usize,
     total_reduces: usize,
     slowstart: f64,
-    /// Fault injection: these map indices fail their next attempt.
-    fail_maps: BTreeSet<usize>,
-    /// Fault injection: these reduce indices fail their next attempt.
-    fail_reduces: BTreeSet<usize>,
     map_failures: usize,
     reduce_failures: usize,
+    /// Per reduce index, how often it has been assigned: the attempt number
+    /// the shuffle servers key their serve cursors by.
+    reduce_attempts: Vec<u32>,
+    /// Per reduce index, the attempts that lost a shuffle source (the
+    /// fetch-failure backoff exponent).
+    shuffle_losses: Vec<u32>,
     /// Which TaskTracker each running map's one attempt sits on.
     running: BTreeMap<usize, usize>,
     /// The completed maps, with the TaskTracker that holds each one's
@@ -125,10 +118,10 @@ impl JobTracker {
             reduces_done: 0,
             total_reduces: reduces,
             slowstart,
-            fail_maps: BTreeSet::new(),
-            fail_reduces: BTreeSet::new(),
             map_failures: 0,
             reduce_failures: 0,
+            reduce_attempts: vec![0; reduces],
+            shuffle_losses: vec![0; reduces],
             running: BTreeMap::new(),
             completed_on: BTreeMap::new(),
             running_reduces: BTreeMap::new(),
@@ -140,16 +133,6 @@ impl JobTracker {
     /// Sets the delay-scheduling skip budget (see `JobConf::locality_delay`).
     pub fn set_locality_delay(&mut self, delay: u32) {
         self.locality_delay = delay;
-    }
-
-    /// Arms a one-shot map failure: `map_idx`'s next attempt aborts.
-    pub fn inject_map_failure(&mut self, map_idx: usize) {
-        self.fail_maps.insert(map_idx);
-    }
-
-    /// Arms a one-shot reduce failure: `reduce_idx`'s next attempt aborts.
-    pub fn inject_reduce_failure(&mut self, reduce_idx: usize) {
-        self.fail_reduces.insert(reduce_idx);
     }
 
     /// Total map tasks.
@@ -251,6 +234,7 @@ impl JobTracker {
                 match self.reduces_pending.pop_front() {
                     Some(r) => {
                         self.running_reduces.insert(r, tt_idx);
+                        self.reduce_attempts[r] += 1;
                         reduces.push(r);
                     }
                     None => break,
@@ -265,16 +249,6 @@ impl JobTracker {
             return true;
         }
         self.completed_on.len() as f64 >= self.slowstart * self.descs.len() as f64
-    }
-
-    /// Should this attempt of `map_idx` fail? (Consumes the injection.)
-    pub fn should_fail(&mut self, map_idx: usize) -> bool {
-        if self.fail_maps.remove(&map_idx) {
-            self.map_failures += 1;
-            true
-        } else {
-            false
-        }
     }
 
     /// Map attempts that failed and were re-executed.
@@ -306,6 +280,7 @@ impl JobTracker {
     /// A map attempt of `map_idx` failed; the task is re-queued (front:
     /// re-execute soon).
     pub fn map_failed(&mut self, map_idx: usize) {
+        self.map_failures += 1;
         self.running.remove(&map_idx);
         self.requeue_map(map_idx);
     }
@@ -322,28 +297,25 @@ impl JobTracker {
         self.pending.insert(key, map_idx);
     }
 
-    /// Should this reduce attempt fail? (Consumes the injection.)
-    pub fn should_fail_reduce(&mut self, reduce_idx: usize) -> bool {
-        if self.fail_reduces.remove(&reduce_idx) {
-            self.reduce_failures += 1;
-            true
-        } else {
-            false
-        }
+    /// The number of `reduce_idx`'s latest attempt: it counts every
+    /// assignment, relaunches after a failure or a node death included.
+    pub(crate) fn reduce_attempt(&self, reduce_idx: usize) -> u32 {
+        self.reduce_attempts[reduce_idx]
     }
 
-    /// A reduce attempt failed; re-queue it.
-    pub fn reduce_failed(&mut self, reduce_idx: usize) {
-        self.running_reduces.remove(&reduce_idx);
-        self.reduces_pending.push_front(reduce_idx);
+    /// `reduce_idx`'s running attempt lost a shuffle source; returns how
+    /// many of its attempts have, this one included.
+    pub(crate) fn shuffle_lost(&mut self, reduce_idx: usize) -> u32 {
+        self.shuffle_losses[reduce_idx] += 1;
+        self.shuffle_losses[reduce_idx]
     }
 
-    /// A reduce attempt died mid-shuffle (its sources vanished, or its own
-    /// node did while the runtime re-queues on its behalf). Counts as a
-    /// failure and re-queues.
+    /// A reduce attempt failed: it was injected to, its shuffle sources
+    /// vanished, or its own node died. Counts as a failure and re-queues.
     pub fn reduce_attempt_lost(&mut self, reduce_idx: usize) {
         self.reduce_failures += 1;
-        self.reduce_failed(reduce_idx);
+        self.running_reduces.remove(&reduce_idx);
+        self.reduces_pending.push_front(reduce_idx);
     }
 
     /// TaskTracker `tt_idx` died. Re-queues everything it was running and
@@ -486,10 +458,7 @@ mod tests {
     #[test]
     fn failed_map_is_rescheduled() {
         let mut jt = JobTracker::new(vec![desc(0, 0)], 0, 0.0);
-        jt.inject_map_failure(0);
         let (maps, _) = jt.heartbeat(NodeId(0), 0, 1, 0);
-        assert!(jt.should_fail(0));
-        assert!(!jt.should_fail(0), "only fails once");
         jt.map_failed(maps[0].idx);
         let (maps, _) = jt.heartbeat(NodeId(5), 4, 1, 0);
         assert_eq!(maps.len(), 1);
@@ -500,25 +469,33 @@ mod tests {
     }
 
     #[test]
-    fn failed_reduce_is_rescheduled() {
+    fn reduce_attempts_count_every_assignment_and_backoff_only_shuffle_losses() {
         let mut jt = JobTracker::new(vec![], 2, 0.0);
-        jt.inject_reduce_failure(1);
-        let (_, r) = jt.heartbeat(NodeId(0), 0, 0, 2);
-        assert_eq!(r, vec![0, 1]);
-        assert!(jt.should_fail_reduce(1));
-        assert!(!jt.should_fail_reduce(1), "fails only once");
-        jt.reduce_failed(1);
-        let (_, r) = jt.heartbeat(NodeId(1), 1, 0, 2);
-        assert_eq!(r, vec![1]);
-        jt.reduce_completed(0);
-        jt.reduce_completed(1);
-        assert!(jt.job_done());
-        assert_eq!(jt.reduce_failures_seen(), 1);
-        assert_eq!(
-            jt.map_failures_seen(),
-            0,
-            "reduce failure is not a map failure"
-        );
+        let assign = |jt: &mut JobTracker, tt: usize| {
+            let (_, r) = jt.heartbeat(NodeId(tt as u32), tt, 0, 1);
+            assert_eq!(r, vec![1], "reduce 1 is at the head of the queue");
+        };
+        let (_, r) = jt.heartbeat(NodeId(0), 0, 0, 1);
+        assert_eq!(r, vec![0]);
+        assign(&mut jt, 0);
+        assert_eq!((jt.reduce_attempt(0), jt.reduce_attempt(1)), (1, 1));
+        // An injected failure: the next assignment is attempt 2.
+        jt.reduce_attempt_lost(1);
+        assign(&mut jt, 1);
+        assert_eq!(jt.reduce_attempt(1), 2);
+        // A lost shuffle source raises the backoff count too.
+        assert_eq!(jt.shuffle_lost(1), 1);
+        jt.reduce_attempt_lost(1);
+        assign(&mut jt, 2);
+        assert_eq!(jt.reduce_attempt(1), 3);
+        // Its node dies: relaunched as attempt 4, with no backoff.
+        assert_eq!(jt.node_lost(2).lost_reduces, vec![1]);
+        assign(&mut jt, 0);
+        assert_eq!(jt.reduce_attempt(1), 4);
+        assert_eq!(jt.shuffle_lost(1), 2, "only the shuffle loss counted");
+        assert_eq!(jt.reduce_attempt(0), 1, "reduce 0 launched once");
+        assert_eq!(jt.reduce_failures_seen(), 3);
+        assert_eq!(jt.map_failures_seen(), 0);
     }
 
     #[test]

@@ -60,9 +60,10 @@ pub struct ReduceCtx {
     pub job: JobId,
     /// This reducer's partition index.
     pub reduce_idx: usize,
-    /// This attempt's launch number (monotone per partition, counting node
-    /// deaths as well as fetch-failure retries). Stamped into every shuffle
-    /// request so servers rewind their per-attempt serve cursors.
+    /// This attempt's number: the `JobTracker` counts every assignment of
+    /// the partition, relaunches after a failure or a node death included.
+    /// Stamped into every shuffle request so servers rewind their
+    /// per-attempt serve cursors.
     pub attempt: u32,
 }
 

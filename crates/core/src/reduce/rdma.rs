@@ -77,16 +77,14 @@ use std::rc::Rc;
 
 use rmr_des::prelude::*;
 use rmr_net::{EndPoint, EndpointSet, UcrConnector};
-use rmr_obs::{Ev, Recorder};
+use rmr_obs::Ev;
 
-use crate::cluster::{Cluster, NodeHandle};
 use crate::config::{JobConf, CPU_SORT_PER_RECORD_LEVEL, EVENT_POLL};
 use crate::faults::NodeLiveness;
 use crate::merge::{Emit, StreamingMerge};
 use crate::proto::{PacketBudget, ShufMsg};
 use crate::record::Segment;
 use crate::reduce::common::{poll_events, ReduceCtx, ReduceError, ReduceSink, ReduceStats};
-use crate::runtime::JobId;
 use crate::tasktracker::TtServerHandle;
 
 /// Records per emitted merge batch.
@@ -403,6 +401,9 @@ enum Arrival {
 /// (spill writers included), and the request side with the refill policy
 /// the merge loop drives.
 struct Copier {
+    /// The attempt this copier shuffles for: its job, partition and number,
+    /// the TaskTracker it runs on, and every server with its liveness.
+    ctx: ReduceCtx,
     /// The attempt's connections: one receive queue for all of them.
     endpoints: Rc<EndpointSet<ShufMsg>>,
     state: RefCell<ShufState>,
@@ -412,32 +413,16 @@ struct Copier {
     /// Set, then `stopped` fired, when the attempt is over.
     stop: Cell<bool>,
     stopped: Notify,
-    /// Server deaths seen under a connection of this attempt (a server
-    /// answering that it lost an output this attempt pulled from counts).
-    deaths_seen: Cell<u64>,
+    /// A server died under a connection of this attempt (or answered that it
+    /// lost an output this attempt pulled from).
+    death_seen: Cell<bool>,
     /// Set when a request found its source's TaskTracker without an
     /// endpoint — e.g. a map re-executed on a node that was down when this
     /// attempt connected up front (so no death was ever *seen* here). Arms
     /// the same reconnect sweep a death does.
     no_ep: Cell<bool>,
-    /// Every TaskTracker's liveness, which a connection's incarnation is
-    /// checked against.
-    liveness: Rc<Vec<Rc<NodeLiveness>>>,
     /// What a data request asks for ([`data_packets`]).
     budget: PacketBudget,
-    /// What a header request reserves: one average record.
-    header_bytes: u64,
-    sim: Sim,
-    node: NodeHandle,
-    conf: Rc<JobConf>,
-    obs: Recorder,
-    /// The TaskTracker's group: the receive side dies with the node.
-    group: TaskGroup,
-    my_idx: usize,
-    job: JobId,
-    reduce_idx: usize,
-    /// This attempt's launch number, stamped into every request.
-    attempt: u32,
     spill_file: String,
 }
 
@@ -453,7 +438,8 @@ impl Copier {
     /// and makes the connection the one requests to it use, closing the one
     /// it replaces. False if the server went away meanwhile.
     async fn connect(&self, tt_idx: usize, epoch: u64, server: UcrConnector<ShufMsg>) -> bool {
-        let Some(ep) = server.try_connect_into(self.node.id, &self.endpoints).await else {
+        let node = self.ctx.tt.node.id;
+        let Some(ep) = server.try_connect_into(node, &self.endpoints).await else {
             return false;
         };
         let old = self.state.borrow_mut().connected(tt_idx, epoch, ep);
@@ -463,14 +449,14 @@ impl Copier {
         true
     }
 
-    /// [`Self::connect`]s to `ctx`'s server on TaskTracker `tt_idx` under
-    /// its current liveness epoch.
-    async fn reach(&self, ctx: &ReduceCtx, tt_idx: usize) -> bool {
-        let server = match &ctx.servers.borrow()[tt_idx] {
+    /// [`Self::connect`]s to the server on TaskTracker `tt_idx` under its
+    /// current liveness epoch.
+    async fn reach(&self, tt_idx: usize) -> bool {
+        let server = match &self.ctx.servers.borrow()[tt_idx] {
             TtServerHandle::Rdma(c) => c.clone(),
             _ => panic!("RDMA reducer needs RDMA servers"),
         };
-        self.connect(tt_idx, self.liveness[tt_idx].epoch(), server)
+        self.connect(tt_idx, self.ctx.liveness[tt_idx].epoch(), server)
             .await
     }
 
@@ -507,12 +493,12 @@ impl Copier {
             let pulled = src.has(PULLED);
             st.relist(map_idx);
             if pulled {
-                self.deaths_seen.set(self.deaths_seen.get() + 1);
+                self.death_seen.set(true);
             }
             return Arrival::Ready;
         };
         st.shuffled_bytes += packet.bytes;
-        st.last_arrival_s = self.sim.now().as_secs_f64();
+        st.last_arrival_s = self.ctx.cluster.sim.now().as_secs_f64();
         st.missing.remove(&map_idx);
         let src = st.src(map_idx);
         src.total_records = total_records;
@@ -535,7 +521,8 @@ impl Copier {
         if packet.records == 0 {
             return Arrival::Ready;
         }
-        let over = !covered && st.resident_bytes + packet.bytes > self.conf.shuffle_buffer;
+        let ctx = &self.ctx;
+        let over = !covered && st.resident_bytes + packet.bytes > ctx.conf.shuffle_buffer;
         let bytes = packet.bytes;
         st.src(map_idx).buffered_bytes += bytes;
         st.resident_bytes += bytes;
@@ -546,16 +533,17 @@ impl Copier {
         }
         st.spilled_bytes += bytes;
         drop(st);
-        self.sim
+        ctx.cluster
+            .sim
             .metrics()
             .add("reduce.shuffle_spill_bytes", bytes as f64);
-        self.obs.emit(|| Ev::Spill {
-            node: self.my_idx,
-            job: self.job.0,
-            reduce: self.reduce_idx,
+        ctx.tt.obs().emit(|| Ev::Spill {
+            node: ctx.tt.idx,
+            job: ctx.job.0,
+            reduce: ctx.reduce_idx,
             bytes,
         });
-        if self.conf.shuffle.local_spill() {
+        if ctx.conf.shuffle.local_spill() {
             // OSU-IB reuses Hadoop's local spill machinery (§III-C-2:
             // minimal changes to the existing merge).
             Arrival::Spill(bytes)
@@ -588,11 +576,10 @@ impl Copier {
                 self.state.borrow_mut().conns[ep.tag() as usize].spilling = true;
                 let copier = Rc::clone(self);
                 let tag = Component::ShuffleSpill {
-                    reduce: self.reduce_idx as u32,
+                    reduce: self.ctx.reduce_idx as u32,
                 };
-                self.group
-                    .spawn_named(tag, copier.spill(ep, bytes))
-                    .detach();
+                let group = &self.ctx.tt.group;
+                group.spawn_named(tag, copier.spill(ep, bytes)).detach();
             }
         }
     }
@@ -601,12 +588,9 @@ impl Copier {
     /// then works through what arrived on the connection meanwhile, in
     /// order — for as long as it takes, this is the connection's own copier.
     async fn spill(self: Rc<Self>, ep: EndPoint<ShufMsg>, mut bytes: u64) {
+        let fs = &self.ctx.tt.node.fs;
         loop {
-            let w = self
-                .node
-                .fs
-                .writer(&self.spill_file)
-                .expect("shuffle spill file");
+            let w = fs.writer(&self.spill_file).expect("shuffle spill file");
             w.append(bytes).await.expect("shuffle spill write");
             self.arrived.notify_all();
             bytes = loop {
@@ -636,24 +620,25 @@ impl Copier {
     /// The runtime signalled a liveness change: finds the connections whose
     /// server incarnation is gone and tells the merge loop.
     fn sweep_deaths(&self) {
-        let mut died = 0;
+        let mut died = false;
         for conn in self.state.borrow_mut().conns.iter_mut() {
-            let l = &self.liveness[conn.tt_idx as usize];
+            let l = &self.ctx.liveness[conn.tt_idx as usize];
             let gone = !l.alive() || l.epoch() != conn.epoch;
             if gone && !conn.dead {
                 conn.dead = true;
-                died += 1;
+                died = true;
             }
         }
-        if died > 0 {
-            self.deaths_seen.set(self.deaths_seen.get() + died);
+        if died {
+            self.death_seen.set(true);
             self.arrived.notify_all();
         }
     }
 
     /// The copier task: receives for every connection of the attempt until
     /// stopped. The CQ never closes, so death is out of band.
-    async fn run(self: Rc<Self>, liveness_changed: Notify) {
+    async fn run(self: Rc<Self>) {
+        let liveness_changed = &self.ctx.liveness_changed;
         let mut stopped = self.stopped.notified();
         let mut changed = liveness_changed.notified();
         while !self.stop.get() {
@@ -722,7 +707,8 @@ impl Copier {
             return;
         };
         let (budget, est) = match ask {
-            Ask::Header => (PacketBudget::Records(1), self.header_bytes),
+            // A header reserves one average record.
+            Ask::Header => (PacketBudget::Records(1), self.ctx.spec.avg_record_bytes),
             Ask::Packet | Ask::Forced => (self.budget, st.est_packet_bytes),
         };
         let src = st.src(map_idx);
@@ -739,18 +725,19 @@ impl Copier {
         let server = src.tt();
         st.relist(map_idx);
         drop(st);
-        self.obs.emit(|| Ev::ShuffleRequest {
-            node: self.my_idx,
+        let ctx = &self.ctx;
+        ctx.tt.obs().emit(|| Ev::ShuffleRequest {
+            node: ctx.tt.idx,
             server,
-            job: self.job.0,
+            job: ctx.job.0,
             map_idx,
-            reduce: self.reduce_idx,
+            reduce: ctx.reduce_idx,
         });
         ep.send_nowait(ShufMsg::Request {
-            job: self.job,
+            job: ctx.job,
             map_idx,
-            reduce: self.reduce_idx,
-            attempt: self.attempt,
+            reduce: ctx.reduce_idx,
+            attempt: ctx.attempt,
             budget,
         });
     }
@@ -804,13 +791,13 @@ impl Copier {
     /// re-homed away from a lost incarnation). `Ok(true)`: checked, none.
     fn check_sources(&self, armed: impl FnOnce() -> bool) -> Result<bool, usize> {
         let st = self.state.borrow();
-        if self.deaths_seen.get() == 0 && st.poisoned.is_empty() && !armed() {
+        if !self.death_seen.get() && st.poisoned.is_empty() && !armed() {
             return Ok(false);
         }
         let mut pending = st.known().filter(|(_, s)| !s.has(FULLY_DELIVERED));
         let lost = pending.find_map(|(m, s)| {
             let gone = st.poisoned.contains(&m)
-                || (s.has(PULLED) && (s.has(HOMELESS) || st.ep_dead(&self.liveness, s.tt())));
+                || (s.has(PULLED) && (s.has(HOMELESS) || st.ep_dead(&self.ctx.liveness, s.tt())));
             gone.then(|| s.tt())
         });
         lost.map_or(Ok(true), Err)
@@ -819,20 +806,21 @@ impl Copier {
     /// Reconnects to the (live) homes of still-pending sources whose
     /// endpoint died — a restarted node, or a re-execution landing on a
     /// TaskTracker that was down when the attempt connected up front.
-    async fn reconnect(&self, ctx: &ReduceCtx) {
+    async fn reconnect(&self) {
+        let liveness = &self.ctx.liveness;
         let need: BTreeSet<usize> = {
             let st = self.state.borrow();
             st.known()
                 .filter(|(_, s)| {
                     !s.has(FULLY_DELIVERED)
-                        && st.ep_dead(&self.liveness, s.tt())
-                        && self.liveness[s.tt()].alive()
+                        && st.ep_dead(liveness, s.tt())
+                        && liveness[s.tt()].alive()
                 })
                 .map(|(_, s)| s.tt())
                 .collect()
         };
         for tt in need {
-            self.reach(ctx, tt).await;
+            self.reach(tt).await;
         }
     }
 
@@ -875,7 +863,7 @@ impl Copier {
     /// buffer: OSU-IB reads them back from its local spill file, Hadoop-A
     /// refetches each from its TaskTracker. The emptied queue gives its
     /// buffer back.
-    async fn drain(&self, cluster: &Cluster, merge: &mut StreamingMerge) {
+    async fn drain(&self, merge: &mut StreamingMerge) {
         let mut spilled = 0u64;
         let mut refetch = Vec::new();
         {
@@ -899,8 +887,9 @@ impl Copier {
         if spilled == 0 {
             return;
         }
-        let fs = &self.node.fs;
-        if self.conf.shuffle.local_spill() {
+        let ctx = &self.ctx;
+        let fs = &ctx.tt.node.fs;
+        if ctx.conf.shuffle.local_spill() {
             if fs.exists(&self.spill_file) {
                 let mut r = fs.reader(&self.spill_file).expect("spill file");
                 let want = spilled.min(r.remaining().unwrap_or(0));
@@ -920,11 +909,12 @@ impl Copier {
         // source node has since died.)
         let est = self.state.borrow().est_packet_bytes;
         let live = merge.source_count() as u64;
-        let amp = ((live * est.min(4 << 20)) / self.conf.shuffle_buffer.max(1)).clamp(1, 5);
+        let amp = ((live * est.min(4 << 20)) / ctx.conf.shuffle_buffer.max(1)).clamp(1, 5);
+        let (cluster, me) = (&ctx.cluster, ctx.tt.node.id);
         for (tt_idx, map_idx, bytes) in refetch {
             let bytes = bytes * amp;
             let tt_node = &cluster.workers[tt_idx];
-            let file = format!("{}_map_{map_idx}.out", self.job);
+            let file = format!("{}_map_{map_idx}.out", ctx.job);
             if tt_node.fs.exists(&file) {
                 let mut r = tt_node.fs.reader(&file).expect("map output");
                 let want = bytes.min(r.remaining().unwrap_or(0));
@@ -932,8 +922,11 @@ impl Copier {
                     r.read_exact(want).await.expect("refetch read");
                 }
             }
-            cluster.net.transfer(tt_node.id, self.node.id, bytes).await;
-            self.sim.metrics().add("rdma.refetch_bytes", bytes as f64);
+            cluster.net.transfer(tt_node.id, me, bytes).await;
+            cluster
+                .sim
+                .metrics()
+                .add("rdma.refetch_bytes", bytes as f64);
         }
     }
 }
@@ -944,9 +937,8 @@ impl Copier {
 /// caller re-queues the whole task.
 pub async fn run_reduce_rdma(ctx: ReduceCtx) -> Result<ReduceStats, ReduceError> {
     let sim = ctx.cluster.sim.clone();
-    let conf = Rc::clone(&ctx.conf);
-    let kind = conf.shuffle;
-    let (budget, est_packet_bytes, watermark) = data_packets(&conf, ctx.spec.avg_record_bytes);
+    let kind = ctx.conf.shuffle;
+    let (budget, est_packet_bytes, watermark) = data_packets(&ctx.conf, ctx.spec.avg_record_bytes);
     let n_servers = ctx.servers.borrow().len();
     let total_maps = ctx.jt.borrow().total_maps();
     // The receive side lives in the TaskTracker's task group (so the node's
@@ -956,27 +948,18 @@ pub async fn run_reduce_rdma(ctx: ReduceCtx) -> Result<ReduceStats, ReduceError>
         endpoints: EndpointSet::new(),
         state: RefCell::new(ShufState::new(n_servers, total_maps, est_packet_bytes)),
         mem: MemBudget {
-            capacity: conf.shuffle_buffer,
+            capacity: ctx.conf.shuffle_buffer,
             outstanding: Cell::new(0),
         },
         stop: Cell::new(false),
         stopped: Notify::new_named(&format!("r{}-attempt-shutdown", ctx.reduce_idx)),
-        deaths_seen: Cell::new(0),
+        death_seen: Cell::new(false),
         no_ep: Cell::new(false),
-        liveness: Rc::clone(&ctx.liveness),
         budget,
-        header_bytes: ctx.spec.avg_record_bytes,
-        sim: sim.clone(),
-        node: ctx.tt.node.clone(),
-        conf: Rc::clone(&conf),
-        obs: ctx.tt.obs().clone(),
-        group: ctx.tt.group.clone(),
-        my_idx: ctx.tt.idx,
-        job: ctx.job,
-        reduce_idx: ctx.reduce_idx,
-        attempt: ctx.attempt,
         spill_file: format!("{}_r{}_shufspill", ctx.job, ctx.reduce_idx),
+        ctx,
     });
+    let ctx = &copier.ctx;
 
     // Connect an endpoint to every live TaskTracker up front (§III-B-1: "one
     // RDMACopier sends such information to all available TaskTrackers").
@@ -984,7 +967,7 @@ pub async fn run_reduce_rdma(ctx: ReduceCtx) -> Result<ReduceStats, ReduceError>
     // re-execution), the Phase A reconnect pass picks it up.
     for tt_i in 0..n_servers {
         if ctx.liveness[tt_i].alive() {
-            copier.reach(&ctx, tt_i).await;
+            copier.reach(tt_i).await;
         }
     }
     ctx.tt
@@ -993,7 +976,7 @@ pub async fn run_reduce_rdma(ctx: ReduceCtx) -> Result<ReduceStats, ReduceError>
             Component::RdmaCopier {
                 reduce: ctx.reduce_idx as u32,
             },
-            Rc::clone(&copier).run(ctx.liveness_changed.clone()),
+            Rc::clone(&copier).run(),
         )
         .detach();
 
@@ -1001,7 +984,7 @@ pub async fn run_reduce_rdma(ctx: ReduceCtx) -> Result<ReduceStats, ReduceError>
     // with the map wave, Hadoop-A only pulls headers. ----
     let mut cursor = 0usize;
     loop {
-        for (map_idx, tt_idx) in poll_events(&ctx.cluster, &ctx.jt, &copier.node, &mut cursor).await
+        for (map_idx, tt_idx) in poll_events(&ctx.cluster, &ctx.jt, &ctx.tt.node, &mut cursor).await
         {
             if copier.discover(map_idx, tt_idx) {
                 let ask = if kind.eager_fetch() {
@@ -1021,7 +1004,7 @@ pub async fn run_reduce_rdma(ctx: ReduceCtx) -> Result<ReduceStats, ReduceError>
                 copier.stop();
                 return Err(ReduceError::SourceLost { tt_idx });
             }
-            Ok(true) => copier.reconnect(&ctx).await,
+            Ok(true) => copier.reconnect().await,
             Ok(false) => {}
         }
         let discovered = copier.state.borrow().discovered;
@@ -1029,7 +1012,7 @@ pub async fn run_reduce_rdma(ctx: ReduceCtx) -> Result<ReduceStats, ReduceError>
         // each discovered source up to its fair share of the shuffle buffer,
         // overlapping the data movement with the map wave (§III-B-4).
         if kind.eager_fetch() {
-            copier.refill(Some(conf.shuffle_buffer / discovered.max(8) as u64));
+            copier.refill(Some(ctx.conf.shuffle_buffer / discovered.max(8) as u64));
         }
         // Done discovering once every map reported and every source has its
         // totals (needed to build the merge).
@@ -1093,7 +1076,7 @@ pub async fn run_reduce_rdma(ctx: ReduceCtx) -> Result<ReduceStats, ReduceError>
             lost_tt = Some(tt);
             break;
         }
-        copier.drain(&ctx.cluster, &mut merge).await;
+        copier.drain(&mut merge).await;
         // Refill ahead of need.
         copier.refill(None);
         match merge.emit(MERGE_BATCH_RECORDS) {
@@ -1101,8 +1084,8 @@ pub async fn run_reduce_rdma(ctx: ReduceCtx) -> Result<ReduceStats, ReduceError>
                 copier.note_low(&mut merge);
                 c_emits.incr();
                 c_emit_records.add(seg.records as f64);
-                copier.obs.emit(|| Ev::MergeBatch {
-                    node: copier.my_idx,
+                ctx.tt.obs().emit(|| Ev::MergeBatch {
+                    node: ctx.tt.idx,
                     job: ctx.job.0,
                     reduce: ctx.reduce_idx,
                     records: seg.records,
@@ -1114,7 +1097,7 @@ pub async fn run_reduce_rdma(ctx: ReduceCtx) -> Result<ReduceStats, ReduceError>
                     st.resident_bytes = st.resident_bytes.saturating_sub(seg.bytes);
                 }
                 let k = (merge.source_count().max(2)) as f64;
-                copier
+                ctx.tt
                     .node
                     .compute(seg.records as f64 * k.log2() * CPU_SORT_PER_RECORD_LEVEL)
                     .await;
@@ -1171,9 +1154,15 @@ pub async fn run_reduce_rdma(ctx: ReduceCtx) -> Result<ReduceStats, ReduceError>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::NodeSpec;
+    use crate::cluster::{Cluster, NodeSpec};
+    use crate::jobtracker::JobTracker;
+    use crate::mapoutput::MapOutputStore;
+    use crate::runtime::JobId;
+    use crate::spec::JobSpec;
+    use crate::tasktracker::TaskTracker;
     use rmr_hdfs::HdfsConfig;
     use rmr_net::{ucr_listen, FabricParams, PrivateEndPoint, UcrListener};
+    use rmr_obs::Recorder;
 
     /// The receive side of a reducer on worker 2 with maps 0 and 1
     /// discovered on TaskTrackers 0 and 1, and a fake server per TaskTracker
@@ -1184,9 +1173,6 @@ mod tests {
         sim: Sim,
         copier: Rc<Copier>,
         servers: Vec<UcrListener<ShufMsg>>,
-        liveness: Rc<Vec<Rc<NodeLiveness>>>,
-        changed: Notify,
-        cluster: Cluster,
     }
 
     const RESERVED: u64 = 100;
@@ -1199,10 +1185,10 @@ mod tests {
             &vec![NodeSpec::westmere_compute(); 3],
             HdfsConfig::default(),
         );
-        let conf = Rc::new(JobConf {
+        let conf = JobConf {
             shuffle_buffer,
             ..JobConf::osu_ib()
-        });
+        };
         let source = |tt_idx, reserved| {
             let mut s = SourceState {
                 reserved,
@@ -1213,7 +1199,26 @@ mod tests {
         };
         let mut state = ShufState::new(2, 2, conf.osu_packet_bytes);
         state.sources = vec![source(0, 0), source(1, RESERVED)];
-        let liveness = Rc::new(vec![NodeLiveness::new(), NodeLiveness::new()]);
+        let servers: Vec<UcrListener<ShufMsg>> = (0..2)
+            .map(|tt| ucr_listen(&cluster.net, cluster.workers[tt].id))
+            .collect();
+        let connectors = servers.iter().map(|s| TtServerHandle::Rdma(s.connector()));
+        let node = cluster.workers[2].clone();
+        let outputs = MapOutputStore::new();
+        let tt = TaskTracker::new(&sim, 2, node, &conf, outputs, false, Recorder::off());
+        let ctx = ReduceCtx {
+            cluster,
+            spec: JobSpec::sort("/in", "/out", 100),
+            jt: Rc::new(RefCell::new(JobTracker::new(vec![], 1, 0.0))),
+            servers: Rc::new(RefCell::new(connectors.collect())),
+            liveness: Rc::new(vec![NodeLiveness::new(), NodeLiveness::new()]),
+            liveness_changed: Notify::new(),
+            tt,
+            job: JobId(0),
+            reduce_idx: 0,
+            attempt: 0,
+            conf: Rc::new(conf),
+        };
         let copier = Rc::new(Copier {
             endpoints: EndpointSet::new(),
             state: RefCell::new(state),
@@ -1224,32 +1229,16 @@ mod tests {
             arrived: Notify::new(),
             stop: Cell::new(false),
             stopped: Notify::new(),
-            deaths_seen: Cell::new(0),
+            death_seen: Cell::new(false),
             no_ep: Cell::new(false),
-            liveness: Rc::clone(&liveness),
-            budget: PacketBudget::Bytes(conf.osu_packet_bytes),
-            header_bytes: 100,
-            sim: sim.clone(),
-            node: cluster.workers[2].clone(),
-            conf,
-            obs: Recorder::off(),
-            group: sim.group(),
-            my_idx: 2,
-            job: JobId(0),
-            reduce_idx: 0,
-            attempt: 0,
+            budget: PacketBudget::Bytes(ctx.conf.osu_packet_bytes),
             spill_file: "j0_r0_shufspill".into(),
+            ctx,
         });
-        let servers = (0..2)
-            .map(|tt| ucr_listen(&cluster.net, cluster.workers[tt].id))
-            .collect();
         Rig {
             sim,
             copier,
             servers,
-            liveness,
-            changed: Notify::new(),
-            cluster,
         }
     }
 
@@ -1259,10 +1248,10 @@ mod tests {
         async fn connect(&self) -> Vec<PrivateEndPoint<ShufMsg>> {
             let mut server_ends = Vec::new();
             for (tt, server) in self.servers.iter().enumerate() {
-                assert!(self.copier.connect(tt, 0, server.connector()).await);
+                assert!(self.copier.reach(tt).await);
                 server_ends.push(server.accept().await.expect("connected"));
             }
-            let run = Rc::clone(&self.copier).run(self.changed.clone());
+            let run = Rc::clone(&self.copier).run();
             let tag = Component::RdmaCopier { reduce: 0 };
             self.sim.spawn_named(tag, run).detach();
             self.sim.yield_now().await; // it is up and watching
@@ -1304,7 +1293,7 @@ mod tests {
                             delivered(1),
                             st.conns[0].spilling,
                             st.backlogs.get(&0).map_or(0, VecDeque::len),
-                            copier.node.fs.size(&copier.spill_file).unwrap_or(0),
+                            copier.ctx.tt.node.fs.size(&copier.spill_file).unwrap_or(0),
                         ));
                     }
                 })
@@ -1356,7 +1345,7 @@ mod tests {
             };
             assert!(matches!(queued(), (4, cap) if cap >= 4));
             let mut merge = StreamingMerge::new(vec![1 << 20, 1 << 20]);
-            rig.copier.drain(&rig.cluster, &mut merge).await;
+            rig.copier.drain(&mut merge).await;
             assert_eq!(queued(), (0, 0), "no buffer held once drained");
             rig.copier.stop();
         }));
@@ -1367,8 +1356,11 @@ mod tests {
         let rig = rig(1 << 20);
         let sim = rig.sim.clone();
         let copier = Rc::clone(&rig.copier);
+        // The TaskTracker's own daemons (its prefetcher pool).
+        let idle = sim.live_tasks();
         sim.block_on(sim.spawn(async move {
             let servers = rig.connect().await;
+            let ctx = &rig.copier.ctx;
             let delivered = || {
                 let st = rig.copier.state.borrow();
                 (
@@ -1376,39 +1368,45 @@ mod tests {
                     st.shuffled_bytes,
                 )
             };
+            let dead = || -> Vec<bool> {
+                let st = rig.copier.state.borrow();
+                st.conns.iter().map(|c| c.dead).collect()
+            };
             // TaskTracker 0 restarts under the connection.
-            rig.liveness[0].kill();
-            rig.liveness[0].restart();
-            rig.changed.notify_all();
+            ctx.liveness[0].kill();
+            ctx.liveness[0].restart();
+            ctx.liveness_changed.notify_all();
             rig.sim.yield_now().await;
-            assert_eq!(rig.copier.deaths_seen.get(), 1);
-            assert!(rig.copier.state.borrow().ep_dead(&rig.liveness, 0));
-            assert!(!rig.copier.state.borrow().ep_dead(&rig.liveness, 1));
+            assert!(rig.copier.death_seen.get());
+            assert_eq!(dead(), [true, false]);
+            assert!(rig.copier.state.borrow().ep_dead(&ctx.liveness, 0));
+            assert!(!rig.copier.state.borrow().ep_dead(&ctx.liveness, 1));
             // What the old incarnation still had on the wire arrives on
             // the old connection and is ignored...
             servers[0].send(packet(0, 100, false)).await;
             assert_eq!(delivered(), (0, 0));
             // ...also once the attempt has a connection to the new one:
             // a connection is an incarnation, not a TaskTracker.
-            let restarted = ucr_listen(&rig.cluster.net, servers[0].local());
+            let restarted = ucr_listen(&ctx.cluster.net, servers[0].local());
             assert!(rig.copier.connect(0, 1, restarted.connector()).await);
             let new_end = restarted.accept().await.expect("reconnected");
-            assert!(!rig.copier.state.borrow().ep_dead(&rig.liveness, 0));
+            assert!(!rig.copier.state.borrow().ep_dead(&ctx.liveness, 0));
             servers[0].send(packet(0, 100, false)).await;
             assert_eq!(delivered(), (0, 0));
             new_end.send(packet(0, 300, false)).await;
             rig.sim.yield_now().await;
             assert_eq!(delivered(), (300, 300));
-            // Another transition elsewhere is not a death seen twice.
-            rig.liveness[1].kill();
-            rig.changed.notify_all();
+            // Another transition elsewhere marks only its own connection:
+            // the restarted node's new one stays live.
+            ctx.liveness[1].kill();
+            ctx.liveness_changed.notify_all();
             rig.sim.yield_now().await;
-            assert_eq!(rig.copier.deaths_seen.get(), 2);
+            assert_eq!(dead(), [true, true, false]);
             rig.copier.stop();
         }));
         assert_eq!(
             sim.live_tasks(),
-            0,
+            idle,
             "the copier stopped; no task per connection"
         );
         assert_eq!(copier.state.borrow().conns.len(), 3);

@@ -10,10 +10,10 @@
 //! in submission order, ranked by queue under [`SchedulePolicy::Capacity`],
 //! handing the node's free slots to jobs until slots or work run out.
 //! [`crate::job::run_job`] survives as a thin single-job wrapper over this
-//! module.
+//! module. Node kill/restart and fault plans live in its `lifecycle` child.
 
 use std::cell::{Cell, RefCell};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::rc::Rc;
 
@@ -26,13 +26,15 @@ use rmr_obs::{
 use crate::cluster::Cluster;
 use crate::combine::NodeCombiner;
 use crate::config::{JobConf, ShuffleKind, EVENT_POLL};
-use crate::faults::{FaultEvent, FaultPlan, NodeLiveness};
+use crate::faults::NodeLiveness;
 use crate::jobtracker::{JobTracker, MapTaskDesc};
 use crate::mapoutput::{MapOutputInfo, MapOutputStore};
 use crate::maptask::run_map;
 use crate::reduce::common::{ReduceCtx, ReduceError, ReduceStats};
 use crate::spec::JobSpec;
 use crate::tasktracker::{TaskTracker, TtServerHandle};
+
+mod lifecycle;
 
 /// Heartbeat RPC payload size on the wire.
 const HEARTBEAT_BYTES: u64 = 1024;
@@ -213,12 +215,6 @@ struct ActiveJob {
     /// Slot-seconds consumed by every attempt (failed ones included).
     slot_secs: Cell<f64>,
     reduce_stats: RefCell<Vec<Option<ReduceStats>>>,
-    /// Failed-attempt count per reduce index (drives retry backoff).
-    reduce_retries: RefCell<BTreeMap<usize, u32>>,
-    /// Launch count per reduce index — unlike `reduce_retries` it also
-    /// counts relaunches after node death, so it is the attempt number the
-    /// shuffle servers key their serve cursors by.
-    reduce_launches: RefCell<BTreeMap<usize, u32>>,
     /// Fired when the job's result lands in [`RtInner::finished`].
     done: Notify,
 }
@@ -252,9 +248,10 @@ struct RtInner {
     /// *consumes* the entry; [`Runtime::poll`] peeks.
     finished: RefCell<BTreeMap<u32, JobResult>>,
     next_id: Cell<u32>,
-    /// Injected task failures from a [`FaultPlan`] whose job ordinal has not
-    /// been submitted yet; consumed by [`Runtime::submit`].
-    injected: RefCell<BTreeMap<u32, Vec<FaultEvent>>>,
+    /// Task failures a [`crate::FaultPlan`] armed, as (job ordinal = `JobId.0`,
+    /// task kind, task index): the next attempt of that task consumes its
+    /// entry and fails.
+    armed: RefCell<BTreeSet<(u32, TaskFlavor, usize)>>,
     /// Running attempts per queue as `(maps, reduces)`, maintained by
     /// [`Attempt`]s so aborted attempt futures (node kills) release their
     /// count on drop. Entries are removed at zero, so a drained cluster
@@ -329,7 +326,7 @@ impl Runtime {
             jobs: RefCell::new(BTreeMap::new()),
             finished: RefCell::new(BTreeMap::new()),
             next_id: Cell::new(0),
-            injected: RefCell::new(BTreeMap::new()),
+            armed: RefCell::new(BTreeSet::new()),
             queue_used: RefCell::new(BTreeMap::new()),
             work: Notify::new(),
             obs,
@@ -397,19 +394,6 @@ impl Runtime {
             REDUCE_SLOWSTART,
         )));
         jt.borrow_mut().set_locality_delay(conf.locality_delay);
-        // Task failures a FaultPlan queued for this submission ordinal.
-        if let Some(evs) = inner.injected.borrow_mut().remove(&id.0) {
-            let mut jtb = jt.borrow_mut();
-            for ev in evs {
-                match ev {
-                    FaultEvent::FailMapOnce { map_idx, .. } => jtb.inject_map_failure(map_idx),
-                    FaultEvent::FailReduceOnce { reduce_idx, .. } => {
-                        jtb.inject_reduce_failure(reduce_idx)
-                    }
-                    _ => unreachable!("only task-failure events are queued"),
-                }
-            }
-        }
 
         let job = Rc::new(ActiveJob {
             id,
@@ -422,8 +406,6 @@ impl Runtime {
             map_phase_end_s: Cell::new(0.0),
             slot_secs: Cell::new(0.0),
             reduce_stats: RefCell::new(vec![None; conf.num_reduces]),
-            reduce_retries: RefCell::new(BTreeMap::new()),
-            reduce_launches: RefCell::new(BTreeMap::new()),
             done: Notify::new(),
         });
         inner.jobs.borrow_mut().insert(id.0, Rc::clone(&job));
@@ -480,144 +462,6 @@ impl Runtime {
     /// Jobs submitted but not yet finished.
     pub fn active_jobs(&self) -> usize {
         self.inner.jobs.borrow().len()
-    }
-
-    /// Kills TaskTracker `tt_idx`: every task on the node (heartbeat daemon,
-    /// shuffle servers, prefetcher, running attempts) is aborted, its served
-    /// state and map outputs are dropped, and every active job re-queues the
-    /// work that died with it. Idempotent. The node stays blacklisted — its
-    /// heartbeat daemon is dead, so no attempt lands on it — until
-    /// [`Runtime::restart_node`].
-    pub fn kill_node(&self, tt_idx: usize) {
-        let inner = &self.inner;
-        let tt = &inner.tts[tt_idx];
-        if !tt.liveness.kill() {
-            return; // already down
-        }
-        inner.liveness_changed.notify_all();
-        // Abort everything running on the node. Slot permits held by the
-        // aborted attempts are dropped with their futures, so the slots
-        // read free again after the restart.
-        tt.group.abort();
-        // The node's disk state is unreachable: serving cursors, cache
-        // contents, and committed map outputs are gone.
-        tt.clear_serve_state();
-        inner.outputs.remove_node(tt_idx);
-        // Outputs the in-node combiner holds staged but unregistered die
-        // with the node; their maps re-queue below via `node_lost`.
-        inner.combiner.node_lost(tt_idx);
-        inner.obs.emit(|| Ev::NodeDown { node: tt_idx });
-        // Every active job loses this node's attempts and completed maps.
-        let jobs: Vec<Rc<ActiveJob>> = inner.jobs.borrow().values().cloned().collect();
-        for job in jobs {
-            let report = job.jt.borrow_mut().node_lost(tt_idx);
-            for &idx in &report.lost_running_maps {
-                inner.obs.emit(|| Ev::AttemptLost {
-                    node: tt_idx,
-                    job: job.id.0,
-                    kind: TaskFlavor::Map,
-                    idx,
-                });
-            }
-            for &idx in &report.lost_reduces {
-                inner.obs.emit(|| Ev::AttemptLost {
-                    node: tt_idx,
-                    job: job.id.0,
-                    kind: TaskFlavor::Reduce,
-                    idx,
-                });
-            }
-            for &idx in &report.lost_completed_maps {
-                inner.obs.emit(|| Ev::MapReExecute {
-                    node: tt_idx,
-                    job: job.id.0,
-                    idx,
-                });
-            }
-        }
-        // Surviving nodes' heartbeats pick up the re-queued work.
-        inner.work.notify_all();
-    }
-
-    /// Restarts a killed TaskTracker under a new liveness epoch: fresh
-    /// shuffle server (installed in the old one's slot), fresh prefetcher,
-    /// fresh heartbeat daemon. The node rejoins scheduling at its next
-    /// heartbeat with a cold cache and an empty map-output store.
-    pub fn restart_node(&self, tt_idx: usize) {
-        let inner = &self.inner;
-        let tt = &inner.tts[tt_idx];
-        if tt.liveness.alive() {
-            return; // never killed, or already back
-        }
-        let epoch = tt.liveness.restart();
-        inner.liveness_changed.notify_all();
-        let server = inner.conf.shuffle.start_server(tt, &inner.cluster.net);
-        inner.servers.borrow_mut()[tt_idx] = server;
-        tt.respawn_prefetcher();
-        spawn_heartbeat(inner, tt);
-        inner.obs.emit(|| Ev::NodeUp {
-            node: tt_idx,
-            epoch,
-        });
-        inner.work.notify_all();
-    }
-
-    /// Arms a [`FaultPlan`]: network windows are installed immediately,
-    /// crashes get a chaos timer task each, and task-failure injections
-    /// apply to their job ordinal at submission — arming one for a job
-    /// already submitted panics. An empty plan performs no simulation
-    /// operations at all (the determinism contract: fault-free runs stay
-    /// bit-identical).
-    pub fn apply_fault_plan(&self, plan: &FaultPlan) {
-        for ev in &plan.events {
-            match ev.clone() {
-                FaultEvent::Crash {
-                    tt_idx,
-                    at,
-                    restart_after,
-                } => {
-                    let rt = self.clone();
-                    let sim = self.inner.sim.clone();
-                    self.inner
-                        .sim
-                        .clone()
-                        .spawn_named(Component::ChaosCrash { tt: tt_idx as u32 }, async move {
-                            sim.sleep(at.saturating_since(sim.now())).await;
-                            rt.kill_node(tt_idx);
-                            if let Some(after) = restart_after {
-                                sim.sleep(after).await;
-                                rt.restart_node(tt_idx);
-                            }
-                        })
-                        .detach();
-                }
-                FaultEvent::Degrade {
-                    tt_idx,
-                    start,
-                    end,
-                    factor,
-                } => {
-                    let node = self.inner.tts[tt_idx].node.id;
-                    self.inner
-                        .cluster
-                        .net
-                        .inject_degradation(node, start, end, factor);
-                }
-                FaultEvent::Partition { tt_idx, start, end } => {
-                    let node = self.inner.tts[tt_idx].node.id;
-                    self.inner.cluster.net.inject_partition(node, start, end);
-                }
-                FaultEvent::FailMapOnce { job_ord, .. }
-                | FaultEvent::FailReduceOnce { job_ord, .. } => {
-                    assert!(
-                        job_ord >= self.inner.next_id.get(),
-                        "job {job_ord} was already submitted: arm its task failures before"
-                    );
-                    let mut injected = self.inner.injected.borrow_mut();
-                    injected.entry(job_ord).or_default().push(ev.clone());
-                }
-            }
-        }
     }
 
     /// Sizes of the runtime's job-keyed state — a leak canary for long job
@@ -833,6 +677,8 @@ impl RtInner {
         let (maps_registered, map_output_bytes, real) = self.outputs.job_totals(job.id);
         self.outputs.remove_job(job.id);
         self.combiner.job_finalized(job.id);
+        // A failure armed for a task index the job does not have never fired.
+        self.armed.borrow_mut().retain(|&(ord, ..)| ord != job.id.0);
 
         let (total_maps, failed_map_attempts, failed_reduce_attempts) = {
             let jtb = job.jt.borrow();
@@ -1131,8 +977,8 @@ fn spawn_map_attempt(
             attempt.start();
             // JVM spawn + task localisation.
             sim.sleep(TASK_LAUNCH_OVERHEAD).await;
-            let fail = job.jt.borrow_mut().should_fail(desc.idx);
-            let abort = fail.then_some(0.5);
+            let armed = (job.id.0, TaskFlavor::Map, desc.idx);
+            let abort = inner.armed.borrow_mut().remove(&armed).then_some(0.5);
             let outcome = run_map(
                 &inner.cluster,
                 &job.conf,
@@ -1230,12 +1076,6 @@ fn spawn_reduce_attempt(
     let inner = Rc::clone(inner);
     let job = Rc::clone(job);
     let sim = inner.sim.clone();
-    let launch = {
-        let mut launches = job.reduce_launches.borrow_mut();
-        let n = launches.entry(reduce_idx).or_insert(0);
-        *n += 1;
-        *n
-    };
     let ctx = ReduceCtx {
         cluster: inner.cluster.clone(),
         conf: Rc::clone(&job.conf),
@@ -1247,7 +1087,7 @@ fn spawn_reduce_attempt(
         tt: Rc::clone(tt),
         job: job.id,
         reduce_idx,
-        attempt: launch,
+        attempt: job.jt.borrow().reduce_attempt(reduce_idx),
     };
     // Like maps, the attempt dies with its node (TaskTracker group).
     let tag = Component::Reduce {
@@ -1262,7 +1102,8 @@ fn spawn_reduce_attempt(
             // Fault injection: this attempt dies before shuffling and the
             // task goes back to the queue (detected at the next status
             // interval).
-            if job.jt.borrow_mut().should_fail_reduce(reduce_idx) {
+            let armed = (job.id.0, TaskFlavor::Reduce, reduce_idx);
+            if inner.armed.borrow_mut().remove(&armed) {
                 sim.sleep(SimDuration::from_secs(10)).await;
                 inner
                     .cluster
@@ -1271,7 +1112,7 @@ fn spawn_reduce_attempt(
                     .await;
                 attempt.charge();
                 attempt.finish(AttemptOutcome::Failed);
-                job.jt.borrow_mut().reduce_failed(reduce_idx);
+                job.jt.borrow_mut().reduce_attempt_lost(reduce_idx);
                 attempt.release();
                 return;
             }
@@ -1302,12 +1143,7 @@ fn spawn_reduce_attempt(
                     // slot, back off exponentially on the retry count, then
                     // re-queue the whole task (partial shuffles are not
                     // checkpointed — Hadoop restarts the reducer).
-                    let retries = {
-                        let mut r = job.reduce_retries.borrow_mut();
-                        let n = r.entry(reduce_idx).or_insert(0);
-                        *n += 1;
-                        *n
-                    };
+                    let retries = job.jt.borrow_mut().shuffle_lost(reduce_idx);
                     attempt.finish(AttemptOutcome::Failed);
                     attempt.release();
                     // Fetch-failure backoff before the re-queued task is

@@ -991,12 +991,6 @@ impl TaskGroup {
             self.sim.abort_task(id);
         }
     }
-
-    /// Number of tasks ever spawned into the group since the last abort
-    /// (completed members are still counted until then).
-    pub fn spawned(&self) -> usize {
-        self.members.borrow().len()
-    }
 }
 
 /// A task that is still live after the event heap drained: nothing can ever
@@ -1799,13 +1793,13 @@ mod tests {
             })
             .detach();
         group.abort();
-        assert_eq!(group.spawned(), 0);
+        assert_eq!(sim.live_tasks(), 0);
         let sim3 = sim.clone();
         // Reuses the aborted task's slot; the stale generation must not leak.
         let second = group.spawn_named("second-gen", async move {
             sim3.sleep(SimDuration::from_secs(2)).await;
         });
-        assert_eq!(group.spawned(), 1);
+        assert_eq!(sim.live_tasks(), 1);
         sim.block_on(second);
         let report = sim.live_report();
         report.assert_clean();

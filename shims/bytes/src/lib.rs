@@ -1,10 +1,10 @@
 //! Offline stand-in for the `bytes` crate.
 //!
 //! Provides the subset the workspace uses: [`Bytes`] (cheaply cloneable,
-//! immutable, sliceable), [`BytesMut`] (growable builder), and the [`Buf`] /
-//! [`BufMut`] cursor traits. `Bytes` is a `(pointer, length)` window beside
-//! the shared owner of the buffer it points into, so `clone`, `slice` and
-//! `split_to` are O(1), `From<Vec<u8>>` / [`BytesMut::freeze`] adopt the
+//! immutable, sliceable), [`BytesMut`] (growable builder), and the
+//! [`BufMut`] write cursor. `Bytes` is a `(pointer, length)` window beside
+//! the shared owner of the buffer it points into, so `clone` and `slice` are
+//! O(1), `From<Vec<u8>>` / [`BytesMut::freeze`] adopt the
 //! vector's allocation instead of copying it, `from_static` allocates
 //! nothing, and `Deref` is one load — the same performance contract the real
 //! crate gives the shuffle data plane.
@@ -86,23 +86,6 @@ impl Bytes {
         }
     }
 
-    /// Splits off and returns the first `at` bytes, leaving the rest (O(1)).
-    pub fn split_to(&mut self, at: usize) -> Bytes {
-        assert!(at <= self.len, "split_to out of bounds");
-        let head = self.slice(0..at);
-        self.advance(at);
-        head
-    }
-
-    /// Drops the first `n` bytes from the window.
-    fn advance(&mut self, n: usize) {
-        assert!(n <= self.len, "advance out of bounds");
-        // SAFETY: `n <= self.len`, so the new start is inside (or one past
-        // the end of) the buffer.
-        self.ptr = unsafe { self.ptr.add(n) };
-        self.len -= n;
-    }
-
     /// How many `Bytes` share this window's buffer (0 for `'static` data).
     /// Not in the published crate: tests use it to show a path holds a
     /// constant number of windows into a block, not some per record.
@@ -123,7 +106,7 @@ impl Deref for Bytes {
         // slice — a `'static` one, or the initialised contents of the `Vec`
         // held (immutably, for as long as `self` lives) by `owner`, whose heap
         // buffer does not move when the `Vec` itself is moved into the `Arc`
-        // — and `slice`/`advance` only ever shrink that range.
+        // — and `slice` only ever shrinks that range.
         unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
     }
 }
@@ -265,50 +248,16 @@ impl Deref for BytesMut {
     }
 }
 
-/// Read-cursor operations (implemented by [`Bytes`]).
-pub trait Buf {
-    /// Bytes left to consume.
-    fn remaining(&self) -> usize;
-    /// Consumes and returns a big-endian `u32`.
-    fn get_u32(&mut self) -> u32;
-    /// Consumes and returns a big-endian `u64`.
-    fn get_u64(&mut self) -> u64;
-}
-
-impl Buf for Bytes {
-    fn remaining(&self) -> usize {
-        self.len()
-    }
-
-    fn get_u32(&mut self) -> u32 {
-        let v = u32::from_be_bytes(self[..4].try_into().unwrap());
-        self.advance(4);
-        v
-    }
-
-    fn get_u64(&mut self) -> u64 {
-        let v = u64::from_be_bytes(self[..8].try_into().unwrap());
-        self.advance(8);
-        v
-    }
-}
-
 /// Write-cursor operations (implemented by [`BytesMut`]).
 pub trait BufMut {
     /// Appends a big-endian `u32`.
     fn put_u32(&mut self, v: u32);
-    /// Appends a big-endian `u64`.
-    fn put_u64(&mut self, v: u64);
     /// Appends a slice.
     fn put_slice(&mut self, src: &[u8]);
 }
 
 impl BufMut for BytesMut {
     fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-    }
-
-    fn put_u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_be_bytes());
     }
 
@@ -320,26 +269,6 @@ impl BufMut for BytesMut {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn round_trip_through_bufmut() {
-        let mut b = BytesMut::with_capacity(16);
-        b.put_u32(7);
-        b.put_slice(b"abc");
-        let mut frozen = b.freeze();
-        assert_eq!(frozen.len(), 7);
-        assert_eq!(frozen.get_u32(), 7);
-        assert_eq!(frozen.as_ref(), b"abc");
-    }
-
-    #[test]
-    fn split_to_is_a_window() {
-        let mut b = Bytes::from(b"hello world".to_vec());
-        let head = b.split_to(5);
-        assert_eq!(head.as_ref(), b"hello");
-        assert_eq!(b.as_ref(), b" world");
-        assert_eq!(head.slice(1..3).as_ref(), b"el");
-    }
 
     #[test]
     fn ordering_is_lexicographic() {
@@ -367,7 +296,8 @@ mod tests {
         // Spare capacity (a builder that over-reserved) must not force a
         // shrinking reallocation either.
         let mut m = BytesMut::with_capacity(1 << 16);
-        m.put_u64(0x0102_0304_0506_0708);
+        m.put_u32(0x0102_0304);
+        m.put_u32(0x0506_0708);
         m.put_slice(b"payload");
         let addr = m.as_ptr();
         let frozen = m.freeze();
@@ -392,11 +322,12 @@ mod tests {
 
     #[test]
     fn windows_share_storage_and_outlive_their_parent() {
-        let mut whole = Bytes::from(b"0123456789".to_vec());
+        let whole = Bytes::from(b"0123456789".to_vec());
         let base = whole.as_ptr();
         let mid = whole.slice(3..7);
         assert_eq!(mid.as_ptr(), base.wrapping_add(3));
-        let head = whole.split_to(4);
+        let head = whole.slice(0..4);
+        let whole = whole.slice(4..10);
         assert_eq!(head.as_ptr(), base);
         assert_eq!(whole.as_ptr(), base.wrapping_add(4));
         assert_eq!(whole.clone().as_ptr(), whole.as_ptr());
@@ -406,24 +337,6 @@ mod tests {
         drop((whole, head, empty_tail));
         assert_eq!(mid.as_ref(), b"3456");
         assert_eq!(mid.to_vec(), b"3456".to_vec());
-    }
-
-    #[test]
-    fn cursor_reads_advance_the_window() {
-        let mut m = BytesMut::new();
-        m.put_u64(u64::MAX - 1);
-        m.put_u32(9);
-        let mut b = m.freeze();
-        assert_eq!(b.remaining(), 12);
-        assert_eq!(b.get_u64(), u64::MAX - 1);
-        assert_eq!(b.get_u32(), 9);
-        assert_eq!(b.remaining(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "split_to out of bounds")]
-    fn split_to_past_the_end_panics() {
-        Bytes::from_static(b"abc").split_to(4);
     }
 
     #[test]

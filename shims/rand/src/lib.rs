@@ -12,19 +12,6 @@
 pub trait RngCore {
     /// Next 64 random bits.
     fn next_u64(&mut self) -> u64;
-
-    /// Next 32 random bits.
-    fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
-    /// Fills `dest` with random bytes.
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let w = self.next_u64().to_le_bytes();
-            chunk.copy_from_slice(&w[..chunk.len()]);
-        }
-    }
 }
 
 /// Deterministic construction from a 64-bit seed.
@@ -39,26 +26,9 @@ pub trait Standard: Sized {
     fn draw<R: RngCore + ?Sized>(rng: &mut R) -> Self;
 }
 
-macro_rules! impl_standard_int {
-    ($($t:ty),*) => {$(
-        impl Standard for $t {
-            fn draw<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-                rng.next_u64() as $t
-            }
-        }
-    )*};
-}
-impl_standard_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
-
-impl Standard for u128 {
+impl Standard for u64 {
     fn draw<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        ((rng.next_u64() as u128) << 64) | rng.next_u64() as u128
-    }
-}
-
-impl Standard for bool {
-    fn draw<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        rng.next_u64() & 1 == 1
+        rng.next_u64()
     }
 }
 
@@ -66,12 +36,6 @@ impl Standard for f64 {
     fn draw<R: RngCore + ?Sized>(rng: &mut R) -> Self {
         // 53 uniform mantissa bits in [0, 1).
         (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-}
-
-impl Standard for f32 {
-    fn draw<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        (rng.next_u64() >> 40) as f32 * (1.0 / (1u64 << 24) as f32)
     }
 }
 
@@ -99,16 +63,7 @@ macro_rules! impl_sample_uniform {
         }
     )*};
 }
-impl_sample_uniform!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
-
-impl SampleUniform for f64 {
-    fn sample_half_open<R: RngCore + ?Sized>(rng: &mut R, lo: Self, hi: Self) -> Self {
-        lo + f64::draw(rng) * (hi - lo)
-    }
-    fn successor(self) -> Self {
-        self
-    }
-}
+impl_sample_uniform!(u32, u64, usize);
 
 /// Ranges accepted by [`Rng::gen_range`].
 pub trait SampleRange<T> {
@@ -139,7 +94,10 @@ pub trait Fill {
 
 impl Fill for [u8] {
     fn fill_from<R: RngCore + ?Sized>(&mut self, rng: &mut R) {
-        rng.fill_bytes(self);
+        for chunk in self.chunks_mut(8) {
+            let w = rng.next_u64().to_le_bytes();
+            chunk.copy_from_slice(&w[..chunk.len()]);
+        }
     }
 }
 
@@ -153,11 +111,6 @@ pub trait Rng: RngCore {
     /// Uniform draw from a range (`a..b` or `a..=b`).
     fn gen_range<T, S: SampleRange<T>>(&mut self, range: S) -> T {
         range.sample(self)
-    }
-
-    /// `true` with probability `p`.
-    fn gen_bool(&mut self, p: f64) -> bool {
-        f64::draw(self) < p
     }
 
     /// Fills a byte slice with random data.
@@ -262,12 +215,5 @@ mod tests {
         r.fill(&mut buf[..]);
         // 37 zero bytes surviving a random fill is astronomically unlikely.
         assert!(buf.iter().any(|&b| b != 0));
-    }
-
-    #[test]
-    fn gen_bool_probability_sane() {
-        let mut r = SmallRng::seed_from_u64(6);
-        let hits = (0..10_000).filter(|_| r.gen_bool(0.25)).count();
-        assert!((1_800..3_200).contains(&hits), "got {hits}");
     }
 }

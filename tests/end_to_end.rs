@@ -166,22 +166,35 @@ fn identical_seeds_are_deterministic() {
     assert_eq!(a.cache_hits, b.cache_hits);
 }
 
-#[test]
-fn failed_map_is_reexecuted_and_job_still_validates() {
-    let sim = Sim::new(42);
+/// A validated 12 MB OSU-IB TeraSort under `plan`, with the run's trace
+/// hash and event count after the job.
+fn run_faulted_terasort(seed: u64, plan: FaultPlan) -> (JobResult, u64, u64) {
+    let sim = Sim::new(seed);
     let cluster = support::cluster(&sim, ShuffleKind::OsuIb, 3, true);
     let reduces = 3;
     let conf = support::conf(ShuffleKind::OsuIb, reduces, true);
     let c2 = cluster.clone();
-    let (res, _report) = sim.block_on(sim.spawn(async move {
+    let res = sim.block_on(sim.spawn(async move {
         let expected = teragen(&c2, "/in", 12 << 20, true).await;
-        let plan = FaultPlan::fail_map_once(0, 1);
         let res = run_job_with_faults(&c2, conf, terasort_spec("/in", "/out"), &plan).await;
-        let report = teravalidate(&c2, "/out", reduces, expected).await.unwrap();
-        (res, report)
+        teravalidate(&c2, "/out", reduces, expected).await.unwrap();
+        res
     }));
+    (res, sim.trace_hash(), sim.events_fired())
+}
+
+/// The injected failure fires where it did at `2d3eb92`: the trace hash and
+/// event count are that commit's.
+#[test]
+fn failed_map_is_reexecuted_and_job_still_validates() {
+    let (res, hash, events) = run_faulted_terasort(42, FaultPlan::fail_map_once(0, 1));
     assert_eq!(res.failed_map_attempts, 1);
     assert_eq!(res.failed_reduce_attempts, 0);
+    assert_eq!(
+        (hash, events),
+        (0x16af_ef7d_cef2_10db, 982),
+        "{hash:#018x}, {events} events"
+    );
 }
 
 /// A task failure is armed before its job is submitted; arming one after
@@ -225,20 +238,10 @@ fn timeline_records_every_attempt() {
     }
 }
 
+/// Pinned at `2d3eb92`, like the map failure's run.
 #[test]
 fn failed_reduce_is_reexecuted_and_job_still_validates() {
-    let sim = Sim::new(55);
-    let cluster = support::cluster(&sim, ShuffleKind::OsuIb, 3, true);
-    let reduces = 3;
-    let conf = support::conf(ShuffleKind::OsuIb, reduces, true);
-    let c2 = cluster.clone();
-    let (res, _report) = sim.block_on(sim.spawn(async move {
-        let expected = teragen(&c2, "/in", 12 << 20, true).await;
-        let plan = FaultPlan::fail_reduce_once(0, 2);
-        let res = run_job_with_faults(&c2, conf, terasort_spec("/in", "/out"), &plan).await;
-        let report = teravalidate(&c2, "/out", reduces, expected).await.unwrap();
-        (res, report)
-    }));
+    let (res, hash, events) = run_faulted_terasort(55, FaultPlan::fail_reduce_once(0, 2));
     assert_eq!(
         res.failed_reduce_attempts, 1,
         "the reduce failure counts once, as a reduce failure"
@@ -246,5 +249,10 @@ fn failed_reduce_is_reexecuted_and_job_still_validates() {
     assert_eq!(
         res.failed_map_attempts, 0,
         "a reduce re-execution is not a map failure"
+    );
+    assert_eq!(
+        (hash, events),
+        (0x9216_2897_3c88_ecbd, 928),
+        "{hash:#018x}, {events} events"
     );
 }

@@ -1,5 +1,6 @@
 //! The determinism rules clippy cannot express (`clippy.toml` bans the host
-//! clock, OS threads and hash-ordered containers), each tried on samples.
+//! clock, OS threads and hash-ordered containers), each tried on samples,
+//! and a length ceiling on every library and binary source file.
 
 use std::path::{Path, PathBuf};
 
@@ -85,25 +86,77 @@ fn each_check_fires_on_what_it_bans() {
     );
 }
 
-#[test]
-fn no_source_crosses_a_seam() {
+/// Every `.rs` file under the workspace directories `dirs`, build output
+/// skipped, as (path relative to the workspace root, text).
+fn sources(dirs: &[&str]) -> Vec<(String, String)> {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let mut dirs: Vec<PathBuf> = ["crates", "shims", "src", "tests", "examples"]
-        .map(|d| root.join(d))
-        .into();
-    let (mut files, mut found) = (0, Vec::new());
+    let mut dirs: Vec<PathBuf> = dirs.iter().map(|d| root.join(d)).collect();
+    let mut files = Vec::new();
     while let Some(dir) = dirs.pop() {
         for path in std::fs::read_dir(dir).unwrap().map(|e| e.unwrap().path()) {
             let rel = path.strip_prefix(root).unwrap().display().to_string();
-            // Skips build output, and this file: its samples are positives.
             if path.is_dir() && !rel.ends_with("target") {
                 dirs.push(path);
-            } else if rel.ends_with(".rs") && rel != "tests/seams.rs" {
-                files += 1;
-                found.extend(crossings(&rel, &std::fs::read_to_string(&path).unwrap()));
+            } else if rel.ends_with(".rs") {
+                files.push((rel, std::fs::read_to_string(&path).unwrap()));
             }
         }
     }
-    assert!(files > 100, "the walk found {files} files");
+    files
+}
+
+#[test]
+fn no_source_crosses_a_seam() {
+    let files = sources(&["crates", "shims", "src", "tests", "examples"]);
+    assert!(files.len() > 100, "the walk found {} files", files.len());
+    let mut found = Vec::new();
+    for (rel, text) in &files {
+        // This file's samples are positives.
+        if rel != "tests/seams.rs" {
+            found.extend(crossings(rel, text));
+        }
+    }
     assert!(found.is_empty(), "seams crossed:\n{}", found.join("\n"));
+}
+
+/// The longest a library or binary source file may be.
+const MAX_LINES: usize = 1_200;
+
+/// The source files longer than [`MAX_LINES`], each with the length it may
+/// not pass. The list only shrinks: a file that falls to the limit leaves it,
+/// and a ceiling is never raised.
+const LONG_FILES: [(&str, usize); 3] = [
+    ("crates/des/src/executor.rs", 1_852),
+    ("crates/core/src/record.rs", 1_433),
+    ("crates/core/src/reduce/rdma.rs", 1_414),
+];
+
+#[test]
+fn no_source_file_outgrows_its_line_ceiling() {
+    let mut found = Vec::new();
+    let mut listed = 0;
+    for (rel, text) in sources(&["crates", "shims", "src"]) {
+        // `crates/*/src`, `shims/*/src` and `src`: tests and benches are free.
+        let parts: Vec<&str> = rel.split('/').collect();
+        if parts[0] != "src" && parts.get(2) != Some(&"src") {
+            continue;
+        }
+        let lines = text.lines().count();
+        let ceiling = LONG_FILES.iter().find(|(file, _)| *file == rel);
+        listed += ceiling.is_some() as usize;
+        match ceiling {
+            Some(_) if lines <= MAX_LINES => {
+                found.push(format!("{rel}: {lines} lines, take it off the list"))
+            }
+            Some(&(_, ceiling)) if lines > ceiling => {
+                found.push(format!("{rel}: {lines} lines, over its ceiling {ceiling}"))
+            }
+            None if lines > MAX_LINES => {
+                found.push(format!("{rel}: {lines} lines, over {MAX_LINES}"))
+            }
+            _ => {}
+        }
+    }
+    assert_eq!(listed, LONG_FILES.len(), "a listed file is gone");
+    assert!(found.is_empty(), "files too long:\n{}", found.join("\n"));
 }
