@@ -24,7 +24,7 @@ const USAGE: &str = "usage: probe <grid|one|phases|scale|service|chaos|obs> [arg
   probe service [nodes] [jobs] [seed] [--budget-s S] [--hist-dir DIR]
   probe chaos  [nodes] [jobs] [gb] [seed] [--plans N] [--budget-s S]
   probe obs    [jobs] [nodes] [gb_per_job] [outdir] [seed]
-  systems: g1|g10|ipoib|ha|osu|osunc|comb|mr";
+  systems: g1|g10|ipoib|ha|osu|osunc|comb";
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -71,8 +71,7 @@ fn require(failed: &mut bool, ok: bool, why: String) {
 
 /// One Fig 4(a)-style point per system, in parallel. With `--engines` the
 /// grid covers the three shuffle engines (Vanilla via IPoIB, Hadoop-A,
-/// OSU-IB) and the two OSU-IB presets (in-node combiner stage, second rail)
-/// and becomes a gate: with the combiner stage switched on, each engine's
+/// OSU-IB) and the OSU-IB in-node combiner preset and becomes a gate: with the combiner stage switched on, each engine's
 /// combiner-less run must replay the run without it exactly.
 fn grid(mut args: Args) {
     let gb = args.pos_with("gb", 30.0, parse_gb);
@@ -83,11 +82,7 @@ fn grid(mut args: Args) {
     let engines = args.switch("--engines");
     let seed_systems = [System::IpoIb, System::HadoopA, System::OsuIb];
     let systems = if engines {
-        [
-            &seed_systems[..],
-            &[System::NodeCombiner, System::MultiRail],
-        ]
-        .concat()
+        [&seed_systems[..], &[System::NodeCombiner]].concat()
     } else {
         [&[System::GigE10], &seed_systems[..]].concat()
     };

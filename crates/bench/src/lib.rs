@@ -595,12 +595,10 @@ pub fn multijob(threads: usize) {
     write_results("multijob", &rows.concat());
 }
 
-/// The two OSU-IB presets: WordCount A/B rows (job combiner on/off ×
+/// The OSU-IB combiner preset: WordCount A/B rows (job combiner on/off ×
 /// in-node combiner stage off/on, pinning what each aggregation layer takes
-/// off the wire), the stage at the fig4a 30 GB shape (TeraSort has no
-/// combiner, so its row must match fig4a's OSU-IB row bit-for-bit), and the
-/// two-rail fabric at the fig4b 100 GB shape (vs fig4b's single-rail OSU-IB
-/// row).
+/// off the wire) and the stage at the fig4a 30 GB shape (TeraSort has no
+/// combiner, so its row must match fig4a's OSU-IB row bit-for-bit).
 pub fn engines(threads: usize) {
     let wordcount = |system: System, combine: bool| {
         let testbed = Testbed::compute(4, 1);
@@ -635,24 +633,23 @@ pub fn engines(threads: usize) {
         let gb = res.input_bytes as f64 / (1u64 << 30) as f64;
         RunRecord::new("engines".to_string(), bench, system, &testbed, gb, res)
     };
-    let figure_shape = |system, nodes, gb| {
-        let exp = Experiment::new(
-            "engines",
-            Bench::TeraSort,
-            system,
-            Testbed::compute(nodes, 1),
-            gb,
-            42,
-        );
-        run_experiment_traced(&exp).0
-    };
-    let records = sweep::sweep(6, threads, |i| match i {
+    let records = sweep::sweep(5, threads, |i| match i {
         0 => wordcount(System::OsuIb, false),
         1 => wordcount(System::OsuIb, true),
         2 => wordcount(System::NodeCombiner, false),
         3 => wordcount(System::NodeCombiner, true),
-        4 => figure_shape(System::NodeCombiner, 4, 30.0),
-        _ => figure_shape(System::MultiRail, 8, 100.0),
+        _ => {
+            let testbed = Testbed::compute(4, 1);
+            let exp = Experiment::new(
+                "engines",
+                Bench::TeraSort,
+                System::NodeCombiner,
+                testbed,
+                30.0,
+                42,
+            );
+            run_experiment_traced(&exp).0
+        }
     });
     println!("\nengines — shuffle volume and job time per engine");
     println!(

@@ -30,8 +30,6 @@ pub enum System {
     OsuIbNoCache,
     /// OSU-IB with the in-node combiner stage on (`JobConf::node_combine`).
     NodeCombiner,
-    /// OSU-IB on a fabric of two QDR rails (dual-port HCAs).
-    MultiRail,
 }
 
 impl System {
@@ -45,7 +43,6 @@ impl System {
             System::OsuIb => "OSU-IB (32Gbps)",
             System::OsuIbNoCache => "OSU-IB (no caching)",
             System::NodeCombiner => "OSU-IB+Comb (32Gbps)",
-            System::MultiRail => "OSU-IB-MR (2x32Gbps)",
         }
     }
 
@@ -59,7 +56,6 @@ impl System {
             "osu" | "osu-ib" => System::OsuIb,
             "osunc" | "osu-nocache" => System::OsuIbNoCache,
             "comb" => System::NodeCombiner,
-            "mr" => System::MultiRail,
             _ => return None,
         })
     }
@@ -73,7 +69,6 @@ impl System {
             System::HadoopA | System::OsuIb | System::OsuIbNoCache | System::NodeCombiner => {
                 FabricParams::ib_verbs_qdr()
             }
-            System::MultiRail => FabricParams::ib_verbs_qdr().with_rails(2),
         }
     }
 
@@ -82,9 +77,7 @@ impl System {
         match self {
             System::GigE1 | System::GigE10 | System::IpoIb => ShuffleKind::Vanilla,
             System::HadoopA => ShuffleKind::HadoopA,
-            System::OsuIb | System::OsuIbNoCache | System::NodeCombiner | System::MultiRail => {
-                ShuffleKind::OsuIb
-            }
+            System::OsuIb | System::OsuIbNoCache | System::NodeCombiner => ShuffleKind::OsuIb,
         }
     }
 
@@ -99,9 +92,9 @@ impl System {
         System::OsuIbNoCache,
     ];
 
-    /// [`System::ALL`] plus the two OSU-IB presets (combiner stage, second
-    /// rail), for the engine-comparison grids.
-    pub const EXTENDED: [System; 8] = [
+    /// [`System::ALL`] plus the OSU-IB combiner preset, for the
+    /// engine-comparison grids.
+    pub const EXTENDED: [System; 7] = [
         System::GigE1,
         System::GigE10,
         System::IpoIb,
@@ -109,7 +102,6 @@ impl System {
         System::OsuIb,
         System::OsuIbNoCache,
         System::NodeCombiner,
-        System::MultiRail,
     ];
 }
 
@@ -263,16 +255,13 @@ mod tests {
         assert_eq!(System::OsuIb.shuffle(), ShuffleKind::OsuIb);
         assert!(System::OsuIb.fabric().is_rdma());
         assert!(!System::GigE10.fabric().is_rdma());
-        // The two presets are OSU-IB: one on a wider fabric, one staged.
+        // The combiner preset is OSU-IB with the stage on.
         assert_eq!(System::NodeCombiner.shuffle(), ShuffleKind::OsuIb);
-        assert_eq!(System::MultiRail.shuffle(), ShuffleKind::OsuIb);
-        assert_eq!(System::MultiRail.fabric().rails, 2);
-        assert_eq!(System::NodeCombiner.fabric().rails, 1);
     }
 
     #[test]
     fn every_system_has_a_command_line_name() {
-        let named = ["g1", "g10", "ipoib", "ha", "osu", "osunc", "comb", "mr"];
+        let named = ["g1", "g10", "ipoib", "ha", "osu", "osunc", "comb"];
         assert_eq!(named.map(System::parse), System::EXTENDED.map(Some));
         assert_eq!(System::parse("hadoop-a"), Some(System::HadoopA));
         assert_eq!(System::parse("hadoopa"), None);
@@ -288,8 +277,6 @@ mod tests {
             &Testbed::compute(4, 1),
         );
         assert!(conf.node_combine && conf.caching_enabled);
-        let conf = tuned_conf(System::MultiRail, Bench::Sort, &Testbed::compute(4, 1));
-        assert!(!conf.node_combine && conf.caching_enabled);
     }
 
     #[test]
@@ -329,7 +316,6 @@ mod tests {
             (System::OsuIb, OsuIb, true, false),
             (System::OsuIbNoCache, OsuIb, false, false),
             (System::NodeCombiner, OsuIb, true, true),
-            (System::MultiRail, OsuIb, true, false),
         ];
         assert_eq!(rows.map(|r| r.0), System::EXTENDED);
         for (tb, cache_bytes) in [

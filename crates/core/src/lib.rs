@@ -19,7 +19,7 @@
 //!
 //! The data plane is dual: tests and examples run *real* records through
 //! sort/partition/merge/validate; paper-scale benchmarks run the same code
-//! paths with counts only ([`record::RunData`]).
+//! paths with counts only ([`record::Segment`]).
 
 pub mod cluster;
 pub mod combine;

@@ -178,7 +178,6 @@ pub async fn run_map(
         spec.partitioner.as_ref(),
     );
 
-    sim.metrics().incr("map.completed");
     Some(MapOutputInfo {
         job,
         map_idx: desc.idx,

@@ -10,7 +10,7 @@
 //! Hadoop's `kvbuffer`/`kvmeta`: record bytes stay where they are, in
 //! [`encode_records`]' layout, and what is sorted, partitioned, shuffled and
 //! merged is a 16-byte `Entry` per record — the key's first eight bytes
-//! and where the record's header lies. A run ([`RunData::Real`]) is a window
+//! and where the record's header lies. A real run is a window
 //! of a shared sorted index over a shared table of backing buffers, so a
 //! shuffle packet, a partition and a merged batch are two reference-count
 //! bumps, never a payload copy and never a per-record handle.
@@ -545,18 +545,14 @@ fn prefetch_line(p: *const u8) {
 /// entries: far enough to cover a DRAM miss with eight records' work.
 const GATHER_PREFETCH_AHEAD: usize = 8;
 
-/// The contents of a sorted run: real records or synthetic counts.
+/// The contents of a sorted run: real records, or nothing beyond the
+/// segment's own counts.
 #[derive(Debug, Clone)]
-pub enum RunData {
+enum RunData {
     /// An index window over the buffers the records were decoded from.
     Real(RealRun),
     /// Counts only.
-    Synthetic {
-        /// Number of records represented.
-        records: u64,
-        /// Total bytes represented.
-        bytes: u64,
-    },
+    Synthetic,
 }
 
 /// A sorted run with its size metadata; the unit moved through spills,
@@ -567,8 +563,7 @@ pub struct Segment {
     pub records: u64,
     /// Byte count (keys and values; headers are not counted).
     pub bytes: u64,
-    /// Contents.
-    pub data: RunData,
+    data: RunData,
 }
 
 impl Segment {
@@ -635,7 +630,7 @@ impl Segment {
         Segment {
             records,
             bytes,
-            data: RunData::Synthetic { records, bytes },
+            data: RunData::Synthetic,
         }
     }
 
@@ -643,7 +638,7 @@ impl Segment {
     pub(crate) fn real(&self) -> Option<&RealRun> {
         match &self.data {
             RunData::Real(run) => Some(run),
-            RunData::Synthetic { .. } => None,
+            RunData::Synthetic => None,
         }
     }
 
@@ -736,9 +731,9 @@ impl Segment {
                     |(index, bytes)| RealRun::over(index, Rc::clone(run.bufs())).holding(bytes);
                 buckets.into_iter().map(bucket).collect()
             }
-            RunData::Synthetic { records, bytes } => {
-                (0..n).map(|i| even_share(*records, *bytes, n, i)).collect()
-            }
+            RunData::Synthetic => (0..n)
+                .map(|i| even_share(self.records, self.bytes, n, i))
+                .collect(),
         }
     }
 
@@ -962,8 +957,8 @@ impl SegmentCursor {
                 }
                 run.window(from..to, bytes)
             }
-            RunData::Synthetic { .. } if rem_recs == 0 => Segment::empty(),
-            RunData::Synthetic { .. } => {
+            RunData::Synthetic if rem_recs == 0 => Segment::empty(),
+            RunData::Synthetic => {
                 let avg = (rem_bytes / rem_recs).max(1);
                 let bytes = budget.min(rem_bytes);
                 let recs = (bytes / avg).clamp(1, rem_recs);
@@ -985,9 +980,9 @@ impl SegmentCursor {
                 let from = self.rec_pos as usize;
                 run.measured(from..from + recs as usize)
             }
-            RunData::Synthetic { .. } if rem_recs == 0 => Segment::empty(),
-            RunData::Synthetic { .. } if recs == rem_recs => Segment::synthetic(recs, rem_bytes),
-            RunData::Synthetic { .. } => {
+            RunData::Synthetic if rem_recs == 0 => Segment::empty(),
+            RunData::Synthetic if recs == rem_recs => Segment::synthetic(recs, rem_bytes),
+            RunData::Synthetic => {
                 let bytes = (rem_bytes as u128 * recs as u128 / rem_recs as u128) as u64;
                 Segment::synthetic(recs, bytes)
             }

@@ -73,6 +73,7 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::future::Future;
 use std::rc::Rc;
 
 use rmr_des::prelude::*;
@@ -240,8 +241,6 @@ struct ShufState {
     last_arrival_s: f64,
     /// Unconsumed fetched bytes (buffered + inside the merge).
     resident_bytes: u64,
-    /// Bytes spilled to local disk because the buffer overflowed.
-    spilled_bytes: u64,
 }
 
 const _: () = assert!(std::mem::size_of::<(u32, Segment, bool)>() == 48);
@@ -266,7 +265,6 @@ impl ShufState {
             shuffled_bytes: 0,
             last_arrival_s: 0.0,
             resident_bytes: 0,
-            spilled_bytes: 0,
         }
     }
 
@@ -330,33 +328,6 @@ impl ShufState {
     }
 }
 
-/// Shuffle-buffer accounting: prefetch requests reserve space; requests that
-/// unblock a stalled merge may overdraft (deadlock avoidance), and releases
-/// never exceed what was reserved.
-struct MemBudget {
-    capacity: u64,
-    outstanding: Cell<u64>,
-}
-
-impl MemBudget {
-    fn available(&self) -> u64 {
-        self.capacity - self.outstanding.get()
-    }
-
-    fn try_reserve(&self, bytes: u64) -> bool {
-        let fits = bytes <= self.available();
-        if fits {
-            self.outstanding.set(self.outstanding.get() + bytes);
-        }
-        fits
-    }
-
-    fn release(&self, bytes: u64) {
-        self.outstanding
-            .set(self.outstanding.get().saturating_sub(bytes));
-    }
-}
-
 /// The engine's data packet, decided once per attempt: what a request asks
 /// its server for, the bytes one is expected to hold, and the merge
 /// watermark (the records per source below which the merge wants more).
@@ -407,7 +378,8 @@ struct Copier {
     /// The attempt's connections: one receive queue for all of them.
     endpoints: Rc<EndpointSet<ShufMsg>>,
     state: RefCell<ShufState>,
-    mem: MemBudget,
+    /// Shuffle-buffer bytes reserved and not yet released.
+    outstanding: Cell<u64>,
     /// Fired on every booked packet and every observed death.
     arrived: Notify,
     /// Set, then `stopped` fired, when the attempt is over.
@@ -426,8 +398,50 @@ struct Copier {
     spill_file: String,
 }
 
+/// Shuffle-buffer accounting against `conf.shuffle_buffer`: requests reserve
+/// space, those that unblock a stalled merge may overdraft (deadlock
+/// avoidance), and releases never exceed what was reserved.
+impl Copier {
+    fn available(&self) -> u64 {
+        self.ctx.conf.shuffle_buffer - self.outstanding.get()
+    }
+
+    fn try_reserve(&self, bytes: u64) -> bool {
+        let fits = bytes <= self.available();
+        if fits {
+            self.outstanding.set(self.outstanding.get() + bytes);
+        }
+        fits
+    }
+
+    fn release(&self, bytes: u64) {
+        self.outstanding
+            .set(self.outstanding.get().saturating_sub(bytes));
+    }
+}
+
 /// The receive side.
 impl Copier {
+    /// A fresh attempt's copier: nothing connected, discovered or reserved.
+    fn new(ctx: ReduceCtx) -> Self {
+        let (budget, est_packet_bytes, _) = data_packets(&ctx.conf, ctx.spec.avg_record_bytes);
+        let n_servers = ctx.servers.borrow().len();
+        let total_maps = ctx.jt.borrow().total_maps();
+        Copier {
+            arrived: Notify::new_named(&format!("r{}-packet-arrived", ctx.reduce_idx)),
+            endpoints: EndpointSet::new(),
+            state: RefCell::new(ShufState::new(n_servers, total_maps, est_packet_bytes)),
+            outstanding: Cell::new(0),
+            stop: Cell::new(false),
+            stopped: Notify::new_named(&format!("r{}-attempt-shutdown", ctx.reduce_idx)),
+            death_seen: Cell::new(false),
+            no_ep: Cell::new(false),
+            budget,
+            spill_file: format!("{}_r{}_shufspill", ctx.job, ctx.reduce_idx),
+            ctx,
+        }
+    }
+
     /// Ends the receive side (idempotent).
     fn stop(&self) {
         self.stop.set(true);
@@ -486,7 +500,7 @@ impl Copier {
         else {
             // The home does not hold the output (any more).
             let src = st.src(map_idx);
-            self.mem.release(src.reserved);
+            self.release(src.reserved);
             src.reserved = 0;
             src.set(INFLIGHT, false);
             src.set(HOMELESS, true);
@@ -513,7 +527,7 @@ impl Copier {
         let covered = src.reserved >= packet.bytes;
         // Balance the reservation against what actually came.
         if src.reserved > packet.bytes {
-            self.mem.release(src.reserved - packet.bytes);
+            self.release(src.reserved - packet.bytes);
         }
         src.reserved = 0;
         src.set(INFLIGHT | HOMELESS, false);
@@ -531,7 +545,6 @@ impl Copier {
         if !over {
             return Arrival::Ready;
         }
-        st.spilled_bytes += bytes;
         drop(st);
         ctx.cluster
             .sim
@@ -682,7 +695,7 @@ impl Copier {
             // Nothing delivered yet: re-home cleanly, dropping any request
             // that was in flight to the old home (`book` ignores its answer).
             Some(s) => {
-                self.mem.release(s.reserved);
+                self.release(s.reserved);
                 s.reserved = 0;
                 s.set(INFLIGHT | HOMELESS, false);
                 s.tt_idx = tt_u32(tt_idx);
@@ -713,7 +726,7 @@ impl Copier {
         };
         let src = st.src(map_idx);
         let est = src.request_bytes(est);
-        let reserved = if self.mem.try_reserve(est) {
+        let reserved = if self.try_reserve(est) {
             est
         } else if ask != Ask::Packet {
             0 // overdraft: the packet will spill on arrival if needed
@@ -759,7 +772,7 @@ impl Copier {
         loop {
             let map_idx = {
                 let mut st = self.state.borrow_mut();
-                let free = self.mem.available();
+                let free = self.available();
                 let set = if free >= st.est_packet_bytes || walk_all {
                     &st.cands
                 } else if free > 0 {
@@ -923,10 +936,6 @@ impl Copier {
                 }
             }
             cluster.net.transfer(tt_node.id, me, bytes).await;
-            cluster
-                .sim
-                .metrics()
-                .add("rdma.refetch_bytes", bytes as f64);
         }
     }
 }
@@ -935,31 +944,22 @@ impl Copier {
 /// job's [`ShuffleKind`](crate::ShuffleKind) capabilities. `Err` means a
 /// shuffle source with partial deliveries died under the attempt; the
 /// caller re-queues the whole task.
-pub async fn run_reduce_rdma(ctx: ReduceCtx) -> Result<ReduceStats, ReduceError> {
+///
+/// The copier is built here, outside the returned future, so the future
+/// holds the attempt's context once: inside the copier.
+pub fn run_reduce_rdma(ctx: ReduceCtx) -> impl Future<Output = Result<ReduceStats, ReduceError>> {
+    run_attempt(Rc::new(Copier::new(ctx)))
+}
+
+/// The attempt itself: connect, Phase A (discovery and overlapped fetch),
+/// Phase B (merge pipelined with reduce).
+async fn run_attempt(copier: Rc<Copier>) -> Result<ReduceStats, ReduceError> {
+    let ctx = &copier.ctx;
     let sim = ctx.cluster.sim.clone();
     let kind = ctx.conf.shuffle;
-    let (budget, est_packet_bytes, watermark) = data_packets(&ctx.conf, ctx.spec.avg_record_bytes);
+    let (_, _, watermark) = data_packets(&ctx.conf, ctx.spec.avg_record_bytes);
     let n_servers = ctx.servers.borrow().len();
     let total_maps = ctx.jt.borrow().total_maps();
-    // The receive side lives in the TaskTracker's task group (so the node's
-    // death also reaps it) and is stopped when the attempt ends.
-    let copier = Rc::new(Copier {
-        arrived: Notify::new_named(&format!("r{}-packet-arrived", ctx.reduce_idx)),
-        endpoints: EndpointSet::new(),
-        state: RefCell::new(ShufState::new(n_servers, total_maps, est_packet_bytes)),
-        mem: MemBudget {
-            capacity: ctx.conf.shuffle_buffer,
-            outstanding: Cell::new(0),
-        },
-        stop: Cell::new(false),
-        stopped: Notify::new_named(&format!("r{}-attempt-shutdown", ctx.reduce_idx)),
-        death_seen: Cell::new(false),
-        no_ep: Cell::new(false),
-        budget,
-        spill_file: format!("{}_r{}_shufspill", ctx.job, ctx.reduce_idx),
-        ctx,
-    });
-    let ctx = &copier.ctx;
 
     // Connect an endpoint to every live TaskTracker up front (§III-B-1: "one
     // RDMACopier sends such information to all available TaskTrackers").
@@ -970,6 +970,8 @@ pub async fn run_reduce_rdma(ctx: ReduceCtx) -> Result<ReduceStats, ReduceError>
             copier.reach(tt_i).await;
         }
     }
+    // The receive side lives in the TaskTracker's task group (so the node's
+    // death also reaps it) and is stopped when the attempt ends.
     ctx.tt
         .group
         .spawn_named(
@@ -1091,7 +1093,7 @@ pub async fn run_reduce_rdma(ctx: ReduceCtx) -> Result<ReduceStats, ReduceError>
                     records: seg.records,
                     bytes: seg.bytes,
                 });
-                copier.mem.release(seg.bytes);
+                copier.release(seg.bytes);
                 {
                     let mut st = copier.state.borrow_mut();
                     st.resident_bytes = st.resident_bytes.saturating_sub(seg.bytes);
@@ -1197,8 +1199,6 @@ mod tests {
             s.set(INFLIGHT, reserved > 0);
             Some(s)
         };
-        let mut state = ShufState::new(2, 2, conf.osu_packet_bytes);
-        state.sources = vec![source(0, 0), source(1, RESERVED)];
         let servers: Vec<UcrListener<ShufMsg>> = (0..2)
             .map(|tt| ucr_listen(&cluster.net, cluster.workers[tt].id))
             .collect();
@@ -1219,22 +1219,9 @@ mod tests {
             attempt: 0,
             conf: Rc::new(conf),
         };
-        let copier = Rc::new(Copier {
-            endpoints: EndpointSet::new(),
-            state: RefCell::new(state),
-            mem: MemBudget {
-                capacity: shuffle_buffer,
-                outstanding: Cell::new(RESERVED),
-            },
-            arrived: Notify::new(),
-            stop: Cell::new(false),
-            stopped: Notify::new(),
-            death_seen: Cell::new(false),
-            no_ep: Cell::new(false),
-            budget: PacketBudget::Bytes(ctx.conf.osu_packet_bytes),
-            spill_file: "j0_r0_shufspill".into(),
-            ctx,
-        });
+        let copier = Rc::new(Copier::new(ctx));
+        copier.outstanding.set(RESERVED);
+        copier.state.borrow_mut().sources = vec![source(0, 0), source(1, RESERVED)];
         Rig {
             sim,
             copier,
@@ -1270,6 +1257,16 @@ mod tests {
             total_bytes: 100 << 20,
             from_cache: true,
         }
+    }
+
+    #[test]
+    fn the_attempt_future_holds_the_context_once() {
+        // Boxed once per reduce attempt, the future holds the context only
+        // inside its copier: 928 B, where a second, dead copy made 1 584 B.
+        let rig = rig(1 << 20);
+        let attempt = run_reduce_rdma(rig.copier.ctx.clone());
+        let size = std::mem::size_of_val(&attempt);
+        assert!(size <= 1024, "attempt future is {size} B");
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! closed loop for comparison), heavy-tailed job-size mixes ([`JobMix`]:
 //! bounded-Pareto input sizes over TeraSort/Sort/WordCount), and per-tenant
 //! submission streams that push thousands of jobs through `Runtime::submit`
-//! under FIFO, fair, or multi-tenant capacity scheduling.
+//! under FIFO or multi-tenant capacity scheduling
+//! ([`rmr_core::SchedulePolicy`]).
 //!
 //! Outputs are tail-latency first: per-tenant p50/p95/p99 job latency
 //! (queue wait + execution) via [`rmr_des::Histogram`], fairness

@@ -50,11 +50,6 @@ pub struct FabricParams {
     /// Extra one-time cost of establishing a connection (TCP handshake /
     /// QP transition to RTS).
     pub connect_cost: SimDuration,
-    /// Independent wire rails per node (multi-rail HCAs / dual-port
-    /// bonding). `1` everywhere by default: per-rail fluid legs are only
-    /// created above 1, so single-rail replays are untouched. Every transfer
-    /// splits its wire bytes evenly over the rails (`Network::transfer`).
-    pub rails: usize,
 }
 
 impl FabricParams {
@@ -74,7 +69,6 @@ impl FabricParams {
             cpu_per_packet: 1.6e-6,
             cpu_per_message: 4.0e-6,
             connect_cost: SimDuration::from_micros(250),
-            rails: 1,
         }
     }
 
@@ -93,7 +87,6 @@ impl FabricParams {
             cpu_per_packet: 1.0e-6,
             cpu_per_message: 3.5e-6,
             connect_cost: SimDuration::from_micros(200),
-            rails: 1,
         }
     }
 
@@ -112,7 +105,6 @@ impl FabricParams {
             cpu_per_packet: 0.9e-6,
             cpu_per_message: 3.5e-6,
             connect_cost: SimDuration::from_micros(150),
-            rails: 1,
         }
     }
 
@@ -130,15 +122,7 @@ impl FabricParams {
             cpu_per_packet: 0.0,
             cpu_per_message: 1.0e-6,
             connect_cost: SimDuration::from_micros(500),
-            rails: 1,
         }
-    }
-
-    /// Returns the fabric with `k` independent wire rails per node
-    /// (clamped to at least one); every transfer stripes across them.
-    pub fn with_rails(mut self, k: usize) -> Self {
-        self.rails = k.max(1);
-        self
     }
 
     /// True when the fabric bypasses the kernel (RDMA capable).
@@ -202,14 +186,6 @@ mod tests {
         let small = ipoib.send_cpu(1_000);
         let big = ipoib.send_cpu(1_000_000);
         assert!(big > 100.0 * small);
-    }
-
-    #[test]
-    fn presets_are_single_rail_and_with_rails_clamps() {
-        let verbs = FabricParams::ib_verbs_qdr();
-        assert_eq!(verbs.rails, 1);
-        assert_eq!(verbs.clone().with_rails(2).rails, 2);
-        assert_eq!(verbs.with_rails(0).rails, 1);
     }
 
     #[test]

@@ -14,9 +14,8 @@
 //!
 //! The legs of one transfer are a fixed, small set — tx, rx, the two rack
 //! legs, the two CPUs — so they live inline in the transfer's own future
-//! (`Legs`) and are polled in place, in the order they were started; only
-//! a multi-rail fabric's extra rails spill to a `Vec`. A transfer on a
-//! single-rail fabric allocates nothing.
+//! (`Legs`) and are polled in place, in the order they were started. A
+//! transfer allocates nothing.
 //!
 //! With a hierarchical [`Topology`], cross-rack transfers additionally
 //! contend on the source rack's core uplink and the destination rack's
@@ -52,10 +51,6 @@ impl std::fmt::Display for NodeId {
 struct NodeNet {
     tx: Fluid,
     rx: Fluid,
-    /// Extra (tx, rx) fluid pairs for rails 1..k on multi-rail fabrics;
-    /// empty whenever `fabric.rails <= 1`, so single-rail runs never even
-    /// allocate them. Rail 0 is the plain `tx`/`rx` pair above.
-    rails: Vec<(Fluid, Fluid)>,
     /// Host CPU; `None` models an infinitely fast host (useful in unit
     /// tests that isolate wire behaviour).
     cpu: Option<Fluid>,
@@ -68,28 +63,18 @@ struct RackNet {
     down: Fluid,
 }
 
-/// The concurrent fluid legs of one transfer, in start order: the wire pair,
-/// a multi-rail fabric's extra rails, then rack uplink/downlink and the two
-/// host CPUs. Resolves when every leg has; a finished leg is dropped and not
-/// polled again. Dropping it mid-flight cancels the unfinished legs in the
-/// same order. `ConsumeFuture` is `Unpin`, so polling in place needs no
-/// `unsafe`.
-#[derive(Default)]
-struct Legs {
-    wire: [Option<ConsumeFuture>; 2],
-    /// Rails 1..k, senders' tx then receivers' rx; never allocated on a
-    /// single-rail fabric.
-    rails: Vec<Option<ConsumeFuture>>,
-    /// Rack up, rack down, send CPU, receive CPU.
-    rest: [Option<ConsumeFuture>; 4],
-}
+/// The concurrent fluid legs of one transfer, in start order: sender tx,
+/// receiver rx, rack uplink, rack downlink, send CPU, receive CPU. Resolves
+/// when every leg has; a finished leg is dropped and not polled again.
+/// Dropping it mid-flight cancels the unfinished legs in the same order.
+/// `ConsumeFuture` is `Unpin`, so polling in place needs no `unsafe`.
+struct Legs([Option<ConsumeFuture>; 6]);
 
 impl Future for Legs {
     type Output = ();
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        let Legs { wire, rails, rest } = &mut *self;
         let mut all_done = true;
-        for leg in wire.iter_mut().chain(rails).chain(rest) {
+        for leg in &mut self.0 {
             if let Some(fut) = leg {
                 match Pin::new(fut).poll(cx) {
                     Poll::Ready(()) => *leg = None,
@@ -260,18 +245,9 @@ impl Network {
         } = &*self.inner;
         let mut nodes = nodes.borrow_mut();
         let id = NodeId(nodes.len() as u32);
-        let rails = (1..fabric.rails)
-            .map(|_| {
-                (
-                    Fluid::new(sim, fabric.link_bw),
-                    Fluid::new(sim, fabric.link_bw),
-                )
-            })
-            .collect();
         nodes.push(NodeNet {
             tx: Fluid::new(sim, fabric.link_bw),
             rx: Fluid::new(sim, fabric.link_bw),
-            rails,
             cpu,
         });
         if topology.constrains() {
@@ -318,10 +294,7 @@ impl Network {
         self.len() == 0
     }
 
-    /// Starts every leg of one message, in [`Legs`] order. The wire bytes
-    /// split evenly over the fabric's rails (real multi-rail stacks stripe
-    /// below the QP and socket abstractions); a single-rail fabric has the
-    /// wire pair only.
+    /// Starts every leg of one message, in [`Legs`] order.
     fn start_legs(&self, src: NodeId, dst: NodeId, bytes: u64, wire_scale: f64) -> Legs {
         let Shared {
             fabric,
@@ -336,48 +309,36 @@ impl Network {
         // Degraded links stretch the wire legs only; `wire_scale` is exactly
         // 1.0 on healthy paths, leaving the consumed amount bit-identical.
         let wire = bytes as f64 * wire_scale;
-        let mut legs = Legs::default();
+        let mut legs: [Option<ConsumeFuture>; 6] = Default::default();
         if src != dst {
-            // Even fluid split: each rail moves 1/k of the wire bytes. Rail 0
-            // is the node's plain tx/rx pair.
-            let share = wire / (s.rails.len() + 1) as f64;
-            legs.wire = [Some(s.tx.consume(share)), Some(d.rx.consume(share))];
-            legs.rails.reserve_exact(s.rails.len() + d.rails.len());
-            for (stx, _) in &s.rails {
-                legs.rails.push(Some(stx.consume(share)));
-            }
-            for (_, drx) in &d.rails {
-                legs.rails.push(Some(drx.consume(share)));
-            }
+            legs[0] = Some(s.tx.consume(wire));
+            legs[1] = Some(d.rx.consume(wire));
             // Cross-rack messages also queue on the source rack's core
             // uplink and the destination rack's downlink — but only when
             // the core can actually bind (oversubscription > 1.0); a
             // fully-provisioned core is mathematically never the
             // bottleneck, and omitting its legs keeps flat replay exact.
-            // The core carries the whole message however many rails fed it.
             if topology.constrains() && topology.cross_rack(src, dst) {
                 let racks = racks.borrow();
-                legs.rest[0] = Some(racks[topology.rack_of(src)].up.consume(wire));
-                legs.rest[1] = Some(racks[topology.rack_of(dst)].down.consume(wire));
+                legs[2] = Some(racks[topology.rack_of(src)].up.consume(wire));
+                legs[3] = Some(racks[topology.rack_of(dst)].down.consume(wire));
             }
         }
-        // Protocol CPU is charged once for the whole message: striping
-        // splits the wire, not the work-request posting.
         let send_cpu = fabric.send_cpu(bytes);
         let recv_cpu = fabric.recv_cpu(bytes);
         if let Some(cpu) = &s.cpu {
             if send_cpu > 0.0 {
-                legs.rest[2] = Some(cpu.consume(send_cpu));
+                legs[4] = Some(cpu.consume(send_cpu));
             }
         }
         if src != dst {
             if let Some(cpu) = &d.cpu {
                 if recv_cpu > 0.0 {
-                    legs.rest[3] = Some(cpu.consume(recv_cpu));
+                    legs[5] = Some(cpu.consume(recv_cpu));
                 }
             }
         }
-        legs
+        Legs(legs)
     }
 
     /// Moves one `bytes`-sized message from `src` to `dst`, resolving when
@@ -663,10 +624,9 @@ mod tests {
         assert_eq!(done, secs(6.0));
     }
 
-    /// Two hosts on a flat `rails`-rail verbs fabric at 100 B/s per rail, no
-    /// latency, no CPU.
-    fn rail_net(sim: &Sim, rails: usize) -> (Network, NodeId, NodeId) {
-        let mut f = FabricParams::ib_verbs_qdr().with_rails(rails);
+    /// Two hosts on a flat verbs fabric at 100 B/s, no latency, no CPU.
+    fn wire_net(sim: &Sim) -> (Network, NodeId, NodeId) {
+        let mut f = FabricParams::ib_verbs_qdr();
         f.link_bw = 100.0;
         f.latency = rmr_des::SimDuration::ZERO;
         f.cpu_per_message = 0.0;
@@ -697,19 +657,9 @@ mod tests {
     }
 
     #[test]
-    fn striping_splits_the_wire_across_rails() {
-        // 200 B at 100 B/s per rail: one rail takes 2 s, two rails 1 s.
+    fn flat_transfer_is_two_wire_legs() {
         let sim = Sim::new(1);
-        let (net, a, b) = rail_net(&sim, 2);
-        let t = finish_times(&sim, &net, a, b, &[200]);
-        sim.run();
-        assert_eq!(*t.borrow(), vec![secs(1.0)]);
-    }
-
-    #[test]
-    fn single_rail_transfer_is_two_wire_legs() {
-        let sim = Sim::new(1);
-        let (net, a, b) = rail_net(&sim, 1);
+        let (net, a, b) = wire_net(&sim);
         let t = finish_times(&sim, &net, a, b, &[200]);
         sim.run_until(secs(0.5));
         assert_eq!(active_legs(&net), 2, "sender tx and receiver rx only");
@@ -717,23 +667,11 @@ mod tests {
         assert_eq!(*t.borrow(), vec![secs(2.0)]);
     }
 
-    #[test]
-    fn concurrent_transfers_share_every_rail() {
-        // 100 B and 200 B from one sender over two rails: each rail carries
-        // 50 + 100. The small message has both rails' halves done at 1 s, the
-        // large one then finishes its last 50 B per rail alone at 1.5 s.
-        let sim = Sim::new(1);
-        let (net, a, b) = rail_net(&sim, 2);
-        let t = finish_times(&sim, &net, a, b, &[100, 200]);
-        sim.run();
-        assert_eq!(*t.borrow(), vec![secs(1.0), secs(1.5)]);
-    }
-
-    /// Two hosts in different racks of an oversubscribed, three-rail socket
-    /// fabric, each with a CPU: a transfer between them has every kind of
-    /// leg (wire pair, rails, rack up/down, both CPUs).
+    /// Two hosts in different racks of an oversubscribed socket fabric, each
+    /// with a CPU: a transfer between them has every kind of leg (wire pair,
+    /// rack up/down, both CPUs).
     fn every_leg_net(sim: &Sim) -> (Network, NodeId, NodeId) {
-        let mut f = FabricParams::ipoib_qdr().with_rails(3);
+        let mut f = FabricParams::ipoib_qdr();
         f.link_bw = 97.0;
         f.latency = rmr_des::SimDuration::from_micros(7);
         f.cpu_send_per_byte = 1e-3;
@@ -746,10 +684,8 @@ mod tests {
 
     /// In-flight consumers summed over every fluid of the network.
     fn active_legs(net: &Network) -> usize {
-        let node = |n: &NodeNet| {
-            let rails: usize = n.rails.iter().map(|(t, r)| t.active() + r.active()).sum();
-            n.tx.active() + n.rx.active() + rails + n.cpu.as_ref().map_or(0, Fluid::active)
-        };
+        let node =
+            |n: &NodeNet| n.tx.active() + n.rx.active() + n.cpu.as_ref().map_or(0, Fluid::active);
         let nodes: usize = net.inner.nodes.borrow().iter().map(node).sum();
         let racks = net.inner.racks.borrow();
         nodes
@@ -771,19 +707,20 @@ mod tests {
                 unreachable!("aborted before the last byte lands");
             })
             .detach();
-        // The send CPU leg (1 s) is done; three tx, three rx, the two rack
-        // legs and the receive CPU are mid-flight.
+        // The send CPU leg (1 s) is done; tx, rx, the two rack legs and the
+        // receive CPU are mid-flight.
         sim.run_until(secs(1.5));
-        assert_eq!(active_legs(&net), 9);
+        assert_eq!(active_legs(&net), 5);
         group.abort();
         assert_eq!(active_legs(&net), 0);
         assert_eq!(sim.pending_events(), 0);
     }
 
     #[test]
-    fn three_rail_striped_transfer_finishes_when_it_did_before_legs() {
-        // Two messages over three rails and a rack core slower than the
-        // rails: the finish times of the version that boxed every leg.
+    fn every_leg_transfer_finishes_when_it_did_before_legs() {
+        // Two messages through a rack core slower than the wire: the finish
+        // times of the version that boxed every leg. The core and the CPUs
+        // bind, so these are also the times the three-rail fabric gave.
         let sim = Sim::new(1);
         let (net, a, b) = every_leg_net(&sim);
         let done = finish_times(&sim, &net, a, b, &[1_001, 703]);

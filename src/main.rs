@@ -14,7 +14,7 @@ use rdma_mapred::prelude::*;
 use rmr_bench::cli::{parse_bench, parse_gb, usage_error, Args};
 
 const USAGE: &str = "usage:
-  rdma-mapred run [--bench terasort|sort] [--system g1|g10|ipoib|ha|osu|osunc|comb|mr]
+  rdma-mapred run [--bench terasort|sort] [--system g1|g10|ipoib|ha|osu|osunc|comb]
               [--gb N] [--nodes N] [--disks N] [--storage] [--ssd] [--seed N]
               [--block-mb N] [--packet-kb N]
               (--ssd is compute nodes with one SSD each: not with --disks or --storage)

@@ -1,14 +1,13 @@
 //! Gates on what rides around the three shuffle engines: the in-node
-//! combiner stage (`JobConf::node_combine`) and the fabric's rails.
+//! combiner stage (`JobConf::node_combine`).
 //!
 //! * Correctness: under every engine, WordCount counts with the stage on are
 //!   the counts without it (aggregation must be invisible in the output) and
 //!   fewer bytes are shuffled.
 //! * Pass-through: a combiner-less job (TeraSort) with the stage on replays
 //!   its engine exactly — same duration, same shuffle volume.
-//! * Rails: a second rail is wall-clock when the wire binds.
-//! * Replay: both presets (stage on, two rails) pass the double-run
-//!   trace-hash gate.
+//! * Replay: the combiner preset (OSU-IB with the stage on) passes the
+//!   double-run trace-hash gate.
 
 use rmr_core::cluster::{Cluster, NodeSpec};
 use rmr_core::{run_job, JobConf, ShuffleKind};
@@ -53,13 +52,6 @@ fn conf_for(kind: ShuffleKind, node_combine: bool, reduces: usize) -> JobConf {
     conf.io_sort_buffer = 8 << 20;
     conf.prefetch_cache_bytes = 32 << 20;
     conf
-}
-
-/// The two OSU-IB presets as (stage on?, fabric): the in-node combiner and
-/// the two-rail fabric.
-fn presets() -> [(bool, FabricParams); 2] {
-    let qdr = FabricParams::ib_verbs_qdr();
-    [(true, qdr.clone()), (false, qdr.with_rails(2))]
 }
 
 /// Runs one WordCount on `kind` and returns (counts, shuffled bytes).
@@ -108,15 +100,11 @@ fn node_combiner_cuts_shuffle_volume_on_every_engine() {
     }
 }
 
-/// Runs one TeraSort on `kind` over `fabric` and returns (duration,
-/// shuffled bytes, trace hash).
-fn terasort_on_fabric(
-    kind: ShuffleKind,
-    node_combine: bool,
-    fabric: FabricParams,
-) -> (f64, u64, u64) {
+/// Runs one TeraSort on `kind` and returns (duration, shuffled bytes, trace
+/// hash).
+fn terasort_on(kind: ShuffleKind, node_combine: bool) -> (f64, u64, u64) {
     let sim = Sim::new(62);
-    let c = cluster(&sim, 3, fabric, 2 << 20);
+    let c = cluster(&sim, 3, fabric_for(kind), 2 << 20);
     let conf = conf_for(kind, node_combine, 3);
     let c2 = c.clone();
     let (secs, bytes) = sim.block_on(sim.spawn_named("ts-driver", async move {
@@ -134,8 +122,8 @@ fn combiner_less_jobs_replay_their_engine() {
     // TeraSort has no combiner fn, so it never enters the stage: the job
     // must replay its engine poll for poll.
     for kind in ShuffleKind::ALL {
-        let plain = terasort_on_fabric(kind, false, fabric_for(kind));
-        let staged = terasort_on_fabric(kind, true, fabric_for(kind));
+        let plain = terasort_on(kind, false);
+        let staged = terasort_on(kind, true);
         assert_eq!(
             plain, staged,
             "{kind:?}: pass-through must be bit-identical"
@@ -144,57 +132,37 @@ fn combiner_less_jobs_replay_their_engine() {
 }
 
 #[test]
-fn multi_rail_beats_single_rail_when_the_wire_binds() {
-    // Throttle the link so the shuffle dominates the job: a second rail
-    // then has to show up as wall-clock, not noise.
-    let mut slow = FabricParams::ib_verbs_qdr();
-    slow.link_bw /= 500.0;
-    let two_rails = slow.clone().with_rails(2);
-    let (one_s, one_bytes, _) = terasort_on_fabric(ShuffleKind::OsuIb, false, slow);
-    let (two_s, two_bytes, _) = terasort_on_fabric(ShuffleKind::OsuIb, false, two_rails);
-    assert_eq!(one_bytes, two_bytes, "striping moves the same bytes");
-    assert!(
-        two_s < one_s,
-        "two rails must beat one on a wire-bound shuffle: {two_s} vs {one_s}"
-    );
-}
-
-#[test]
 fn new_engines_replay_identically() {
-    // What PR 10 added as engines: the two OSU-IB presets.
-    for (node_combine, fabric) in presets() {
-        assert_deterministic(63, move |sim| {
-            let c = cluster(sim, 3, fabric.clone(), 256 << 10);
-            let conf = conf_for(ShuffleKind::OsuIb, node_combine, 2);
-            sim.spawn_named("replay-driver", async move {
-                textgen_blocks(&c, "/r/in", 2_000, 8, 500).await;
-                let res = run_job(&c, conf, wordcount_spec("/r/in", "/r/out")).await;
-                assert!(res.duration_s > 0.0);
-            })
-            .detach();
-        });
-    }
+    // The OSU-IB combiner preset, run as an engine of its own.
+    assert_deterministic(63, |sim| {
+        let c = cluster(sim, 3, FabricParams::ib_verbs_qdr(), 256 << 10);
+        let conf = conf_for(ShuffleKind::OsuIb, true, 2);
+        sim.spawn_named("replay-driver", async move {
+            textgen_blocks(&c, "/r/in", 2_000, 8, 500).await;
+            let res = run_job(&c, conf, wordcount_spec("/r/in", "/r/out")).await;
+            assert!(res.duration_s > 0.0);
+        })
+        .detach();
+    });
 }
 
 #[test]
 fn new_engine_trace_hashes_are_stable_across_runs() {
     // Beyond assert_deterministic's end-state checks: pin the full event
-    // trace (events and polls) for each preset across two fresh runs.
-    let hash_of = |node_combine: bool, fabric: FabricParams| {
+    // trace (events and polls) of the combiner preset across two fresh runs.
+    let hash_of = || {
         let sim = Sim::new(64);
-        let c = cluster(&sim, 3, fabric, 2 << 20);
-        let conf = conf_for(ShuffleKind::OsuIb, node_combine, 2);
+        let c = cluster(&sim, 3, FabricParams::ib_verbs_qdr(), 2 << 20);
+        let conf = conf_for(ShuffleKind::OsuIb, true, 2);
         sim.block_on(sim.spawn_named("hash-driver", async move {
             teragen(&c, "/h/in", 8 << 20, false).await;
             run_job(&c, conf, terasort_spec("/h/in", "/h/out")).await;
         }));
         sim.trace_hash()
     };
-    for (node_combine, fabric) in presets() {
-        assert_eq!(
-            hash_of(node_combine, fabric.clone()),
-            hash_of(node_combine, fabric),
-            "stage {node_combine}: trace must replay"
-        );
-    }
+    assert_eq!(
+        hash_of(),
+        hash_of(),
+        "the combiner preset's trace must replay"
+    );
 }
