@@ -245,8 +245,7 @@ pub fn run_experiment(exp: &Experiment) -> RunRecord {
 
 /// [`run_experiment`] plus the simulation's replay-identity trace hash —
 /// the determinism fingerprint the sweep gates compare across thread
-/// counts and topologies. Panics with the [`crate::Hung`] report if the
-/// run hangs.
+/// counts. Panics with the [`crate::Hung`] report if the run hangs.
 pub fn run_experiment_traced(exp: &Experiment) -> (RunRecord, u64) {
     let report = run_scenario(&exp.scenario()).unwrap_or_else(|hung| panic!("{hung}"));
     let rec = RunRecord::new(

@@ -117,7 +117,7 @@ pub struct Scenario {
     pub seed: u64,
     /// Which system: picks the fabric (the engine rides in `conf.shuffle`).
     pub system: System,
-    /// Cluster shape, including the rack topology.
+    /// Cluster shape.
     pub testbed: Testbed,
     pub hdfs: HdfsConfig,
     /// Cluster-wide configuration, and every job's.
@@ -378,10 +378,9 @@ where
     Fut: Future<Output = ()> + 'static,
 {
     let sim = Sim::new(sc.seed);
-    let cluster = Cluster::build_with_topology(
+    let cluster = Cluster::build(
         &sim,
         sc.system.fabric(),
-        sc.testbed.topology,
         &sc.testbed.node_specs(),
         sc.hdfs.clone(),
     );

@@ -10,7 +10,7 @@
 //! * 4 concurrent map and 4 concurrent reduce tasks per TaskTracker.
 
 use rmr_core::{JobConf, NodeSpec, ShuffleKind};
-use rmr_net::{FabricParams, Topology};
+use rmr_net::FabricParams;
 use rmr_store::DiskParams;
 
 /// The systems compared in the paper's figures.
@@ -146,9 +146,6 @@ pub struct Testbed {
     pub ssd: bool,
     /// Storage-class nodes (24 GB RAM) instead of compute-class (12 GB).
     pub storage_class: bool,
-    /// Rack structure of the fabric. The paper's testbed is a single QDR
-    /// switch, so every preset defaults to [`Topology::flat`].
-    pub topology: Topology,
 }
 
 impl Testbed {
@@ -159,7 +156,6 @@ impl Testbed {
             disks,
             ssd: false,
             storage_class: false,
-            topology: Topology::flat(),
         }
     }
 
@@ -170,7 +166,6 @@ impl Testbed {
             disks,
             ssd: false,
             storage_class: true,
-            topology: Topology::flat(),
         }
     }
 
@@ -181,16 +176,7 @@ impl Testbed {
             disks: 1,
             ssd: true,
             storage_class: false,
-            topology: Topology::flat(),
         }
-    }
-
-    /// Same testbed behind racks of `rack_size` hosts with core uplinks
-    /// oversubscribed by `oversub`. At `oversub` 1.0 this replays
-    /// bit-identically to the flat default (see [`Topology::constrains`]).
-    pub fn with_racks(mut self, rack_size: usize, oversub: f64) -> Self {
-        self.topology = Topology::racks(rack_size, oversub);
-        self
     }
 
     /// Expands into per-node specs: the paper's node class, with this

@@ -8,7 +8,7 @@
 
 use rmr_des::prelude::*;
 use rmr_hdfs::{HdfsCluster, HdfsConfig};
-use rmr_net::{FabricParams, Network, NodeId, Topology};
+use rmr_net::{FabricParams, Network, NodeId};
 use rmr_store::{DiskParams, LocalFs};
 
 /// Hardware description of one worker node.
@@ -90,28 +90,16 @@ pub struct Cluster {
 }
 
 impl Cluster {
-    /// Builds a cluster of `workers` identical nodes plus a master, on the
-    /// given fabric, with HDFS configured by `hdfs_cfg`, on a flat (single
-    /// non-blocking switch) topology.
+    /// Builds a master (NodeId 0) plus one worker per entry of
+    /// `worker_specs`, every host on one non-blocking switch of the given
+    /// fabric, with HDFS configured by `hdfs_cfg`.
     pub fn build(
         sim: &Sim,
         fabric: FabricParams,
         worker_specs: &[NodeSpec],
         hdfs_cfg: HdfsConfig,
     ) -> Cluster {
-        Cluster::build_with_topology(sim, fabric, Topology::flat(), worker_specs, hdfs_cfg)
-    }
-
-    /// [`Cluster::build`] with an explicit rack topology. The master sits
-    /// in rack 0 (it is NodeId 0); workers fill racks contiguously.
-    pub fn build_with_topology(
-        sim: &Sim,
-        fabric: FabricParams,
-        topology: Topology,
-        worker_specs: &[NodeSpec],
-        hdfs_cfg: HdfsConfig,
-    ) -> Cluster {
-        let net = Network::with_topology(sim, fabric, topology);
+        let net = Network::new(sim, fabric);
         // Master first: NameNode + JobTracker (no TaskTracker/DataNode).
         let master_cpu = Fluid::with_entry_cap(sim, 8.0, 1.0);
         let master = net.add_node(Some(master_cpu));

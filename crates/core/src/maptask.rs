@@ -69,7 +69,6 @@ pub async fn run_map(
     abort_fraction: Option<f64>,
 ) -> Option<MapOutputInfo> {
     let node = tt.node.clone();
-    let sim = &cluster.sim;
 
     // 1. Read the input split (locality-aware).
     let block = cluster
@@ -98,7 +97,6 @@ pub async fn run_map(
     if let Some(frac) = abort_fraction {
         // The attempt dies here after burning `frac` of its map work.
         node.compute(map_cpu * frac).await;
-        sim.metrics().incr("map.failed_attempts");
         return None;
     }
     node.compute(map_cpu).await;
@@ -404,6 +402,5 @@ mod tests {
                 .is_some()
         }));
         assert!(!got);
-        assert_eq!(sim.metrics().get("map.failed_attempts"), 1.0);
     }
 }

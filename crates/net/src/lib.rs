@@ -18,14 +18,12 @@
 pub mod chan;
 pub mod fabric;
 pub mod network;
-pub mod topology;
 pub mod ucr;
 pub mod verbs;
 
 pub use chan::{listen, pair, Conn, Listener, ListenerHandle, Wire};
 pub use fabric::{FabricKind, FabricParams};
 pub use network::{FaultWindow, Network, NodeId};
-pub use topology::Topology;
 pub use ucr::{
     ucr_listen, ucr_listen_into, EndPoint, EndpointSet, PrivateEndPoint, UcrConnector, UcrListener,
 };

@@ -12,17 +12,9 @@
 //! the paper's results (many reducers pulling from one TaskTracker, shuffle
 //! competing with HDFS replication traffic) without per-packet events.
 //!
-//! The legs of one transfer are a fixed, small set — tx, rx, the two rack
-//! legs, the two CPUs — so they live inline in the transfer's own future
-//! (`Legs`) and are polled in place, in the order they were started. A
-//! transfer allocates nothing.
-//!
-//! With a hierarchical [`Topology`], cross-rack transfers additionally
-//! contend on the source rack's core uplink and the destination rack's
-//! downlink — two more fluid legs, sized at
-//! `rack_size * link_bw / oversubscription`. A fully-provisioned core
-//! (oversubscription 1.0) adds no legs at all and replays bit-identically
-//! against the flat network (see [`Topology::constrains`]).
+//! The legs of one transfer are a fixed, small set — tx, rx, the two CPUs —
+//! so they live inline in the transfer's own future (`Legs`) and are polled
+//! in place, in the order they were started. A transfer allocates nothing.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -35,7 +27,6 @@ use rmr_des::prelude::*;
 use rmr_des::resource::fluid::ConsumeFuture;
 
 use crate::fabric::FabricParams;
-use crate::topology::Topology;
 
 /// Identifies a simulated host. Dense indices, assigned by
 /// [`Network::add_node`].
@@ -56,19 +47,12 @@ struct NodeNet {
     cpu: Option<Fluid>,
 }
 
-/// One rack's core connection (only materialised when the topology
-/// constrains, i.e. oversubscription > 1.0).
-struct RackNet {
-    up: Fluid,
-    down: Fluid,
-}
-
 /// The concurrent fluid legs of one transfer, in start order: sender tx,
-/// receiver rx, rack uplink, rack downlink, send CPU, receive CPU. Resolves
-/// when every leg has; a finished leg is dropped and not polled again.
-/// Dropping it mid-flight cancels the unfinished legs in the same order.
-/// `ConsumeFuture` is `Unpin`, so polling in place needs no `unsafe`.
-struct Legs([Option<ConsumeFuture>; 6]);
+/// receiver rx, send CPU, receive CPU. Resolves when every leg has; a
+/// finished leg is dropped and not polled again. Dropping it mid-flight
+/// cancels the unfinished legs in the same order. `ConsumeFuture` is
+/// `Unpin`, so polling in place needs no `unsafe`.
+struct Legs([Option<ConsumeFuture>; 4]);
 
 impl Future for Legs {
     type Output = ();
@@ -115,16 +99,10 @@ pub struct Network {
 struct Shared {
     sim: Sim,
     fabric: FabricParams,
-    topology: Topology,
     nodes: RefCell<Vec<NodeNet>>,
-    /// Per-rack uplink/downlink fluids, indexed by rack; grown lazily as
-    /// nodes are added. Empty on flat or fully-provisioned topologies.
-    racks: RefCell<Vec<RackNet>>,
     /// Cached `net.bytes_transferred` handle; transfers are the hottest
     /// metric site in a shuffle-bound run.
     c_transferred: rmr_des::Counter,
-    /// Cached `net.cross_rack_bytes` handle (0 on flat topologies).
-    c_cross_rack: rmr_des::Counter,
     /// Per-node impairment windows keyed by node index. Empty on healthy
     /// runs: the only cost then is one host-side `is_empty` check per
     /// transfer, so fault-free runs replay bit-identically by construction.
@@ -134,23 +112,15 @@ struct Shared {
 const _: () = assert!(std::mem::size_of::<Network>() == 8);
 
 impl Network {
-    /// Creates an empty network over the given fabric with a flat (single
-    /// non-blocking switch) topology.
+    /// Creates an empty network over the given fabric: every host hangs off
+    /// one non-blocking switch.
     pub fn new(sim: &Sim, fabric: FabricParams) -> Self {
-        Network::with_topology(sim, fabric, Topology::flat())
-    }
-
-    /// Creates an empty network over the given fabric and rack topology.
-    pub fn with_topology(sim: &Sim, fabric: FabricParams, topology: Topology) -> Self {
         Network {
             inner: Rc::new(Shared {
                 sim: sim.clone(),
                 fabric,
-                topology,
                 nodes: RefCell::default(),
-                racks: RefCell::default(),
                 c_transferred: sim.metrics().counter("net.bytes_transferred"),
-                c_cross_rack: sim.metrics().counter("net.cross_rack_bytes"),
                 faults: RefCell::default(),
             }),
         }
@@ -236,12 +206,7 @@ impl Network {
     /// charge protocol work to it, coupling communication and computation.
     pub fn add_node(&self, cpu: Option<Fluid>) -> NodeId {
         let Shared {
-            sim,
-            fabric,
-            topology,
-            nodes,
-            racks,
-            ..
+            sim, fabric, nodes, ..
         } = &*self.inner;
         let mut nodes = nodes.borrow_mut();
         let id = NodeId(nodes.len() as u32);
@@ -250,33 +215,12 @@ impl Network {
             rx: Fluid::new(sim, fabric.link_bw),
             cpu,
         });
-        if topology.constrains() {
-            let rack = topology.rack_of(id);
-            let mut racks = racks.borrow_mut();
-            while racks.len() <= rack {
-                let bw = topology.core_bw(fabric.link_bw);
-                racks.push(RackNet {
-                    up: Fluid::new(sim, bw),
-                    down: Fluid::new(sim, bw),
-                });
-            }
-        }
         id
     }
 
     /// The fabric this network runs on.
     pub fn fabric(&self) -> &FabricParams {
         &self.inner.fabric
-    }
-
-    /// The rack topology this network runs on.
-    pub fn topology(&self) -> &Topology {
-        &self.inner.topology
-    }
-
-    /// Bytes that crossed rack boundaries so far (0 on flat topologies).
-    pub fn cross_rack_bytes(&self) -> f64 {
-        self.inner.c_cross_rack.get()
     }
 
     /// The simulation handle.
@@ -296,45 +240,29 @@ impl Network {
 
     /// Starts every leg of one message, in [`Legs`] order.
     fn start_legs(&self, src: NodeId, dst: NodeId, bytes: u64, wire_scale: f64) -> Legs {
-        let Shared {
-            fabric,
-            topology,
-            nodes,
-            racks,
-            ..
-        } = &*self.inner;
+        let Shared { fabric, nodes, .. } = &*self.inner;
         let nodes = nodes.borrow();
         let s = &nodes[src.0 as usize];
         let d = &nodes[dst.0 as usize];
         // Degraded links stretch the wire legs only; `wire_scale` is exactly
         // 1.0 on healthy paths, leaving the consumed amount bit-identical.
         let wire = bytes as f64 * wire_scale;
-        let mut legs: [Option<ConsumeFuture>; 6] = Default::default();
+        let mut legs: [Option<ConsumeFuture>; 4] = Default::default();
         if src != dst {
             legs[0] = Some(s.tx.consume(wire));
             legs[1] = Some(d.rx.consume(wire));
-            // Cross-rack messages also queue on the source rack's core
-            // uplink and the destination rack's downlink — but only when
-            // the core can actually bind (oversubscription > 1.0); a
-            // fully-provisioned core is mathematically never the
-            // bottleneck, and omitting its legs keeps flat replay exact.
-            if topology.constrains() && topology.cross_rack(src, dst) {
-                let racks = racks.borrow();
-                legs[2] = Some(racks[topology.rack_of(src)].up.consume(wire));
-                legs[3] = Some(racks[topology.rack_of(dst)].down.consume(wire));
-            }
         }
         let send_cpu = fabric.send_cpu(bytes);
         let recv_cpu = fabric.recv_cpu(bytes);
         if let Some(cpu) = &s.cpu {
             if send_cpu > 0.0 {
-                legs[4] = Some(cpu.consume(send_cpu));
+                legs[2] = Some(cpu.consume(send_cpu));
             }
         }
         if src != dst {
             if let Some(cpu) = &d.cpu {
                 if recv_cpu > 0.0 {
-                    legs[5] = Some(cpu.consume(recv_cpu));
+                    legs[3] = Some(cpu.consume(recv_cpu));
                 }
             }
         }
@@ -360,9 +288,6 @@ impl Network {
             self.inner.sim.sleep(self.inner.fabric.latency).await;
         }
         self.inner.c_transferred.add(bytes as f64);
-        if self.inner.topology.cross_rack(src, dst) {
-            self.inner.c_cross_rack.add(bytes as f64);
-        }
     }
 
     /// Connection-establishment delay between two hosts (handshake RTT plus
@@ -383,7 +308,6 @@ impl Network {
 mod tests {
     use super::*;
     use rmr_des::SimTime;
-    use std::cell::Cell;
     use std::rc::Rc;
 
     fn secs(s: f64) -> SimTime {
@@ -520,46 +444,6 @@ mod tests {
         assert!((3 * 7_000..3 * 7_000 + 10).contains(&got), "got {got}");
     }
 
-    /// Runs one cross-rack transfer per sender on a 2-per-rack topology and
-    /// returns (finish time, cross_rack_bytes).
-    fn run_cross_rack(oversub: f64) -> (SimTime, f64) {
-        let sim = Sim::new(1);
-        let mut f = FabricParams::ib_verbs_qdr();
-        f.link_bw = 100.0;
-        f.latency = rmr_des::SimDuration::ZERO;
-        f.cpu_per_message = 0.0;
-        let net = Network::with_topology(&sim, f, Topology::racks(2, oversub));
-        // Rack 0: two senders. Rack 1: two receivers (distinct rx ports, so
-        // only the rack legs can couple the flows).
-        let s1 = net.add_node(None);
-        let s2 = net.add_node(None);
-        let r1 = net.add_node(None);
-        let r2 = net.add_node(None);
-        let done = Rc::new(Cell::new(SimTime::ZERO));
-        for (s, r) in [(s1, r1), (s2, r2)] {
-            let net = net.clone();
-            let sim2 = sim.clone();
-            let d = Rc::clone(&done);
-            sim.spawn(async move {
-                net.transfer(s, r, 100).await;
-                d.set(sim2.now());
-            })
-            .detach();
-        }
-        sim.run();
-        (done.get(), net.cross_rack_bytes())
-    }
-
-    #[test]
-    fn oversubscribed_core_throttles_cross_rack_aggregate() {
-        // Core uplink = 2 * 100 / 4 = 50 B/s shared by two 100 B flows:
-        // aggregate cross-rack throughput is pinned at core capacity, so
-        // both finish at t = 200/50 = 4 s instead of 1 s.
-        let (t, bytes) = run_cross_rack(4.0);
-        assert_eq!(t, secs(4.0));
-        assert_eq!(bytes, 200.0);
-    }
-
     #[test]
     fn degradation_window_stretches_wire_legs() {
         let sim = Sim::new(1);
@@ -667,16 +551,15 @@ mod tests {
         assert_eq!(*t.borrow(), vec![secs(2.0)]);
     }
 
-    /// Two hosts in different racks of an oversubscribed socket fabric, each
-    /// with a CPU: a transfer between them has every kind of leg (wire pair,
-    /// rack up/down, both CPUs).
+    /// Two hosts of a socket fabric, each with a CPU: a transfer between
+    /// them has every kind of leg (wire pair, both CPUs).
     fn every_leg_net(sim: &Sim) -> (Network, NodeId, NodeId) {
         let mut f = FabricParams::ipoib_qdr();
         f.link_bw = 97.0;
         f.latency = rmr_des::SimDuration::from_micros(7);
         f.cpu_send_per_byte = 1e-3;
         f.cpu_recv_per_byte = 2e-3;
-        let net = Network::with_topology(sim, f, Topology::racks(1, 4.0));
+        let net = Network::new(sim, f);
         let a = net.add_node(Some(Fluid::with_entry_cap(sim, 2.0, 1.0)));
         let b = net.add_node(Some(Fluid::with_entry_cap(sim, 2.0, 1.0)));
         (net, a, b)
@@ -686,13 +569,7 @@ mod tests {
     fn active_legs(net: &Network) -> usize {
         let node =
             |n: &NodeNet| n.tx.active() + n.rx.active() + n.cpu.as_ref().map_or(0, Fluid::active);
-        let nodes: usize = net.inner.nodes.borrow().iter().map(node).sum();
-        let racks = net.inner.racks.borrow();
-        nodes
-            + racks
-                .iter()
-                .map(|r| r.up.active() + r.down.active())
-                .sum::<usize>()
+        net.inner.nodes.borrow().iter().map(node).sum()
     }
 
     #[test]
@@ -707,10 +584,10 @@ mod tests {
                 unreachable!("aborted before the last byte lands");
             })
             .detach();
-        // The send CPU leg (1 s) is done; tx, rx, the two rack legs and the
-        // receive CPU are mid-flight.
+        // The send CPU leg (1 s) is done; tx, rx and the receive CPU are
+        // mid-flight.
         sim.run_until(secs(1.5));
-        assert_eq!(active_legs(&net), 5);
+        assert_eq!(active_legs(&net), 3);
         group.abort();
         assert_eq!(active_legs(&net), 0);
         assert_eq!(sim.pending_events(), 0);
@@ -718,25 +595,22 @@ mod tests {
 
     #[test]
     fn every_leg_transfer_finishes_when_it_did_before_legs() {
-        // Two messages through a rack core slower than the wire: the finish
-        // times of the version that boxed every leg. The core and the CPUs
-        // bind, so these are also the times the three-rail fabric gave.
+        // Two messages with every kind of leg: the finish times the version
+        // with rack legs gave on the same flat network.
         let sim = Sim::new(1);
         let (net, a, b) = every_leg_net(&sim);
         let done = finish_times(&sim, &net, a, b, &[1_001, 703]);
         sim.run();
         let nanos: Vec<u64> = done.borrow().iter().map(|t| t.as_nanos()).collect();
-        assert_eq!(nanos, vec![57_979_388_444u64, 70_268_048_238]);
-        assert_eq!(net.cross_rack_bytes(), 1_704.0);
+        assert_eq!(nanos, vec![14_494_852_361u64, 17_567_017_310]);
     }
 
     #[test]
-    fn fully_provisioned_racks_match_flat_timing() {
-        // At oversub 1.0 no rack legs exist: each flow runs at the link
-        // rate exactly as on the flat switch, but cross-rack accounting
-        // still sees the traffic.
-        let (t, bytes) = run_cross_rack(1.0);
-        assert_eq!(t, secs(1.0));
-        assert_eq!(bytes, 200.0);
+    fn transfer_future_holds_four_legs() {
+        // 296 B while `Legs` also held the two rack legs, 40 B each.
+        let sim = Sim::new(1);
+        let (net, a, b) = wire_net(&sim);
+        let size = std::mem::size_of_val(&net.transfer(a, b, 1));
+        assert!(size <= 216, "a transfer future is {size} B");
     }
 }

@@ -41,10 +41,6 @@ fn figure_points_replay_the_parent_commit() {
         let (rec, h) = point(Bench::TeraSort, system, Testbed::compute(2, 1), 0.5, 1);
         assert_eq!((h, rec.duration_s), (hash, duration_s), "{system:?}");
     }
-    // The testbed's rack topology reaches the cluster build.
-    let racks = Testbed::compute(4, 1).with_racks(2, 4.0);
-    let (rec, h) = point(Bench::Sort, System::OsuIb, racks, 0.5, 3);
-    assert_eq!((h, rec.duration_s), (0xb346a56442edb814, 11.900254293));
 }
 
 #[test]
