@@ -16,6 +16,8 @@
 //! * [`resource::Fluid`] — processor-sharing capacity (NIC directions, CPU
 //!   cores, SSD bandwidth).
 //! * [`Metrics`] — named counters read out by the benchmark harness.
+//! * [`heap`] — a counting global allocator and a size-class census of the
+//!   heap's peak, for binaries and tests that install it.
 //!
 //! Everything is `!Send` by design (futures hold `Rc` handles); run one
 //! simulation per thread and parallelise across *runs*, not within one.
@@ -35,6 +37,7 @@
 
 pub mod component;
 pub mod executor;
+pub mod heap;
 pub mod metrics;
 pub mod resource;
 pub mod sync;
