@@ -100,6 +100,8 @@ fn tt_u32(tt_idx: usize) -> u32 {
 
 /// What a source's totals are before its first response says.
 const UNKNOWN: u64 = u64::MAX;
+/// A source's home before its map's completion event is seen.
+const UNDISCOVERED: u32 = u32::MAX;
 
 /// A [`SourceState::flags`] bit: the segment's last packet has arrived.
 const FULLY_DELIVERED: u8 = 1;
@@ -118,11 +120,12 @@ const HOMELESS: u8 = 1 << 3;
 const PULLED: u8 = 1 << 4;
 
 /// One map's partition, as this attempt pulls it. A reducer keeps one per
-/// map of the job, so the record is kept small: a `u32` home, totals that
-/// are [`UNKNOWN`] until the first response instead of `Option`s, and its
-/// yes/no facts as bits of one byte.
+/// map of the job, so the record is kept small: a `u32` home that is
+/// [`UNDISCOVERED`] and totals that are [`UNKNOWN`] until they are known
+/// instead of `Option`s, and its yes/no facts as bits of one byte.
+#[derive(Clone)]
 struct SourceState {
-    /// The TaskTracker the map's output lives on.
+    /// The TaskTracker the map's output lives on, or [`UNDISCOVERED`].
     tt_idx: u32,
     flags: u8,
     total_records: u64,
@@ -134,11 +137,11 @@ struct SourceState {
     reserved: u64,
 }
 
-const _: () = assert!(std::mem::size_of::<SourceState>() <= 48);
+const _: () = assert!(std::mem::size_of::<SourceState>() == 48);
 
 impl SourceState {
-    /// A source just discovered on TaskTracker `tt_idx`: nothing asked for,
-    /// below its fill level.
+    /// A source just discovered on TaskTracker `tt_idx` (or not yet, at
+    /// [`UNDISCOVERED`]): nothing asked for, below its fill level.
     fn new(tt_idx: usize) -> Self {
         SourceState {
             tt_idx: tt_u32(tt_idx),
@@ -212,9 +215,9 @@ struct ShufState {
     eps: Vec<Option<EndPoint<ShufMsg>>>,
     /// TaskTrackers with no entry in `eps` yet.
     unreached: usize,
-    /// Indexed by `map_idx` (maps are `0..total_maps`); `None` until the
-    /// map's completion event is seen.
-    sources: Vec<Option<SourceState>>,
+    /// Indexed by `map_idx` (maps are `0..total_maps`); [`UNDISCOVERED`]
+    /// until the map's completion event is seen.
+    sources: Vec<SourceState>,
     /// Maps whose completion event has been seen.
     discovered: usize,
     /// Sources still waiting for their first response (no totals yet).
@@ -254,7 +257,7 @@ impl ShufState {
             backlogs: BTreeMap::new(),
             eps: vec![None; servers],
             unreached: servers,
-            sources: (0..total_maps).map(|_| None).collect(),
+            sources: vec![SourceState::new(UNDISCOVERED as usize); total_maps],
             discovered: 0,
             missing: BTreeSet::new(),
             poisoned: BTreeSet::new(),
@@ -269,7 +272,10 @@ impl ShufState {
     }
 
     fn src(&mut self, map_idx: usize) -> &mut SourceState {
-        self.sources[map_idx].as_mut().expect("unknown source")
+        let s = &mut self.sources[map_idx];
+        (s.tt_idx != UNDISCOVERED)
+            .then_some(s)
+            .expect("unknown source")
     }
 
     /// Books a fresh connection to `tt_idx` as the one its requests use.
@@ -309,13 +315,14 @@ impl ShufState {
         self.sources
             .iter()
             .enumerate()
-            .filter_map(|(m, s)| Some((m, s.as_ref()?)))
+            .filter(|(_, s)| s.tt_idx != UNDISCOVERED)
     }
 
     /// Re-derives `map_idx`'s membership in the candidate sets; call after
     /// changing any field of the source.
     fn relist(&mut self, map_idx: usize) {
-        let s = self.sources[map_idx].as_ref().expect("unknown source");
+        let s = &self.sources[map_idx];
+        assert_ne!(s.tt_idx, UNDISCOVERED, "unknown source");
         let cand = s.has(BELOW) && !s.has(INFLIGHT | FULLY_DELIVERED | HOMELESS);
         let tail = cand && s.request_bytes(self.est_packet_bytes) < self.est_packet_bytes;
         for (set, member) in [(&mut self.cands, cand), (&mut self.tails, tail)] {
@@ -676,8 +683,8 @@ impl Copier {
     fn discover(&self, map_idx: usize, tt_idx: usize) -> bool {
         let mut st = self.state.borrow_mut();
         match &mut st.sources[map_idx] {
-            slot @ None => {
-                *slot = Some(SourceState::new(tt_idx));
+            s if s.tt_idx == UNDISCOVERED => {
+                *s = SourceState::new(tt_idx);
                 st.discovered += 1;
                 st.missing.insert(map_idx);
                 st.relist(map_idx);
@@ -685,16 +692,16 @@ impl Copier {
             }
             // Already fully pulled from the old incarnation; the re-execution
             // serves other reducers.
-            Some(s) if s.has(FULLY_DELIVERED) => false,
+            s if s.has(FULLY_DELIVERED) => false,
             // Partial data from a lost incarnation cannot be resumed (the new
             // server's cursor starts over): the attempt must restart.
-            Some(s) if s.has(PULLED) => {
+            s if s.has(PULLED) => {
                 st.poisoned.insert(map_idx);
                 false
             }
             // Nothing delivered yet: re-home cleanly, dropping any request
             // that was in flight to the old home (`book` ignores its answer).
-            Some(s) => {
+            s => {
                 self.release(s.reserved);
                 s.reserved = 0;
                 s.set(INFLIGHT | HOMELESS, false);
@@ -711,7 +718,8 @@ impl Copier {
     /// in the shuffle buffer.
     fn request(&self, map_idx: usize, ask: Ask) {
         let mut st = self.state.borrow_mut();
-        let src = st.sources[map_idx].as_ref().expect("unknown source");
+        let src = &st.sources[map_idx];
+        assert_ne!(src.tt_idx, UNDISCOVERED, "unknown source");
         if src.has(INFLIGHT | FULLY_DELIVERED | HOMELESS) {
             return;
         }
@@ -848,7 +856,7 @@ impl Copier {
                 .sources
                 .iter_mut()
                 .map(|s| {
-                    let s = s.as_mut().expect("every map discovered");
+                    assert_ne!(s.tt_idx, UNDISCOVERED, "every map discovered");
                     s.set(BELOW, false);
                     assert_ne!(s.total_records, UNKNOWN, "every source has its totals");
                     s.total_records
@@ -972,15 +980,11 @@ async fn run_attempt(copier: Rc<Copier>) -> Result<ReduceStats, ReduceError> {
     }
     // The receive side lives in the TaskTracker's task group (so the node's
     // death also reaps it) and is stopped when the attempt ends.
-    ctx.tt
-        .group
-        .spawn_named(
-            Component::RdmaCopier {
-                reduce: ctx.reduce_idx as u32,
-            },
-            Rc::clone(&copier).run(),
-        )
-        .detach();
+    let tag = Component::RdmaCopier {
+        reduce: ctx.reduce_idx as u32,
+    };
+    let run = Rc::clone(&copier).run();
+    ctx.tt.group.spawn_named(tag, run).detach();
 
     // ---- Phase A: discover map completions; OSU overlaps data shuffle
     // with the map wave, Hadoop-A only pulls headers. ----
@@ -1191,13 +1195,10 @@ mod tests {
             shuffle_buffer,
             ..JobConf::osu_ib()
         };
-        let source = |tt_idx, reserved| {
-            let mut s = SourceState {
-                reserved,
-                ..SourceState::new(tt_idx)
-            };
-            s.set(INFLIGHT, reserved > 0);
-            Some(s)
+        let source = |tt_idx, reserved| SourceState {
+            flags: BELOW | if reserved > 0 { INFLIGHT } else { 0 },
+            reserved,
+            ..SourceState::new(tt_idx)
         };
         let servers: Vec<UcrListener<ShufMsg>> = (0..2)
             .map(|tt| ucr_listen(&cluster.net, cluster.workers[tt].id))
@@ -1284,7 +1285,7 @@ mod tests {
                     loop {
                         copier.arrived.notified().await;
                         let st = copier.state.borrow();
-                        let delivered = |m: usize| st.sources[m].as_ref().unwrap().delivered_bytes;
+                        let delivered = |m: usize| st.sources[m].delivered_bytes;
                         seen.borrow_mut().push((
                             delivered(0),
                             delivered(1),
@@ -1360,10 +1361,7 @@ mod tests {
             let ctx = &rig.copier.ctx;
             let delivered = || {
                 let st = rig.copier.state.borrow();
-                (
-                    st.sources[0].as_ref().unwrap().delivered_bytes,
-                    st.shuffled_bytes,
-                )
+                (st.sources[0].delivered_bytes, st.shuffled_bytes)
             };
             let dead = || -> Vec<bool> {
                 let st = rig.copier.state.borrow();
