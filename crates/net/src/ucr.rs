@@ -19,8 +19,8 @@
 //! the last clone drops. So a connection costs one allocation, the queue
 //! pair's (see [`crate::verbs`]), however many holders — a set, a reducer's
 //! table, a responder's request queue — share its ends: an idle one between
-//! two sets is 216 bytes of queue pair plus a 24-byte member entry in each
-//! set (`tests/memory/conn.rs` holds it to 320).
+//! two sets is 184 bytes of queue pair plus a 24-byte member entry in each
+//! set (`tests/memory/conn.rs` holds it to 232).
 //!
 //! Either side of a connection chooses how it receives: [`UcrListener::accept`]
 //! and [`UcrConnector::connect`] hand out a [`PrivateEndPoint`], an endpoint
