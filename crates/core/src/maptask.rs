@@ -11,10 +11,11 @@
 //! bytes in an arena and sort an index, and the split is read through
 //! [`block_records`] whichever way its block holds them. An identity map
 //! adopts its input: an encoded HDFS block becomes the run's backing buffer
-//! and only a 16-byte index entry per record is built and sorted
-//! ([`Segment::from_encoded`]); a block an identity reduce wrote already
-//! holds sorted windows, which are joined as they stand. No record is
-//! materialised, no byte copied. Any other attempt holds nothing but its
+//! and only a 12-byte index entry per record is built and sorted
+//! ([`Segment::from_encoded`]); a block an identity reduce wrote holds the
+//! sorted windows its merge drew from, which are merged back into one run
+//! (or joined, where they adjoin). No record is materialised, no byte
+//! copied. Any other attempt holds nothing but its
 //! output across a simulated charge: it counts its input (a header walk over
 //! encoded bytes), and only after the read and map charges does it show the
 //! map function one by-value [`Record`] window at a time. The function emits

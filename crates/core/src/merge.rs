@@ -26,11 +26,16 @@
 //! gives back its burst once drained, down to the one slot most sources
 //! ever use, and only a real merge reserves its heap of heads.
 //!
-//! A real batch moves 16-byte index entries, not records: the heap orders
+//! A real batch moves 12-byte index entries, not records: the heap orders
 //! sources by the key prefix their head entry carries and goes to the key
 //! bytes only when two prefixes tie, and the emitted segment is a fresh index
 //! over the buffers of the packets it drew from — no payload copy, no
-//! per-record reference count.
+//! per-record reference count. The batch also keeps, per packet it drew
+//! from, the window it drew with its bytes (opened where the packet joins the
+//! batch, closed where it pops or the batch ends), so that an identity
+//! reduce's output can hold those windows rather than the batch's index. A
+//! merge whose sources include a merge's output records none: no chain of
+//! indices is ever pinned.
 //!
 //! What a real pop does read is the popped record's header (its size), at
 //! wherever the record lies in its buffer. The pop therefore prefetches the
@@ -135,8 +140,25 @@ impl Cold {
 /// order the merge used before it was heap-based.
 #[derive(Clone, Copy)]
 struct Head {
-    prefix: u64,
+    prefix: u32,
     src: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<Head>() == 8);
+
+/// A source's part in the real batch being built, kept where the batch first
+/// draws from the source's front packet and until the packet pops.
+#[derive(Clone, Copy, Default)]
+struct Joined {
+    /// The batch (counted in `batches`, from 1) drawing from the packet; 0
+    /// for none.
+    batch: u64,
+    /// Bytes the batch has drawn from the packet.
+    bytes: u64,
+    /// Where the batch's buffer table holds the packet's buffers.
+    buf: u32,
+    /// The packet entry the batch's window of it starts at.
+    from: u32,
 }
 
 /// Heap order of two heads (`cold` supplies the key bytes behind a tie).
@@ -189,12 +211,14 @@ pub struct StreamingMerge {
     /// Real mode only: a min-heap (see [`sift_down`]) with one entry per
     /// source that has a buffered head.
     heads: Vec<Head>,
-    /// Real mode only, per source: the batch (counted in `batches`, from 1)
-    /// that last drew from the source's front packet, and where that batch's
-    /// buffer table holds the packet's buffers. Apart from `cold`, whose size
-    /// synthetic runs with hundreds of thousands of sources pay for.
-    joined: Vec<(u64, u32)>,
+    /// Real mode only, per source: the batch being built's part in its front
+    /// packet. Apart from `cold`, whose size synthetic runs with hundreds of
+    /// thousands of sources pay for.
+    joined: Vec<Joined>,
     batches: u64,
+    /// Real batches record the windows they draw: no packet delivered so far
+    /// is a merge's output.
+    record: bool,
     /// Sources with records left to consume, ascending. Exhausted entries
     /// are dropped by the next synthetic batch, not at the pop.
     live: Vec<usize>,
@@ -233,6 +257,7 @@ impl StreamingMerge {
             heads: Vec::new(),
             joined: Vec::new(),
             batches: 0,
+            record: true,
             newly_low: live.iter().copied().filter(|&i| hot[i].low).collect(),
             live,
             watermark,
@@ -252,6 +277,9 @@ impl StreamingMerge {
             return;
         }
         let is_real = packet.is_real();
+        if packet.real().is_some_and(|run| run.drawn().is_some()) {
+            self.record = false;
+        }
         match self.real {
             None => {
                 self.real = Some(is_real);
@@ -366,9 +394,11 @@ impl StreamingMerge {
 
     fn emit_real(&mut self, max_records: u64) -> Segment {
         self.batches += 1;
-        self.joined.resize(self.cold.len(), (0, 0));
+        self.joined.resize(self.cold.len(), Joined::default());
         let mut index = Vec::with_capacity(max_records.min(self.remaining) as usize);
         let mut bufs: Vec<Bytes> = Vec::new();
+        // The windows drawn from packets that popped, by source.
+        let mut drawn: Vec<(u32, Segment)> = Vec::new();
         let mut bytes = 0u64;
         // Extraction is only safe while every non-exhausted source has a
         // buffered head. The heap holds exactly one entry per source with a
@@ -383,20 +413,31 @@ impl StreamingMerge {
             let at = cold.head_idx as usize;
             let (in_run, mut entry) = (run.entries().len(), run.entries()[at]);
             run.prefetch(at + MERGE_PREFETCH_AHEAD);
-            bytes += run.size(&entry);
+            let size = run.size(&entry);
+            bytes += size;
             let joined = &mut self.joined[src as usize];
-            if joined.0 != self.batches {
+            if joined.batch != self.batches {
                 // This batch's first record from this packet: the packet's
-                // buffers join the batch's table.
-                *joined = (self.batches, bufs.len() as u32);
+                // buffers join the batch's table, and its window opens.
+                *joined = Joined {
+                    batch: self.batches,
+                    bytes: 0,
+                    buf: bufs.len() as u32,
+                    from: at as u32,
+                };
                 bufs.extend(run.bufs().iter().cloned());
             }
-            entry.buf += joined.1;
+            joined.bytes += size;
+            entry.buf += joined.buf;
             index.push(entry);
             cold.head_idx += 1;
             if cold.head_idx as usize == in_run {
+                if self.record {
+                    let window = run.window(joined.from as usize..in_run, joined.bytes);
+                    drawn.push((src, window));
+                }
                 cold.pop();
-                (cold.head_idx, joined.0) = (0, 0);
+                (cold.head_idx, joined.batch) = (0, 0);
             }
             // Re-key the top entry in place (one sift-down) instead of a pop
             // and a push.
@@ -408,7 +449,24 @@ impl StreamingMerge {
             self.hot[src as usize].avail -= 1;
             self.consumed(src as usize, 1);
         }
-        RealRun::over(index, bufs.into()).holding(bytes)
+        if !self.record {
+            return RealRun::merged(index, bufs.into(), Vec::new()).holding(bytes);
+        }
+        // The windows still open close at the batch's end, and ties went to
+        // the lower source: the windows are listed by source, each source's
+        // in packet order.
+        for (src, joined) in self.joined.iter().enumerate() {
+            if joined.batch == self.batches {
+                let cold = &self.cold[src];
+                let run = (cold.packets.front().and_then(Segment::real))
+                    .expect("an open window's packet is at the front");
+                let window = run.window(joined.from as usize..cold.head_idx as usize, joined.bytes);
+                drawn.push((src as u32, window));
+            }
+        }
+        drawn.sort_by_key(|&(src, _)| src);
+        let drawn = drawn.into_iter().map(|(_, window)| window).collect();
+        RealRun::merged(index, bufs.into(), drawn).holding(bytes)
     }
 
     /// Consumes `n` buffered records of `source` (synthetic mode), returning
@@ -540,6 +598,38 @@ mod tests {
             }
         }
         assert_eq!(rest, vec![4, 5, 7, 8, 9]);
+    }
+
+    /// A real batch records the window of each packet it drew from, by
+    /// source and each source's in packet order, with its bytes; a merge
+    /// over merges' output records none.
+    #[test]
+    fn a_real_batch_records_the_windows_it_drew() {
+        let drawn = |seg: &Segment| -> Vec<(Vec<u32>, u64)> {
+            let run = seg.real().expect("real");
+            let key = |r: Record| u32::from_be_bytes(r.key[..4].try_into().unwrap());
+            (run.drawn().expect("a merge's output").iter())
+                .map(|w| (w.iter_real().map(key).collect(), w.bytes))
+                .collect()
+        };
+        let mut m = StreamingMerge::new(vec![4, 2]);
+        m.append(1, real_packet(&[2, 5]));
+        m.append(0, real_packet(&[1, 4]));
+        m.append(0, real_packet(&[6, 9]));
+        // 1, 2, 4: source 0's first packet pops, source 1's stays open.
+        let Emit::Data(first) = m.emit(3) else {
+            panic!("three records to emit")
+        };
+        assert_eq!(drawn(&first), [(vec![1, 4], 10), (vec![2], 5)]);
+        let Emit::Data(second) = m.emit(10) else {
+            panic!("the rest to emit")
+        };
+        assert_eq!(drawn(&second), [(vec![6, 9], 10), (vec![5], 5)]);
+        let again = Segment::merge(&[first, second]);
+        assert_eq!(
+            again.real().and_then(RealRun::drawn).map(<[_]>::len),
+            Some(0)
+        );
     }
 
     #[test]

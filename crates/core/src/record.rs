@@ -9,7 +9,7 @@
 //!
 //! Hadoop's `kvbuffer`/`kvmeta`: record bytes stay where they are, in
 //! [`encode_records`]' layout, and what is sorted, partitioned, shuffled and
-//! merged is a 16-byte `Entry` per record — the key's first eight bytes
+//! merged is a 12-byte `Entry` per record — the key's first four bytes
 //! and where the record's header lies. A real run is a window
 //! of a shared sorted index over a shared table of backing buffers, so a
 //! shuffle packet, a partition and a merged batch are two reference-count
@@ -24,10 +24,11 @@
 //! * **mapper / combiner output** pays one encode into a fresh arena — a
 //!   mapper's as it emits ([`MapSink`]), a combiner's through
 //!   [`Segment::from_records`];
-//! * **identity reduce output** is held, not copied: the output block keeps
-//!   the merged windows the reduce sink was given (a 16-byte `Entry` per
-//!   record over the batch's shared index), and HDFS keeps the input blocks
-//!   they point into for the file's life anyway;
+//! * **identity reduce output** is held, not copied, and not indexed
+//!   again: the output block keeps the windows of the map outputs' packets
+//!   the merge drew the records from, cut where each piece starts and ends
+//!   (see the `held` module), and HDFS keeps the input blocks they point
+//!   into for the file's life anyway;
 //! * **a user reducer's output** pays one encode into the open HDFS block.
 //!
 //! Every reader of a real HDFS block — a map's input, the validators, the
@@ -49,17 +50,20 @@
 //! eight ahead in file order, the streaming merge two ahead in the source
 //! it pops. A prefetch is a hint: it moves no byte and changes no value.
 
-use std::any::Any;
 use std::cmp::Ordering;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
 use std::rc::Rc;
 
 use bytes::{BufMut, Bytes, BytesMut};
-use rmr_hdfs::{BlockData, HeldPiece};
 
 use crate::merge::{Emit, StreamingMerge};
 use crate::spec::ReduceFn;
+
+mod held;
+
+pub(crate) use held::HeldRun;
+pub use held::{block_records, BlockRecords};
 
 /// One key-value pair. Keys and values are opaque byte strings, compared
 /// lexicographically (Hadoop's `BytesWritable` ordering, which is also
@@ -238,6 +242,12 @@ pub(crate) fn key_prefix(key: &[u8]) -> u64 {
     }
 }
 
+/// The first four key bytes of [`key_prefix`]: what an index [`Entry`]
+/// keeps of its key.
+fn entry_prefix(key: &[u8]) -> u32 {
+    (key_prefix(key) >> 32) as u32
+}
+
 /// Where a map function puts its output, one [`MapSink::emit`] per record:
 /// the key is borrowed (the sink copies what it keeps of it), the value
 /// owned.
@@ -390,15 +400,15 @@ impl Hasher for WordHasher {
 /// it against most others without going there.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Entry {
-    /// [`key_prefix`] of the record's key.
-    pub(crate) prefix: u64,
+    /// [`entry_prefix`] of the record's key.
+    pub(crate) prefix: u32,
     /// Which of the run's backing buffers holds the record.
     pub(crate) buf: u32,
     /// Where in that buffer the record's 8-byte header starts.
     pub(crate) off: u32,
 }
 
-const _: () = assert!(std::mem::size_of::<Entry>() == 16);
+const _: () = assert!(std::mem::size_of::<Entry>() == 12);
 
 /// What the windows of one run share: an index sorted by key, and the table
 /// of backing buffers (in [`encode_records`]' layout) its entries point into.
@@ -407,6 +417,11 @@ const _: () = assert!(std::mem::size_of::<Entry>() == 16);
 struct Backing {
     index: Box<[Entry]>,
     bufs: Rc<[Bytes]>,
+    /// `None` unless a merge made the index. Then: the windows of its
+    /// sources' packets it drew the records from, each source's in packet
+    /// order and the sources in merge order — or none, where a source was a
+    /// merge's output itself and nothing is recorded.
+    drawn: Option<Box<[Segment]>>,
 }
 
 /// A window `[start, end)` of a shared `Backing`: one reference count and
@@ -425,12 +440,28 @@ const _: () = assert!(std::mem::size_of::<Segment>() == 40);
 impl RealRun {
     /// The whole of `index`, already in key order, over `bufs`.
     pub(crate) fn over(index: Vec<Entry>, bufs: Rc<[Bytes]>) -> Self {
+        Self::with_drawn(index, bufs, None)
+    }
+
+    /// [`Self::over`] for a merge's output, which drew its records from the
+    /// windows `drawn` (see [`Backing::drawn`]).
+    pub(crate) fn merged(index: Vec<Entry>, bufs: Rc<[Bytes]>, drawn: Vec<Segment>) -> Self {
+        Self::with_drawn(index, bufs, Some(drawn.into()))
+    }
+
+    fn with_drawn(index: Vec<Entry>, bufs: Rc<[Bytes]>, drawn: Option<Box<[Segment]>>) -> Self {
         let index = index.into_boxed_slice();
         RealRun {
             start: 0,
             end: index.len(),
-            backing: Rc::new(Backing { index, bufs }),
+            backing: Rc::new(Backing { index, bufs, drawn }),
         }
+    }
+
+    /// `None` unless a merge made this run's index; then the windows it
+    /// drew the records from, if it recorded them.
+    pub(crate) fn drawn(&self) -> Option<&[Segment]> {
+        self.backing.drawn.as_deref()
     }
 
     /// The window's entries, in key order.
@@ -507,7 +538,7 @@ impl RealRun {
 
     /// The `range` of this window's entries (which may run past its end,
     /// into the rest of the index), holding `bytes`.
-    fn window(&self, range: Range<usize>, bytes: u64) -> Segment {
+    pub(crate) fn window(&self, range: Range<usize>, bytes: u64) -> Segment {
         let (start, end) = (self.start + range.start, self.start + range.end);
         debug_assert!(start <= end && end <= self.backing.index.len());
         RealRun {
@@ -541,10 +572,6 @@ fn prefetch_line(p: *const u8) {
     let _ = p;
 }
 
-/// How far ahead of the record it reads the held-block walk prefetches, in
-/// entries: far enough to cover a DRAM miss with eight records' work.
-const GATHER_PREFETCH_AHEAD: usize = 8;
-
 /// The contents of a sorted run: real records, or nothing beyond the
 /// segment's own counts.
 #[derive(Debug, Clone)]
@@ -575,7 +602,7 @@ impl Segment {
     /// Indexes `data` in one header walk and sorts the index unless the
     /// records are `sorted` already. The sort is stable (records with equal
     /// keys keep their order in `data`): most comparisons are one integer
-    /// compare on a 16-byte element, only prefix ties go to the key bytes,
+    /// compare on a 12-byte element, only prefix ties go to the key bytes,
     /// and the offset is the last tie-break, so no two entries compare equal
     /// and the unstable sort is deterministic.
     fn adopt(data: Bytes, sorted: bool) -> Self {
@@ -588,7 +615,7 @@ impl Segment {
             .map(|(key, value)| {
                 bytes += (value.end - key.start) as u64;
                 Entry {
-                    prefix: key_prefix(&data[key.clone()]),
+                    prefix: entry_prefix(&data[key.clone()]),
                     buf: 0,
                     off: key.start as u32 - 8,
                 }
@@ -792,99 +819,6 @@ pub(crate) fn even_share(records: u64, bytes: u64, n: usize, i: usize) -> Segmen
     let r = records / n + u64::from(i < records % n);
     let b = bytes / n + u64::from(i < bytes % n);
     Segment::synthetic(r, b)
-}
-
-/// An output block may hold a run as it stands: it counts for its records as
-/// [`encode_records`] would lay them out, each under an 8-byte header.
-impl HeldPiece for Segment {
-    fn file_len(&self) -> u64 {
-        self.bytes + 8 * self.records
-    }
-}
-
-/// The records of one real HDFS block, in file order, whichever way the
-/// block holds them: as [`encode_records`]' bytes, or as the runs an
-/// identity reduce handed its output file ([`BlockData::Held`]). Made by
-/// [`block_records`].
-#[derive(Debug, Clone)]
-pub struct BlockRecords(BlockData);
-
-/// The one way to read a real HDFS block's records.
-pub fn block_records(data: BlockData) -> BlockRecords {
-    BlockRecords(data)
-}
-
-/// The runs a block holds, in file order.
-fn held_runs(pieces: &[Box<dyn HeldPiece>]) -> impl Iterator<Item = &Segment> {
-    pieces.iter().map(|piece| {
-        let piece: &dyn Any = &**piece;
-        (piece.downcast_ref::<Segment>())
-            .filter(|seg| seg.is_real())
-            .expect("a held piece is a real run")
-    })
-}
-
-/// Calls `f` with every entry of the held runs in file order, prefetching
-/// [`GATHER_PREFETCH_AHEAD`] entries ahead: the runs are sorted, the bytes
-/// they point into are where the input blocks had them.
-fn walk_held(pieces: &[Box<dyn HeldPiece>], mut f: impl FnMut(&RealRun, &Entry)) {
-    for run in held_runs(pieces).filter_map(Segment::real) {
-        for (i, e) in run.entries().iter().enumerate() {
-            run.prefetch(i + GATHER_PREFETCH_AHEAD);
-            f(run, e);
-        }
-    }
-}
-
-impl BlockRecords {
-    /// How many records the block holds (a header walk over encoded bytes).
-    pub fn count(&self) -> usize {
-        match &self.0 {
-            BlockData::Encoded(data) => count_records(data),
-            BlockData::Held(pieces) => held_runs(pieces).map(|run| run.records as usize).sum(),
-        }
-    }
-
-    /// Calls `f` with each record's key in file order; no view is built.
-    pub fn for_each_key(&self, mut f: impl FnMut(&[u8])) {
-        match &self.0 {
-            BlockData::Encoded(data) => walk(data).for_each(|(key, _)| f(&data[key])),
-            BlockData::Held(pieces) => walk_held(pieces, |run, e| f(run.key(e))),
-        }
-    }
-
-    /// Calls `f` with each record in file order, as the by-value view user
-    /// code sees.
-    pub fn for_each(&self, mut f: impl FnMut(Record)) {
-        match &self.0 {
-            BlockData::Encoded(data) => {
-                for (key, value) in walk(data) {
-                    f(Record {
-                        key: data.slice(key),
-                        value: data.slice(value),
-                    });
-                }
-            }
-            BlockData::Held(pieces) => walk_held(pieces, |run, e| f(run.record(e))),
-        }
-    }
-
-    /// The records, collected.
-    pub fn to_records(&self) -> Vec<Record> {
-        let mut out = Vec::with_capacity(self.count());
-        self.for_each(|r| out.push(r));
-        out
-    }
-
-    /// The block's records as one sorted run: encoded bytes are indexed
-    /// where they lie and sorted ([`Segment::from_encoded`]); held runs,
-    /// already in key order, are joined.
-    pub(crate) fn into_run(self) -> Segment {
-        match self.0 {
-            BlockData::Encoded(data) => Segment::from_encoded(data),
-            BlockData::Held(pieces) => Segment::concat(held_runs(&pieces).cloned().collect()),
-        }
-    }
 }
 
 /// A sequential cursor over a segment, yielding shuffle packets. A real

@@ -2,10 +2,11 @@
 //! HDFS writer) and the map-completion event poller.
 //!
 //! The sink follows [`crate::record`]'s copy rule: without a reduce function
-//! its output blocks hold the merged windows it was given as they stand
-//! ([`HdfsWriter::write_held`]) — a 16-byte index entry per record over the
-//! merge batch's shared index, no byte gathered — and a reduce function's
-//! output pays one encode into the open block. Both are charged alike.
+//! its output blocks hold what it was given as it stands
+//! ([`HdfsWriter::write_held`]) — the windows of the map outputs' packets the
+//! merge drew each piece from, cut at the piece's ends, so neither a byte nor
+//! an index entry is copied — and a reduce function's output pays one encode
+//! into the open block. Both are charged alike.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -17,7 +18,7 @@ use crate::cluster::{Cluster, NodeHandle};
 use crate::config::{JobConf, CPU_REDUCE_PER_BYTE, CPU_REDUCE_PER_RECORD, CPU_SERDE_PER_BYTE};
 use crate::faults::NodeLiveness;
 use crate::jobtracker::{CompletionEvent, JobTracker};
-use crate::record::{encode_into, encoded_len, for_each_group, Record, Segment};
+use crate::record::{encode_into, encoded_len, for_each_group, HeldRun, Record, Segment};
 use crate::runtime::JobId;
 use crate::spec::JobSpec;
 use crate::tasktracker::{TaskTracker, TtServerHandle};
@@ -203,8 +204,9 @@ impl ReduceSink {
 
     /// Reduces and writes the concatenation of `pieces` (whole key groups, in
     /// key order) as one piece of the output file: the identity reducer's
-    /// output is the pieces themselves, held by the open HDFS block; a user
-    /// reducer's is encoded into it from what the function returned.
+    /// output is the windows the pieces were merged from, held by the open
+    /// HDFS block; a user reducer's is encoded into it from what the function
+    /// returned.
     async fn emit_groups(&mut self, pieces: Vec<Segment>) {
         let reduced: Option<Vec<Record>> = self.spec.reducer.as_ref().map(|f| {
             let records: Vec<Record> = pieces.iter().flat_map(Segment::iter_real).collect();
@@ -212,9 +214,15 @@ impl ReduceSink {
             for_each_group(&records, |k, vs| f(k, vs, &mut out));
             out
         });
+        let held: Vec<Box<dyn HeldPiece>> = match reduced {
+            Some(_) => Vec::new(),
+            None => (pieces.into_iter().filter(|p| p.records > 0))
+                .map(|p| Box::new(HeldRun::new(p)) as _)
+                .collect(),
+        };
         let len = match &reduced {
             Some(out) => encoded_len(out),
-            None => pieces.iter().map(HeldPiece::file_len).sum(),
+            None => held.iter().map(|h| h.file_len()).sum(),
         };
         if len == 0 {
             return;
@@ -226,11 +234,7 @@ impl ReduceSink {
                 let fill = |buf: &mut bytes::BytesMut| encode_into(&out, buf);
                 self.writer().write_with(len, fill).await
             }
-            None => {
-                let held = pieces.into_iter().filter(|p| p.records > 0);
-                let held = held.map(|p| Box::new(p) as Box<dyn HeldPiece>).collect();
-                self.writer().write_held(held).await
-            }
+            None => self.writer().write_held(held).await,
         };
         written.expect("output write");
     }
@@ -342,6 +346,82 @@ mod tests {
             c2.hdfs.delete("/out/part-00000", node.id).await.unwrap();
             assert_eq!(block.strong_count(), windows);
         }));
+    }
+
+    /// An identity sink fed a streaming merge's batches holds the windows the
+    /// merge drew from, and reads back as the merge emitted them: equal keys
+    /// span sources, packets and batches, one batch reaches the sink cut
+    /// inside a key group, and keys tie on their four-byte prefix.
+    #[test]
+    fn identity_output_reads_back_as_merged_across_ties() {
+        use crate::merge::{Emit, StreamingMerge};
+        use crate::record::{block_records, SegmentCursor};
+        let key = |i: usize| format!("same{}", i % 5);
+        let runs: Vec<Segment> = (0..3)
+            .map(|s| {
+                let records = (0..40).map(|i| {
+                    rec(
+                        key(i * 7 + s * 3).as_bytes(),
+                        format!("{s}-{i:02}").as_bytes(),
+                    )
+                });
+                Segment::from_records(records.collect())
+            })
+            .collect();
+        // Packets of three records, batches of seven.
+        let mut merge = StreamingMerge::new(runs.iter().map(|r| r.records).collect());
+        let mut cursors: Vec<SegmentCursor> =
+            runs.iter().cloned().map(SegmentCursor::new).collect();
+        let mut batches = Vec::new();
+        loop {
+            match merge.emit(7) {
+                Emit::Data(batch) => batches.push(batch),
+                Emit::Stalled(dry) => dry
+                    .into_iter()
+                    .for_each(|s| merge.append(s, cursors[s].take_records(3))),
+                Emit::Done => break,
+            }
+        }
+        let want: Vec<Record> = batches.iter().flat_map(Segment::iter_real).collect();
+        assert_eq!(Some(&want), Segment::merge(&runs).to_records().as_ref());
+        // The cut: inside a key group whose records before it come from two
+        // sources or more.
+        let source = |r: &Record| r.value[0];
+        let cut_in = |b: &Segment| {
+            let records = b.to_records().expect("real");
+            (1..records.len()).find(|&p| {
+                let group = records[..p].iter().filter(|r| r.key == records[p].key);
+                let mut sources: Vec<u8> = group.map(source).collect();
+                sources.dedup();
+                records[p - 1].key == records[p].key && sources.len() > 1
+            })
+        };
+        let (at, cut) = (batches.iter().enumerate())
+            .find_map(|(i, b)| Some((i, cut_in(b)?)))
+            .expect("a batch with a tie across sources");
+
+        let (sim, cluster) = mk();
+        let spec = JobSpec::sort("/in", "/out", 10);
+        let c2 = cluster.clone();
+        let got = sim.block_on(sim.spawn(async move {
+            let node = c2.workers[0].clone();
+            let mut sink = ReduceSink::open(&c2, &spec, &node, 0).await;
+            for (i, batch) in batches.into_iter().enumerate() {
+                let mut parts = SegmentCursor::new(batch);
+                if i == at {
+                    sink.consume(parts.take_records(cut as u64)).await;
+                }
+                sink.consume(parts.take_records(u64::MAX)).await;
+            }
+            sink.finish().await;
+            let mut r = c2.hdfs.open("/out/part-00000", node.id).await.unwrap();
+            let block = r.next_block().await.unwrap().unwrap();
+            assert!(r.next_block().await.unwrap().is_none(), "one block");
+            let block = block_records(block.data.unwrap());
+            (block.to_records(), block.into_run().to_records().unwrap())
+        }));
+        assert_eq!(got.0, want, "walked in file order");
+        assert_eq!(got.1, want, "read back as one run");
     }
 
     #[test]

@@ -127,7 +127,7 @@ const MAX_LINES: usize = 1_200;
 /// and a ceiling is never raised.
 const LONG_FILES: [(&str, usize); 3] = [
     ("crates/des/src/executor.rs", 1_852),
-    ("crates/core/src/record.rs", 1_428),
+    ("crates/core/src/record.rs", 1_362),
     ("crates/core/src/reduce/rdma.rs", 1_409),
 ];
 
